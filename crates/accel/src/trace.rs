@@ -237,13 +237,20 @@ impl KindRun {
 /// Clips phase-local `runs` to the window `[lo, hi)` and rebases them to
 /// window-local positions — the SCRATCH replay slices each oracle DMA
 /// window out of its phase and indexes from the window start.
+///
+/// `runs` must be sorted by `start` and non-overlapping, as
+/// [`DecodedTrace::phase_kind_runs`] returns them (the runs tile their
+/// phase). The window's first run is found by binary search, so a clip
+/// costs O(log runs + clipped runs) rather than a scan of the whole phase.
 pub fn clip_kind_runs(
     runs: &[KindRun],
     lo: usize,
     hi: usize,
 ) -> impl Iterator<Item = KindRun> + '_ {
-    runs.iter()
-        .filter(move |r| r.end() > lo && r.start < hi)
+    let first = runs.partition_point(|r| r.end() <= lo);
+    runs[first..]
+        .iter()
+        .take_while(move |r| r.start < hi)
         .map(move |r| {
             let s = r.start.max(lo);
             let e = r.end().min(hi);

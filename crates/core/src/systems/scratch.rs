@@ -95,8 +95,8 @@ impl ScratchSystem {
         let mut dma = DmaController::new(cfg.link_l1x_l2);
         let cap_blocks = cfg.scratchpad.capacity_bytes / CACHE_BLOCK_BYTES;
         // Entry-state digest: everything mutable the replay below touches
-        // (the ledger and per-window scratchpads start empty by
-        // construction; `cap_blocks` stands in for the scratchpad shape).
+        // (the ledger and the scratchpad start empty by construction;
+        // `cap_blocks` stands in for the scratchpad shape).
         let entry = memo.map(|_| {
             let mut h = StateHasher::new();
             host.digest(&mut h);
@@ -118,6 +118,9 @@ impl ScratchSystem {
         // stage) skip it entirely.
         let all_windows = decoded.dma_windows(workload, cap_blocks);
         let pid = workload.pid;
+        // One scratchpad for the whole run: `drain_dirty` empties it at the
+        // end of every window, so each window starts from an empty store.
+        let mut sp = Scratchpad::new(cfg.scratchpad.capacity_bytes);
 
         for (phase_idx, phase) in workload.phases.iter().enumerate() {
             let start = now;
@@ -150,7 +153,6 @@ impl ScratchSystem {
                 for w in windows {
                     // DMA-in: stage the window's read data.
                     let t0 = now;
-                    let mut sp = Scratchpad::new(cfg.scratchpad.capacity_bytes);
                     let tr = dma.transfer(&w.dma_in, DmaDirection::In, now, |b, at| {
                         host.dma_read_block(pid, b, at, &mut ledger, &mut NoTile)
                     });

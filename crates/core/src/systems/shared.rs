@@ -175,6 +175,12 @@ impl SharedSystem {
         let mut phases_out = Vec::new();
         let mut latency = fusion_sim::Histogram::new();
         let pid = workload.pid;
+        // Link serialization times are fixed for the run: the AXC-side
+        // word, the L2-side request word, full block and critical word.
+        let axc_word_cycles = cfg.link_axc_l1x.transfer_cycles(word);
+        let l2_word_cycles = cfg.link_l1x_l2.transfer_cycles(word);
+        let l2_block_cycles = cfg.link_l1x_l2.transfer_cycles(CACHE_BLOCK_BYTES as u64);
+        let l2_critical_cycles = cfg.link_l1x_l2.transfer_cycles(8);
 
         for (phase_idx, phase) in workload.phases.iter().enumerate() {
             let start = now;
@@ -214,7 +220,7 @@ impl SharedSystem {
                         // Critical-path translation (shared, core-style view).
                         let pa = host.shared_tlb_translate(pid, dp.blocks[j], &mut ledger);
                         let pblock = SharedL1x::pblock(pa);
-                        let arb = at + cfg.link_axc_l1x.transfer_cycles(word);
+                        let arb = at + axc_word_cycles;
                         let bank_start = banks.issue(pblock, arb);
                         ledger.charge(Component::L1x, em.l1x_access);
                         let mut ready = bank_start + cfg.l1x.latency;
@@ -256,7 +262,7 @@ impl SharedSystem {
                                 em.link_l1x_l2_pj_per_byte,
                                 word,
                             );
-                            let req_at = ready + cfg.link_l1x_l2.transfer_cycles(word);
+                            let req_at = ready + l2_word_cycles;
                             let (l2_ready, recalls) =
                                 host.mesi_request_from_tile(pa, req, req_at, &mut ledger);
                             for rpa in recalls {
@@ -282,13 +288,12 @@ impl SharedSystem {
                             // An upgrade already holds the data: only the
                             // ownership acknowledgement comes back.
                             let fill_full = if !is_upgrade {
-                                let full = l2_ready
-                                    + cfg.link_l1x_l2.transfer_cycles(CACHE_BLOCK_BYTES as u64);
-                                ready = l2_ready + cfg.link_l1x_l2.transfer_cycles(8);
+                                let full = l2_ready + l2_block_cycles;
+                                ready = l2_ready + l2_critical_cycles;
                                 in_flight.insert(pblock, full);
                                 full
                             } else {
-                                ready = l2_ready + cfg.link_l1x_l2.transfer_cycles(8);
+                                ready = l2_ready + l2_critical_cycles;
                                 prev_fill
                             };
                             // A GetS with no other sharer is granted E: the
@@ -314,7 +319,7 @@ impl SharedSystem {
                             em.link_axc_l1x_pj_per_byte,
                             word,
                         );
-                        let done = ready + cfg.link_axc_l1x.transfer_cycles(word);
+                        let done = ready + axc_word_cycles;
                         latency.record(done - at);
                         done
                     },

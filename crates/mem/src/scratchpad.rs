@@ -199,6 +199,25 @@ mod tests {
     }
 
     #[test]
+    fn drain_frees_full_capacity_for_reuse() {
+        // One scratchpad serves every window of a run: after a drain the
+        // next window must be able to fill all of it again.
+        let mut sp = Scratchpad::new(256); // 4 blocks
+        for window in 0..3u64 {
+            let base = window * 10;
+            for i in 0..4 {
+                sp.fill(b(base + i));
+            }
+            assert_eq!(sp.resident_blocks(), sp.capacity_blocks());
+            sp.write(b(base + 1)).unwrap();
+            assert!(sp.write(b(base + 9)).is_err());
+            assert_eq!(sp.drain_dirty(), vec![b(base + 1)]);
+            assert_eq!(sp.resident_blocks(), 0);
+            assert!(sp.read(b(base)).is_err());
+        }
+    }
+
+    #[test]
     fn drain_is_sorted_and_clean_blocks_skipped() {
         let mut sp = Scratchpad::new(512);
         for i in [5, 3, 8, 1] {

@@ -82,10 +82,11 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         let bucket = (64 - value.max(1).leading_zeros() as usize).saturating_sub(1);
         if self.buckets.len() <= bucket {
-            self.buckets.resize(bucket + 1, 0);
+            self.grow(bucket);
         }
         self.buckets[bucket] += 1;
         self.count += 1;
@@ -102,12 +103,20 @@ impl Histogram {
         }
         let bucket = (64 - value.max(1).leading_zeros() as usize).saturating_sub(1);
         if self.buckets.len() <= bucket {
-            self.buckets.resize(bucket + 1, 0);
+            self.grow(bucket);
         }
         self.buckets[bucket] += n;
         self.count += n;
         self.sum += value * n;
         self.max = self.max.max(value);
+    }
+
+    // Extends the buckets so `bucket` exists. Taken only the first time a
+    // sample lands above every earlier one, so kept out of the inlined
+    // `record` path.
+    #[cold]
+    fn grow(&mut self, bucket: usize) {
+        self.buckets.resize(bucket + 1, 0);
     }
 
     /// Number of samples recorded.

@@ -8,6 +8,12 @@
 # compares fresh runs against BENCH_sweep.json, so commit both files
 # together whenever a perf PR moves the number.
 #
+# Each history line carries two rates for the kept run:
+#   mrefs_per_sec         every row, memo-spliced ones included (the only
+#                         rate of the older lines tagged memo_inclusive);
+#   replay_mrefs_per_sec  only the rows the memo did not splice: the
+#                         references actually replayed per replay second.
+#
 # Usage: scripts/bench_baseline.sh [runs]   (default 8)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,11 +39,19 @@ EOF
   rm -f "$out"
 done
 
-# rev records the commit the measurement ran on (HEAD; the regenerated
-# baseline itself lands in the *next* commit).
-rev=$(git rev-parse --short HEAD)
+replay_mrefs=$(python3 - BENCH_sweep.json <<'EOF'
+import json, sys
+rows = [r for r in json.load(open(sys.argv[1])) if r.get('memo') != 'hit']
+print(round(sum(r['refs'] for r in rows) / sum(r['wall_ms'] for r in rows) / 1000, 1))
+EOF
+)
+
+# rev records the tree the measurement ran on: HEAD, suffixed -dirty when
+# uncommitted changes were measured (the regenerated baseline itself
+# lands in the *next* commit).
+rev=$(git describe --always --dirty)
 today=$(date -u +%F)
 mrefs=$(python3 -c "print(round($best / 1e6, 1))")
-printf '{"date":"%s","rev":"%s","mrefs_per_sec":%s}\n' \
-  "$today" "$rev" "$mrefs" >> BENCH_history.jsonl
-echo "baseline: $mrefs Mrefs/s -> BENCH_sweep.json (+ BENCH_history.jsonl)"
+printf '{"date":"%s","rev":"%s","mrefs_per_sec":%s,"replay_mrefs_per_sec":%s}\n' \
+  "$today" "$rev" "$mrefs" "$replay_mrefs" >> BENCH_history.jsonl
+echo "baseline: $mrefs Mrefs/s, $replay_mrefs Mrefs/s replayed -> BENCH_sweep.json (+ BENCH_history.jsonl)"
