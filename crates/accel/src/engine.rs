@@ -135,14 +135,14 @@ pub fn run_phase_kind_runs(
 /// issue separated by compute gaps, out-of-order completion, at most
 /// `mlp` references outstanding.
 struct MlpIssuer {
-    mlp: usize,
     now: Cycle,
     start: Cycle,
-    // At most `mlp` completions are ever outstanding (Table 1 caps MLP at
-    // ~6), so a flat vector with linear min-scan beats a binary heap here.
-    // Only completion *values* matter — ties pop in either order with the
-    // same effect — so timing is identical to the heap formulation.
-    outstanding: Vec<Cycle>,
+    // Exactly `mlp` slots (Table 1 caps MLP at ~6: a linear min-scan beats
+    // a heap), each the completion of the last reference issued through it.
+    // Seeded with `start`, no later than any issue, so unused slots never stall.
+    slots: Vec<Cycle>,
+    /// The slot `advance` picked for the reference being issued.
+    slot: usize,
     last_completion: Cycle,
     mlp_stalls: u64,
 }
@@ -151,43 +151,41 @@ impl MlpIssuer {
     fn new(mlp: usize, start: Cycle) -> MlpIssuer {
         assert!(mlp > 0, "memory-level parallelism must be at least 1");
         MlpIssuer {
-            mlp,
             now: start,
             start,
-            outstanding: Vec::with_capacity(mlp),
+            slots: vec![start; mlp],
+            slot: 0,
             last_completion: start,
             mlp_stalls: 0,
         }
     }
 
-    /// Applies the compute gap and blocks on MLP; returns the issue time.
-    /// Already-finished entries pop out of the wait loop for free (min <=
-    /// now adds no stall), so no separate retire pass is needed.
+    /// Applies the compute gap and waits for the earliest slot to free;
+    /// returns the issue time.
     #[inline]
     fn advance(&mut self, gap: u16) -> Cycle {
         self.now += gap as u64;
-        while self.outstanding.len() >= self.mlp {
-            let mut min_idx = 0;
-            for (j, &t) in self.outstanding.iter().enumerate() {
-                if t < self.outstanding[min_idx] {
-                    min_idx = j;
-                }
-            }
-            let t = self.outstanding.swap_remove(min_idx);
-            if t > self.now {
-                self.mlp_stalls += t - self.now;
-                self.now = t;
+        let mut slot = 0;
+        for (j, &t) in self.slots.iter().enumerate() {
+            if t < self.slots[slot] {
+                slot = j;
             }
         }
+        let t = self.slots[slot];
+        if t > self.now {
+            self.mlp_stalls += t - self.now;
+            self.now = t;
+        }
+        self.slot = slot;
         self.now
     }
 
-    /// Books the reference's completion and consumes its issue slot.
+    /// Books the reference's completion into its slot.
     #[inline]
     fn complete(&mut self, done: Cycle) {
         debug_assert!(done >= self.now, "memory cannot complete in the past");
         self.last_completion = self.last_completion.max(done);
-        self.outstanding.push(done);
+        self.slots[self.slot] = done;
         self.now += 1;
     }
 

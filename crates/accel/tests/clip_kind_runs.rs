@@ -87,7 +87,16 @@ fn clip_edge_cases_match_full_scan() {
     // length-1 run, first and last windows.
     let cases: [(usize, usize, Vec<KindRun>); 6] = [
         (2, 5, vec![run(0, 2, false), run(2, 1, true)]),
-        (0, 7, vec![run(0, 4, false), run(4, 1, true), run(5, 1, false), run(6, 1, true)]),
+        (
+            0,
+            7,
+            vec![
+                run(0, 4, false),
+                run(4, 1, true),
+                run(5, 1, false),
+                run(6, 1, true),
+            ],
+        ),
         (6, 9, vec![run(0, 3, true)]),
         (5, 6, vec![run(0, 1, false)]),
         (0, 3, vec![run(0, 3, false)]),

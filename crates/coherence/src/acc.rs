@@ -45,8 +45,8 @@ pub struct L0Meta {
     pub acquired: Cycle,
     /// When the full-line fill that installed this copy lands at the L0X.
     /// Mirrors the tile's `in_flight` MSHR entry so a hit never probes the
-    /// map (hit-under-miss gating reads the line itself); the map is only
-    /// consulted on miss paths. `Cycle::ZERO` when no fill gates the copy.
+    /// MSHR list (hit-under-miss gating reads the line itself); the list is
+    /// only consulted on miss paths. `Cycle::ZERO` when no fill gates the copy.
     pub fill_done: Cycle,
 }
 
@@ -302,7 +302,7 @@ pub struct ForwardRule {
 /// Single-entry L0-hit memo: the coordinates and lease state of the line
 /// the last access hit. Address streams touch the same 64 B block many
 /// times in a row, and a repeat hit whose lease is still live needs none
-/// of the generic path's set scan or MSHR-map probe — just the identical
+/// of the generic path's set scan or MSHR-list probe — just the identical
 /// stat/LRU bookkeeping. The memo is invalidated by every slow-path access
 /// and every external mutation of tile state, so replaying through it is
 /// bit-identical to the generic path.
@@ -319,6 +319,36 @@ struct HitMemo {
     /// In-flight fill completion gating this copy (MSHR merge; `ZERO` when
     /// no fill gates it) — a copy of the line's [`L0Meta::fill_done`].
     fill_done: Cycle,
+}
+
+/// One AXC's MSHR list: `(pid, block, completion)` of its in-flight
+/// fills, in no particular order.
+///
+/// An AXC issues in program order, so a fill that completed no later than
+/// its latest issue time can never merge a later read (`axc_access` skips
+/// it) nor gate a later hit (`fill_done` only matters while it exceeds the
+/// hit's completion). Each insert drops such fills, so the list holds only
+/// fills still in flight: at most 6 over the paper's design grid.
+#[derive(Debug, Clone, Default)]
+struct Mshrs {
+    last_issue: Cycle,
+    fills: Vec<(Pid, BlockAddr, Cycle)>,
+}
+
+impl Mshrs {
+    fn get(&self, pid: Pid, block: BlockAddr) -> Option<Cycle> {
+        self.fills
+            .iter()
+            .find(|f| (f.0, f.1) == (pid, block))
+            .map(|f| f.2)
+    }
+
+    fn insert(&mut self, pid: Pid, block: BlockAddr, done: Cycle) {
+        let landed = self.last_issue;
+        self.fills
+            .retain(|f| f.2 > landed && (f.0, f.1) != (pid, block));
+        self.fills.push((pid, block, done));
+    }
 }
 
 /// The accelerator tile: per-AXC L0X caches + shared L1X under ACC.
@@ -340,12 +370,10 @@ pub struct AccTile {
     /// ACC): an expired L0X line whose data is provably current renews its
     /// epoch with a pair of control messages instead of a data transfer.
     renewal: bool,
-    /// Per-AXC in-flight fills: block → completion time of the primary
-    /// miss. A secondary miss to the same block while the primary is in
-    /// flight merges (MSHR behaviour) instead of issuing a second request.
-    ///
-    /// Hot-map audit: probed/inserted/removed by key — never iterated.
-    in_flight: Vec<FxHashMap<(Pid, BlockAddr), Cycle>>,
+    /// Per-AXC in-flight fills (see [`Mshrs`]). A secondary miss to the
+    /// same block while the primary is in flight merges (MSHR behaviour)
+    /// instead of issuing a second request.
+    in_flight: Vec<Mshrs>,
     stats: TileStats,
     /// Opt-in runtime invariant checker (DESIGN.md §10). `None` on the
     /// trusted path: the hot loop pays one predictable branch.
@@ -379,7 +407,7 @@ impl AccTile {
             dirty_per_set: vec![vec![0; l0_sets]; axcs],
             forwards: FxHashMap::default(),
             renewal: false,
-            in_flight: (0..axcs).map(|_| FxHashMap::default()).collect(),
+            in_flight: vec![Mshrs::default(); axcs],
             stats: TileStats::default(),
             checker: None,
             memo: None,
@@ -472,6 +500,8 @@ impl AccTile {
         self.memo = None;
         self.stats.l0_accesses += 1;
         let axi = axc.index();
+        debug_assert!(now >= self.in_flight[axi].last_issue, "AXC issue went back");
+        self.in_flight[axi].last_issue = now;
         let set = self.l0x[axi].set_index(block);
         if let Some((_, way)) = self.l0x[axi].lookup_pos(pid, block) {
             let line = self.l0x[axi].line_at(set, way);
@@ -546,14 +576,12 @@ impl AccTile {
         // AXC; piggyback on its completion instead of issuing a second
         // request message (reads only — writes need their own epoch).
         if !kind.is_write() {
-            if let Some(&done) = self.in_flight[axc.index()].get(&(pid, block)) {
-                if done > now {
-                    self.stats.mshr_merges += 1;
-                    return AccAccess::L0Hit {
-                        done_at: done + self.timing.l0_latency,
-                    };
-                }
-                self.in_flight[axc.index()].remove(&(pid, block));
+            // A fill that already landed is dropped by the next insert.
+            if let Some(done) = self.in_flight[axi].get(pid, block).filter(|&d| d > now) {
+                self.stats.mshr_merges += 1;
+                return AccAccess::L0Hit {
+                    done_at: done + self.timing.l0_latency,
+                };
             }
         }
         self.request_epoch(axc, pid, block, kind, now, lease)
@@ -612,11 +640,10 @@ impl AccTile {
         if !was_dirty && keep_dirty {
             self.dirty_per_set[axc.index()][set] += 1;
         }
-        // Renewal leaves the MSHR map untouched: mirror its current entry
+        // Renewal leaves the MSHR list untouched: mirror its current entry
         // (off the hot path — one probe per renewal, not per hit).
         let fill_done = self.in_flight[axc.index()]
-            .get(&(pid, block))
-            .copied()
+            .get(pid, block)
             .unwrap_or(Cycle::ZERO);
         let l0 = &mut self.l0x[axc.index()];
         l0.insert(
@@ -704,7 +731,7 @@ impl AccTile {
         let done = done + timing.l0_latency;
         // Record the in-flight fill so overlapping accesses to the same
         // block merge (MSHR) instead of using the data before it lands.
-        self.in_flight[axc.index()].insert((pid, block), line_done);
+        self.in_flight[axc.index()].insert(pid, block, line_done);
         if self.checker.is_some() {
             self.checker_after_grant(axc, pid, block);
         }
@@ -894,11 +921,10 @@ impl AccTile {
         if let Some(line) = self.l1x.probe_mut(pid, block) {
             line.meta = transition::acc_forward(line.meta, rule.producer, rule.consumer, lease_end);
         }
-        // A forwarded copy bypasses the MSHR map: mirror whatever entry the
-        // consumer's map holds for the block (usually none).
+        // A forwarded copy bypasses the MSHR list: mirror whatever entry the
+        // consumer's list holds for the block (usually none).
         let fill_done = self.in_flight[rule.consumer.index()]
-            .get(&(pid, block))
-            .copied()
+            .get(pid, block)
             .unwrap_or(Cycle::ZERO);
         let l0 = &mut self.l0x[rule.consumer.index()];
         let set = l0.set_index(block);
@@ -1236,7 +1262,7 @@ impl fusion_sim::StateDigest for AccTile {
         h.write_bool(self.renewal);
         h.write_usize(self.in_flight.len());
         for per_axc in &self.in_flight {
-            h.write_unordered(per_axc.iter().map(|(&(pid, block), &done)| {
+            h.write_unordered(per_axc.fills.iter().map(|&(pid, block, done)| {
                 fusion_sim::digest_item(|h| {
                     pid.digest(h);
                     block.digest(h);
@@ -1967,5 +1993,173 @@ mod tests {
         t.host_forward(P, b(4), Cycle::new(10_000));
         assert_eq!(t.stats().msgs_l0_to_l1, msgs);
         assert_eq!(t.stats().wb_l0_to_l1, wbs);
+    }
+
+    /// A fill that has already landed — completion no later than its
+    /// AXC's latest issue time — is dead MSHR state: keeping the entry
+    /// (as an unpruned map would) and dropping it must be
+    /// indistinguishable to a later read, a lease renewal and a Dx forward.
+    #[test]
+    fn landed_mshr_entry_behaves_as_absent() {
+        for renewal in [false, true] {
+            let mut pruned = tile(2);
+            pruned.set_lease_renewal(renewal);
+            let mut rules = FxHashMap::default();
+            rules.insert(
+                (P, b(5)),
+                vec![ForwardRule {
+                    producer: AxcId::new(0),
+                    consumer: AxcId::new(1),
+                    lease: 500,
+                    eager: false,
+                }],
+            );
+            pruned.set_forward_rules(rules);
+            fill(&mut pruned, 0, 1, AccessKind::Load, 0, 20);
+            fill(&mut pruned, 1, 5, AccessKind::Load, 0, 20);
+            let landed1 = pruned.in_flight[0].get(P, b(1)).expect("fill recorded");
+            let landed5 = pruned.in_flight[1].get(P, b(5)).expect("fill recorded");
+            // A later fill from each AXC drops its landed entry.
+            fill(&mut pruned, 0, 2, AccessKind::Load, 1000, 20);
+            fill(&mut pruned, 1, 6, AccessKind::Load, 1000, 20);
+            assert!(landed1 <= Cycle::new(1000) && landed5 <= Cycle::new(1000));
+            assert_eq!(pruned.in_flight[0].get(P, b(1)), None);
+            assert_eq!(pruned.in_flight[1].get(P, b(5)), None);
+            assert_eq!(pruned.in_flight[0].fills.len(), 1);
+            assert_eq!(pruned.in_flight[1].fills.len(), 1);
+            let mut kept = pruned.clone();
+            kept.in_flight[0].fills.push((P, b(1), landed1));
+            kept.in_flight[1].fills.push((P, b(5), landed5));
+
+            let merges = pruned.stats().mshr_merges;
+            let mut outcomes = Vec::new();
+            for t in [&mut pruned, &mut kept] {
+                let mut seen = Vec::new();
+                // Read after the lease expired: renews (renewal on) or
+                // re-requests (off); never merges into the landed fill.
+                seen.push(t.axc_access(
+                    AxcId::new(0),
+                    P,
+                    b(1),
+                    AccessKind::Load,
+                    Cycle::new(2000),
+                    20,
+                ));
+                assert_eq!(t.stats().mshr_merges, merges, "renewal {renewal}");
+                // A hit right behind it, gated only by a live fill.
+                seen.push(t.axc_access(
+                    AxcId::new(0),
+                    P,
+                    b(1),
+                    AccessKind::Load,
+                    Cycle::new(2001),
+                    20,
+                ));
+                // Producer writes block 5 and forwards it to the consumer,
+                // whose landed fill must not gate the forwarded copy.
+                seen.push(t.axc_access(
+                    AxcId::new(0),
+                    P,
+                    b(5),
+                    AccessKind::Store,
+                    Cycle::new(2100),
+                    20,
+                ));
+                t.downgrade_all(AxcId::new(0), P, Cycle::new(2200));
+                seen.push(t.axc_access(
+                    AxcId::new(1),
+                    P,
+                    b(5),
+                    AccessKind::Load,
+                    Cycle::new(2250),
+                    500,
+                ));
+                outcomes.push((seen, *t.stats()));
+            }
+            assert_eq!(outcomes[0], outcomes[1], "renewal {renewal}");
+            let stats = outcomes[0].1;
+            assert_eq!(stats.fwd_l0_to_l0, 1);
+            assert_eq!(stats.lease_renewals, u64::from(renewal));
+        }
+    }
+
+    /// Pruning drops only fills that have landed: a fill still in flight
+    /// survives later inserts and merges a read that misses the L0X.
+    #[test]
+    fn live_mshr_entry_survives_later_fills() {
+        let mut t = tile(1);
+        fill(&mut t, 0, 3, AccessKind::Load, 0, 1000);
+        let landing = t.in_flight[0].get(P, b(3)).expect("fill recorded");
+        // Four more blocks of the same 4-way L0X set, each a fresh fill,
+        // evict block 3 from the L0X while its line is still landing.
+        for (i, blk) in [19, 35, 51, 67].into_iter().enumerate() {
+            fill(&mut t, 0, blk, AccessKind::Load, 30 + i as u64, 1000);
+        }
+        assert!(landing > Cycle::new(34));
+        let merges = t.stats().mshr_merges;
+        match t.axc_access(
+            AxcId::new(0),
+            P,
+            b(3),
+            AccessKind::Load,
+            Cycle::new(34),
+            1000,
+        ) {
+            AccAccess::L0Hit { done_at } => assert_eq!(done_at, landing + 1),
+            other => panic!("expected a merge into the in-flight fill, got {other:?}"),
+        }
+        assert_eq!(t.stats().mshr_merges, merges + 1);
+    }
+
+    /// The MSHR lists hold only fills still in flight, so they stay short
+    /// over an arbitrarily long stream instead of growing with every block
+    /// ever granted. Four AXCs issue in program order under an MLP limit,
+    /// interleaved by issue time as the replay engine would.
+    #[test]
+    fn mshr_lists_stay_bounded() {
+        const AXCS: usize = 4;
+        const MLP: usize = 4;
+        let mut t = tile(AXCS);
+        let mut rng = 0x4d53_4852u64;
+        let mut next = || {
+            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut clock = [0u64; AXCS];
+        let mut slots = [[0u64; MLP]; AXCS];
+        let ready = |clock: &[u64; AXCS], slots: &[[u64; MLP]; AXCS], a: usize| {
+            clock[a].max(*slots[a].iter().min().unwrap())
+        };
+        let mut longest = 0;
+        let mut granted = FxHashMap::default();
+        for _ in 0..100_000 {
+            let r = next();
+            let axc = (0..AXCS)
+                .min_by_key(|&a| (ready(&clock, &slots, a), a))
+                .unwrap();
+            let now = ready(&clock, &slots, axc);
+            let block = (r >> 16) % 4096;
+            let kind = if (r >> 40) % 4 == 0 {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            };
+            let done = fill(&mut t, axc as u16, block, kind, now, 200).value();
+            *slots[axc].iter_mut().min().unwrap() = done;
+            clock[axc] = now + 1 + r % 4;
+            granted.insert((axc, block), ());
+            longest = longest.max(t.in_flight.iter().map(|m| m.fills.len()).max().unwrap());
+        }
+        assert!(
+            granted.len() > 10_000,
+            "stream too narrow: {}",
+            granted.len()
+        );
+        // At most MLP fills are outstanding at an issue, plus those whose
+        // line tail (data_cycles past the critical word) is still landing.
+        assert!(longest <= MLP + 8, "MSHR list grew to {longest}");
     }
 }

@@ -4,7 +4,6 @@
 use fusion_coherence::{AgentId, DirectoryMesi, MesiReq};
 use fusion_energy::{Component, EnergyLedger, EnergyModel};
 use fusion_mem::{MainMemory, NucaRing, ReplacementPolicy, SetAssocCache};
-use fusion_types::hash::FxHashMap;
 use fusion_types::{AccessKind, BlockAddr, Cycle, PhysAddr, Pid, SystemConfig, CACHE_BLOCK_BYTES};
 use fusion_vm::{PageTable, Tlb};
 
@@ -82,9 +81,6 @@ pub struct HostSide {
     host_tlb: Tlb,
     ax_tlb: Tlb,
     nuca: NucaRing,
-    // Hot-map audit: insert on tile fill, get on tile eviction — never
-    // iterated.
-    v2p: FxHashMap<(Pid, BlockAddr), PhysAddr>,
     host_forwards: u64,
 }
 
@@ -107,7 +103,6 @@ impl HostSide {
             host_tlb: Tlb::new(64),
             ax_tlb: Tlb::new(32),
             nuca: NucaRing::table2(),
-            v2p: FxHashMap::default(),
             host_forwards: 0,
         }
     }
@@ -286,7 +281,6 @@ impl HostSide {
             .ax_tlb
             .translate(pid, vblock.base(), &mut self.page_table);
         ledger.charge(Component::Tlb, self.energy.tlb_lookup);
-        self.v2p.insert((pid, vblock), pa);
 
         ledger.charge_bytes(
             Component::LinkL1xL2Msg,
@@ -338,7 +332,9 @@ impl HostSide {
         dirty: bool,
         ledger: &mut EnergyLedger,
     ) -> Option<PhysAddr> {
-        let pa = self.v2p.get(&(pid, vblock)).copied()?;
+        // Every tile block was filled through the page table, and pages
+        // never remap, so the walk-free lookup yields the filled address.
+        let pa = self.page_table.lookup(pid, vblock.base())?;
         self.tile_eviction_phys_as(agent, pa, dirty, ledger);
         Some(pa)
     }
@@ -542,13 +538,6 @@ impl fusion_sim::StateDigest for HostSide {
         self.host_tlb.digest(h);
         self.ax_tlb.digest(h);
         self.nuca.digest(h);
-        h.write_unordered(self.v2p.iter().map(|(&(pid, block), &pa)| {
-            fusion_sim::digest_item(|h| {
-                pid.digest(h);
-                block.digest(h);
-                pa.digest(h);
-            })
-        }));
         h.write_u64(self.host_forwards);
     }
 }

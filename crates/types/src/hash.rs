@@ -3,8 +3,8 @@
 //! `std::HashMap`'s default `RandomState` (SipHash-1-3) is built to resist
 //! hash-flooding from untrusted input. Simulator keys — `(Pid, BlockAddr)`
 //! pairs, page numbers, physical block indices — are trusted and tiny, so
-//! the hot protocol maps (ACC `in_flight`/`forwards`, the v2p map, the
-//! page table, the AX-RMAP) pay SipHash's per-lookup cost for nothing,
+//! the hot protocol maps (ACC `forwards`, the page table, the AX-RMAP)
+//! pay SipHash's per-lookup cost for nothing,
 //! *and* lose cross-process determinism to the random seed.
 //!
 //! [`FxHasher`] is the classic multiply-xor-rotate word hash used by
@@ -13,8 +13,8 @@
 //! here:
 //!
 //! * **Speed** — small-key hashing drops to a handful of ALU operations,
-//!   which is visible in refs/sec because every L0X hit probes an
-//!   `in_flight` map and every TLB miss walks the page table.
+//!   which is visible in refs/sec because every TLB miss walks the page
+//!   table and every tile fill probes the AX-RMAP.
 //! * **Determinism** — the same key hashes identically in every process,
 //!   so map-internal ordering cannot vary between runs. (Simulation
 //!   results must not depend on map iteration order regardless — see the

@@ -57,8 +57,8 @@ impl PageTable {
             .map(|f| PhysAddr::new(f * PAGE_BYTES as u64 + va.page_offset() as u64))
     }
 
-    /// Installs an explicit alias: maps `(pid, va)`'s page onto the frame
-    /// already backing `target`. Used to construct synonyms in tests.
+    /// Installs a test-only alias: maps `(pid, va)`'s page onto the frame
+    /// already backing `target` (the simulated systems never remap a page).
     ///
     /// # Panics
     ///

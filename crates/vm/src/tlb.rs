@@ -4,7 +4,8 @@ use fusion_types::{PhysAddr, Pid, VirtAddr, PAGE_BYTES};
 
 use crate::PageTable;
 
-/// A fully-associative LRU TLB.
+/// A fully-associative LRU TLB, kept as an exact LRU stack: `entries[0]`
+/// is the most recently used translation and the tail the least.
 ///
 /// In FUSION this structure sits on the shared L1X **miss path** (the
 /// AX-TLB): accelerator loads/stores that hit in the tile never consult it,
@@ -30,7 +31,6 @@ use crate::PageTable;
 pub struct Tlb {
     entries: Vec<TlbEntry>,
     capacity: usize,
-    tick: u64,
     lookups: u64,
     misses: u64,
 }
@@ -40,7 +40,6 @@ struct TlbEntry {
     pid: Pid,
     vpage: u64,
     frame_base: u64,
-    stamp: u64,
 }
 
 impl Tlb {
@@ -54,7 +53,6 @@ impl Tlb {
         Tlb {
             entries: Vec::with_capacity(capacity),
             capacity,
-            tick: 0,
             lookups: 0,
             misses: 0,
         }
@@ -64,43 +62,32 @@ impl Tlb {
     /// frame on first touch, as the simulated OS would).
     pub fn translate(&mut self, pid: Pid, va: VirtAddr, page_table: &mut PageTable) -> PhysAddr {
         self.lookups += 1;
-        self.tick += 1;
         let vpage = va.value() / PAGE_BYTES as u64;
-        // Hot-path note: hits swap the matching entry to slot 0, so the
-        // page-local streams that dominate these traces resolve in one
-        // probe instead of scanning the whole array. Entry order carries no
-        // semantics — hit/miss is set membership and the LRU victim is the
-        // unique minimum stamp — so results are unchanged.
+        // Hits rotate the entry to the front, so the stack stays in exact
+        // recency order: the page-local streams that dominate these traces
+        // resolve within the first few probes, and the tail is always the
+        // LRU victim.
         if let Some(pos) = self
             .entries
             .iter()
             .position(|e| e.pid == pid && e.vpage == vpage)
         {
-            self.entries.swap(0, pos);
-            let e = &mut self.entries[0];
-            e.stamp = self.tick;
-            return PhysAddr::new(e.frame_base + va.page_offset() as u64);
+            self.entries[..=pos].rotate_right(1);
+            return PhysAddr::new(self.entries[0].frame_base + va.page_offset() as u64);
         }
         self.misses += 1;
         let pa = page_table.translate(pid, va);
-        let frame_base = pa.page_base().value();
         if self.entries.len() >= self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-                // lint:allow-unwrap — eviction only runs when entries is full
-                .expect("non-empty TLB");
-            self.entries.swap_remove(victim);
+            self.entries.pop();
         }
-        self.entries.push(TlbEntry {
-            pid,
-            vpage,
-            frame_base,
-            stamp: self.tick,
-        });
+        self.entries.insert(
+            0,
+            TlbEntry {
+                pid,
+                vpage,
+                frame_base: pa.page_base().value(),
+            },
+        );
         pa
     }
 
@@ -133,17 +120,15 @@ impl Tlb {
 impl fusion_sim::StateDigest for Tlb {
     fn digest(&self, h: &mut fusion_sim::StateHasher) {
         h.write_usize(self.capacity);
-        h.write_u64(self.tick);
         h.write_u64(self.lookups);
         h.write_u64(self.misses);
-        // Entry order is replacement state (move-to-front LRU), so an
-        // ordered walk is both canonical and necessary.
+        // Entry order is the LRU stack itself, so an ordered walk is both
+        // canonical and necessary.
         h.write_usize(self.entries.len());
         for e in &self.entries {
             e.pid.digest(h);
             h.write_u64(e.vpage);
             h.write_u64(e.frame_base);
-            h.write_u64(e.stamp);
         }
     }
 }
@@ -197,5 +182,91 @@ mod tests {
         assert_eq!(tlb.len(), 1);
         tlb.translate(Pid::new(2), VirtAddr::new(0x2000), &mut pt);
         assert_eq!(tlb.misses(), 2); // pid-2 entry survived
+    }
+
+    /// The stamp/min-scan formulation the LRU stack replaced: hits refresh
+    /// a per-entry stamp, misses evict the minimum stamp. Entry order is
+    /// irrelevant here, so it is the reference for pure set semantics.
+    struct StampTlb {
+        entries: Vec<(Pid, u64, u64, u64)>,
+        capacity: usize,
+        tick: u64,
+        lookups: u64,
+        misses: u64,
+    }
+
+    impl StampTlb {
+        fn translate(&mut self, pid: Pid, va: VirtAddr, pt: &mut PageTable) -> PhysAddr {
+            self.lookups += 1;
+            self.tick += 1;
+            let vpage = va.value() / PAGE_BYTES as u64;
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == pid && e.1 == vpage) {
+                e.3 = self.tick;
+                return PhysAddr::new(e.2 + va.page_offset() as u64);
+            }
+            self.misses += 1;
+            let pa = pt.translate(pid, va);
+            if self.entries.len() >= self.capacity {
+                let victim = (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].3)
+                    .unwrap();
+                self.entries.swap_remove(victim);
+            }
+            self.entries
+                .push((pid, vpage, pa.page_base().value(), self.tick));
+            pa
+        }
+    }
+
+    /// splitmix64, so the stream is reproducible without a dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn lru_stack_matches_the_stamp_formulation() {
+        for capacity in [1usize, 2, 32, 64] {
+            for seed in 0..8u64 {
+                let mut rng = seed * 0x1_0000 + capacity as u64;
+                let (mut pt_a, mut pt_b) = (PageTable::new(), PageTable::new());
+                let mut lru = Tlb::new(capacity);
+                let mut stamp = StampTlb {
+                    entries: Vec::new(),
+                    capacity,
+                    tick: 0,
+                    lookups: 0,
+                    misses: 0,
+                };
+                // A working set a little larger than the TLB, with a hot
+                // subset, so hits land at every depth and misses evict.
+                let pages = capacity as u64 * 2 + 3;
+                for step in 0..4_000 {
+                    let r = next(&mut rng);
+                    let pid = Pid::new(1 + (r & 1) as u32);
+                    if r.is_multiple_of(97) {
+                        lru.flush_pid(pid);
+                        stamp.entries.retain(|e| e.0 != pid);
+                    } else {
+                        let page = if r & 0x30 == 0 {
+                            (r >> 8) % pages
+                        } else {
+                            (r >> 8) % (capacity as u64 / 2 + 1)
+                        };
+                        let va = VirtAddr::new(page * PAGE_BYTES as u64 + (r >> 40) % 4096);
+                        let a = lru.translate(pid, va, &mut pt_a);
+                        let b = stamp.translate(pid, va, &mut pt_b);
+                        assert_eq!(a, b, "capacity {capacity} seed {seed} step {step}");
+                    }
+                    assert_eq!(lru.lookups(), stamp.lookups);
+                    assert_eq!(lru.misses(), stamp.misses);
+                    assert_eq!(lru.len(), stamp.entries.len());
+                }
+                assert!(lru.misses() > capacity as u64, "the stream never evicted");
+            }
+        }
     }
 }

@@ -62,6 +62,95 @@ fn run_phase_end_bounds() {
     }
 }
 
+/// The issuer as an outstanding-completion list: push on issue, and once
+/// `mlp` completions are outstanding, pop the earliest before the next
+/// issue and stall until it lands. The engine's fixed-slot issuer must
+/// reproduce it exactly. Returns (issue times, end, MLP stall cycles).
+fn list_issuer(
+    gaps: &[u16],
+    latencies: &[u64],
+    mlp: usize,
+    start: Cycle,
+) -> (Vec<Cycle>, Cycle, u64) {
+    let mut now = start;
+    let mut outstanding: Vec<Cycle> = Vec::new();
+    let mut last = start;
+    let mut stalls = 0;
+    let mut issues = Vec::new();
+    for (&gap, &lat) in gaps.iter().zip(latencies) {
+        now += gap as u64;
+        while outstanding.len() >= mlp {
+            let mut min_idx = 0;
+            for (j, &t) in outstanding.iter().enumerate() {
+                if t < outstanding[min_idx] {
+                    min_idx = j;
+                }
+            }
+            let t = outstanding.swap_remove(min_idx);
+            if t > now {
+                stalls += t - now;
+                now = t;
+            }
+        }
+        issues.push(now);
+        let done = now + lat;
+        last = last.max(done);
+        outstanding.push(done);
+        now += 1;
+    }
+    (issues, now.max(last), stalls)
+}
+
+/// The fixed-slot MLP issuer is timing-identical to the outstanding-list
+/// formulation: same per-reference issue times, end and stall cycles.
+#[test]
+fn slot_issuer_matches_the_outstanding_list() {
+    let mut rng = Rng::new(0x5107);
+    for mlp in 1..=8 {
+        for _ in 0..CASES {
+            let len = rng.range_usize(0, 200);
+            let gaps: Vec<u16> = (0..len)
+                .map(|_| {
+                    if rng.chance() {
+                        0
+                    } else {
+                        rng.range_u16(0, 40)
+                    }
+                })
+                .collect();
+            let latencies: Vec<u64> = (0..len)
+                .map(|_| {
+                    if rng.chance() {
+                        rng.range_u64(1, 8)
+                    } else {
+                        rng.range_u64(1, 400)
+                    }
+                })
+                .collect();
+            let start = Cycle::new(rng.range_u64(0, 1000));
+            let refs: Vec<MemRef> = gaps
+                .iter()
+                .map(|&gap| MemRef {
+                    addr: VirtAddr::new(0),
+                    size: 4,
+                    kind: AccessKind::Load,
+                    gap,
+                })
+                .collect();
+            let mut issues = Vec::new();
+            let t = run_phase(&refs, mlp, start, |_r, now| {
+                let done = now + latencies[issues.len()];
+                issues.push(now);
+                done
+            });
+            let (want_issues, want_end, want_stalls) = list_issuer(&gaps, &latencies, mlp, start);
+            assert_eq!(issues, want_issues, "mlp {mlp}: issue times differ");
+            assert_eq!(t.end, want_end, "mlp {mlp}: end differs");
+            assert_eq!(t.mlp_stall_cycles, want_stalls, "mlp {mlp}: stalls differ");
+        }
+    }
+}
+
 /// The OOO host engine has the same bounds and never lets completions
 /// precede issues.
 #[test]

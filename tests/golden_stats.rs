@@ -1,5 +1,5 @@
 //! Golden-stats snapshots: the committed `sim run --json` output for every
-//! system on two suites at `Scale::Small` must reproduce byte-for-byte.
+//! system on four suites at `Scale::Small` must reproduce byte-for-byte.
 //!
 //! The snapshots under `tests/golden/` were captured before the hot-path
 //! overhaul (shared decoded traces, FxHash maps, pow2 index masks), so
@@ -7,12 +7,17 @@
 //! simulated statistic — not just the headline cycle counts. `SimResult::
 //! to_json` deliberately excludes host-side `RunMetrics`, which is what
 //! makes the byte comparison stable across machines and runs.
+//!
+//! FFT and ADPCM never fill the 32-entry AX-TLB; HIST and TRACK do
+//! (SHARED HIST takes 126 AX-TLB misses), so their snapshots pin TLB
+//! replacement as well. They were captured before the TLB became an
+//! exact LRU stack.
 
 use fusion_core::{run_system, SystemKind};
 use fusion_types::{CheckerConfig, SystemConfig};
 use fusion_workloads::{build_suite, Scale, SuiteId};
 
-const CASES: [(&str, SuiteId, &str, SystemKind, &str); 8] = [
+const CASES: [(&str, SuiteId, &str, SystemKind, &str); 16] = [
     (
         "fft",
         SuiteId::Fft,
@@ -69,6 +74,62 @@ const CASES: [(&str, SuiteId, &str, SystemKind, &str); 8] = [
         SystemKind::FusionDx,
         include_str!("golden/adpcm_fu-dx.json"),
     ),
+    (
+        "hist",
+        SuiteId::Histogram,
+        "sc",
+        SystemKind::Scratch,
+        include_str!("golden/hist_sc.json"),
+    ),
+    (
+        "hist",
+        SuiteId::Histogram,
+        "sh",
+        SystemKind::Shared,
+        include_str!("golden/hist_sh.json"),
+    ),
+    (
+        "hist",
+        SuiteId::Histogram,
+        "fu",
+        SystemKind::Fusion,
+        include_str!("golden/hist_fu.json"),
+    ),
+    (
+        "hist",
+        SuiteId::Histogram,
+        "fu-dx",
+        SystemKind::FusionDx,
+        include_str!("golden/hist_fu-dx.json"),
+    ),
+    (
+        "track",
+        SuiteId::Tracking,
+        "sc",
+        SystemKind::Scratch,
+        include_str!("golden/track_sc.json"),
+    ),
+    (
+        "track",
+        SuiteId::Tracking,
+        "sh",
+        SystemKind::Shared,
+        include_str!("golden/track_sh.json"),
+    ),
+    (
+        "track",
+        SuiteId::Tracking,
+        "fu",
+        SystemKind::Fusion,
+        include_str!("golden/track_fu.json"),
+    ),
+    (
+        "track",
+        SuiteId::Tracking,
+        "fu-dx",
+        SystemKind::FusionDx,
+        include_str!("golden/track_fu-dx.json"),
+    ),
 ];
 
 #[test]
@@ -109,8 +170,8 @@ fn checker_enabled_runs_match_the_golden_snapshots() {
 }
 
 #[test]
-fn golden_snapshots_cover_every_system_on_both_suites() {
-    for suite in ["fft", "adpcm"] {
+fn golden_snapshots_cover_every_system_on_every_suite() {
+    for suite in ["fft", "adpcm", "hist", "track"] {
         let mut labels: Vec<&str> = CASES
             .iter()
             .filter(|c| c.0 == suite)
