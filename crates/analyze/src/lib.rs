@@ -2,7 +2,7 @@
 //! determinism and robustness invariants.
 //!
 //! Every byte-identity guarantee in this reproduction — golden stats,
-//! memo digest splicing, crash-resume replay — rests on source-level
+//! memo copies, crash-resume replay — rests on source-level
 //! invariants (deterministic maps, no wall-clock in sim logic, saturating
 //! casts, ordered iteration, consistent lock order). This crate checks
 //! them mechanically: a lightweight lexer ([`lexer`]) feeds six passes

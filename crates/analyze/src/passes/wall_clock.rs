@@ -2,8 +2,8 @@
 //!
 //! Invariant (PRs 2/6/7): simulated time is the only clock the model may
 //! observe. Wall-clock reads in sim logic make replay outcomes depend on
-//! host scheduling, which breaks golden-stats byte-identity, memo digest
-//! splicing, and crash-resume equivalence. Measurement belongs in the
+//! host scheduling, which breaks golden-stats byte-identity, memo copies
+//! and crash-resume equivalence. Measurement belongs in the
 //! sanctioned timing shim (`crates/criterion/src/lib.rs`) or in binaries;
 //! the few library sites that legitimately time *host-side* work (queue
 //! wait, deadline monitoring) carry a justified `lint:allow-wall-clock`

@@ -37,57 +37,44 @@ fn main() {
     }
     if arg1.as_deref() == Some("memo") {
         // Replay-cost anatomy of the memoized design grid: one sequential
-        // pass over `design_grid`, reporting how the phase memo served
-        // every job and the per-phase replay (or splice) wall time, so a
-        // hot-loop or signature change shows up as a per-phase ns shift
-        // rather than a noisy end-to-end number (DESIGN.md §13).
+        // pass over `design_grid`, reporting whether every job was
+        // replayed or copied from its group's first member and the
+        // replay wall time per reference, so a hot-loop or slice-table
+        // change shows up as a per-ref ns shift or a copy count rather
+        // than a noisy end-to-end number (DESIGN.md §13).
         use fusion_core::sweep::{design_grid, Sweep};
         use fusion_core::MemoMark;
-        let sweep = Sweep::new(Scale::Small).threads(1);
-        let outcomes = sweep.run(design_grid(&SystemConfig::small()));
-        let mut wall_by_mark = [0u64; 3]; // miss, hit, fallback
-        let mut phases_by_mark = [0u64; 3];
+        let outcomes = Sweep::new(Scale::Small)
+            .threads(1)
+            .run(design_grid(&SystemConfig::small()));
+        let (mut copied, mut replayed, mut refs, mut wall) = (0usize, 0usize, 0u64, 0u64);
         println!(
-            "{:<22} {:<9} {:>7} {:>10} {:>12}",
-            "job", "memo", "phases", "wall us", "ns/phase"
+            "{:<22} {:<5} {:>10} {:>10} {:>9}",
+            "job", "memo", "refs", "wall us", "ns/ref"
         );
         for o in &outcomes {
             let r = o.result.as_ref().expect("job ok");
-            let phases = o.memo.phases_spliced + o.memo.phases_replayed;
-            let per_phase = r.metrics.wall_nanos as f64 / phases.max(1) as f64;
+            let m = r.metrics;
             println!(
-                "{:<22} {:<9} {:>7} {:>10.1} {:>12.0}",
+                "{:<22} {:<5} {:>10} {:>10.1} {:>9.1}",
                 o.job.label(),
                 o.memo.mark.label(),
-                phases,
-                r.metrics.wall_nanos as f64 / 1e3,
-                per_phase,
+                m.refs_simulated,
+                m.wall_nanos as f64 / 1e3,
+                m.wall_nanos as f64 / m.refs_simulated.max(1) as f64,
             );
-            let slot = match o.memo.mark {
-                MemoMark::Hit => 1,
-                MemoMark::Fallback => 2,
-                _ => 0,
-            };
-            wall_by_mark[slot] += r.metrics.wall_nanos;
-            phases_by_mark[slot] += phases;
-        }
-        let stats = sweep.memo_stats();
-        println!(
-            "memo: {} hit / {} miss / {} fallback ({:.0}% hit rate)",
-            stats.hits,
-            stats.misses,
-            stats.digest_fallbacks,
-            stats.hit_rate() * 100.0
-        );
-        for (slot, label) in [(0usize, "replayed"), (1, "spliced"), (2, "fallback")] {
-            if phases_by_mark[slot] > 0 {
-                println!(
-                    "{label:>9}: {} phases, {:.0} ns/phase",
-                    phases_by_mark[slot],
-                    wall_by_mark[slot] as f64 / phases_by_mark[slot] as f64
-                );
+            if o.memo.mark == MemoMark::Hit {
+                copied += 1;
+            } else {
+                replayed += 1;
+                refs += m.refs_simulated;
+                wall += m.wall_nanos;
             }
         }
+        println!(
+            "memo: {replayed} replayed ({:.1} ns/ref), {copied} copied",
+            wall as f64 / refs.max(1) as f64
+        );
         return;
     }
     if arg1.as_deref() == Some("sweep2") {

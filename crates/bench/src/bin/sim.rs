@@ -39,8 +39,8 @@ use std::sync::Arc;
 
 use fusion_accel::{io as trace_io, Workload};
 use fusion_core::{
-    design_grid, journal, run_system, FaultPlan, SimResult, Sweep, SweepJob, SweepOutcome,
-    SweepSummary, SystemKind, TraceCache, Watchdog,
+    design_grid, journal, run_system, FaultPlan, MemoMark, SimResult, Sweep, SweepJob,
+    SweepOutcome, SweepSummary, SystemKind, TraceCache, Watchdog,
 };
 use fusion_energy::Component;
 use fusion_types::{SystemConfig, WritePolicy};
@@ -72,6 +72,10 @@ robustness flags (compare/sweep):\n  \
 --budget <cycles>     per-job simulated-cycle budget (livelock watchdog)\n  \
 --deadline-ms <N>     per-job wall-clock deadline in milliseconds\n  \
 --inject <seed:count> deterministically inject <count> faults (testing)\n\n\
+memo flag (sweep):\n  \
+--no-memo             simulate every grid point; by default, points that differ\n                        \
+only in knobs their system cannot observe copy the first\n                        \
+such point's result (DESIGN.md \u{a7}13)\n\n\
 durability flags (sweep):\n  \
 --journal <path>      write-ahead result journal: one fsync'd sealed JSONL row\n                        \
 per completed grid point (DESIGN.md \u{a7}14)\n  \
@@ -517,7 +521,6 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
     let started = std::time::Instant::now();
     let outcomes = sweep.run(todo);
     let total = started.elapsed();
-    let memo_stats = sweep.memo_stats();
     let degraded = sweep.degradation();
 
     // Stitch the live outcomes back into grid order alongside the
@@ -666,7 +669,18 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
         .filter_map(|o| o.result.as_ref().ok())
         .collect();
     let busy: u64 = done.iter().map(|r| r.metrics.wall_nanos).sum();
-    let refs: u64 = done.iter().map(|r| r.metrics.refs_simulated).sum();
+    // Copied rows replayed nothing: only replayed refs count towards the
+    // throughput figure.
+    let copied = outcomes
+        .iter()
+        .filter(|o| o.memo.mark == MemoMark::Hit)
+        .count();
+    let refs: u64 = outcomes
+        .iter()
+        .filter(|o| o.memo.mark != MemoMark::Hit)
+        .filter_map(|o| o.result.as_ref().ok())
+        .map(|r| r.metrics.refs_simulated)
+        .sum();
     println!(
         "{} jobs on {pool} worker(s) x {tile_threads} tile thread(s): \
          {:.1} ms wall, {:.1} ms of simulation ({:.2}x), \
@@ -677,17 +691,8 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
         busy as f64 / total.as_nanos().max(1) as f64,
         refs as f64 * 1e3 / total.as_nanos().max(1) as f64,
     );
-    let lookups = memo_stats.hits + memo_stats.misses + memo_stats.digest_fallbacks;
-    if lookups > 0 {
-        println!(
-            "memo: {}/{lookups} hits ({:.0}%), {} digest fallback(s), \
-             {} phase(s) spliced / {} replayed",
-            memo_stats.hits,
-            memo_stats.hit_rate() * 100.0,
-            memo_stats.digest_fallbacks,
-            memo_stats.phases_spliced,
-            memo_stats.phases_replayed,
-        );
+    if !args.flag("no-memo") {
+        println!("memo: {copied} of {} jobs copied", outcomes.len());
     }
     sweep_epilogue(
         &outcomes,

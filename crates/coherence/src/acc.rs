@@ -1172,113 +1172,6 @@ impl AccTile {
     }
 }
 
-impl fusion_sim::StateDigest for L0Meta {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        self.lease_end.digest(h);
-        h.write_bool(self.write_lease);
-        self.acquired.digest(h);
-        self.fill_done.digest(h);
-    }
-}
-
-impl fusion_sim::StateDigest for L1Meta {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        h.write_bool(self.prefetched);
-        self.gtime.digest(h);
-        self.write_locked_until.digest(h);
-        h.write_u64(self.writer.map_or(u64::MAX, |a| a.0 as u64));
-        self.wb_ready_at.digest(h);
-        h.write_u64(self.sole_holder.map_or(u64::MAX, |a| a.0 as u64));
-        self.last_write.digest(h);
-    }
-}
-
-impl fusion_sim::StateDigest for TileTiming {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        h.write_u64(self.l0_latency);
-        h.write_u64(self.l1_latency);
-        h.write_u64(self.link_latency);
-        h.write_u64(self.link_bytes_per_cycle);
-    }
-}
-
-impl fusion_sim::StateDigest for TileStats {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        for v in [
-            self.l0_accesses,
-            self.l0_hits,
-            self.l0_misses,
-            self.l0_lease_expiries,
-            self.l1_accesses,
-            self.l1_hits,
-            self.l1_misses,
-            self.msgs_l0_to_l1,
-            self.data_l1_to_l0,
-            self.wb_l0_to_l1,
-            self.wt_stores,
-            self.fwd_l0_to_l0,
-            self.stall_cycles,
-            self.l1_evictions_dirty,
-            self.l1_evictions_clean,
-            self.wb_through_to_l2,
-            self.downgrade_sets_scanned,
-            self.downgrade_sets_filtered,
-            self.host_forwards,
-            self.host_forward_waits,
-            self.mshr_merges,
-            self.prefetch_installs,
-            self.prefetch_hits,
-            self.lease_renewals,
-            self.renewal_refetches,
-        ] {
-            h.write_u64(v);
-        }
-    }
-}
-
-impl fusion_sim::StateDigest for ForwardRule {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        h.write_u64(self.producer.0 as u64);
-        h.write_u64(self.consumer.0 as u64);
-        h.write_u32(self.lease);
-        h.write_bool(self.eager);
-    }
-}
-
-impl fusion_sim::StateDigest for AccTile {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        self.l0x.digest(h);
-        self.l1x.digest(h);
-        self.timing.digest(h);
-        self.write_policy.digest(h);
-        self.dirty_per_set.digest(h);
-        h.write_unordered(self.forwards.iter().map(|(&(pid, block), rules)| {
-            fusion_sim::digest_item(|h| {
-                pid.digest(h);
-                block.digest(h);
-                rules.digest(h);
-            })
-        }));
-        h.write_bool(self.renewal);
-        h.write_usize(self.in_flight.len());
-        for per_axc in &self.in_flight {
-            h.write_unordered(per_axc.fills.iter().map(|&(pid, block, done)| {
-                fusion_sim::digest_item(|h| {
-                    pid.digest(h);
-                    block.digest(h);
-                    done.digest(h);
-                })
-            }));
-        }
-        self.stats.digest(h);
-        h.write_bool(self.checker.is_some());
-        // The hit memo is a bit-identical fast path, not semantic state,
-        // but its occupancy gates which path the next access takes; at
-        // run entry it is always `None`.
-        h.write_bool(self.memo.is_some());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -361,36 +361,6 @@ impl DirectoryMesi {
     }
 }
 
-impl fusion_sim::StateDigest for DirEntry {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        match self.state {
-            DirState::Idle => h.write_u64(0),
-            DirState::Shared(mask) => {
-                h.write_u64(1);
-                h.write_u64(mask as u64);
-            }
-            DirState::Owned(agent) => {
-                h.write_u64(2);
-                h.write_u64(agent.0 as u64);
-            }
-        }
-    }
-}
-
-impl fusion_sim::StateDigest for DirectoryMesi {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        self.l2.digest(h);
-        h.write_u64(self.gets);
-        h.write_u64(self.getx);
-        h.write_u64(self.putx);
-        h.write_u64(self.invalidations);
-        h.write_u64(self.forwards);
-        // The checker is stat-free, but its presence changes which paths
-        // can fail, so checker-on state never splices with checker-off.
-        h.write_bool(self.checker.is_some());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

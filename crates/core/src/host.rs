@@ -514,34 +514,6 @@ impl HostSide {
     }
 }
 
-impl fusion_sim::StateDigest for HostMeta {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        h.write_bool(self.exclusive);
-    }
-}
-
-// The embedded `cfg` and `energy` fields are deliberately *excluded* from
-// the digest: they are pure copies of / derivations from the
-// `SystemConfig`, and the per-system `phase_key` signature slices are the
-// component that decides which config fields a phase may depend on.
-// Including them would make every cross-config digest differ and no grid
-// point could ever splice. The trade-off is documented in DESIGN.md §13:
-// a signature slice that *omits* a field which only influences results
-// through the energy table is invisible to the digest; the memo property
-// test and the CI memo-on/memo-off A/B gate cover that class.
-impl fusion_sim::StateDigest for HostSide {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        self.dir.digest(h);
-        self.host_l1.digest(h);
-        self.mem.digest(h);
-        self.page_table.digest(h);
-        self.host_tlb.digest(h);
-        self.ax_tlb.digest(h);
-        self.nuca.digest(h);
-        h.write_u64(self.host_forwards);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

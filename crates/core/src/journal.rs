@@ -16,10 +16,9 @@
 //!   seal and the line is dropped with a warning; the rest of the journal
 //!   stays usable ([`read_journal`]).
 //! * **Verified resume** — `--resume` never *assumes* a journaled row
-//!   still applies. Like the [`crate::memo`] entry-digest check, every
-//!   claim is re-verified against the current run: the header's code
-//!   version and scale must match exactly (usage error otherwise), each
-//!   row's config fingerprint is recomputed from the live
+//!   still applies. Every claim is re-verified against the current run:
+//!   the header's code version and scale must match exactly (usage error
+//!   otherwise), each row's config fingerprint is recomputed from the live
 //!   [`SystemConfig`], its trace fingerprint is compared against the
 //!   freshly materialized workload, and the embedded result payload is
 //!   structurally validated. Anything that fails is re-run, never
@@ -39,7 +38,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use fusion_sim::{StateDigest as _, StateHasher};
 use fusion_types::error::{Degraded, JournalError};
 use fusion_types::hash::{FxHashMap, FxHashSet};
 use fusion_types::SystemConfig;
@@ -82,38 +80,17 @@ pub fn scale_label(scale: Scale) -> &'static str {
     }
 }
 
-/// 64-bit fingerprint over *every* field of a [`SystemConfig`].
+/// 64-bit fingerprint over *every* field of a [`SystemConfig`]: FNV-1a
+/// of its derived `Debug` rendering, which names each field and prints
+/// each float in exact round-trip form, so changing any field — including
+/// one added later — changes the fingerprint.
 ///
-/// Unlike [`crate::memo::phase_key`], which deliberately slices the
-/// config per phase, the journal key must cover the whole configuration:
-/// a resumed row is only valid if the job's config is bit-identical to
-/// the producer's.
+/// Unlike [`crate::memo::observed_config`], which deliberately drops the
+/// fields a system cannot see, the journal key must cover the whole
+/// configuration: a resumed row is only valid if the job's config is
+/// identical to the producer's.
 pub fn config_fingerprint(cfg: &SystemConfig) -> u64 {
-    let mut h = StateHasher::new();
-    for g in [&cfg.l0x, &cfg.scratchpad, &cfg.l1x, &cfg.host_l1, &cfg.l2] {
-        g.digest(&mut h);
-    }
-    h.write_u64(cfg.memory_latency);
-    for l in [&cfg.link_axc_l1x, &cfg.link_l1x_l2, &cfg.link_l0x_l0x] {
-        l.digest(&mut h);
-    }
-    cfg.write_policy.digest(&mut h);
-    h.write_u32(cfg.default_lease);
-    h.write_f64(cfg.timestamp_tag_overhead);
-    h.write_u64(cfg.control_message_bytes);
-    h.write_bool(cfg.lease_renewal);
-    h.write_usize(cfg.l1x_prefetch_degree);
-    h.write_bool(cfg.checker.enabled);
-    for fault in [&cfg.checker.acc_fault, &cfg.checker.mesi_fault] {
-        match fault {
-            Some(pf) => {
-                h.write_u64(pf.at_event);
-                h.write_u64(pf.kind as u64);
-            }
-            None => h.write_u64(u64::MAX),
-        }
-    }
-    h.finish128().0
+    fnv1a(format!("{cfg:?}").as_bytes())
 }
 
 /// Identity of one grid point as the journal keys it:
@@ -533,7 +510,7 @@ impl ResumePlan {
 }
 
 /// Plans a resume: matches recovered rows against `jobs` and re-verifies
-/// every claim (PhaseMemo-style — checked, never assumed).
+/// every claim (checked, never assumed).
 ///
 /// Header mismatches on code version or scale are usage errors
 /// ([`JournalError::is_usage`]); a missing header downgrades to a full
@@ -930,6 +907,9 @@ mod tests {
         let mut pf = base.clone();
         pf.l1x_prefetch_degree = 2;
         assert_ne!(fp, config_fingerprint(&pf));
+        let mut link = base.clone();
+        link.link_l0x_l0x.pj_per_byte += 0.01;
+        assert_ne!(fp, config_fingerprint(&link));
         let chk = base
             .clone()
             .with_checker(fusion_types::fault::CheckerConfig::enabled());

@@ -52,11 +52,10 @@ pub use journal::{
     code_version, config_fingerprint, job_key, plan_resume, read_journal, salvage_json, JobKey,
     JournalHeader, JournalRow, JournalSink, JournalWriter, Recovery, ResumePlan,
 };
-pub use memo::{phase_key, MemoMark, MemoProbe, MemoRow, MemoStats, PhaseMemo, RunKey};
+pub use memo::{observed_config, MemoMark, MemoRow};
 pub use result::{PhaseResult, RunMetrics, SimResult, Traffic};
 pub use runner::{
-    run_system, run_system_decoded, run_system_guarded, run_system_guarded_memo, validate_config,
-    RunControl, SystemKind,
+    run_system, run_system_decoded, run_system_guarded, validate_config, RunControl, SystemKind,
 };
 pub use sweep::{
     backoff_cycles, design_grid, full_grid, SharedTrace, Sweep, SweepJob, SweepOutcome,

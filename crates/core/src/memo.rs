@@ -1,241 +1,132 @@
-//! Differential sweeps: phase-level result memoization (DESIGN.md §13).
+//! Design-grid dedupe at planning time (DESIGN.md §13).
 //!
-//! Neighboring grid points of a design-space sweep differ in one or two
-//! config knobs, and most phases of most systems cannot observe those
-//! knobs: a SCRATCH replay is independent of the L0X geometry, a FUSION
-//! replay is independent of the scratchpad capacity. Recomputing their
-//! stats at every grid point is pure waste.
+//! Most points of the paper's sensitivity grid change a knob the simulated
+//! system cannot see: SCRATCH has no L0X, SHARED and FUSION have no
+//! scratchpad. [`observed_config`] resets every field a system cannot see
+//! to its [`SystemConfig::default`] value, so two jobs of one system and
+//! suite with `==` observed configs replay to identical results. `plan`
+//! groups a sweep's jobs on that key before any job runs; the sweep
+//! simulates the first member of each group and copies its result into
+//! the others.
 //!
-//! Three pieces make skipping safe:
-//!
-//! 1. **Config-slice signatures** — [`phase_key`] hashes, per `(system,
-//!    phase)`, exactly the config fields that can influence that phase's
-//!    results. Two configs with equal keys for every phase of a run are
-//!    *claimed* equivalent for that system.
-//! 2. **The [`PhaseMemo`] cache** — keyed by `(system, suite, scale,
-//!    folded per-phase keys, phase count)`, storing the producing run's
-//!    [`SimResult`] together with the 128-bit [`fusion_sim::StateDigest`] of the
-//!    simulator state the producer started from.
-//! 3. **The digest check** — a consumer splices a memoized result only
-//!    after constructing its own simulator state and reproducing the
-//!    producer's entry digest bit-for-bit. A signature slice that is too
-//!    narrow (omits a field that leaks into constructed state) changes
-//!    the digest and forces a full replay instead of a wrong answer:
-//!    correctness is never assumed, it is checked.
-//!
-//! The digest deliberately excludes embedded `SystemConfig`/`EnergyModel`
-//! copies (see the `HostSide` digest impl); the residual risk — a slice
-//! omitting a field whose only effect is through the energy table or a
-//! live config read — is covered by the memo property test and the CI
-//! memo-on vs memo-off A/B gate over the full design grid.
-//!
-//! Faulted jobs and checker-enabled configs never consult the cache (the
-//! sweep gates them off), and a memoized result is recorded only from a
-//! successful run.
+//! Jobs with a staged fault, with the protocol checker on, or whose config
+//! fails [`validate_config`] are never grouped: their outcome depends on
+//! more than the observed config. The guards that the slice table is wide
+//! enough are the memo property test (`tests/memo_props.rs`) and the
+//! memo-on vs memo-off comparison over the design grid.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-use fusion_accel::Workload;
-use fusion_sim::StateHasher;
-use fusion_types::hash::FxHashMap;
 use fusion_types::SystemConfig;
-use fusion_workloads::{Scale, SuiteId};
 
-use crate::result::SimResult;
-use crate::runner::SystemKind;
+use crate::faults::FaultPlan;
+use crate::runner::{validate_config, SystemKind};
+use crate::sweep::SweepJob;
 
-/// Signature of the config slice a single phase's results may depend on.
+/// `cfg` as `system` sees it: every field outside the system's slice is
+/// overwritten with its [`SystemConfig::default`] value.
 ///
-/// Each system declares its slice table (DESIGN.md §13 reproduces them):
+/// The slices (DESIGN.md §13 reproduces them):
 ///
-/// * **all systems / all phases** — host L1 and L2 geometry, memory
-///   latency, the L1X↔L2 link, control-message size and the checker
-///   config (the host path reads these everywhere);
-/// * **SCRATCH accelerator phases** — additionally the scratchpad
-///   geometry (host phases of SCRATCH are independent of it: the `(e.g.
-///   host phases are independent of L0X geometry)` case from the issue);
-/// * **SHARED (every phase)** — additionally the L1X geometry, the
-///   AXC↔L1X link and the timestamp tag-energy overhead; host phases
-///   included because forwarded host requests probe the shared L1X;
-/// * **FUSION / FUSION-Dx (every phase)** — additionally the L0X
-///   geometry, write policy, lease parameters and the prefetch degree;
-///   host phases included because forwarded requests consult the tile's
-///   lease state. FUSION-Dx adds the L0X→L0X forwarding link.
+/// * **all systems** — host L1 and L2 geometry, memory latency, the
+///   L1X↔L2 link, control-message size and the checker config (the host
+///   path reads these everywhere);
+/// * **SCRATCH** — additionally the scratchpad geometry;
+/// * **SHARED** — additionally the L1X geometry, the AXC↔L1X link and the
+///   timestamp tag-energy overhead;
+/// * **FUSION** — SHARED's fields plus the L0X geometry, write policy,
+///   lease parameters and the prefetch degree;
+/// * **FUSION-Dx** — FUSION's fields plus the L0X→L0X forwarding link.
 ///
-/// Inclusion errs generous: listing a field a phase ignores only costs a
-/// memo hit; omitting one it reads would be a correctness bug (caught by
-/// the digest for constructed state, by the property test and A/B gate
-/// for energy-table-only leaks).
-pub fn phase_key(system: SystemKind, phase_idx: usize, is_host: bool, cfg: &SystemConfig) -> u64 {
-    let mut h = StateHasher::new();
-    h.write_u64(match system {
-        SystemKind::Scratch => 0,
-        SystemKind::Shared => 1,
-        SystemKind::Fusion => 2,
-        SystemKind::FusionDx => 3,
-    });
-    h.write_usize(phase_idx);
-    h.write_bool(is_host);
+/// Fields are reset only where a system provably ignores them, so a field
+/// added to [`SystemConfig`] is observed by every system until a slice
+/// says otherwise: a forgotten field costs copies, never correctness.
+pub fn observed_config(system: SystemKind, cfg: &SystemConfig) -> SystemConfig {
+    let unseen = SystemConfig::default();
+    let mut seen = cfg.clone();
+    let fusion = matches!(system, SystemKind::Fusion | SystemKind::FusionDx);
+    if system != SystemKind::Scratch {
+        seen.scratchpad = unseen.scratchpad;
+    }
+    if system == SystemKind::Scratch {
+        seen.l1x = unseen.l1x;
+        seen.link_axc_l1x = unseen.link_axc_l1x;
+        seen.timestamp_tag_overhead = unseen.timestamp_tag_overhead;
+    }
+    if !fusion {
+        seen.l0x = unseen.l0x;
+        seen.write_policy = unseen.write_policy;
+        seen.default_lease = unseen.default_lease;
+        seen.lease_renewal = unseen.lease_renewal;
+        seen.l1x_prefetch_degree = unseen.l1x_prefetch_degree;
+    }
+    if system != SystemKind::FusionDx {
+        seen.link_l0x_l0x = unseen.link_l0x_l0x;
+    }
+    seen
+}
 
-    // Common slice: the host memory path under every phase.
-    use fusion_sim::StateDigest as _;
-    cfg.host_l1.digest(&mut h);
-    cfg.l2.digest(&mut h);
-    h.write_u64(cfg.memory_latency);
-    cfg.link_l1x_l2.digest(&mut h);
-    h.write_u64(cfg.control_message_bytes);
-    h.write_bool(cfg.checker.enabled);
-    h.write_bool(cfg.checker.acc_fault.is_some());
-    h.write_bool(cfg.checker.mesi_fault.is_some());
+/// What the sweep does with one grid point.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// Not grouped (memo off, fault staged, checker on or invalid
+    /// config): the job runs on its own.
+    Alone,
+    /// First member of its group: the job runs, then its result is
+    /// copied into these later grid indices.
+    Run(Vec<usize>),
+    /// A later member of the group led by this grid index.
+    Copy(usize),
+}
 
-    match system {
-        SystemKind::Scratch => {
-            if !is_host {
-                cfg.scratchpad.digest(&mut h);
+/// Groups `jobs` in grid order by `(system, suite, observed config)`.
+/// Only jobs with no fault in `faults`, the checker off and a config that
+/// passes [`validate_config`] are grouped; the rest are [`Role::Alone`].
+pub(crate) fn plan(jobs: &[SweepJob], faults: &FaultPlan) -> Vec<Role> {
+    let mut roles = Vec::with_capacity(jobs.len());
+    // Group leaders with their observed configs; a linear scan keeps the
+    // comparison plain `==` (the design grid has 91 groups).
+    let mut leaders: Vec<(usize, SystemConfig)> = Vec::new();
+    for (i, job) in jobs.iter().enumerate() {
+        let eligible = faults.fault_for(i).is_none()
+            && !job.config.checker.enabled
+            && validate_config(&job.config).is_ok();
+        if !eligible {
+            roles.push(Role::Alone);
+            continue;
+        }
+        let seen = observed_config(job.system, &job.config);
+        let leader = leaders
+            .iter()
+            .find(|(l, cfg)| {
+                jobs[*l].system == job.system && jobs[*l].suite == job.suite && *cfg == seen
+            })
+            .map(|(l, _)| *l);
+        match leader {
+            Some(l) => {
+                if let Role::Run(copies) = &mut roles[l] {
+                    copies.push(i);
+                }
+                roles.push(Role::Copy(l));
+            }
+            None => {
+                leaders.push((i, seen));
+                roles.push(Role::Run(Vec::new()));
             }
         }
-        SystemKind::Shared => {
-            cfg.l1x.digest(&mut h);
-            cfg.link_axc_l1x.digest(&mut h);
-            h.write_f64(cfg.timestamp_tag_overhead);
-        }
-        SystemKind::Fusion | SystemKind::FusionDx => {
-            cfg.l0x.digest(&mut h);
-            cfg.l1x.digest(&mut h);
-            cfg.link_axc_l1x.digest(&mut h);
-            h.write_f64(cfg.timestamp_tag_overhead);
-            cfg.write_policy.digest(&mut h);
-            h.write_u32(cfg.default_lease);
-            h.write_bool(cfg.lease_renewal);
-            h.write_usize(cfg.l1x_prefetch_degree);
-            if system == SystemKind::FusionDx {
-                cfg.link_l0x_l0x.digest(&mut h);
-            }
-        }
     }
-    h.finish128().0
+    roles
 }
 
-/// Folds every phase's [`phase_key`] of `workload` into one run
-/// signature (order-sensitive: phase index is part of each key).
-pub fn run_fold(system: SystemKind, workload: &Workload, cfg: &SystemConfig) -> u64 {
-    let mut h = StateHasher::new();
-    for (idx, phase) in workload.phases.iter().enumerate() {
-        h.write_u64(phase_key(system, idx, phase.unit.is_host(), cfg));
-    }
-    h.finish128().0
-}
-
-/// Cache key of one full run: grid identity plus the folded signature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RunKey {
-    /// Simulated system.
-    pub system: SystemKind,
-    /// Workload suite.
-    pub suite: SuiteId,
-    /// Workload scale.
-    pub scale: Scale,
-    /// [`run_fold`] of every phase's signature.
-    pub fold: u64,
-    /// Phase count (belt and braces alongside the fold).
-    pub phases: usize,
-}
-
-/// A memoized run: the producer's entry-state digest and its result.
-#[derive(Debug, Clone)]
-struct RunRec {
-    entry_digest: (u64, u64),
-    result: SimResult,
-}
-
-/// Snapshot of the cache's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Lookups that spliced a memoized result.
-    pub hits: u64,
-    /// Lookups that found no entry and replayed.
-    pub misses: u64,
-    /// Lookups that found an entry but failed the entry-digest check and
-    /// fell back to a full replay. Nonzero fallbacks mean a signature
-    /// slice is too narrow — correct results, wasted work, worth a bug
-    /// report.
-    pub digest_fallbacks: u64,
-    /// Phases served from the cache.
-    pub phases_spliced: u64,
-    /// Phases actually replayed (by memo-eligible jobs).
-    pub phases_replayed: u64,
-}
-
-impl MemoStats {
-    /// Hit fraction over all memo-eligible lookups.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.digest_fallbacks;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
-
-/// The phase-memo cache shared by every job of a [`crate::sweep::Sweep`].
-///
-/// Thread-safe: lookups and records take a mutex on the map (grid points
-/// consult it once per run, not per reference), counters are atomics.
-#[derive(Debug, Default)]
-pub struct PhaseMemo {
-    runs: Mutex<FxHashMap<RunKey, RunRec>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    digest_fallbacks: AtomicU64,
-    phases_spliced: AtomicU64,
-    phases_replayed: AtomicU64,
-}
-
-impl PhaseMemo {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        PhaseMemo::default()
-    }
-
-    /// Current counter values.
-    pub fn stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            digest_fallbacks: self.digest_fallbacks.load(Ordering::Relaxed),
-            phases_spliced: self.phases_spliced.load(Ordering::Relaxed),
-            phases_replayed: self.phases_replayed.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of memoized runs.
-    pub fn len(&self) -> usize {
-        match self.runs.lock() {
-            Ok(g) => g.len(),
-            Err(p) => p.into_inner().len(),
-        }
-    }
-
-    /// `true` when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// How the memo cache served one job.
+/// How the sweep served one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MemoMark {
-    /// Memoization was disabled or the job ineligible (fault staged,
-    /// checker enabled).
+    /// The memo was off or the job was not grouped (fault staged, checker
+    /// enabled, invalid config).
     #[default]
     Off,
-    /// No cached entry; the run replayed and recorded itself.
+    /// The job was simulated.
     Miss,
-    /// A cached entry passed the digest check and was spliced.
+    /// The job's result was copied from its group's first member.
     Hit,
-    /// A cached entry failed the digest check; the run fully replayed.
-    Fallback,
 }
 
 impl MemoMark {
@@ -245,7 +136,6 @@ impl MemoMark {
             MemoMark::Off => "off",
             MemoMark::Miss => "miss",
             MemoMark::Hit => "hit",
-            MemoMark::Fallback => "fallback",
         }
     }
 }
@@ -253,255 +143,66 @@ impl MemoMark {
 /// Per-job memo accounting, echoed in every sweep row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoRow {
-    /// How the cache served this job.
+    /// How the sweep served this job.
     pub mark: MemoMark,
-    /// Phases spliced from the cache for this job.
-    pub phases_spliced: u64,
-    /// Phases replayed live for this job.
-    pub phases_replayed: u64,
-}
-
-/// A single job's handle into the shared [`PhaseMemo`].
-///
-/// The sweep constructs one per memo-eligible job; the system's
-/// `run_guarded_memo` calls [`MemoProbe::try_splice`] right after
-/// constructing its simulator state and [`MemoProbe::record`] after a
-/// successful live replay.
-pub struct MemoProbe<'a> {
-    memo: &'a PhaseMemo,
-    key: RunKey,
-    mark: std::cell::Cell<MemoMark>,
-}
-
-impl<'a> MemoProbe<'a> {
-    /// Binds a probe for the run identified by `key`.
-    pub fn new(memo: &'a PhaseMemo, key: RunKey) -> Self {
-        MemoProbe {
-            memo,
-            key,
-            mark: std::cell::Cell::new(MemoMark::Miss),
-        }
-    }
-
-    /// The bound run key.
-    pub fn key(&self) -> &RunKey {
-        &self.key
-    }
-
-    /// Looks up the run; returns the memoized result only if the cached
-    /// entry's producer started from exactly the state digested into
-    /// `entry_digest`. On digest mismatch the entry is left in place
-    /// (first producer wins — results for one key are identical by
-    /// construction) and the caller replays.
-    pub fn try_splice(&self, entry_digest: (u64, u64), phases: u64) -> Option<SimResult> {
-        let cached = {
-            let guard = match self.memo.runs.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            guard
-                .get(&self.key)
-                .map(|r| (r.entry_digest, r.result.clone()))
-        };
-        match cached {
-            Some((digest, result)) if digest == entry_digest => {
-                self.memo.hits.fetch_add(1, Ordering::Relaxed);
-                self.memo
-                    .phases_spliced
-                    .fetch_add(phases, Ordering::Relaxed);
-                self.mark.set(MemoMark::Hit);
-                Some(result)
-            }
-            Some(_) => {
-                self.memo.digest_fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.mark.set(MemoMark::Fallback);
-                None
-            }
-            None => {
-                self.mark.set(MemoMark::Miss);
-                None
-            }
-        }
-    }
-
-    /// Records a successful live replay (no-op after a splice). The first
-    /// producer for a key wins; concurrent producers compute identical
-    /// results, so dropping a duplicate loses nothing.
-    pub fn record(&self, entry_digest: (u64, u64), result: &SimResult, phases: u64) {
-        if self.mark.get() == MemoMark::Hit {
-            return;
-        }
-        self.memo.misses.fetch_add(1, Ordering::Relaxed);
-        self.memo
-            .phases_replayed
-            .fetch_add(phases, Ordering::Relaxed);
-        let mut guard = match self.memo.runs.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        guard.entry(self.key).or_insert_with(|| RunRec {
-            entry_digest,
-            result: result.clone(),
-        });
-    }
-
-    /// How this probe was served, for the job's [`MemoRow`].
-    pub fn mark(&self) -> MemoMark {
-        self.mark.get()
-    }
-
-    /// The [`MemoRow`] for a job whose run covered `phases` phases.
-    pub fn row(&self, phases: u64) -> MemoRow {
-        match self.mark.get() {
-            MemoMark::Hit => MemoRow {
-                mark: MemoMark::Hit,
-                phases_spliced: phases,
-                phases_replayed: 0,
-            },
-            mark => MemoRow {
-                mark,
-                phases_spliced: 0,
-                phases_replayed: phases,
-            },
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::Fault;
+    use crate::sweep::design_grid;
+    use fusion_types::fault::CheckerConfig;
 
-    fn key(fold: u64) -> RunKey {
-        RunKey {
-            system: SystemKind::Scratch,
-            suite: SuiteId::Fft,
-            scale: Scale::Tiny,
-            fold,
-            phases: 3,
-        }
-    }
-
-    fn result() -> SimResult {
-        // A default-ish result is enough: the memo never inspects it.
-        let wl = fusion_workloads::build_suite(SuiteId::Fft, Scale::Tiny);
-        crate::runner::run_system(SystemKind::Scratch, &wl, &SystemConfig::small())
-            .expect("tiny scratch run")
+    fn count(roles: &[Role]) -> (usize, usize, usize) {
+        let runs = roles.iter().filter(|r| matches!(r, Role::Run(_))).count();
+        let copies = roles.iter().filter(|r| matches!(r, Role::Copy(_))).count();
+        let alone = roles.iter().filter(|r| **r == Role::Alone).count();
+        (runs, copies, alone)
     }
 
     #[test]
-    fn miss_then_hit_requires_matching_digest() {
-        let memo = PhaseMemo::new();
-        let res = result();
-        let probe = MemoProbe::new(&memo, key(1));
-        assert!(probe.try_splice((7, 8), 3).is_none());
-        probe.record((7, 8), &res, 3);
-        assert_eq!(probe.mark(), MemoMark::Miss);
-
-        let probe = MemoProbe::new(&memo, key(1));
-        let spliced = probe.try_splice((7, 8), 3).expect("digest matches");
-        assert_eq!(spliced, res);
-        assert_eq!(probe.mark(), MemoMark::Hit);
-
-        let probe = MemoProbe::new(&memo, key(1));
-        assert!(probe.try_splice((7, 9), 3).is_none(), "digest mismatch");
-        assert_eq!(probe.mark(), MemoMark::Fallback);
-
-        let stats = memo.stats();
-        assert_eq!(
-            (stats.hits, stats.misses, stats.digest_fallbacks),
-            (1, 1, 1)
-        );
-        assert_eq!(stats.phases_spliced, 3);
-        assert_eq!(stats.phases_replayed, 3);
-    }
-
-    #[test]
-    fn different_folds_are_distinct_entries() {
-        let memo = PhaseMemo::new();
-        let res = result();
-        MemoProbe::new(&memo, key(1)).record((0, 0), &res, 3);
-        let probe = MemoProbe::new(&memo, key(2));
-        assert!(probe.try_splice((0, 0), 3).is_none());
-        assert_eq!(memo.len(), 1);
-    }
-
-    #[test]
-    fn phase_key_separates_systems_and_phases() {
-        let cfg = SystemConfig::small();
-        let a = phase_key(SystemKind::Fusion, 0, false, &cfg);
-        assert_ne!(a, phase_key(SystemKind::FusionDx, 0, false, &cfg));
-        assert_ne!(a, phase_key(SystemKind::Fusion, 1, false, &cfg));
-        assert_ne!(a, phase_key(SystemKind::Fusion, 0, true, &cfg));
-        assert_eq!(a, phase_key(SystemKind::Fusion, 0, false, &cfg.clone()));
-    }
-
-    #[test]
-    fn slice_tables_ignore_unrelated_knobs() {
-        let base = SystemConfig::small();
-        let mut bigger_sp = base.clone();
-        bigger_sp.scratchpad.capacity_bytes *= 2;
-        // Scratchpad capacity: invisible to SHARED/FUSION and to SCRATCH
-        // *host* phases, visible to SCRATCH accelerator phases.
-        for system in [SystemKind::Shared, SystemKind::Fusion, SystemKind::FusionDx] {
-            assert_eq!(
-                phase_key(system, 2, false, &base),
-                phase_key(system, 2, false, &bigger_sp)
-            );
-        }
-        assert_eq!(
-            phase_key(SystemKind::Scratch, 0, true, &base),
-            phase_key(SystemKind::Scratch, 0, true, &bigger_sp)
-        );
-        assert_ne!(
-            phase_key(SystemKind::Scratch, 1, false, &base),
-            phase_key(SystemKind::Scratch, 1, false, &bigger_sp)
-        );
-
-        let mut bigger_l0 = base.clone();
-        bigger_l0.l0x.capacity_bytes *= 2;
-        // L0X capacity: visible only to FUSION/FUSION-Dx.
-        for system in [SystemKind::Scratch, SystemKind::Shared] {
-            assert_eq!(
-                phase_key(system, 1, false, &base),
-                phase_key(system, 1, false, &bigger_l0)
-            );
-        }
-        assert_ne!(
-            phase_key(SystemKind::Fusion, 1, false, &base),
-            phase_key(SystemKind::Fusion, 1, false, &bigger_l0)
-        );
-
-        let mut dx_link = base.clone();
-        dx_link.link_l0x_l0x.latency += 1;
-        // The Dx forwarding link: visible only to FUSION-Dx.
-        assert_eq!(
-            phase_key(SystemKind::Fusion, 1, false, &base),
-            phase_key(SystemKind::Fusion, 1, false, &dx_link)
-        );
-        assert_ne!(
-            phase_key(SystemKind::FusionDx, 1, false, &base),
-            phase_key(SystemKind::FusionDx, 1, false, &dx_link)
-        );
-    }
-
-    #[test]
-    fn common_slice_reaches_every_system() {
-        let base = SystemConfig::small();
-        let mut l2 = base.clone();
-        l2.l2.capacity_bytes *= 2;
-        for system in [
-            SystemKind::Scratch,
-            SystemKind::Shared,
-            SystemKind::Fusion,
-            SystemKind::FusionDx,
-        ] {
-            for is_host in [false, true] {
-                assert_ne!(
-                    phase_key(system, 0, is_host, &base),
-                    phase_key(system, 0, is_host, &l2),
-                    "{system:?} host={is_host} must see the L2 geometry"
-                );
+    fn plan_copies_105_design_grid_points_and_never_ineligible_jobs() {
+        let mut jobs = design_grid(&SystemConfig::small());
+        let roles = plan(&jobs, &FaultPlan::new());
+        assert_eq!(count(&roles), (91, 105, 0));
+        for (i, role) in roles.iter().enumerate() {
+            match role {
+                Role::Copy(l) => {
+                    assert!(*l < 28, "every copy's first member is in the base block");
+                    assert!(matches!(&roles[*l], Role::Run(c) if c.contains(&i)));
+                    assert_eq!(
+                        (jobs[*l].system, jobs[*l].suite),
+                        (jobs[i].system, jobs[i].suite)
+                    );
+                }
+                Role::Run(copies) => assert!(copies.iter().all(|&c| roles[c] == Role::Copy(i))),
+                Role::Alone => unreachable!("every design-grid job is eligible"),
             }
         }
+
+        // Job 0 (FFT/SC@base) gets a staged fault, job 1 (FFT/SH@base)
+        // the checker, and a last job is invalid only in a field SCRATCH
+        // cannot see, so its observed config equals job 0's.
+        jobs[1].config = jobs[1]
+            .config
+            .clone()
+            .with_checker(CheckerConfig::enabled());
+        let mut bad = jobs[0].clone();
+        bad.config.l0x.banks = 0;
+        assert_eq!(
+            observed_config(bad.system, &bad.config),
+            observed_config(jobs[0].system, &jobs[0].config)
+        );
+        jobs.push(bad);
+        let roles = plan(&jobs, &FaultPlan::new().inject(0, Fault::Panic));
+        let last = jobs.len() - 1;
+        for i in [0, 1, last] {
+            assert_eq!(roles[i], Role::Alone, "job {i} must not be grouped");
+        }
+        // The rest of job 0's group regroups under its next member, the
+        // FFT/SC job of the first L0X variant.
+        assert_eq!(roles[28], Role::Run(vec![56, 84]));
+        assert_eq!(count(&roles), (91, 103, 3));
     }
 }

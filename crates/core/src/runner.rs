@@ -210,44 +210,15 @@ pub fn run_system_guarded(
     cfg: &SystemConfig,
     ctl: &RunControl<'_>,
 ) -> Result<SimResult, SimError> {
-    run_system_guarded_memo(kind, workload, decoded, cfg, ctl, None)
-}
-
-/// [`run_system_guarded`] with an optional phase-memo probe (DESIGN.md
-/// §13): when `memo` is present and its entry-state digest matches the
-/// memoized producer's, the run is spliced from the cache instead of
-/// replayed. Spliced results still get this call's wall-clock and ref
-/// counts stamped into their metrics, so throughput accounting reflects
-/// the splice.
-///
-/// # Errors
-///
-/// Same as [`run_system_guarded`].
-pub fn run_system_guarded_memo(
-    kind: SystemKind,
-    workload: &Workload,
-    decoded: &DecodedTrace,
-    cfg: &SystemConfig,
-    ctl: &RunControl<'_>,
-    memo: Option<&crate::memo::MemoProbe<'_>>,
-) -> Result<SimResult, SimError> {
     validate_config(cfg)?;
     // lint:allow-wall-clock — measures wall_nanos for throughput reporting
     // only; no simulated state ever reads this clock (DESIGN.md §15).
     let started = std::time::Instant::now();
     let mut res = match kind {
-        SystemKind::Scratch => {
-            ScratchSystem::new(cfg).run_guarded_memo(workload, decoded, ctl, memo)?
-        }
-        SystemKind::Shared => {
-            SharedSystem::new(cfg).run_guarded_memo(workload, decoded, ctl, memo)?
-        }
-        SystemKind::Fusion => {
-            FusionSystem::new(cfg).run_guarded_memo(workload, decoded, ctl, memo)?
-        }
-        SystemKind::FusionDx => {
-            FusionSystem::new_dx(cfg).run_guarded_memo(workload, decoded, ctl, memo)?
-        }
+        SystemKind::Scratch => ScratchSystem::new(cfg).run_guarded(workload, decoded, ctl)?,
+        SystemKind::Shared => SharedSystem::new(cfg).run_guarded(workload, decoded, ctl)?,
+        SystemKind::Fusion => FusionSystem::new(cfg).run_guarded(workload, decoded, ctl)?,
+        SystemKind::FusionDx => FusionSystem::new_dx(cfg).run_guarded(workload, decoded, ctl)?,
     };
     res.metrics.wall_nanos = crate::result::duration_nanos_saturating(started.elapsed());
     res.metrics.sim_events = res.total_sim_events();

@@ -11,12 +11,14 @@
 //!   [`TraceCache`] and [`SharedTrace`]); every job replaying that suite
 //!   shares the trace and its flat [`DecodedTrace`] instead of re-running
 //!   the instrumented kernels and re-deriving block addresses per run.
-//! * **Phase memoization** — a shared [`PhaseMemo`] (on by default, see
-//!   [`Sweep::memo`] and DESIGN.md §13) splices results between grid
-//!   points whose config-slice signatures *and* entry-state digests
-//!   match, so a [`design_grid`] replays only the points each config
-//!   knob can actually influence. Faulted and checker-enabled jobs never
-//!   consult it, and memo-on output is byte-identical to memo-off.
+//! * **Planning-time dedupe** — before any job runs, `memo::plan`
+//!   groups the jobs by system, suite and the config slice the system can
+//!   observe (on by default, see [`Sweep::memo`] and DESIGN.md §13). Each
+//!   group's first member is simulated and its result copied into the
+//!   others, so a [`design_grid`] replays only the points each config
+//!   knob can actually influence. Faulted, checker-enabled and invalid
+//!   jobs are never grouped, and memo-on output is byte-identical to
+//!   memo-off.
 //! * **Worker pool** — jobs fan out over [`std::thread::scope`] threads,
 //!   sized from [`std::thread::available_parallelism`] (capped by the job
 //!   count, overridable via [`Sweep::threads`]). Workers claim jobs from a
@@ -43,12 +45,10 @@
 //!   *before* publishing the result (DESIGN.md §14, [`crate::journal`]);
 //!   a crashed sweep resumes from the journal instead of restarting.
 //! * **Graceful degradation** — repeated transient failures walk a
-//!   capability ladder
-//!   ([`DegradeLevel`]): first the
-//!   per-job tile-thread reservation is shed, then the phase memo is
-//!   disabled for newly claimed jobs, finally the pool collapses to
-//!   fail-soft single-job mode. Every rung preserves byte-identical
-//!   results — only parallelism and caching are given back.
+//!   capability ladder ([`DegradeLevel`]): first the per-job tile-thread
+//!   reservation is shed, then the pool collapses to fail-soft
+//!   single-job mode. Every rung preserves byte-identical results — only
+//!   parallelism is given back.
 //!   [`Sweep::degradation`] reports how far the ladder descended.
 //! * **Determinism** — every simulation is a pure function of its
 //!   `(system, workload, config)` inputs, and every injected fault is a
@@ -93,9 +93,9 @@ use fusion_workloads::{all_suites, build_suite, Scale, SuiteId};
 
 use crate::faults::{Fault, FaultPlan};
 use crate::journal::{self, JournalSink};
-use crate::memo::{self, MemoProbe, MemoRow, MemoStats, PhaseMemo, RunKey};
+use crate::memo::{self, MemoMark, MemoRow, Role};
 use crate::result::{duration_millis_saturating, duration_nanos_saturating, SimResult};
-use crate::runner::{run_system_guarded, run_system_guarded_memo, RunControl, SystemKind};
+use crate::runner::{run_system_guarded, RunControl, SystemKind};
 
 /// One point of the design-space grid: a system, the suite whose trace it
 /// replays, and the configuration to simulate under.
@@ -152,7 +152,8 @@ pub struct SweepOutcome {
     /// simulated-cycle units (zero for first-try successes; see
     /// [`backoff_cycles`]).
     pub backoff: u64,
-    /// How the phase-memo cache served this job (DESIGN.md §13).
+    /// Whether this job was simulated or copied from its group's first
+    /// member (DESIGN.md §13).
     pub memo: MemoRow,
 }
 
@@ -316,11 +317,9 @@ fn apply_backoff(cycles: u64) {
 /// Degradation-ladder rung indexes (see
 /// [`DegradeLevel`](fusion_types::error::DegradeLevel)).
 const LEVEL_SHED_TILE: usize = 1;
-const LEVEL_MEMO_OFF: usize = 2;
-const LEVEL_SINGLE_JOB: usize = 3;
+const LEVEL_SINGLE_JOB: usize = 2;
 /// Transient-failure counts at which the ladder descends a rung.
 const DEGRADE_SHED_TILE_AFTER: u64 = 2;
-const DEGRADE_MEMO_OFF_AFTER: u64 = 4;
 const DEGRADE_SINGLE_JOB_AFTER: u64 = 6;
 
 /// Shared graceful-degradation state: a monotonic transient-failure
@@ -345,8 +344,6 @@ impl DegradeState {
         let t = self.transients.fetch_add(1, Ordering::Relaxed) + 1;
         let level = if t >= DEGRADE_SINGLE_JOB_AFTER {
             LEVEL_SINGLE_JOB
-        } else if t >= DEGRADE_MEMO_OFF_AFTER {
-            LEVEL_MEMO_OFF
         } else if t >= DEGRADE_SHED_TILE_AFTER {
             LEVEL_SHED_TILE
         } else {
@@ -387,11 +384,10 @@ const CAPACITY_POINTS: [usize; 3] = [2048, 8192, 16384];
 /// configuration, then the full grid again at each L0X-capacity and each
 /// scratchpad-capacity variant (7 × 28 = 196 jobs, base first).
 ///
-/// This is the grid where phase memoization pays: SCRATCH and SHARED
-/// cannot observe the L0X axis, and SHARED/FUSION/FUSION-Dx (plus SCRATCH
-/// host phases) cannot observe the scratchpad axis, so with the memo on,
-/// 105 of the 196 points splice a base result instead of replaying
-/// (DESIGN.md §13).
+/// This is the grid where the memo pays: SCRATCH and SHARED cannot
+/// observe the L0X axis, and SHARED/FUSION/FUSION-Dx cannot observe the
+/// scratchpad axis, so with the memo on, 105 of the 196 points copy a
+/// base result instead of replaying (DESIGN.md §13).
 pub fn design_grid(base: &SystemConfig) -> Vec<SweepJob> {
     let mut jobs = full_grid(base);
     for cap in CAPACITY_POINTS {
@@ -526,7 +522,7 @@ pub struct Sweep {
     retries: u32,
     fail_fast: bool,
     faults: FaultPlan,
-    memo: Option<Arc<PhaseMemo>>,
+    memo: bool,
     journal: Option<Arc<JournalSink>>,
     degrade: DegradeState,
 }
@@ -534,7 +530,7 @@ pub struct Sweep {
 impl Sweep {
     /// A sweep at `scale` with the default pool size
     /// (`available_parallelism`, capped by the job count), no watchdogs,
-    /// no retries, no faults and phase memoization on (DESIGN.md §13).
+    /// no retries, no faults and the memo on (DESIGN.md §13).
     pub fn new(scale: Scale) -> Sweep {
         Sweep {
             scale,
@@ -545,7 +541,7 @@ impl Sweep {
             retries: 0,
             fail_fast: false,
             faults: FaultPlan::new(),
-            memo: Some(Arc::new(PhaseMemo::new())),
+            memo: true,
             journal: None,
             degrade: DegradeState::new(),
         }
@@ -616,30 +612,13 @@ impl Sweep {
         self
     }
 
-    /// Enables or disables the phase-memo cache (on by default; `sim
+    /// Enables or disables planning-time dedupe (on by default; `sim
     /// sweep --no-memo` turns it off). With the memo off every grid point
     /// fully replays — the A/B reference the determinism tests and the CI
     /// gate compare against.
     pub fn memo(mut self, enabled: bool) -> Sweep {
-        self.memo = if enabled {
-            Some(Arc::new(PhaseMemo::new()))
-        } else {
-            None
-        };
+        self.memo = enabled;
         self
-    }
-
-    /// Shares an existing memo cache across sweeps (the 2-pass profiling
-    /// path), enabling memoization.
-    pub fn with_memo(mut self, memo: Arc<PhaseMemo>) -> Sweep {
-        self.memo = Some(memo);
-        self
-    }
-
-    /// Counter snapshot of the memo cache (all zeros when the memo is
-    /// disabled).
-    pub fn memo_stats(&self) -> MemoStats {
-        self.memo.as_ref().map(|m| m.stats()).unwrap_or_default()
     }
 
     /// Attaches a write-ahead result journal: every completed grid point
@@ -741,7 +720,14 @@ impl Sweep {
 
         // Phase 2: fan the simulations out. Workers claim jobs from a
         // shared cursor and write into per-job slots, so output order is
-        // grid order no matter the completion order.
+        // grid order no matter the completion order. The memo plan is
+        // fixed before any job runs, so which jobs are copied does not
+        // depend on the worker count (DESIGN.md §13).
+        let roles = if self.memo {
+            memo::plan(&jobs, &self.faults)
+        } else {
+            vec![Role::Alone; jobs.len()]
+        };
         // lint:allow-wall-clock — queue-wait timing for the deadline
         // monitor and diagnostics; never feeds simulated results.
         let submitted = Instant::now();
@@ -762,8 +748,80 @@ impl Sweep {
                 c.store(true, Ordering::Relaxed);
             }
         }
-        let jobs = &jobs;
-        let slots_ref = &slots;
+
+        // One job through its attempt loop, timed from its claim.
+        let run_job = |i: usize, mark: MemoMark| -> SweepOutcome {
+            let job = &jobs[i];
+            let queue_delay = duration_nanos_saturating(submitted.elapsed());
+            started[i].start(duration_millis_saturating(submitted.elapsed()));
+            let max_attempts = 1 + self.retries;
+            let mut attempts = 0u32;
+            let mut backoff = 0u64;
+            let mut result = loop {
+                attempts += 1;
+                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    self.run_once(job, i, attempts, &cancels[i])
+                }));
+                // `&*payload`: downcast the inner payload, not the Box (a
+                // Box is itself `Any`).
+                let r = run.unwrap_or_else(|payload| {
+                    Err(SimError::JobPanicked {
+                        job: job.label(),
+                        message: panic_message(&*payload),
+                    })
+                });
+                match r {
+                    Err(e) if e.is_transient() && attempts < max_attempts => {
+                        self.degrade.note_transient();
+                        let spin = backoff_cycles(attempts, self.watchdog.max_sim_cycles);
+                        backoff = backoff.saturating_add(spin);
+                        apply_backoff(spin);
+                    }
+                    other => {
+                        if matches!(&other, Err(e) if e.is_transient()) {
+                            self.degrade.note_transient();
+                        }
+                        break other;
+                    }
+                }
+            };
+            started[i].finish();
+            if let Ok(res) = &mut result {
+                res.metrics.queue_delay_nanos = queue_delay;
+            } else if self.fail_fast {
+                stop.store(true, Ordering::Relaxed);
+            }
+            SweepOutcome {
+                job: job.clone(),
+                result,
+                attempts,
+                backoff,
+                memo: MemoRow { mark },
+            }
+        };
+        // Write-ahead discipline: the journal row is on disk (fsync'd)
+        // before the result is published into its slot, so every visible
+        // completion is recoverable after a crash.
+        let publish = |i: usize, outcome: SweepOutcome| {
+            if let (Some(sink), Ok(res)) = (&self.journal, &outcome.result) {
+                let trace = self.traces.get(outcome.job.suite, self.scale);
+                sink.record(&journal::JournalRow::for_result(
+                    &outcome.job,
+                    self.scale,
+                    res,
+                    outcome.attempts,
+                    outcome.backoff,
+                    trace.fingerprint(),
+                ));
+            }
+            // Poison recovery: a slot mutex poisoned by a panic on another
+            // worker still holds writable storage — never let one
+            // casualty forfeit the grid.
+            *slots[i]
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(outcome);
+        };
+
         std::thread::scope(|scope| {
             if let Some(deadline) = self.watchdog.wall_deadline_ms.filter(|&d| d > 0) {
                 let started = &started;
@@ -781,11 +839,9 @@ impl Sweep {
                     }
                 });
             }
-            let cursor = &cursor;
-            let stop = &stop;
-            let workers_done = &workers_done;
-            let cancels = &cancels;
-            let started = &started;
+            let (jobs, roles, cursor, stop, workers_done) =
+                (&jobs, &roles, &cursor, &stop, &workers_done);
+            let (run_job, publish) = (&run_job, &publish);
             for w in 0..workers {
                 scope.spawn(move || {
                     loop {
@@ -799,7 +855,15 @@ impl Sweep {
                             break;
                         }
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
+                        if i >= jobs.len() {
+                            break;
+                        }
+                        let (mark, copies): (MemoMark, &[usize]) = match &roles[i] {
+                            // Published by its group's first member.
+                            Role::Copy(_) => continue,
+                            Role::Alone => (MemoMark::Off, &[]),
+                            Role::Run(copies) => (MemoMark::Miss, copies),
+                        };
                         if self.faults.fault_for(i) == Some(Fault::WorkerKill) {
                             // Chaos kill: this worker dies mid-claim, the
                             // slot stays empty — the in-process stand-in
@@ -807,81 +871,29 @@ impl Sweep {
                             // going; a journaled sweep resumes the point.
                             break;
                         }
-                        let queue_delay = duration_nanos_saturating(submitted.elapsed());
-                        started[i].start(duration_millis_saturating(submitted.elapsed()));
-
-                        let max_attempts = 1 + self.retries;
-                        let mut attempts = 0u32;
-                        let mut backoff = 0u64;
-                        let (mut result, memo_row) = loop {
-                            attempts += 1;
-                            let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                self.run_once(job, i, attempts, &cancels[i])
-                            }));
-                            let (r, row) = match run {
-                                Ok(r) => r,
-                                // `&*payload`: downcast the inner payload,
-                                // not the Box (a Box is itself `Any`).
-                                Err(payload) => (
-                                    Err(SimError::JobPanicked {
-                                        job: job.label(),
-                                        message: panic_message(&*payload),
-                                    }),
-                                    MemoRow::default(),
-                                ),
-                            };
-                            match r {
-                                Err(e) if e.is_transient() && attempts < max_attempts => {
-                                    self.degrade.note_transient();
-                                    let spin =
-                                        backoff_cycles(attempts, self.watchdog.max_sim_cycles);
-                                    backoff = backoff.saturating_add(spin);
-                                    apply_backoff(spin);
-                                    continue;
-                                }
-                                other => {
-                                    if matches!(&other, Err(e) if e.is_transient()) {
-                                        self.degrade.note_transient();
-                                    }
-                                    break (other, row);
+                        let outcome = run_job(i, mark);
+                        match &outcome.result {
+                            Ok(res) => {
+                                let copied: Vec<SweepOutcome> =
+                                    copies.iter().map(|&c| copy_of(&jobs[c], res)).collect();
+                                publish(i, outcome);
+                                for (&c, copy) in copies.iter().zip(copied) {
+                                    publish(c, copy);
                                 }
                             }
-                        };
-                        started[i].finish();
-
-                        if let Ok(res) = &mut result {
-                            res.metrics.queue_delay_nanos = queue_delay;
-                        } else if self.fail_fast {
-                            stop.store(true, Ordering::Relaxed);
+                            Err(_) => {
+                                publish(i, outcome);
+                                // A failed first member proves nothing
+                                // about its group: the other members run
+                                // as ordinary jobs.
+                                for &c in copies {
+                                    if self.fail_fast && stop.load(Ordering::Relaxed) {
+                                        break;
+                                    }
+                                    publish(c, run_job(c, MemoMark::Miss));
+                                }
+                            }
                         }
-                        // Write-ahead discipline: the journal row is on
-                        // disk (fsync'd) before the result is published
-                        // into its slot, so every visible completion is
-                        // recoverable after a crash.
-                        if let (Some(sink), Ok(res)) = (&self.journal, &result) {
-                            let trace = self.traces.get(job.suite, self.scale);
-                            sink.record(&journal::JournalRow::for_result(
-                                job,
-                                self.scale,
-                                res,
-                                attempts,
-                                backoff,
-                                trace.fingerprint(),
-                            ));
-                        }
-                        // Poison recovery: a slot mutex poisoned by a panic
-                        // on another worker still holds writable storage —
-                        // never let one casualty forfeit the grid.
-                        *slots_ref[i]
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner()) =
-                            Some(SweepOutcome {
-                                job: job.clone(),
-                                result,
-                                attempts,
-                                backoff,
-                                memo: memo_row,
-                            });
                     }
                     workers_done.fetch_add(1, Ordering::Release);
                 });
@@ -898,16 +910,15 @@ impl Sweep {
     }
 
     /// One attempt at one job: stages the planned fault (if any), then
-    /// runs the simulation under the watchdog controls — through the
-    /// phase-memo cache when the job is eligible (no staged fault, no
-    /// checker). Runs inside the worker's `catch_unwind`.
+    /// runs the simulation under the watchdog controls. Runs inside the
+    /// worker's `catch_unwind`.
     fn run_once(
         &self,
         job: &SweepJob,
         index: usize,
         attempt: u32,
         cancel: &AtomicBool,
-    ) -> (Result<SimResult, SimError>, MemoRow) {
+    ) -> Result<SimResult, SimError> {
         let fault = self.faults.fault_for(index);
         let label = job.label();
         match fault {
@@ -944,7 +955,7 @@ impl Sweep {
         let reloaded = match &damaged {
             Some(bytes) => match trace_io::decode_workload(bytes) {
                 Ok(wl) => Some(wl),
-                Err(e) => return (Err(e), MemoRow::default()),
+                Err(e) => return Err(e),
             },
             None => None,
         };
@@ -986,42 +997,24 @@ impl Sweep {
             cancel: Some(cancel),
             wall_deadline_ms: self.watchdog.wall_deadline_ms.unwrap_or(0),
         };
-        // Memo eligibility: faulted jobs and checker-enabled configs never
-        // consult the cache — their results depend on more than the
-        // signature slices claim, and a faulty run must not poison or be
-        // served by healthy neighbors. Past the memo-off rung of the
-        // degradation ladder the cache is bypassed entirely (results are
-        // A/B-identical either way; only throughput is sacrificed).
-        let memo_cache = match (&self.memo, fault, cfg.checker.enabled) {
-            (Some(m), None, false) if self.degrade.level() < LEVEL_MEMO_OFF => Some(m),
-            _ => None,
-        };
-        match memo_cache {
-            Some(cache) => {
-                let key = RunKey {
-                    system: job.system,
-                    suite: job.suite,
-                    scale: self.scale,
-                    fold: memo::run_fold(job.system, workload, &cfg),
-                    phases: workload.phases.len(),
-                };
-                let probe = MemoProbe::new(cache, key);
-                let res = run_system_guarded_memo(
-                    job.system,
-                    workload,
-                    decoded,
-                    &cfg,
-                    &ctl,
-                    Some(&probe),
-                );
-                let row = probe.row(workload.phases.len() as u64);
-                (res, row)
-            }
-            None => (
-                run_system_guarded(job.system, workload, decoded, &cfg, &ctl),
-                MemoRow::default(),
-            ),
-        }
+        run_system_guarded(job.system, workload, decoded, &cfg, &ctl)
+    }
+}
+
+/// A group member's outcome, copied from its first member's result: it
+/// took no wall time, no queueing and no retries (DESIGN.md §13).
+fn copy_of(job: &SweepJob, res: &SimResult) -> SweepOutcome {
+    let mut res = res.clone();
+    res.metrics.wall_nanos = 0;
+    res.metrics.queue_delay_nanos = 0;
+    SweepOutcome {
+        job: job.clone(),
+        result: Ok(res),
+        attempts: 1,
+        backoff: 0,
+        memo: MemoRow {
+            mark: MemoMark::Hit,
+        },
     }
 }
 
@@ -1278,6 +1271,32 @@ mod tests {
                 assert_eq!(*limit, 1);
             }
             other => panic!("expected Timeout, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn failed_first_member_runs_the_rest_of_its_group() {
+        // SCRATCH cannot see the L0X, so the two jobs form one group. A
+        // one-cycle budget times the first out; the second must then run
+        // (and time out) on its own rather than vanish.
+        let first = SweepJob::new(SystemKind::Scratch, SuiteId::Adpcm, SystemConfig::small());
+        let mut second = first.clone();
+        second.config.l0x.capacity_bytes *= 2;
+        let outcomes = Sweep::new(Scale::Tiny)
+            .threads(1)
+            .watchdog(Watchdog {
+                max_sim_cycles: Some(1),
+                ..Default::default()
+            })
+            .run(vec![first, second]);
+        assert_eq!(outcomes.len(), 2);
+        for o in &outcomes {
+            assert!(
+                matches!(o.result, Err(SimError::Timeout { .. })),
+                "{:?}",
+                o.result
+            );
+            assert_eq!(o.memo.mark, MemoMark::Miss);
         }
     }
 

@@ -5,7 +5,6 @@ use fusion_accel::{run_phase_kind_runs, DecodedTrace, Workload};
 use fusion_coherence::acc::{AccAccess, AccTile, TileTiming};
 use fusion_coherence::{ForwardRule, TileStats};
 use fusion_energy::{Component, EnergyLedger, EnergyModel};
-use fusion_sim::{digest_item, StateDigest, StateHasher};
 use fusion_types::error::SimError;
 use fusion_types::hash::FxHashMap;
 use fusion_types::{
@@ -14,7 +13,6 @@ use fusion_types::{
 use fusion_vm::{AxRmap, L1xPointer, RmapOutcome};
 
 use crate::host::{HostSide, TileAgent};
-use crate::memo::MemoProbe;
 use crate::result::{PhaseResult, SimResult};
 use crate::runner::RunControl;
 use crate::systems::{charge_compute, EnergyMark};
@@ -125,24 +123,6 @@ impl FusionSystem {
         decoded: &DecodedTrace,
         ctl: &RunControl<'_>,
     ) -> Result<SimResult, SimError> {
-        self.run_guarded_memo(workload, decoded, ctl, None)
-    }
-
-    /// [`FusionSystem::run_guarded`] with an optional phase-memo probe:
-    /// after constructing the simulator state, its [`StateDigest`] is
-    /// compared against the memoized producer's and an identical run is
-    /// spliced instead of replayed (DESIGN.md §13).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FusionSystem::run_guarded`].
-    pub fn run_guarded_memo(
-        &mut self,
-        workload: &Workload,
-        decoded: &DecodedTrace,
-        ctl: &RunControl<'_>,
-        memo: Option<&MemoProbe<'_>>,
-    ) -> Result<SimResult, SimError> {
         let cfg = &self.cfg;
         let mut host = HostSide::new(cfg);
         let em = host.energy_model().clone();
@@ -211,39 +191,6 @@ impl FusionSystem {
                         lease: lease_of(p.consumer),
                         eager: p.streaming,
                     });
-            }
-        }
-
-        // Entry-state digest: the tile (caches, timing, stats, rules),
-        // the reverse map, the prefetcher state and the Dx rule table —
-        // everything mutable the replay below touches. The host energy
-        // model copy is config-derived and covered by the signature slice
-        // instead (see DESIGN.md §13).
-        let entry = memo.map(|_| {
-            let mut h = StateHasher::new();
-            host.digest(&mut h);
-            state.tile.digest(&mut h);
-            state.rmap.digest(&mut h);
-            state.streams.digest(&mut h);
-            h.write_usize(state.prefetch_degree);
-            h.write_bool(self.dx);
-            h.write_unordered(rules_by_phase.iter().map(|(pi, m)| {
-                digest_item(|hh| {
-                    hh.write_usize(*pi);
-                    hh.write_unordered(m.iter().map(|((rpid, b), rules)| {
-                        digest_item(|h3| {
-                            rpid.digest(h3);
-                            b.digest(h3);
-                            rules.digest(h3);
-                        })
-                    }));
-                })
-            }));
-            h.finish128()
-        });
-        if let (Some(m), Some(d)) = (memo, entry) {
-            if let Some(res) = m.try_splice(d, workload.phases.len() as u64) {
-                return Ok(res);
             }
         }
 
@@ -350,7 +297,7 @@ impl FusionSystem {
         }
         charge_tile_delta(&mut ledger, &em, &mut stats_mark, state.tile.stats());
 
-        let res = SimResult {
+        Ok(SimResult {
             system: if self.dx { "FUSION-Dx" } else { "FUSION" },
             workload: workload.name.clone(),
             total_cycles: now.value(),
@@ -366,11 +313,7 @@ impl FusionSystem {
             tile: Some(*state.tile.stats()),
             latency,
             metrics: Default::default(),
-        };
-        if let (Some(m), Some(d)) = (memo, entry) {
-            m.record(d, &res, workload.phases.len() as u64);
-        }
-        Ok(res)
+        })
     }
 }
 

@@ -8,10 +8,7 @@ use fusion_mem::Scratchpad;
 use fusion_types::error::SimError;
 use fusion_types::{Cycle, SystemConfig, CACHE_BLOCK_BYTES};
 
-use fusion_sim::{StateDigest, StateHasher};
-
 use crate::host::{HostSide, NoTile};
-use crate::memo::MemoProbe;
 use crate::result::{PhaseResult, SimResult};
 use crate::runner::RunControl;
 use crate::systems::{charge_compute, EnergyMark};
@@ -70,45 +67,12 @@ impl ScratchSystem {
         decoded: &DecodedTrace,
         ctl: &RunControl<'_>,
     ) -> Result<SimResult, SimError> {
-        self.run_guarded_memo(workload, decoded, ctl, None)
-    }
-
-    /// [`ScratchSystem::run_guarded`] with an optional phase-memo probe:
-    /// after constructing the simulator state, its [`StateDigest`] is
-    /// compared against the memoized producer's and an identical run is
-    /// spliced instead of replayed (DESIGN.md §13).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ScratchSystem::run_guarded`].
-    pub fn run_guarded_memo(
-        &mut self,
-        workload: &Workload,
-        decoded: &DecodedTrace,
-        ctl: &RunControl<'_>,
-        memo: Option<&MemoProbe<'_>>,
-    ) -> Result<SimResult, SimError> {
         let cfg = &self.cfg;
         let mut host = HostSide::new(cfg);
         let em = host.energy_model().clone();
         let mut ledger = EnergyLedger::new();
         let mut dma = DmaController::new(cfg.link_l1x_l2);
         let cap_blocks = cfg.scratchpad.capacity_bytes / CACHE_BLOCK_BYTES;
-        // Entry-state digest: everything mutable the replay below touches
-        // (the ledger and the scratchpad start empty by construction;
-        // `cap_blocks` stands in for the scratchpad shape).
-        let entry = memo.map(|_| {
-            let mut h = StateHasher::new();
-            host.digest(&mut h);
-            dma.digest(&mut h);
-            h.write_usize(cap_blocks);
-            h.finish128()
-        });
-        if let (Some(m), Some(d)) = (memo, entry) {
-            if let Some(res) = m.try_splice(d, workload.phases.len() as u64) {
-                return Ok(res);
-            }
-        }
         let mut now = Cycle::ZERO;
         let mut phases_out = Vec::new();
         let mut latency = fusion_sim::Histogram::new();
@@ -226,7 +190,7 @@ impl ScratchSystem {
             }
         }
 
-        let res = SimResult {
+        Ok(SimResult {
             system: "SCRATCH",
             workload: workload.name.clone(),
             total_cycles: now.value(),
@@ -242,11 +206,7 @@ impl ScratchSystem {
             tile: None,
             latency,
             metrics: Default::default(),
-        };
-        if let (Some(m), Some(d)) = (memo, entry) {
-            m.record(d, &res, workload.phases.len() as u64);
-        }
-        Ok(res)
+        })
     }
 }
 

@@ -5,12 +5,10 @@ use fusion_accel::{run_phase_kind_runs, DecodedTrace, Workload};
 use fusion_coherence::MesiReq;
 use fusion_energy::{Component, EnergyLedger, EnergyModel};
 use fusion_mem::{BankedTiming, ReplacementPolicy, SetAssocCache};
-use fusion_sim::{StateDigest, StateHasher};
 use fusion_types::error::SimError;
 use fusion_types::{BlockAddr, Cycle, PhysAddr, Pid, SystemConfig, CACHE_BLOCK_BYTES};
 
 use crate::host::{HostSide, TileAgent};
-use crate::memo::MemoProbe;
 use crate::result::{PhaseResult, SimResult};
 use crate::runner::RunControl;
 use crate::systems::{charge_compute, EnergyMark};
@@ -23,13 +21,6 @@ struct SharedMeta {
     /// `in_flight` entry so the hit path never probes the map; the map is
     /// only consulted when the line is absent).
     fill_full: Cycle,
-}
-
-impl StateDigest for SharedMeta {
-    fn digest(&self, h: &mut StateHasher) {
-        h.write_bool(self.exclusive);
-        self.fill_full.digest(h);
-    }
 }
 
 /// The SHARED L1X: physically indexed (the tile shares the core-side view,
@@ -119,24 +110,6 @@ impl SharedSystem {
         decoded: &DecodedTrace,
         ctl: &RunControl<'_>,
     ) -> Result<SimResult, SimError> {
-        self.run_guarded_memo(workload, decoded, ctl, None)
-    }
-
-    /// [`SharedSystem::run_guarded`] with an optional phase-memo probe:
-    /// after constructing the simulator state, its [`StateDigest`] is
-    /// compared against the memoized producer's and an identical run is
-    /// spliced instead of replayed (DESIGN.md §13).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SharedSystem::run_guarded`].
-    pub fn run_guarded_memo(
-        &mut self,
-        workload: &Workload,
-        decoded: &DecodedTrace,
-        ctl: &RunControl<'_>,
-        memo: Option<&MemoProbe<'_>>,
-    ) -> Result<SimResult, SimError> {
         let cfg = &self.cfg;
         let mut host = HostSide::new(cfg);
         let em = host.energy_model().clone();
@@ -153,24 +126,6 @@ impl SharedSystem {
         let mut in_flight: fusion_types::hash::FxHashMap<BlockAddr, Cycle> =
             fusion_types::hash::FxHashMap::default();
         let word = cfg.control_message_bytes;
-        // Entry-state digest: every mutable structure of the replay below
-        // (`in_flight` is empty by construction, so its length suffices;
-        // the `SharedL1x` energy table is config-derived and covered by
-        // the signature slice instead — see DESIGN.md §13).
-        let entry = memo.map(|_| {
-            let mut h = StateHasher::new();
-            host.digest(&mut h);
-            l1x.cache.digest(&mut h);
-            banks.digest(&mut h);
-            h.write_usize(in_flight.len());
-            h.write_u64(word);
-            h.finish128()
-        });
-        if let (Some(m), Some(d)) = (memo, entry) {
-            if let Some(res) = m.try_splice(d, workload.phases.len() as u64) {
-                return Ok(res);
-            }
-        }
         let mut now = Cycle::ZERO;
         let mut phases_out = Vec::new();
         let mut latency = fusion_sim::Histogram::new();
@@ -351,7 +306,7 @@ impl SharedSystem {
             host.tile_eviction_phys(pa, e.dirty, &mut ledger);
         }
 
-        let res = SimResult {
+        Ok(SimResult {
             system: "SHARED",
             workload: workload.name.clone(),
             total_cycles: now.value(),
@@ -367,11 +322,7 @@ impl SharedSystem {
             tile: None,
             latency,
             metrics: Default::default(),
-        };
-        if let (Some(m), Some(d)) = (memo, entry) {
-            m.record(d, &res, workload.phases.len() as u64);
-        }
-        Ok(res)
+        })
     }
 }
 

@@ -194,25 +194,6 @@ impl DmaController {
     }
 }
 
-impl fusion_sim::StateDigest for DmaController {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        self.link.digest(h);
-        h.write_u64(self.command_overhead);
-        h.write_u64(self.port_occupancy);
-        h.write_u64(match self.state {
-            DmaState::Idle => 0,
-            DmaState::Command => 1,
-            DmaState::Fetch => 2,
-            DmaState::Transfer => 3,
-            DmaState::Complete => 4,
-        });
-        h.write_u64(self.transfers);
-        h.write_u64(self.blocks_in);
-        h.write_u64(self.blocks_out);
-        h.write_u64(self.busy_cycles);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -70,14 +70,6 @@ impl BankedTiming {
     }
 }
 
-impl fusion_sim::StateDigest for BankedTiming {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        self.next_free.digest(h);
-        h.write_u64(self.occupancy);
-        h.write_u64(self.conflicts);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -429,43 +429,6 @@ impl<M> SetAssocCache<M> {
     }
 }
 
-impl<M: fusion_sim::StateDigest> fusion_sim::StateDigest for Line<M> {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        self.pid.digest(h);
-        self.block.digest(h);
-        h.write_bool(self.dirty);
-        self.meta.digest(h);
-        // The replacement stamp is observable state: it decides future
-        // victims, so two caches that differ only in stamps must not
-        // splice into each other.
-        h.write_u64(self.stamp);
-    }
-}
-
-impl<M: fusion_sim::StateDigest> fusion_sim::StateDigest for SetAssocCache<M> {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        self.geometry.digest(h);
-        h.write_u64(match self.policy {
-            ReplacementPolicy::Lru => 0,
-            ReplacementPolicy::Fifo => 1,
-            ReplacementPolicy::Random => 2,
-        });
-        h.write_u64(self.tick);
-        h.write_u64(self.rng_state);
-        h.write_u64(self.hits);
-        h.write_u64(self.misses);
-        h.write_u64(self.evictions);
-        // Slot layout is deterministic (flat array, occupied prefixes), so
-        // an ordered walk is canonical.
-        self.lens.digest(h);
-        for set in 0..self.sets {
-            for line in self.set_slice(set).iter().flatten() {
-                line.digest(h);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -95,21 +95,6 @@ impl Default for MainMemory {
     }
 }
 
-impl fusion_sim::StateDigest for MainMemory {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        h.write_usize(self.channels.len());
-        for c in &self.channels {
-            c.next_free.digest(h);
-            c.open_row.digest(h);
-        }
-        h.write_u64(self.latency);
-        h.write_u64(self.row_hit_latency);
-        h.write_u64(self.burst_cycles);
-        h.write_u64(self.accesses);
-        h.write_u64(self.row_hits);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -72,14 +72,6 @@ impl NucaRing {
     }
 }
 
-impl fusion_sim::StateDigest for NucaRing {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        h.write_u64(self.tiles);
-        h.write_u64(self.hop_cycles);
-        h.write_u64(self.bank_cycles);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

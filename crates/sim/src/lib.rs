@@ -25,13 +25,11 @@
 //! ```
 
 pub mod clock;
-pub mod digest;
 pub mod events;
 pub mod merge;
 pub mod stats;
 
 pub use clock::Clock;
-pub use digest::{digest_item, digest_of, StateDigest, StateHasher};
 pub use events::EventQueue;
 pub use merge::{barrier, SourceLogs};
 pub use stats::{Counter, Histogram};

@@ -264,18 +264,15 @@ impl Error for JournalError {}
 /// How far the sweep's graceful-degradation ladder has descended
 /// (DESIGN.md §14). Each rung sheds capability, never correctness:
 /// degraded sweeps produce byte-identical simulated results, they just
-/// produce them with less parallelism and less caching.
+/// produce them with less parallelism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum DegradeLevel {
-    /// Nothing shed: full tile-thread reservation, memo on.
+    /// Nothing shed: full tile-thread reservation, full worker pool.
     #[default]
     Full,
     /// Per-job tile-thread reservations shed to 1 (memory pressure from
     /// parallel tile replicas is the first thing to give back).
     ShedTileThreads,
-    /// Phase-memo cache additionally disabled for newly claimed jobs
-    /// (its retained producer results are the next-largest allocation).
-    MemoOff,
     /// Fail-soft single-job mode: one worker, one job at a time, minimum
     /// footprint — the last rung before giving up.
     SingleJob,
@@ -287,7 +284,6 @@ impl DegradeLevel {
         match self {
             DegradeLevel::Full => "full",
             DegradeLevel::ShedTileThreads => "shed-tile-threads",
-            DegradeLevel::MemoOff => "memo-off",
             DegradeLevel::SingleJob => "single-job",
         }
     }
@@ -297,8 +293,7 @@ impl DegradeLevel {
         match self {
             DegradeLevel::Full => 0,
             DegradeLevel::ShedTileThreads => 1,
-            DegradeLevel::MemoOff => 2,
-            DegradeLevel::SingleJob => 3,
+            DegradeLevel::SingleJob => 2,
         }
     }
 
@@ -307,7 +302,6 @@ impl DegradeLevel {
         match i {
             0 => DegradeLevel::Full,
             1 => DegradeLevel::ShedTileThreads,
-            2 => DegradeLevel::MemoOff,
             _ => DegradeLevel::SingleJob,
         }
     }

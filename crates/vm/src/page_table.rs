@@ -85,20 +85,6 @@ impl PageTable {
     }
 }
 
-impl fusion_sim::StateDigest for PageTable {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        h.write_u64(self.next_frame);
-        h.write_u64(self.walks);
-        h.write_unordered(self.frames.iter().map(|(&(pid, vpage), &frame)| {
-            fusion_sim::digest_item(|h| {
-                pid.digest(h);
-                h.write_u64(vpage);
-                h.write_u64(frame);
-            })
-        }));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -122,20 +122,6 @@ impl AxRmap {
     }
 }
 
-impl fusion_sim::StateDigest for AxRmap {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        h.write_u64(self.lookups);
-        h.write_u64(self.synonyms_detected);
-        h.write_unordered(self.map.iter().map(|(&pa, ptr)| {
-            fusion_sim::digest_item(|h| {
-                h.write_u64(pa);
-                ptr.pid.digest(h);
-                ptr.vblock.digest(h);
-            })
-        }));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

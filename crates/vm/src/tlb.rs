@@ -117,22 +117,6 @@ impl Tlb {
     }
 }
 
-impl fusion_sim::StateDigest for Tlb {
-    fn digest(&self, h: &mut fusion_sim::StateHasher) {
-        h.write_usize(self.capacity);
-        h.write_u64(self.lookups);
-        h.write_u64(self.misses);
-        // Entry order is the LRU stack itself, so an ordered walk is both
-        // canonical and necessary.
-        h.write_usize(self.entries.len());
-        for e in &self.entries {
-            e.pid.digest(h);
-            h.write_u64(e.vpage);
-            h.write_u64(e.frame_base);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,9 +13,9 @@
 # wall_ms; tests/golden_stats.rs pins the simulated results themselves.
 #
 # Each history line carries two rates for the kept run:
-#   mrefs_per_sec         every row, memo-spliced ones included (the only
+#   mrefs_per_sec         every row, memo-copied ones included (the only
 #                         rate of the older lines tagged memo_inclusive);
-#   replay_mrefs_per_sec  only the rows the memo did not splice: the
+#   replay_mrefs_per_sec  only the rows the memo did not copy: the
 #                         references actually replayed per replay second.
 #
 # Usage: scripts/bench_baseline.sh [runs]   (default 8)

@@ -353,7 +353,7 @@ fn repeated_transients_descend_the_degradation_ladder_with_clean_results() {
     let clean = Sweep::new(Scale::Tiny).run(full_grid(&cfg));
 
     // Eight transient panics across the grid, all recovered by one retry:
-    // enough to walk the ladder to the bottom (thresholds 2 / 4 / 6).
+    // enough to walk the ladder to the bottom (thresholds 2 / 6).
     let mut plan = FaultPlan::new();
     for job in [0, 3, 6, 9, 12, 15, 18, 21] {
         plan = plan.inject(job, Fault::TransientPanic { failures: 1 });

@@ -1,23 +1,24 @@
-//! Property tests for the phase-memo signature tables (DESIGN.md §13).
+//! Property tests for the memo's observed-config slices (DESIGN.md §13).
 //!
 //! Driven by the seeded splitmix64 generator in `tests/common` (same
 //! convention as `engine_props.rs`): random config mutations probe the
-//! two directions of the [`fusion_core::phase_key`] contract —
+//! two directions of the [`fusion_core::observed_config`] contract —
 //!
-//! * **soundness of equality**: if every phase key of a run matches
-//!   across two configs, replaying the run under either config produces
+//! * **soundness of equality**: if two configs have equal observed
+//!   configs for a system, replaying a run under either produces
 //!   byte-identical stats (`SimResult::to_json`);
-//! * **sensitivity**: mutating any phase-relevant field changes the key
-//!   (so a stale memo entry can never be addressed by the new config).
+//! * **sensitivity**: mutating any field the system observes changes the
+//!   observed config (so the sweep never copies a result across it).
 //!
-//! A third property exercises the [`fusion_core::PhaseMemo`] cache
-//! itself: splices require the producer's entry digest bit-for-bit, and
-//! a mismatched digest falls back to replay instead of a wrong answer.
+//! A third test runs the sweep itself: a job whose config is invalid only
+//! in a field its system cannot see is never copied from a valid
+//! neighbour, so it still fails validation.
 
 mod common;
 
 use common::Rng;
-use fusion_core::{phase_key, run_system, MemoMark, MemoProbe, PhaseMemo, RunKey, SystemKind};
+use fusion_core::{observed_config, run_system, MemoMark, Sweep, SweepJob, SystemKind};
+use fusion_types::error::SimError;
 use fusion_types::{SystemConfig, WritePolicy};
 use fusion_workloads::{build_suite, Scale, SuiteId};
 
@@ -40,8 +41,8 @@ fn mutate(
     pick
 }
 
-/// Mutations of fields *outside* every slice of `system` — applying any
-/// of them must leave all of the system's phase keys unchanged.
+/// Mutations of fields *outside* the slice of `system` — applying any of
+/// them must leave the system's observed config unchanged.
 fn irrelevant_fields(system: SystemKind) -> Vec<fn(&mut SystemConfig, &mut Rng)> {
     let sp: fn(&mut SystemConfig, &mut Rng) =
         |c, r| c.scratchpad.capacity_bytes = 1 << r.range_usize(10, 16);
@@ -75,7 +76,7 @@ fn irrelevant_fields(system: SystemKind) -> Vec<fn(&mut SystemConfig, &mut Rng)>
     }
 }
 
-/// Mutations of fields *inside* the slice of every phase of `system`.
+/// Mutations of fields *inside* the slice of `system`.
 fn relevant_fields(system: SystemKind) -> Vec<fn(&mut SystemConfig, &mut Rng)> {
     let l2: fn(&mut SystemConfig, &mut Rng) = |c, r| c.l2.latency = r.range_u64(10, 40);
     let host_l1: fn(&mut SystemConfig, &mut Rng) =
@@ -95,22 +96,18 @@ fn relevant_fields(system: SystemKind) -> Vec<fn(&mut SystemConfig, &mut Rng)> {
     let dx_link: fn(&mut SystemConfig, &mut Rng) =
         |c, r| c.link_l0x_l0x.latency = r.range_u64(1, 9);
     match system {
-        // Scratchpad geometry reaches SCRATCH accelerator phases only, so
-        // it is exercised by the dedicated accel-phase assertion below,
-        // not listed here (these fields must flip *every* phase's key).
-        SystemKind::Scratch => {}
+        SystemKind::Scratch => fields.push(sp),
         SystemKind::Shared => fields.push(l1x),
         SystemKind::Fusion => fields.extend([l1x, l0x, lease]),
         SystemKind::FusionDx => fields.extend([l1x, l0x, lease, dx_link]),
     }
-    let _ = (sp, dx_link);
     fields
 }
 
-/// Equal keys across every phase ⇒ byte-identical stats. 24 random
-/// irrelevant mutations per system, replayed end-to-end on a tiny suite.
+/// Equal observed configs ⇒ byte-identical stats. 24 random irrelevant
+/// mutations per system, replayed end-to-end on a tiny suite.
 #[test]
-fn equal_phase_keys_imply_identical_results() {
+fn equal_observed_configs_imply_identical_results() {
     let mut rng = Rng::new(0xF0510);
     let base = SystemConfig::small();
     for system in SYSTEMS {
@@ -123,30 +120,27 @@ fn equal_phase_keys_imply_identical_results() {
             for _ in 0..n {
                 picked.push(mutate(&mut mutated, &mut rng, &fields));
             }
+            assert_eq!(
+                observed_config(system, &base),
+                observed_config(system, &mutated),
+                "{system:?} trial {trial}: irrelevant mutations {picked:?} moved the observed config"
+            );
             let suite = SuiteId::ALL[rng.range_usize(0, SuiteId::ALL.len())];
             let wl = build_suite(suite, Scale::Tiny);
-            for (idx, phase) in wl.phases.iter().enumerate() {
-                assert_eq!(
-                    phase_key(system, idx, phase.unit.is_host(), &base),
-                    phase_key(system, idx, phase.unit.is_host(), &mutated),
-                    "{system:?} trial {trial}: irrelevant mutations {picked:?} moved the key of phase {idx}"
-                );
-            }
             let a = run_system(system, &wl, &base).expect("base run");
             let b = run_system(system, &wl, &mutated).expect("mutated run");
             assert_eq!(
                 a.to_json(),
                 b.to_json(),
-                "{system:?}/{suite:?} trial {trial}: keys equal but stats differ (mutations {picked:?})"
+                "{system:?}/{suite:?} trial {trial}: observed configs equal but stats differ (mutations {picked:?})"
             );
         }
     }
 }
 
-/// Any phase-relevant mutation flips the key of every phase (and the
-/// scratchpad axis flips SCRATCH accelerator phases specifically).
+/// Any mutation of an observed field changes the observed config.
 #[test]
-fn relevant_mutations_change_every_phase_key() {
+fn relevant_mutations_change_the_observed_config() {
     let mut rng = Rng::new(0xF0511);
     let base = SystemConfig::small();
     for system in SYSTEMS {
@@ -156,79 +150,44 @@ fn relevant_mutations_change_every_phase_key() {
             let picked = mutate(&mut mutated, &mut rng, &fields);
             if mutated == base {
                 // The random draw reproduced the existing value; a no-op
-                // mutation legitimately leaves the key alone.
+                // mutation legitimately leaves the observed config alone.
                 continue;
             }
-            for idx in 0..4 {
-                for is_host in [false, true] {
-                    assert_ne!(
-                        phase_key(system, idx, is_host, &base),
-                        phase_key(system, idx, is_host, &mutated),
-                        "{system:?} trial {trial}: relevant mutation {picked} left phase {idx} (host={is_host}) unkeyed"
-                    );
-                }
-            }
+            assert_ne!(
+                observed_config(system, &base),
+                observed_config(system, &mutated),
+                "{system:?} trial {trial}: relevant mutation {picked} left the observed config unchanged"
+            );
         }
     }
-    // The scratchpad axis is phase-scoped on SCRATCH: accelerator phases
-    // re-key, host phases do not.
-    let mut bigger = base.clone();
-    bigger.scratchpad.capacity_bytes *= 2;
-    assert_ne!(
-        phase_key(SystemKind::Scratch, 0, false, &base),
-        phase_key(SystemKind::Scratch, 0, false, &bigger)
-    );
-    assert_eq!(
-        phase_key(SystemKind::Scratch, 0, true, &base),
-        phase_key(SystemKind::Scratch, 0, true, &bigger)
-    );
 }
 
-/// The cache itself: a splice needs the producer's entry digest
-/// bit-for-bit; any flipped digest bit falls back to a replay.
+/// A SCRATCH job with zero L0X banks is invalid, though SCRATCH never
+/// sees the L0X. Placed right after a valid job of the same group, it
+/// must still fail validation instead of receiving the valid job's result.
 #[test]
-fn memo_splices_only_on_exact_entry_digest() {
-    let mut rng = Rng::new(0xF0512);
-    let memo = PhaseMemo::new();
-    let wl = build_suite(SuiteId::Adpcm, Scale::Tiny);
-    let res = run_system(SystemKind::Scratch, &wl, &SystemConfig::small()).expect("run");
-    for trial in 0..32 {
-        let key = RunKey {
-            system: SystemKind::Scratch,
-            suite: SuiteId::Adpcm,
-            scale: Scale::Tiny,
-            fold: rng.next_u64(),
-            phases: wl.phases.len(),
-        };
-        let digest = (rng.next_u64(), rng.next_u64());
-        let phases = wl.phases.len() as u64;
-        let producer = MemoProbe::new(&memo, key);
-        assert!(producer.try_splice(digest, phases).is_none(), "cold cache");
-        producer.record(digest, &res, phases);
-
-        let consumer = MemoProbe::new(&memo, key);
-        let spliced = consumer
-            .try_splice(digest, phases)
-            .expect("same digest splices");
-        assert_eq!(spliced.to_json(), res.to_json(), "trial {trial}");
-        assert_eq!(consumer.mark(), MemoMark::Hit);
-
-        // Flip one random bit of one lane: must fall back, not splice.
-        let bit = 1u64 << rng.range_u64(0, 64);
-        let bad = if rng.chance() {
-            (digest.0 ^ bit, digest.1)
-        } else {
-            (digest.0, digest.1 ^ bit)
-        };
-        let skeptic = MemoProbe::new(&memo, key);
-        assert!(
-            skeptic.try_splice(bad, phases).is_none(),
-            "trial {trial}: digest mismatch must not splice"
-        );
-        assert_eq!(skeptic.mark(), MemoMark::Fallback);
+fn invalid_unobserved_field_still_fails_validation() {
+    let valid = SweepJob::new(SystemKind::Scratch, SuiteId::Adpcm, SystemConfig::small());
+    let mut invalid = valid.clone();
+    invalid.config.l0x.banks = 0;
+    invalid.variant = "l0x0banks".to_string();
+    assert_eq!(
+        observed_config(SystemKind::Scratch, &valid.config),
+        observed_config(SystemKind::Scratch, &invalid.config)
+    );
+    for threads in [1, 2] {
+        let outcomes = Sweep::new(Scale::Tiny).threads(threads).run(vec![
+            valid.clone(),
+            invalid.clone(),
+            valid.clone(),
+        ]);
+        assert!(outcomes[0].result.is_ok());
+        match &outcomes[1].result {
+            Err(SimError::ConfigError { detail }) => assert!(detail.contains("l0x"), "{detail}"),
+            other => panic!("expected ConfigError, got {other:?}"),
+        }
+        assert_eq!(outcomes[1].memo.mark, MemoMark::Off);
+        assert_eq!(outcomes[2].memo.mark, MemoMark::Hit);
+        assert_eq!(outcomes[2].result, outcomes[0].result);
     }
-    let stats = memo.stats();
-    assert_eq!(stats.hits, 32);
-    assert_eq!(stats.digest_fallbacks, 32);
-    assert_eq!(stats.misses, 32);
 }

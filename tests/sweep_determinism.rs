@@ -51,10 +51,11 @@ fn repeated_parallel_sweeps_agree_with_each_other() {
     }
 }
 
-/// The differential-sweep guarantee (DESIGN.md §13): over the full
-/// design-space grid, memo-on output is byte-identical to memo-off —
-/// every spliced grid point carries exactly the stats a full replay
-/// would have produced, down to the JSON rendering.
+/// The dedupe guarantee (DESIGN.md §13): over the full design-space
+/// grid, memo-on output is byte-identical to memo-off — every copied grid
+/// point carries exactly the stats a full replay would have produced,
+/// down to the JSON rendering — and the copies are planned before any job
+/// runs, so the hit count is the same at any worker count.
 #[test]
 fn memo_on_matches_memo_off_over_design_grid() {
     let cfg = SystemConfig::small();
@@ -62,46 +63,42 @@ fn memo_on_matches_memo_off_over_design_grid() {
     assert_eq!(jobs.len(), 7 * 28, "base grid plus six capacity variants");
 
     let shared = std::sync::Arc::new(TraceCache::new());
-    // Sequential memo-on pass: grid order guarantees every producer (the
-    // base block runs first) records before its consumers probe, so the
-    // hit count below is exact. Parallel sweeps are just as correct but
-    // may replay a consumer that probed before its producer finished.
-    let on = Sweep::new(Scale::Tiny)
-        .threads(1)
-        .with_trace_cache(std::sync::Arc::clone(&shared))
-        .run(jobs.clone());
     let off = Sweep::new(Scale::Tiny)
         .memo(false)
-        .with_trace_cache(shared)
-        .run(jobs);
-
-    let mut hits = 0usize;
-    for (x, y) in on.iter().zip(&off) {
-        let a = x.expect_result();
-        let b = y.expect_result();
-        assert_eq!(a, b, "{} memo-on diverged from memo-off", x.job.label());
-        assert_eq!(
-            a.to_json(),
-            b.to_json(),
-            "{} JSON rendering diverged",
-            x.job.label()
-        );
-        assert_eq!(y.memo.mark, MemoMark::Off);
-        if x.memo.mark == MemoMark::Hit {
-            hits += 1;
+        .with_trace_cache(std::sync::Arc::clone(&shared))
+        .run(jobs.clone());
+    for threads in [1, 4] {
+        let on = Sweep::new(Scale::Tiny)
+            .threads(threads)
+            .with_trace_cache(std::sync::Arc::clone(&shared))
+            .run(jobs.clone());
+        let mut hits = 0usize;
+        for (x, y) in on.iter().zip(&off) {
+            let a = x.expect_result();
+            let b = y.expect_result();
+            assert_eq!(a, b, "{} memo-on diverged from memo-off", x.job.label());
+            assert_eq!(
+                a.to_json(),
+                b.to_json(),
+                "{} JSON rendering diverged",
+                x.job.label()
+            );
+            assert_eq!(y.memo.mark, MemoMark::Off);
+            if x.memo.mark == MemoMark::Hit {
+                hits += 1;
+                assert_eq!((x.attempts, x.backoff), (1, 0));
+                assert_eq!(a.metrics.wall_nanos, 0, "a copy takes no wall time");
+                assert_eq!(a.metrics.refs_simulated, b.metrics.refs_simulated);
+                assert_eq!(a.metrics.sim_events, b.metrics.sim_events);
+            }
         }
-        assert_ne!(
-            x.memo.mark,
-            MemoMark::Fallback,
-            "{} fell back: a signature slice is too narrow",
-            x.job.label()
+        // SC+SH copy across the L0X axis (2×7×3), SH+FU+FU-Dx across the
+        // scratchpad axis (3×7×3): 42 + 63 = 105 copied points.
+        assert_eq!(
+            hits, 105,
+            "threads {threads}: every eligible point is copied"
         );
     }
-    // SC+SH splice across the L0X axis (2×7×3), SH+FU+FU-Dx across the
-    // scratchpad axis (3×7×3), plus SCRATCH host-phase-only... the run-
-    // level splice needs *every* phase independent, so SC jobs on the
-    // scratchpad axis replay. 42 + 63 = 105 spliced points.
-    assert_eq!(hits, 105, "design grid must splice every eligible point");
 }
 
 /// The determinism guarantee survives `--journal`: recording the
