@@ -3,17 +3,20 @@
 //! * [`sharing_degree`] — Table 1's %SHR: the fraction of an accelerator's
 //!   blocks that at least one *other* accelerator also touches;
 //! * [`op_mix`] — Table 1's %INT/%FP/%LD/%ST operation breakdown;
-//! * [`dma_windows`] — Section 4's oracle DMA: segment a phase into
-//!   scratchpad-sized execution windows, DMA-in exactly the blocks read
-//!   before written, DMA-out exactly the dirty blocks;
-//! * [`forward_pairs`] — Section 3.2's FUSION-Dx identification of
-//!   producer→consumer stores (the paper post-processes the trace the same
-//!   way).
+//! * [`DecodedTrace::dma_windows`] — Section 4's oracle DMA: segment a
+//!   phase into scratchpad-sized execution windows, DMA-in exactly the
+//!   blocks read before written, DMA-out exactly the dirty blocks;
+//! * [`DecodedTrace::forward_pairs`] — Section 3.2's FUSION-Dx
+//!   identification of producer→consumer stores (the paper post-processes
+//!   the trace the same way).
+//!
+//! The last two run on a [`DecodedTrace`] and index flat per-block arrays
+//! by its block ordinals; the trace memoizes their results.
 
-use fusion_types::hash::{FxHashMap, FxHashSet};
+use fusion_types::hash::FxHashSet;
 use fusion_types::{AxcId, BlockAddr};
 
-use crate::trace::{Phase, Workload};
+use crate::trace::{DecodedTrace, Workload};
 
 /// Per-function operation mix (percentages, as in Table 1).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -97,65 +100,91 @@ impl DmaWindow {
     }
 }
 
-/// Segments `phase` into windows that fit a scratchpad of
-/// `capacity_blocks`, computing each window's oracle DMA transfers.
+/// Flag bits of a block in the open DMA window (one byte per ordinal).
+const DIRTY: u8 = 1;
+const READ_FIRST: u8 = 2;
+
+/// Segments every accelerator phase of `trace` into windows that fit a
+/// scratchpad of `capacity_blocks`, computing each window's oracle DMA
+/// transfers (host phases get an empty list).
 ///
 /// The oracle (paper Section 4) stages only blocks whose first access in
 /// the window is a read, and writes back only blocks dirtied in the window.
 ///
+/// Residency is a window stamp per block ordinal: a block belongs to the
+/// open window when its stamp equals the window's number, so opening a
+/// window clears nothing.
+///
 /// # Panics
 ///
 /// Panics if `capacity_blocks` is zero.
-pub fn dma_windows(phase: &Phase, capacity_blocks: usize) -> Vec<DmaWindow> {
+pub(crate) fn dma_windows(
+    trace: &DecodedTrace,
+    workload: &Workload,
+    capacity_blocks: usize,
+) -> Vec<Vec<DmaWindow>> {
     assert!(capacity_blocks > 0, "scratchpad must hold at least a block");
-    let mut windows = Vec::new();
-    // Hot-map audit: one probe per trace reference; the DMA lists drained
-    // out of the map are sorted before use, so iteration order never
-    // reaches the result. The value packs (dirty, first_is_read) so the
-    // whole analysis costs a single probe per reference.
-    let mut resident: FxHashMap<BlockAddr, (bool, bool)> = FxHashMap::default();
-    let mut window_start = 0usize;
+    let table = trace.ordinal_blocks();
+    // Window numbers start at 1, so the zeroed array means "never staged".
+    let mut stamp = vec![0usize; table.len()];
+    let mut flags = vec![0u8; table.len()];
+    let mut resident: Vec<u32> = Vec::with_capacity(capacity_blocks.min(table.len()));
+    let mut window = 0usize;
 
-    let mut close = |resident: &mut FxHashMap<BlockAddr, (bool, bool)>, range: (usize, usize)| {
-        if range.0 == range.1 {
-            return;
-        }
-        // Each collect is sorted immediately: `resident` is an Fx map, so
-        // the raw iteration order is insertion-dependent and must never
-        // reach the window lists unsorted.
-        let mut dma_in: Vec<BlockAddr> = resident
+    // Blocks of `resident` whose flags carry `flag`, as a sorted list.
+    let collect = |resident: &[u32], flags: &[u8], flag: u8| {
+        let mut out: Vec<BlockAddr> = resident
             .iter()
-            .filter_map(|(b, &(_, is_read))| is_read.then_some(*b))
+            .filter(|&&o| flags[o as usize] & flag != 0)
+            .map(|&o| table[o as usize])
             .collect();
-        dma_in.sort_unstable();
-        let mut dma_out: Vec<BlockAddr> = resident
-            .iter()
-            .filter_map(|(b, &(dirty, _))| dirty.then_some(*b))
-            .collect();
-        dma_out.sort_unstable();
+        out.sort_unstable();
+        out
+    };
+    let close = |resident: &mut Vec<u32>, flags: &[u8], ref_range: (usize, usize)| {
+        let w = DmaWindow {
+            dma_in: collect(resident, flags, READ_FIRST),
+            dma_out: collect(resident, flags, DIRTY),
+            ref_range,
+        };
         resident.clear();
-        windows.push(DmaWindow {
-            dma_in,
-            dma_out,
-            ref_range: range,
-        });
+        w
     };
 
-    for (i, r) in phase.refs.iter().enumerate() {
-        let b = r.block();
-        let is_write = r.kind.is_write();
-        if let Some((dirty, _)) = resident.get_mut(&b) {
-            *dirty |= is_write;
-        } else {
-            if resident.len() >= capacity_blocks {
-                close(&mut resident, (window_start, i));
-                window_start = i;
+    workload
+        .phases
+        .iter()
+        .enumerate()
+        .map(|(idx, p)| {
+            let mut windows = Vec::new();
+            if p.unit.is_host() {
+                return windows;
             }
-            resident.insert(b, (is_write, !is_write));
-        }
-    }
-    close(&mut resident, (window_start, phase.refs.len()));
-    windows
+            let dp = trace.phase(idx);
+            let mut window_start = 0usize;
+            window += 1;
+            for (i, (&ord, kind)) in dp.ordinals.iter().zip(dp.kinds).enumerate() {
+                let o = ord as usize;
+                let is_write = kind.is_write();
+                if stamp[o] == window {
+                    flags[o] |= if is_write { DIRTY } else { 0 };
+                    continue;
+                }
+                if resident.len() >= capacity_blocks {
+                    windows.push(close(&mut resident, &flags, (window_start, i)));
+                    window += 1;
+                    window_start = i;
+                }
+                stamp[o] = window;
+                flags[o] = if is_write { DIRTY } else { READ_FIRST };
+                resident.push(ord);
+            }
+            if window_start < dp.len() {
+                windows.push(close(&mut resident, &flags, (window_start, dp.len())));
+            }
+            windows
+        })
+        .collect()
 }
 
 /// A producer→consumer forwarding opportunity identified in the trace.
@@ -180,109 +209,112 @@ pub struct ForwardPair {
     pub consumer_phase: usize,
 }
 
-/// Identifies the stores that benefit from FUSION-Dx write forwarding: a
-/// block written by accelerator A in one phase whose **next** tile access
-/// is a read by a different accelerator B, limited to blocks the consumer
-/// touches among its first `consumer_window` distinct blocks — data the
-/// consumer reads later than that is evicted from its L0X (by its own
-/// streaming) before it can be consumed, so forwarding it would only
-/// pollute the cache. Pass the consumer L0X capacity in blocks.
-pub fn forward_pairs_windowed(workload: &Workload, consumer_window: usize) -> Vec<ForwardPair> {
-    // Per-block, phase-granular access summary in program order.
-    #[derive(Clone, Copy)]
-    struct Touch {
-        axc: Option<AxcId>, // None = host
-        wrote: bool,
-        read_first: bool,
-        first_ref: usize,
-        last_ref: usize,
-        phase_len: usize,
-        /// Rank of this block among the phase's distinct blocks (0 = the
-        /// first block the phase touches).
-        touch_rank: usize,
-        phase_idx: usize,
-    }
-    // Hot-map audit: `timeline` is iterated below, but every emitted pair
-    // is sorted by the unique key (block, producer_phase, consumer) and
-    // deduped on it before returning — visit order cannot change the
-    // output. `seen` is drained through the program-ordered `order` vec.
-    let mut timeline: FxHashMap<BlockAddr, Vec<Touch>> = FxHashMap::default();
-    for (phase_idx, p) in workload.phases.iter().enumerate() {
-        let axc = p.unit.axc();
-        let mut seen: FxHashMap<BlockAddr, Touch> = FxHashMap::default();
-        let mut order: Vec<BlockAddr> = Vec::new();
-        for (i, r) in p.refs.iter().enumerate() {
-            let b = r.block();
-            match seen.get_mut(&b) {
-                Some(t) => {
-                    t.wrote |= r.kind.is_write();
-                    t.last_ref = i;
-                }
-                None => {
-                    seen.insert(
-                        b,
-                        Touch {
-                            axc,
-                            wrote: r.kind.is_write(),
-                            read_first: !r.kind.is_write(),
-                            first_ref: i,
-                            last_ref: i,
-                            phase_len: p.refs.len(),
-                            touch_rank: order.len(),
-                            phase_idx,
-                        },
-                    );
-                    order.push(b);
-                }
-            }
-        }
-        for b in order {
-            timeline.entry(b).or_default().push(seen[&b]);
-        }
-    }
-
-    let mut pairs = Vec::new();
-    for (&block, touches) in &timeline {
-        for w in touches.windows(2) {
-            let (prev, next) = (w[0], w[1]);
-            if let (Some(producer), Some(consumer)) = (prev.axc, next.axc) {
-                if prev.wrote
-                    && producer != consumer
-                    && next.read_first
-                    && next.touch_rank < consumer_window
-                {
-                    // Streaming: the producer's touches to this block span
-                    // a narrow window of its phase, so once the block
-                    // leaves the L0X the producer is done with it.
-                    let span = prev.last_ref - prev.first_ref;
-                    let streaming = span < (prev.phase_len / 4).max(1);
-                    pairs.push(ForwardPair {
-                        block,
-                        producer,
-                        consumer,
-                        streaming,
-                        producer_phase: prev.phase_idx,
-                        consumer_phase: next.phase_idx,
-                    });
-                }
-            }
-        }
-    }
-    pairs.sort_unstable_by_key(|p| (p.block, p.producer_phase, p.consumer.value()));
-    pairs.dedup_by_key(|p| (p.block, p.producer_phase, p.consumer));
-    pairs
+/// A [`ForwardPair`] with the consumer's first-touch rank of its block:
+/// the pair is forwarded under an L0X window of `w` blocks iff `rank < w`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RankedPair {
+    pub(crate) pair: ForwardPair,
+    /// Rank of the block among the consumer phase's distinct blocks (0 =
+    /// the first block the phase touches).
+    pub(crate) rank: usize,
 }
 
-/// [`forward_pairs_windowed`] with an unbounded consumer window: every
-/// producer→consumer opportunity in the trace.
-pub fn forward_pairs(workload: &Workload) -> Vec<ForwardPair> {
-    forward_pairs_windowed(workload, usize::MAX)
+/// Identifies the stores that benefit from FUSION-Dx write forwarding, for
+/// every consumer window at once: a block written by accelerator A in one
+/// phase whose **next** tile access is a read by a different accelerator
+/// B. [`DecodedTrace::forward_pairs`] keeps the pairs whose consumer
+/// touches the block among its first `consumer_window` distinct blocks —
+/// data the consumer reads later than that is evicted from its L0X (by its
+/// own streaming) before it can be consumed, so forwarding it would only
+/// pollute the cache.
+///
+/// One pass over the trace in program order: each block's last touch by
+/// an earlier phase sits in a flat array indexed by block ordinal, and a
+/// phase's first touch of a block pairs with it. Every pair is keyed by
+/// `(block, producer_phase)` alone — a phase touches a block once in the
+/// per-block timeline — so the sorted list needs no dedupe.
+pub(crate) fn forward_candidates(trace: &DecodedTrace, workload: &Workload) -> Vec<RankedPair> {
+    /// A block's summary over one phase.
+    #[derive(Clone, Copy)]
+    struct Touch {
+        phase: usize,
+        axc: Option<AxcId>, // None = host
+        wrote: bool,
+        /// The touches span a narrow window of the phase, so once the
+        /// block leaves the L0X the phase is done with it.
+        streaming: bool,
+    }
+    /// A block's touches in the running phase: `stamp` is the phase
+    /// index + 1 while the phase runs (0 = untouched).
+    #[derive(Clone, Copy, Default)]
+    struct Open {
+        stamp: usize,
+        first_ref: usize,
+        last_ref: usize,
+        wrote: bool,
+    }
+    let table = trace.ordinal_blocks();
+    let mut last: Vec<Option<Touch>> = vec![None; table.len()];
+    let mut open = vec![Open::default(); table.len()];
+    // The running phase's distinct blocks in first-touch order.
+    let mut order: Vec<u32> = Vec::new();
+    let mut out = Vec::new();
+    for (idx, p) in workload.phases.iter().enumerate() {
+        let axc = p.unit.axc();
+        let dp = trace.phase(idx);
+        order.clear();
+        for (i, (&o, kind)) in dp.ordinals.iter().zip(dp.kinds).enumerate() {
+            let is_write = kind.is_write();
+            let t = &mut open[o as usize];
+            if t.stamp == idx + 1 {
+                t.wrote |= is_write;
+                t.last_ref = i;
+                continue;
+            }
+            *t = Open {
+                stamp: idx + 1,
+                first_ref: i,
+                last_ref: i,
+                wrote: is_write,
+            };
+            if let (Some(consumer), Some(prev)) = (axc, last[o as usize]) {
+                if let Some(producer) = prev.axc {
+                    if prev.wrote && producer != consumer && !is_write {
+                        out.push(RankedPair {
+                            pair: ForwardPair {
+                                block: table[o as usize],
+                                producer,
+                                consumer,
+                                streaming: prev.streaming,
+                                producer_phase: prev.phase,
+                                consumer_phase: idx,
+                            },
+                            rank: order.len(),
+                        });
+                    }
+                }
+            }
+            order.push(o);
+        }
+        let narrow = (dp.len() / 4).max(1);
+        for &o in &order {
+            let t = open[o as usize];
+            last[o as usize] = Some(Touch {
+                phase: idx,
+                axc,
+                wrote: t.wrote,
+                streaming: t.last_ref - t.first_ref < narrow,
+            });
+        }
+    }
+    out.sort_unstable_by_key(|c| (c.pair.block, c.pair.producer_phase));
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{MemRef, OpCounts, Workload};
+    use crate::trace::{MemRef, OpCounts, Phase, Workload};
     use fusion_types::ids::ExecUnit;
     use fusion_types::{AccessKind, Pid, VirtAddr};
 
@@ -315,6 +347,17 @@ mod tests {
             pid: Pid::new(1),
             phases,
         }
+    }
+
+    fn dma_windows(p: Phase, capacity_blocks: usize) -> Vec<DmaWindow> {
+        let wl = workload(vec![p]);
+        DecodedTrace::decode(&wl).dma_windows(&wl, capacity_blocks)[0].clone()
+    }
+
+    fn forward_pairs(wl: &Workload) -> Vec<ForwardPair> {
+        DecodedTrace::decode(wl)
+            .forward_pairs(wl, usize::MAX)
+            .to_vec()
     }
 
     #[test]
@@ -364,7 +407,7 @@ mod tests {
                 r(3, AccessKind::Load),
             ],
         );
-        let ws = dma_windows(&p, 2);
+        let ws = dma_windows(p, 2);
         assert_eq!(ws.len(), 2);
         assert_eq!(ws[0].ref_range, (0, 2));
         assert_eq!(ws[0].dma_in, vec![BlockAddr::from_index(0)]);
@@ -382,7 +425,7 @@ mod tests {
             0,
             vec![r(0, AccessKind::Store), r(0, AccessKind::Load)],
         );
-        let ws = dma_windows(&p, 4);
+        let ws = dma_windows(p, 4);
         assert_eq!(ws.len(), 1);
         assert!(ws[0].dma_in.is_empty());
         assert_eq!(ws[0].dma_out, vec![BlockAddr::from_index(0)]);
@@ -391,7 +434,7 @@ mod tests {
     #[test]
     fn dma_windows_empty_phase() {
         let p = phase("f", 0, vec![]);
-        assert!(dma_windows(&p, 4).is_empty());
+        assert!(dma_windows(p, 4).is_empty());
     }
 
     #[test]

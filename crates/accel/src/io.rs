@@ -21,6 +21,9 @@ use crate::trace::{MemRef, OpCounts, Phase, Workload};
 const MAGIC: &[u8; 4] = b"FTRC";
 const VERSION: u16 = 1;
 
+/// Magic plus version: the bytes the payload checksum skips.
+const HEADER_BYTES: usize = MAGIC.len() + 2;
+
 /// Minimum encoded size of one phase: name length (2) + unit (2) + mlp
 /// (2) + lease (4) + ops (16) + refs count (4). Bounds the `phases`
 /// count field against the remaining payload before any allocation.
@@ -37,31 +40,46 @@ fn malformed(what: impl Into<String>) -> SimError {
 }
 
 /// Little-endian append helpers for the encode path (the subset of
-/// `bytes::BufMut` this module needs, implemented on `Vec<u8>` so the
-/// format has no external dependency).
+/// `bytes::BufMut` this module needs, so the format has no external
+/// dependency). The encoder writes into a `Vec<u8>` or, to fingerprint a
+/// workload without materializing its bytes, into a [`HashSink`].
 trait PutLe {
     fn put_slice(&mut self, s: &[u8]);
-    fn put_u8(&mut self, v: u8);
-    fn put_u16_le(&mut self, v: u16);
-    fn put_u32_le(&mut self, v: u32);
-    fn put_u64_le(&mut self, v: u64);
+    fn put_u8(&mut self, v: u8) {
+        self.put_slice(&[v]);
+    }
+    fn put_u16_le(&mut self, v: u16) {
+        self.put_slice(&v.to_le_bytes());
+    }
+    fn put_u32_le(&mut self, v: u32) {
+        self.put_slice(&v.to_le_bytes());
+    }
+    fn put_u64_le(&mut self, v: u64) {
+        self.put_slice(&v.to_le_bytes());
+    }
 }
 
 impl PutLe for Vec<u8> {
     fn put_slice(&mut self, s: &[u8]) {
         self.extend_from_slice(s);
     }
-    fn put_u8(&mut self, v: u8) {
-        self.push(v);
-    }
-    fn put_u16_le(&mut self, v: u16) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u32_le(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u64_le(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Hashes an encoding as the encoder produces it: `whole` is FNV-1a over
+/// every byte, `payload` over the bytes after the header (the trace's own
+/// checksum).
+struct HashSink {
+    whole: u64,
+    payload: u64,
+    len: usize,
+}
+
+impl PutLe for HashSink {
+    fn put_slice(&mut self, s: &[u8]) {
+        self.whole = fnv1a_extend(self.whole, s);
+        let skip = HEADER_BYTES.saturating_sub(self.len).min(s.len());
+        self.payload = fnv1a_extend(self.payload, &s[skip..]);
+        self.len += s.len();
     }
 }
 
@@ -114,9 +132,15 @@ impl GetLe for &[u8] {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
 /// FNV-1a over the payload (everything after magic+version).
 fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
+    fnv1a_extend(FNV_OFFSET, data)
+}
+
+/// Continues an FNV-1a hash `h` over `data`.
+fn fnv1a_extend(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
@@ -141,13 +165,36 @@ fn wire_u16(n: usize) -> u16 {
 /// Encodes `workload` into its binary trace representation.
 pub fn encode_workload(workload: &Workload) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + workload.total_refs() as usize * 6);
+    encode_body(workload, &mut buf);
+    let checksum = fnv1a(&buf[HEADER_BYTES..]);
+    buf.put_u64_le(checksum);
+    buf
+}
+
+/// FNV-1a over the bytes [`encode_workload`] returns, trailing checksum
+/// included, hashed as the encoder produces them: no buffer of the whole
+/// trace is built.
+pub fn fingerprint(workload: &Workload) -> u64 {
+    let mut sink = HashSink {
+        whole: FNV_OFFSET,
+        payload: FNV_OFFSET,
+        len: 0,
+    };
+    encode_body(workload, &mut sink);
+    let checksum = sink.payload;
+    sink.put_u64_le(checksum);
+    sink.whole
+}
+
+/// Writes everything but the trailing checksum: header, then phases.
+fn encode_body<B: PutLe>(workload: &Workload, buf: &mut B) {
     buf.put_slice(MAGIC);
     buf.put_u16_le(VERSION);
     buf.put_u32_le(workload.pid.value());
-    put_str(&mut buf, &workload.name);
+    put_str(buf, &workload.name);
     buf.put_u32_le(wire_u32(workload.phases.len()));
     for p in &workload.phases {
-        put_str(&mut buf, &p.name);
+        put_str(buf, &p.name);
         match p.unit {
             ExecUnit::Host => buf.put_u16_le(u16::MAX),
             ExecUnit::Axc(id) => buf.put_u16_le(id.value()),
@@ -161,16 +208,13 @@ pub fn encode_workload(workload: &Workload) -> Vec<u8> {
         for r in &p.refs {
             // Delta-encoded address (zigzag), then size/kind/gap packed.
             let delta = r.addr.value() as i64 - prev as i64;
-            put_varint(&mut buf, zigzag(delta));
+            put_varint(buf, zigzag(delta));
             prev = r.addr.value();
             buf.put_u8(r.size);
             buf.put_u8(r.kind.is_write() as u8);
             buf.put_u16_le(r.gap);
         }
     }
-    let checksum = fnv1a(&buf[6..]);
-    buf.put_u64_le(checksum);
-    buf
 }
 
 /// Decodes a workload from its binary trace representation.
@@ -312,7 +356,7 @@ pub fn read_workload<R: Read>(mut reader: R) -> Result<Workload, SimError> {
     decode_workload(&data)
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
+fn put_str<B: PutLe>(buf: &mut B, s: &str) {
     buf.put_u16_le(wire_u16(s.len()));
     buf.put_slice(s.as_bytes());
 }
@@ -340,7 +384,7 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+fn put_varint<B: PutLe>(buf: &mut B, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -438,7 +482,7 @@ mod tests {
     /// checksum gate.
     fn reseal(bytes: &mut [u8]) {
         let n = bytes.len() - 8;
-        let sum = fnv1a(&bytes[6..n]);
+        let sum = fnv1a(&bytes[HEADER_BYTES..n]);
         bytes[n..].copy_from_slice(&sum.to_le_bytes());
     }
 

@@ -1,12 +1,12 @@
 //! The dynamic trace format.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use fusion_types::hash::FxHashMap;
 use fusion_types::ids::ExecUnit;
 use fusion_types::{AccessKind, BlockAddr, Bytes, Pid, VirtAddr};
 
-use crate::analysis::{DmaWindow, ForwardPair};
+use crate::analysis::{DmaWindow, ForwardPair, RankedPair};
 
 /// One dynamic memory reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,9 +169,15 @@ impl Workload {
 /// (`addr / CACHE_BLOCK_BYTES`) and re-walking the `Vec<MemRef>` of every
 /// phase on each replay is pure overhead. The decoded trace stores exactly
 /// the per-reference fields the replay loops consume — containing block,
-/// access kind, issue gap and a set-index hint — in parallel vectors, with
-/// per-phase offsets and op-count prefix sums alongside, so all systems and
-/// configurations of a sweep stream the same cache-friendly arrays.
+/// access kind and issue gap — in parallel vectors, with per-phase offsets
+/// and op-count prefix sums alongside, so all systems and configurations of
+/// a sweep stream the same cache-friendly arrays.
+///
+/// A fourth lane numbers each reference's block with a dense *ordinal*,
+/// assigned in first-touch order over the whole trace; the ordinal → block
+/// table ([`DecodedTrace::ordinal_blocks`]) maps it back. The trace
+/// analyses index flat per-block arrays by ordinal instead of probing a
+/// hash map per reference.
 ///
 /// Decoding is lossless for timing purposes: the indexed replay loops
 /// ([`crate::engine::run_phase_indexed`],
@@ -182,7 +188,9 @@ pub struct DecodedTrace {
     blocks: Vec<BlockAddr>,
     kinds: Vec<AccessKind>,
     gaps: Vec<u16>,
-    set_hints: Vec<u32>,
+    ordinals: Vec<u32>,
+    // ordinal_blocks[o] is the block ordinal `o` names, in first-touch order.
+    ordinal_blocks: Vec<BlockAddr>,
     // phase_offsets[i]..phase_offsets[i+1] is phase i's range; len = phases+1.
     phase_offsets: Vec<usize>,
     // op_prefix[i] = summed op counts of phases 0..i; len = phases+1.
@@ -200,7 +208,8 @@ impl Clone for DecodedTrace {
             blocks: self.blocks.clone(),
             kinds: self.kinds.clone(),
             gaps: self.gaps.clone(),
-            set_hints: self.set_hints.clone(),
+            ordinals: self.ordinals.clone(),
+            ordinal_blocks: self.ordinal_blocks.clone(),
             phase_offsets: self.phase_offsets.clone(),
             op_prefix: self.op_prefix.clone(),
             kind_runs: self.kind_runs.clone(),
@@ -269,11 +278,17 @@ pub fn clip_kind_runs(
 /// the shared decoded trace lets the sweep's untimed decode stage pay for
 /// them once, outside every job's timed replay region.
 ///
+/// The forwarding analysis walks the trace once for all L0X windows: the
+/// ranked candidate list holds every pair with its consumer's first-touch
+/// rank, and a window only filters it.
+///
 /// Hot-map audit: probed by key under a mutex, never iterated.
 #[derive(Debug, Default)]
 struct AnalysisCache {
     // capacity_blocks -> per-phase windows (empty vec for host phases).
     dma_windows: Mutex<FxHashMap<usize, Arc<Vec<Vec<DmaWindow>>>>>,
+    // Every forwarding pair of the trace, key-sorted, with its rank.
+    forward_candidates: OnceLock<Vec<RankedPair>>,
     // consumer_window -> forwarding pairs.
     forward_pairs: Mutex<FxHashMap<usize, Arc<Vec<ForwardPair>>>>,
 }
@@ -286,7 +301,11 @@ impl DecodedTrace {
         let mut blocks = Vec::with_capacity(total);
         let mut kinds = Vec::with_capacity(total);
         let mut gaps = Vec::with_capacity(total);
-        let mut set_hints = Vec::with_capacity(total);
+        let mut ordinals = Vec::with_capacity(total);
+        let mut ordinal_blocks = Vec::new();
+        // Hot-map audit: probed per reference, never iterated; ordinals
+        // follow `ordinal_blocks`' push order, which is program order.
+        let mut ordinal_of: FxHashMap<BlockAddr, u32> = FxHashMap::default();
         let mut phase_offsets = Vec::with_capacity(workload.phases.len() + 1);
         let mut op_prefix = Vec::with_capacity(workload.phases.len() + 1);
         phase_offsets.push(0);
@@ -301,9 +320,12 @@ impl DecodedTrace {
                 blocks.push(b);
                 kinds.push(r.kind);
                 gaps.push(r.gap);
-                // The low bits of the block index: any power-of-two cache
-                // recovers its set index by masking this hint.
-                set_hints.push(b.index() as u32);
+                ordinals.push(*ordinal_of.entry(b).or_insert_with(|| {
+                    // lint:allow-unwrap — a trace names far fewer than 2^32 blocks
+                    let o = u32::try_from(ordinal_blocks.len()).expect("block ordinal overflow");
+                    ordinal_blocks.push(b);
+                    o
+                }));
             }
             // Run-length-encode the phase's kinds into maximal same-kind
             // chunks (phase-local positions).
@@ -329,7 +351,8 @@ impl DecodedTrace {
             blocks,
             kinds,
             gaps,
-            set_hints,
+            ordinals,
+            ordinal_blocks,
             phase_offsets,
             op_prefix,
             kind_runs,
@@ -342,6 +365,10 @@ impl DecodedTrace {
     /// `capacity_blocks` (host phases get an empty list), computed once per
     /// capacity and shared. `workload` must be the workload this trace was
     /// decoded from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity_blocks` is zero.
     pub fn dma_windows(
         &self,
         workload: &Workload,
@@ -353,41 +380,48 @@ impl DecodedTrace {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         Arc::clone(cache.entry(capacity_blocks).or_insert_with(|| {
-            Arc::new(
-                workload
-                    .phases
-                    .iter()
-                    .map(|p| {
-                        if p.unit.is_host() {
-                            Vec::new()
-                        } else {
-                            crate::analysis::dma_windows(p, capacity_blocks)
-                        }
-                    })
-                    .collect(),
-            )
+            Arc::new(crate::analysis::dma_windows(
+                self,
+                workload,
+                capacity_blocks,
+            ))
         }))
     }
 
-    /// FUSION-Dx forwarding pairs for an L0X of `consumer_window` blocks,
-    /// computed once per window and shared. `workload` must be the workload
-    /// this trace was decoded from.
+    /// FUSION-Dx forwarding pairs for an L0X of `consumer_window` blocks
+    /// (`usize::MAX`: every pair), computed once per window and shared. The
+    /// trace is walked once for all windows. `workload` must be the
+    /// workload this trace was decoded from.
     pub fn forward_pairs(
         &self,
         workload: &Workload,
         consumer_window: usize,
     ) -> Arc<Vec<ForwardPair>> {
+        let candidates = self
+            .analysis
+            .forward_candidates
+            .get_or_init(|| crate::analysis::forward_candidates(self, workload));
         let mut cache = self
             .analysis
             .forward_pairs
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         Arc::clone(cache.entry(consumer_window).or_insert_with(|| {
-            Arc::new(crate::analysis::forward_pairs_windowed(
-                workload,
-                consumer_window,
-            ))
+            Arc::new(
+                candidates
+                    .iter()
+                    .filter(|c| c.rank < consumer_window)
+                    .map(|c| c.pair)
+                    .collect(),
+            )
         }))
+    }
+
+    /// The ordinal → block table: entry `o` is the block that
+    /// [`DecodedPhase::ordinals`] value `o` names. Blocks appear in the
+    /// order the trace first touches them.
+    pub fn ordinal_blocks(&self) -> &[BlockAddr] {
+        &self.ordinal_blocks
     }
 
     /// Number of phases in the decoded stream.
@@ -412,7 +446,7 @@ impl DecodedTrace {
             blocks: &self.blocks[lo..hi],
             kinds: &self.kinds[lo..hi],
             gaps: &self.gaps[lo..hi],
-            set_hints: &self.set_hints[lo..hi],
+            ordinals: &self.ordinals[lo..hi],
         }
     }
 
@@ -448,8 +482,9 @@ pub struct DecodedPhase<'a> {
     pub kinds: &'a [AccessKind],
     /// Compute gap preceding each reference.
     pub gaps: &'a [u16],
-    /// Low 32 bits of each block index (mask for a power-of-two set count).
-    pub set_hints: &'a [u32],
+    /// Dense ordinal of each reference's block (see
+    /// [`DecodedTrace::ordinal_blocks`]).
+    pub ordinals: &'a [u32],
 }
 
 impl<'a> DecodedPhase<'a> {
@@ -473,7 +508,7 @@ impl<'a> DecodedPhase<'a> {
             blocks: &self.blocks[lo..hi],
             kinds: &self.kinds[lo..hi],
             gaps: &self.gaps[lo..hi],
-            set_hints: &self.set_hints[lo..hi],
+            ordinals: &self.ordinals[lo..hi],
         }
     }
 }
@@ -587,7 +622,7 @@ mod tests {
                 assert_eq!(dp.blocks[j], mr.block());
                 assert_eq!(dp.kinds[j], mr.kind);
                 assert_eq!(dp.gaps[j], mr.gap);
-                assert_eq!(dp.set_hints[j], mr.block().index() as u32);
+                assert_eq!(d.ordinal_blocks()[dp.ordinals[j] as usize], mr.block());
             }
             assert_eq!(d.phase_ops(i), p.ops);
         }

@@ -45,12 +45,7 @@ fn bench(c: &mut Criterion) {
                     |i| dp.gaps[i],
                     mlp,
                     Cycle::ZERO,
-                    |i, now| {
-                        // Same memory model; exercise the set-index hints
-                        // the sweep's cache lookups consume.
-                        std::hint::black_box(dp.set_hints[i] & 0x7f);
-                        now + 4 + (dp.kinds[i].is_write() as u64)
-                    },
+                    |i, now| now + 4 + (dp.kinds[i].is_write() as u64),
                 );
                 cycles += t.cycles();
             }

@@ -1,14 +1,14 @@
 //! Table 5 regeneration: FUSION-Dx write-forwarding identification + run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fusion_accel::analysis::forward_pairs;
+use fusion_bench::forwardable_pairs;
 use fusion_core::{run_system, SystemKind};
 use fusion_workloads::{build_suite, Scale, SuiteId};
 
 fn bench(c: &mut Criterion) {
     let wl = build_suite(SuiteId::Fft, Scale::Tiny);
     c.bench_function("table5/forward_pair_identification_fft", |b| {
-        b.iter(|| std::hint::black_box(forward_pairs(&wl).len()))
+        b.iter(|| std::hint::black_box(forwardable_pairs(&wl)))
     });
     c.bench_function("table5/fusion_dx_run_fft_tiny", |b| {
         b.iter(|| {

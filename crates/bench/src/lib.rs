@@ -9,8 +9,8 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use fusion_accel::analysis::{self, dma_windows, forward_pairs};
-use fusion_accel::Workload;
+use fusion_accel::analysis;
+use fusion_accel::{DecodedTrace, Workload};
 use fusion_core::{SimResult, Sweep, SweepJob, SystemKind, TraceCache};
 use fusion_energy::Component;
 use fusion_types::hash::FxHashSet;
@@ -579,21 +579,17 @@ pub fn render_csv(runs: &[SuiteRun]) -> String {
 /// Oracle-DMA window statistics for one suite (supports Figure 6d and the
 /// DMA sections of DESIGN.md).
 pub fn dma_window_summary(wl: &Workload, scratch_blocks: usize) -> (usize, usize) {
-    let mut windows = 0;
-    let mut blocks = 0;
-    for p in wl.phases.iter().filter(|p| !p.unit.is_host()) {
-        for w in dma_windows(p, scratch_blocks) {
-            windows += 1;
-            blocks += w.blocks_moved();
-        }
-    }
-    (windows, blocks)
+    let windows = DecodedTrace::decode(wl).dma_windows(wl, scratch_blocks);
+    windows
+        .iter()
+        .flatten()
+        .fold((0, 0), |(n, blocks), w| (n + 1, blocks + w.blocks_moved()))
 }
 
 /// Number of forwardable producer→consumer pairs in a workload (used by
 /// the Table 5 bench).
 pub fn forwardable_pairs(wl: &Workload) -> usize {
-    forward_pairs(wl).len()
+    DecodedTrace::decode(wl).forward_pairs(wl, usize::MAX).len()
 }
 
 #[cfg(test)]

@@ -428,10 +428,11 @@ impl SharedTrace {
     /// FNV-1a fingerprint of the workload's encoded trace bytes — the
     /// value the result journal stores per row so a resume can prove the
     /// workload generator still produces the same trace (DESIGN.md §14).
+    /// Hashed while encoding, so the encoded trace is never materialized.
     pub fn fingerprint(&self) -> u64 {
         *self
             .fingerprint
-            .get_or_init(|| journal::fnv1a(&trace_io::encode_workload(&self.workload)))
+            .get_or_init(|| trace_io::fingerprint(&self.workload))
     }
 }
 
@@ -1034,6 +1035,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use fusion_types::error::TimeoutKind;
+
+    #[test]
+    fn streamed_fingerprint_equals_the_hash_of_the_encoded_trace() {
+        let cache = TraceCache::new();
+        for scale in [Scale::Tiny, Scale::Small] {
+            for suite in all_suites() {
+                let trace = cache.get(suite, scale);
+                assert_eq!(
+                    trace.fingerprint(),
+                    journal::fnv1a(&trace_io::encode_workload(&trace.workload)),
+                    "{} at {scale:?}",
+                    suite.label()
+                );
+            }
+        }
+    }
 
     #[test]
     fn deadline_stamp_zero_ms_start_is_armed() {

@@ -196,7 +196,7 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_accel::analysis;
+    use fusion_accel::{analysis, DecodedTrace};
 
     #[test]
     fn five_functions_invoked_per_shift() {
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn forward_pairs_exist_along_the_pipeline() {
         let wl = build(Scale::Tiny);
-        let pairs = analysis::forward_pairs(&wl);
+        let pairs = DecodedTrace::decode(&wl).forward_pairs(&wl, usize::MAX);
         assert!(
             !pairs.is_empty(),
             "disparity's pipeline must expose producer->consumer forwarding"

@@ -9,13 +9,12 @@
 //! side and demand identical answers at every step:
 //!
 //! * the ACC directory's forward-rule map, keyed `(Pid, BlockAddr)` and
-//!   populated from `forward_pairs_windowed` over a real workload;
+//!   populated from `DecodedTrace::forward_pairs` over a real workload;
 //! * the AX-RMAP reverse map, keyed by physical block index (`u64`) with
 //!   insert/lookup/remove churn as blocks enter and leave the L1X.
 
 use std::collections::HashMap;
 
-use fusion_accel::analysis::forward_pairs_windowed;
 use fusion_accel::DecodedTrace;
 use fusion_types::hash::FxHashMap;
 use fusion_types::{BlockAddr, Pid};
@@ -26,7 +25,8 @@ fn acc_forward_rule_map_matches_std_hashmap_on_recorded_trace() {
     // Disparity is the pipeline suite: it is where FUSION-Dx actually
     // finds producer->consumer pairs, so the rule map is non-trivial.
     let wl = build_suite(SuiteId::Disparity, Scale::Tiny);
-    let pairs = forward_pairs_windowed(&wl, 64);
+    let decoded = DecodedTrace::decode(&wl);
+    let pairs = decoded.forward_pairs(&wl, 64);
     assert!(
         !pairs.is_empty(),
         "recorded trace must exercise the rule map"
@@ -44,7 +44,6 @@ fn acc_forward_rule_map_matches_std_hashmap_on_recorded_trace() {
 
     // Probe with every block the trace touches (hits and misses alike),
     // in program order — the lookup pattern of `AccDirectory::forward_for`.
-    let decoded = DecodedTrace::decode(&wl);
     for idx in 0..decoded.phase_count() {
         let dp = decoded.phase(idx);
         for &b in dp.blocks {
