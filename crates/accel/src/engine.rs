@@ -58,48 +58,26 @@ pub fn run_phase(
     start: Cycle,
     mut access: impl FnMut(&MemRef, Cycle) -> Cycle,
 ) -> PhaseTiming {
-    run_phase_indexed(
-        refs.len(),
-        |i| refs[i].gap,
-        mlp,
-        start,
-        |i, now| access(&refs[i], now),
-    )
-}
-
-/// Index-driven core of [`run_phase`]: identical timing model, but the
-/// reference stream is described by `gap_of(i)` and replayed through
-/// `access(i, now)` instead of materialized `MemRef`s. This is the loop the
-/// decoded-trace fast path ([`crate::trace::DecodedTrace`]) drives; both
-/// entry points share it, so MemRef and decoded replays are bit-identical.
-///
-/// # Panics
-///
-/// Panics if `mlp` is zero.
-pub fn run_phase_indexed(
-    len: usize,
-    mut gap_of: impl FnMut(usize) -> u16,
-    mlp: usize,
-    start: Cycle,
-    mut access: impl FnMut(usize, Cycle) -> Cycle,
-) -> PhaseTiming {
     let mut issuer = MlpIssuer::new(mlp, start);
-    for i in 0..len {
-        let at = issuer.advance(gap_of(i));
-        let done = access(i, at);
+    for r in refs {
+        let at = issuer.advance(r.gap);
+        let done = access(r, at);
         issuer.complete(done);
     }
-    issuer.finish(len as u64)
+    issuer.finish(refs.len() as u64)
 }
 
-/// [`run_phase_indexed`] driven by precomputed same-kind chunks
-/// ([`KindRun`], from [`crate::trace::DecodedTrace::phase_kind_runs`]):
-/// the timing model is identical — references still issue in program
-/// order, one per issue slot — but the load/store dispatch happens once
-/// per *run* instead of once per reference. `access` receives the
-/// run-constant `is_write` as its third argument, so the data-dependent
-/// per-ref kind lookup (and its unpredictable branch) vanishes from the
-/// hot loop; what remains branches the same way for the whole chunk.
+/// [`run_phase`] over a decoded phase ([`crate::trace::DecodedTrace`]),
+/// driven by precomputed same-kind chunks ([`KindRun`], from
+/// [`crate::trace::DecodedTrace::phase_kind_runs`]): the reference stream
+/// is described by `gap_of(i)` and replayed through `access(i, now,
+/// is_write)` instead of materialized `MemRef`s. The timing model is
+/// identical — references still issue in program order, one per issue
+/// slot — but the load/store dispatch happens once per *run* instead of
+/// once per reference. `access` receives the run-constant `is_write` as
+/// its third argument, so the data-dependent per-ref kind lookup (and its
+/// unpredictable branch) vanishes from the hot loop; what remains
+/// branches the same way for the whole chunk.
 ///
 /// `runs` must tile `[0, len)` exactly, in order — debug-asserted.
 ///
@@ -130,8 +108,8 @@ pub fn run_phase_kind_runs(
     issuer.finish(len as u64)
 }
 
-/// The issue engine's mutable core, shared by every replay entry point so
-/// MemRef, indexed and kind-run replays stay bit-identical: program-order
+/// The issue engine's mutable core, shared by both replay entry points so
+/// MemRef and kind-run replays stay bit-identical: program-order
 /// issue separated by compute gaps, out-of-order completion, at most
 /// `mlp` references outstanding.
 struct MlpIssuer {

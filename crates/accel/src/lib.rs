@@ -30,7 +30,7 @@ pub mod ooo;
 pub mod record;
 pub mod trace;
 
-pub use engine::{run_phase, run_phase_indexed, run_phase_kind_runs, PhaseTiming};
+pub use engine::{run_phase, run_phase_kind_runs, PhaseTiming};
 pub use record::Recorder;
 pub use trace::{
     clip_kind_runs, DecodedPhase, DecodedTrace, KindRun, MemRef, OpCounts, Phase, Workload,

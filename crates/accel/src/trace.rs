@@ -179,8 +179,8 @@ impl Workload {
 /// analyses index flat per-block arrays by ordinal instead of probing a
 /// hash map per reference.
 ///
-/// Decoding is lossless for timing purposes: the indexed replay loops
-/// ([`crate::engine::run_phase_indexed`],
+/// Decoding is lossless for timing purposes: the decoded replay loops
+/// ([`crate::engine::run_phase_kind_runs`],
 /// [`crate::ooo::run_host_phase_indexed`]) consume the same field values in
 /// the same order as the `MemRef` loops, so results are bit-identical.
 #[derive(Debug)]

@@ -14,9 +14,9 @@
 //! annotation on a let/param/field, or `name = FxHashMap::default()`).
 //! An iteration site over a known name is *sanctioned* — not flagged —
 //! when its enclosing statement (for a `for` loop: header plus body)
-//! also contains an order-insensitive consumer: `write_unordered` (the
-//! digest combiner), a reduction (`sum`/`count`/`min`/`max`/`all`/`any`/
-//! `len`/`retain`/`fold` is *not* included — folds are order-sensitive),
+//! also contains an order-insensitive consumer: a reduction (`sum`/
+//! `count`/`min`/`max`/`all`/`any`/`len`/`retain`/`fold` is *not*
+//! included — folds are order-sensitive),
 //! a `sort*` call, the `sorted_entries`/`sorted_keys` helpers, or a
 //! `collect` into an unordered/ordered-by-key container (`FxHashMap`,
 //! `FxHashSet`, `BTreeMap`, `BTreeSet`).
@@ -29,8 +29,8 @@ use fusion_types::FxHashSet;
 const EXEMPT: &str = "crates/types/src/hash.rs";
 
 const HINT: &str = "Fx iteration order is insertion-dependent; sort via \
-fusion_types::sorted_entries/sorted_keys or consume order-insensitively (write_unordered, \
-reductions, collect into a keyed container)";
+fusion_types::sorted_entries/sorted_keys or consume order-insensitively (reductions, \
+collect into a keyed container)";
 
 /// Iterator-producing methods whose order reaches the consumer.
 const ITER_METHODS: [&str; 7] = [
@@ -44,8 +44,7 @@ const ITER_METHODS: [&str; 7] = [
 ];
 
 /// Consumers that make iteration order irrelevant.
-const ORDER_FREE: [&str; 15] = [
-    "write_unordered",
+const ORDER_FREE: [&str; 14] = [
     "sum",
     "count",
     "min",
@@ -92,7 +91,7 @@ impl Pass for NondetIter {
                 {
                     // The sanction window covers the full statement —
                     // walking back across call parens, so the consumer in
-                    // `h.write_unordered(m.iter()…)` is seen — plus the
+                    // `BTreeSet::from_iter(m.iter()…)` is seen — plus the
                     // next statement: `let v: Vec<_> = m.iter().collect();
                     // v.sort_unstable();` is the workspace's canonical
                     // ordering idiom and must stay clean.
@@ -251,9 +250,19 @@ mod tests {
     #[test]
     fn sanctioned_consumers_pass() {
         let f = parse_one(
-            "fn a(m: FxHashMap<u64, u64>, d: &mut Digest) -> u64 {\n    for (&k, &v) in &m {\n        d.write_unordered(k ^ v);\n    }\n    let total: u64 = m.values().sum();\n    let mut ks: Vec<u64> = m.keys().copied().collect();\n    ks.sort_unstable();\n    let n = m.iter().count() as u64;\n    let dedup: FxHashSet<u64> = m.values().copied().collect();\n    total + n + ks.len() as u64 + dedup.len() as u64\n}\n",
+            "fn a(m: FxHashMap<u64, u64>) -> u64 {\n    for (&k, &v) in &m {\n        assert!(k.max(v) > 0);\n    }\n    let total: u64 = m.values().sum();\n    let mut ks: Vec<u64> = m.keys().copied().collect();\n    ks.sort_unstable();\n    let n = m.iter().count() as u64;\n    let dedup: FxHashSet<u64> = m.values().copied().collect();\n    total + n + ks.len() as u64 + dedup.len() as u64\n}\n",
         );
         assert!(run_pass(&NondetIter, &[f]).is_empty());
+    }
+
+    #[test]
+    fn unordered_digest_writes_are_not_sanctioned() {
+        // A digest combiner is not order-free by name: a loop that feeds
+        // one must sort first or carry a justified marker.
+        let f = parse_one(
+            "fn a(m: FxHashMap<u64, u64>, d: &mut Digest) {\n    for (&k, &v) in &m {\n        d.write_unordered(k ^ v);\n    }\n}\n",
+        );
+        assert_eq!(run_pass(&NondetIter, &[f]).len(), 1);
     }
 
     #[test]

@@ -1,8 +1,7 @@
-// Fixture: every sanctioned consumption of Fx iteration order — the
-// unordered digest combiner, reductions, collect-then-sort, keyed
-// re-collection, and the sorted snapshot helpers.
-fn digest(m: FxHashMap<u64, u64>, h: &mut Digest) -> u64 {
-    h.write_unordered(m.iter().map(|(&k, &v)| k ^ v));
+// Fixture: every sanctioned consumption of Fx iteration order —
+// reductions, collect-then-sort, keyed re-collection, and the sorted
+// snapshot helpers.
+fn digest(m: FxHashMap<u64, u64>) -> u64 {
     let total: u64 = m.values().sum();
     let mut ks: Vec<u64> = m.keys().copied().collect();
     ks.sort_unstable();

@@ -2,13 +2,14 @@
 //!
 //! `decode` measures the one-time cost of flattening a workload into the
 //! [`fusion_accel::DecodedTrace`] SoA layout; `replay_memref` drives the
-//! issue engine straight off materialized `MemRef`s; `replay_indexed`
-//! drives the same engine off the decoded arrays the way the sweep does.
+//! issue engine straight off materialized `MemRef`s; `replay_decoded`
+//! drives the same engine off the decoded arrays and kind runs the way the
+//! sweep does.
 //! The two replay numbers bound the per-run win of sharing one decode
 //! across a whole sweep grid.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fusion_accel::{run_phase, run_phase_indexed, DecodedTrace};
+use fusion_accel::{run_phase, run_phase_kind_runs, DecodedTrace};
 use fusion_types::Cycle;
 use fusion_workloads::{build_suite, Scale, SuiteId};
 
@@ -34,18 +35,19 @@ fn bench(c: &mut Criterion) {
             std::hint::black_box(cycles)
         })
     });
-    g.bench_function("replay_indexed/fft_tiny", |b| {
+    g.bench_function("replay_decoded/fft_tiny", |b| {
         b.iter(|| {
             let mut cycles = 0u64;
             for idx in 0..decoded.phase_count() {
                 let dp = decoded.phase(idx);
                 let mlp = workload.phases[idx].mlp.max(1);
-                let t = run_phase_indexed(
+                let t = run_phase_kind_runs(
                     dp.len(),
                     |i| dp.gaps[i],
                     mlp,
                     Cycle::ZERO,
-                    |i, now| now + 4 + (dp.kinds[i].is_write() as u64),
+                    decoded.phase_kind_runs(idx).iter().copied(),
+                    |_i, now, is_write| now + 4 + (is_write as u64),
                 );
                 cycles += t.cycles();
             }

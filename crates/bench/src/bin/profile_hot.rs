@@ -41,7 +41,7 @@ fn main() {
         // replayed or copied from its group's first member and the
         // replay wall time per reference, so a hot-loop or slice-table
         // change shows up as a per-ref ns shift or a copy count rather
-        // than a noisy end-to-end number (DESIGN.md §13).
+        // than a noisy end-to-end number (DESIGN.md §12).
         use fusion_core::sweep::{design_grid, Sweep};
         use fusion_core::MemoMark;
         let outcomes = Sweep::new(Scale::Small)

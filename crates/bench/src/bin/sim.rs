@@ -7,7 +7,7 @@
 //! sim trace   --suite <...> [--scale ...] --out <file>
 //! sim replay  --system <...> --trace <file> [--json] [config flags]
 //! sim compare --suite <...> [--scale ...] [--threads <N>] [robustness flags] [config flags]
-//! sim sweep   [--scale ...] [--threads <N>] [--tile-threads <N>] [--json]
+//! sim sweep   [--scale ...] [--threads <N>] [--json]
 //!             [robustness flags] [config flags]
 //! sim verify  [--protocol acc|acc-dx|acc-renew|mesi|all] [--agents <N>] [--blocks <N>]
 //!             [--horizon <N>] [--fault <kind>@<event>] [--expect-violation]
@@ -55,18 +55,17 @@ sim trace   --suite <...> [--scale ...] --out <file>\n  \
 sim replay  --system <...> --trace <file> [--json] [--large] [--write-through]\n              \
 [--lease-renewal] [--prefetch <N>]\n  \
 sim compare --suite <...> [--scale ...] [--threads <N>] [robustness flags] [config flags]\n  \
-sim sweep   [--scale ...] [--threads <N>] [--tile-threads <N>] [--json] [--no-memo]\n              \
+sim sweep   [--scale ...] [--threads <N>] [--json] [--no-memo]\n              \
 [--journal <path>] [--resume] [robustness flags] [config flags]\n  \
 sim verify  [--protocol <acc|acc-dx|acc-renew|mesi|all>] [--agents <N>] [--blocks <N>]\n              \
 [--horizon <N>] [--fault <kind>@<event>] [--expect-violation]\n              \
 [--max-states <N>] [--json]\n  \
 sim lint    [--json] [--rule <id>]\n\n\
 lint rules: cast-truncate, lock-order, nondet-iter, std-map, unwrap, wall-clock\n  \
-(token-accurate determinism/robustness invariants over crates/*/src; DESIGN.md \u{a7}15)\n\n\
+(token-accurate determinism/robustness invariants over crates/*/src; DESIGN.md \u{a7}14)\n\n\
 verify fault kinds: lease-overrun, gtime-regression (ACC);\n  \
 empty-sharers, wrong-owner (MESI)\n\n\
 robustness flags (compare/sweep):\n  \
---tile-threads <N>    per-job tile-worker reservation (sweep; echoed in JSON rows)\n  \
 --retries <N>         retry panicked/timed-out jobs up to N extra times\n  \
 --fail-fast           stop claiming new jobs after the first permanent failure\n  \
 --budget <cycles>     per-job simulated-cycle budget (livelock watchdog)\n  \
@@ -75,10 +74,10 @@ robustness flags (compare/sweep):\n  \
 memo flag (sweep):\n  \
 --no-memo             simulate every grid point; by default, points that differ\n                        \
 only in knobs their system cannot observe copy the first\n                        \
-such point's result (DESIGN.md \u{a7}13)\n\n\
+such point's result (DESIGN.md \u{a7}12)\n\n\
 durability flags (sweep):\n  \
 --journal <path>      write-ahead result journal: one fsync'd sealed JSONL row\n                        \
-per completed grid point (DESIGN.md \u{a7}14)\n  \
+per completed grid point (DESIGN.md \u{a7}13)\n  \
 --resume              replay a journal, re-verifying and skipping completed\n                        \
 points; partial sweeps also leave <path>.salvage.json\n\n\
 exit codes: 0 success, 1 runtime/sweep/verification failure, 2 usage error";
@@ -111,7 +110,7 @@ const FLAG_KEYS: [&str; 8] = [
     "expect-violation",
 ];
 /// Options that consume the next argument as their value.
-const VALUE_KEYS: [&str; 20] = [
+const VALUE_KEYS: [&str; 19] = [
     "rule",
     "system",
     "suite",
@@ -120,7 +119,6 @@ const VALUE_KEYS: [&str; 20] = [
     "trace",
     "prefetch",
     "threads",
-    "tile-threads",
     "retries",
     "budget",
     "deadline-ms",
@@ -254,9 +252,6 @@ fn sweep_from(scale: Scale, args: &Args, jobs: usize) -> Result<Sweep, String> {
     let mut sweep = Sweep::new(scale);
     if let Some(n) = args.numeric("threads")? {
         sweep = sweep.threads(n);
-    }
-    if let Some(n) = args.numeric("tile-threads")? {
-        sweep = sweep.tile_threads(n);
     }
     if let Some(n) = args.numeric("retries")? {
         sweep = sweep.retries(n as u32);
@@ -429,9 +424,9 @@ enum SweepRow<'a> {
 }
 
 /// `sweep`: the design grid — the 4-system × 7-suite base plus the
-/// L0X- and scratchpad-capacity axes (DESIGN.md §13) — over the pool,
+/// L0X- and scratchpad-capacity axes (DESIGN.md §12) — over the pool,
 /// optionally journaled with `--journal` and crash-recovered with
-/// `--resume` (DESIGN.md §14).
+/// `--resume` (DESIGN.md §13).
 fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
     let cfg = config_from(args)?;
     let jobs = design_grid(&cfg);
@@ -517,11 +512,10 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
         .collect();
     let todo_len = todo.len();
     let pool = sweep.pool_size(todo_len);
-    let tile_threads = sweep.tile_threads_per_job();
     let started = std::time::Instant::now();
     let outcomes = sweep.run(todo);
     let total = started.elapsed();
-    let degraded = sweep.degradation();
+    let journal_lost = sweep.journal_lost();
 
     // Stitch the live outcomes back into grid order alongside the
     // resumed rows. Outcomes may have gaps (fail-fast, killed workers),
@@ -564,7 +558,6 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
                         let m = res.metrics;
                         println!(
                             "{{\"suite\":\"{}\",\"system\":\"{}\",\"config\":\"{}\",\
-                             \"tile_threads\":{tile_threads},\
                              \"wall_ms\":{:.3},\
                              \"queue_delay_ms\":{:.3},\"sim_events\":{},\"refs\":{},\
                              \"refs_per_sec\":{:.0},\"memo\":\"{}\",\
@@ -601,7 +594,6 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
                 SweepRow::Resumed(r) => {
                     println!(
                         "{{\"suite\":\"{}\",\"system\":\"{}\",\"config\":\"{}\",\
-                         \"tile_threads\":{tile_threads},\
                          \"wall_ms\":0.000,\
                          \"queue_delay_ms\":0.000,\"sim_events\":{},\"refs\":{},\
                          \"refs_per_sec\":0,\"memo\":\"journal\",\
@@ -624,7 +616,7 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
             todo_len,
             resumed_count,
             expected,
-            &degraded,
+            journal_lost,
             journal_path.as_deref(),
         );
     }
@@ -682,7 +674,7 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
         .map(|r| r.metrics.refs_simulated)
         .sum();
     println!(
-        "{} jobs on {pool} worker(s) x {tile_threads} tile thread(s): \
+        "{} jobs on {pool} worker(s): \
          {:.1} ms wall, {:.1} ms of simulation ({:.2}x), \
          {:.2} Mrefs/s",
         outcomes.len(),
@@ -699,38 +691,27 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
         todo_len,
         resumed_count,
         expected,
-        &degraded,
+        journal_lost,
         journal_path.as_deref(),
     )
 }
 
-/// Shared sweep wrap-up: failure summary, resume accounting, degradation
-/// report, and — on a partial sweep — the machine-readable salvage
+/// Shared sweep wrap-up: failure summary, resume accounting, journal-loss
+/// notice, and — on a partial sweep — the machine-readable salvage
 /// report (stderr plus `<journal>.salvage.json`).
 fn sweep_epilogue(
     outcomes: &[SweepOutcome],
     todo_len: usize,
     resumed_count: usize,
     expected: usize,
-    degraded: &fusion_types::Degraded,
+    journal_lost: bool,
     journal_path: Option<&std::path::Path>,
 ) -> Result<bool, String> {
     let ok = report_failures(outcomes, todo_len);
     if resumed_count > 0 {
         eprintln!("journal: {resumed_count}/{expected} grid point(s) resumed, {todo_len} run live");
     }
-    if degraded.is_degraded() {
-        eprintln!(
-            "degraded: reached '{}' after {} transient failure(s){}",
-            degraded.level,
-            degraded.transient_failures,
-            if degraded.journal_lost {
-                "; journal lost mid-sweep"
-            } else {
-                ""
-            }
-        );
-    } else if degraded.journal_lost {
+    if journal_lost {
         eprintln!("journal: lost mid-sweep; completed rows before the failure are preserved");
     }
     if !ok {
@@ -738,7 +719,7 @@ fn sweep_epilogue(
             outcomes,
             resumed_count,
             expected,
-            degraded,
+            journal_lost,
             journal_path.and_then(|p| p.to_str()),
         );
         eprintln!("salvage: {salvage}");

@@ -1,6 +1,6 @@
 //! Exit-code and output contract of the `sim` binary's durability paths
-//! (`--journal` / `--resume`, DESIGN.md §14) and the `sim lint` analyzer
-//! (DESIGN.md §15), exercised end-to-end against the real executable:
+//! (`--journal` / `--resume`, DESIGN.md §13) and the `sim lint` analyzer
+//! (DESIGN.md §14), exercised end-to-end against the real executable:
 //! 0 on full completion / a clean tree, 1 with a salvage report on
 //! partial completion or with diagnostics on lint findings, 2 on usage
 //! errors such as resuming against a journal from a different code
@@ -71,6 +71,19 @@ fn resume_without_journal_is_a_usage_error() {
 }
 
 #[test]
+fn retired_tile_threads_option_is_a_usage_error() {
+    // The per-job tile-thread reservation is gone; old scripts that still
+    // pass it must fail loudly instead of silently losing the flag.
+    let out = sim(&["sweep", "--tile-threads", "2"]);
+    assert_eq!(exit_code(&out), 2, "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("unknown option '--tile-threads'"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+#[test]
 fn journal_then_resume_round_trips_byte_identical() {
     let wal = temp("roundtrip.jsonl");
     let wal_s = wal.to_str().unwrap();
@@ -127,6 +140,7 @@ fn partial_sweep_exits_one_with_salvage_then_resume_completes() {
     let salvage = std::fs::read_to_string(&salvage_path).expect("salvage file must exist");
     assert!(salvage.contains("\"salvage\":1"), "{salvage}");
     assert!(salvage.contains("\"failures\":["), "{salvage}");
+    assert!(salvage.contains("\"journal_lost\":false"), "{salvage}");
 
     // The advertised resume command finishes the job: only the failed
     // points re-run, and this time they come back clean.

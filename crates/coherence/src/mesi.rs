@@ -482,8 +482,8 @@ mod tests {
 
     #[test]
     fn third_agent_participates() {
-        // Multi-tile systems register extra agents; the directory treats
-        // them uniformly.
+        // The directory tracks any number of agents (the model checker
+        // explores N-agent configurations) and treats them uniformly.
         let tile2 = AgentId(2);
         let mut dir = DirectoryMesi::table2();
         dir.request(tile2, pa(10), MesiReq::GetX);

@@ -57,7 +57,7 @@ pub enum Fault {
     WorkerKill,
     /// Chaos-harness cancellation storm: the job's cancellation flag is
     /// raised mid-flight on its first attempt (a transient `WallClock`
-    /// timeout at the next arbitration point) and cleared for retries, so
+    /// timeout at the next phase boundary) and cleared for retries, so
     /// a retry budget recovers the job deterministically.
     CancelStorm,
 }

@@ -21,16 +21,13 @@ struct HostMeta {
 ///
 /// Implemented by each system: FUSION consults the AX-RMAP and the ACC
 /// GTIME state, SHARED invalidates its MESI L1X line, SCRATCH caches
-/// nothing. Multi-tile systems route on `agent` (each accelerator tile is
-/// its own MESI agent).
+/// nothing.
 pub trait TileAgent {
-    /// Handles a Fwd-GetS/GetX for physical address `pa`, directed at the
-    /// tile registered as MESI `agent`, arriving at `now`; returns
-    /// `(release_time, dirty)` — when the data/ack is available to the
-    /// host and whether dirty data travels back.
+    /// Handles a Fwd-GetS/GetX for physical address `pa` arriving at the
+    /// tile at `now`; returns `(release_time, dirty)` — when the data/ack
+    /// is available to the host and whether dirty data travels back.
     fn handle_forward(
         &mut self,
-        agent: AgentId,
         pa: PhysAddr,
         now: Cycle,
         ledger: &mut EnergyLedger,
@@ -44,7 +41,6 @@ pub struct NoTile;
 impl TileAgent for NoTile {
     fn handle_forward(
         &mut self,
-        _agent: AgentId,
         _pa: PhysAddr,
         now: Cycle,
         _ledger: &mut EnergyLedger,
@@ -66,11 +62,7 @@ pub struct TileFill {
 }
 
 /// Host-side state machine shared by all four systems.
-// `Clone` backs tile-parallel replay (DESIGN.md §12): each tile worker
-// replays its phase against a private copy of the host state taken at the
-// round's arbitration point; the authoritative copy advances only through
-// the deterministic merge.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HostSide {
     cfg: SystemConfig,
     energy: EnergyModel,
@@ -193,8 +185,7 @@ impl HostSide {
                     this.host_forwards += 1;
                     match tile_agent.as_mut().map(|t| &mut **t) {
                         Some(t) => {
-                            let (release, dirty) =
-                                t.handle_forward(tile_id, block_pa, ready, ledger);
+                            let (release, dirty) = t.handle_forward(block_pa, ready, ledger);
                             // PUTX notice + possible dirty data over the
                             // expensive link.
                             ledger.charge_bytes(
@@ -262,20 +253,6 @@ impl HostSide {
         ledger: &mut EnergyLedger,
         tile: &mut dyn TileAgent,
     ) -> TileFill {
-        self.tile_fill_as(AgentId::TILE, pid, vblock, now, ledger, tile)
-    }
-
-    /// [`HostSide::tile_fill`] on behalf of a specific tile agent
-    /// (multi-tile systems register one MESI agent per tile).
-    pub fn tile_fill_as(
-        &mut self,
-        agent: AgentId,
-        pid: Pid,
-        vblock: BlockAddr,
-        now: Cycle,
-        ledger: &mut EnergyLedger,
-        tile: &mut dyn TileAgent,
-    ) -> TileFill {
         // AX-TLB sits here — off the accelerator's L0X/L1X hit path.
         let pa = self
             .ax_tlb
@@ -293,7 +270,7 @@ impl HostSide {
                 .link_l1x_l2
                 .transfer_cycles(self.cfg.control_message_bytes);
         let (ready, tile_recalls) =
-            self.l2_request(agent, pa, MesiReq::GetX, req_at, ledger, Some(tile));
+            self.l2_request(AgentId::TILE, pa, MesiReq::GetX, req_at, ledger, Some(tile));
         ledger.charge_bytes(
             Component::LinkL1xL2Data,
             self.energy.link_l1x_l2_pj_per_byte,
@@ -320,39 +297,16 @@ impl HostSide {
         dirty: bool,
         ledger: &mut EnergyLedger,
     ) -> Option<PhysAddr> {
-        self.tile_eviction_as(AgentId::TILE, pid, vblock, dirty, ledger)
-    }
-
-    /// [`HostSide::tile_eviction`] on behalf of a specific tile agent.
-    pub fn tile_eviction_as(
-        &mut self,
-        agent: AgentId,
-        pid: Pid,
-        vblock: BlockAddr,
-        dirty: bool,
-        ledger: &mut EnergyLedger,
-    ) -> Option<PhysAddr> {
         // Every tile block was filled through the page table, and pages
         // never remap, so the walk-free lookup yields the filled address.
         let pa = self.page_table.lookup(pid, vblock.base())?;
-        self.tile_eviction_phys_as(agent, pa, dirty, ledger);
+        self.tile_eviction_phys(pa, dirty, ledger);
         Some(pa)
     }
 
     /// Physical-address variant of [`HostSide::tile_eviction`] (used by
     /// SHARED, whose L1X is physically indexed).
     pub fn tile_eviction_phys(&mut self, pa: PhysAddr, dirty: bool, ledger: &mut EnergyLedger) {
-        self.tile_eviction_phys_as(AgentId::TILE, pa, dirty, ledger)
-    }
-
-    /// [`HostSide::tile_eviction_phys`] on behalf of a specific tile agent.
-    pub fn tile_eviction_phys_as(
-        &mut self,
-        agent: AgentId,
-        pa: PhysAddr,
-        dirty: bool,
-        ledger: &mut EnergyLedger,
-    ) {
         ledger.charge_bytes(
             Component::LinkL1xL2Msg,
             self.energy.link_l1x_l2_pj_per_byte,
@@ -366,7 +320,7 @@ impl HostSide {
             );
             ledger.charge(Component::L2, self.energy.l2_access);
         }
-        self.dir.eviction_notice(agent, pa, dirty);
+        self.dir.eviction_notice(AgentId::TILE, pa, dirty);
     }
 
     /// Raw MESI request from the tile agent (SHARED's L1X misses). Returns
@@ -616,7 +570,6 @@ mod tests {
         impl TileAgent for Spy {
             fn handle_forward(
                 &mut self,
-                _agent: AgentId,
                 _pa: PhysAddr,
                 now: Cycle,
                 _l: &mut EnergyLedger,

@@ -1,5 +1,5 @@
 //! Durable resumable sweeps: the checksummed write-ahead result journal
-//! (DESIGN.md §14).
+//! (DESIGN.md §13).
 //!
 //! A long design-space sweep must survive the process dying under it — a
 //! crash, an OOM-kill, a deadline expiry. The journal makes that cheap:
@@ -25,8 +25,8 @@
 //!   spliced ([`plan_resume`]).
 //! * **Salvage** — on a partial sweep the CLI emits a machine-readable
 //!   salvage report ([`salvage_json`]) naming what completed, what
-//!   failed, what was never attempted and how far the degradation ladder
-//!   descended, plus the resume command.
+//!   failed, what was never attempted and whether the journal was lost,
+//!   plus the resume command.
 //!
 //! The row format doubles as the seed format for the ROADMAP item-1
 //! sweep-server result cache: rows are keyed by exactly the tuple the
@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use fusion_types::error::{Degraded, JournalError};
+use fusion_types::error::JournalError;
 use fusion_types::hash::{FxHashMap, FxHashSet};
 use fusion_types::SystemConfig;
 use fusion_workloads::{Scale, SuiteId};
@@ -725,12 +725,13 @@ fn escape(s: &str) -> String {
 
 /// Renders the machine-readable salvage report a partial sweep exits
 /// with: what completed (live + resumed), what failed and how, what was
-/// never attempted, how far degradation descended, and the resume hint.
+/// never attempted, whether the journal died mid-sweep, and the resume
+/// hint.
 pub fn salvage_json(
     outcomes: &[SweepOutcome],
     resumed: usize,
     expected: usize,
-    degraded: &Degraded,
+    journal_lost: bool,
     journal: Option<&str>,
 ) -> String {
     use std::fmt::Write as _;
@@ -742,12 +743,11 @@ pub fn salvage_json(
         s,
         "{{\"salvage\":1,\"journal\":{},\"expected\":{expected},\"completed\":{completed},\
          \"resumed\":{resumed},\"failed\":{failed},\"not_attempted\":{not_attempted},\
-         \"degraded\":{},\"failures\":[",
+         \"journal_lost\":{journal_lost},\"failures\":[",
         match journal {
             Some(p) => format!("\"{}\"", escape(p)),
             None => "null".to_string(),
         },
-        degraded.to_json(),
     );
     let mut first = true;
     for o in outcomes {
@@ -919,14 +919,14 @@ mod tests {
 
     #[test]
     fn salvage_report_counts_and_escapes() {
-        let degraded = Degraded::default();
-        let json = salvage_json(&[], 3, 10, &degraded, Some("wal \"x\".jsonl"));
+        let json = salvage_json(&[], 3, 10, false, Some("wal \"x\".jsonl"));
         assert!(json.contains("\"expected\":10"));
         assert!(json.contains("\"resumed\":3"));
         assert!(json.contains("\"not_attempted\":7"));
         assert!(json.contains("\\\"x\\\""));
-        assert!(json.contains("\"level\":\"full\""));
-        let none = salvage_json(&[], 0, 1, &degraded, None);
+        assert!(json.contains("\"journal_lost\":false"));
+        let none = salvage_json(&[], 0, 1, true, None);
+        assert!(none.contains("\"journal_lost\":true"));
         assert!(none.contains("\"journal\":null"));
         assert!(none.contains("\"resume\":null"));
     }

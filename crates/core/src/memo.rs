@@ -1,4 +1,4 @@
-//! Design-grid dedupe at planning time (DESIGN.md §13).
+//! Design-grid dedupe at planning time (DESIGN.md §12).
 //!
 //! Most points of the paper's sensitivity grid change a knob the simulated
 //! system cannot see: SCRATCH has no L0X, SHARED and FUSION have no
@@ -24,7 +24,7 @@ use crate::sweep::SweepJob;
 /// `cfg` as `system` sees it: every field outside the system's slice is
 /// overwritten with its [`SystemConfig::default`] value.
 ///
-/// The slices (DESIGN.md §13 reproduces them):
+/// The slices (DESIGN.md §12 reproduces them):
 ///
 /// * **all systems** — host L1 and L2 geometry, memory latency, the
 ///   L1X↔L2 link, control-message size and the checker config (the host

@@ -212,7 +212,7 @@ pub fn run_system_guarded(
 ) -> Result<SimResult, SimError> {
     validate_config(cfg)?;
     // lint:allow-wall-clock — measures wall_nanos for throughput reporting
-    // only; no simulated state ever reads this clock (DESIGN.md §15).
+    // only; no simulated state ever reads this clock (DESIGN.md §14).
     let started = std::time::Instant::now();
     let mut res = match kind {
         SystemKind::Scratch => ScratchSystem::new(cfg).run_guarded(workload, decoded, ctl)?,

@@ -13,7 +13,7 @@
 //!   the instrumented kernels and re-deriving block addresses per run.
 //! * **Planning-time dedupe** — before any job runs, `memo::plan`
 //!   groups the jobs by system, suite and the config slice the system can
-//!   observe (on by default, see [`Sweep::memo`] and DESIGN.md §13). Each
+//!   observe (on by default, see [`Sweep::memo`] and DESIGN.md §12). Each
 //!   group's first member is simulated and its result copied into the
 //!   others, so a [`design_grid`] replays only the points each config
 //!   knob can actually influence. Faulted, checker-enabled and invalid
@@ -42,14 +42,10 @@
 //!   accounting.
 //! * **Write-ahead journal** — with [`Sweep::with_journal`] each worker
 //!   records every completed grid point to a checksummed, fsync'd journal
-//!   *before* publishing the result (DESIGN.md §14, [`crate::journal`]);
+//!   *before* publishing the result (DESIGN.md §13, [`crate::journal`]);
 //!   a crashed sweep resumes from the journal instead of restarting.
-//! * **Graceful degradation** — repeated transient failures walk a
-//!   capability ladder ([`DegradeLevel`]): first the per-job tile-thread
-//!   reservation is shed, then the pool collapses to fail-soft
-//!   single-job mode. Every rung preserves byte-identical results — only
-//!   parallelism is given back.
-//!   [`Sweep::degradation`] reports how far the ladder descended.
+//!   Journal loss mid-sweep is fail-soft: the sweep finishes without it
+//!   and [`Sweep::journal_lost`] reports the loss.
 //! * **Determinism** — every simulation is a pure function of its
 //!   `(system, workload, config)` inputs, and every injected fault is a
 //!   pure function of the [`FaultPlan`]. Results are written into per-job
@@ -85,7 +81,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use fusion_accel::{io as trace_io, DecodedTrace, Workload};
-use fusion_types::error::{DegradeLevel, Degraded, SimError};
+use fusion_types::error::SimError;
 use fusion_types::fault::CheckerConfig;
 use fusion_types::hash::FxHashMap;
 use fusion_types::{ProtocolFaultKind, SystemConfig};
@@ -153,7 +149,7 @@ pub struct SweepOutcome {
     /// [`backoff_cycles`]).
     pub backoff: u64,
     /// Whether this job was simulated or copied from its group's first
-    /// member (DESIGN.md §13).
+    /// member (DESIGN.md §12).
     pub memo: MemoRow,
 }
 
@@ -277,13 +273,6 @@ fn deadline_expired(state: StampState, now_ms: u64, deadline_ms: u64) -> bool {
         if now_ms.saturating_sub(since_ms) > deadline_ms)
 }
 
-/// Job-worker budget when every job may spin up `tile_threads` tile
-/// workers of its own: `workers × tile_threads` must not oversubscribe
-/// the `hw` hardware threads, but at least one job always runs.
-fn shared_pool_budget(hw: usize, tile_threads: usize) -> usize {
-    (hw / tile_threads.max(1)).max(1)
-}
-
 /// Exponent cap of the backoff schedule: the delay stops doubling after
 /// this many failed attempts.
 const BACKOFF_MAX_SHIFT: u32 = 6;
@@ -311,49 +300,6 @@ pub fn backoff_cycles(failed_attempts: u32, budget: Option<u64>) -> u64 {
 fn apply_backoff(cycles: u64) {
     for _ in 0..cycles.min(BACKOFF_SPIN_CAP) {
         std::hint::spin_loop();
-    }
-}
-
-/// Degradation-ladder rung indexes (see
-/// [`DegradeLevel`](fusion_types::error::DegradeLevel)).
-const LEVEL_SHED_TILE: usize = 1;
-const LEVEL_SINGLE_JOB: usize = 2;
-/// Transient-failure counts at which the ladder descends a rung.
-const DEGRADE_SHED_TILE_AFTER: u64 = 2;
-const DEGRADE_SINGLE_JOB_AFTER: u64 = 6;
-
-/// Shared graceful-degradation state: a monotonic transient-failure
-/// counter driving a monotonic ladder level (fetch_max — the ladder only
-/// descends, concurrent workers cannot race it back up).
-struct DegradeState {
-    transients: AtomicU64,
-    level: AtomicUsize,
-}
-
-impl DegradeState {
-    fn new() -> DegradeState {
-        DegradeState {
-            transients: AtomicU64::new(0),
-            level: AtomicUsize::new(0),
-        }
-    }
-
-    /// Records one transient failure and descends the ladder when a
-    /// threshold is crossed.
-    fn note_transient(&self) {
-        let t = self.transients.fetch_add(1, Ordering::Relaxed) + 1;
-        let level = if t >= DEGRADE_SINGLE_JOB_AFTER {
-            LEVEL_SINGLE_JOB
-        } else if t >= DEGRADE_SHED_TILE_AFTER {
-            LEVEL_SHED_TILE
-        } else {
-            0
-        };
-        self.level.fetch_max(level, Ordering::Relaxed);
-    }
-
-    fn level(&self) -> usize {
-        self.level.load(Ordering::Relaxed)
     }
 }
 
@@ -387,7 +333,7 @@ const CAPACITY_POINTS: [usize; 3] = [2048, 8192, 16384];
 /// This is the grid where the memo pays: SCRATCH and SHARED cannot
 /// observe the L0X axis, and SHARED/FUSION/FUSION-Dx cannot observe the
 /// scratchpad axis, so with the memo on, 105 of the 196 points copy a
-/// base result instead of replaying (DESIGN.md §13).
+/// base result instead of replaying (DESIGN.md §12).
 pub fn design_grid(base: &SystemConfig) -> Vec<SweepJob> {
     let mut jobs = full_grid(base);
     for cap in CAPACITY_POINTS {
@@ -427,7 +373,7 @@ pub struct SharedTrace {
 impl SharedTrace {
     /// FNV-1a fingerprint of the workload's encoded trace bytes — the
     /// value the result journal stores per row so a resume can prove the
-    /// workload generator still produces the same trace (DESIGN.md §14).
+    /// workload generator still produces the same trace (DESIGN.md §13).
     /// Hashed while encoding, so the encoded trace is never materialized.
     pub fn fingerprint(&self) -> u64 {
         *self
@@ -517,7 +463,6 @@ impl TraceCache {
 pub struct Sweep {
     scale: Scale,
     threads: Option<usize>,
-    tile_threads: usize,
     traces: Arc<TraceCache>,
     watchdog: Watchdog,
     retries: u32,
@@ -525,18 +470,16 @@ pub struct Sweep {
     faults: FaultPlan,
     memo: bool,
     journal: Option<Arc<JournalSink>>,
-    degrade: DegradeState,
 }
 
 impl Sweep {
     /// A sweep at `scale` with the default pool size
     /// (`available_parallelism`, capped by the job count), no watchdogs,
-    /// no retries, no faults and the memo on (DESIGN.md §13).
+    /// no retries, no faults and the memo on (DESIGN.md §12).
     pub fn new(scale: Scale) -> Sweep {
         Sweep {
             scale,
             threads: None,
-            tile_threads: 1,
             traces: Arc::new(TraceCache::new()),
             watchdog: Watchdog::default(),
             retries: 0,
@@ -544,7 +487,6 @@ impl Sweep {
             faults: FaultPlan::new(),
             memo: true,
             journal: None,
-            degrade: DegradeState::new(),
         }
     }
 
@@ -553,27 +495,6 @@ impl Sweep {
     pub fn threads(mut self, threads: usize) -> Sweep {
         self.threads = Some(threads.max(1));
         self
-    }
-
-    /// Reserves `tile_threads` intra-run tile workers per job (clamped to
-    /// at least one; `1` means single-threaded replay, the default).
-    ///
-    /// The grid systems of [`full_grid`] are single-tile, so per-tile
-    /// parallelism never changes *their* results or runtime — the knob
-    /// exists so multi-tile consumers
-    /// ([`MultiTileSystem::run_parallel`](crate::systems::MultiTileSystem::run_parallel))
-    /// and the sweep share one thread budget: an auto-sized pool divides
-    /// `available_parallelism` by this factor so `workers × tile_threads`
-    /// never oversubscribes the machine. An explicit [`Sweep::threads`]
-    /// override is respected as given.
-    pub fn tile_threads(mut self, tile_threads: usize) -> Sweep {
-        self.tile_threads = tile_threads.max(1);
-        self
-    }
-
-    /// The per-job tile-worker reservation (always at least one).
-    pub fn tile_threads_per_job(&self) -> usize {
-        self.tile_threads
     }
 
     /// Shares an existing trace cache (so repeated sweeps — e.g. the
@@ -624,51 +545,32 @@ impl Sweep {
 
     /// Attaches a write-ahead result journal: every completed grid point
     /// is recorded (checksummed, fsync'd) before its result is published
-    /// (DESIGN.md §14). Journal loss mid-sweep degrades gracefully — the
-    /// sweep finishes, [`Sweep::degradation`] reports `journal_lost`.
+    /// (DESIGN.md §13). Journal loss mid-sweep is fail-soft — the sweep
+    /// finishes, and [`Sweep::journal_lost`] reports the loss.
     pub fn with_journal(mut self, sink: Arc<JournalSink>) -> Sweep {
         self.journal = Some(sink);
         self
     }
 
-    /// How far this executor's graceful-degradation ladder has descended
-    /// (monotonic across every [`Sweep::run`] on this executor).
-    pub fn degradation(&self) -> Degraded {
-        Degraded {
-            level: DegradeLevel::from_index(self.degrade.level()),
-            transient_failures: self.degrade.transients.load(Ordering::Relaxed),
-            journal_lost: self
-                .journal
-                .as_ref()
-                .is_some_and(|sink| sink.lost().is_some()),
-        }
+    /// Whether the attached journal died mid-sweep (fail-soft: the sweep
+    /// kept running, but the rows after the loss are not on disk).
+    /// `false` when no journal is attached.
+    pub fn journal_lost(&self) -> bool {
+        self.journal
+            .as_ref()
+            .is_some_and(|sink| sink.lost().is_some())
     }
 
-    /// The tile-thread reservation jobs claimed *now* actually get: the
-    /// configured [`Sweep::tile_threads`], shed to 1 once the degradation
-    /// ladder reaches
-    /// [`ShedTileThreads`](fusion_types::error::DegradeLevel). The grid
-    /// systems are single-tile, so shedding the reservation frees budget
-    /// without changing any result; multi-tile consumers read this
-    /// instead of [`Sweep::tile_threads_per_job`] to honor the ladder.
-    pub fn effective_tile_threads(&self) -> usize {
-        if self.degrade.level() >= LEVEL_SHED_TILE {
-            1
-        } else {
-            self.tile_threads
-        }
-    }
-
-    /// The worker count this sweep would use for `jobs` jobs. Auto-sized
-    /// pools share the hardware budget with the per-job tile workers (see
-    /// [`Sweep::tile_threads`]); an explicit [`Sweep::threads`] override
-    /// wins unconditionally.
+    /// The worker count this sweep would use for `jobs` jobs:
+    /// `available_parallelism` unless [`Sweep::threads`] overrides it,
+    /// capped by the job count and at least one.
     pub fn pool_size(&self, jobs: usize) -> usize {
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         self.threads
-            .unwrap_or_else(|| shared_pool_budget(hw, self.tile_threads))
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
             .min(jobs)
             .max(1)
     }
@@ -723,7 +625,7 @@ impl Sweep {
         // shared cursor and write into per-job slots, so output order is
         // grid order no matter the completion order. The memo plan is
         // fixed before any job runs, so which jobs are copied does not
-        // depend on the worker count (DESIGN.md §13).
+        // depend on the worker count (DESIGN.md §12).
         let roles = if self.memo {
             memo::plan(&jobs, &self.faults)
         } else {
@@ -773,17 +675,11 @@ impl Sweep {
                 });
                 match r {
                     Err(e) if e.is_transient() && attempts < max_attempts => {
-                        self.degrade.note_transient();
                         let spin = backoff_cycles(attempts, self.watchdog.max_sim_cycles);
                         backoff = backoff.saturating_add(spin);
                         apply_backoff(spin);
                     }
-                    other => {
-                        if matches!(&other, Err(e) if e.is_transient()) {
-                            self.degrade.note_transient();
-                        }
-                        break other;
-                    }
+                    other => break other,
                 }
             };
             started[i].finish();
@@ -843,16 +739,10 @@ impl Sweep {
             let (jobs, roles, cursor, stop, workers_done) =
                 (&jobs, &roles, &cursor, &stop, &workers_done);
             let (run_job, publish) = (&run_job, &publish);
-            for w in 0..workers {
+            for _ in 0..workers {
                 scope.spawn(move || {
                     loop {
                         if self.fail_fast && stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Fail-soft single-job mode: once the ladder
-                        // bottoms out, only worker 0 keeps claiming —
-                        // minimum footprint, grid order, same results.
-                        if w != 0 && self.degrade.level() >= LEVEL_SINGLE_JOB {
                             break;
                         }
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -928,8 +818,8 @@ impl Sweep {
                 panic!("injected fault: transient panic in {label} (attempt {attempt})")
             }
             // Cancellation storm: the first attempt starts with its cancel
-            // flag already raised, so the run aborts at the next
-            // arbitration point with a transient `WallClock` timeout;
+            // flag already raised, so the run aborts at the next phase
+            // boundary with a transient `WallClock` timeout;
             // retries see a cleared flag and complete normally.
             Some(Fault::CancelStorm) => cancel.store(attempt == 1, Ordering::Relaxed),
             _ => {}
@@ -1003,7 +893,7 @@ impl Sweep {
 }
 
 /// A group member's outcome, copied from its first member's result: it
-/// took no wall time, no queueing and no retries (DESIGN.md §13).
+/// took no wall time, no queueing and no retries (DESIGN.md §12).
 fn copy_of(job: &SweepJob, res: &SimResult) -> SweepOutcome {
     let mut res = res.clone();
     res.metrics.wall_nanos = 0;
@@ -1096,28 +986,12 @@ mod tests {
     }
 
     #[test]
-    fn tile_threads_share_the_auto_pool_budget() {
-        // workers × tile_threads stays within the hardware budget …
-        assert_eq!(shared_pool_budget(8, 1), 8);
-        assert_eq!(shared_pool_budget(8, 2), 4);
-        assert_eq!(shared_pool_budget(8, 3), 2);
-        // … but one job always runs, even on a starved machine.
-        assert_eq!(shared_pool_budget(1, 4), 1);
-        assert_eq!(
-            shared_pool_budget(4, 0),
-            4,
-            "zero clamps to one tile worker"
-        );
-        // An explicit thread override is respected as given.
-        let s = Sweep::new(Scale::Tiny).threads(5).tile_threads(4);
+    fn pool_size_honors_the_override_and_the_job_count() {
+        let s = Sweep::new(Scale::Tiny).threads(5);
         assert_eq!(s.pool_size(28), 5);
-        assert_eq!(s.tile_threads_per_job(), 4);
-        assert_eq!(
-            Sweep::new(Scale::Tiny)
-                .tile_threads(0)
-                .tile_threads_per_job(),
-            1
-        );
+        assert_eq!(s.pool_size(3), 3, "never more workers than jobs");
+        assert_eq!(s.pool_size(0), 1, "at least one worker");
+        assert_eq!(Sweep::new(Scale::Tiny).threads(0).pool_size(28), 1);
     }
 
     #[test]

@@ -38,7 +38,6 @@ const STREAM_TABLE: usize = 8;
 impl TileAgent for FusionTile {
     fn handle_forward(
         &mut self,
-        _agent: fusion_coherence::AgentId,
         pa: PhysAddr,
         now: Cycle,
         ledger: &mut EnergyLedger,
@@ -337,7 +336,7 @@ fn tile_access(
             let fill = host.tile_fill(pid, block, request_at, ledger, state);
             for rpa in fill.tile_recalls {
                 // Inclusive-L2 recall of another tile block.
-                state.handle_forward(fusion_coherence::AgentId::TILE, rpa, fill.data_at, ledger);
+                state.handle_forward(rpa, fill.data_at, ledger);
             }
             let ptr = L1xPointer { pid, vblock: block };
             match state.rmap.register(fill.pa, ptr) {
@@ -400,7 +399,7 @@ fn tile_access(
 
 /// Converts a tile-counter delta into energy charges (the Figure 6a
 /// stacks for the FUSION bars).
-pub(crate) fn charge_tile_delta(
+fn charge_tile_delta(
     ledger: &mut EnergyLedger,
     em: &EnergyModel,
     mark: &mut TileStats,

@@ -1,12 +1,10 @@
 //! The four architectures of the evaluation.
 
 pub mod fusion;
-pub mod multitile;
 pub mod scratch;
 pub mod shared;
 
 pub use fusion::FusionSystem;
-pub use multitile::MultiTileSystem;
 pub use scratch::ScratchSystem;
 pub use shared::SharedSystem;
 

@@ -42,7 +42,6 @@ impl SharedL1x {
 impl TileAgent for SharedL1x {
     fn handle_forward(
         &mut self,
-        _agent: fusion_coherence::AgentId,
         pa: PhysAddr,
         now: Cycle,
         ledger: &mut EnergyLedger,

@@ -26,10 +26,8 @@
 
 pub mod clock;
 pub mod events;
-pub mod merge;
 pub mod stats;
 
 pub use clock::Clock;
 pub use events::EventQueue;
-pub use merge::{barrier, SourceLogs};
 pub use stats::{Counter, Histogram};

@@ -168,7 +168,7 @@ impl From<InvariantViolation> for SimError {
 }
 
 /// Everything that can go wrong around the sweep's write-ahead result
-/// journal (`fusion_core::journal`, DESIGN.md §14).
+/// journal (`fusion_core::journal`, DESIGN.md §13).
 ///
 /// The journal is a durability layer, so its errors are deliberately
 /// separated from [`SimError`]: a journal failure never invalidates a
@@ -260,90 +260,6 @@ impl fmt::Display for JournalError {
 }
 
 impl Error for JournalError {}
-
-/// How far the sweep's graceful-degradation ladder has descended
-/// (DESIGN.md §14). Each rung sheds capability, never correctness:
-/// degraded sweeps produce byte-identical simulated results, they just
-/// produce them with less parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum DegradeLevel {
-    /// Nothing shed: full tile-thread reservation, full worker pool.
-    #[default]
-    Full,
-    /// Per-job tile-thread reservations shed to 1 (memory pressure from
-    /// parallel tile replicas is the first thing to give back).
-    ShedTileThreads,
-    /// Fail-soft single-job mode: one worker, one job at a time, minimum
-    /// footprint — the last rung before giving up.
-    SingleJob,
-}
-
-impl DegradeLevel {
-    /// Stable lowercase label (salvage reports, logs).
-    pub fn label(self) -> &'static str {
-        match self {
-            DegradeLevel::Full => "full",
-            DegradeLevel::ShedTileThreads => "shed-tile-threads",
-            DegradeLevel::SingleJob => "single-job",
-        }
-    }
-
-    /// Ladder rung as an index (0 = full service).
-    pub fn index(self) -> usize {
-        match self {
-            DegradeLevel::Full => 0,
-            DegradeLevel::ShedTileThreads => 1,
-            DegradeLevel::SingleJob => 2,
-        }
-    }
-
-    /// The rung for an index (clamped to the deepest rung).
-    pub fn from_index(i: usize) -> DegradeLevel {
-        match i {
-            0 => DegradeLevel::Full,
-            1 => DegradeLevel::ShedTileThreads,
-            _ => DegradeLevel::SingleJob,
-        }
-    }
-}
-
-impl fmt::Display for DegradeLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Degradation metadata a sweep reports alongside its outcomes: how far
-/// the ladder descended, what drove it there, and whether the journal was
-/// lost along the way. Carried in the salvage report on fatal exit.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Degraded {
-    /// Deepest ladder rung reached during the sweep.
-    pub level: DegradeLevel,
-    /// Transient failures (panics, timeouts, cancellations) observed —
-    /// the ladder's driving signal.
-    pub transient_failures: u64,
-    /// Whether the write-ahead journal died mid-sweep (disk full, I/O
-    /// error) and later completions are unprotected.
-    pub journal_lost: bool,
-}
-
-impl Degraded {
-    /// Whether anything was shed.
-    pub fn is_degraded(&self) -> bool {
-        self.level != DegradeLevel::Full || self.journal_lost
-    }
-
-    /// Machine-readable rendering for the salvage report.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"level\":\"{}\",\"transient_failures\":{},\"journal_lost\":{}}}",
-            self.level.label(),
-            self.transient_failures,
-            self.journal_lost
-        )
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -27,7 +27,7 @@ pub mod units;
 
 pub use addr::{BlockAddr, PhysAddr, VirtAddr, CACHE_BLOCK_BYTES, PAGE_BYTES};
 pub use config::{CacheGeometry, LinkConfig, SystemConfig, WritePolicy};
-pub use error::{DegradeLevel, Degraded, InvariantViolation, JournalError, SimError, TimeoutKind};
+pub use error::{InvariantViolation, JournalError, SimError, TimeoutKind};
 pub use fault::{CheckerConfig, ProtocolFault, ProtocolFaultKind};
 pub use hash::{sorted_entries, sorted_keys, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{AxcId, Pid};

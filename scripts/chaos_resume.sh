@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Chaos gate for the durable-sweep invariant (DESIGN.md §14): start a
+# Chaos gate for the durable-sweep invariant (DESIGN.md §13): start a
 # journaled full-grid sweep, SIGKILL it mid-run, resume from the journal,
 # and diff the stitched JSON against an uninterrupted reference with the
 # timing fields stripped (the same set the memo A/B gate ignores:

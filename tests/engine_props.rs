@@ -7,7 +7,9 @@ mod common;
 use common::Rng;
 use fusion_repro::accel::io::{decode_workload, encode_workload};
 use fusion_repro::accel::ooo::{run_host_phase, OooParams};
-use fusion_repro::accel::{run_phase, MemRef, OpCounts, Phase, Workload};
+use fusion_repro::accel::{
+    run_phase, run_phase_kind_runs, DecodedTrace, MemRef, OpCounts, Phase, Workload,
+};
 use fusion_repro::dma::{DmaController, DmaDirection};
 use fusion_repro::mem::BankedTiming;
 use fusion_repro::types::ids::ExecUnit;
@@ -147,6 +149,88 @@ fn slot_issuer_matches_the_outstanding_list() {
             assert_eq!(issues, want_issues, "mlp {mlp}: issue times differ");
             assert_eq!(t.end, want_end, "mlp {mlp}: end differs");
             assert_eq!(t.mlp_stall_cycles, want_stalls, "mlp {mlp}: stalls differ");
+        }
+    }
+}
+
+/// A latency that depends on both the access kind and the block, so a
+/// replay that mixed up either would change the timing.
+fn kind_and_block_latency(is_write: bool, block: BlockAddr) -> u64 {
+    1 + block.index() % 97 + if is_write { 13 } else { 0 }
+}
+
+/// The two replay entry points agree: `run_phase` over a phase's
+/// `MemRef`s and `run_phase_kind_runs` over the same phase decoded
+/// (gap lane, block lane and kind runs) yield identical issue times and
+/// an identical `PhaseTiming`.
+#[test]
+fn memref_and_decoded_kind_run_replays_agree() {
+    let mut rng = Rng::new(0xD0DE);
+    for mlp in 1..=8 {
+        for _ in 0..CASES {
+            let phases: Vec<Phase> = (0..rng.range_usize(1, 4))
+                .map(|_| {
+                    // Sticky kinds give runs of every length, not only
+                    // the short ones a fair coin produces.
+                    let mut kind = AccessKind::Load;
+                    let refs = (0..rng.range_usize(0, 150))
+                        .map(|_| {
+                            if rng.range_u64(0, 4) == 0 {
+                                kind = match kind {
+                                    AccessKind::Load => AccessKind::Store,
+                                    AccessKind::Store => AccessKind::Load,
+                                };
+                            }
+                            MemRef {
+                                addr: VirtAddr::new(rng.range_u64(0, 1 << 16)),
+                                size: 4,
+                                kind,
+                                gap: rng.range_u16(0, 30),
+                            }
+                        })
+                        .collect();
+                    Phase {
+                        name: "p".into(),
+                        unit: ExecUnit::Axc(AxcId::new(0)),
+                        refs,
+                        ops: OpCounts::default(),
+                        mlp,
+                        lease: 100,
+                    }
+                })
+                .collect();
+            let wl = Workload {
+                name: "prop".into(),
+                pid: Pid::new(1),
+                phases,
+            };
+            let decoded = DecodedTrace::decode(&wl);
+            for (idx, phase) in wl.phases.iter().enumerate() {
+                let start = Cycle::new(rng.range_u64(0, 1000));
+                let mut memref_issues = Vec::new();
+                let want = run_phase(&phase.refs, mlp, start, |r, now| {
+                    memref_issues.push(now);
+                    now + kind_and_block_latency(r.kind.is_write(), r.block())
+                });
+                let dp = decoded.phase(idx);
+                let mut decoded_issues = Vec::new();
+                let got = run_phase_kind_runs(
+                    dp.len(),
+                    |i| dp.gaps[i],
+                    mlp,
+                    start,
+                    decoded.phase_kind_runs(idx).iter().copied(),
+                    |i, now, is_write| {
+                        decoded_issues.push(now);
+                        now + kind_and_block_latency(is_write, dp.blocks[i])
+                    },
+                );
+                assert_eq!(got, want, "mlp {mlp}, phase {idx}: timing differs");
+                assert_eq!(
+                    decoded_issues, memref_issues,
+                    "mlp {mlp}: issue times differ"
+                );
+            }
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Property tests for the memo's observed-config slices (DESIGN.md §13).
+//! Property tests for the memo's observed-config slices (DESIGN.md §12).
 //!
 //! Driven by the seeded splitmix64 generator in `tests/common` (same
 //! convention as `engine_props.rs`): random config mutations probe the

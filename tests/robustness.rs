@@ -1,7 +1,7 @@
 //! Robustness and rare-path coverage: inclusive-L2 recalls into the tile,
 //! trace-replay equivalence, and decoder fuzzing (seeded deterministic
 //! random input via `common::Rng`) — for both the trace codec and the
-//! write-ahead journal codec (DESIGN.md §14).
+//! write-ahead journal codec (DESIGN.md §13).
 
 mod common;
 
@@ -173,7 +173,7 @@ fn decoder_survives_resealed_structural_corruption() {
     }
 }
 
-// ---- write-ahead journal codec (DESIGN.md §14), fuzzed the same way ----
+// ---- write-ahead journal codec (DESIGN.md §13), fuzzed the same way ----
 
 /// The `SimResult` "system" string a journal row for this system label
 /// must embed.

@@ -51,7 +51,7 @@ fn repeated_parallel_sweeps_agree_with_each_other() {
     }
 }
 
-/// The dedupe guarantee (DESIGN.md §13): over the full design-space
+/// The dedupe guarantee (DESIGN.md §12): over the full design-space
 /// grid, memo-on output is byte-identical to memo-off — every copied grid
 /// point carries exactly the stats a full replay would have produced,
 /// down to the JSON rendering — and the copies are planned before any job
@@ -104,7 +104,7 @@ fn memo_on_matches_memo_off_over_design_grid() {
 /// The determinism guarantee survives `--journal`: recording the
 /// write-ahead journal changes nothing about the outcomes, and the
 /// journal it leaves behind resumes the whole grid with payloads
-/// byte-identical to what the jobs produced (DESIGN.md §14).
+/// byte-identical to what the jobs produced (DESIGN.md §13).
 #[test]
 fn journaled_sweep_matches_plain_sweep_and_is_fully_resumable() {
     let cfg = SystemConfig::small();
