@@ -1,8 +1,9 @@
 //! Trace post-processing: the paper's toolchain analyses.
 //!
-//! * [`sharing_degree`] — Table 1's %SHR: the fraction of an accelerator's
-//!   blocks that at least one *other* accelerator also touches;
-//! * [`op_mix`] — Table 1's %INT/%FP/%LD/%ST operation breakdown;
+//! * [`TraceStats`] — the trace characterisation of Tables 1 and 4: each
+//!   function's %SHR (the fraction of its blocks that at least one
+//!   *other* accelerated function also touches) and %INT/%FP/%LD/%ST
+//!   operation mix, and the accelerator phases' %dirty blocks;
 //! * [`DecodedTrace::dma_windows`] — Section 4's oracle DMA: segment a
 //!   phase into scratchpad-sized execution windows, DMA-in exactly the
 //!   blocks read before written, DMA-out exactly the dirty blocks;
@@ -10,13 +11,12 @@
 //!   identification of producer→consumer stores (the paper post-processes
 //!   the trace the same way).
 //!
-//! The last two run on a [`DecodedTrace`] and index flat per-block arrays
-//! by its block ordinals; the trace memoizes their results.
+//! All three run on a [`DecodedTrace`] and index flat per-block arrays by
+//! its block ordinals; the trace memoizes their results.
 
-use fusion_types::hash::FxHashSet;
 use fusion_types::{AxcId, BlockAddr};
 
-use crate::trace::{DecodedTrace, Workload};
+use crate::trace::{DecodedTrace, OpCounts, Workload};
 
 /// Per-function operation mix (percentages, as in Table 1).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -31,55 +31,164 @@ pub struct OpMix {
     pub st_pct: f64,
 }
 
-/// Computes the Table 1 operation breakdown for one function (all phases
-/// with `name` merged).
-pub fn op_mix(workload: &Workload, name: &str) -> OpMix {
-    let mut int_ops = 0u64;
-    let mut fp_ops = 0u64;
-    let mut loads = 0u64;
-    let mut stores = 0u64;
-    for p in workload.phases.iter().filter(|p| p.name == name) {
-        int_ops += p.ops.int_ops;
-        fp_ops += p.ops.fp_ops;
-        loads += p.loads();
-        stores += p.stores();
+/// One accelerated function's share of the trace (all its phases merged).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FunctionStats {
+    /// Function name, as in [`Workload::functions`].
+    pub name: String,
+    /// Distinct blocks the function touches.
+    pub blocks: usize,
+    /// Of those, blocks at least one other accelerated function touches.
+    pub shared_blocks: usize,
+    /// Loads issued.
+    pub loads: u64,
+    /// Stores issued.
+    pub stores: u64,
+    /// Datapath op counts.
+    pub ops: OpCounts,
+}
+
+impl FunctionStats {
+    /// Table 1 %SHR: percentage of the function's blocks that another
+    /// accelerated function also touches (0 for a function with none).
+    pub fn sharing_degree(&self) -> f64 {
+        if self.blocks == 0 {
+            return 0.0;
+        }
+        100.0 * self.shared_blocks as f64 / self.blocks as f64
     }
-    let total = (int_ops + fp_ops + loads + stores).max(1) as f64;
-    OpMix {
-        int_pct: 100.0 * int_ops as f64 / total,
-        fp_pct: 100.0 * fp_ops as f64 / total,
-        ld_pct: 100.0 * loads as f64 / total,
-        st_pct: 100.0 * stores as f64 / total,
+
+    /// Table 1 %INT/%FP/%LD/%ST breakdown.
+    pub fn op_mix(&self) -> OpMix {
+        let OpCounts { int_ops, fp_ops } = self.ops;
+        let total = (int_ops + fp_ops + self.loads + self.stores).max(1) as f64;
+        OpMix {
+            int_pct: 100.0 * int_ops as f64 / total,
+            fp_pct: 100.0 * fp_ops as f64 / total,
+            ld_pct: 100.0 * self.loads as f64 / total,
+            st_pct: 100.0 * self.stores as f64 / total,
+        }
     }
 }
 
-fn blocks_of_function(workload: &Workload, name: &str) -> FxHashSet<BlockAddr> {
-    workload
-        .phases
+/// The trace characterisation of Tables 1 and 4, over the accelerator
+/// phases (host phases are not counted). The working set of Figure 6d is
+/// [`DecodedTrace::working_set`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceStats {
+    /// One entry per accelerated function, in [`Workload::functions`]
+    /// order.
+    pub functions: Vec<FunctionStats>,
+    /// Distinct blocks the accelerator phases touch.
+    pub blocks: usize,
+    /// Of those, blocks an accelerator phase writes.
+    pub dirty_blocks: usize,
+}
+
+impl TraceStats {
+    /// Table 4 %dirty blocks: percentage of the accelerator phases'
+    /// blocks that they write.
+    pub fn dirty_block_pct(&self) -> f64 {
+        if self.blocks == 0 {
+            return 0.0;
+        }
+        100.0 * self.dirty_blocks as f64 / self.blocks as f64
+    }
+}
+
+impl std::ops::Index<&str> for TraceStats {
+    type Output = FunctionStats;
+
+    /// The statistics of function `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not an accelerated function of the trace.
+    fn index(&self, name: &str) -> &FunctionStats {
+        self.functions
+            .iter()
+            .find(|f| f.name == name)
+            .unwrap_or_else(|| panic!("no accelerated function named '{name}'"))
+    }
+}
+
+/// Computes [`TraceStats`] in one pass over the accelerator phases,
+/// grouped by function, plus one pass over the block ordinals.
+///
+/// Per ordinal the pass keeps the last function that touched it and a
+/// flag byte: written, and touched by a second function. Grouping by
+/// function makes "last function" dedupe each function's blocks exactly,
+/// for any number of functions. A block no second function touched is
+/// exclusive to its only toucher, so a function's shared blocks are its
+/// blocks minus its exclusive ones.
+pub(crate) fn trace_stats(trace: &DecodedTrace, workload: &Workload) -> TraceStats {
+    const NONE: u32 = u32::MAX;
+    const DIRTY: u8 = 1;
+    const SHARED: u8 = 2;
+    let names = workload.functions();
+    let n = trace.ordinal_blocks().len();
+    let mut last = vec![NONE; n];
+    let mut flags = vec![0u8; n];
+    let mut functions: Vec<FunctionStats> = names
         .iter()
-        .filter(|p| p.name == name && !p.unit.is_host())
-        .flat_map(|p| p.refs.iter().map(|r| r.block()))
-        .collect()
-}
-
-/// Table 1 %SHR: the fraction of cache blocks accessed by function `name`
-/// that are also accessed by at least one other *accelerated* function.
-pub fn sharing_degree(workload: &Workload, name: &str) -> f64 {
-    let mine = blocks_of_function(workload, name);
-    if mine.is_empty() {
-        return 0.0;
-    }
-    // Hot-map audit: only the intersection *count* is read, so set
-    // iteration order cannot affect the percentage.
-    let others: FxHashSet<BlockAddr> = workload
-        .functions()
-        .into_iter()
-        .filter(|f| *f != name)
-        .map(|f| f.to_owned())
-        .flat_map(|f| blocks_of_function(workload, &f))
+        .map(|name| FunctionStats {
+            name: (*name).to_owned(),
+            blocks: 0,
+            shared_blocks: 0,
+            loads: 0,
+            stores: 0,
+            ops: OpCounts::default(),
+        })
         .collect();
-    let shared = mine.intersection(&others).count();
-    100.0 * shared as f64 / mine.len() as f64
+    for (f, (name, stats)) in (0u32..).zip(names.iter().zip(&mut functions)) {
+        let phases = workload.phases.iter().enumerate();
+        for (idx, _) in phases.filter(|(_, p)| !p.unit.is_host() && p.name == *name) {
+            let dp = trace.phase(idx);
+            for (&o, kind) in dp.ordinals.iter().zip(dp.kinds) {
+                let o = o as usize;
+                if kind.is_write() {
+                    flags[o] |= DIRTY;
+                }
+                if last[o] == f {
+                    continue;
+                }
+                if last[o] != NONE {
+                    flags[o] |= SHARED;
+                }
+                last[o] = f;
+                stats.blocks += 1;
+            }
+            let stores: usize = trace
+                .phase_kind_runs(idx)
+                .iter()
+                .filter(|r| r.is_write)
+                .map(|r| r.len)
+                .sum();
+            stats.stores += stores as u64;
+            stats.loads += (dp.len() - stores) as u64;
+            stats.ops += trace.phase_ops(idx);
+        }
+    }
+    let (mut blocks, mut dirty_blocks) = (0, 0);
+    let mut exclusive = vec![0usize; functions.len()];
+    for (&f, &fl) in last.iter().zip(&flags) {
+        if f == NONE {
+            continue;
+        }
+        blocks += 1;
+        dirty_blocks += usize::from(fl & DIRTY != 0);
+        if fl & SHARED == 0 {
+            exclusive[f as usize] += 1;
+        }
+    }
+    for (stats, exclusive) in functions.iter_mut().zip(exclusive) {
+        stats.shared_blocks = stats.blocks - exclusive;
+    }
+    TraceStats {
+        functions,
+        blocks,
+        dirty_blocks,
+    }
 }
 
 /// One oracle-DMA execution window (Section 4).
@@ -354,6 +463,10 @@ mod tests {
         DecodedTrace::decode(&wl).dma_windows(&wl, capacity_blocks)[0].clone()
     }
 
+    fn stats(wl: &Workload) -> TraceStats {
+        DecodedTrace::decode(wl).trace_stats(wl).clone()
+    }
+
     fn forward_pairs(wl: &Workload) -> Vec<ForwardPair> {
         DecodedTrace::decode(wl)
             .forward_pairs(wl, usize::MAX)
@@ -367,7 +480,7 @@ mod tests {
             0,
             vec![r(0, AccessKind::Load), r(1, AccessKind::Store)],
         )]);
-        let m = op_mix(&wl, "f");
+        let m = stats(&wl)["f"].op_mix();
         let sum = m.int_pct + m.fp_pct + m.ld_pct + m.st_pct;
         assert!((sum - 100.0).abs() < 1e-9);
         assert!(m.ld_pct > 0.0 && m.st_pct > 0.0 && m.int_pct > 0.0);
@@ -383,15 +496,19 @@ mod tests {
             ),
             phase("b", 1, vec![r(1, AccessKind::Load), r(2, AccessKind::Load)]),
         ]);
-        assert!((sharing_degree(&wl, "a") - 50.0).abs() < 1e-9);
-        assert!((sharing_degree(&wl, "b") - 50.0).abs() < 1e-9);
+        let s = stats(&wl);
+        assert!((s["a"].sharing_degree() - 50.0).abs() < 1e-9);
+        assert!((s["b"].sharing_degree() - 50.0).abs() < 1e-9);
+        assert_eq!(s.blocks, 3);
+        assert_eq!(s.dirty_blocks, 2);
     }
 
     #[test]
     fn sharing_degree_no_other_functions_is_zero() {
         let wl = workload(vec![phase("a", 0, vec![r(0, AccessKind::Load)])]);
-        assert_eq!(sharing_degree(&wl, "a"), 0.0);
-        assert_eq!(sharing_degree(&wl, "missing"), 0.0);
+        let s = stats(&wl);
+        assert_eq!(s["a"].sharing_degree(), 0.0);
+        assert_eq!(s.functions.len(), 1);
     }
 
     #[test]

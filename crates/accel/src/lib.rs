@@ -19,9 +19,9 @@
 //! * [`io`] — compact binary trace files: materialize a workload once,
 //!   replay it across architectures (the paper's trace-driven workflow);
 //! * [`analysis`] — the toolchain's post-processing: sharing degree (%SHR),
-//!   working sets, op mixes (Table 1), oracle-DMA window segmentation
-//!   (Section 4) and FUSION-Dx producer→consumer store identification
-//!   (Section 3.2).
+//!   op mixes (Table 1) and dirty blocks (Table 4), oracle-DMA window
+//!   segmentation (Section 4) and FUSION-Dx producer→consumer store
+//!   identification (Section 3.2).
 
 pub mod analysis;
 pub mod engine;

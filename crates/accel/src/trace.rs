@@ -6,7 +6,7 @@ use fusion_types::hash::FxHashMap;
 use fusion_types::ids::ExecUnit;
 use fusion_types::{AccessKind, BlockAddr, Bytes, Pid, VirtAddr};
 
-use crate::analysis::{DmaWindow, ForwardPair, RankedPair};
+use crate::analysis::{DmaWindow, ForwardPair, RankedPair, TraceStats};
 
 /// One dynamic memory reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,26 +90,6 @@ pub struct Phase {
     pub lease: u32,
 }
 
-impl Phase {
-    /// Number of loads in the phase.
-    pub fn loads(&self) -> u64 {
-        self.refs.iter().filter(|r| !r.kind.is_write()).count() as u64
-    }
-
-    /// Number of stores in the phase.
-    pub fn stores(&self) -> u64 {
-        self.refs.iter().filter(|r| r.kind.is_write()).count() as u64
-    }
-
-    /// Unique blocks touched.
-    pub fn footprint(&self) -> Bytes {
-        let mut blocks: Vec<u64> = self.refs.iter().map(|r| r.block().index()).collect();
-        blocks.sort_unstable();
-        blocks.dedup();
-        Bytes::new(blocks.len() as u64 * fusion_types::CACHE_BLOCK_BYTES as u64)
-    }
-}
-
 /// A full offloaded program: the ordered phases the execution migrates
 /// through, plus identity metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,18 +126,6 @@ impl Workload {
     /// Total dynamic references across all phases.
     pub fn total_refs(&self) -> u64 {
         self.phases.iter().map(|p| p.refs.len() as u64).sum()
-    }
-
-    /// Unique working-set size across the whole program.
-    pub fn working_set(&self) -> Bytes {
-        let mut blocks: Vec<u64> = self
-            .phases
-            .iter()
-            .flat_map(|p| p.refs.iter().map(|r| r.block().index()))
-            .collect();
-        blocks.sort_unstable();
-        blocks.dedup();
-        Bytes::new(blocks.len() as u64 * fusion_types::CACHE_BLOCK_BYTES as u64)
     }
 }
 
@@ -280,7 +248,9 @@ pub fn clip_kind_runs(
 ///
 /// The forwarding analysis walks the trace once for all L0X windows: the
 /// ranked candidate list holds every pair with its consumer's first-touch
-/// rank, and a window only filters it.
+/// rank, and a window only filters it. The Table 1/4 statistics take no
+/// parameter and are computed on first request only: the sweep never asks
+/// for them, so decode and prewarm do not pay for them.
 ///
 /// Hot-map audit: probed by key under a mutex, never iterated.
 #[derive(Debug, Default)]
@@ -291,6 +261,8 @@ struct AnalysisCache {
     forward_candidates: OnceLock<Vec<RankedPair>>,
     // consumer_window -> forwarding pairs.
     forward_pairs: Mutex<FxHashMap<usize, Arc<Vec<ForwardPair>>>>,
+    // Table 1/4 statistics of the accelerator phases.
+    stats: OnceLock<TraceStats>,
 }
 
 impl DecodedTrace {
@@ -415,6 +387,21 @@ impl DecodedTrace {
                     .collect(),
             )
         }))
+    }
+
+    /// Table 1/4 statistics of the accelerator phases (per-function %SHR
+    /// and op mix, %dirty blocks), computed on first request and shared.
+    /// `workload` must be the workload this trace was decoded from.
+    pub fn trace_stats(&self, workload: &Workload) -> &TraceStats {
+        self.analysis
+            .stats
+            .get_or_init(|| crate::analysis::trace_stats(self, workload))
+    }
+
+    /// Unique working-set size across the whole program (host phases
+    /// included): one block per ordinal.
+    pub fn working_set(&self) -> Bytes {
+        Bytes::new(self.ordinal_blocks.len() as u64 * fusion_types::CACHE_BLOCK_BYTES as u64)
     }
 
     /// The ordinal → block table: entry `o` is the block that
@@ -549,9 +536,16 @@ mod tests {
                 r(0, AccessKind::Load),
             ],
         );
-        assert_eq!(p.loads(), 2);
-        assert_eq!(p.stores(), 1);
-        assert_eq!(p.footprint().value(), 128);
+        let wl = Workload {
+            name: "T".into(),
+            pid: Pid::new(1),
+            phases: vec![p],
+        };
+        let d = DecodedTrace::decode(&wl);
+        let f = &d.trace_stats(&wl)["f"];
+        assert_eq!(f.loads, 2);
+        assert_eq!(f.stores, 1);
+        assert_eq!(f.blocks as u64 * 64, 128);
     }
 
     #[test]
@@ -588,7 +582,7 @@ mod tests {
                 ),
             ],
         };
-        assert_eq!(wl.working_set().value(), 128);
+        assert_eq!(DecodedTrace::decode(&wl).working_set().value(), 128);
         assert_eq!(wl.total_refs(), 4);
     }
 

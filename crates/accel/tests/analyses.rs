@@ -1,13 +1,15 @@
 //! The ordinal-indexed trace analyses against brute-force references
 //! written over the `MemRef` phases with ordered maps: the oracle DMA
-//! windows and the FUSION-Dx forwarding pairs of every suite, at tiny and
-//! small scale, must come out exactly as the references compute them.
+//! windows, the FUSION-Dx forwarding pairs and the Table 1/4 trace
+//! statistics of every suite, at tiny and small scale, must come out
+//! exactly as the references compute them.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use fusion_accel::analysis::{DmaWindow, ForwardPair};
-use fusion_accel::{DecodedTrace, Phase, Workload};
-use fusion_types::{AxcId, BlockAddr};
+use fusion_accel::analysis::{DmaWindow, ForwardPair, FunctionStats, TraceStats};
+use fusion_accel::{DecodedTrace, MemRef, OpCounts, Phase, Workload};
+use fusion_types::ids::ExecUnit;
+use fusion_types::{AccessKind, AxcId, BlockAddr, Pid, VirtAddr};
 use fusion_workloads::{all_suites, build_suite, Scale};
 
 const CAPACITIES: [usize; 7] = [1, 2, 32, 64, 128, 256, 4096];
@@ -196,4 +198,147 @@ fn ordinal_table_round_trips_every_reference() {
         }
         assert_eq!(issued, table.len(), "{name}: every ordinal is used");
     }
+}
+
+/// Distinct blocks of the workload, host phases included (Figure 6d).
+fn reference_working_set(wl: &Workload) -> BTreeSet<BlockAddr> {
+    wl.phases
+        .iter()
+        .flat_map(|p| p.refs.iter().map(MemRef::block))
+        .collect()
+}
+
+/// Distinct blocks function `name`'s accelerator phases touch.
+fn reference_function_blocks(wl: &Workload, name: &str) -> BTreeSet<BlockAddr> {
+    wl.phases
+        .iter()
+        .filter(|p| p.name == name && !p.unit.is_host())
+        .flat_map(|p| p.refs.iter().map(MemRef::block))
+        .collect()
+}
+
+/// Table 1/4 statistics: per-function block sets intersected with the
+/// union of every other function's, op counts summed over the function's
+/// accelerator phases, and the accelerator phases' touched and written
+/// block sets.
+fn reference_stats(wl: &Workload) -> TraceStats {
+    let names = wl.functions();
+    let functions = names
+        .iter()
+        .map(|&name| {
+            let mine = reference_function_blocks(wl, name);
+            let others: BTreeSet<BlockAddr> = names
+                .iter()
+                .filter(|&&other| other != name)
+                .flat_map(|other| reference_function_blocks(wl, other))
+                .collect();
+            let phases = wl
+                .phases
+                .iter()
+                .filter(|p| p.name == name && !p.unit.is_host());
+            let (mut loads, mut stores, mut ops) = (0, 0, OpCounts::default());
+            for p in phases {
+                stores += p.refs.iter().filter(|r| r.kind.is_write()).count() as u64;
+                loads += p.refs.iter().filter(|r| !r.kind.is_write()).count() as u64;
+                ops += p.ops;
+            }
+            FunctionStats {
+                name: name.to_owned(),
+                blocks: mine.len(),
+                shared_blocks: mine.intersection(&others).count(),
+                loads,
+                stores,
+                ops,
+            }
+        })
+        .collect();
+    let mut touched = BTreeSet::new();
+    let mut dirty = BTreeSet::new();
+    for p in wl.phases.iter().filter(|p| !p.unit.is_host()) {
+        for r in &p.refs {
+            touched.insert(r.block());
+            if r.kind.is_write() {
+                dirty.insert(r.block());
+            }
+        }
+    }
+    TraceStats {
+        functions,
+        blocks: touched.len(),
+        dirty_blocks: dirty.len(),
+    }
+}
+
+#[test]
+fn trace_stats_match_the_reference_for_every_function() {
+    for (name, wl, decoded) in traces() {
+        let want = reference_stats(&wl);
+        let got = decoded.trace_stats(&wl);
+        assert_eq!(
+            decoded.working_set().value(),
+            reference_working_set(&wl).len() as u64 * 64,
+            "{name}: working set"
+        );
+        assert_eq!(got.blocks, want.blocks, "{name}: accelerator blocks");
+        assert_eq!(got.dirty_blocks, want.dirty_blocks, "{name}: dirty blocks");
+        assert_eq!(got.functions.len(), want.functions.len(), "{name}");
+        for (g, w) in got.functions.iter().zip(&want.functions) {
+            assert_eq!(g, w, "{name}: function {}", w.name);
+            assert_eq!(g.sharing_degree(), w.sharing_degree(), "{name} {}", w.name);
+            assert_eq!(g.op_mix(), w.op_mix(), "{name} {}", w.name);
+        }
+        assert_eq!(got.dirty_block_pct(), want.dirty_block_pct(), "{name}");
+    }
+}
+
+fn r(block: u64, kind: AccessKind) -> MemRef {
+    MemRef {
+        addr: VirtAddr::new(block * 64),
+        size: 4,
+        kind,
+        gap: 0,
+    }
+}
+
+fn phase(name: &str, unit: ExecUnit, refs: Vec<MemRef>) -> Phase {
+    Phase {
+        name: name.into(),
+        unit,
+        refs,
+        ops: OpCounts {
+            int_ops: 3,
+            fp_ops: 1,
+        },
+        mlp: 2,
+        lease: 500,
+    }
+}
+
+#[test]
+fn trace_stats_ignore_host_phases_and_count_interleaved_functions_once() {
+    use AccessKind::{Load, Store};
+    let axc = |i| ExecUnit::Axc(AxcId::new(i));
+    let wl = Workload {
+        name: "T".into(),
+        pid: Pid::new(1),
+        phases: vec![
+            phase("a", axc(0), vec![r(0, Load), r(1, Store), r(0, Load)]),
+            phase("b", axc(1), vec![r(1, Load), r(2, Load)]),
+            // Host code named like an accelerated function is not part of
+            // it: its blocks and writes count nowhere but the working set.
+            phase("a", ExecUnit::Host, vec![r(2, Store), r(9, Store)]),
+            phase("a", axc(0), vec![r(3, Store), r(1, Load)]),
+            phase("c", axc(2), vec![r(4, Load)]),
+        ],
+    };
+    let decoded = DecodedTrace::decode(&wl);
+    let got = decoded.trace_stats(&wl);
+    assert_eq!(*got, reference_stats(&wl));
+    assert_eq!(decoded.working_set().value(), 6 * 64);
+    assert_eq!((got.blocks, got.dirty_blocks), (5, 2));
+    let blocks = |f: &str| (got[f].blocks, got[f].shared_blocks);
+    assert_eq!(blocks("a"), (3, 1));
+    assert_eq!(blocks("b"), (2, 1));
+    assert_eq!(blocks("c"), (1, 0));
+    assert_eq!((got["a"].loads, got["a"].stores), (3, 2));
 }

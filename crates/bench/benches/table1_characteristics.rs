@@ -2,21 +2,27 @@
 //! benchmark suites.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fusion_accel::analysis;
+use fusion_accel::DecodedTrace;
 use fusion_workloads::{all_suites, build_suite, Scale};
 
 fn bench(c: &mut Criterion) {
     let workloads: Vec<_> = all_suites()
         .into_iter()
-        .map(|id| build_suite(id, Scale::Tiny))
+        .map(|id| {
+            let wl = build_suite(id, Scale::Tiny);
+            let trace = DecodedTrace::decode(&wl);
+            (wl, trace)
+        })
         .collect();
     c.bench_function("table1/op_mix_and_sharing_all_suites", |b| {
         b.iter(|| {
             let mut acc = 0.0f64;
-            for wl in &workloads {
-                for f in wl.functions() {
-                    let m = analysis::op_mix(wl, f);
-                    acc += m.ld_pct + analysis::sharing_degree(wl, f);
+            for (wl, trace) in &workloads {
+                // A fresh clone drops the memoized statistics, so every
+                // iteration recomputes them.
+                let trace = trace.clone();
+                for f in &trace.trace_stats(wl).functions {
+                    acc += f.op_mix().ld_pct + f.sharing_degree();
                 }
             }
             std::hint::black_box(acc)

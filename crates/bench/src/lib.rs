@@ -9,11 +9,9 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use fusion_accel::analysis;
 use fusion_accel::{DecodedTrace, Workload};
 use fusion_core::{SimResult, Sweep, SweepJob, SystemKind, TraceCache};
 use fusion_energy::Component;
-use fusion_types::hash::FxHashSet;
 use fusion_types::{SystemConfig, WritePolicy, CACHE_BLOCK_BYTES, FLIT_BYTES};
 use fusion_workloads::{all_suites, Scale, SuiteId};
 
@@ -25,6 +23,10 @@ pub struct SuiteRun {
     /// The workload trace, shared with the sweep pool that produced the
     /// results (materialized once per suite).
     pub workload: Arc<Workload>,
+    /// The same trace decoded, shared with the sweep pool: the renderers
+    /// read its statistics ([`DecodedTrace::trace_stats`],
+    /// [`DecodedTrace::working_set`]).
+    pub trace: Arc<DecodedTrace>,
     /// SCRATCH result (small config).
     pub scratch: SimResult,
     /// SHARED result (small config).
@@ -102,6 +104,7 @@ impl SuiteRun {
                     o.result
                         .unwrap_or_else(|e| panic!("table job {} failed: {e}", o.job.label()))
                 };
+                let shared_trace = traces.get(id, scale);
                 SuiteRun {
                     id,
                     scratch: next(),
@@ -110,33 +113,11 @@ impl SuiteRun {
                     fusion_dx: next(),
                     fusion_wt: next(),
                     fusion_large: next(),
-                    workload: traces.get(id, scale).workload,
+                    workload: shared_trace.workload,
+                    trace: shared_trace.decoded,
                 }
             })
             .collect()
-    }
-}
-
-/// Fraction of a workload's touched blocks that are written (Table 4's
-/// "% Dirty Blocks").
-pub fn dirty_block_fraction(wl: &Workload) -> f64 {
-    // Hot-map audit: one insert per trace reference; only len() is read,
-    // so the deterministic FxHash set is a pure win.
-    let mut touched: FxHashSet<u64> = FxHashSet::default();
-    let mut dirty: FxHashSet<u64> = FxHashSet::default();
-    for p in wl.phases.iter().filter(|p| !p.unit.is_host()) {
-        for r in &p.refs {
-            let b = r.block().index();
-            touched.insert(b);
-            if r.kind.is_write() {
-                dirty.insert(b);
-            }
-        }
-    }
-    if touched.is_empty() {
-        0.0
-    } else {
-        100.0 * dirty.len() as f64 / touched.len() as f64
     }
 }
 
@@ -152,10 +133,11 @@ pub fn render_table1(runs: &[SuiteRun]) -> String {
     for run in runs {
         writeln!(out, "--- {} ---", run.id.label()).unwrap();
         let total_axc_cycles: u64 = run.fusion.accelerator_cycles().max(1);
-        for f in run.workload.functions() {
+        for stats in &run.trace.trace_stats(&run.workload).functions {
+            let f = stats.name.as_str();
             let (cycles, _, _) = run.fusion.function_totals(f);
-            let mix = analysis::op_mix(&run.workload, f);
-            let shr = analysis::sharing_degree(&run.workload, f);
+            let mix = stats.op_mix();
+            let shr = stats.sharing_degree();
             let mlp = run
                 .workload
                 .phases
@@ -412,7 +394,7 @@ pub fn render_fig6d(runs: &[SuiteRun]) -> String {
     )
     .unwrap();
     for run in runs {
-        let ws = run.workload.working_set().kib();
+        let ws = run.trace.working_set().kib();
         let dma_kb = (run.scratch.dma_blocks * CACHE_BLOCK_BYTES as u64) as f64 / 1024.0;
         writeln!(
             out,
@@ -444,7 +426,7 @@ pub fn render_table4(runs: &[SuiteRun]) -> String {
             run.id.label(),
             run.fusion_wt.traffic().flits_axc_l1x.value(),
             run.fusion.traffic().flits_axc_l1x.value(),
-            dirty_block_fraction(&run.workload)
+            run.trace.trace_stats(&run.workload).dirty_block_pct()
         )
         .unwrap();
     }
@@ -568,7 +550,7 @@ pub fn render_csv(runs: &[SuiteRun]) -> String {
                 (e.energy(Component::LinkL1xL2Msg) + e.energy(Component::LinkL1xL2Data)).value(),
                 res.dma_blocks,
                 l0_hit,
-                run.workload.working_set().kib(),
+                run.trace.working_set().kib(),
             )
             .unwrap();
         }
@@ -651,7 +633,7 @@ mod tests {
     #[test]
     fn dirty_fraction_bounds() {
         let wl = build_suite(SuiteId::Filter, Scale::Tiny);
-        let f = dirty_block_fraction(&wl);
+        let f = DecodedTrace::decode(&wl).trace_stats(&wl).dirty_block_pct();
         assert!((0.0..=100.0).contains(&f));
         assert!(f > 10.0, "filter writes whole planes: {f:.0}%");
     }

@@ -4,7 +4,8 @@
 //! 0 on full completion / a clean tree, 1 with a salvage report on
 //! partial completion or with diagnostics on lint findings, 2 on usage
 //! errors such as resuming against a journal from a different code
-//! version or filtering by an unknown lint rule.
+//! version or filtering by an unknown lint rule. The `tables` binary
+//! reports an unknown section or scale the same way, before it simulates.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -18,6 +19,13 @@ fn sim(args: &[&str]) -> Output {
         .expect("sim binary must run")
 }
 
+fn tables(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_tables"))
+        .args(args)
+        .output()
+        .expect("tables binary must run")
+}
+
 fn temp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("fusion_cli_{}_{name}", std::process::id()))
 }
@@ -25,7 +33,7 @@ fn temp(name: &str) -> PathBuf {
 fn exit_code(out: &Output) -> i32 {
     out.status
         .code()
-        .expect("sim must exit, not die on a signal")
+        .expect("the binary must exit, not die on a signal")
 }
 
 fn stderr(out: &Output) -> String {
@@ -255,4 +263,27 @@ fn mismatched_code_version_resume_is_a_usage_error() {
         stderr(&resumed)
     );
     std::fs::remove_file(&wal).ok();
+}
+
+#[test]
+fn tables_unknown_scale_is_a_usage_error_before_simulating() {
+    // A misspelt scale used to fall back to a full paper-scale run.
+    let out = tables(&["all", "smal", "1"]);
+    assert_eq!(exit_code(&out), 2, "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("unknown scale 'smal'"), "{err}");
+    assert!(err.contains("usage: tables"), "{err}");
+    assert!(!err.contains("simulating"), "{err}");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn tables_unknown_section_is_a_usage_error_before_simulating() {
+    let out = tables(&["bogus", "tiny"]);
+    assert_eq!(exit_code(&out), 2, "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("unknown section 'bogus'"), "{err}");
+    assert!(err.contains("usage: tables"), "{err}");
+    assert!(!err.contains("simulating"), "{err}");
+    assert!(out.stdout.is_empty());
 }

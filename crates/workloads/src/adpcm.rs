@@ -176,7 +176,7 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_accel::analysis;
+    use fusion_accel::DecodedTrace;
 
     #[test]
     fn coder_and_decoder_only() {
@@ -206,25 +206,29 @@ mod tests {
     #[test]
     fn sharing_is_near_total() {
         let wl = build(Scale::Tiny);
+        let trace = DecodedTrace::decode(&wl);
+        let stats = trace.trace_stats(&wl);
         // Table 1: coder 99.0 %, decoder 98.9 %.
-        assert!(analysis::sharing_degree(&wl, "coder") > 90.0);
-        assert!(analysis::sharing_degree(&wl, "decoder") > 90.0);
+        assert!(stats["coder"].sharing_degree() > 90.0);
+        assert!(stats["decoder"].sharing_degree() > 90.0);
     }
 
     #[test]
     fn working_set_under_30kb_at_paper_scale() {
-        let wl = build(Scale::Paper);
+        let ws = DecodedTrace::decode(&build(Scale::Paper)).working_set();
         assert!(
-            wl.working_set().kib() < 30.0,
+            ws.kib() < 30.0,
             "ADPCM working set {} exceeds the paper's 30 kB band",
-            wl.working_set()
+            ws
         );
     }
 
     #[test]
     fn integer_only_datapath() {
         let wl = build(Scale::Tiny);
-        let mix = analysis::op_mix(&wl, "coder");
+        let trace = DecodedTrace::decode(&wl);
+        let stats = trace.trace_stats(&wl);
+        let mix = stats["coder"].op_mix();
         assert_eq!(mix.fp_pct, 0.0);
         assert!(mix.int_pct > 20.0);
     }

@@ -196,7 +196,7 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_accel::{analysis, DecodedTrace};
+    use fusion_accel::DecodedTrace;
 
     #[test]
     fn five_functions_invoked_per_shift() {
@@ -218,7 +218,9 @@ mod tests {
     #[test]
     fn finalsad_is_load_heavy() {
         let wl = build(Scale::Tiny);
-        let mix = analysis::op_mix(&wl, "finalSAD");
+        let trace = DecodedTrace::decode(&wl);
+        let stats = trace.trace_stats(&wl);
+        let mix = stats["finalSAD"].op_mix();
         assert!(
             mix.ld_pct > mix.st_pct * 2.0,
             "finalSAD ld {:.0}% st {:.0}%",
@@ -229,8 +231,9 @@ mod tests {
 
     #[test]
     fn footprint_near_paper_value() {
-        let wl = build(Scale::Paper);
-        let kb = wl.working_set().kib();
+        let kb = DecodedTrace::decode(&build(Scale::Paper))
+            .working_set()
+            .kib();
         assert!(
             (100.0..240.0).contains(&kb),
             "DISP working set {kb:.0} kB outside the paper's ~163 kB band"
@@ -240,8 +243,10 @@ mod tests {
     #[test]
     fn pipeline_sharing_is_substantial() {
         let wl = build(Scale::Tiny);
+        let trace = DecodedTrace::decode(&wl);
+        let stats = trace.trace_stats(&wl);
         for f in ["SAD", "2D2D", "finalSAD"] {
-            let s = analysis::sharing_degree(&wl, f);
+            let s = stats[f].sharing_degree();
             assert!(s > 25.0, "{f} %SHR {s:.0}");
         }
     }

@@ -173,7 +173,7 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_accel::analysis;
+    use fusion_accel::DecodedTrace;
 
     #[test]
     fn six_functions_plus_host() {
@@ -225,24 +225,28 @@ mod tests {
     #[test]
     fn high_sharing_between_steps() {
         let wl = build(Scale::Tiny);
+        let trace = DecodedTrace::decode(&wl);
+        let stats = trace.trace_stats(&wl);
         // The working buffer flows through steps 1 and 3-6.
         for f in ["step1", "step3", "step4", "step5", "step6"] {
-            let shr = analysis::sharing_degree(&wl, f);
+            let shr = stats[f].sharing_degree();
             assert!(shr > 40.0, "{f} sharing degree {shr:.1}% too low");
         }
     }
 
     #[test]
     fn working_set_scales_with_input() {
-        let tiny = build(Scale::Tiny).working_set();
-        let small = build(Scale::Small).working_set();
+        let tiny = DecodedTrace::decode(&build(Scale::Tiny)).working_set();
+        let small = DecodedTrace::decode(&build(Scale::Small)).working_set();
         assert!(small.value() > 4 * tiny.value());
     }
 
     #[test]
     fn op_mix_is_load_store_heavy() {
         let wl = build(Scale::Tiny);
-        let mix = analysis::op_mix(&wl, "step3");
+        let trace = DecodedTrace::decode(&wl);
+        let stats = trace.trace_stats(&wl);
+        let mix = stats["step3"].op_mix();
         // Table 1: butterflies are ~45% LD, ~18% ST.
         assert!(mix.ld_pct > 30.0, "ld {:.1}", mix.ld_pct);
         assert!(mix.st_pct > 10.0, "st {:.1}", mix.st_pct);

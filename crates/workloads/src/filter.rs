@@ -135,7 +135,7 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_accel::analysis;
+    use fusion_accel::DecodedTrace;
 
     #[test]
     fn two_functions() {
@@ -178,13 +178,15 @@ mod tests {
 
     #[test]
     fn working_set_under_30kb_at_paper_scale() {
-        let wl = build(Scale::Paper);
-        assert!(wl.working_set().kib() < 30.0, "ws {}", wl.working_set());
+        let ws = DecodedTrace::decode(&build(Scale::Paper)).working_set();
+        assert!(ws.kib() < 30.0, "ws {ws}");
     }
 
     #[test]
     fn shared_median_buffer() {
         let wl = build(Scale::Tiny);
-        assert!(analysis::sharing_degree(&wl, "edgefilt") > 10.0);
+        let trace = DecodedTrace::decode(&wl);
+        let stats = trace.trace_stats(&wl);
+        assert!(stats["edgefilt"].sharing_degree() > 10.0);
     }
 }

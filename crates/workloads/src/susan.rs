@@ -159,7 +159,7 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_accel::analysis;
+    use fusion_accel::DecodedTrace;
 
     #[test]
     fn four_functions() {
@@ -185,14 +185,16 @@ mod tests {
     #[test]
     fn bright_is_fp_heavy() {
         let wl = build(Scale::Tiny);
-        let mix = analysis::op_mix(&wl, "bright");
+        let trace = DecodedTrace::decode(&wl);
+        let stats = trace.trace_stats(&wl);
+        let mix = stats["bright"].op_mix();
         assert!(mix.fp_pct > 40.0, "fp {:.1}", mix.fp_pct);
     }
 
     #[test]
     fn working_set_under_30kb_at_paper_scale() {
-        let wl = build(Scale::Paper);
-        assert!(wl.working_set().kib() < 30.0, "ws {}", wl.working_set());
+        let ws = DecodedTrace::decode(&build(Scale::Paper)).working_set();
+        assert!(ws.kib() < 30.0, "ws {ws}");
     }
 
     #[test]
@@ -200,8 +202,10 @@ mod tests {
         // Table 1: corn 7.6 %, edges 12.3 % — far below the smooth/bright
         // pair. Their private output maps dominate their footprints.
         let wl = build(Scale::Tiny);
-        let corn = analysis::sharing_degree(&wl, "corn");
-        let smooth = analysis::sharing_degree(&wl, "smooth");
+        let trace = DecodedTrace::decode(&wl);
+        let stats = trace.trace_stats(&wl);
+        let corn = stats["corn"].sharing_degree();
+        let smooth = stats["smooth"].sharing_degree();
         assert!(corn < smooth, "corn {corn:.0}% !< smooth {smooth:.0}%");
     }
 }

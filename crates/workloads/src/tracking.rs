@@ -176,7 +176,7 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_accel::analysis;
+    use fusion_accel::DecodedTrace;
 
     #[test]
     fn three_functions() {
@@ -189,15 +189,18 @@ mod tests {
     #[test]
     fn resize_shares_everything() {
         let wl = build(Scale::Tiny);
+        let trace = DecodedTrace::decode(&wl);
+        let stats = trace.trace_stats(&wl);
         // Table 1: imgResize %SHR = 99.9.
-        let s = analysis::sharing_degree(&wl, "imgResize");
+        let s = stats["imgResize"].sharing_degree();
         assert!(s > 80.0, "imgResize %SHR {s:.0}");
     }
 
     #[test]
     fn working_set_near_paper_value() {
-        let wl = build(Scale::Paper);
-        let kb = wl.working_set().kib();
+        let kb = DecodedTrace::decode(&build(Scale::Paper))
+            .working_set()
+            .kib();
         assert!(
             (250.0..500.0).contains(&kb),
             "TRACK working set {kb:.0} kB outside the paper's ~371 kB band"

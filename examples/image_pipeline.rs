@@ -11,6 +11,7 @@
 //! cargo run --release --example image_pipeline
 //! ```
 
+use fusion_repro::accel::DecodedTrace;
 use fusion_repro::core::runner::{run_system, SystemKind};
 use fusion_repro::energy::Component;
 use fusion_repro::workloads::{build_suite, Scale, SuiteId};
@@ -22,7 +23,7 @@ fn main() {
         workload.name,
         workload.phases.len(),
         workload.axc_count(),
-        workload.working_set(),
+        DecodedTrace::decode(&workload).working_set(),
     );
 
     println!(

@@ -4,6 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use fusion_repro::accel::DecodedTrace;
 use fusion_repro::core::runner::{run_system, SystemKind};
 use fusion_repro::workloads::{build_suite, Scale, SuiteId};
 
@@ -18,7 +19,7 @@ fn main() {
         workload.axc_count(),
         workload.phases.len(),
         workload.total_refs(),
-        workload.working_set(),
+        DecodedTrace::decode(&workload).working_set(),
     );
 
     // Run it on the FUSION coherent cache hierarchy.

@@ -1,6 +1,7 @@
 //! Cross-crate integration: consistency invariants that must hold across
 //! all four architectures for every workload.
 
+use fusion_repro::accel::DecodedTrace;
 use fusion_repro::core::runner::{run_system, SystemKind};
 use fusion_repro::energy::Component;
 use fusion_repro::types::SystemConfig;
@@ -87,7 +88,7 @@ fn memory_cold_misses_are_equal_across_systems() {
     // first-touch fills are identical, so counts must be within the
     // working set's block count of each other.
     let wl = build_suite(SuiteId::Adpcm, Scale::Tiny);
-    let blocks = wl.working_set().value() / 64;
+    let blocks = DecodedTrace::decode(&wl).working_set().value() / 64;
     let counts: Vec<u64> = ALL_SYSTEMS
         .iter()
         .map(|&k| {

@@ -2,15 +2,21 @@
 //! stay in the qualitative bands the paper reports. Generous tolerances —
 //! these pin the *shape* of each function's behaviour, not exact numbers.
 
-use fusion_repro::accel::analysis::{op_mix, sharing_degree};
+use fusion_repro::accel::analysis::{FunctionStats, OpMix};
+use fusion_repro::accel::DecodedTrace;
 use fusion_repro::workloads::{build_suite, Scale, SuiteId};
 
-fn mix(id: SuiteId, f: &str) -> fusion_repro::accel::analysis::OpMix {
-    op_mix(&build_suite(id, Scale::Small), f)
+fn stats(id: SuiteId, f: &str) -> FunctionStats {
+    let wl = build_suite(id, Scale::Small);
+    DecodedTrace::decode(&wl).trace_stats(&wl)[f].clone()
+}
+
+fn mix(id: SuiteId, f: &str) -> OpMix {
+    stats(id, f).op_mix()
 }
 
 fn shr(id: SuiteId, f: &str) -> f64 {
-    sharing_degree(&build_suite(id, Scale::Small), f)
+    stats(id, f).sharing_degree()
 }
 
 #[test]
