@@ -120,7 +120,7 @@ impl HostSide {
     }
 
     /// The first MESI invariant violation the runtime checker recorded,
-    /// if any (always `None` on the trusted path). Polled by the systems
+    /// if any (always `None` on the trusted path). Polled by the phase driver
     /// at phase boundaries.
     pub fn checker_violation(&self) -> Option<fusion_types::error::InvariantViolation> {
         self.dir.checker_violation()

@@ -5,15 +5,19 @@
 //! coherence protocols ([`fusion_coherence`]), virtual memory
 //! ([`fusion_vm`]), the DMA engine ([`fusion_dma`]), the accelerator
 //! engine ([`fusion_accel`]) and the energy model ([`fusion_energy`]) —
-//! into complete systems:
+//! into the four systems of [`runner::SystemKind`]:
 //!
-//! * [`systems::ScratchSystem`] — per-AXC scratchpads + oracle DMA
-//!   (Section 2.1, the ARM/IBM-style baseline),
-//! * [`systems::SharedSystem`] — one shared L1X as a plain MESI agent
-//!   (Section 2.1, the at-the-core baseline),
-//! * [`systems::FusionSystem`] — private L0Xs + shared L1X under the ACC
-//!   lease protocol (Section 3), optionally with FUSION-Dx write
-//!   forwarding (Section 3.2).
+//! * SCRATCH — per-AXC scratchpads + oracle DMA (Section 2.1, the
+//!   ARM/IBM-style baseline),
+//! * SHARED — one shared L1X as a plain MESI agent (Section 2.1, the
+//!   at-the-core baseline),
+//! * FUSION — private L0Xs + shared L1X under the ACC lease protocol
+//!   (Section 3), and FUSION-Dx, which adds write forwarding
+//!   (Section 3.2).
+//!
+//! The offloaded program is phase-sequential, so one phase driver replays
+//! every system; each system contributes only per-phase hooks for what
+//! happens inside an accelerator phase (DESIGN.md §5).
 //!
 //! [`runner::run_system`] executes a workload on a system and returns a
 //! [`result::SimResult`] with the cycle counts, the Figure 6a energy
@@ -45,7 +49,7 @@ pub mod memo;
 pub mod result;
 pub mod runner;
 pub mod sweep;
-pub mod systems;
+mod systems;
 
 pub use faults::{Fault, FaultPlan, SplitMix64};
 pub use journal::{

@@ -7,7 +7,6 @@ use fusion_types::error::{SimError, TimeoutKind};
 use fusion_types::{SystemConfig, CACHE_BLOCK_BYTES};
 
 use crate::result::SimResult;
-use crate::systems::{FusionSystem, ScratchSystem, SharedSystem};
 
 /// The four systems compared in Section 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -214,15 +213,9 @@ pub fn run_system_guarded(
     // lint:allow-wall-clock — measures wall_nanos for throughput reporting
     // only; no simulated state ever reads this clock (DESIGN.md §14).
     let started = std::time::Instant::now();
-    let mut res = match kind {
-        SystemKind::Scratch => ScratchSystem::new(cfg).run_guarded(workload, decoded, ctl)?,
-        SystemKind::Shared => SharedSystem::new(cfg).run_guarded(workload, decoded, ctl)?,
-        SystemKind::Fusion => FusionSystem::new(cfg).run_guarded(workload, decoded, ctl)?,
-        SystemKind::FusionDx => FusionSystem::new_dx(cfg).run_guarded(workload, decoded, ctl)?,
-    };
+    let mut res = crate::systems::simulate(kind, workload, decoded, cfg, ctl)?;
     res.metrics.wall_nanos = crate::result::duration_nanos_saturating(started.elapsed());
     res.metrics.sim_events = res.total_sim_events();
-    res.metrics.refs_simulated = decoded.total_refs();
     Ok(res)
 }
 
@@ -231,6 +224,13 @@ mod tests {
     use super::*;
     use fusion_types::fault::{CheckerConfig, ProtocolFaultKind};
     use fusion_workloads::{build_suite, Scale, SuiteId};
+
+    const ALL: [SystemKind; 4] = [
+        SystemKind::Scratch,
+        SystemKind::Shared,
+        SystemKind::Fusion,
+        SystemKind::FusionDx,
+    ];
 
     #[test]
     fn labels() {
@@ -242,12 +242,7 @@ mod tests {
     #[test]
     fn all_four_systems_run_one_workload() {
         let wl = build_suite(SuiteId::Filter, Scale::Tiny);
-        for kind in [
-            SystemKind::Scratch,
-            SystemKind::Shared,
-            SystemKind::Fusion,
-            SystemKind::FusionDx,
-        ] {
+        for kind in ALL {
             let res = run_system(kind, &wl, &SystemConfig::small()).unwrap();
             assert!(res.total_cycles > 0, "{kind}");
             assert!(res.memory_energy().value() > 0.0, "{kind}");
@@ -258,12 +253,7 @@ mod tests {
     fn decoded_path_matches_memref_path() {
         let wl = build_suite(SuiteId::Fft, Scale::Tiny);
         let decoded = DecodedTrace::decode(&wl);
-        for kind in [
-            SystemKind::Scratch,
-            SystemKind::Shared,
-            SystemKind::Fusion,
-            SystemKind::FusionDx,
-        ] {
+        for kind in ALL {
             let a = run_system(kind, &wl, &SystemConfig::small()).unwrap();
             let b = run_system_decoded(kind, &wl, &decoded, &SystemConfig::small()).unwrap();
             // SimResult equality covers every stat (metrics excluded).
@@ -311,24 +301,21 @@ mod tests {
     fn sim_cycle_budget_yields_timeout() {
         let wl = build_suite(SuiteId::Fft, Scale::Tiny);
         let decoded = DecodedTrace::decode(&wl);
-        let ctl = RunControl {
-            label: "FFT/FU",
-            max_sim_cycles: Some(10),
-            ..Default::default()
-        };
-        match run_system_guarded(
-            SystemKind::Fusion,
-            &wl,
-            &decoded,
-            &SystemConfig::small(),
-            &ctl,
-        ) {
-            Err(SimError::Timeout { job, kind, limit }) => {
-                assert_eq!(job, "FFT/FU");
-                assert_eq!(kind, TimeoutKind::SimCycleBudget);
-                assert_eq!(limit, 10);
+        for kind in ALL {
+            let label = format!("FFT/{kind}");
+            let ctl = RunControl {
+                label: &label,
+                max_sim_cycles: Some(10),
+                ..Default::default()
+            };
+            match run_system_guarded(kind, &wl, &decoded, &SystemConfig::small(), &ctl) {
+                Err(SimError::Timeout { job, kind, limit }) => {
+                    assert_eq!(job, label);
+                    assert_eq!(kind, TimeoutKind::SimCycleBudget);
+                    assert_eq!(limit, 10);
+                }
+                other => panic!("{kind}: expected Timeout, got {other:?}"),
             }
-            other => panic!("expected Timeout, got {other:?}"),
         }
     }
 
@@ -337,36 +324,27 @@ mod tests {
         let wl = build_suite(SuiteId::Fft, Scale::Tiny);
         let decoded = DecodedTrace::decode(&wl);
         let cancel = AtomicBool::new(true);
-        let ctl = RunControl {
-            label: "FFT/SC",
-            cancel: Some(&cancel),
-            wall_deadline_ms: 1234,
-            ..Default::default()
-        };
-        match run_system_guarded(
-            SystemKind::Scratch,
-            &wl,
-            &decoded,
-            &SystemConfig::small(),
-            &ctl,
-        ) {
-            Err(SimError::Timeout { kind, limit, .. }) => {
-                assert_eq!(kind, TimeoutKind::WallClock);
-                assert_eq!(limit, 1234);
+        for kind in ALL {
+            let ctl = RunControl {
+                label: "FFT",
+                cancel: Some(&cancel),
+                wall_deadline_ms: 1234,
+                ..Default::default()
+            };
+            match run_system_guarded(kind, &wl, &decoded, &SystemConfig::small(), &ctl) {
+                Err(SimError::Timeout { kind, limit, .. }) => {
+                    assert_eq!(kind, TimeoutKind::WallClock);
+                    assert_eq!(limit, 1234);
+                }
+                other => panic!("{kind}: expected Timeout, got {other:?}"),
             }
-            other => panic!("expected Timeout, got {other:?}"),
         }
     }
 
     #[test]
     fn clean_checker_run_matches_checker_off() {
         let wl = build_suite(SuiteId::Fft, Scale::Tiny);
-        for kind in [
-            SystemKind::Scratch,
-            SystemKind::Shared,
-            SystemKind::Fusion,
-            SystemKind::FusionDx,
-        ] {
+        for kind in ALL {
             let off = run_system(kind, &wl, &SystemConfig::small()).unwrap();
             let on_cfg = SystemConfig::small().with_checker(CheckerConfig::enabled());
             let on = run_system(kind, &wl, &on_cfg).unwrap();

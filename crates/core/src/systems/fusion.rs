@@ -1,21 +1,17 @@
 //! FUSION / FUSION-Dx: private L0Xs + shared L1X under the ACC protocol.
 
-use fusion_accel::ooo::{run_host_phase_indexed, OooParams};
-use fusion_accel::{run_phase_kind_runs, DecodedTrace, Workload};
+use fusion_accel::run_phase_kind_runs;
 use fusion_coherence::acc::{AccAccess, AccTile, TileTiming};
 use fusion_coherence::{ForwardRule, TileStats};
 use fusion_energy::{Component, EnergyLedger, EnergyModel};
-use fusion_types::error::SimError;
+use fusion_types::error::InvariantViolation;
 use fusion_types::hash::FxHashMap;
-use fusion_types::{
-    AccessKind, AxcId, BlockAddr, Cycle, PhysAddr, Pid, SystemConfig, CACHE_BLOCK_BYTES,
-};
+use fusion_types::{AccessKind, AxcId, BlockAddr, Cycle, PhysAddr, Pid, CACHE_BLOCK_BYTES};
 use fusion_vm::{AxRmap, L1xPointer, RmapOutcome};
 
 use crate::host::{HostSide, TileAgent};
-use crate::result::{PhaseResult, SimResult};
-use crate::runner::RunControl;
-use crate::systems::{charge_compute, EnergyMark};
+use crate::result::SimResult;
+use crate::systems::{PhaseHooks, Run};
 
 /// The accelerator tile plus its reverse map — the unit that answers
 /// forwarded host MESI requests (Figure 4, right).
@@ -62,72 +58,24 @@ impl TileAgent for FusionTile {
 /// producer→consumer stores are forwarded directly between L0Xs
 /// (FUSION-Dx, Section 3.2).
 #[derive(Debug)]
-pub struct FusionSystem {
-    cfg: SystemConfig,
+pub(super) struct FusionSystem {
+    state: FusionTile,
     dx: bool,
+    /// FUSION-Dx: forwarding directives grouped by producing phase —
+    /// a rule is armed only while its producing invocation runs.
+    /// Hot-map audit: built per simulation and probed on every access
+    /// in the forwarding fast path; FxHash keeps the probe cheap and the
+    /// iteration order deterministic.
+    rules_by_phase: FxHashMap<usize, FxHashMap<(Pid, BlockAddr), Vec<ForwardRule>>>,
+    /// Tile counters at the last energy charge.
+    stats_mark: TileStats,
 }
 
 impl FusionSystem {
-    /// Creates plain FUSION.
-    pub fn new(cfg: &SystemConfig) -> Self {
-        FusionSystem {
-            cfg: cfg.clone(),
-            dx: false,
-        }
-    }
-
-    /// Creates FUSION-Dx (write forwarding enabled).
-    pub fn new_dx(cfg: &SystemConfig) -> Self {
-        FusionSystem {
-            cfg: cfg.clone(),
-            dx: true,
-        }
-    }
-
-    /// Runs `workload` to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvariantViolation`] when the opt-in protocol
-    /// checker flags an ACC lease or MESI directory transition.
-    pub fn run(&mut self, workload: &Workload) -> Result<SimResult, SimError> {
-        self.run_decoded(workload, &DecodedTrace::decode(workload))
-    }
-
-    /// Runs `workload` replaying the pre-decoded stream `decoded` (which
-    /// must be `DecodedTrace::decode(workload)`; the sweep shares one
-    /// decoding across all systems and configurations).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FusionSystem::run`].
-    pub fn run_decoded(
-        &mut self,
-        workload: &Workload,
-        decoded: &DecodedTrace,
-    ) -> Result<SimResult, SimError> {
-        self.run_guarded(workload, decoded, &RunControl::default())
-    }
-
-    /// [`FusionSystem::run_decoded`] with watchdogs: `ctl` is polled at
-    /// every phase boundary (see DESIGN.md §10).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FusionSystem::run`], plus [`SimError::Timeout`] when a
-    /// watchdog in `ctl` fires.
-    pub fn run_guarded(
-        &mut self,
-        workload: &Workload,
-        decoded: &DecodedTrace,
-        ctl: &RunControl<'_>,
-    ) -> Result<SimResult, SimError> {
-        let cfg = &self.cfg;
-        let mut host = HostSide::new(cfg);
-        let em = host.energy_model().clone();
-        let mut ledger = EnergyLedger::new();
+    /// Builds FUSION, or FUSION-Dx (write forwarding enabled) when `dx`.
+    pub(super) fn for_run(run: &Run<'_>, dx: bool) -> Self {
+        let (cfg, workload) = (run.cfg, run.workload);
         let pid = workload.pid;
-
         let timing = TileTiming {
             l0_latency: cfg.l0x.latency,
             l1_latency: cfg.l1x.latency,
@@ -143,7 +91,7 @@ impl FusionSystem {
                 cfg.write_policy,
             ),
             rmap: AxRmap::new(),
-            energy: em.clone(),
+            energy: run.em.clone(),
             streams: vec![Vec::new(); workload.axc_count().max(1)],
             prefetch_degree: cfg.l1x_prefetch_degree,
         };
@@ -151,16 +99,11 @@ impl FusionSystem {
         if cfg.checker.enabled {
             state.tile.enable_checker(cfg.checker.acc_fault);
         }
-        // FUSION-Dx: forwarding directives grouped by producing phase —
-        // a rule is armed only while its producing invocation runs.
-        // Hot-map audit: built per simulation and probed on every access
-        // in the forwarding fast path; FxHash keeps the probe cheap and the
-        // iteration order deterministic.
         let mut rules_by_phase: FxHashMap<usize, FxHashMap<(Pid, BlockAddr), Vec<ForwardRule>>> =
             FxHashMap::default();
-        if self.dx {
+        if dx {
             // Per-function epoch lengths for the forwarded copies.
-            let lease_of = |axc: fusion_types::AxcId| {
+            let lease_of = |axc: AxcId| {
                 workload
                     .phases
                     .iter()
@@ -172,7 +115,7 @@ impl FusionSystem {
             // memoized on the shared decoded trace (see `DecodedTrace::
             // forward_pairs`), so repeat runs and the sweep's untimed
             // decode stage pay for it once.
-            for &p in decoded.forward_pairs(workload, cfg.l0x.blocks()).iter() {
+            for &p in run.decoded.forward_pairs(workload, cfg.l0x.blocks()).iter() {
                 // A forwarded copy only lives for the consumer's epoch
                 // length, so forwarding pays off only when the consumer is
                 // the very next invocation.
@@ -192,127 +135,101 @@ impl FusionSystem {
                     });
             }
         }
-
-        let mut now = Cycle::ZERO;
-        let mut phases_out = Vec::new();
-        let mut latency = fusion_sim::Histogram::new();
-        let mut stats_mark = *state.tile.stats();
-
-        for (phase_idx, phase) in workload.phases.iter().enumerate() {
-            let start = now;
-            let mark = EnergyMark::take(&ledger);
-            charge_compute(&mut ledger, &phase.ops, &em);
-            state
-                .tile
-                .set_forward_rules(rules_by_phase.get(&phase_idx).cloned().unwrap_or_default());
-
-            let dp = decoded.phase(phase_idx);
-            match phase.unit.axc() {
-                None => {
-                    let t = run_host_phase_indexed(
-                        dp.len(),
-                        |j| dp.gaps[j],
-                        |j| dp.kinds[j].is_write(),
-                        OooParams::default(),
-                        now,
-                        |j, at| {
-                            host.host_access(
-                                pid,
-                                dp.blocks[j],
-                                dp.kinds[j],
-                                at,
-                                &mut ledger,
-                                &mut state,
-                            )
-                        },
-                    );
-                    now = t.end;
-                }
-                Some(axc) => {
-                    let lease = phase.lease;
-                    // Kind-sorted chunked replay: the access kind is
-                    // reconstructed once per same-kind run (lossless —
-                    // `AccessKind` is exactly {Load, Store}), so the hot
-                    // loop never loads the per-ref kind lane.
-                    let t = run_phase_kind_runs(
-                        dp.len(),
-                        |j| dp.gaps[j],
-                        phase.mlp,
-                        now,
-                        decoded.phase_kind_runs(phase_idx).iter().copied(),
-                        |j, at, is_write| {
-                            let kind = if is_write {
-                                AccessKind::Store
-                            } else {
-                                AccessKind::Load
-                            };
-                            let done = tile_access(
-                                &mut state,
-                                &mut host,
-                                &mut ledger,
-                                axc,
-                                pid,
-                                dp.blocks[j],
-                                kind,
-                                at,
-                                lease,
-                            );
-                            latency.record(done - at);
-                            done
-                        },
-                    );
-                    now = t.end;
-                    // Invocation complete: expected-latency epochs end now.
-                    state.tile.downgrade_all(axc, pid, now);
-                }
-            }
-
-            charge_tile_delta(&mut ledger, &em, &mut stats_mark, state.tile.stats());
-            phases_out.push(PhaseResult {
-                name: phase.name.clone(),
-                is_host: phase.unit.is_host(),
-                cycles: now - start,
-                dma_cycles: 0,
-                memory_energy: mark.memory_since(&ledger),
-                compute_energy: mark.compute_since(&ledger),
-            });
-            ctl.check(now.value())?;
-            if cfg.checker.enabled {
-                if let Some(v) = state.tile.checker_violation() {
-                    return Err(v.into());
-                }
-                if let Some(v) = host.checker_violation() {
-                    return Err(v.into());
-                }
-            }
+        let stats_mark = *state.tile.stats();
+        FusionSystem {
+            state,
+            dx,
+            rules_by_phase,
+            stats_mark,
         }
+    }
+}
 
+impl PhaseHooks for FusionSystem {
+    fn agent(&mut self) -> &mut dyn TileAgent {
+        &mut self.state
+    }
+
+    fn before_phase(&mut self, idx: usize) {
+        self.state
+            .tile
+            .set_forward_rules(self.rules_by_phase.get(&idx).cloned().unwrap_or_default());
+    }
+
+    fn accel_phase(
+        &mut self,
+        run: &mut Run<'_>,
+        phase_idx: usize,
+        axc: AxcId,
+        now: Cycle,
+    ) -> (Cycle, u64) {
+        let decoded = run.decoded;
+        let (host, ledger, latency) = (&mut run.host, &mut run.ledger, &mut run.latency);
+        let state = &mut self.state;
+        let phase = &run.workload.phases[phase_idx];
+        let pid = run.workload.pid;
+        let dp = decoded.phase(phase_idx);
+        let lease = phase.lease;
+        // Kind-sorted chunked replay: the access kind is
+        // reconstructed once per same-kind run (lossless —
+        // `AccessKind` is exactly {Load, Store}), so the hot
+        // loop never loads the per-ref kind lane.
+        let t = run_phase_kind_runs(
+            dp.len(),
+            |j| dp.gaps[j],
+            phase.mlp,
+            now,
+            decoded.phase_kind_runs(phase_idx).iter().copied(),
+            |j, at, is_write| {
+                let kind = if is_write {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
+                };
+                let done =
+                    tile_access(state, host, ledger, axc, pid, dp.blocks[j], kind, at, lease);
+                latency.record(done - at);
+                done
+            },
+        );
+        // Invocation complete: expected-latency epochs end now.
+        state.tile.downgrade_all(axc, pid, t.end);
+        (t.end, 0)
+    }
+
+    fn after_phase(&mut self, run: &mut Run<'_>) {
+        let stats = self.state.tile.stats();
+        charge_tile_delta(&mut run.ledger, &run.em, &mut self.stats_mark, stats);
+    }
+
+    fn checker_violation(&self) -> Option<InvariantViolation> {
+        self.state.tile.checker_violation()
+    }
+
+    fn finish(&mut self, run: &mut Run<'_>, now: Cycle) {
         // End of program: flush the tile back to the host's coherence
         // space.
-        for ev in state.tile.flush_all(now) {
-            if let Some(pa) = host.tile_eviction(ev.pid, ev.block, ev.dirty, &mut ledger) {
-                state.rmap.unregister(pa);
+        let (host, ledger) = (&mut run.host, &mut run.ledger);
+        for ev in self.state.tile.flush_all(now) {
+            if let Some(pa) = host.tile_eviction(ev.pid, ev.block, ev.dirty, ledger) {
+                self.state.rmap.unregister(pa);
             }
         }
-        charge_tile_delta(&mut ledger, &em, &mut stats_mark, state.tile.stats());
+        // Charge the flush's tile activity.
+        self.after_phase(run);
+    }
 
-        Ok(SimResult {
-            system: if self.dx { "FUSION-Dx" } else { "FUSION" },
-            workload: workload.name.clone(),
-            total_cycles: now.value(),
-            dma_cycles: 0,
-            ax_tlb_lookups: host.ax_tlb_lookups(),
-            ax_rmap_lookups: state.rmap.lookups(),
-            host_forwards: host.host_forwards(),
-            dma_blocks: 0,
-            dma_transfers: 0,
-            l2_accesses: host.l2_accesses(),
-            energy: ledger,
-            phases: phases_out,
-            tile: Some(*state.tile.stats()),
-            latency,
-            metrics: Default::default(),
-        })
+    fn label(&self) -> &'static str {
+        if self.dx {
+            "FUSION-Dx"
+        } else {
+            "FUSION"
+        }
+    }
+
+    fn report(&self, res: &mut SimResult) {
+        res.ax_rmap_lookups = self.state.rmap.lookups();
+        res.tile = Some(*self.state.tile.stats());
     }
 }
 
@@ -462,8 +379,9 @@ fn charge_tile_delta(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::systems::{ScratchSystem, SharedSystem};
+    use crate::runner::{run_system, SystemKind};
+    use fusion_energy::Component;
+    use fusion_types::SystemConfig;
     use fusion_workloads::{build_suite, Scale, SuiteId};
 
     fn cfg() -> SystemConfig {
@@ -474,7 +392,7 @@ mod tests {
     fn runs_all_tiny_suites() {
         for id in fusion_workloads::all_suites() {
             let wl = build_suite(id, Scale::Tiny);
-            let res = FusionSystem::new(&cfg()).run(&wl).unwrap();
+            let res = run_system(SystemKind::Fusion, &wl, &cfg()).unwrap();
             assert!(res.total_cycles > 0, "{id}");
             let tile = res.tile.expect("fusion reports tile stats");
             assert!(tile.l0_accesses > 0, "{id}");
@@ -486,7 +404,7 @@ mod tests {
         // Lesson 3: the L0X filters ~80 % of accesses for FFT-class
         // locality.
         let wl = build_suite(SuiteId::Fft, Scale::Tiny);
-        let res = FusionSystem::new(&cfg()).run(&wl).unwrap();
+        let res = run_system(SystemKind::Fusion, &wl, &cfg()).unwrap();
         let t = res.tile.unwrap();
         let filtered = 1.0 - (t.msgs_l0_to_l1 as f64 / t.l0_accesses as f64);
         assert!(filtered > 0.6, "L0X filtered only {:.0}%", filtered * 100.0);
@@ -495,8 +413,8 @@ mod tests {
     #[test]
     fn fusion_faster_than_scratch_on_sharing_heavy_suites() {
         let wl = build_suite(SuiteId::Fft, Scale::Tiny);
-        let fu = FusionSystem::new(&cfg()).run(&wl).unwrap();
-        let sc = ScratchSystem::new(&cfg()).run(&wl).unwrap();
+        let fu = run_system(SystemKind::Fusion, &wl, &cfg()).unwrap();
+        let sc = run_system(SystemKind::Scratch, &wl, &cfg()).unwrap();
         assert!(
             fu.total_cycles < sc.total_cycles,
             "FUSION {} !< SCRATCH {}",
@@ -511,8 +429,8 @@ mod tests {
         // L0X recovers the loss. Small scale — at Tiny the margin is
         // within the fill-latency noise.
         let wl = build_suite(SuiteId::Adpcm, Scale::Small);
-        let fu = FusionSystem::new(&cfg()).run(&wl).unwrap();
-        let sh = SharedSystem::new(&cfg()).run(&wl).unwrap();
+        let fu = run_system(SystemKind::Fusion, &wl, &cfg()).unwrap();
+        let sh = run_system(SystemKind::Shared, &wl, &cfg()).unwrap();
         assert!(
             fu.total_cycles < sh.total_cycles,
             "FUSION {} !< SHARED {}",
@@ -524,8 +442,8 @@ mod tests {
     #[test]
     fn dx_forwards_blocks_and_saves_link_energy() {
         let wl = build_suite(SuiteId::Fft, Scale::Tiny);
-        let fu = FusionSystem::new(&cfg()).run(&wl).unwrap();
-        let dx = FusionSystem::new_dx(&cfg()).run(&wl).unwrap();
+        let fu = run_system(SystemKind::Fusion, &wl, &cfg()).unwrap();
+        let dx = run_system(SystemKind::FusionDx, &wl, &cfg()).unwrap();
         let fwd = dx.tile.unwrap().fwd_l0_to_l0;
         assert!(fwd > 0, "FUSION-Dx forwarded no blocks");
         let fu_link = fu.energy.link_total();
@@ -540,7 +458,7 @@ mod tests {
     fn host_phase_forwards_through_rmap() {
         // TRACK's host phase consumes tile-produced data.
         let wl = build_suite(SuiteId::Tracking, Scale::Tiny);
-        let res = FusionSystem::new(&cfg()).run(&wl).unwrap();
+        let res = run_system(SystemKind::Fusion, &wl, &cfg()).unwrap();
         assert!(res.host_forwards > 0);
         assert!(res.ax_rmap_lookups > 0);
         assert!(res.ax_tlb_lookups > 0);
@@ -550,9 +468,9 @@ mod tests {
     fn write_through_multiplies_link_traffic() {
         // Lesson 5 / Table 4.
         let wl = build_suite(SuiteId::Adpcm, Scale::Tiny);
-        let wb = FusionSystem::new(&cfg()).run(&wl).unwrap();
+        let wb = run_system(SystemKind::Fusion, &wl, &cfg()).unwrap();
         let wt_cfg = cfg().with_write_policy(fusion_types::WritePolicy::WriteThrough);
-        let wt = FusionSystem::new(&wt_cfg).run(&wl).unwrap();
+        let wt = run_system(SystemKind::Fusion, &wl, &wt_cfg).unwrap();
         let wb_flits = wb.traffic().flits_axc_l1x.value();
         let wt_flits = wt.traffic().flits_axc_l1x.value();
         assert!(
@@ -566,9 +484,9 @@ mod tests {
         // Extension: the stream prefetcher converts most cold streaming
         // misses into L1X hits at near-perfect accuracy.
         let wl = build_suite(SuiteId::Tracking, Scale::Small);
-        let base = FusionSystem::new(&cfg()).run(&wl).unwrap();
+        let base = run_system(SystemKind::Fusion, &wl, &cfg()).unwrap();
         let pf_cfg = cfg().with_l1x_prefetch(4);
-        let pf = FusionSystem::new(&pf_cfg).run(&wl).unwrap();
+        let pf = run_system(SystemKind::Fusion, &wl, &pf_cfg).unwrap();
         let t = pf.tile.unwrap();
         assert!(
             t.prefetch_installs > 100,
@@ -590,7 +508,7 @@ mod tests {
     #[test]
     fn latency_histogram_covers_all_accelerator_refs() {
         let wl = build_suite(SuiteId::Filter, Scale::Tiny);
-        let res = FusionSystem::new(&cfg()).run(&wl).unwrap();
+        let res = run_system(SystemKind::Fusion, &wl, &cfg()).unwrap();
         let axc_refs: u64 = wl
             .phases
             .iter()
@@ -606,7 +524,7 @@ mod tests {
     #[test]
     fn energy_breakdown_has_expected_components() {
         let wl = build_suite(SuiteId::Disparity, Scale::Tiny);
-        let res = FusionSystem::new(&cfg()).run(&wl).unwrap();
+        let res = run_system(SystemKind::Fusion, &wl, &cfg()).unwrap();
         for c in [
             Component::AxcCache,
             Component::L1x,

@@ -38,6 +38,11 @@ fn phase_cycles_partition_total() {
                 sum, res.total_cycles,
                 "{id}/{kind}: phase cycles don't partition the total"
             );
+            let dma: u64 = res.phases.iter().map(|p| p.dma_cycles).sum();
+            assert_eq!(
+                dma, res.dma_cycles,
+                "{id}/{kind}: phase DMA cycles don't sum to the run's"
+            );
         }
     }
 }

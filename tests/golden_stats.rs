@@ -1,5 +1,5 @@
 //! Golden-stats snapshots: the committed `sim run --json` output for every
-//! system on four suites at `Scale::Small` must reproduce byte-for-byte.
+//! system on every suite at `Scale::Small` must reproduce byte-for-byte.
 //!
 //! The snapshots under `tests/golden/` were captured before the hot-path
 //! overhaul (shared decoded traces, FxHash maps, pow2 index masks), so
@@ -11,13 +11,14 @@
 //! FFT and ADPCM never fill the 32-entry AX-TLB; HIST and TRACK do
 //! (SHARED HIST takes 126 AX-TLB misses), so their snapshots pin TLB
 //! replacement as well. They were captured before the TLB became an
-//! exact LRU stack.
+//! exact LRU stack. The DISP, FILT and SUSAN snapshots were captured
+//! before the four systems moved under one phase driver.
 
 use fusion_core::{run_system, SystemKind};
 use fusion_types::{CheckerConfig, SystemConfig};
-use fusion_workloads::{build_suite, Scale, SuiteId};
+use fusion_workloads::{all_suites, build_suite, Scale, SuiteId};
 
-const CASES: [(&str, SuiteId, &str, SystemKind, &str); 16] = [
+const CASES: [(&str, SuiteId, &str, SystemKind, &str); 28] = [
     (
         "fft",
         SuiteId::Fft,
@@ -130,6 +131,90 @@ const CASES: [(&str, SuiteId, &str, SystemKind, &str); 16] = [
         SystemKind::FusionDx,
         include_str!("golden/track_fu-dx.json"),
     ),
+    (
+        "disp",
+        SuiteId::Disparity,
+        "sc",
+        SystemKind::Scratch,
+        include_str!("golden/disp_sc.json"),
+    ),
+    (
+        "disp",
+        SuiteId::Disparity,
+        "sh",
+        SystemKind::Shared,
+        include_str!("golden/disp_sh.json"),
+    ),
+    (
+        "disp",
+        SuiteId::Disparity,
+        "fu",
+        SystemKind::Fusion,
+        include_str!("golden/disp_fu.json"),
+    ),
+    (
+        "disp",
+        SuiteId::Disparity,
+        "fu-dx",
+        SystemKind::FusionDx,
+        include_str!("golden/disp_fu-dx.json"),
+    ),
+    (
+        "filt",
+        SuiteId::Filter,
+        "sc",
+        SystemKind::Scratch,
+        include_str!("golden/filt_sc.json"),
+    ),
+    (
+        "filt",
+        SuiteId::Filter,
+        "sh",
+        SystemKind::Shared,
+        include_str!("golden/filt_sh.json"),
+    ),
+    (
+        "filt",
+        SuiteId::Filter,
+        "fu",
+        SystemKind::Fusion,
+        include_str!("golden/filt_fu.json"),
+    ),
+    (
+        "filt",
+        SuiteId::Filter,
+        "fu-dx",
+        SystemKind::FusionDx,
+        include_str!("golden/filt_fu-dx.json"),
+    ),
+    (
+        "susan",
+        SuiteId::Susan,
+        "sc",
+        SystemKind::Scratch,
+        include_str!("golden/susan_sc.json"),
+    ),
+    (
+        "susan",
+        SuiteId::Susan,
+        "sh",
+        SystemKind::Shared,
+        include_str!("golden/susan_sh.json"),
+    ),
+    (
+        "susan",
+        SuiteId::Susan,
+        "fu",
+        SystemKind::Fusion,
+        include_str!("golden/susan_fu.json"),
+    ),
+    (
+        "susan",
+        SuiteId::Susan,
+        "fu-dx",
+        SystemKind::FusionDx,
+        include_str!("golden/susan_fu-dx.json"),
+    ),
 ];
 
 #[test]
@@ -171,13 +256,13 @@ fn checker_enabled_runs_match_the_golden_snapshots() {
 
 #[test]
 fn golden_snapshots_cover_every_system_on_every_suite() {
-    for suite in ["fft", "adpcm", "hist", "track"] {
+    for suite in all_suites() {
         let mut labels: Vec<&str> = CASES
             .iter()
-            .filter(|c| c.0 == suite)
+            .filter(|c| c.1 == suite)
             .map(|c| c.3.label())
             .collect();
         labels.sort_unstable();
-        assert_eq!(labels, ["FU", "FU-Dx", "SC", "SH"]);
+        assert_eq!(labels, ["FU", "FU-Dx", "SC", "SH"], "{suite}");
     }
 }
