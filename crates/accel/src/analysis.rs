@@ -144,10 +144,12 @@ pub(crate) fn trace_stats(trace: &DecodedTrace, workload: &Workload) -> TraceSta
         let phases = workload.phases.iter().enumerate();
         for (idx, _) in phases.filter(|(_, p)| !p.unit.is_host() && p.name == *name) {
             let dp = trace.phase(idx);
+            let mut stores = 0;
             for (&o, kind) in dp.ordinals.iter().zip(dp.kinds) {
                 let o = o as usize;
                 if kind.is_write() {
                     flags[o] |= DIRTY;
+                    stores += 1;
                 }
                 if last[o] == f {
                     continue;
@@ -158,12 +160,6 @@ pub(crate) fn trace_stats(trace: &DecodedTrace, workload: &Workload) -> TraceSta
                 last[o] = f;
                 stats.blocks += 1;
             }
-            let stores: usize = trace
-                .phase_kind_runs(idx)
-                .iter()
-                .filter(|r| r.is_write)
-                .map(|r| r.len)
-                .sum();
             stats.stores += stores as u64;
             stats.loads += (dp.len() - stores) as u64;
             stats.ops += trace.phase_ops(idx);

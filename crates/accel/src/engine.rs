@@ -68,16 +68,15 @@ pub fn run_phase(
 }
 
 /// [`run_phase`] over a decoded phase ([`crate::trace::DecodedTrace`]),
-/// driven by precomputed same-kind chunks ([`KindRun`], from
-/// [`crate::trace::DecodedTrace::phase_kind_runs`]): the reference stream
-/// is described by `gap_of(i)` and replayed through `access(i, now,
-/// is_write)` instead of materialized `MemRef`s. The timing model is
-/// identical — references still issue in program order, one per issue
-/// slot — but the load/store dispatch happens once per *run* instead of
-/// once per reference. `access` receives the run-constant `is_write` as
-/// its third argument, so the data-dependent per-ref kind lookup (and its
-/// unpredictable branch) vanishes from the hot loop; what remains
-/// branches the same way for the whole chunk.
+/// driven by same-kind chunks ([`KindRun`], found on the phase's kind lane
+/// by [`crate::trace::kind_runs_of`]): the reference stream is described
+/// by `gap_of(i)` and replayed through `access(i, now, is_write)` instead
+/// of materialized `MemRef`s. The timing model is identical — references
+/// still issue in program order, one per issue slot — but the load/store
+/// dispatch happens once per *run* instead of once per reference.
+/// `access` receives the run-constant `is_write` as its third argument,
+/// so the branch it takes on the kind goes the same way for the whole
+/// chunk.
 ///
 /// `runs` must tile `[0, len)` exactly, in order — debug-asserted.
 ///

@@ -33,5 +33,5 @@ pub mod trace;
 pub use engine::{run_phase, run_phase_kind_runs, PhaseTiming};
 pub use record::Recorder;
 pub use trace::{
-    clip_kind_runs, DecodedPhase, DecodedTrace, KindRun, MemRef, OpCounts, Phase, Workload,
+    kind_runs_of, DecodedPhase, DecodedTrace, KindRun, MemRef, OpCounts, Phase, Workload,
 };

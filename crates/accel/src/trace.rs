@@ -147,6 +147,9 @@ impl Workload {
 /// analyses index flat per-block arrays by ordinal instead of probing a
 /// hash map per reference.
 ///
+/// No same-kind runs are stored: [`kind_runs_of`] finds them on the kind
+/// lane as a replay consumes them.
+///
 /// Decoding is lossless for timing purposes: the decoded replay loops
 /// ([`crate::engine::run_phase_kind_runs`],
 /// [`crate::ooo::run_host_phase_indexed`]) consume the same field values in
@@ -163,10 +166,6 @@ pub struct DecodedTrace {
     phase_offsets: Vec<usize>,
     // op_prefix[i] = summed op counts of phases 0..i; len = phases+1.
     op_prefix: Vec<OpCounts>,
-    // Kind-sorted chunking: maximal same-kind runs of each phase, flat,
-    // with run_offsets[i]..run_offsets[i+1] phase i's slice; len = phases+1.
-    kind_runs: Vec<KindRun>,
-    run_offsets: Vec<usize>,
     analysis: AnalysisCache,
 }
 
@@ -180,22 +179,22 @@ impl Clone for DecodedTrace {
             ordinal_blocks: self.ordinal_blocks.clone(),
             phase_offsets: self.phase_offsets.clone(),
             op_prefix: self.op_prefix.clone(),
-            kind_runs: self.kind_runs.clone(),
-            run_offsets: self.run_offsets.clone(),
             // Derived data: the clone re-computes (or re-shares) on demand.
             analysis: AnalysisCache::default(),
         }
     }
 }
 
-/// A maximal run of consecutive same-kind references within one phase
-/// (positions are phase-local). Precomputed at decode time so the replay
-/// loops dispatch per *run* instead of testing the kind per reference —
-/// the branch that remains inside the hot loop becomes run-constant and
-/// therefore perfectly predicted ([`crate::engine::run_phase_kind_runs`]).
+/// A maximal run of consecutive same-kind references within one phase or
+/// DMA window (positions are relative to its start), as
+/// [`kind_runs_of`] finds them. The replay loops dispatch per *run*
+/// instead of testing the kind per reference — the branch that remains
+/// inside the hot loop becomes run-constant and therefore perfectly
+/// predicted ([`crate::engine::run_phase_kind_runs`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KindRun {
-    /// First reference of the run, relative to the phase start.
+    /// First reference of the run, relative to the phase (or window)
+    /// start.
     pub start: usize,
     /// Number of references in the run (always at least 1).
     pub len: usize,
@@ -211,32 +210,30 @@ impl KindRun {
     }
 }
 
-/// Clips phase-local `runs` to the window `[lo, hi)` and rebases them to
-/// window-local positions — the SCRATCH replay slices each oracle DMA
-/// window out of its phase and indexes from the window start.
+/// The maximal same-kind runs of `kinds`, in order, found as they are
+/// consumed: they tile `[0, kinds.len())`, consecutive runs alternate
+/// kind, and empty input yields none.
 ///
-/// `runs` must be sorted by `start` and non-overlapping, as
-/// [`DecodedTrace::phase_kind_runs`] returns them (the runs tile their
-/// phase). The window's first run is found by binary search, so a clip
-/// costs O(log runs + clipped runs) rather than a scan of the whole phase.
-pub fn clip_kind_runs(
-    runs: &[KindRun],
-    lo: usize,
-    hi: usize,
-) -> impl Iterator<Item = KindRun> + '_ {
-    let first = runs.partition_point(|r| r.end() <= lo);
-    runs[first..]
-        .iter()
-        .take_while(move |r| r.start < hi)
-        .map(move |r| {
-            let s = r.start.max(lo);
-            let e = r.end().min(hi);
-            KindRun {
-                start: s - lo,
-                len: e - s,
-                is_write: r.is_write,
-            }
-        })
+/// The decoded trace stores no runs: the suites average about two
+/// references per run, so a stored 24-byte run would replace about two
+/// one-byte kinds. Scanning the kind lane of the phase (or DMA window)
+/// being replayed costs one pass over bytes the replay touches anyway.
+pub fn kind_runs_of(kinds: &[AccessKind]) -> impl Iterator<Item = KindRun> + '_ {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let kind = *kinds.get(start)?;
+        let len = 1 + kinds[start + 1..]
+            .iter()
+            .take_while(|&&k| k == kind)
+            .count();
+        let run = KindRun {
+            start,
+            len,
+            is_write: kind.is_write(),
+        };
+        start += len;
+        Some(run)
+    })
 }
 
 /// Memoized trace post-processing, keyed by the configuration parameter
@@ -282,9 +279,6 @@ impl DecodedTrace {
         let mut op_prefix = Vec::with_capacity(workload.phases.len() + 1);
         phase_offsets.push(0);
         op_prefix.push(OpCounts::default());
-        let mut kind_runs = Vec::new();
-        let mut run_offsets = Vec::with_capacity(workload.phases.len() + 1);
-        run_offsets.push(0);
         let mut ops = OpCounts::default();
         for p in &workload.phases {
             for r in &p.refs {
@@ -299,22 +293,6 @@ impl DecodedTrace {
                     o
                 }));
             }
-            // Run-length-encode the phase's kinds into maximal same-kind
-            // chunks (phase-local positions).
-            let mut j = 0usize;
-            while j < p.refs.len() {
-                let is_write = p.refs[j].kind.is_write();
-                let start = j;
-                while j < p.refs.len() && p.refs[j].kind.is_write() == is_write {
-                    j += 1;
-                }
-                kind_runs.push(KindRun {
-                    start,
-                    len: j - start,
-                    is_write,
-                });
-            }
-            run_offsets.push(kind_runs.len());
             phase_offsets.push(blocks.len());
             ops += p.ops;
             op_prefix.push(ops);
@@ -327,8 +305,6 @@ impl DecodedTrace {
             ordinal_blocks,
             phase_offsets,
             op_prefix,
-            kind_runs,
-            run_offsets,
             analysis: AnalysisCache::default(),
         }
     }
@@ -437,14 +413,16 @@ impl DecodedTrace {
         }
     }
 
-    /// The precomputed same-kind runs of phase `idx` (phase-local
-    /// positions), for [`crate::engine::run_phase_kind_runs`].
+    /// The same-kind runs of phase `idx` (phase-local positions),
+    /// collected from [`kind_runs_of`]. The replay loops stream
+    /// `kind_runs_of(phase.kinds)` instead; this collected form is kept
+    /// for the `perf` harness's engine pass, which iterates it.
     ///
     /// # Panics
     ///
     /// Panics if `idx >= phase_count()`.
-    pub fn phase_kind_runs(&self, idx: usize) -> &[KindRun] {
-        &self.kind_runs[self.run_offsets[idx]..self.run_offsets[idx + 1]]
+    pub fn phase_kind_runs(&self, idx: usize) -> Vec<KindRun> {
+        kind_runs_of(self.phase(idx).kinds).collect()
     }
 
     /// Op counts of phase `idx` (recovered from the prefix sums).
@@ -662,6 +640,59 @@ mod tests {
         assert_eq!(d.phase_ops(0), p1.ops);
         assert_eq!(d.phase_ops(1), p2.ops);
         assert_eq!(d.total_ops(), p1.ops + p2.ops);
+    }
+
+    #[test]
+    fn kind_runs_are_maximal_alternating_and_tile_the_input() {
+        use AccessKind::{Load as L, Store as S};
+        assert_eq!(kind_runs_of(&[]).count(), 0);
+        let run = |start, len, is_write| KindRun {
+            start,
+            len,
+            is_write,
+        };
+        let kinds = [L, L, L, L, S, L, S, S, S, L];
+        let runs: Vec<KindRun> = kind_runs_of(&kinds).collect();
+        assert_eq!(
+            runs,
+            [
+                run(0, 4, false),
+                run(4, 1, true),
+                run(5, 1, false),
+                run(6, 3, true),
+                run(9, 1, false),
+            ]
+        );
+        // Every prefix of a sticky pseudo-random stream: the runs tile it,
+        // each is non-empty and uniform, and neighbours differ in kind.
+        let mut x = 0x2545_F491u32;
+        let stream: Vec<AccessKind> = (0..300)
+            .scan(L, |kind, _| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                if x.is_multiple_of(3) {
+                    *kind = if *kind == L { S } else { L };
+                }
+                Some(*kind)
+            })
+            .collect();
+        for n in 0..=stream.len() {
+            let kinds = &stream[..n];
+            let mut next = 0;
+            let mut prev: Option<bool> = None;
+            for r in kind_runs_of(kinds) {
+                assert_eq!(r.start, next);
+                assert!(r.len > 0);
+                assert!(kinds[r.start..r.end()]
+                    .iter()
+                    .all(|k| k.is_write() == r.is_write));
+                assert_ne!(prev, Some(r.is_write), "adjacent runs must differ");
+                prev = Some(r.is_write);
+                next = r.end();
+            }
+            assert_eq!(next, n);
+        }
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! `decode` measures the one-time cost of flattening a workload into the
 //! [`fusion_accel::DecodedTrace`] SoA layout; `replay_memref` drives the
 //! issue engine straight off materialized `MemRef`s; `replay_decoded`
-//! drives the same engine off the decoded arrays and kind runs the way the
-//! sweep does.
+//! drives the same engine off the decoded arrays, finding kind runs on the
+//! kind lane the way the sweep does.
 //! The two replay numbers bound the per-run win of sharing one decode
 //! across a whole sweep grid.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fusion_accel::{run_phase, run_phase_kind_runs, DecodedTrace};
+use fusion_accel::{kind_runs_of, run_phase, run_phase_kind_runs, DecodedTrace};
 use fusion_types::Cycle;
 use fusion_workloads::{build_suite, Scale, SuiteId};
 
@@ -46,7 +46,7 @@ fn bench(c: &mut Criterion) {
                     |i| dp.gaps[i],
                     mlp,
                     Cycle::ZERO,
-                    decoded.phase_kind_runs(idx).iter().copied(),
+                    kind_runs_of(dp.kinds),
                     |_i, now, is_write| now + 4 + (is_write as u64),
                 );
                 cycles += t.cycles();

@@ -5,7 +5,7 @@
 
 use std::time::Instant;
 
-use fusion_accel::DecodedTrace;
+use fusion_accel::{kind_runs_of, DecodedTrace};
 use fusion_core::result::duration_nanos_saturating;
 use fusion_core::runner::{run_system_decoded, SystemKind};
 use fusion_types::SystemConfig;
@@ -16,23 +16,46 @@ fn main() {
     if arg1.as_deref() == Some("mix") {
         // Print the host/accelerator reference mix per suite: slow rows
         // whose refs are mostly host-side point at `host_access`, not the
-        // tile hot loop.
+        // tile hot loop. Also the same-kind runs the replay finds over
+        // every phase's kind lane and their mean length: a stored run
+        // (24 bytes) would pay only where refs per run is large.
+        let scale = match std::env::args().nth(2).as_deref() {
+            None | Some("small") => Scale::Small,
+            Some("tiny") => Scale::Tiny,
+            Some("paper") => Scale::Paper,
+            Some(other) => {
+                eprintln!("profile_hot mix: unknown scale {other:?} (tiny, small, paper)");
+                std::process::exit(2);
+            }
+        };
+        let (mut all_refs, mut all_runs) = (0usize, 0usize);
         for suite in SuiteId::ALL {
-            let wl = build_suite(suite, Scale::Small);
-            let (mut host, mut axc) = (0u64, 0u64);
-            for p in &wl.phases {
+            let wl = build_suite(suite, scale);
+            let decoded = DecodedTrace::decode(&wl);
+            let (mut host, mut axc, mut runs) = (0u64, 0u64, 0usize);
+            for (idx, p) in wl.phases.iter().enumerate() {
                 let n = p.refs.len() as u64;
                 if p.unit.is_host() {
                     host += n;
                 } else {
                     axc += n;
                 }
+                runs += kind_runs_of(decoded.phase(idx).kinds).count();
             }
+            let refs = (host + axc) as usize;
             println!(
-                "{suite:?}: {host} host + {axc} axc refs ({:.1}% host)",
-                host as f64 * 100.0 / (host + axc) as f64
+                "{suite:?}: {host} host + {axc} axc refs ({:.1}% host), \
+                 {runs} kind runs ({:.2} refs/run)",
+                host as f64 * 100.0 / refs as f64,
+                refs as f64 / runs.max(1) as f64
             );
+            all_refs += refs;
+            all_runs += runs;
         }
+        println!(
+            "all: {all_refs} refs, {all_runs} kind runs ({:.2} refs/run)",
+            all_refs as f64 / all_runs.max(1) as f64
+        );
         return;
     }
     if arg1.as_deref() == Some("memo") {

@@ -179,11 +179,11 @@ impl DirectoryMesi {
         let block = Self::key(pa);
         let mut out = MesiOutcome::default();
 
-        let entry = self.l2.lookup(Self::PHYS, block).map(|l| l.meta);
-        let prior = match entry {
-            Some(e) => {
+        let hit = self.l2.lookup_pos(Self::PHYS, block);
+        let prior = match hit {
+            Some((set, pos)) => {
                 out.l2_hit = true;
-                e.state
+                self.l2.line_at(set, pos).meta.state
             }
             None => {
                 // L2 miss: fetch from memory, install, possibly evicting a
@@ -220,10 +220,14 @@ impl DirectoryMesi {
             out.forwarded_to.push(owner);
             self.forwards += 1;
         }
-        let line = self
-            .l2
-            .probe_mut(Self::PHYS, block)
-            .expect("line just installed or hit"); // lint:allow-unwrap — insert/lookup above guarantees residency
+        let line = match hit {
+            // The transition changes no set, so the hit's coordinates hold.
+            Some((set, pos)) => self.l2.line_at_mut(set, pos),
+            None => self
+                .l2
+                .probe_mut(Self::PHYS, block)
+                .expect("line just installed"), // lint:allow-unwrap — insert above guarantees residency
+        };
         line.meta = DirEntry { state: tr.next };
         line.dirty = line.dirty || req == MesiReq::GetX;
         if self.checker.is_some() {

@@ -364,9 +364,18 @@ pub fn dir_recall_targets(state: DirState) -> (Vec<AgentId>, bool) {
     }
 }
 
-/// Expands a sharer bitmask into agent ids, lowest bit first.
+/// Expands a sharer bitmask into agent ids, lowest bit first. Visits
+/// only the set bits: each step pops the lowest one.
 pub fn agents_of(mask: u32) -> impl Iterator<Item = AgentId> {
-    (0..32u8).filter(move |b| mask & (1 << b) != 0).map(AgentId)
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        if rest == 0 {
+            return None;
+        }
+        let bit = rest.trailing_zeros() as u8;
+        rest &= rest - 1;
+        Some(AgentId(bit))
+    })
 }
 
 #[cfg(test)]
@@ -466,5 +475,31 @@ mod tests {
         assert_eq!((agents, dirty), (vec![t], true));
         let (agents, dirty) = dir_recall_targets(DirState::Shared(h.mask() | t.mask()));
         assert_eq!((agents, dirty), (vec![h, t], false));
+    }
+
+    #[test]
+    fn agents_of_matches_the_naive_bit_scan() {
+        fn naive(mask: u32) -> Vec<AgentId> {
+            (0..32u8)
+                .filter(|b| mask & (1 << b) != 0)
+                .map(AgentId)
+                .collect()
+        }
+        let mut masks = vec![0, 1, 1 << 31, u32::MAX];
+        // xorshift32: a fixed, dense spread of masks.
+        let mut x = 0x9E37_79B9u32;
+        for _ in 0..1000 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            masks.push(x);
+        }
+        for mask in masks {
+            assert_eq!(
+                agents_of(mask).collect::<Vec<_>>(),
+                naive(mask),
+                "{mask:#x}"
+            );
+        }
     }
 }

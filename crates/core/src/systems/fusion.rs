@@ -1,6 +1,6 @@
 //! FUSION / FUSION-Dx: private L0Xs + shared L1X under the ACC protocol.
 
-use fusion_accel::run_phase_kind_runs;
+use fusion_accel::{kind_runs_of, run_phase_kind_runs};
 use fusion_coherence::acc::{AccAccess, AccTile, TileTiming};
 use fusion_coherence::{ForwardRule, TileStats};
 use fusion_energy::{Component, EnergyLedger, EnergyModel};
@@ -172,14 +172,14 @@ impl PhaseHooks for FusionSystem {
         let lease = phase.lease;
         // Kind-sorted chunked replay: the access kind is
         // reconstructed once per same-kind run (lossless —
-        // `AccessKind` is exactly {Load, Store}), so the hot
-        // loop never loads the per-ref kind lane.
+        // `AccessKind` is exactly {Load, Store}), so the access
+        // closure never loads the per-ref kind lane.
         let t = run_phase_kind_runs(
             dp.len(),
             |j| dp.gaps[j],
             phase.mlp,
             now,
-            decoded.phase_kind_runs(phase_idx).iter().copied(),
+            kind_runs_of(dp.kinds),
             |j, at, is_write| {
                 let kind = if is_write {
                     AccessKind::Store

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use fusion_accel::analysis::DmaWindow;
-use fusion_accel::{clip_kind_runs, run_phase_kind_runs};
+use fusion_accel::{kind_runs_of, run_phase_kind_runs};
 use fusion_dma::{DmaController, DmaDirection};
 use fusion_energy::{Component, EnergyLedger};
 use fusion_mem::Scratchpad;
@@ -77,8 +77,8 @@ impl PhaseHooks for ScratchSystem {
             phase_dma += now - t0;
 
             // Execute the window: every access hits the scratchpad.
-            // Kind-sorted chunked replay over the window's clipped
-            // runs: the read/write branch below is run-constant.
+            // Kind-sorted chunked replay over the window's own kinds:
+            // the read/write branch below is run-constant.
             let sp_lat = cfg.scratchpad.latency;
             let wdp = dp.slice(w.ref_range.0, w.ref_range.1);
             let t = run_phase_kind_runs(
@@ -86,11 +86,7 @@ impl PhaseHooks for ScratchSystem {
                 |j| wdp.gaps[j],
                 phase.mlp,
                 now,
-                clip_kind_runs(
-                    decoded.phase_kind_runs(phase_idx),
-                    w.ref_range.0,
-                    w.ref_range.1,
-                ),
+                kind_runs_of(wdp.kinds),
                 |j, at, is_write| {
                     ledger.charge(Component::AxcCache, em.scratchpad_access);
                     if is_write {

@@ -1,6 +1,6 @@
 //! SHARED: one shared L1X per tile, a plain MESI agent (no private L0Xs).
 
-use fusion_accel::run_phase_kind_runs;
+use fusion_accel::{kind_runs_of, run_phase_kind_runs};
 use fusion_coherence::MesiReq;
 use fusion_energy::{Component, EnergyLedger, EnergyModel};
 use fusion_mem::{BankedTiming, ReplacementPolicy, SetAssocCache};
@@ -107,14 +107,14 @@ impl PhaseHooks for SharedSystem {
         let l2_block_cycles = cfg.link_l1x_l2.transfer_cycles(CACHE_BLOCK_BYTES as u64);
         let l2_critical_cycles = cfg.link_l1x_l2.transfer_cycles(8);
         // Kind-sorted chunked replay: `is_write` arrives as a
-        // run-constant from the precomputed same-kind chunks, so
-        // the hot loop never loads or tests the per-ref kind.
+        // run-constant from the phase's same-kind chunks, so the
+        // access closure never loads or tests the per-ref kind.
         let t = run_phase_kind_runs(
             dp.len(),
             |j| dp.gaps[j],
             phase.mlp,
             now,
-            decoded.phase_kind_runs(phase_idx).iter().copied(),
+            kind_runs_of(dp.kinds),
             |j, at, is_write| {
                 // Address/request message AXC -> L1X.
                 ledger.charge_bytes(Component::LinkAxcL1xMsg, em.link_axc_l1x_pj_per_byte, word);

@@ -8,7 +8,8 @@ use common::Rng;
 use fusion_repro::accel::io::{decode_workload, encode_workload};
 use fusion_repro::accel::ooo::{run_host_phase, OooParams};
 use fusion_repro::accel::{
-    run_phase, run_phase_kind_runs, DecodedTrace, MemRef, OpCounts, Phase, Workload,
+    kind_runs_of, run_phase, run_phase_kind_runs, DecodedPhase, DecodedTrace, MemRef, OpCounts,
+    Phase, Workload,
 };
 use fusion_repro::dma::{DmaController, DmaDirection};
 use fusion_repro::mem::BankedTiming;
@@ -159,10 +160,39 @@ fn kind_and_block_latency(is_write: bool, block: BlockAddr) -> u64 {
     1 + block.index() % 97 + if is_write { 13 } else { 0 }
 }
 
+/// `run_phase` over `refs` and `run_phase_kind_runs` over `dp` (the same
+/// references decoded, runs found by `kind_runs_of`) yield identical issue
+/// times and an identical `PhaseTiming`.
+fn assert_replays_agree(refs: &[MemRef], dp: DecodedPhase<'_>, mlp: usize, start: Cycle) {
+    let mut memref_issues = Vec::new();
+    let want = run_phase(refs, mlp, start, |r, now| {
+        memref_issues.push(now);
+        now + kind_and_block_latency(r.kind.is_write(), r.block())
+    });
+    let mut decoded_issues = Vec::new();
+    let got = run_phase_kind_runs(
+        dp.len(),
+        |i| dp.gaps[i],
+        mlp,
+        start,
+        kind_runs_of(dp.kinds),
+        |i, now, is_write| {
+            decoded_issues.push(now);
+            now + kind_and_block_latency(is_write, dp.blocks[i])
+        },
+    );
+    assert_eq!(got, want, "mlp {mlp}, {} refs: timing differs", refs.len());
+    assert_eq!(
+        decoded_issues, memref_issues,
+        "mlp {mlp}: issue times differ"
+    );
+}
+
 /// The two replay entry points agree: `run_phase` over a phase's
 /// `MemRef`s and `run_phase_kind_runs` over the same phase decoded
-/// (gap lane, block lane and kind runs) yield identical issue times and
-/// an identical `PhaseTiming`.
+/// (gap lane, block lane and the kind lane's runs), both over whole
+/// phases and over random windows `[lo, hi)` as SCRATCH replays its
+/// oracle DMA windows.
 #[test]
 fn memref_and_decoded_kind_run_replays_agree() {
     let mut rng = Rng::new(0xD0DE);
@@ -206,30 +236,15 @@ fn memref_and_decoded_kind_run_replays_agree() {
             };
             let decoded = DecodedTrace::decode(&wl);
             for (idx, phase) in wl.phases.iter().enumerate() {
-                let start = Cycle::new(rng.range_u64(0, 1000));
-                let mut memref_issues = Vec::new();
-                let want = run_phase(&phase.refs, mlp, start, |r, now| {
-                    memref_issues.push(now);
-                    now + kind_and_block_latency(r.kind.is_write(), r.block())
-                });
                 let dp = decoded.phase(idx);
-                let mut decoded_issues = Vec::new();
-                let got = run_phase_kind_runs(
-                    dp.len(),
-                    |i| dp.gaps[i],
-                    mlp,
-                    start,
-                    decoded.phase_kind_runs(idx).iter().copied(),
-                    |i, now, is_write| {
-                        decoded_issues.push(now);
-                        now + kind_and_block_latency(is_write, dp.blocks[i])
-                    },
-                );
-                assert_eq!(got, want, "mlp {mlp}, phase {idx}: timing differs");
-                assert_eq!(
-                    decoded_issues, memref_issues,
-                    "mlp {mlp}: issue times differ"
-                );
+                let start = Cycle::new(rng.range_u64(0, 1000));
+                assert_replays_agree(&phase.refs, dp, mlp, start);
+                for _ in 0..4 {
+                    let lo = rng.range_usize(0, dp.len() + 1);
+                    let hi = rng.range_usize(lo, dp.len() + 1);
+                    let start = Cycle::new(rng.range_u64(0, 1000));
+                    assert_replays_agree(&phase.refs[lo..hi], dp.slice(lo, hi), mlp, start);
+                }
             }
         }
     }
