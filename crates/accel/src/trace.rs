@@ -397,6 +397,22 @@ impl DecodedTrace {
         self.blocks.len() as u64
     }
 
+    /// Heap bytes of the decoded arrays: the four per-reference lanes, the
+    /// ordinal → block table, the phase offsets and the op prefix sums.
+    /// Memoized analysis results are not counted.
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.blocks)
+            + bytes(&self.kinds)
+            + bytes(&self.gaps)
+            + bytes(&self.ordinals)
+            + bytes(&self.ordinal_blocks)
+            + bytes(&self.phase_offsets)
+            + bytes(&self.op_prefix)
+    }
+
     /// Borrowed view of phase `idx`'s decoded references.
     ///
     /// # Panics
@@ -599,6 +615,8 @@ mod tests {
             assert_eq!(d.phase_ops(i), p.ops);
         }
         assert_eq!(d.total_ops(), OpCounts::default());
+        // At least three references of four lanes: block, kind, gap, ordinal.
+        assert!(d.heap_bytes() >= 3 * (std::mem::size_of::<BlockAddr>() + 1 + 2 + 4));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::time::Instant;
 
-use fusion_accel::{kind_runs_of, DecodedTrace};
+use fusion_accel::{kind_runs_of, DecodedTrace, MemRef};
 use fusion_core::result::duration_nanos_saturating;
 use fusion_core::runner::{run_system_decoded, SystemKind};
 use fusion_types::SystemConfig;
@@ -18,7 +18,10 @@ fn main() {
         // whose refs are mostly host-side point at `host_access`, not the
         // tile hot loop. Also the same-kind runs the replay finds over
         // every phase's kind lane and their mean length: a stored run
-        // (24 bytes) would pay only where refs per run is large.
+        // (24 bytes) would pay only where refs per run is large. Last,
+        // the heap bytes of the recorded MemRefs and of the decoded
+        // trace: the sweep's trace cache keeps only the latter, so a
+        // cache that kept both would grow by the former.
         let scale = match std::env::args().nth(2).as_deref() {
             None | Some("small") => Scale::Small,
             Some("tiny") => Scale::Tiny,
@@ -28,11 +31,13 @@ fn main() {
                 std::process::exit(2);
             }
         };
+        const MB: f64 = 1024.0 * 1024.0;
         let (mut all_refs, mut all_runs) = (0usize, 0usize);
+        let (mut all_memref_bytes, mut all_decoded_bytes) = (0usize, 0usize);
         for suite in SuiteId::ALL {
             let wl = build_suite(suite, scale);
             let decoded = DecodedTrace::decode(&wl);
-            let (mut host, mut axc, mut runs) = (0u64, 0u64, 0usize);
+            let (mut host, mut axc, mut runs, mut memref_bytes) = (0u64, 0u64, 0usize, 0usize);
             for (idx, p) in wl.phases.iter().enumerate() {
                 let n = p.refs.len() as u64;
                 if p.unit.is_host() {
@@ -41,20 +46,32 @@ fn main() {
                     axc += n;
                 }
                 runs += kind_runs_of(decoded.phase(idx).kinds).count();
+                // The bytes the references fill: a recorder's growth
+                // slack is never touched, so it never becomes resident.
+                memref_bytes += p.refs.len() * std::mem::size_of::<MemRef>();
             }
             let refs = (host + axc) as usize;
+            let decoded_bytes = decoded.heap_bytes();
             println!(
                 "{suite:?}: {host} host + {axc} axc refs ({:.1}% host), \
-                 {runs} kind runs ({:.2} refs/run)",
+                 {runs} kind runs ({:.2} refs/run), \
+                 {:.1} MB MemRefs, {:.1} MB decoded",
                 host as f64 * 100.0 / refs as f64,
-                refs as f64 / runs.max(1) as f64
+                refs as f64 / runs.max(1) as f64,
+                memref_bytes as f64 / MB,
+                decoded_bytes as f64 / MB
             );
             all_refs += refs;
             all_runs += runs;
+            all_memref_bytes += memref_bytes;
+            all_decoded_bytes += decoded_bytes;
         }
         println!(
-            "all: {all_refs} refs, {all_runs} kind runs ({:.2} refs/run)",
-            all_refs as f64 / all_runs.max(1) as f64
+            "all: {all_refs} refs, {all_runs} kind runs ({:.2} refs/run), \
+             {:.1} MB MemRefs, {:.1} MB decoded",
+            all_refs as f64 / all_runs.max(1) as f64,
+            all_memref_bytes as f64 / MB,
+            all_decoded_bytes as f64 / MB
         );
         return;
     }

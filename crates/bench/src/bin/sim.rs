@@ -451,7 +451,7 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
         match std::fs::read(path) {
             Ok(bytes) => {
                 let recovery = journal::read_journal(&bytes);
-                let mut fp = |suite: SuiteId| traces.get(suite, scale).fingerprint();
+                let mut fp = |suite: SuiteId| traces.fingerprint(suite, scale);
                 let plan = journal::plan_resume(
                     &jobs,
                     scale,

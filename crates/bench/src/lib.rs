@@ -20,8 +20,10 @@ use fusion_workloads::{all_suites, Scale, SuiteId};
 pub struct SuiteRun {
     /// Suite identity.
     pub id: SuiteId,
-    /// The workload trace, shared with the sweep pool that produced the
-    /// results (materialized once per suite).
+    /// The workload's phase metadata (names, units, MLP, leases, op
+    /// counts, pid), shared with the sweep pool that produced the
+    /// results. Its phases hold no references: the sweep's trace cache
+    /// drops them once decoded, so the renderers read `trace` instead.
     pub workload: Arc<Workload>,
     /// The same trace decoded, shared with the sweep pool: the renderers
     /// read its statistics ([`DecodedTrace::trace_stats`],

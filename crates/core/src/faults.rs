@@ -14,7 +14,9 @@
 //! one from a seed with [`FaultPlan::seeded`], driven by [`SplitMix64`]
 //! (no wall-clock randomness anywhere).
 
+use fusion_accel::io as trace_io;
 use fusion_types::hash::FxHashMap;
+use fusion_workloads::{build_suite, Scale, SuiteId};
 
 /// One staged failure, attached to a single sweep job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +62,30 @@ pub enum Fault {
     /// timeout at the next phase boundary) and cleared for retries, so
     /// a retry budget recovers the job deterministically.
     CancelStorm,
+}
+
+impl Fault {
+    /// The damaged encoded trace a trace fault replays, or `None` for the
+    /// other kinds. The bytes encode a fresh `build_suite(suite, scale)`:
+    /// the sweep's cached workload holds no references, and the generator
+    /// is deterministic, so the damage lands in the full reference
+    /// payload. [`Fault::CorruptTrace`] flips the middle byte;
+    /// [`Fault::TruncateTrace`] keeps the first two thirds.
+    pub(crate) fn damaged_trace(self, suite: SuiteId, scale: Scale) -> Option<Vec<u8>> {
+        let mut bytes = match self {
+            Fault::CorruptTrace | Fault::TruncateTrace => {
+                trace_io::encode_workload(&build_suite(suite, scale))
+            }
+            _ => return None,
+        };
+        if self == Fault::CorruptTrace {
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xFF;
+        } else {
+            bytes.truncate(bytes.len().saturating_sub(bytes.len() / 3).max(6));
+        }
+        Some(bytes)
+    }
 }
 
 /// The seedable generator behind [`FaultPlan::seeded`]: splitmix64, the
@@ -238,6 +264,29 @@ mod tests {
             .collect();
         assert!(drawn.contains(&Fault::WorkerKill));
         assert!(drawn.contains(&Fault::CancelStorm));
+    }
+
+    #[test]
+    fn trace_faults_damage_the_full_encoding() {
+        let full = trace_io::encode_workload(&build_suite(SuiteId::Filter, Scale::Tiny));
+        let corrupt = Fault::CorruptTrace
+            .damaged_trace(SuiteId::Filter, Scale::Tiny)
+            .unwrap();
+        assert_eq!(corrupt.len(), full.len());
+        let flipped: Vec<usize> = (0..full.len()).filter(|&i| corrupt[i] != full[i]).collect();
+        assert_eq!(flipped, vec![full.len() / 2]);
+        let truncated = Fault::TruncateTrace
+            .damaged_trace(SuiteId::Filter, Scale::Tiny)
+            .unwrap();
+        assert_eq!(truncated.len(), full.len() - full.len() / 3);
+        assert_eq!(truncated[..], full[..truncated.len()]);
+        for bytes in [corrupt, truncated] {
+            assert!(trace_io::decode_workload(&bytes).is_err());
+        }
+        assert_eq!(
+            Fault::Panic.damaged_trace(SuiteId::Filter, Scale::Tiny),
+            None
+        );
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * **Trace sharing** — each distinct `(suite, scale)` workload is
 //!   materialized *and decoded* exactly once behind [`Arc`]s (see
 //!   [`TraceCache`] and [`SharedTrace`]); every job replaying that suite
-//!   shares the trace and its flat [`DecodedTrace`] instead of re-running
-//!   the instrumented kernels and re-deriving block addresses per run.
+//!   shares the phase metadata and its flat [`DecodedTrace`] instead of
+//!   re-running the instrumented kernels and re-deriving block addresses
+//!   per run. The references themselves are dropped once decoded.
 //! * **Planning-time dedupe** — before any job runs, `memo::plan`
 //!   groups the jobs by system, suite and the config slice the system can
 //!   observe (on by default, see [`Sweep::memo`] and DESIGN.md §12). Each
@@ -357,29 +358,19 @@ pub fn design_grid(base: &SystemConfig) -> Vec<SweepJob> {
     jobs
 }
 
-/// A workload together with its pre-decoded reference stream, both behind
-/// [`Arc`]s so every job of a sweep shares one copy.
+/// A workload's phase metadata together with its decoded reference
+/// stream, both behind [`Arc`]s so every job of a sweep shares one copy.
 #[derive(Debug, Clone)]
 pub struct SharedTrace {
-    /// The materialized workload (phases, op counts, leases, ...).
+    /// The workload's metadata: names, units, MLP, leases, op counts and
+    /// pid. Its phases hold no [`MemRef`](fusion_accel::MemRef)s; the
+    /// cache drops them once decoded (DESIGN.md §8).
     pub workload: Arc<Workload>,
     /// The flat decoded stream every replay loop consumes.
     pub decoded: Arc<DecodedTrace>,
-    /// Lazily computed fingerprint of the encoded trace bytes (shared
-    /// across clones, computed at most once per cached trace).
+    /// Fingerprint of the encoded trace, set by
+    /// [`TraceCache::fingerprint`].
     fingerprint: Arc<OnceLock<u64>>,
-}
-
-impl SharedTrace {
-    /// FNV-1a fingerprint of the workload's encoded trace bytes — the
-    /// value the result journal stores per row so a resume can prove the
-    /// workload generator still produces the same trace (DESIGN.md §13).
-    /// Hashed while encoding, so the encoded trace is never materialized.
-    pub fn fingerprint(&self) -> u64 {
-        *self
-            .fingerprint
-            .get_or_init(|| trace_io::fingerprint(&self.workload))
-    }
 }
 
 /// Workload traces materialized once per `(suite, scale)` and shared
@@ -391,12 +382,19 @@ impl SharedTrace {
 /// kernels never run while the cache-wide mutex is held and never run
 /// twice for the same key (concurrent callers for one key block on the
 /// slot, not on each other's builds).
+///
+/// A build decodes the workload and then drops every phase's references,
+/// so a suite's `MemRef`s live only during its own build and the cache
+/// keeps metadata plus the decoded lanes. Only
+/// [`TraceCache::fingerprint`] hashes: a trace it builds is hashed before
+/// the drop, so `get` alone (tables, unjournaled sweeps) hashes nothing.
 #[derive(Default)]
 pub struct TraceCache {
     // Hot-map audit: keyed per (suite, scale) under a mutex; FxHash keeps
     // the critical section short and the iteration order deterministic.
     slots: Mutex<FxHashMap<(SuiteId, Scale), BuildSlot>>,
     builds: AtomicUsize,
+    hashes: AtomicUsize,
 }
 
 /// One key's build slot: cloned out of the map so initialization runs
@@ -412,34 +410,76 @@ impl TraceCache {
     /// Returns the shared trace for `(suite, scale)`, building and decoding
     /// it on first use.
     pub fn get(&self, suite: SuiteId, scale: Scale) -> SharedTrace {
+        self.slot(suite, scale)
+            .get_or_init(|| self.build(suite, scale, false))
+            .clone()
+    }
+
+    /// FNV-1a fingerprint of `(suite, scale)`'s encoded trace bytes — the
+    /// value the result journal stores per row so a resume can prove the
+    /// workload generator still produces the same trace (DESIGN.md §13).
+    ///
+    /// On first use it builds the trace as [`TraceCache::get`] would and
+    /// hashes the full references before they are dropped. A trace that
+    /// `get` built first was dropped unhashed, so it hashes a fresh
+    /// `build_suite` once (the generator is deterministic): never the
+    /// stripped workload, whose hash would not be the trace's.
+    pub fn fingerprint(&self, suite: SuiteId, scale: Scale) -> u64 {
+        let slot = self.slot(suite, scale);
+        let trace = slot.get_or_init(|| self.build(suite, scale, true));
+        *trace.fingerprint.get_or_init(|| {
+            self.hashes.fetch_add(1, Ordering::Relaxed);
+            trace_io::fingerprint(&build_suite(suite, scale))
+        })
+    }
+
+    /// The build slot for `(suite, scale)`, created empty on first use.
+    fn slot(&self, suite: SuiteId, scale: Scale) -> BuildSlot {
         // The map mutex only guards slot creation — cheap and O(1). The
         // expensive build happens inside the per-key OnceLock, outside the
         // mutex, so distinct suites materialize concurrently and one key
         // builds exactly once. Poison recovery: the guarded state is a
         // plain map of Arc'd slots, never left half-updated by a panic.
-        let slot = Arc::clone(
+        Arc::clone(
             self.slots
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner())
                 .entry((suite, scale))
                 .or_default(),
-        );
-        slot.get_or_init(|| {
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            let workload = build_suite(suite, scale);
-            let decoded = DecodedTrace::decode(&workload);
-            SharedTrace {
-                workload: Arc::new(workload),
-                decoded: Arc::new(decoded),
-                fingerprint: Arc::new(OnceLock::new()),
-            }
-        })
-        .clone()
+        )
+    }
+
+    /// Builds and decodes one suite, hashes it if `hash`, then drops every
+    /// phase's references.
+    fn build(&self, suite: SuiteId, scale: Scale, hash: bool) -> SharedTrace {
+        self.builds.fetch_add(1, Ordering::Relaxed);
+        let mut workload = build_suite(suite, scale);
+        let decoded = DecodedTrace::decode(&workload);
+        let fingerprint = if hash {
+            self.hashes.fetch_add(1, Ordering::Relaxed);
+            OnceLock::from(trace_io::fingerprint(&workload))
+        } else {
+            OnceLock::new()
+        };
+        for phase in &mut workload.phases {
+            phase.refs = Vec::new();
+        }
+        SharedTrace {
+            workload: Arc::new(workload),
+            decoded: Arc::new(decoded),
+            fingerprint: Arc::new(fingerprint),
+        }
     }
 
     /// Total workload builds performed (each key builds exactly once).
     pub fn builds(&self) -> usize {
         self.builds.load(Ordering::Relaxed)
+    }
+
+    /// Total traces hashed: at most one per key, and only for keys whose
+    /// [`TraceCache::fingerprint`] was asked for.
+    pub fn hashes(&self) -> usize {
+        self.hashes.load(Ordering::Relaxed)
     }
 
     /// Number of materialized traces.
@@ -546,7 +586,9 @@ impl Sweep {
     /// Attaches a write-ahead result journal: every completed grid point
     /// is recorded (checksummed, fsync'd) before its result is published
     /// (DESIGN.md §13). Journal loss mid-sweep is fail-soft — the sweep
-    /// finishes, and [`Sweep::journal_lost`] reports the loss.
+    /// finishes, and [`Sweep::journal_lost`] reports the loss. Each row
+    /// carries its trace's fingerprint, hashed while the sweep builds the
+    /// trace.
     pub fn with_journal(mut self, sink: Arc<JournalSink>) -> Sweep {
         self.journal = Some(sink);
         self
@@ -597,12 +639,17 @@ impl Sweep {
         // job's trace post-processing (oracle DMA windows, forwarding
         // pairs) so no timed replay region pays for analysis. Both caches
         // dedupe, so repeated (suite, parameter) pairs cost one compute.
+        // A journaled sweep fingerprints each trace here, while its
+        // references are still alive, so `publish` only reads the hash.
         let build_cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let i = build_cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(i) else { break };
+                    if self.journal.is_some() {
+                        self.traces.fingerprint(job.suite, self.scale);
+                    }
                     let trace = self.traces.get(job.suite, self.scale);
                     match job.system {
                         SystemKind::Scratch => {
@@ -701,14 +748,13 @@ impl Sweep {
         // completion is recoverable after a crash.
         let publish = |i: usize, outcome: SweepOutcome| {
             if let (Some(sink), Ok(res)) = (&self.journal, &outcome.result) {
-                let trace = self.traces.get(outcome.job.suite, self.scale);
                 sink.record(&journal::JournalRow::for_result(
                     &outcome.job,
                     self.scale,
                     res,
                     outcome.attempts,
                     outcome.backoff,
-                    trace.fingerprint(),
+                    self.traces.fingerprint(outcome.job.suite, self.scale),
                 ));
             }
             // Poison recovery: a slot mutex poisoned by a panic on another
@@ -826,23 +872,10 @@ impl Sweep {
         }
 
         let trace = self.traces.get(job.suite, self.scale);
-        // Trace faults re-encode the shared workload, damage the bytes and
-        // decode them again: the decoder's hardening is what must catch
-        // the damage (the shared cache copy is never touched).
-        let damaged = match fault {
-            Some(Fault::CorruptTrace) => {
-                let mut bytes = trace_io::encode_workload(&trace.workload);
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0xFF;
-                Some(bytes)
-            }
-            Some(Fault::TruncateTrace) => {
-                let mut bytes = trace_io::encode_workload(&trace.workload);
-                bytes.truncate(bytes.len().saturating_sub(bytes.len() / 3).max(6));
-                Some(bytes)
-            }
-            _ => None,
-        };
+        // Trace faults encode a fresh build, damage the bytes and decode
+        // them again: the decoder's hardening is what must catch the
+        // damage (the shared cache copy is never touched).
+        let damaged = fault.and_then(|f| f.damaged_trace(job.suite, self.scale));
         let reloaded = match &damaged {
             Some(bytes) => match trace_io::decode_workload(bytes) {
                 Ok(wl) => Some(wl),
@@ -931,15 +964,60 @@ mod tests {
         let cache = TraceCache::new();
         for scale in [Scale::Tiny, Scale::Small] {
             for suite in all_suites() {
-                let trace = cache.get(suite, scale);
                 assert_eq!(
-                    trace.fingerprint(),
-                    journal::fnv1a(&trace_io::encode_workload(&trace.workload)),
+                    cache.fingerprint(suite, scale),
+                    journal::fnv1a(&trace_io::encode_workload(&build_suite(suite, scale))),
                     "{} at {scale:?}",
                     suite.label()
                 );
             }
         }
+        assert_eq!(cache.hashes(), cache.builds());
+    }
+
+    #[test]
+    fn a_cache_without_a_journal_hashes_nothing() {
+        let cache = Arc::new(TraceCache::new());
+        let outcomes = Sweep::new(Scale::Tiny)
+            .with_trace_cache(Arc::clone(&cache))
+            .run(full_grid(&SystemConfig::small()));
+        assert!(outcomes.iter().all(|o| o.result.is_ok()));
+        assert_eq!(cache.builds(), 7);
+        assert_eq!(cache.hashes(), 0);
+    }
+
+    #[test]
+    fn a_journaled_sweep_hashes_each_trace_once() {
+        let path =
+            std::env::temp_dir().join(format!("fusion_sweep_hashes_{}.jsonl", std::process::id()));
+        let header = journal::JournalHeader {
+            scale: "tiny".to_string(),
+            code_version: journal::code_version(),
+            grid: 28,
+        };
+        let sink = Arc::new(JournalSink::new(
+            journal::JournalWriter::create(&path, &header).unwrap(),
+        ));
+        let cache = Arc::new(TraceCache::new());
+        let outcomes = Sweep::new(Scale::Tiny)
+            .with_trace_cache(Arc::clone(&cache))
+            .with_journal(sink)
+            .run(full_grid(&SystemConfig::small()));
+        std::fs::remove_file(&path).ok();
+        assert!(outcomes.iter().all(|o| o.result.is_ok()));
+        assert_eq!((cache.builds(), cache.hashes()), (7, 7));
+    }
+
+    #[test]
+    fn a_warmed_cache_fingerprints_a_fresh_build_once() {
+        let cold = TraceCache::new();
+        let warmed = TraceCache::new();
+        warmed.get(SuiteId::Adpcm, Scale::Tiny);
+        let fp = cold.fingerprint(SuiteId::Adpcm, Scale::Tiny);
+        assert_eq!(warmed.fingerprint(SuiteId::Adpcm, Scale::Tiny), fp);
+        assert_eq!(warmed.fingerprint(SuiteId::Adpcm, Scale::Tiny), fp);
+        assert_eq!((cold.builds(), cold.hashes()), (1, 1));
+        assert_eq!((warmed.builds(), warmed.hashes()), (1, 1));
     }
 
     #[test]
@@ -1047,8 +1125,32 @@ mod tests {
     fn trace_cache_decoding_matches_workload() {
         let cache = TraceCache::new();
         let t = cache.get(SuiteId::Filter, Scale::Tiny);
-        assert_eq!(t.decoded.total_refs(), t.workload.total_refs());
-        assert_eq!(t.decoded.phase_count(), t.workload.phases.len());
+        let fresh = build_suite(SuiteId::Filter, Scale::Tiny);
+        assert_eq!(t.decoded.total_refs(), fresh.total_refs());
+        assert_eq!(t.decoded.phase_count(), fresh.phases.len());
+        assert_eq!(t.workload.phases.len(), fresh.phases.len());
+    }
+
+    #[test]
+    fn cached_traces_hold_no_memrefs() {
+        let cache = TraceCache::new();
+        for (i, suite) in all_suites().into_iter().enumerate() {
+            // Both build paths strip: half the suites are built hashed.
+            if i % 2 == 0 {
+                cache.fingerprint(suite, Scale::Tiny);
+            }
+            let t = cache.get(suite, Scale::Tiny);
+            assert!(t.decoded.total_refs() > 0);
+            for p in &t.workload.phases {
+                assert_eq!(
+                    p.refs.capacity(),
+                    0,
+                    "{} keeps {} refs",
+                    suite.label(),
+                    p.name
+                );
+            }
+        }
     }
 
     #[test]
@@ -1222,7 +1324,10 @@ mod tests {
         let plan = FaultPlan::new()
             .inject(0, Fault::CorruptTrace)
             .inject(1, Fault::TruncateTrace);
-        let outcomes = Sweep::new(Scale::Tiny).with_faults(plan).run(jobs);
+        let outcomes = Sweep::new(Scale::Tiny)
+            .with_faults(plan)
+            .retries(2)
+            .run(jobs);
         for o in &outcomes {
             assert!(
                 matches!(o.result, Err(SimError::DecodeError { .. })),

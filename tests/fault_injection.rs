@@ -216,7 +216,7 @@ fn worker_kill_leaves_a_gap_and_the_journal_resumes_it() {
     // the holes and lands on the uninterrupted results.
     let rec = journal::read_journal(&std::fs::read(&path).unwrap());
     std::fs::remove_file(&path).ok();
-    let mut fp = |suite| traces.get(suite, Scale::Tiny).fingerprint();
+    let mut fp = |suite| traces.fingerprint(suite, Scale::Tiny);
     let plan =
         journal::plan_resume(&jobs, Scale::Tiny, &rec, &journal::code_version(), &mut fp).unwrap();
     assert_eq!(plan.resumed_count(), outcomes.len());
@@ -273,7 +273,7 @@ fn crash_anywhere_then_resume_is_byte_identical() {
 
     let assert_resume_matches = |bytes: &[u8], expect_resumed: usize| {
         let rec = journal::read_journal(bytes);
-        let mut fp = |suite| traces.get(suite, Scale::Tiny).fingerprint();
+        let mut fp = |suite| traces.fingerprint(suite, Scale::Tiny);
         let plan =
             journal::plan_resume(&jobs, Scale::Tiny, &rec, &journal::code_version(), &mut fp)
                 .unwrap();

@@ -138,7 +138,7 @@ fn journaled_sweep_matches_plain_sweep_and_is_fully_resumable() {
     let rec = journal::read_journal(&std::fs::read(&path).unwrap());
     std::fs::remove_file(&path).ok();
     assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
-    let mut fp = |suite| traces.get(suite, Scale::Tiny).fingerprint();
+    let mut fp = |suite| traces.fingerprint(suite, Scale::Tiny);
     let plan =
         journal::plan_resume(&jobs, Scale::Tiny, &rec, &journal::code_version(), &mut fp).unwrap();
     assert_eq!(plan.resumed_count(), jobs.len(), "every point must resume");
