@@ -111,21 +111,30 @@ impl GetLe for &[u8] {
     }
     fn get_u16_le(&mut self) -> u16 {
         let (head, rest) = self.split_at(2);
-        // lint:allow-unwrap — split_at(2) guarantees the exact slice length
+        #[expect(
+            clippy::unwrap_used,
+            reason = "split_at(2) guarantees the exact slice length"
+        )]
         let v = u16::from_le_bytes(head.try_into().unwrap());
         *self = rest;
         v
     }
     fn get_u32_le(&mut self) -> u32 {
         let (head, rest) = self.split_at(4);
-        // lint:allow-unwrap — split_at(4) guarantees the exact slice length
+        #[expect(
+            clippy::unwrap_used,
+            reason = "split_at(4) guarantees the exact slice length"
+        )]
         let v = u32::from_le_bytes(head.try_into().unwrap());
         *self = rest;
         v
     }
     fn get_u64_le(&mut self) -> u64 {
         let (head, rest) = self.split_at(8);
-        // lint:allow-unwrap — split_at(8) guarantees the exact slice length
+        #[expect(
+            clippy::unwrap_used,
+            reason = "split_at(8) guarantees the exact slice length"
+        )]
         let v = u64::from_le_bytes(head.try_into().unwrap());
         *self = rest;
         v
@@ -164,6 +173,10 @@ fn wire_u16(n: usize) -> u16 {
 
 /// Encodes `workload` into its binary trace representation.
 pub fn encode_workload(workload: &Workload) -> Vec<u8> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a capacity hint; the refs already sit in memory, so their count fits usize"
+    )]
     let mut buf = Vec::with_capacity(64 + workload.total_refs() as usize * 6);
     encode_body(workload, &mut buf);
     let checksum = fnv1a(&buf[HEADER_BYTES..]);

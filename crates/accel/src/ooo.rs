@@ -153,10 +153,13 @@ pub fn run_host_phase_indexed(
             }
             // The head entry's completion gates everything (in-order
             // retirement).
+            #[expect(
+                clippy::expect_used,
+                reason = "guarded by the rob.len() == depth check"
+            )]
             let head_done = rob
                 .front()
                 .map(|&(d, _)| d)
-                // lint:allow-unwrap — guarded by the rob.len() == depth check
                 .expect("full implies non-empty");
             let wait_to = head_done.max(now + 1);
             stall_cycles += wait_to - now;

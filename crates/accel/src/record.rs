@@ -79,6 +79,10 @@ impl Recorder {
         let mut s = self.state.borrow_mut();
         let base = s.next_addr;
         let aligned = bytes.div_ceil(CACHE_BLOCK_BYTES) * CACHE_BLOCK_BYTES;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the skew factor is at most 13"
+        )]
         let skew = (s.alloc_count % 13 + 1) as usize * CACHE_BLOCK_BYTES;
         s.alloc_count += 3;
         s.next_addr += (aligned.max(CACHE_BLOCK_BYTES) + skew) as u64;
@@ -195,10 +199,14 @@ impl<T: Copy> TracedBuf<T> {
     }
 
     fn log(&self, i: usize, kind: AccessKind) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "traced elements are scalars of at most 8 bytes"
+        )]
         let size = std::mem::size_of::<T>() as u8;
         let addr = self.base.offset((i * std::mem::size_of::<T>()) as u64);
         let mut s = self.state.borrow_mut();
-        let gap = (s.ops_since_ref / ISSUE_WIDTH).min(u16::MAX as u64) as u16;
+        let gap = u16::try_from(s.ops_since_ref / ISSUE_WIDTH).unwrap_or(u16::MAX);
         s.ops_since_ref = 0;
         s.refs.push(MemRef {
             addr,
@@ -273,7 +281,7 @@ mod tests {
     fn init_untraced_leaves_no_refs() {
         let rec = Recorder::new();
         let mut buf = rec.buffer::<u16>(16);
-        buf.init_untraced(|i| i as u16);
+        buf.init_untraced(|i| u16::try_from(i).unwrap());
         assert_eq!(rec.pending_refs(), 0);
         assert_eq!(buf.as_slice()[5], 5);
     }

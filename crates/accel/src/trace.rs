@@ -287,7 +287,10 @@ impl DecodedTrace {
                 kinds.push(r.kind);
                 gaps.push(r.gap);
                 ordinals.push(*ordinal_of.entry(b).or_insert_with(|| {
-                    // lint:allow-unwrap — a trace names far fewer than 2^32 blocks
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a trace names far fewer than 2^32 blocks"
+                    )]
                     let o = u32::try_from(ordinal_blocks.len()).expect("block ordinal overflow");
                     ordinal_blocks.push(b);
                     o
@@ -447,8 +450,11 @@ impl DecodedTrace {
     }
 
     /// Summed op counts of the whole workload.
+    #[expect(
+        clippy::expect_used,
+        reason = "the constructor seeds op_prefix with a zero row"
+    )]
     pub fn total_ops(&self) -> OpCounts {
-        // lint:allow-unwrap — the constructor seeds op_prefix with a zero row
         *self.op_prefix.last().expect("op_prefix is never empty")
     }
 }

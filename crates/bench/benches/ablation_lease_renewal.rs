@@ -4,6 +4,8 @@
 //! lease-expiry-heavy workload, and reports the simulated effect in the
 //! bench output.
 
+#![allow(clippy::unwrap_used, reason = "a bench stops on a failed run")]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use fusion_core::{run_system, SystemKind};
 use fusion_types::SystemConfig;

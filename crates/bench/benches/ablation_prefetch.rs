@@ -2,6 +2,8 @@
 //! "Extensions"). Reports, for the large-working-set suites, how much of
 //! the oracle DMA's push advantage a simple pull-side prefetcher recovers.
 
+#![allow(clippy::unwrap_used, reason = "a bench stops on a failed run")]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use fusion_core::{run_system, SystemKind};
 use fusion_types::SystemConfig;

@@ -1,5 +1,7 @@
 //! Figure 7 regeneration: LARGE vs SMALL accelerator cache configuration.
 
+#![allow(clippy::unwrap_used, reason = "a bench stops on a failed run")]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use fusion_core::{run_system, SystemKind};
 use fusion_types::SystemConfig;

@@ -1,5 +1,7 @@
 //! Table 4 regeneration: write-through vs write-back L0X bandwidth.
 
+#![allow(clippy::unwrap_used, reason = "a bench stops on a failed run")]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use fusion_core::{run_system, SystemKind};
 use fusion_types::{SystemConfig, WritePolicy};

@@ -1,5 +1,7 @@
 //! Table 5 regeneration: FUSION-Dx write-forwarding identification + run.
 
+#![allow(clippy::unwrap_used, reason = "a bench stops on a failed run")]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use fusion_bench::forwardable_pairs;
 use fusion_core::{run_system, SystemKind};

@@ -1,5 +1,7 @@
 //! Table 6 regeneration: AX-TLB / AX-RMAP lookup counting.
 
+#![allow(clippy::unwrap_used, reason = "a bench stops on a failed run")]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use fusion_core::{run_system, SystemKind};
 use fusion_workloads::{build_suite, Scale, SuiteId};

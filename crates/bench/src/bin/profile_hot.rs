@@ -3,6 +3,12 @@
 //! far less scheduler-noisy than one-shot sweep timings. Used to validate
 //! hot-loop optimizations before ratcheting `BENCH_sweep.json`.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a profiling binary: a failed run should stop it loudly"
+)]
+
 use std::time::Instant;
 
 use fusion_accel::{kind_runs_of, DecodedTrace, MemRef};
@@ -50,6 +56,10 @@ fn main() {
                 // slack is never touched, so it never becomes resident.
                 memref_bytes += p.refs.len() * std::mem::size_of::<MemRef>();
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the refs already sit in memory, so their count fits usize"
+            )]
             let refs = (host + axc) as usize;
             let decoded_bytes = decoded.heap_bytes();
             println!(
@@ -172,6 +182,10 @@ fn main() {
             let mut best = u64::MAX;
             let mut l2 = 0u64;
             for _ in 0..iters {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "host wall time is what this probe reports"
+                )]
                 let t = Instant::now();
                 let res = run_system_decoded(kind, &wl, &decoded, &cfg).expect("run");
                 let ns = duration_nanos_saturating(t.elapsed());

@@ -59,10 +59,7 @@ sim sweep   [--scale ...] [--threads <N>] [--json] [--no-memo]\n              \
 [--journal <path>] [--resume] [robustness flags] [config flags]\n  \
 sim verify  [--protocol <acc|acc-dx|acc-renew|mesi|all>] [--agents <N>] [--blocks <N>]\n              \
 [--horizon <N>] [--fault <kind>@<event>] [--expect-violation]\n              \
-[--max-states <N>] [--json]\n  \
-sim lint    [--json] [--rule <id>]\n\n\
-lint rules: cast-truncate, lock-order, nondet-iter, std-map, unwrap, wall-clock\n  \
-(token-accurate determinism/robustness invariants over crates/*/src; DESIGN.md \u{a7}14)\n\n\
+[--max-states <N>] [--json]\n\n\
 verify fault kinds: lease-overrun, gtime-regression (ACC);\n  \
 empty-sharers, wrong-owner (MESI)\n\n\
 robustness flags (compare/sweep):\n  \
@@ -110,8 +107,7 @@ const FLAG_KEYS: [&str; 8] = [
     "expect-violation",
 ];
 /// Options that consume the next argument as their value.
-const VALUE_KEYS: [&str; 19] = [
-    "rule",
+const VALUE_KEYS: [&str; 18] = [
     "system",
     "suite",
     "scale",
@@ -254,7 +250,7 @@ fn sweep_from(scale: Scale, args: &Args, jobs: usize) -> Result<Sweep, String> {
         sweep = sweep.threads(n);
     }
     if let Some(n) = args.numeric("retries")? {
-        sweep = sweep.retries(n as u32);
+        sweep = sweep.retries(u32::try_from(n).unwrap_or(u32::MAX));
     }
     sweep = sweep.fail_fast(args.flag("fail-fast"));
     sweep = sweep.memo(!args.flag("no-memo"));
@@ -383,6 +379,10 @@ fn compare(suite: SuiteId, scale: Scale, args: &Args) -> Result<bool, String> {
     let expected = jobs.len();
     let sweep = sweep_from(scale, args, expected)?;
     let pool = sweep.pool_size(jobs.len());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "operator-facing wall time; no simulated result reads it"
+    )]
     let started = std::time::Instant::now();
     let outcomes = sweep.run(jobs);
     let total = started.elapsed();
@@ -512,6 +512,10 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
         .collect();
     let todo_len = todo.len();
     let pool = sweep.pool_size(todo_len);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "operator-facing wall time; no simulated result reads it"
+    )]
     let started = std::time::Instant::now();
     let outcomes = sweep.run(todo);
     let total = started.elapsed();
@@ -798,32 +802,6 @@ fn verify_cmd(args: &Args) -> Result<bool, String> {
     Ok(ok)
 }
 
-/// `sim lint [--json] [--rule <id>]`: run the fusion-analyze passes over
-/// the enclosing workspace. Exit contract matches the other subcommands:
-/// 0 clean, 1 findings (or stale allowlist entries), 2 usage/IO errors —
-/// including an unknown `--rule`.
-fn lint_cmd(args: &Args) -> Result<bool, String> {
-    let cwd = std::env::current_dir().map_err(|e| format!("cannot determine cwd: {e}"))?;
-    // The workspace root is the nearest ancestor holding a `crates/`
-    // directory, so `sim lint` works from any subdirectory of a checkout.
-    let mut root = cwd.as_path();
-    let root = loop {
-        if root.join("crates").is_dir() {
-            break root;
-        }
-        root = root
-            .parent()
-            .ok_or_else(|| format!("no workspace root (crates/) above {}", cwd.display()))?;
-    };
-    let report = fusion_analyze::analyze(root, args.get("rule"))?;
-    if args.flag("json") {
-        print!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
-    Ok(report.clean())
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
@@ -903,11 +881,6 @@ fn main() -> ExitCode {
             }
         }
         "verify" => match verify_cmd(&args) {
-            Err(e) => return usage_error(&e),
-            Ok(false) => return ExitCode::from(EXIT_RUNTIME),
-            Ok(true) => {}
-        },
-        "lint" => match lint_cmd(&args) {
             Err(e) => return usage_error(&e),
             Ok(false) => return ExitCode::from(EXIT_RUNTIME),
             Ok(true) => {}
@@ -1125,8 +1098,6 @@ mod tests {
             "--no-memo",
             "--expect-violation",
             "--max-states",
-            "lint",
-            "--rule",
             "exit codes",
         ] {
             assert!(USAGE.contains(needle), "usage text missing '{needle}'");

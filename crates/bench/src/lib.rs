@@ -6,6 +6,12 @@
 //! `render_*` function returning the formatted text so both entry points
 //! (and the integration tests) share the exact same computation.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "write!-into-String is infallible (fmt::Error cannot occur); the two expects assert sweep output arity"
+)]
+
 use std::fmt::Write as _;
 use std::sync::Arc;
 

@@ -464,6 +464,10 @@ impl AccTile {
     /// `lease` is the per-function lease length (Table 3's LT column).
     /// On [`AccAccess::FillNeeded`] the caller must resolve the host fill
     /// and then call [`AccTile::complete_fill`].
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the hit memo's set and way index one L0X, whose geometry is far below 2^32"
+    )]
     pub fn axc_access(
         &mut self,
         axc: AxcId,
@@ -697,12 +701,16 @@ impl AccTile {
         lease: u32,
     ) -> Cycle {
         let timing = self.timing;
+        #[expect(
+            clippy::expect_used,
+            reason = "both callers (request_epoch, complete_fill) establish residency first"
+        )]
         let line = self
             .l1x
             .probe_mut(pid, block)
-            .expect("grant_from_l1x requires a resident line"); // lint:allow-unwrap — both callers (request_epoch, complete_fill) establish residency first
-                                                                // The stall rules, GTIME extension and write-lock bookkeeping all
-                                                                // live in the pure transition function the model checker verifies.
+            .expect("grant_from_l1x requires a resident line");
+        // The stall rules, GTIME extension and write-lock bookkeeping all
+        // live in the pure transition function the model checker verifies.
         let grant = transition::acc_grant(
             line.meta,
             axc,
@@ -1125,6 +1133,10 @@ impl AccTile {
 
     /// End-of-workload flush: writes back every dirty line (L0X then L1X)
     /// and returns the dirty L1X blocks that must PUTX to the host.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "AXC ids are u16 and the tile builds one L0X per id"
+    )]
     pub fn flush_all(&mut self, now: Cycle) -> Vec<L1Evicted> {
         self.memo = None;
         for axc in 0..self.l0x.len() {
@@ -1430,7 +1442,7 @@ mod tests {
         t.downgrade_all(AxcId::new(0), P, Cycle::new(100));
         let s = t.stats();
         assert_eq!(s.downgrade_sets_scanned, 1);
-        assert_eq!(s.downgrade_sets_filtered as usize, 16 - 1);
+        assert_eq!(s.downgrade_sets_filtered, 16 - 1);
     }
 
     #[test]
@@ -2040,7 +2052,7 @@ mod tests {
             } else {
                 AccessKind::Load
             };
-            let done = fill(&mut t, axc as u16, block, kind, now, 200).value();
+            let done = fill(&mut t, u16::try_from(axc).unwrap(), block, kind, now, 200).value();
             *slots[axc].iter_mut().min().unwrap() = done;
             clock[axc] = now + 1 + r % 4;
             granted.insert((axc, block), ());

@@ -220,13 +220,14 @@ impl DirectoryMesi {
             out.forwarded_to.push(owner);
             self.forwards += 1;
         }
+        #[expect(clippy::expect_used, reason = "insert above guarantees residency")]
         let line = match hit {
             // The transition changes no set, so the hit's coordinates hold.
             Some((set, pos)) => self.l2.line_at_mut(set, pos),
             None => self
                 .l2
                 .probe_mut(Self::PHYS, block)
-                .expect("line just installed"), // lint:allow-unwrap — insert above guarantees residency
+                .expect("line just installed"),
         };
         line.meta = DirEntry { state: tr.next };
         line.dirty = line.dirty || req == MesiReq::GetX;

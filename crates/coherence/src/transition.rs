@@ -372,6 +372,10 @@ pub fn agents_of(mask: u32) -> impl Iterator<Item = AgentId> {
         if rest == 0 {
             return None;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a u32 has at most 32 trailing zeros"
+        )]
         let bit = rest.trailing_zeros() as u8;
         rest &= rest - 1;
         Some(AgentId(bit))

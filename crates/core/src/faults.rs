@@ -137,6 +137,10 @@ impl FaultPlan {
         let mut rng = SplitMix64(seed);
         let count = count.min(jobs);
         while plan.faults.len() < count {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the remainder is below jobs, a usize"
+            )]
             let job = (rng.next_u64() % jobs as u64) as usize;
             if plan.faults.contains_key(&job) {
                 continue;
@@ -166,6 +170,10 @@ impl FaultPlan {
         let mut rng = SplitMix64(seed);
         let count = count.min(jobs);
         while plan.faults.len() < count {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the remainder is below jobs, a usize"
+            )]
             let job = (rng.next_u64() % jobs as u64) as usize;
             if plan.faults.contains_key(&job) {
                 continue;
@@ -201,9 +209,7 @@ impl FaultPlan {
 
     /// The staged `(job, fault)` pairs in grid order.
     pub fn entries(&self) -> Vec<(usize, Fault)> {
-        let mut v: Vec<(usize, Fault)> = self.faults.iter().map(|(&j, &f)| (j, f)).collect();
-        v.sort_by_key(|&(j, _)| j);
-        v
+        fusion_types::sorted_entries(&self.faults)
     }
 }
 
@@ -218,7 +224,7 @@ mod tests {
         let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
         let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         assert_eq!(xs, ys);
-        assert_eq!(xs.iter().collect::<std::collections::HashSet<_>>().len(), 8);
+        assert_eq!(xs.iter().collect::<fusion_types::FxHashSet<_>>().len(), 8);
         assert_ne!(SplitMix64(43).next_u64(), xs[0]);
     }
 

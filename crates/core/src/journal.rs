@@ -386,7 +386,7 @@ pub fn read_journal(bytes: &[u8]) -> Recovery {
                     Some(JournalHeader {
                         scale: str_field(unsealed, "scale")?.to_string(),
                         code_version: str_field(unsealed, "code")?.to_string(),
-                        grid: u64_field(unsealed, "grid")? as usize,
+                        grid: usize::try_from(u64_field(unsealed, "grid")?).ok()?,
                     })
                 })();
                 match (header, rec.header.is_some()) {
@@ -878,7 +878,7 @@ mod tests {
     fn garbage_bytes_never_panic() {
         let mut rng = crate::faults::SplitMix64(99);
         for len in [0usize, 1, 7, 64, 513] {
-            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64().to_le_bytes()[0]).collect();
             let rec = read_journal(&bytes);
             assert!(rec.rows.is_empty());
         }

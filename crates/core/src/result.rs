@@ -1,5 +1,10 @@
 //! Simulation results: everything the paper's tables and figures report.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "write!-into-String JSON rendering is infallible"
+)]
+
 use fusion_coherence::TileStats;
 use fusion_energy::{Component, EnergyLedger};
 use fusion_sim::Histogram;

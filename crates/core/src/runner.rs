@@ -210,8 +210,10 @@ pub fn run_system_guarded(
     ctl: &RunControl<'_>,
 ) -> Result<SimResult, SimError> {
     validate_config(cfg)?;
-    // lint:allow-wall-clock — measures wall_nanos for throughput reporting
-    // only; no simulated state ever reads this clock (DESIGN.md §14).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measures wall_nanos for throughput reporting only; no simulated state ever reads this clock (DESIGN.md §14)"
+    )]
     let started = std::time::Instant::now();
     let mut res = crate::systems::simulate(kind, workload, decoded, cfg, ctl)?;
     res.metrics.wall_nanos = crate::result::duration_nanos_saturating(started.elapsed());

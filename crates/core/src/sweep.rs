@@ -483,6 +483,10 @@ impl TraceCache {
     }
 
     /// Number of materialized traces.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a count does not depend on iteration order"
+    )]
     pub fn len(&self) -> usize {
         self.slots
             .lock()
@@ -678,8 +682,10 @@ impl Sweep {
         } else {
             vec![Role::Alone; jobs.len()]
         };
-        // lint:allow-wall-clock — queue-wait timing for the deadline
-        // monitor and diagnostics; never feeds simulated results.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "queue-wait timing for the deadline monitor and diagnostics; never feeds simulated results"
+        )]
         let submitted = Instant::now();
         let cursor = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);

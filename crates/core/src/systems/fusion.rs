@@ -316,6 +316,10 @@ fn tile_access(
 
 /// Converts a tile-counter delta into energy charges (the Figure 6a
 /// stacks for the FUSION bars).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the 8-byte message and the 64-byte block are exact in u64"
+)]
 fn charge_tile_delta(
     ledger: &mut EnergyLedger,
     em: &EnergyModel,

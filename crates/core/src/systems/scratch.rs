@@ -49,6 +49,10 @@ impl PhaseHooks for ScratchSystem {
         &mut self.no_tile
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the oracle schedule sized every DMA window and preloads every read block"
+    )]
     fn accel_phase(
         &mut self,
         run: &mut Run<'_>,
@@ -90,11 +94,9 @@ impl PhaseHooks for ScratchSystem {
                 |j, at, is_write| {
                     ledger.charge(Component::AxcCache, em.scratchpad_access);
                     if is_write {
-                        // lint:allow-unwrap — the oracle schedule sized the window
                         sp.write(wdp.blocks[j]).expect("oracle DMA window overflow");
                     } else {
                         sp.read(wdp.blocks[j])
-                            // lint:allow-unwrap — oracle preloads every read block
                             .expect("oracle DMA missed a read block");
                     }
                     at + sp_lat

@@ -50,12 +50,16 @@ impl Bencher {
     /// Runs `f` repeatedly — one warmup call, then measured iterations
     /// until the time budget or the minimum iteration count is reached —
     /// recording one wall-time sample per call.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this timing shim exists to measure host wall time"
+    )]
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         black_box(f());
         let budget = budget();
         let min = min_iters();
         let started = Instant::now();
-        while self.samples.len() < min as usize || started.elapsed() < budget {
+        while (self.samples.len() as u64) < min || started.elapsed() < budget {
             let t = Instant::now();
             black_box(f());
             self.samples.push(t.elapsed());

@@ -47,6 +47,10 @@ impl BankedTiming {
 
     /// Issues an access for `block` at time `now`; returns the cycle the
     /// access actually starts (>= `now`).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the bank index is below the bank count, a usize"
+    )]
     pub fn issue(&mut self, block: BlockAddr, now: Cycle) -> Cycle {
         // Hot-path note: bank counts are powers of two throughout the design
         // space, where the mask equals the modulo; `%` covers the rest.

@@ -129,6 +129,10 @@ impl<M> SetAssocCache<M> {
     /// power-of-two set count, where the mask and the modulo are the same
     /// function; the `%` branch keeps odd geometries correct.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the set index is below the set count, a usize"
+    )]
     pub fn set_index(&self, block: BlockAddr) -> usize {
         let sets = self.sets as u64;
         if sets.is_power_of_two() {
@@ -140,6 +144,10 @@ impl<M> SetAssocCache<M> {
 
     /// Bank index for a block (block-interleaved banking).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the bank index is below the bank count, a usize"
+    )]
     pub fn bank_index(&self, block: BlockAddr) -> usize {
         let banks = self.geometry.banks.max(1) as u64;
         if banks.is_power_of_two() {
@@ -162,7 +170,8 @@ impl<M> SetAssocCache<M> {
         match pos {
             Some(p) => {
                 self.hits += 1;
-                let line = self.slots[base + p].as_mut().expect("occupied prefix slot"); // lint:allow-unwrap — position() found it
+                #[expect(clippy::expect_used, reason = "position() found it")]
+                let line = self.slots[base + p].as_mut().expect("occupied prefix slot");
                 if is_lru {
                     line.stamp = tick;
                 }
@@ -194,7 +203,8 @@ impl<M> SetAssocCache<M> {
             Some(p) => {
                 self.hits += 1;
                 if is_lru {
-                    let line = self.slots[base + p].as_mut().expect("occupied prefix slot"); // lint:allow-unwrap — position() found it
+                    #[expect(clippy::expect_used, reason = "position() found it")]
+                    let line = self.slots[base + p].as_mut().expect("occupied prefix slot");
                     line.stamp = tick;
                 }
                 Some((set, p))
@@ -214,27 +224,39 @@ impl<M> SetAssocCache<M> {
         let tick = self.next_tick();
         self.hits += 1;
         if self.policy == ReplacementPolicy::Lru {
+            #[expect(
+                clippy::expect_used,
+                reason = "caller holds coordinates from lookup_pos"
+            )]
             let line = self.slots[set * self.ways + pos]
                 .as_mut()
-                .expect("touch on occupied slot"); // lint:allow-unwrap — caller holds coordinates from lookup_pos
+                .expect("touch on occupied slot");
             line.stamp = tick;
         }
     }
 
     /// The line at coordinates from [`SetAssocCache::lookup_pos`].
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "caller holds coordinates from lookup_pos"
+    )]
     pub fn line_at(&self, set: usize, pos: usize) -> &Line<M> {
         self.slots[set * self.ways + pos]
             .as_ref()
-            .expect("line_at on occupied slot") // lint:allow-unwrap — caller holds coordinates from lookup_pos
+            .expect("line_at on occupied slot")
     }
 
     /// The line at coordinates from [`SetAssocCache::lookup_pos`], mutably.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "caller holds coordinates from lookup_pos"
+    )]
     pub fn line_at_mut(&mut self, set: usize, pos: usize) -> &mut Line<M> {
         self.slots[set * self.ways + pos]
             .as_mut()
-            .expect("line_at_mut on occupied slot") // lint:allow-unwrap — caller holds coordinates from lookup_pos
+            .expect("line_at_mut on occupied slot")
     }
 
     /// Checks for a line without touching replacement or statistics.
@@ -286,7 +308,11 @@ impl<M> SetAssocCache<M> {
         let victim = if len >= self.ways {
             let way = self.choose_victim(set);
             // swap_remove: the last occupied slot fills the hole.
-            let old = self.slots[base + way].take().expect("occupied prefix slot"); // lint:allow-unwrap — slots below lens[set] are occupied by construction
+            #[expect(
+                clippy::expect_used,
+                reason = "slots below lens[set] are occupied by construction"
+            )]
+            let old = self.slots[base + way].take().expect("occupied prefix slot");
             self.slots.swap(base + way, base + len - 1);
             self.lens[set] -= 1;
             self.evictions += 1;
@@ -320,7 +346,8 @@ impl<M> SetAssocCache<M> {
             .position(|s| s.as_ref().is_some_and(|l| l.block == block && l.pid == pid))?;
         let base = set * self.ways;
         let len = self.lens[set] as usize;
-        let old = self.slots[base + pos].take().expect("occupied prefix slot"); // lint:allow-unwrap — position() found it
+        #[expect(clippy::expect_used, reason = "position() found it")]
+        let old = self.slots[base + pos].take().expect("occupied prefix slot");
         self.slots.swap(base + pos, base + len - 1);
         self.lens[set] -= 1;
         Some(Evicted {
@@ -337,7 +364,8 @@ impl<M> SetAssocCache<M> {
             let base = set * self.ways;
             let len = self.lens[set] as usize;
             for slot in &mut self.slots[base..base + len] {
-                let old = slot.take().expect("occupied prefix slot"); // lint:allow-unwrap — slots below lens[set] are occupied
+                #[expect(clippy::expect_used, reason = "slots below lens[set] are occupied")]
+                let old = slot.take().expect("occupied prefix slot");
                 f(Evicted {
                     pid: old.pid,
                     block: old.block,
@@ -403,6 +431,14 @@ impl<M> SetAssocCache<M> {
         self.tick
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "sets have at least one way by construction"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the victim way is below the set's occupancy, a usize"
+    )]
     fn choose_victim(&mut self, set: usize) -> usize {
         match self.policy {
             // Both LRU and FIFO evict the smallest stamp: LRU refreshes the
@@ -414,7 +450,6 @@ impl<M> SetAssocCache<M> {
                 .filter_map(|(i, s)| s.as_ref().map(|l| (i, l.stamp)))
                 .min_by_key(|&(_, stamp)| stamp)
                 .map(|(i, _)| i)
-                // lint:allow-unwrap — sets have at least one way by construction
                 .expect("victim selection on non-empty set"),
             ReplacementPolicy::Random => {
                 // xorshift64*

@@ -62,6 +62,10 @@ impl MainMemory {
     /// time, modeling queueing on the block's channel and open-page hits.
     pub fn access(&mut self, block: BlockAddr, now: Cycle) -> Cycle {
         let n = self.channels.len() as u64;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the channel index is below the channel count, a usize"
+        )]
         let chan = (block.index() % n) as usize;
         let row = block.base().value() / PAGE_BYTES as u64;
         let channel = &mut self.channels[chan];

@@ -108,7 +108,7 @@ mod tests {
     #[test]
     fn interleaving_covers_all_tiles() {
         let n = NucaRing::table2();
-        let homes: std::collections::HashSet<u64> = (0..16)
+        let homes: fusion_types::FxHashSet<u64> = (0..16)
             .map(|i| n.home_tile(BlockAddr::from_index(i)))
             .collect();
         assert_eq!(homes.len(), 8);

@@ -128,6 +128,10 @@ impl Scratchpad {
     /// Ends a window: removes everything and returns the dirty blocks (in
     /// deterministic address order) that the DMA must write back.
     pub fn drain_dirty(&mut self) -> Vec<BlockAddr> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collect-then-sort: the sort below fixes the order"
+        )]
         let mut dirty: Vec<BlockAddr> = self
             .resident
             .drain()

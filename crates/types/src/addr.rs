@@ -43,6 +43,10 @@ macro_rules! addr_newtype {
 
             /// Returns the byte offset of this address within its cache block.
             #[inline]
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the offset is below CACHE_BLOCK_BYTES, a usize"
+            )]
             pub const fn block_offset(self) -> usize {
                 (self.0 & (CACHE_BLOCK_BYTES as u64 - 1)) as usize
             }
@@ -55,6 +59,10 @@ macro_rules! addr_newtype {
 
             /// Returns the byte offset of this address within its page.
             #[inline]
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the offset is below PAGE_BYTES, a usize"
+            )]
             pub const fn page_offset(self) -> usize {
                 (self.0 & (PAGE_BYTES as u64 - 1)) as usize
             }

@@ -31,6 +31,12 @@
 //! assert_eq!(m.get(&(1, 0x40)), Some(&7));
 //! ```
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the Fx aliases and their sorted snapshots are defined here"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -56,10 +62,13 @@ impl FxHasher {
 
 impl Hasher for FxHasher {
     #[inline]
+    #[expect(
+        clippy::unwrap_used,
+        reason = "chunks_exact(8) yields exact-size slices"
+    )]
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in chunks.by_ref() {
-            // lint:allow-unwrap — chunks_exact(8) yields exact-size slices
             self.add_to_hash(u64::from_le_bytes(chunk.try_into().unwrap()));
         }
         let rest = chunks.remainder();
@@ -91,6 +100,10 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "folds the low half here, then the high half"
+    )]
     fn write_u128(&mut self, i: u128) {
         self.add_to_hash(i as u64);
         self.add_to_hash((i >> 64) as u64);
@@ -121,9 +134,8 @@ pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 /// The sanctioned way to walk an [`FxHashMap`] when the consumer is
 /// order-sensitive (rendering, digesting, replay): hash-map iteration
 /// order is an implementation detail even with a fixed seed, so any
-/// ordered output must pass through an explicit sort. The `nondet-iter`
-/// lint pass recognizes this helper (and [`sorted_keys`]) as a sanctioned
-/// consumer.
+/// ordered output must pass through an explicit sort. Clippy rejects
+/// direct iteration outside this module (see `clippy.toml`).
 pub fn sorted_entries<K: Ord + Clone, V: Clone, S>(map: &HashMap<K, V, S>) -> Vec<(K, V)> {
     let mut v: Vec<(K, V)> = map
         .iter()

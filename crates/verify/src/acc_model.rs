@@ -602,6 +602,10 @@ impl AccModel {
     /// renaming agent ids embedded in the metadata accordingly.
     fn permuted(&self, st: &AccState, pa: &[usize], pb: &[usize]) -> AccState {
         let inv = invert(pa);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a permutation of the model's few agents, which are u16 ids"
+        )]
         let rename = |a: AxcId| AxcId::new(inv[a.index()] as u16);
         AccState {
             now: st.now,
@@ -752,7 +756,7 @@ impl Model for AccModel {
             {
                 if writer == shadow_writer {
                     for agent in 0..self.cfg.agents {
-                        if AxcId::new(agent as u16) == writer {
+                        if agent == writer.index() {
                             continue;
                         }
                         let Some(copy) = st.l0[agent * self.cfg.blocks + block] else {

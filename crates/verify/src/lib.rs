@@ -173,8 +173,10 @@ impl VerifyReport {
 
 fn run_one(proto: VerifyProtocol, spec: &VerifySpec) -> ProtocolReport {
     let fault = spec.fault.filter(|f| fault_matches_protocol(f.kind, proto));
-    // lint:allow-wall-clock — exploration wall time is reported to the
-    // operator only; verdicts depend solely on the explored state space.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "exploration wall time is reported to the operator only; verdicts depend solely on the explored state space"
+    )]
     let start = Instant::now();
     let exploration = if proto.is_acc() {
         let mut cfg = if proto == VerifyProtocol::Acc {
@@ -360,6 +362,10 @@ mod tests {
             cfg.blocks = blocks;
             cfg.horizon = horizon;
             cfg.leases = leases;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a sizing probe reports host time"
+            )]
             let start = std::time::Instant::now();
             let exp = explore::explore(&acc_model::AccModel::new(cfg), 8_000_000);
             println!(

@@ -262,6 +262,10 @@ impl Model for MesiModel {
         Some(next)
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the model checks 2-3 agents, so an agent index fits AgentId's u8"
+    )]
     fn check(&self, st: &MesiState) -> Option<Violation> {
         for block in 0..self.cfg.blocks {
             let actual: Vec<usize> = (0..self.cfg.agents)
@@ -324,6 +328,10 @@ impl Model for MesiModel {
         false
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the model checks 2-3 agents, so an agent index fits AgentId's u8"
+    )]
     fn render(&self, st: &MesiState) -> Vec<(String, String)> {
         let mut out = Vec::new();
         for (block, state) in st.l2.iter().enumerate() {

@@ -65,10 +65,13 @@ impl PageTable {
     /// Panics if `target` has no translation yet.
     pub fn alias(&mut self, pid: Pid, va: VirtAddr, target_pid: Pid, target: VirtAddr) {
         let tpage = target.value() / PAGE_BYTES as u64;
+        #[expect(
+            clippy::expect_used,
+            reason = "callers map the target before aliasing it"
+        )]
         let frame = *self
             .frames
             .get(&(target_pid, tpage))
-            // lint:allow-unwrap — callers map the target before aliasing it
             .expect("alias target must already be mapped");
         let vpage = va.value() / PAGE_BYTES as u64;
         self.frames.insert((pid, vpage), frame);

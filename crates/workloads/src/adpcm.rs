@@ -87,6 +87,10 @@ fn decode_step(code: u8, pred: &mut i32, index: &mut i32) {
 
 /// Builds the ADPCM workload: chunked coder invocations, chunked decoder
 /// invocations reconstructing in place, and a host verification pass.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the synthetic wave peaks at 11000 and decoded samples are clamped to the i16 range"
+)]
 pub fn build(scale: Scale) -> Workload {
     let n = scale.pick(512, 2048, 6144); // samples
     let chunks = scale.pick(2, 4, 4);
@@ -193,6 +197,7 @@ mod tests {
         let mut dindex = 0i32;
         let mut max_err = 0i32;
         for i in 0..256 {
+            #[expect(clippy::cast_possible_truncation, reason = "the wave peaks at 5000")]
             let s = ((i as f32 * 0.05).sin() * 5000.0) as i32;
             let code = encode_sample(s, &mut pred, &mut index);
             let mut out = dpred;

@@ -24,6 +24,10 @@ fn px(buf: &TracedBuf<i32>, w: usize, x: usize, y: usize) -> i32 {
 }
 
 /// Builds the Disparity workload.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "synthetic pixels are below 160 and shifts below the disparity range, so both fit i32"
+)]
 pub fn build(scale: Scale) -> Workload {
     let w = scale.pick(20, 48, 84);
     let h = scale.pick(16, 36, 64);

@@ -32,6 +32,10 @@ const STEP6: (usize, u32) = (4, 500);
 /// of butterfly stages, and magnitude extraction, followed by a host phase
 /// that scans the low bins of the spectrum (the Figure 1 pattern: the last
 /// consumer runs in software).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "FFT sizes are far below 2^32"
+)]
 pub fn build(scale: Scale) -> Workload {
     let n = scale.pick(64, 512, 1024);
     // The application invokes the FFT pipeline repeatedly on the same
@@ -207,6 +211,10 @@ mod tests {
                     + 0.1 * t
             })
             .collect();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a magnitude near 1 fits f32"
+        )]
         let dft_mag = |k: usize| {
             let (mut re, mut im) = (0.0f64, 0.0f64);
             for (i, &x) in signal.iter().enumerate() {

@@ -28,6 +28,10 @@ fn px(buf: &TracedBuf<i32>, w: usize, x: usize, y: usize) -> i32 {
 
 /// Builds the Filter workload: `medfilt` over the image in row bands, then
 /// `edgefilt` over the median output, then a host digest pass.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "pixel coordinates and Sobel magnitudes are far below i32::MAX"
+)]
 pub fn build(scale: Scale) -> Workload {
     let w = scale.pick(16, 32, 48);
     let h = scale.pick(16, 32, 48);

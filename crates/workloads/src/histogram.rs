@@ -20,6 +20,10 @@ const HSL2RGB: (usize, u32) = (3, 500);
 const BINS: usize = 256;
 
 /// Builds the Histogram workload.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "luminance in [0, 1] scales to a bin below BINS"
+)]
 pub fn build(scale: Scale) -> Workload {
     let n = scale.pick(24 * 24, 96 * 96, 192 * 176); // pixels
     let rec = Recorder::new();

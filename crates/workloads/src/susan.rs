@@ -22,6 +22,10 @@ fn px(buf: &TracedBuf<i32>, w: usize, x: usize, y: usize) -> i32 {
 }
 
 /// Builds the SUSAN workload.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "synthetic pixels, LUT indices and smoothed values are small, and a float-to-int cast saturates"
+)]
 pub fn build(scale: Scale) -> Workload {
     let w = scale.pick(16, 28, 36);
     let h = scale.pick(16, 28, 36);

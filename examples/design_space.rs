@@ -6,6 +6,12 @@
 //! cargo run --release --example design_space [fft|disp|track|adpcm|susan|filt|hist]
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an example stops on a failed run"
+)]
+
 use fusion_repro::core::runner::{run_system, SystemKind};
 use fusion_repro::types::{SystemConfig, WritePolicy};
 use fusion_repro::workloads::{build_suite, Scale, SuiteId};

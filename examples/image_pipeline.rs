@@ -11,6 +11,8 @@
 //! cargo run --release --example image_pipeline
 //! ```
 
+#![allow(clippy::unwrap_used, reason = "an example stops on a failed run")]
+
 use fusion_repro::accel::DecodedTrace;
 use fusion_repro::core::runner::{run_system, SystemKind};
 use fusion_repro::energy::Component;

@@ -11,6 +11,12 @@
 //! cargo run --release --example lease_sweep [fft|adpcm|...]
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an example stops on a failed run"
+)]
+
 use fusion_repro::core::runner::{run_system, SystemKind};
 use fusion_repro::types::SystemConfig;
 use fusion_repro::workloads::{build_suite, Scale, SuiteId};

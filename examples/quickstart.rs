@@ -4,6 +4,12 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an example stops on a failed run"
+)]
+
 use fusion_repro::accel::DecodedTrace;
 use fusion_repro::core::runner::{run_system, SystemKind};
 use fusion_repro::workloads::{build_suite, Scale, SuiteId};

@@ -4,6 +4,10 @@
 //! splitmix64 generator instead).
 
 #![allow(dead_code)] // each integration-test binary uses a subset
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "each range_* draw is below its upper bound, so it fits the bound's type"
+)]
 
 /// Deterministic splitmix64 generator.
 pub struct Rng(u64);

@@ -2,6 +2,11 @@
 //! trace serialization format, driven by the seeded deterministic
 //! generator in `common::Rng`.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "a test may use std maps as a reference model"
+)]
+
 mod common;
 
 use common::Rng;

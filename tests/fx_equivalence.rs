@@ -13,6 +13,12 @@
 //! * the AX-RMAP reverse map, keyed by physical block index (`u64`) with
 //!   insert/lookup/remove churn as blocks enter and leave the L1X.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "std HashMap is the reference these tests compare Fx maps against"
+)]
+
 use std::collections::HashMap;
 
 use fusion_accel::DecodedTrace;

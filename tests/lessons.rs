@@ -5,6 +5,8 @@
 //! Small scale keeps CI fast while preserving every crossover; the Paper
 //! scale numbers live in EXPERIMENTS.md.
 
+#![allow(clippy::unwrap_used, reason = "a test fails by panicking")]
+
 use fusion_repro::core::runner::{run_system, SystemKind};
 use fusion_repro::core::SimResult;
 use fusion_repro::energy::Component;

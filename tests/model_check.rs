@@ -10,6 +10,11 @@
 //! `sim verify`; this suite keeps tier-1 `cargo test` fast by pinning
 //! the ACC models to their single-block configurations.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "a test may use std maps as a reference model"
+)]
+
 mod common;
 
 use std::collections::HashMap;

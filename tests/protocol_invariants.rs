@@ -6,6 +6,11 @@
 //! `common::Rng`, so every run explores the same sequences and failures
 //! reproduce exactly.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "a test may use std maps as a reference model"
+)]
+
 mod common;
 
 use std::collections::HashMap;
