@@ -73,8 +73,8 @@ memo flag (sweep):\n  \
 only in knobs their system cannot observe copy the first\n                        \
 such point's result (DESIGN.md \u{a7}12)\n\n\
 durability flags (sweep):\n  \
---journal <path>      write-ahead result journal: one fsync'd sealed JSONL row\n                        \
-per completed grid point (DESIGN.md \u{a7}13)\n  \
+--journal <path>      write-ahead result journal: one sealed JSONL row per\n                        \
+completed grid point, fsync'd in batches (DESIGN.md \u{a7}13)\n  \
 --resume              replay a journal, re-verifying and skipping completed\n                        \
 points; partial sweeps also leave <path>.salvage.json\n\n\
 exit codes: 0 success, 1 runtime/sweep/verification failure, 2 usage error";
@@ -479,29 +479,28 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
     }
     let resumed_count = resumed.iter().flatten().count();
 
-    // (Re)create the journal and replay the verified rows into it before
-    // the sweep starts: resume *compacts*, so torn tails, duplicates and
-    // stale rows are healed rather than appended after.
+    // Create the journal, or on resume compact it: the header and the
+    // verified rows replace it crash-safely (via a renamed temp file)
+    // before the sweep starts, so torn tails, duplicates and stale rows
+    // are healed rather than appended after.
     if let Some(path) = &journal_path {
         let header = journal::JournalHeader {
             scale: journal::scale_label(scale).to_string(),
             code_version: journal::code_version(),
             grid: expected,
         };
-        let mut writer = match journal::JournalWriter::create(path, &header) {
-            Ok(w) => w,
+        let writer = if args.flag("resume") {
+            journal::compact(path, &header, resumed.iter().flatten())
+        } else {
+            journal::JournalWriter::create(path, &header)
+        };
+        match writer {
+            Ok(w) => sweep = sweep.with_journal(Arc::new(journal::JournalSink::new(w))),
             Err(e) => {
                 eprintln!("journal: {e}");
                 return Ok(false);
             }
-        };
-        for row in resumed.iter().flatten() {
-            if let Err(e) = writer.append(row) {
-                eprintln!("journal: {e}");
-                return Ok(false);
-            }
         }
-        sweep = sweep.with_journal(Arc::new(journal::JournalSink::new(writer)));
     }
 
     let todo: Vec<SweepJob> = jobs

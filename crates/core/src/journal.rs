@@ -4,13 +4,14 @@
 //! A long design-space sweep must survive the process dying under it — a
 //! crash, an OOM-kill, a deadline expiry. The journal makes that cheap:
 //!
-//! * **Write-ahead rows** — each sweep worker appends one JSONL row per
+//! * **Write-ahead rows** — the sweep journals one JSONL row per
 //!   *completed* grid point ([`JournalRow`]), carrying the job key
 //!   (system × suite × scale × config-hash × code-version), the trace
 //!   fingerprint, the attempt/backoff accounting and the full
-//!   [`SimResult::to_json`] payload. Every row is fsync'd before the
-//!   worker publishes the result ([`JournalWriter::append`]), so a row on
-//!   disk is a grid point that never needs to run again.
+//!   [`SimResult::to_json`] payload. Rows are appended in batches, one
+//!   write and one fsync each ([`JournalWriter::append_batch`]), and no
+//!   result is published before its batch is durable, so a row on disk is
+//!   a grid point that never needs to run again.
 //! * **Sealed lines** — every line ends in a trailing FNV-1a seal over
 //!   the bytes before it. Torn writes, truncation and bit rot fail the
 //!   seal and the line is dropped with a warning; the rest of the journal
@@ -27,15 +28,10 @@
 //!   salvage report ([`salvage_json`]) naming what completed, what
 //!   failed, what was never attempted and whether the journal was lost,
 //!   plus the resume command.
-//!
-//! The row format doubles as the seed format for the ROADMAP item-1
-//! sweep-server result cache: rows are keyed by exactly the tuple the
-//! server will key its store by.
 
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use fusion_types::error::JournalError;
@@ -583,9 +579,9 @@ pub fn plan_resume(
     Ok(plan)
 }
 
-/// Appends sealed lines to a journal file with an fsync per line — the
-/// write-ahead discipline: a row is on disk before the sweep publishes
-/// the result it records. `with_quota` arms the chaos harness's
+/// Appends sealed lines to a journal file, one write and one fsync per
+/// batch — the write-ahead discipline: a row is on disk before the sweep
+/// publishes the result it records. `with_quota` arms the chaos harness's
 /// disk-full simulation.
 #[derive(Debug)]
 pub struct JournalWriter {
@@ -593,24 +589,31 @@ pub struct JournalWriter {
     path: PathBuf,
     quota: Option<u64>,
     written: u64,
+    syncs: u64,
 }
 
 impl JournalWriter {
     /// Creates (truncating) the journal at `path` and writes the sealed
-    /// header. On resume the caller re-writes verified rows first — the
-    /// compaction that heals torn tails instead of appending after them.
+    /// header. Resume goes through [`compact`] instead, which never
+    /// truncates the journal it reads from.
     pub fn create(path: &Path, header: &JournalHeader) -> Result<JournalWriter, JournalError> {
+        let mut w = JournalWriter::open(path)?;
+        w.append_batch(&[encode_header(header)])?;
+        Ok(w)
+    }
+
+    /// Creates (truncating) an empty file at `path`.
+    fn open(path: &Path) -> Result<JournalWriter, JournalError> {
         let file = File::create(path).map_err(|e| JournalError::Io {
             detail: format!("create {}: {e}", path.display()),
         })?;
-        let mut w = JournalWriter {
+        Ok(JournalWriter {
             file,
             path: path.to_path_buf(),
             quota: None,
             written: 0,
-        };
-        w.write_line(&encode_header(header))?;
-        Ok(w)
+            syncs: 0,
+        })
     }
 
     /// Caps the bytes this writer may put on disk, simulating a full
@@ -622,16 +625,19 @@ impl JournalWriter {
 
     /// Appends one sealed row, fsync'd before returning.
     pub fn append(&mut self, row: &JournalRow) -> Result<(), JournalError> {
-        self.write_line(&encode_row(row))
+        self.append_batch(&[encode_row(row)])
     }
 
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn write_line(&mut self, line: &str) -> Result<(), JournalError> {
-        let payload = format!("{line}\n");
+    /// Appends sealed lines (each without its newline) with one write and
+    /// one `sync_data`, so the batch is durable before this returns. A
+    /// batch that would pass the quota writes nothing: the file ends at
+    /// the previous batch.
+    pub fn append_batch(&mut self, lines: &[String]) -> Result<(), JournalError> {
+        let mut payload = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+        for line in lines {
+            payload.push_str(line);
+            payload.push('\n');
+        }
         if let Some(quota) = self.quota {
             if self.written + payload.len() as u64 > quota {
                 return Err(JournalError::DiskFull {
@@ -646,63 +652,118 @@ impl JournalWriter {
             detail: format!("write {}: {e}", self.path.display()),
         };
         self.file.write_all(payload.as_bytes()).map_err(io_err)?;
-        // Job-granularity durability: the row must survive a crash that
-        // happens the instant after the worker publishes its result.
         self.file.sync_data().map_err(io_err)?;
+        self.syncs += 1;
         self.written += payload.len() as u64;
         Ok(())
     }
+
+    /// `sync_data` calls made so far: one per batch, header included.
+    pub fn syncs(&self) -> u64 {
+        self.syncs
+    }
+
+    /// The journal's path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
 }
 
-/// Thread-safe journal endpoint the sweep workers record through.
+/// Rewrites the journal at `path` as `header` plus `rows` and returns a
+/// writer that appends after them — resume's compaction, which drops torn
+/// tails, duplicates and stale rows rather than appending after them.
+///
+/// Crash-safe: the lines go to a sibling `<name>.compact` file in one
+/// batch (one write, one fsync), which is then renamed over `path` and
+/// the directory synced. Until the rename the old journal is untouched,
+/// so a crash or a failed write at any point leaves one complete journal
+/// at `path`, never a truncated one.
+pub fn compact<'a>(
+    path: &Path,
+    header: &JournalHeader,
+    rows: impl IntoIterator<Item = &'a JournalRow>,
+) -> Result<JournalWriter, JournalError> {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".compact");
+    let tmp = path.with_file_name(name);
+    let mut lines = vec![encode_header(header)];
+    lines.extend(rows.into_iter().map(encode_row));
+    let io_err = |what: &str, e: std::io::Error| JournalError::Io {
+        detail: format!("{what} {}: {e}", path.display()),
+    };
+    let mut w = JournalWriter::open(&tmp)?;
+    if let Err(e) = w.append_batch(&lines) {
+        std::fs::remove_file(&tmp).ok();
+        return Err(e);
+    }
+    if let Err(e) = std::fs::rename(&tmp, path) {
+        std::fs::remove_file(&tmp).ok();
+        return Err(io_err("rename onto", e));
+    }
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("sync the directory of", e))?;
+    w.path = path.to_path_buf();
+    Ok(w)
+}
+
+/// Thread-safe journal endpoint a sweep commits batches through.
 ///
 /// Journal loss is itself handled gracefully: after the first failed
-/// append (disk full, I/O error) the sink goes dead and later records
+/// batch (disk full, I/O error) the sink goes dead and later commits
 /// no-op — the sweep keeps producing results, it just loses crash
 /// protection for them, and [`JournalSink::lost`] reports why.
 #[derive(Debug)]
 pub struct JournalSink {
-    writer: Mutex<JournalWriter>,
-    dead: AtomicBool,
-    lost: Mutex<Option<String>>,
+    state: Mutex<SinkState>,
+}
+
+/// The writer and, once a batch has failed, why.
+#[derive(Debug)]
+struct SinkState {
+    writer: JournalWriter,
+    lost: Option<String>,
 }
 
 impl JournalSink {
     /// Wraps a writer for concurrent use.
     pub fn new(writer: JournalWriter) -> JournalSink {
         JournalSink {
-            writer: Mutex::new(writer),
-            dead: AtomicBool::new(false),
-            lost: Mutex::new(None),
+            state: Mutex::new(SinkState { writer, lost: None }),
         }
     }
 
-    /// Appends one row; on failure the sink goes dead (never fails the
-    /// sweep job whose result it was recording).
-    pub fn record(&self, row: &JournalRow) {
-        if self.dead.load(Ordering::Relaxed) {
+    /// Appends sealed row lines as one batch ([`JournalWriter::
+    /// append_batch`]); on failure the sink goes dead (never fails the
+    /// sweep jobs whose results it was recording).
+    pub fn commit(&self, lines: &[String]) {
+        let mut state = self.state();
+        if state.lost.is_some() || lines.is_empty() {
             return;
         }
-        let mut writer = match self.writer.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        if let Err(e) = writer.append(row) {
-            self.dead.store(true, Ordering::Relaxed);
-            let mut lost = match self.lost.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            lost.get_or_insert_with(|| e.to_string());
+        if let Err(e) = state.writer.append_batch(lines) {
+            state.lost = Some(e.to_string());
         }
     }
 
     /// Why the journal died mid-sweep, if it did.
     pub fn lost(&self) -> Option<String> {
-        match self.lost.lock() {
-            Ok(g) => g.clone(),
-            Err(p) => p.into_inner().clone(),
-        }
+        self.state().lost.clone()
+    }
+
+    /// The writer's [`JournalWriter::syncs`].
+    pub fn syncs(&self) -> u64 {
+        self.state().writer.syncs()
+    }
+
+    /// The state, with poison recovery: a panic elsewhere never leaves
+    /// the writer half-updated, since every update is one call.
+    fn state(&self) -> std::sync::MutexGuard<'_, SinkState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 

@@ -53,8 +53,8 @@ mod systems;
 
 pub use faults::{Fault, FaultPlan, SplitMix64};
 pub use journal::{
-    code_version, config_fingerprint, job_key, plan_resume, read_journal, salvage_json, JobKey,
-    JournalHeader, JournalRow, JournalSink, JournalWriter, Recovery, ResumePlan,
+    code_version, compact, config_fingerprint, job_key, plan_resume, read_journal, salvage_json,
+    JobKey, JournalHeader, JournalRow, JournalSink, JournalWriter, Recovery, ResumePlan,
 };
 pub use memo::{observed_config, MemoMark, MemoRow};
 pub use result::{PhaseResult, RunMetrics, SimResult, Traffic};

@@ -41,10 +41,13 @@
 //!   deterministic and tests never wait on real time.
 //!   [`SweepOutcome::attempts`] and [`SweepOutcome::backoff`] record the
 //!   accounting.
-//! * **Write-ahead journal** — with [`Sweep::with_journal`] each worker
-//!   records every completed grid point to a checksummed, fsync'd journal
-//!   *before* publishing the result (DESIGN.md §13, [`crate::journal`]);
-//!   a crashed sweep resumes from the journal instead of restarting.
+//! * **Write-ahead journal** — with [`Sweep::with_journal`] every
+//!   completed grid point is recorded to a checksummed, fsync'd journal
+//!   *before* its result is published (DESIGN.md §13,
+//!   [`crate::journal`]). Workers hand each memo group's rows to one
+//!   writer thread that appends all queued rows with one fsync, so the
+//!   sync overlaps the next replay. A crashed sweep resumes from the
+//!   journal instead of restarting.
 //!   Journal loss mid-sweep is fail-soft: the sweep finishes without it
 //!   and [`Sweep::journal_lost`] reports the loss.
 //! * **Determinism** — every simulation is a pure function of its
@@ -78,7 +81,7 @@
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use fusion_accel::{io as trace_io, DecodedTrace, Workload};
@@ -589,10 +592,11 @@ impl Sweep {
 
     /// Attaches a write-ahead result journal: every completed grid point
     /// is recorded (checksummed, fsync'd) before its result is published
-    /// (DESIGN.md §13). Journal loss mid-sweep is fail-soft — the sweep
-    /// finishes, and [`Sweep::journal_lost`] reports the loss. Each row
-    /// carries its trace's fingerprint, hashed while the sweep builds the
-    /// trace.
+    /// (DESIGN.md §13). A writer thread commits the rows in batches, one
+    /// fsync for all the groups queued since its last one. Journal loss
+    /// mid-sweep is fail-soft — the sweep finishes, and
+    /// [`Sweep::journal_lost`] reports the loss. Each row carries its
+    /// trace's fingerprint, hashed while the sweep builds the trace.
     pub fn with_journal(mut self, sink: Arc<JournalSink>) -> Sweep {
         self.journal = Some(sink);
         self
@@ -644,7 +648,7 @@ impl Sweep {
         // pairs) so no timed replay region pays for analysis. Both caches
         // dedupe, so repeated (suite, parameter) pairs cost one compute.
         // A journaled sweep fingerprints each trace here, while its
-        // references are still alive, so `publish` only reads the hash.
+        // references are still alive, so `rows_of` only reads the hash.
         let build_cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -749,26 +753,33 @@ impl Sweep {
                 memo: MemoRow { mark },
             }
         };
-        // Write-ahead discipline: the journal row is on disk (fsync'd)
-        // before the result is published into its slot, so every visible
-        // completion is recoverable after a crash.
-        let publish = |i: usize, outcome: SweepOutcome| {
-            if let (Some(sink), Ok(res)) = (&self.journal, &outcome.result) {
-                sink.record(&journal::JournalRow::for_result(
-                    &outcome.job,
-                    self.scale,
-                    res,
-                    outcome.attempts,
-                    outcome.backoff,
-                    self.traces.fingerprint(outcome.job.suite, self.scale),
-                ));
+        // Fills a group's result slots. Poison recovery: a slot mutex
+        // poisoned by a panic on another thread still holds writable
+        // storage — never let one casualty forfeit the grid.
+        let fill = |group: Group| {
+            for (i, outcome) in group {
+                *slots[i]
+                    .lock()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(outcome);
             }
-            // Poison recovery: a slot mutex poisoned by a panic on another
-            // worker still holds writable storage — never let one
-            // casualty forfeit the grid.
-            *slots[i]
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(outcome);
+        };
+        // The journal lines of a group's successful outcomes, encoded on
+        // the worker so the journal writer only writes, syncs and fills.
+        let rows_of = |group: &Group| -> Vec<String> {
+            group
+                .iter()
+                .filter_map(|(_, o)| {
+                    let res = o.result.as_ref().ok()?;
+                    Some(journal::encode_row(&journal::JournalRow::for_result(
+                        &o.job,
+                        self.scale,
+                        res,
+                        o.attempts,
+                        o.backoff,
+                        self.traces.fingerprint(o.job.suite, self.scale),
+                    )))
+                })
+                .collect()
         };
 
         std::thread::scope(|scope| {
@@ -788,10 +799,42 @@ impl Sweep {
                     }
                 });
             }
+            let fill = &fill;
+            // Write-ahead discipline with group commit: a journaled
+            // sweep's workers hand each group to one writer thread, which
+            // drains everything queued, appends it with one write and one
+            // fsync, and only then fills the slots. So no result is
+            // published before its row is durable, and the fsync overlaps
+            // the workers' next replays. The writer ends once every worker
+            // has dropped its sender and this closure has dropped its own.
+            let to_writer = self.journal.as_deref().map(|sink| {
+                let (tx, rx) = mpsc::channel::<(Vec<String>, Group)>();
+                scope.spawn(move || {
+                    while let Ok((mut lines, group)) = rx.recv() {
+                        let mut groups = vec![group];
+                        for (more, group) in rx.try_iter() {
+                            lines.extend(more);
+                            groups.push(group);
+                        }
+                        sink.commit(&lines);
+                        groups.into_iter().for_each(fill);
+                    }
+                });
+                tx
+            });
             let (jobs, roles, cursor, stop, workers_done) =
                 (&jobs, &roles, &cursor, &stop, &workers_done);
-            let (run_job, publish) = (&run_job, &publish);
+            let (run_job, rows_of) = (&run_job, &rows_of);
             for _ in 0..workers {
+                let to_writer = to_writer.clone();
+                let publish = move |group: Group| match &to_writer {
+                    // A send fails only if the writer panicked, and then
+                    // the scope re-raises the panic: nothing is returned.
+                    Some(tx) => {
+                        let _ = tx.send((rows_of(&group), group));
+                    }
+                    None => fill(group),
+                };
                 scope.spawn(move || {
                     loop {
                         if self.fail_fast && stop.load(Ordering::Relaxed) {
@@ -817,15 +860,14 @@ impl Sweep {
                         let outcome = run_job(i, mark);
                         match &outcome.result {
                             Ok(res) => {
-                                let copied: Vec<SweepOutcome> =
-                                    copies.iter().map(|&c| copy_of(&jobs[c], res)).collect();
-                                publish(i, outcome);
-                                for (&c, copy) in copies.iter().zip(copied) {
-                                    publish(c, copy);
-                                }
+                                let copied: Group = copies
+                                    .iter()
+                                    .map(|&c| (c, copy_of(&jobs[c], res)))
+                                    .collect();
+                                publish(std::iter::once((i, outcome)).chain(copied).collect());
                             }
                             Err(_) => {
-                                publish(i, outcome);
+                                publish(vec![(i, outcome)]);
                                 // A failed first member proves nothing
                                 // about its group: the other members run
                                 // as ordinary jobs.
@@ -833,7 +875,7 @@ impl Sweep {
                                     if self.fail_fast && stop.load(Ordering::Relaxed) {
                                         break;
                                     }
-                                    publish(c, run_job(c, MemoMark::Miss));
+                                    publish(vec![(c, run_job(c, MemoMark::Miss))]);
                                 }
                             }
                         }
@@ -930,6 +972,10 @@ impl Sweep {
         run_system_guarded(job.system, workload, decoded, &cfg, &ctl)
     }
 }
+
+/// Outcomes published together, keyed by grid index: a group's first
+/// member and the copies made from it, or one ungrouped or failed job.
+type Group = Vec<(usize, SweepOutcome)>;
 
 /// A group member's outcome, copied from its first member's result: it
 /// took no wall time, no queueing and no retries (DESIGN.md §12).

@@ -5,6 +5,14 @@
 # timing fields stripped (the same set the memo A/B gate ignores:
 # wall_ms, queue_delay_ms, refs_per_sec, memo).
 #
+# Two victims, each with its own kill, resume and diff:
+#   * memo off: every point replays, so the sweep is slow and the kill
+#     reliably lands mid-run, between single-row batches;
+#   * memo on: a memo group's rows are one journal batch, so the kill can
+#     land inside a multi-row batch's write.
+# Both run single-threaded; the memo and the thread count are
+# results-invariant (proven by the A/B gates).
+#
 # Race-safe by design: on a machine fast enough to finish the sweep
 # before the kill lands, the run degenerates to resume-of-a-complete
 # journal — which must *also* be byte-identical, so the gate still bites.
@@ -22,31 +30,32 @@ trap 'rm -rf "$WORK"' EXIT
 echo "== uninterrupted reference (scale $SCALE) =="
 "$SIM" sweep --scale "$SCALE" --json > "$WORK/ref.json"
 
-echo "== journaled sweep, SIGKILL after ${KILL_AFTER}s =="
-# The victim runs single-threaded with the memo off — both knobs are
-# results-invariant (proven by the A/B gates) but slow the sweep down so
-# the kill reliably lands mid-run instead of after the finish line.
-"$SIM" sweep --scale "$SCALE" --threads 1 --no-memo --json \
-  --journal "$WORK/wal.jsonl" \
-  > "$WORK/killed.json" 2> "$WORK/killed.err" &
-pid=$!
-sleep "$KILL_AFTER"
-if kill -9 "$pid" 2> /dev/null; then
-  echo "killed sweep (pid $pid) mid-run"
-else
-  echo "sweep finished before the kill; resuming a complete journal instead"
-fi
-wait "$pid" 2> /dev/null || true
-lines=0
-[ -f "$WORK/wal.jsonl" ] && lines="$(wc -l < "$WORK/wal.jsonl")"
-echo "journal holds $lines sealed line(s) at the crash point"
+# victim NAME [SWEEP FLAGS...]: journaled sweep, SIGKILL, resume, diff.
+victim() {
+  local name="$1"
+  shift
+  local wal="$WORK/$name.jsonl"
+  echo "== $name victim: journaled sweep, SIGKILL after ${KILL_AFTER}s =="
+  "$SIM" sweep --scale "$SCALE" --threads 1 "$@" --json --journal "$wal" \
+    > "$WORK/$name.killed.json" 2> "$WORK/$name.killed.err" &
+  local pid=$!
+  sleep "$KILL_AFTER"
+  if kill -9 "$pid" 2> /dev/null; then
+    echo "killed sweep (pid $pid) mid-run"
+  else
+    echo "sweep finished before the kill; resuming a complete journal instead"
+  fi
+  wait "$pid" 2> /dev/null || true
+  local lines=0
+  [ -f "$wal" ] && lines="$(wc -l < "$wal")"
+  echo "journal holds $lines sealed line(s) at the crash point"
 
-echo "== resume =="
-"$SIM" sweep --scale "$SCALE" --json --journal "$WORK/wal.jsonl" --resume \
-  > "$WORK/resumed.json"
+  echo "== $name victim: resume =="
+  "$SIM" sweep --scale "$SCALE" --json --journal "$wal" --resume \
+    > "$WORK/$name.resumed.json"
 
-echo "== diff (timing fields stripped) =="
-python3 - "$WORK/ref.json" "$WORK/resumed.json" <<'EOF'
+  echo "== $name victim: diff (timing fields stripped) =="
+  python3 - "$WORK/ref.json" "$WORK/$name.resumed.json" <<'EOF'
 import json, sys
 def strip(path):
     out = []
@@ -65,3 +74,7 @@ for i, (a, b) in enumerate(zip(ref, res)):
             "diverged after SIGKILL + resume")
 print(f"{len(ref)} rows byte-identical after SIGKILL + resume")
 EOF
+}
+
+victim no-memo --no-memo
+victim memo

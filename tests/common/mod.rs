@@ -69,6 +69,31 @@ impl Rng {
     }
 }
 
+/// The grid indices of a one-worker sweep's outcomes, grouped as the
+/// worker claimed and published them: each group's first member (in grid
+/// order), then the members whose results were copied from it.
+pub fn claim_groups(outcomes: &[fusion_core::SweepOutcome]) -> Vec<Vec<usize>> {
+    use fusion_core::{observed_config, MemoMark, SweepOutcome};
+    let key = |o: &SweepOutcome| {
+        (
+            o.job.system,
+            o.job.suite,
+            observed_config(o.job.system, &o.job.config),
+        )
+    };
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, o) in outcomes.iter().enumerate() {
+        let leader = (o.memo.mark == MemoMark::Hit)
+            .then(|| groups.iter_mut().find(|g| key(&outcomes[g[0]]) == key(o)))
+            .flatten();
+        match leader {
+            Some(group) => group.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    groups
+}
+
 #[test]
 fn rng_is_deterministic_and_in_range() {
     let mut a = Rng::new(42);

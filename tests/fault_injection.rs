@@ -14,13 +14,17 @@
 //! the invariant that (crash anywhere → resume) reproduces the
 //! uninterrupted run's result payloads byte for byte.
 
+mod common;
+
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use fusion_core::journal::{self, JournalHeader, JournalSink, JournalWriter};
 use fusion_core::TraceCache;
-use fusion_core::{full_grid, Fault, FaultPlan, Sweep, SweepJob, SweepOutcome, SweepSummary};
-use fusion_types::error::{SimError, TimeoutKind};
+use fusion_core::{
+    design_grid, full_grid, Fault, FaultPlan, Sweep, SweepJob, SweepOutcome, SweepSummary,
+};
+use fusion_types::error::{JournalError, SimError, TimeoutKind};
 use fusion_types::SystemConfig;
 use fusion_workloads::Scale;
 
@@ -345,6 +349,124 @@ fn disk_full_kills_the_journal_softly_but_never_the_sweep() {
     std::fs::remove_file(&path).ok();
     assert!(rec.header.is_some());
     assert!(rec.rows.len() < GRID);
+
+    // A quota inside a multi-row batch. A memo group's rows are one
+    // batch, and the batch that crosses the quota writes nothing, so the
+    // file ends at a group boundary before the quota and is a byte prefix
+    // of the unbounded journal. Every outcome is still published.
+    let jobs = design_grid(&cfg);
+    let traces = Arc::new(TraceCache::new());
+    let journaled = |path: &PathBuf, quota: Option<u64>| {
+        let mut writer = JournalWriter::create(path, &wal_header(jobs.len())).unwrap();
+        if let Some(q) = quota {
+            writer = writer.with_quota(q);
+        }
+        let sink = Arc::new(JournalSink::new(writer));
+        let outcomes = Sweep::new(Scale::Tiny)
+            .threads(1)
+            .with_trace_cache(Arc::clone(&traces))
+            .with_journal(Arc::clone(&sink))
+            .run(jobs.clone());
+        let bytes = std::fs::read(path).unwrap();
+        std::fs::remove_file(path).ok();
+        (sink, outcomes, bytes)
+    };
+    let (_, reference, full) = journaled(&temp_path("disk_full_unbounded"), None);
+    // ends[j]: where the header and the first j claimed groups end.
+    let line_ends: Vec<usize> = (0..full.len()).filter(|&i| full[i] == b'\n').collect();
+    let groups = common::claim_groups(&reference);
+    let mut ends = vec![line_ends[0] + 1];
+    let mut rows = 0;
+    for g in &groups {
+        rows += g.len();
+        ends.push(line_ends[rows] + 1);
+    }
+    let k = (0..groups.len())
+        .rev()
+        .find(|&k| groups[k].len() > 1)
+        .unwrap();
+    let quota = (ends[k] + ends[k + 1]) / 2;
+    let (sink, outcomes, bytes) = journaled(&temp_path("disk_full_batch"), Some(quota as u64));
+    assert_eq!(outcomes.len(), jobs.len());
+    assert!(outcomes.iter().all(|o| o.result.is_ok()));
+    assert!(sink.lost().is_some_and(|l| l.contains("quota")));
+    assert!(
+        ends[..=k].contains(&bytes.len()),
+        "journal of {} bytes ends inside a batch (quota {quota})",
+        bytes.len()
+    );
+    assert!(bytes[..] == full[..bytes.len()]);
+}
+
+/// Resume compaction never truncates the journal it compacts: when the
+/// compacted write fails, the original journal is untouched, no partial
+/// temp file is left beside it, and it still resumes every row; when it
+/// succeeds, the rewritten journal holds the same bytes and the temp file
+/// is gone.
+#[test]
+fn failed_compaction_leaves_the_journal_resumable() {
+    let jobs = full_grid(&SystemConfig::small());
+    let traces = Arc::new(TraceCache::new());
+    let path = temp_path("compact");
+    let mut tmp = path.clone().into_os_string();
+    tmp.push(".compact");
+    let tmp = PathBuf::from(tmp);
+    let writer = JournalWriter::create(&path, &wal_header(jobs.len())).unwrap();
+    // One worker journals in grid order, the order compaction writes.
+    Sweep::new(Scale::Tiny)
+        .threads(1)
+        .with_trace_cache(Arc::clone(&traces))
+        .with_journal(Arc::new(JournalSink::new(writer)))
+        .run(jobs.clone());
+    let original = std::fs::read(&path).unwrap();
+    let resumed = |bytes: &[u8]| {
+        let mut fp = |suite| traces.fingerprint(suite, Scale::Tiny);
+        let rec = journal::read_journal(bytes);
+        journal::plan_resume(&jobs, Scale::Tiny, &rec, &journal::code_version(), &mut fp).unwrap()
+    };
+    let plan = resumed(&original);
+    assert_eq!(plan.resumed_count(), GRID);
+    let compact = || {
+        journal::compact(
+            &path,
+            &wal_header(jobs.len()),
+            plan.resumed.iter().flatten(),
+        )
+    };
+    let assert_untouched = || {
+        let after = std::fs::read(&path).unwrap();
+        assert!(after == original, "a failed compaction touched the journal");
+        assert_eq!(resumed(&after).resumed_count(), GRID);
+    };
+
+    // A directory where the temp file goes: creating it fails (EISDIR,
+    // even as root) and nothing is written.
+    std::fs::create_dir(&tmp).unwrap();
+    let err = compact().unwrap_err();
+    assert!(matches!(err, JournalError::Io { .. }), "{err}");
+    assert_untouched();
+    assert!(
+        std::fs::read_dir(&tmp).unwrap().next().is_none(),
+        "a failed compaction wrote into the temp path"
+    );
+    std::fs::remove_dir(&tmp).unwrap();
+
+    // A temp file that opens but whose write fails (ENOSPC from
+    // /dev/full): the failed batch's temp file is removed again.
+    #[cfg(target_os = "linux")]
+    {
+        std::os::unix::fs::symlink("/dev/full", &tmp).unwrap();
+        let err = compact().unwrap_err();
+        assert!(matches!(err, JournalError::Io { .. }), "{err}");
+        assert_untouched();
+        assert!(tmp.symlink_metadata().is_err(), "temp file left behind");
+    }
+
+    let compacted = compact().unwrap();
+    assert_eq!(compacted.syncs(), 1, "header and rows in one batch");
+    assert!(std::fs::read(&path).unwrap() == original);
+    std::fs::remove_file(&path).ok();
+    assert!(tmp.symlink_metadata().is_err(), "temp file left behind");
 }
 
 #[test]

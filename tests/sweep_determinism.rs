@@ -6,7 +6,11 @@
 //! `RunMetrics`, so the guarantee is expressible as plain `==` between
 //! the parallel outcomes and sequential `run_system` calls.
 
-use fusion_core::journal::{self, JournalHeader, JournalSink, JournalWriter};
+mod common;
+
+use std::sync::Arc;
+
+use fusion_core::journal::{self, JournalHeader, JournalRow, JournalSink, JournalWriter};
 use fusion_core::{design_grid, full_grid, run_system, MemoMark, Sweep, TraceCache};
 use fusion_types::SystemConfig;
 use fusion_workloads::{build_suite, Scale};
@@ -104,50 +108,122 @@ fn memo_on_matches_memo_off_over_design_grid() {
 /// The determinism guarantee survives `--journal`: recording the
 /// write-ahead journal changes nothing about the outcomes, and the
 /// journal it leaves behind resumes the whole grid with payloads
-/// byte-identical to what the jobs produced (DESIGN.md §13).
+/// byte-identical to what the jobs produced (DESIGN.md §13). Two workers
+/// hand the journal writer interleaved groups.
 #[test]
 fn journaled_sweep_matches_plain_sweep_and_is_fully_resumable() {
     let cfg = SystemConfig::small();
     let jobs = full_grid(&cfg);
-    let traces = std::sync::Arc::new(TraceCache::new());
+    let traces = Arc::new(TraceCache::new());
     let plain = Sweep::new(Scale::Tiny)
-        .with_trace_cache(std::sync::Arc::clone(&traces))
+        .with_trace_cache(Arc::clone(&traces))
         .run(jobs.clone());
 
-    let path = std::env::temp_dir().join(format!("fusion_det_wal_{}.jsonl", std::process::id()));
-    let header = JournalHeader {
+    for threads in [None, Some(2)] {
+        let path = std::env::temp_dir().join(format!(
+            "fusion_det_wal_{}_{threads:?}.jsonl",
+            std::process::id()
+        ));
+        let writer = JournalWriter::create(&path, &wal_header(jobs.len())).unwrap();
+        let mut sweep = Sweep::new(Scale::Tiny)
+            .with_trace_cache(Arc::clone(&traces))
+            .with_journal(Arc::new(JournalSink::new(writer)));
+        if let Some(n) = threads {
+            sweep = sweep.threads(n);
+        }
+        let journaled = sweep.run(jobs.clone());
+
+        for (x, y) in plain.iter().zip(&journaled) {
+            assert_eq!(
+                x.result,
+                y.result,
+                "{}: journaling changed a result ({threads:?} threads)",
+                x.job.label()
+            );
+        }
+
+        let rec = journal::read_journal(&std::fs::read(&path).unwrap());
+        std::fs::remove_file(&path).ok();
+        assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
+        let mut fp = |suite| traces.fingerprint(suite, Scale::Tiny);
+        let plan =
+            journal::plan_resume(&jobs, Scale::Tiny, &rec, &journal::code_version(), &mut fp)
+                .unwrap();
+        assert_eq!(plan.resumed_count(), jobs.len(), "every point must resume");
+        for (row, outcome) in plan.resumed.iter().zip(&plain) {
+            assert_eq!(
+                row.as_ref().unwrap().result_json,
+                outcome.result.as_ref().unwrap().to_json(),
+                "{}: journaled payload diverged ({threads:?} threads)",
+                outcome.job.label()
+            );
+        }
+    }
+}
+
+/// A journaled design-grid sweep fsyncs the header and then at most once
+/// per memo group — a group's rows are one batch, and the writer may fold
+/// several queued groups into one — instead of once per row. Its journal
+/// is byte for byte the one `JournalWriter::append` writes row by row in
+/// the worker's claim order.
+#[test]
+fn journaled_design_grid_syncs_at_most_once_per_memo_group() {
+    let jobs = design_grid(&SystemConfig::small());
+    let traces = Arc::new(TraceCache::new());
+    let tmp = |name: &str| {
+        std::env::temp_dir().join(format!("fusion_det_{name}_{}.jsonl", std::process::id()))
+    };
+    let (batched_path, reference_path) = (tmp("batched"), tmp("row_by_row"));
+    let sink = Arc::new(JournalSink::new(
+        JournalWriter::create(&batched_path, &wal_header(jobs.len())).unwrap(),
+    ));
+    let outcomes = Sweep::new(Scale::Tiny)
+        .threads(1)
+        .with_trace_cache(Arc::clone(&traces))
+        .with_journal(Arc::clone(&sink))
+        .run(jobs.clone());
+    let groups = common::claim_groups(&outcomes);
+    assert_eq!(groups.len(), 91, "196 points, 105 of them copies");
+    assert!(
+        sink.syncs() <= 1 + groups.len() as u64,
+        "{} fsyncs for {} groups",
+        sink.syncs(),
+        groups.len()
+    );
+
+    let mut reference = JournalWriter::create(&reference_path, &wal_header(jobs.len())).unwrap();
+    for &i in groups.iter().flatten() {
+        let o = &outcomes[i];
+        reference
+            .append(&JournalRow::for_result(
+                &o.job,
+                Scale::Tiny,
+                o.expect_result(),
+                o.attempts,
+                o.backoff,
+                traces.fingerprint(o.job.suite, Scale::Tiny),
+            ))
+            .unwrap();
+    }
+    assert_eq!(reference.syncs(), 1 + jobs.len() as u64);
+    let batched = std::fs::read(&batched_path).unwrap();
+    let row_by_row = std::fs::read(&reference_path).unwrap();
+    std::fs::remove_file(&batched_path).ok();
+    std::fs::remove_file(&reference_path).ok();
+    assert_eq!(
+        batched.iter().filter(|&&b| b == b'\n').count(),
+        1 + jobs.len()
+    );
+    assert!(
+        batched == row_by_row,
+        "batched journal differs from row-by-row"
+    );
+}
+
+fn wal_header(grid: usize) -> JournalHeader {
+    JournalHeader {
         scale: "tiny".to_string(),
         code_version: journal::code_version(),
-        grid: jobs.len(),
-    };
-    let writer = JournalWriter::create(&path, &header).unwrap();
-    let journaled = Sweep::new(Scale::Tiny)
-        .with_trace_cache(std::sync::Arc::clone(&traces))
-        .with_journal(std::sync::Arc::new(JournalSink::new(writer)))
-        .run(jobs.clone());
-
-    for (x, y) in plain.iter().zip(&journaled) {
-        assert_eq!(
-            x.result,
-            y.result,
-            "{}: journaling changed a result",
-            x.job.label()
-        );
-    }
-
-    let rec = journal::read_journal(&std::fs::read(&path).unwrap());
-    std::fs::remove_file(&path).ok();
-    assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
-    let mut fp = |suite| traces.fingerprint(suite, Scale::Tiny);
-    let plan =
-        journal::plan_resume(&jobs, Scale::Tiny, &rec, &journal::code_version(), &mut fp).unwrap();
-    assert_eq!(plan.resumed_count(), jobs.len(), "every point must resume");
-    for (row, outcome) in plan.resumed.iter().zip(&plain) {
-        assert_eq!(
-            row.as_ref().unwrap().result_json,
-            outcome.result.as_ref().unwrap().to_json(),
-            "{}: journaled payload diverged",
-            outcome.job.label()
-        );
+        grid,
     }
 }
