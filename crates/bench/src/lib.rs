@@ -1,10 +1,9 @@
 //! Shared harness for regenerating every table and figure of the FUSION
 //! (ISCA 2015) evaluation.
 //!
-//! The `tables` binary prints the rows; the Criterion benches in
-//! `benches/` time the same regeneration paths. Each table/figure has one
-//! `render_*` function returning the formatted text so both entry points
-//! (and the integration tests) share the exact same computation.
+//! The `tables` binary prints the rows. Each table/figure has one
+//! `render_*` function returning the formatted text, so the binary and
+//! the golden tests share the exact same computation.
 
 #![expect(
     clippy::unwrap_used,
@@ -566,22 +565,6 @@ pub fn render_csv(runs: &[SuiteRun]) -> String {
     out
 }
 
-/// Oracle-DMA window statistics for one suite (supports Figure 6d and the
-/// DMA sections of DESIGN.md).
-pub fn dma_window_summary(wl: &Workload, scratch_blocks: usize) -> (usize, usize) {
-    let windows = DecodedTrace::decode(wl).dma_windows(wl, scratch_blocks);
-    windows
-        .iter()
-        .flatten()
-        .fold((0, 0), |(n, blocks), w| (n + 1, blocks + w.blocks_moved()))
-}
-
-/// Number of forwardable producer→consumer pairs in a workload (used by
-/// the Table 5 bench).
-pub fn forwardable_pairs(wl: &Workload) -> usize {
-    DecodedTrace::decode(wl).forward_pairs(wl, usize::MAX).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,13 +627,5 @@ mod tests {
         let f = DecodedTrace::decode(&wl).trace_stats(&wl).dirty_block_pct();
         assert!((0.0..=100.0).contains(&f));
         assert!(f > 10.0, "filter writes whole planes: {f:.0}%");
-    }
-
-    #[test]
-    fn dma_window_summary_counts() {
-        let wl = build_suite(SuiteId::Fft, Scale::Tiny);
-        let (windows, blocks) = dma_window_summary(&wl, 64);
-        assert!(windows > 0);
-        assert!(blocks > 0);
     }
 }

@@ -1,6 +1,5 @@
 //! Parallel, fault-tolerant design-space sweep: the substrate behind
-//! `sim sweep`, `sim compare`, the `tables` binary and the criterion
-//! benches.
+//! `sim sweep`, `sim compare` and the `tables` binary.
 //!
 //! The paper's evaluation is a grid — 4 systems × 7 suites × configuration
 //! knobs (Figures 6–7, Tables 3–6). This module runs such a grid as a set
@@ -544,8 +543,9 @@ impl Sweep {
         self
     }
 
-    /// Shares an existing trace cache (so repeated sweeps — e.g. the
-    /// criterion benches — skip re-materialization entirely).
+    /// Shares an existing trace cache, so the caller can read the decoded
+    /// traces the jobs replayed (the `tables` renderers, `sim sweep`'s
+    /// resume check) and repeated sweeps skip re-materialization.
     pub fn with_trace_cache(mut self, traces: Arc<TraceCache>) -> Sweep {
         self.traces = traces;
         self

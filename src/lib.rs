@@ -11,7 +11,8 @@
 //! * [`fusion_verify`] — the exhaustive protocol model checker over the
 //!   pure transition functions (DESIGN.md §11).
 //! * [`fusion_mem`], [`fusion_vm`], [`fusion_dma`], [`fusion_accel`],
-//!   [`fusion_energy`], [`fusion_sim`], [`fusion_types`] — substrates.
+//!   [`fusion_energy`], [`fusion_types`] — substrates.
+//! * [`fusion_sim`] — the latency histogram every result carries.
 //!
 //! # Examples
 //!

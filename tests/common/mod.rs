@@ -2,6 +2,9 @@
 //! `proptest` dependency (the build must work with no network access, so
 //! the property tests drive the same random exploration from a seeded
 //! splitmix64 generator instead).
+//!
+//! The generator's own test lives in `engine_props.rs`, so it runs once
+//! rather than in every binary that declares `mod common`.
 
 #![allow(dead_code)] // each integration-test binary uses a subset
 #![allow(
@@ -92,19 +95,4 @@ pub fn claim_groups(outcomes: &[fusion_core::SweepOutcome]) -> Vec<Vec<usize>> {
         }
     }
     groups
-}
-
-#[test]
-fn rng_is_deterministic_and_in_range() {
-    let mut a = Rng::new(42);
-    let mut b = Rng::new(42);
-    for _ in 0..100 {
-        let (x, y) = (a.next_u64(), b.next_u64());
-        assert_eq!(x, y);
-    }
-    let mut r = Rng::new(7);
-    for _ in 0..1000 {
-        let v = r.range_u64(5, 17);
-        assert!((5..17).contains(&v));
-    }
 }

@@ -209,3 +209,70 @@ fn lesson8_translation_is_off_the_critical_path() {
     let sh = run(SystemKind::Shared, SuiteId::Fft);
     assert!(sh.ax_tlb_lookups > fu.ax_tlb_lookups * 10);
 }
+
+// The two extensions (DESIGN.md §7) are not lessons of the paper, but the
+// same kind of claim: a direction, asserted here; the goldens pin values.
+
+#[test]
+fn extension_prefetch_degree_cuts_fusion_cycles_on_track() {
+    // "It directly answers the paper's pull-vs-push observation": each
+    // step up in L1X prefetch degree makes FUSION faster on TRACK, whose
+    // miss streams are sequential, and every prefetch hit was installed.
+    let wl = build_suite(SuiteId::Tracking, Scale::Tiny);
+    let mut prev: Option<u64> = None;
+    for degree in [0usize, 2, 4, 8] {
+        let cfg = SystemConfig::small().with_l1x_prefetch(degree);
+        let res = run_system(SystemKind::Fusion, &wl, &cfg).unwrap();
+        let tile = res.tile.expect("fusion tile stats");
+        if let Some(prev) = prev {
+            assert!(
+                res.total_cycles < prev,
+                "degree {degree}: {} cycles !< {prev} at the lower degree",
+                res.total_cycles
+            );
+            assert!(tile.prefetch_installs > 0, "degree {degree}: no installs");
+            assert!(
+                (1..=tile.prefetch_installs).contains(&tile.prefetch_hits),
+                "degree {degree}: {} hits for {} installs",
+                tile.prefetch_hits,
+                tile.prefetch_installs
+            );
+        } else {
+            assert_eq!(tile.prefetch_installs, 0, "degree 0 must not prefetch");
+        }
+        prev = Some(res.total_cycles);
+    }
+}
+
+#[test]
+fn extension_lease_renewal_replaces_refetches_on_fft() {
+    // A renewal re-acquires an expired epoch with a message pair instead
+    // of a 64-byte refetch: fewer L1X-to-L0X data transfers and less cache
+    // energy, and never more cycles.
+    let wl = build_suite(SuiteId::Fft, Scale::Tiny);
+    let base = run_system(SystemKind::Fusion, &wl, &SystemConfig::small()).unwrap();
+    let cfg = SystemConfig::small().with_lease_renewal(true);
+    let renewed = run_system(SystemKind::Fusion, &wl, &cfg).unwrap();
+    let bt = base.tile.expect("tile stats");
+    let rt = renewed.tile.expect("tile stats");
+    assert_eq!(bt.lease_renewals, 0, "renewal is off by default");
+    assert!(rt.lease_renewals > 0, "FFT renewed no lease");
+    assert!(
+        rt.data_l1_to_l0 < bt.data_l1_to_l0,
+        "data transfers {} !< {} without renewal",
+        rt.data_l1_to_l0,
+        bt.data_l1_to_l0
+    );
+    assert!(
+        renewed.cache_energy() < base.cache_energy(),
+        "cache energy {} !< {} without renewal",
+        renewed.cache_energy(),
+        base.cache_energy()
+    );
+    assert!(
+        renewed.total_cycles <= base.total_cycles,
+        "renewal cost cycles: {} > {}",
+        renewed.total_cycles,
+        base.total_cycles
+    );
+}
