@@ -7,8 +7,8 @@
 //! sim trace   --suite <...> [--scale ...] --out <file>
 //! sim replay  --system <...> --trace <file> [--json] [config flags]
 //! sim compare --suite <...> [--scale ...] [--threads <N>] [robustness flags] [config flags]
-//! sim sweep   [--scale ...] [--threads <N>] [--json]
-//!             [robustness flags] [config flags]
+//! sim sweep   [--scale ...] [--threads <N>] [--json] [--no-memo]
+//!             [--journal <path>] [--resume] [robustness flags] [config flags]
 //! sim verify  [--protocol acc|acc-dx|acc-renew|mesi|all] [--agents <N>] [--blocks <N>]
 //!             [--horizon <N>] [--fault <kind>@<event>] [--expect-violation]
 //!             [--max-states <N>] [--json]
@@ -23,9 +23,10 @@
 //! Exit codes follow the usual convention: 0 on success, 1 when a
 //! simulation or sweep job fails at runtime (completed rows are still
 //! printed, failures are summarized per job on stderr), 2 for usage
-//! errors. The robustness flags — `--retries <N>`, `--fail-fast`,
-//! `--budget <cycles>`, `--deadline-ms <N>` and `--inject <seed:count>` —
-//! map onto the fault-tolerant sweep engine of DESIGN.md §10.
+//! errors. The robustness flags — `--fail-fast`, `--budget <cycles>` and
+//! `--inject <seed:count>` — map onto the fault-tolerant sweep engine of
+//! DESIGN.md §10. Each job runs once: a simulation is a pure function of
+//! its inputs, so a failure would only repeat.
 //!
 //! `verify` runs the exhaustive protocol model checker of DESIGN.md §11
 //! over the pure transition functions the simulator itself executes. It
@@ -40,10 +41,10 @@ use std::sync::Arc;
 use fusion_accel::{io as trace_io, Workload};
 use fusion_core::{
     design_grid, journal, run_system, FaultPlan, MemoMark, SimResult, Sweep, SweepJob,
-    SweepOutcome, SweepSummary, SystemKind, TraceCache, Watchdog,
+    SweepOutcome, SweepSummary, SystemKind, TraceCache,
 };
 use fusion_energy::Component;
-use fusion_types::{SystemConfig, WritePolicy};
+use fusion_types::{json_escape, SystemConfig, WritePolicy};
 use fusion_verify::{fault_matches_protocol, parse_fault, VerifyProtocol, VerifySpec};
 use fusion_workloads::{build_suite, Scale, SuiteId};
 
@@ -63,10 +64,8 @@ sim verify  [--protocol <acc|acc-dx|acc-renew|mesi|all>] [--agents <N>] [--block
 verify fault kinds: lease-overrun, gtime-regression (ACC);\n  \
 empty-sharers, wrong-owner (MESI)\n\n\
 robustness flags (compare/sweep):\n  \
---retries <N>         retry panicked/timed-out jobs up to N extra times\n  \
---fail-fast           stop claiming new jobs after the first permanent failure\n  \
---budget <cycles>     per-job simulated-cycle budget (livelock watchdog)\n  \
---deadline-ms <N>     per-job wall-clock deadline in milliseconds\n  \
+--fail-fast           stop claiming new jobs after the first failure\n  \
+--budget <cycles>     per-job simulated-cycle budget (livelock guard)\n  \
 --inject <seed:count> deterministically inject <count> faults (testing)\n\n\
 memo flag (sweep):\n  \
 --no-memo             simulate every grid point; by default, points that differ\n                        \
@@ -107,7 +106,7 @@ const FLAG_KEYS: [&str; 8] = [
     "expect-violation",
 ];
 /// Options that consume the next argument as their value.
-const VALUE_KEYS: [&str; 18] = [
+const VALUE_KEYS: [&str; 16] = [
     "system",
     "suite",
     "scale",
@@ -115,9 +114,7 @@ const VALUE_KEYS: [&str; 18] = [
     "trace",
     "prefetch",
     "threads",
-    "retries",
     "budget",
-    "deadline-ms",
     "inject",
     "journal",
     "protocol",
@@ -249,16 +246,11 @@ fn sweep_from(scale: Scale, args: &Args, jobs: usize) -> Result<Sweep, String> {
     if let Some(n) = args.numeric("threads")? {
         sweep = sweep.threads(n);
     }
-    if let Some(n) = args.numeric("retries")? {
-        sweep = sweep.retries(u32::try_from(n).unwrap_or(u32::MAX));
+    if let Some(n) = args.numeric("budget")? {
+        sweep = sweep.budget(n as u64);
     }
     sweep = sweep.fail_fast(args.flag("fail-fast"));
     sweep = sweep.memo(!args.flag("no-memo"));
-    let watchdog = Watchdog {
-        max_sim_cycles: args.numeric("budget")?.map(|n| n as u64),
-        wall_deadline_ms: args.numeric("deadline-ms")?.map(|n| n as u64),
-    };
-    sweep = sweep.watchdog(watchdog);
     if let Some(plan) = args.fault_plan(jobs)? {
         sweep = sweep.with_faults(plan);
     }
@@ -273,17 +265,12 @@ fn report_failures(outcomes: &[SweepOutcome], expected: usize) -> bool {
         return true;
     }
     eprintln!(
-        "sweep: {} completed, {} failed, {} retried",
-        summary.completed, summary.failed, summary.retried
+        "sweep: {} completed, {} failed",
+        summary.completed, summary.failed
     );
     for o in outcomes {
         if let Err(e) = &o.result {
-            eprintln!(
-                "  FAILED {} [{}] after {} attempt(s): {e}",
-                o.job.label(),
-                e.kind_label(),
-                o.attempts
-            );
+            eprintln!("  FAILED {} [{}]: {e}", o.job.label(), e.kind_label());
         }
     }
     if outcomes.len() < expected {
@@ -293,23 +280,6 @@ fn report_failures(outcomes: &[SweepOutcome], expected: usize) -> bool {
         );
     }
     false
-}
-
-/// Minimal JSON string escaping for error messages (the only free-form
-/// text that crosses into the `--json` output).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn report(res: &SimResult, json: bool) {
@@ -550,8 +520,7 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
         // payload verbatim, so a resumed sweep is byte-identical modulo
         // the timing fields ("wall_ms", "queue_delay_ms", "refs_per_sec")
         // and "memo", which reads "journal". "config" names the capacity
-        // variant ("base" on the base grid), "attempts"/"backoff" the
-        // retry accounting of DESIGN.md §10.
+        // variant ("base" on the base grid).
         println!("[");
         for (i, row) in rows.iter().enumerate() {
             let tail = if i + 1 < rows.len() { "," } else { "" };
@@ -563,8 +532,7 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
                             "{{\"suite\":\"{}\",\"system\":\"{}\",\"config\":\"{}\",\
                              \"wall_ms\":{:.3},\
                              \"queue_delay_ms\":{:.3},\"sim_events\":{},\"refs\":{},\
-                             \"refs_per_sec\":{:.0},\"memo\":\"{}\",\
-                             \"attempts\":{},\"backoff\":{},\"result\":{}}}{tail}",
+                             \"refs_per_sec\":{:.0},\"memo\":\"{}\",\"result\":{}}}{tail}",
                             o.job.suite.label(),
                             o.job.system.label(),
                             o.job.variant,
@@ -574,21 +542,16 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
                             m.refs_simulated,
                             m.refs_per_sec(),
                             o.memo.mark.label(),
-                            o.attempts,
-                            o.backoff,
                             res.to_json(),
                         );
                     }
                     Err(e) => {
                         println!(
                             "{{\"suite\":\"{}\",\"system\":\"{}\",\"config\":\"{}\",\
-                             \"attempts\":{},\"backoff\":{},\
                              \"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}{tail}",
                             o.job.suite.label(),
                             o.job.system.label(),
                             o.job.variant,
-                            o.attempts,
-                            o.backoff,
                             e.kind_label(),
                             json_escape(&e.to_string()),
                         );
@@ -599,16 +562,8 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
                         "{{\"suite\":\"{}\",\"system\":\"{}\",\"config\":\"{}\",\
                          \"wall_ms\":0.000,\
                          \"queue_delay_ms\":0.000,\"sim_events\":{},\"refs\":{},\
-                         \"refs_per_sec\":0,\"memo\":\"journal\",\
-                         \"attempts\":{},\"backoff\":{},\"result\":{}}}{tail}",
-                        r.suite,
-                        r.system,
-                        r.variant,
-                        r.sim_events,
-                        r.refs,
-                        r.attempts,
-                        r.backoff,
-                        r.result_json,
+                         \"refs_per_sec\":0,\"memo\":\"journal\",\"result\":{}}}{tail}",
+                        r.suite, r.system, r.variant, r.sim_events, r.refs, r.result_json,
                     );
                 }
             }
@@ -982,19 +937,8 @@ mod tests {
 
     #[test]
     fn robustness_flags_parse_and_apply() {
-        let args = Args::parse(&argv(&[
-            "--retries",
-            "2",
-            "--fail-fast",
-            "--budget",
-            "100000",
-            "--deadline-ms",
-            "5000",
-        ]))
-        .unwrap();
-        assert_eq!(args.numeric("retries").unwrap(), Some(2));
+        let args = Args::parse(&argv(&["--fail-fast", "--budget", "100000"])).unwrap();
         assert_eq!(args.numeric("budget").unwrap(), Some(100_000));
-        assert_eq!(args.numeric("deadline-ms").unwrap(), Some(5000));
         assert!(args.flag("fail-fast"));
         let sweep = sweep_from(Scale::Tiny, &args, 28).unwrap();
         assert!(sweep.pool_size(28) >= 1);
@@ -1063,14 +1007,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_handles_quotes_and_control_chars() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\ny");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
     fn usage_lists_every_subcommand_and_option() {
         for needle in [
             "run",
@@ -1082,10 +1018,8 @@ mod tests {
             "--prefetch",
             "--threads",
             "--json",
-            "--retries",
             "--fail-fast",
             "--budget",
-            "--deadline-ms",
             "--inject",
             "--journal",
             "--resume",

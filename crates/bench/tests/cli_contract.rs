@@ -93,6 +93,27 @@ fn retired_tile_threads_option_is_a_usage_error() {
 }
 
 #[test]
+fn retired_retry_and_deadline_options_are_usage_errors() {
+    // Each job runs once and no outcome reads the wall clock; scripts that
+    // still ask for a retry or a deadline must fail loudly.
+    for (args, option) in [
+        (&["sweep", "--retries", "1"][..], "--retries"),
+        (
+            &["compare", "--suite", "fft", "--deadline-ms", "5"][..],
+            "--deadline-ms",
+        ),
+    ] {
+        let out = sim(args);
+        assert_eq!(exit_code(&out), 2, "{}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("unknown option '{option}'")),
+            "{}",
+            stderr(&out)
+        );
+    }
+}
+
+#[test]
 fn retired_lint_subcommand_is_a_usage_error() {
     // The bespoke analyzer is gone (clippy enforces its rules, DESIGN.md
     // §14); scripts that still call it must fail loudly.

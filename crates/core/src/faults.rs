@@ -24,20 +24,14 @@ pub enum Fault {
     /// The worker thread panics while running the job (caught by the
     /// sweep's `catch_unwind` isolation and reported as `JobPanicked`).
     Panic,
-    /// The job panics on its first `failures` attempts and succeeds after
-    /// that — the retry path's test vehicle.
-    TransientPanic {
-        /// Number of leading attempts that panic.
-        failures: u32,
-    },
     /// The job re-encodes its trace, flips a payload byte and decodes the
     /// damaged bytes: the decoder must answer with `DecodeError`.
     CorruptTrace,
     /// Like [`Fault::CorruptTrace`], but the encoded trace loses its tail.
     TruncateTrace,
     /// Stands in for a protocol livelock: the job's simulated-cycle
-    /// budget is collapsed so the forward-progress watchdog must fire
-    /// (`Timeout` with `SimCycleBudget`).
+    /// budget is collapsed so the forward-progress guard must fire
+    /// (a [`SimError::Timeout`](fusion_types::error::SimError)).
     Livelock,
     /// Plants an ACC lease-containment flip at the given checked event
     /// (only observable on systems with an ACC tile: FU / FU-Dx).
@@ -57,11 +51,6 @@ pub enum Fault {
     /// SIGKILL'd worker. The sweep returns the other outcomes; a
     /// journaled sweep resumes the missing point.
     WorkerKill,
-    /// Chaos-harness cancellation storm: the job's cancellation flag is
-    /// raised mid-flight on its first attempt (a transient `WallClock`
-    /// timeout at the next phase boundary) and cleared for retries, so
-    /// a retry budget recovers the job deterministically.
-    CancelStorm,
 }
 
 impl Fault {
@@ -105,6 +94,24 @@ impl SplitMix64 {
     }
 }
 
+/// The kinds [`FaultPlan::seeded`] draws from.
+const SEEDED_KINDS: [Fault; 4] = [
+    Fault::Panic,
+    Fault::CorruptTrace,
+    Fault::TruncateTrace,
+    Fault::Livelock,
+];
+
+/// The kinds [`FaultPlan::seeded_chaos`] draws from: the seeded kinds
+/// plus worker kills.
+const CHAOS_KINDS: [Fault; 5] = [
+    Fault::Panic,
+    Fault::CorruptTrace,
+    Fault::TruncateTrace,
+    Fault::Livelock,
+    Fault::WorkerKill,
+];
+
 /// A deterministic assignment of faults to sweep-grid indices.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -126,47 +133,24 @@ impl FaultPlan {
 
     /// Derives a plan with `count` faults spread over `jobs` grid slots
     /// from `seed` alone. The kinds drawn are the system-agnostic ones —
-    /// panics, trace damage, livelocks and directory flips — so every
-    /// planted fault produces a typed error no matter which system the
-    /// slot holds.
+    /// panics, trace damage and livelocks — so every planted fault
+    /// produces a typed error no matter which system the slot holds.
     pub fn seeded(seed: u64, jobs: usize, count: usize) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        if jobs == 0 {
-            return plan;
-        }
-        let mut rng = SplitMix64(seed);
-        let count = count.min(jobs);
-        while plan.faults.len() < count {
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "the remainder is below jobs, a usize"
-            )]
-            let job = (rng.next_u64() % jobs as u64) as usize;
-            if plan.faults.contains_key(&job) {
-                continue;
-            }
-            let fault = match rng.next_u64() % 5 {
-                0 => Fault::Panic,
-                1 => Fault::TransientPanic { failures: 1 },
-                2 => Fault::CorruptTrace,
-                3 => Fault::TruncateTrace,
-                _ => Fault::Livelock,
-            };
-            plan.faults.insert(job, fault);
-        }
-        plan
+        FaultPlan::draw(seed, jobs, count, &SEEDED_KINDS)
     }
 
-    /// Derives a chaos plan: like [`FaultPlan::seeded`] but drawing from
-    /// the *full* fault catalogue, including worker kills and
-    /// cancellation storms. Kept separate so `--inject`'s exit-code
-    /// contract (every seeded fault yields a typed per-job error) is
-    /// unchanged: a killed worker yields a missing row, not an error row.
+    /// Derives a chaos plan: like [`FaultPlan::seeded`] but also drawing
+    /// worker kills. Kept separate so `--inject`'s exit-code contract
+    /// (every seeded fault yields a typed per-job error) is unchanged: a
+    /// killed worker yields a missing row, not an error row.
     pub fn seeded_chaos(seed: u64, jobs: usize, count: usize) -> FaultPlan {
+        FaultPlan::draw(seed, jobs, count, &CHAOS_KINDS)
+    }
+
+    /// Claims `count` distinct grid slots (at most `jobs`) from the
+    /// splitmix64 stream of `seed`, each with a kind drawn from `kinds`.
+    fn draw(seed: u64, jobs: usize, count: usize, kinds: &[Fault]) -> FaultPlan {
         let mut plan = FaultPlan::new();
-        if jobs == 0 {
-            return plan;
-        }
         let mut rng = SplitMix64(seed);
         let count = count.min(jobs);
         while plan.faults.len() < count {
@@ -178,16 +162,12 @@ impl FaultPlan {
             if plan.faults.contains_key(&job) {
                 continue;
             }
-            let fault = match rng.next_u64() % 7 {
-                0 => Fault::Panic,
-                1 => Fault::TransientPanic { failures: 1 },
-                2 => Fault::CorruptTrace,
-                3 => Fault::TruncateTrace,
-                4 => Fault::Livelock,
-                5 => Fault::WorkerKill,
-                _ => Fault::CancelStorm,
-            };
-            plan.faults.insert(job, fault);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the remainder is below kinds.len(), a usize"
+            )]
+            let kind = (rng.next_u64() % kinds.len() as u64) as usize;
+            plan.faults.insert(job, kinds[kind]);
         }
         plan
     }
@@ -247,13 +227,10 @@ mod tests {
     #[test]
     fn seeded_never_draws_chaos_kinds() {
         // `--inject`'s contract: every planted fault produces a typed
-        // per-job error. Kills and storms live in seeded_chaos only.
+        // per-job error. Kills live in seeded_chaos only.
         for seed in 0..32 {
             let plan = FaultPlan::seeded(seed, 28, 10);
-            assert!(plan
-                .entries()
-                .iter()
-                .all(|&(_, f)| !matches!(f, Fault::WorkerKill | Fault::CancelStorm)));
+            assert!(plan.entries().iter().all(|&(_, f)| f != Fault::WorkerKill));
         }
     }
 
@@ -269,7 +246,6 @@ mod tests {
             .map(|(_, f)| f)
             .collect();
         assert!(drawn.contains(&Fault::WorkerKill));
-        assert!(drawn.contains(&Fault::CancelStorm));
     }
 
     #[test]

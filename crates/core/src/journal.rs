@@ -2,13 +2,12 @@
 //! (DESIGN.md §13).
 //!
 //! A long design-space sweep must survive the process dying under it — a
-//! crash, an OOM-kill, a deadline expiry. The journal makes that cheap:
+//! crash, an OOM-kill, a SIGKILL. The journal makes that cheap:
 //!
 //! * **Write-ahead rows** — the sweep journals one JSONL row per
 //!   *completed* grid point ([`JournalRow`]), carrying the job key
 //!   (system × suite × scale × config-hash × code-version), the trace
-//!   fingerprint, the attempt/backoff accounting and the full
-//!   [`SimResult::to_json`] payload. Rows are appended in batches, one
+//!   fingerprint and the full [`SimResult::to_json`] payload. Rows are appended in batches, one
 //!   write and one fsync each ([`JournalWriter::append_batch`]), and no
 //!   result is published before its batch is durable, so a row on disk is
 //!   a grid point that never needs to run again.
@@ -36,7 +35,7 @@ use std::sync::Mutex;
 
 use fusion_types::error::JournalError;
 use fusion_types::hash::{FxHashMap, FxHashSet};
-use fusion_types::SystemConfig;
+use fusion_types::{json_escape, SystemConfig};
 use fusion_workloads::{Scale, SuiteId};
 
 use crate::result::SimResult;
@@ -133,9 +132,10 @@ pub struct JournalRow {
     pub code_version: String,
     /// Fingerprint of the encoded workload trace the job replayed.
     pub trace_fingerprint: u64,
-    /// Attempts the job took (1 = first try).
+    /// Always `1`: a sweep runs each job once. Kept, like `backoff`, so
+    /// the journal format (and [`FORMAT_VERSION`]) stays unchanged.
     pub attempts: u32,
-    /// Total deterministic backoff cycles spun between attempts.
+    /// Always `0`; see `attempts`.
     pub backoff: u64,
     /// Simulated events processed (measurement, for resumed JSON rows).
     pub sim_events: u64,
@@ -148,7 +148,8 @@ pub struct JournalRow {
 }
 
 impl JournalRow {
-    /// Builds the row for a successful sweep outcome.
+    /// Builds the row for a successful sweep outcome. The sweep passes
+    /// `attempts = 1` and `backoff = 0` (see [`JournalRow::attempts`]).
     pub fn for_result(
         job: &SweepJob,
         scale: Scale,
@@ -767,23 +768,6 @@ impl JournalSink {
     }
 }
 
-/// Minimal JSON string escaping for free-form error messages embedded in
-/// the salvage report.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the machine-readable salvage report a partial sweep exits
 /// with: what completed (live + resumed), what failed and how, what was
 /// never attempted, whether the journal died mid-sweep, and the resume
@@ -806,7 +790,7 @@ pub fn salvage_json(
          \"resumed\":{resumed},\"failed\":{failed},\"not_attempted\":{not_attempted},\
          \"journal_lost\":{journal_lost},\"failures\":[",
         match journal {
-            Some(p) => format!("\"{}\"", escape(p)),
+            Some(p) => format!("\"{}\"", json_escape(p)),
             None => "null".to_string(),
         },
     );
@@ -820,17 +804,16 @@ pub fn salvage_json(
         let _ = write!(
             s,
             "{{\"suite\":\"{}\",\"system\":\"{}\",\"config\":\"{}\",\"kind\":\"{}\",\
-             \"attempts\":{},\"message\":\"{}\"}}",
+             \"message\":\"{}\"}}",
             o.job.suite.label(),
             o.job.system.label(),
             o.job.variant,
             e.kind_label(),
-            o.attempts,
-            escape(&e.to_string()),
+            json_escape(&e.to_string()),
         );
     }
     let resume_hint = match journal {
-        Some(p) => format!("\"sim sweep --journal {} --resume\"", escape(p)),
+        Some(p) => format!("\"sim sweep --journal {} --resume\"", json_escape(p)),
         None => "null".to_string(),
     };
     let _ = write!(s, "],\"resume\":{resume_hint}}}");

@@ -23,11 +23,11 @@
 //! [`result::SimResult`] with the cycle counts, the Figure 6a energy
 //! breakdown, the Figure 6c traffic counts and the Table 6 translation
 //! statistics — or a typed [`fusion_types::error::SimError`] when the
-//! configuration is unusable, a watchdog fires or the opt-in protocol
+//! configuration is unusable, the cycle budget runs out or the opt-in protocol
 //! checker flags an invariant. [`sweep::Sweep`] fans a whole grid of
 //! `(system, suite, config)` jobs out over a worker pool with each suite's
-//! trace materialized once, isolating every job (panic capture, watchdogs,
-//! deterministic retry — see DESIGN.md §10 and [`faults`]) — the substrate
+//! trace materialized once, isolating every job (panic capture, a cycle
+//! budget — see DESIGN.md §10 and [`faults`]) — the substrate
 //! behind `sim sweep`, `sim compare` and the `tables` binary.
 //!
 //! # Examples
@@ -62,6 +62,5 @@ pub use runner::{
     run_system, run_system_decoded, run_system_guarded, validate_config, RunControl, SystemKind,
 };
 pub use sweep::{
-    backoff_cycles, design_grid, full_grid, SharedTrace, Sweep, SweepJob, SweepOutcome,
-    SweepSummary, TraceCache, Watchdog,
+    design_grid, full_grid, SharedTrace, Sweep, SweepJob, SweepOutcome, SweepSummary, TraceCache,
 };

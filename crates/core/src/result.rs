@@ -65,18 +65,12 @@ pub struct RunMetrics {
     pub refs_simulated: u64,
 }
 
-/// Whole milliseconds of `d`, saturating at `u64::MAX`.
-///
-/// `Duration::as_millis` returns `u128`; the measurement fields here are
-/// `u64`, and a plain `as u64` cast would silently wrap a (pathological)
-/// half-billion-year interval into a small number. Saturation keeps every
-/// comparison against the value monotone.
-pub fn duration_millis_saturating(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
-}
-
 /// Whole nanoseconds of `d`, saturating at `u64::MAX` (~584 years).
-/// See [`duration_millis_saturating`] for why truncating casts are banned.
+///
+/// `Duration::as_nanos` returns `u128`; the measurement fields here are
+/// `u64`, and a plain `as u64` cast would silently wrap a (pathological)
+/// six-century interval into a small number. Saturation keeps every
+/// comparison against the value monotone.
 pub fn duration_nanos_saturating(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
@@ -383,19 +377,12 @@ mod tests {
     #[test]
     fn duration_helpers_saturate_instead_of_wrapping() {
         use std::time::Duration;
-        assert_eq!(duration_millis_saturating(Duration::ZERO), 0);
-        assert_eq!(
-            duration_millis_saturating(Duration::from_millis(1500)),
-            1500
-        );
-        // Sub-unit intervals floor to zero, matching as_millis/as_nanos.
-        assert_eq!(duration_millis_saturating(Duration::from_micros(999)), 0);
+        assert_eq!(duration_nanos_saturating(Duration::ZERO), 0);
         assert_eq!(duration_nanos_saturating(Duration::from_nanos(42)), 42);
-        // u64::MAX seconds overflows both u64 nanos and u64 millis as a
-        // raw cast; the helpers pin to the ceiling instead of wrapping.
+        // u64::MAX seconds overflows u64 nanos as a raw cast; the helper
+        // pins to the ceiling instead of wrapping.
         let huge = Duration::new(u64::MAX, 999_999_999);
         assert_eq!(duration_nanos_saturating(huge), u64::MAX);
-        assert_eq!(duration_millis_saturating(huge), u64::MAX);
         // Largest exactly-representable nanos value survives untouched.
         let edge = Duration::from_nanos(u64::MAX);
         assert_eq!(duration_nanos_saturating(edge), u64::MAX);

@@ -1,9 +1,7 @@
 //! Experiment runner: one entry point per (system, workload) pair.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use fusion_accel::{DecodedTrace, Workload};
-use fusion_types::error::{SimError, TimeoutKind};
+use fusion_types::error::SimError;
 use fusion_types::{SystemConfig, CACHE_BLOCK_BYTES};
 
 use crate::result::SimResult;
@@ -42,28 +40,20 @@ impl std::fmt::Display for SystemKind {
     }
 }
 
-/// Watchdog hooks a run polls at phase boundaries (DESIGN.md §10): a
-/// simulated-cycle forward-progress budget (the protocol-livelock guard)
-/// and a cooperative cancellation flag that a wall-clock monitor thread
-/// sets when a deadline passes. The default is unlimited: no budget, no
-/// cancellation, zero work on the trusted path.
+/// The simulated-cycle forward-progress budget a run polls at phase
+/// boundaries (DESIGN.md §10), the protocol-livelock guard. The default
+/// is unlimited: no budget, zero work on the trusted path.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunControl<'a> {
     /// Job label stamped into [`SimError::Timeout`] diagnostics.
     pub label: &'a str,
     /// Simulated-cycle budget: exceeding it at a phase boundary aborts
-    /// the run with [`TimeoutKind::SimCycleBudget`].
+    /// the run with [`SimError::Timeout`].
     pub max_sim_cycles: Option<u64>,
-    /// Cooperative cancellation: when set, the run aborts at the next
-    /// phase boundary with [`TimeoutKind::WallClock`].
-    pub cancel: Option<&'a AtomicBool>,
-    /// The wall-clock deadline in milliseconds, for the `Timeout` report
-    /// when `cancel` fires.
-    pub wall_deadline_ms: u64,
 }
 
 impl RunControl<'_> {
-    /// Checks the watchdogs against the current simulated time. Called at
+    /// Checks the budget against the current simulated time. Called at
     /// phase boundaries; every phase is finite (its replay is bounded by
     /// its reference count), so boundary checks always fire eventually.
     #[inline]
@@ -72,17 +62,7 @@ impl RunControl<'_> {
             if sim_now > budget {
                 return Err(SimError::Timeout {
                     job: self.label.to_string(),
-                    kind: TimeoutKind::SimCycleBudget,
                     limit: budget,
-                });
-            }
-        }
-        if let Some(cancel) = self.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Err(SimError::Timeout {
-                    job: self.label.to_string(),
-                    kind: TimeoutKind::WallClock,
-                    limit: self.wall_deadline_ms,
                 });
             }
         }
@@ -194,14 +174,14 @@ pub fn run_system_decoded(
     run_system_guarded(kind, workload, decoded, cfg, &RunControl::default())
 }
 
-/// [`run_system_decoded`] with watchdogs: the sweep engine's entry point.
-/// `ctl` carries the simulated-cycle budget and the wall-clock
-/// cancellation flag, both polled at phase boundaries.
+/// [`run_system_decoded`] under a cycle budget: the sweep engine's entry
+/// point. `ctl` carries the simulated-cycle budget, polled at phase
+/// boundaries.
 ///
 /// # Errors
 ///
-/// Same as [`run_system`], plus [`SimError::Timeout`] when a watchdog in
-/// `ctl` fires.
+/// Same as [`run_system`], plus [`SimError::Timeout`] when the budget in
+/// `ctl` is exceeded.
 pub fn run_system_guarded(
     kind: SystemKind,
     workload: &Workload,
@@ -308,35 +288,11 @@ mod tests {
             let ctl = RunControl {
                 label: &label,
                 max_sim_cycles: Some(10),
-                ..Default::default()
             };
             match run_system_guarded(kind, &wl, &decoded, &SystemConfig::small(), &ctl) {
-                Err(SimError::Timeout { job, kind, limit }) => {
+                Err(SimError::Timeout { job, limit }) => {
                     assert_eq!(job, label);
-                    assert_eq!(kind, TimeoutKind::SimCycleBudget);
                     assert_eq!(limit, 10);
-                }
-                other => panic!("{kind}: expected Timeout, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn cancel_flag_yields_wall_clock_timeout() {
-        let wl = build_suite(SuiteId::Fft, Scale::Tiny);
-        let decoded = DecodedTrace::decode(&wl);
-        let cancel = AtomicBool::new(true);
-        for kind in ALL {
-            let ctl = RunControl {
-                label: "FFT",
-                cancel: Some(&cancel),
-                wall_deadline_ms: 1234,
-                ..Default::default()
-            };
-            match run_system_guarded(kind, &wl, &decoded, &SystemConfig::small(), &ctl) {
-                Err(SimError::Timeout { kind, limit, .. }) => {
-                    assert_eq!(kind, TimeoutKind::WallClock);
-                    assert_eq!(limit, 1234);
                 }
                 other => panic!("{kind}: expected Timeout, got {other:?}"),
             }

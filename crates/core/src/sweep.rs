@@ -28,18 +28,12 @@
 //!   [`SimError::JobPanicked`] in that job's slot instead of tearing down
 //!   the pool, and result slots are written with poison recovery so one
 //!   casualty never forfeits the rest of the grid (DESIGN.md §10).
-//! * **Watchdogs** — [`Watchdog`] arms a per-job simulated-cycle budget
-//!   (the protocol-livelock guard) and a wall-clock deadline enforced by a
-//!   monitor thread through per-job cancellation flags; both surface as
-//!   [`SimError::Timeout`].
-//! * **Retry with deterministic backoff** — transient failures (panics,
-//!   timeouts) are retried up to [`Sweep::retries`] extra attempts, with
-//!   a bounded exponential backoff between attempts measured in
-//!   *simulated-cycle units* and burned as CPU spin loops, never
-//!   wall-clock sleeps (see [`backoff_cycles`]) — retried sweeps stay
-//!   deterministic and tests never wait on real time.
-//!   [`SweepOutcome::attempts`] and [`SweepOutcome::backoff`] record the
-//!   accounting.
+//! * **Cycle budget** — [`Sweep::budget`] arms a per-job simulated-cycle
+//!   budget (the protocol-livelock guard), checked at phase boundaries; a
+//!   run that passes it surfaces as [`SimError::Timeout`]. Each job runs
+//!   once: a failure is a pure function of the job's inputs, so there is
+//!   nothing a retry could recover, and no outcome depends on the host's
+//!   clock.
 //! * **Write-ahead journal** — with [`Sweep::with_journal`] every
 //!   completed grid point is recorded to a checksummed, fsync'd journal
 //!   *before* its result is published (DESIGN.md §13,
@@ -79,7 +73,7 @@
 //! ```
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -93,7 +87,7 @@ use fusion_workloads::{all_suites, build_suite, Scale, SuiteId};
 use crate::faults::{Fault, FaultPlan};
 use crate::journal::{self, JournalSink};
 use crate::memo::{self, MemoMark, MemoRow, Role};
-use crate::result::{duration_millis_saturating, duration_nanos_saturating, SimResult};
+use crate::result::{duration_nanos_saturating, SimResult};
 use crate::runner::{run_system_guarded, RunControl, SystemKind};
 
 /// One point of the design-space grid: a system, the suite whose trace it
@@ -144,13 +138,6 @@ pub struct SweepOutcome {
     /// The simulation result (identical to a sequential `run_system`) or
     /// the typed error that stopped the job.
     pub result: Result<SimResult, SimError>,
-    /// How many attempts the job took (`1` = first try; more means the
-    /// retry policy kicked in on transient failures).
-    pub attempts: u32,
-    /// Total deterministic backoff spun between attempts, in
-    /// simulated-cycle units (zero for first-try successes; see
-    /// [`backoff_cycles`]).
-    pub backoff: u64,
     /// Whether this job was simulated or copied from its group's first
     /// member (DESIGN.md §12).
     pub memo: MemoRow,
@@ -181,8 +168,6 @@ pub struct SweepSummary {
     pub completed: usize,
     /// Jobs that ended in a typed error.
     pub failed: usize,
-    /// Jobs that needed more than one attempt (successful or not).
-    pub retried: usize,
 }
 
 impl SweepSummary {
@@ -191,118 +176,12 @@ impl SweepSummary {
         SweepSummary {
             completed: outcomes.iter().filter(|o| o.result.is_ok()).count(),
             failed: outcomes.iter().filter(|o| o.result.is_err()).count(),
-            retried: outcomes.iter().filter(|o| o.attempts > 1).count(),
         }
     }
 
     /// Whether every job completed.
     pub fn all_ok(&self) -> bool {
         self.failed == 0
-    }
-}
-
-/// Per-job watchdog limits (DESIGN.md §10). The default arms nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Watchdog {
-    /// Simulated-cycle forward-progress budget per job: a run that passes
-    /// this many cycles is livelocked by definition and aborts with
-    /// [`TimeoutKind::SimCycleBudget`](fusion_types::error::TimeoutKind).
-    pub max_sim_cycles: Option<u64>,
-    /// Wall-clock deadline per job in milliseconds, enforced by the
-    /// monitor thread through the job's cancellation flag
-    /// ([`TimeoutKind::WallClock`](fusion_types::error::TimeoutKind)).
-    /// A deadline of `0` cancels every job at its first phase boundary —
-    /// deterministic, and useful for testing the cancellation plumbing.
-    pub wall_deadline_ms: Option<u64>,
-}
-
-/// Lifecycle of one grid point as the deadline monitor sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StampState {
-    /// No worker has picked the job up yet.
-    Idle,
-    /// A worker started the job `since_ms` milliseconds after sweep
-    /// submission. Zero is a legal start time (a worker can claim a job
-    /// within the first millisecond).
-    Started { since_ms: u64 },
-    /// The job finished; the monitor must leave it alone.
-    Finished,
-}
-
-/// Atomic start stamp shared between a worker and the deadline monitor.
-///
-/// Replaces the earlier in-band sentinel encoding (`0` = idle,
-/// `u64::MAX` = finished, otherwise `1 + start_ms`) whose `+1` shift had
-/// to be undone with `s - 1` inside the monitor's deadline arithmetic —
-/// exactly the kind of offset that silently breaks for a 0-ms start.
-/// Here milliseconds are stored un-shifted; the two sentinels live at the
-/// top of the range where no realistic start time can reach, and
-/// [`StartStamp::start`] clamps pathological values below them.
-struct StartStamp(AtomicU64);
-
-const STAMP_IDLE: u64 = u64::MAX;
-const STAMP_FINISHED: u64 = u64::MAX - 1;
-
-impl StartStamp {
-    fn new() -> StartStamp {
-        StartStamp(AtomicU64::new(STAMP_IDLE))
-    }
-
-    /// Marks the job started `since_ms` milliseconds after submission.
-    fn start(&self, since_ms: u64) {
-        self.0
-            .store(since_ms.min(STAMP_FINISHED - 1), Ordering::Relaxed);
-    }
-
-    /// Marks the job finished, disarming the monitor for it.
-    fn finish(&self) {
-        self.0.store(STAMP_FINISHED, Ordering::Relaxed);
-    }
-
-    fn state(&self) -> StampState {
-        match self.0.load(Ordering::Relaxed) {
-            STAMP_IDLE => StampState::Idle,
-            STAMP_FINISHED => StampState::Finished,
-            since_ms => StampState::Started { since_ms },
-        }
-    }
-}
-
-/// `true` when a *started* job has been running strictly longer than
-/// `deadline_ms` as of `now_ms`. Idle and finished jobs never expire, and
-/// a job observed exactly at its deadline is still within budget.
-fn deadline_expired(state: StampState, now_ms: u64, deadline_ms: u64) -> bool {
-    matches!(state, StampState::Started { since_ms }
-        if now_ms.saturating_sub(since_ms) > deadline_ms)
-}
-
-/// Exponent cap of the backoff schedule: the delay stops doubling after
-/// this many failed attempts.
-const BACKOFF_MAX_SHIFT: u32 = 6;
-/// Cap on the spin iterations one backoff actually burns, so pathological
-/// cycle budgets cannot stall a worker for seconds.
-const BACKOFF_SPIN_CAP: u64 = 1 << 22;
-
-/// The deterministic backoff before retry number `failed_attempts + 1`,
-/// in simulated-cycle units: an exponential schedule scaled from the
-/// job's simulated-cycle budget (`budget / 1024` per unit, at least 1;
-/// 1024 units when no budget is armed), doubling per failed attempt up
-/// to a bounded cap. A pure function of its inputs — no wall clock, no
-/// randomness — so retried sweeps remain reproducible and tests never
-/// sleep.
-pub fn backoff_cycles(failed_attempts: u32, budget: Option<u64>) -> u64 {
-    if failed_attempts == 0 {
-        return 0;
-    }
-    let unit = budget.map_or(1024, |b| (b / 1024).max(1));
-    unit.saturating_mul(1u64 << (failed_attempts - 1).min(BACKOFF_MAX_SHIFT))
-}
-
-/// Burns a backoff as a bounded CPU spin (capped; never a sleep, so the
-/// schedule cannot interact with wall-clock watchdogs or test runtime).
-fn apply_backoff(cycles: u64) {
-    for _ in 0..cycles.min(BACKOFF_SPIN_CAP) {
-        std::hint::spin_loop();
     }
 }
 
@@ -505,13 +384,12 @@ impl TraceCache {
 }
 
 /// Sweep executor: owns the scale, the worker-count policy, the trace
-/// cache, the watchdog limits, the retry budget and the fault plan.
+/// cache, the cycle budget and the fault plan.
 pub struct Sweep {
     scale: Scale,
     threads: Option<usize>,
     traces: Arc<TraceCache>,
-    watchdog: Watchdog,
-    retries: u32,
+    budget: Option<u64>,
     fail_fast: bool,
     faults: FaultPlan,
     memo: bool,
@@ -520,15 +398,14 @@ pub struct Sweep {
 
 impl Sweep {
     /// A sweep at `scale` with the default pool size
-    /// (`available_parallelism`, capped by the job count), no watchdogs,
-    /// no retries, no faults and the memo on (DESIGN.md §12).
+    /// (`available_parallelism`, capped by the job count), no cycle
+    /// budget, no faults and the memo on (DESIGN.md §12).
     pub fn new(scale: Scale) -> Sweep {
         Sweep {
             scale,
             threads: None,
             traces: Arc::new(TraceCache::new()),
-            watchdog: Watchdog::default(),
-            retries: 0,
+            budget: None,
             fail_fast: false,
             faults: FaultPlan::new(),
             memo: true,
@@ -551,22 +428,15 @@ impl Sweep {
         self
     }
 
-    /// Arms the per-job watchdogs.
-    pub fn watchdog(mut self, watchdog: Watchdog) -> Sweep {
-        self.watchdog = watchdog;
+    /// Arms a per-job simulated-cycle budget (DESIGN.md §10): a run that
+    /// passes `cycles` simulated cycles is livelocked by definition and
+    /// aborts with [`SimError::Timeout`].
+    pub fn budget(mut self, cycles: u64) -> Sweep {
+        self.budget = Some(cycles);
         self
     }
 
-    /// Grants each job up to `retries` extra attempts after a *transient*
-    /// failure (a panic or a timeout — see [`SimError::is_transient`]).
-    /// Retries run immediately on the same worker; nothing about them
-    /// depends on wall-clock time, so retried sweeps stay deterministic.
-    pub fn retries(mut self, retries: u32) -> Sweep {
-        self.retries = retries;
-        self
-    }
-
-    /// Stops claiming new jobs after the first *permanent* job failure.
+    /// Stops claiming new jobs after the first job failure.
     /// Jobs already running finish normally; unclaimed grid points are
     /// absent from the output (the outcomes still come back in grid
     /// order).
@@ -633,7 +503,7 @@ impl Sweep {
     /// carries the job's wall time, queue delay and simulated event count.
     ///
     /// A failing job never takes the sweep down with it: panics are
-    /// caught, watchdog kills come back as timeouts, and every completed
+    /// caught, budget overruns come back as timeouts, and every completed
     /// grid point is returned alongside the typed errors (unless
     /// [`Sweep::fail_fast`] truncated the grid).
     pub fn run(&self, jobs: Vec<SweepJob>) -> Vec<SweepOutcome> {
@@ -688,58 +558,27 @@ impl Sweep {
         };
         #[expect(
             clippy::disallowed_methods,
-            reason = "queue-wait timing for the deadline monitor and diagnostics; never feeds simulated results"
+            reason = "queue-wait timing for diagnostics; never feeds simulated results"
         )]
         let submitted = Instant::now();
         let cursor = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
-        let workers_done = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<SweepOutcome>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
-        // Per-job cancellation flags (set by the deadline monitor, polled
-        // by the runs at phase boundaries) and per-job start stamps the
-        // monitor reads (see [`StartStamp`]).
-        let cancels: Vec<AtomicBool> = jobs.iter().map(|_| AtomicBool::new(false)).collect();
-        let started: Vec<StartStamp> = jobs.iter().map(|_| StartStamp::new()).collect();
-        if self.watchdog.wall_deadline_ms == Some(0) {
-            // Degenerate deadline: cancel up front instead of racing the
-            // monitor, so the outcome is deterministic.
-            for c in &cancels {
-                c.store(true, Ordering::Relaxed);
-            }
-        }
 
-        // One job through its attempt loop, timed from its claim.
+        // One job, run once and timed from its claim.
         let run_job = |i: usize, mark: MemoMark| -> SweepOutcome {
             let job = &jobs[i];
             let queue_delay = duration_nanos_saturating(submitted.elapsed());
-            started[i].start(duration_millis_saturating(submitted.elapsed()));
-            let max_attempts = 1 + self.retries;
-            let mut attempts = 0u32;
-            let mut backoff = 0u64;
-            let mut result = loop {
-                attempts += 1;
-                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    self.run_once(job, i, attempts, &cancels[i])
-                }));
-                // `&*payload`: downcast the inner payload, not the Box (a
-                // Box is itself `Any`).
-                let r = run.unwrap_or_else(|payload| {
-                    Err(SimError::JobPanicked {
-                        job: job.label(),
-                        message: panic_message(&*payload),
-                    })
-                });
-                match r {
-                    Err(e) if e.is_transient() && attempts < max_attempts => {
-                        let spin = backoff_cycles(attempts, self.watchdog.max_sim_cycles);
-                        backoff = backoff.saturating_add(spin);
-                        apply_backoff(spin);
-                    }
-                    other => break other,
-                }
-            };
-            started[i].finish();
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| self.run_once(job, i)));
+            // `&*payload`: downcast the inner payload, not the Box (a Box
+            // is itself `Any`).
+            let mut result = run.unwrap_or_else(|payload| {
+                Err(SimError::JobPanicked {
+                    job: job.label(),
+                    message: panic_message(&*payload),
+                })
+            });
             if let Ok(res) = &mut result {
                 res.metrics.queue_delay_nanos = queue_delay;
             } else if self.fail_fast {
@@ -748,8 +587,6 @@ impl Sweep {
             SweepOutcome {
                 job: job.clone(),
                 result,
-                attempts,
-                backoff,
                 memo: MemoRow { mark },
             }
         };
@@ -774,8 +611,8 @@ impl Sweep {
                         &o.job,
                         self.scale,
                         res,
-                        o.attempts,
-                        o.backoff,
+                        1,
+                        0,
                         self.traces.fingerprint(o.job.suite, self.scale),
                     )))
                 })
@@ -783,22 +620,6 @@ impl Sweep {
         };
 
         std::thread::scope(|scope| {
-            if let Some(deadline) = self.watchdog.wall_deadline_ms.filter(|&d| d > 0) {
-                let started = &started;
-                let cancels = &cancels;
-                let workers_done = &workers_done;
-                scope.spawn(move || {
-                    while workers_done.load(Ordering::Acquire) < workers {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                        let now_ms = duration_millis_saturating(submitted.elapsed());
-                        for (stamp, cancel) in started.iter().zip(cancels) {
-                            if deadline_expired(stamp.state(), now_ms, deadline) {
-                                cancel.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                });
-            }
             let fill = &fill;
             // Write-ahead discipline with group commit: a journaled
             // sweep's workers hand each group to one writer thread, which
@@ -822,8 +643,7 @@ impl Sweep {
                 });
                 tx
             });
-            let (jobs, roles, cursor, stop, workers_done) =
-                (&jobs, &roles, &cursor, &stop, &workers_done);
+            let (jobs, roles, cursor, stop) = (&jobs, &roles, &cursor, &stop);
             let (run_job, rows_of) = (&run_job, &rows_of);
             for _ in 0..workers {
                 let to_writer = to_writer.clone();
@@ -880,7 +700,6 @@ impl Sweep {
                             }
                         }
                     }
-                    workers_done.fetch_add(1, Ordering::Release);
                 });
             }
         });
@@ -894,29 +713,14 @@ impl Sweep {
             .collect()
     }
 
-    /// One attempt at one job: stages the planned fault (if any), then
-    /// runs the simulation under the watchdog controls. Runs inside the
-    /// worker's `catch_unwind`.
-    fn run_once(
-        &self,
-        job: &SweepJob,
-        index: usize,
-        attempt: u32,
-        cancel: &AtomicBool,
-    ) -> Result<SimResult, SimError> {
+    /// One job: stages the planned fault (if any), then runs the
+    /// simulation under the cycle budget. Runs inside the worker's
+    /// `catch_unwind`.
+    fn run_once(&self, job: &SweepJob, index: usize) -> Result<SimResult, SimError> {
         let fault = self.faults.fault_for(index);
         let label = job.label();
-        match fault {
-            Some(Fault::Panic) => panic!("injected fault: worker panic in {label}"),
-            Some(Fault::TransientPanic { failures }) if attempt <= failures => {
-                panic!("injected fault: transient panic in {label} (attempt {attempt})")
-            }
-            // Cancellation storm: the first attempt starts with its cancel
-            // flag already raised, so the run aborts at the next phase
-            // boundary with a transient `WallClock` timeout;
-            // retries see a cleared flag and complete normally.
-            Some(Fault::CancelStorm) => cancel.store(attempt == 1, Ordering::Relaxed),
-            _ => {}
+        if fault == Some(Fault::Panic) {
+            panic!("injected fault: worker panic in {label}");
         }
 
         let trace = self.traces.get(job.suite, self.scale);
@@ -945,7 +749,7 @@ impl Sweep {
         };
 
         let mut cfg = job.config.clone();
-        let mut max_sim_cycles = self.watchdog.max_sim_cycles;
+        let mut max_sim_cycles = self.budget;
         match fault {
             Some(Fault::Livelock) => max_sim_cycles = Some(1),
             Some(Fault::AccProtocolFlip { at_event }) => {
@@ -966,8 +770,6 @@ impl Sweep {
         let ctl = RunControl {
             label: &label,
             max_sim_cycles,
-            cancel: Some(cancel),
-            wall_deadline_ms: self.watchdog.wall_deadline_ms.unwrap_or(0),
         };
         run_system_guarded(job.system, workload, decoded, &cfg, &ctl)
     }
@@ -978,7 +780,7 @@ impl Sweep {
 type Group = Vec<(usize, SweepOutcome)>;
 
 /// A group member's outcome, copied from its first member's result: it
-/// took no wall time, no queueing and no retries (DESIGN.md §12).
+/// took no wall time and no queueing (DESIGN.md §12).
 fn copy_of(job: &SweepJob, res: &SimResult) -> SweepOutcome {
     let mut res = res.clone();
     res.metrics.wall_nanos = 0;
@@ -986,8 +788,6 @@ fn copy_of(job: &SweepJob, res: &SimResult) -> SweepOutcome {
     SweepOutcome {
         job: job.clone(),
         result: Ok(res),
-        attempts: 1,
-        backoff: 0,
         memo: MemoRow {
             mark: MemoMark::Hit,
         },
@@ -1009,7 +809,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_types::error::TimeoutKind;
 
     #[test]
     fn streamed_fingerprint_equals_the_hash_of_the_encoded_trace() {
@@ -1070,49 +869,6 @@ mod tests {
         assert_eq!(warmed.fingerprint(SuiteId::Adpcm, Scale::Tiny), fp);
         assert_eq!((cold.builds(), cold.hashes()), (1, 1));
         assert_eq!((warmed.builds(), warmed.hashes()), (1, 1));
-    }
-
-    #[test]
-    fn deadline_stamp_zero_ms_start_is_armed() {
-        // A job claimed within the first millisecond stamps `0` — under
-        // the old `1 + ms` sentinel encoding this was the case that
-        // collided with "not started". It must arm the monitor normally.
-        let s = StartStamp::new();
-        assert_eq!(s.state(), StampState::Idle);
-        assert!(
-            !deadline_expired(s.state(), u64::MAX, 0),
-            "idle never expires"
-        );
-        s.start(0);
-        assert_eq!(s.state(), StampState::Started { since_ms: 0 });
-        assert!(deadline_expired(s.state(), 6, 5));
-        s.finish();
-        assert_eq!(s.state(), StampState::Finished);
-        assert!(
-            !deadline_expired(s.state(), u64::MAX, 0),
-            "finished never expires"
-        );
-    }
-
-    #[test]
-    fn deadline_stamp_boundary_is_exclusive() {
-        // Started at 0 with a 5 ms deadline: at now == 5 the job has run
-        // for exactly the deadline and is still within budget; one
-        // millisecond later it expires.
-        let s = StartStamp::new();
-        s.start(0);
-        assert!(!deadline_expired(s.state(), 5, 5));
-        assert!(deadline_expired(s.state(), 6, 5));
-        // Same shape away from zero, and a monitor clock that lags the
-        // start stamp must saturate rather than underflow.
-        s.start(7);
-        assert!(!deadline_expired(s.state(), 12, 5));
-        assert!(deadline_expired(s.state(), 13, 5));
-        assert!(!deadline_expired(s.state(), 3, 0));
-        // Pathological stamps clamp below the sentinel range instead of
-        // masquerading as idle/finished.
-        s.start(u64::MAX);
-        assert!(matches!(s.state(), StampState::Started { .. }));
     }
 
     #[test]
@@ -1218,8 +974,7 @@ mod tests {
         assert_eq!(results[0].system, "FUSION");
         assert_eq!(results[1].system, "SCRATCH");
         assert_eq!(results[2].system, "SHARED");
-        for (o, r) in outcomes.iter().zip(&results) {
-            assert_eq!(o.attempts, 1);
+        for r in &results {
             assert!(r.metrics.wall_nanos > 0, "wall time missing");
             assert!(r.metrics.sim_events > 0, "event count missing");
         }
@@ -1267,37 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_panic_recovers_under_retry() {
-        let jobs = vec![SweepJob::new(
-            SystemKind::Fusion,
-            SuiteId::Filter,
-            SystemConfig::small(),
-        )];
-        let plan = FaultPlan::new().inject(0, Fault::TransientPanic { failures: 2 });
-        // Not enough attempts: still a typed panic, attempts recorded.
-        let failed = Sweep::new(Scale::Tiny)
-            .with_faults(plan.clone())
-            .retries(1)
-            .run(jobs.clone());
-        assert_eq!(failed[0].attempts, 2);
-        assert!(matches!(
-            failed[0].result,
-            Err(SimError::JobPanicked { .. })
-        ));
-        // Enough attempts: the job recovers and matches a clean run.
-        let clean = Sweep::new(Scale::Tiny).run(jobs.clone());
-        let recovered = Sweep::new(Scale::Tiny)
-            .with_faults(plan)
-            .retries(2)
-            .run(jobs);
-        assert_eq!(recovered[0].attempts, 3);
-        assert_eq!(
-            recovered[0].result.as_ref().unwrap(),
-            clean[0].result.as_ref().unwrap()
-        );
-    }
-
-    #[test]
     fn livelock_budget_fires_and_is_not_retried_forever() {
         let jobs = vec![SweepJob::new(
             SystemKind::Shared,
@@ -1305,16 +1029,9 @@ mod tests {
             SystemConfig::small(),
         )];
         let plan = FaultPlan::new().inject(0, Fault::Livelock);
-        let outcomes = Sweep::new(Scale::Tiny)
-            .with_faults(plan)
-            .retries(1)
-            .run(jobs);
-        assert_eq!(outcomes[0].attempts, 2, "transient timeout retried once");
+        let outcomes = Sweep::new(Scale::Tiny).with_faults(plan).run(jobs);
         match &outcomes[0].result {
-            Err(SimError::Timeout { kind, limit, .. }) => {
-                assert_eq!(*kind, TimeoutKind::SimCycleBudget);
-                assert_eq!(*limit, 1);
-            }
+            Err(SimError::Timeout { limit, .. }) => assert_eq!(*limit, 1),
             other => panic!("expected Timeout, got {other:?}"),
         }
     }
@@ -1329,10 +1046,7 @@ mod tests {
         second.config.l0x.capacity_bytes *= 2;
         let outcomes = Sweep::new(Scale::Tiny)
             .threads(1)
-            .watchdog(Watchdog {
-                max_sim_cycles: Some(1),
-                ..Default::default()
-            })
+            .budget(1)
             .run(vec![first, second]);
         assert_eq!(outcomes.len(), 2);
         for o in &outcomes {
@@ -1346,28 +1060,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_wall_deadline_cancels_every_job_deterministically() {
-        let jobs = vec![
-            SweepJob::new(SystemKind::Scratch, SuiteId::Adpcm, SystemConfig::small()),
-            SweepJob::new(SystemKind::Fusion, SuiteId::Adpcm, SystemConfig::small()),
-        ];
-        let outcomes = Sweep::new(Scale::Tiny)
-            .watchdog(Watchdog {
-                wall_deadline_ms: Some(0),
-                ..Default::default()
-            })
-            .run(jobs);
-        for o in &outcomes {
-            match &o.result {
-                Err(SimError::Timeout { kind, .. }) => {
-                    assert_eq!(*kind, TimeoutKind::WallClock)
-                }
-                other => panic!("expected WallClock timeout, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn trace_faults_map_to_decode_errors() {
         let jobs = vec![
             SweepJob::new(SystemKind::Scratch, SuiteId::Filter, SystemConfig::small()),
@@ -1376,17 +1068,13 @@ mod tests {
         let plan = FaultPlan::new()
             .inject(0, Fault::CorruptTrace)
             .inject(1, Fault::TruncateTrace);
-        let outcomes = Sweep::new(Scale::Tiny)
-            .with_faults(plan)
-            .retries(2)
-            .run(jobs);
+        let outcomes = Sweep::new(Scale::Tiny).with_faults(plan).run(jobs);
         for o in &outcomes {
             assert!(
                 matches!(o.result, Err(SimError::DecodeError { .. })),
                 "{:?}",
                 o.result
             );
-            assert_eq!(o.attempts, 1, "decode errors are permanent, no retry");
         }
     }
 

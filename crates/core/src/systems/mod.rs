@@ -4,7 +4,7 @@
 //! The offloaded program is phase-sequential (paper §3.2): it migrates
 //! between units and exactly one runs at a time. [`drive`] owns what every
 //! system shares: the phase loop, the host-phase OoO replay, per-phase
-//! energy and [`PhaseResult`] accounting, the watchdog and checker polls
+//! energy and [`PhaseResult`] accounting, the cycle-budget and checker polls
 //! and the common [`SimResult`] fields. A system supplies only what differs
 //! through [`PhaseHooks`]; each is a concrete type, so every hook call is
 //! statically dispatched and the per-reference closures inline as before.
@@ -30,7 +30,7 @@ use scratch::ScratchSystem;
 use shared::SharedSystem;
 
 /// Runs `workload` (replaying `decoded`) on the system `kind` under the
-/// watchdogs in `ctl`.
+/// cycle budget in `ctl`.
 pub(crate) fn simulate(
     kind: SystemKind,
     workload: &Workload,

@@ -3,7 +3,7 @@
 //!
 //! A production-scale sweep cannot afford to die on the first bad job, so
 //! every failure a simulation can hit — a corrupt trace, a protocol
-//! invariant broken at runtime, a panicked worker, a watchdog expiry or a
+//! invariant broken at runtime, a panicked worker, a cycle-budget overrun or a
 //! nonsensical configuration — maps to one [`SimError`] variant. The sweep
 //! layer collects these per job (`fusion_core::sweep`); the `sim` CLI
 //! renders them in its failure report and exits nonzero without discarding
@@ -42,27 +42,6 @@ impl fmt::Display for InvariantViolation {
 
 impl Error for InvariantViolation {}
 
-/// Which watchdog fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimeoutKind {
-    /// The simulated-cycle forward-progress budget was exhausted — the
-    /// replay consumed more simulated time than any healthy run of its
-    /// size plausibly could (the protocol-livelock guard).
-    SimCycleBudget,
-    /// The wall-clock deadline passed and the monitor thread cancelled the
-    /// job at its next phase boundary.
-    WallClock,
-}
-
-impl fmt::Display for TimeoutKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TimeoutKind::SimCycleBudget => write!(f, "simulated-cycle budget"),
-            TimeoutKind::WallClock => write!(f, "wall-clock deadline"),
-        }
-    }
-}
-
 /// Everything that can go wrong while running one simulation job.
 ///
 /// # Examples
@@ -74,7 +53,6 @@ impl fmt::Display for TimeoutKind {
 ///     detail: "l1x needs at least one bank".into(),
 /// };
 /// assert!(e.to_string().contains("configuration"));
-/// assert!(!e.is_transient());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
@@ -95,14 +73,13 @@ pub enum SimError {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// A watchdog cut the job short.
+    /// The job passed its simulated-cycle forward-progress budget: the
+    /// replay consumed more simulated time than any healthy run of its
+    /// size plausibly could (the protocol-livelock guard).
     Timeout {
         /// Grid label of the job.
         job: String,
-        /// Which watchdog fired.
-        kind: TimeoutKind,
-        /// The budget that was exhausted (simulated cycles or
-        /// milliseconds, per `kind`).
+        /// The exhausted budget, in simulated cycles.
         limit: u64,
     },
     /// The configuration cannot describe a simulatable machine.
@@ -113,17 +90,6 @@ pub enum SimError {
 }
 
 impl SimError {
-    /// Whether a bounded retry can plausibly succeed: panics and timeouts
-    /// may be environmental (a poisoned slot, an overloaded host), while
-    /// decode, invariant and configuration failures are deterministic
-    /// properties of the inputs and will fail identically every attempt.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            SimError::JobPanicked { .. } | SimError::Timeout { .. }
-        )
-    }
-
     /// Short taxonomy label (stable, used by failure reports and tests).
     pub fn kind_label(&self) -> &'static str {
         match self {
@@ -144,8 +110,8 @@ impl fmt::Display for SimError {
             SimError::JobPanicked { job, message } => {
                 write!(f, "job {job} panicked: {message}")
             }
-            SimError::Timeout { job, kind, limit } => {
-                write!(f, "job {job} exceeded its {kind} ({limit})")
+            SimError::Timeout { job, limit } => {
+                write!(f, "job {job} exceeded its simulated-cycle budget ({limit})")
             }
             SimError::ConfigError { detail } => write!(f, "invalid configuration: {detail}"),
         }
@@ -278,37 +244,13 @@ mod tests {
         assert_eq!(e.source().unwrap().to_string(), v.to_string());
         let t = SimError::Timeout {
             job: "FFT/FU".into(),
-            kind: TimeoutKind::SimCycleBudget,
             limit: 1000,
         };
-        assert!(t.to_string().contains("simulated-cycle budget"));
+        assert_eq!(
+            t.to_string(),
+            "job FFT/FU exceeded its simulated-cycle budget (1000)"
+        );
         assert!(t.source().is_none());
-    }
-
-    #[test]
-    fn transience_partitions_the_taxonomy() {
-        assert!(SimError::JobPanicked {
-            job: "j".into(),
-            message: "m".into()
-        }
-        .is_transient());
-        assert!(SimError::Timeout {
-            job: "j".into(),
-            kind: TimeoutKind::WallClock,
-            limit: 1,
-        }
-        .is_transient());
-        for e in [
-            SimError::DecodeError { detail: "x".into() },
-            SimError::ConfigError { detail: "x".into() },
-            SimError::InvariantViolation(InvariantViolation {
-                protocol: "MESI",
-                rule: "owner",
-                detail: String::new(),
-            }),
-        ] {
-            assert!(!e.is_transient(), "{e}");
-        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod units;
 
 pub use addr::{BlockAddr, PhysAddr, VirtAddr, CACHE_BLOCK_BYTES, PAGE_BYTES};
 pub use config::{CacheGeometry, LinkConfig, SystemConfig, WritePolicy};
-pub use error::{InvariantViolation, JournalError, SimError, TimeoutKind};
+pub use error::{InvariantViolation, JournalError, SimError};
 pub use fault::{CheckerConfig, ProtocolFault, ProtocolFaultKind};
 pub use hash::{sorted_entries, sorted_keys, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{AxcId, Pid};
@@ -59,6 +59,26 @@ impl std::fmt::Display for AccessKind {
     }
 }
 
+/// Escapes `s` for use inside a JSON string literal: quotes,
+/// backslashes, `\n` and `\t` get their short escapes, and every other
+/// control character a `\uXXXX` one. The one escaper behind every JSON
+/// the workspace writes (sweep rows, journals, salvage and verify
+/// reports).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,5 +89,14 @@ mod tests {
         assert!(AccessKind::Store.is_write());
         assert_eq!(AccessKind::Load.to_string(), "LD");
         assert_eq!(AccessKind::Store.to_string(), "ST");
+    }
+
+    #[test]
+    fn json_escape_handles_quotes_and_control_chars() {
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("x\ny"), "x\\ny");
+        assert_eq!(json_escape("x\ty"), "x\\ty");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -22,6 +22,7 @@ pub mod mesi_model;
 use std::time::Instant;
 
 use fusion_types::fault::{ProtocolFault, ProtocolFaultKind};
+use fusion_types::json_escape;
 
 use crate::acc_model::{AccModel, AccModelConfig};
 use crate::explore::{explore, CounterExample, Exploration};
@@ -265,20 +266,6 @@ pub fn render_text(report: &VerifyReport) -> String {
         "verification passed"
     };
     out.push_str(&format!("{verdict}\n"));
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

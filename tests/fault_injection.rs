@@ -9,8 +9,7 @@
 //! boundaries and never introduce nondeterminism.
 //!
 //! The chaos-harness half (DESIGN.md §13) extends the same machinery to
-//! the durability layer: worker kills, cancellation storms, journal
-//! truncation/torn-write/corruption and disk-full simulation, pinned by
+//! the durability layer: worker kills, journal truncation/torn-write/corruption and disk-full simulation, pinned by
 //! the invariant that (crash anywhere → resume) reproduces the
 //! uninterrupted run's result payloads byte for byte.
 
@@ -24,7 +23,7 @@ use fusion_core::TraceCache;
 use fusion_core::{
     design_grid, full_grid, Fault, FaultPlan, Sweep, SweepJob, SweepOutcome, SweepSummary,
 };
-use fusion_types::error::{JournalError, SimError, TimeoutKind};
+use fusion_types::error::{JournalError, SimError};
 use fusion_types::SystemConfig;
 use fusion_workloads::Scale;
 
@@ -42,9 +41,8 @@ fn wal_header(grid: usize) -> JournalHeader {
     }
 }
 
-fn run_with(plan: FaultPlan, retries: u32) -> Vec<SweepOutcome> {
+fn run_with(plan: FaultPlan) -> Vec<SweepOutcome> {
     Sweep::new(Scale::Tiny)
-        .retries(retries)
         .with_faults(plan)
         .run(full_grid(&SystemConfig::small()))
 }
@@ -62,7 +60,7 @@ fn planted_faults_do_not_disturb_healthy_jobs() {
         .inject(9, Fault::CorruptTrace)
         .inject(17, Fault::Livelock)
         .inject(25, Fault::TruncateTrace);
-    let faulty = run_with(plan.clone(), 0);
+    let faulty = run_with(plan.clone());
     assert_eq!(faulty.len(), GRID);
 
     for (i, (f, c)) in faulty.iter().zip(&clean).enumerate() {
@@ -93,7 +91,7 @@ fn every_planted_fault_surfaces_as_its_typed_error() {
         .inject(9, Fault::CorruptTrace)
         .inject(17, Fault::Livelock)
         .inject(25, Fault::TruncateTrace);
-    let outcomes = run_with(plan, 0);
+    let outcomes = run_with(plan);
 
     match &outcomes[2].result {
         Err(SimError::JobPanicked { job, .. }) => assert_eq!(*job, outcomes[2].job.label()),
@@ -104,11 +102,9 @@ fn every_planted_fault_surfaces_as_its_typed_error() {
             Err(SimError::DecodeError { .. }) => {}
             other => panic!("job {i}: expected DecodeError, got {other:?}"),
         }
-        // Trace damage is deterministic, so it must not have been retried.
-        assert_eq!(outcomes[i].attempts, 1, "job {i} wasted retries");
     }
     match &outcomes[17].result {
-        Err(SimError::Timeout { kind, .. }) => assert_eq!(*kind, TimeoutKind::SimCycleBudget),
+        Err(SimError::Timeout { limit, .. }) => assert_eq!(*limit, 1),
         other => panic!("job 17: expected Timeout, got {other:?}"),
     }
 }
@@ -119,8 +115,8 @@ fn same_seed_sweeps_fail_identically() {
     assert_eq!(plan.len(), 4);
     assert_eq!(plan, FaultPlan::seeded(0xFA57, GRID, 4));
 
-    let a = run_with(plan.clone(), 1);
-    let b = run_with(plan, 1);
+    let a = run_with(plan.clone());
+    let b = run_with(plan);
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.job.label(), y.job.label());
@@ -130,68 +126,7 @@ fn same_seed_sweeps_fail_identically() {
             "{}: same-seed runs diverged",
             x.job.label()
         );
-        assert_eq!(
-            x.attempts,
-            y.attempts,
-            "{}: retry counts diverged",
-            x.job.label()
-        );
     }
-}
-
-#[test]
-fn transient_faults_recover_under_retry_with_clean_results() {
-    let clean = Sweep::new(Scale::Tiny).run(full_grid(&SystemConfig::small()));
-    let plan = FaultPlan::new().inject(5, Fault::TransientPanic { failures: 1 });
-    let retried = run_with(plan, 1);
-
-    assert_eq!(retried[5].attempts, 2, "first attempt panics, second runs");
-    // The recovered result is indistinguishable from a never-faulted run.
-    assert_eq!(
-        retried[5].result.as_ref().unwrap(),
-        clean[5].result.as_ref().unwrap()
-    );
-    let summary = SweepSummary::of(&retried);
-    assert!(summary.all_ok());
-    assert_eq!(summary.retried, 1);
-    // The retry spun a deterministic backoff; first-try jobs spun none.
-    assert!(retried[5].backoff > 0, "retried job must report backoff");
-    assert!(retried
-        .iter()
-        .enumerate()
-        .all(|(i, o)| i == 5 || o.backoff == 0));
-    assert_eq!(
-        retried[5].backoff,
-        run_with(
-            FaultPlan::new().inject(5, Fault::TransientPanic { failures: 1 }),
-            1
-        )[5]
-        .backoff,
-        "backoff schedule must be deterministic"
-    );
-}
-
-#[test]
-fn cancel_storm_recovers_under_retry_with_clean_results() {
-    let clean = Sweep::new(Scale::Tiny).run(full_grid(&SystemConfig::small()));
-    let plan = FaultPlan::new().inject(11, Fault::CancelStorm);
-
-    // Without a retry budget the storm is a transient wall-clock timeout.
-    let stormed = run_with(plan.clone(), 0);
-    match &stormed[11].result {
-        Err(SimError::Timeout { kind, .. }) => assert_eq!(*kind, TimeoutKind::WallClock),
-        other => panic!("job 11: expected WallClock timeout, got {other:?}"),
-    }
-
-    // With one retry the storm clears and the result is byte-identical.
-    let retried = run_with(plan, 1);
-    assert_eq!(retried[11].attempts, 2);
-    assert!(retried[11].backoff > 0);
-    assert_eq!(
-        retried[11].result.as_ref().unwrap(),
-        clean[11].result.as_ref().unwrap()
-    );
-    assert!(SweepSummary::of(&retried).all_ok());
 }
 
 #[test]
@@ -470,33 +405,6 @@ fn failed_compaction_leaves_the_journal_resumable() {
 }
 
 #[test]
-fn repeated_transients_across_the_grid_recover_with_clean_results() {
-    let cfg = SystemConfig::small();
-    let clean = Sweep::new(Scale::Tiny).run(full_grid(&cfg));
-
-    // Eight transient panics across the grid, each recovered by one retry.
-    let mut plan = FaultPlan::new();
-    for job in [0, 3, 6, 9, 12, 15, 18, 21] {
-        plan = plan.inject(job, Fault::TransientPanic { failures: 1 });
-    }
-    let outcomes = Sweep::new(Scale::Tiny)
-        .retries(1)
-        .with_faults(plan)
-        .run(full_grid(&cfg));
-
-    // Every job completed and every result matches the healthy run.
-    assert_eq!(outcomes.len(), GRID);
-    for (o, c) in outcomes.iter().zip(&clean) {
-        assert_eq!(
-            o.result.as_ref().unwrap(),
-            c.result.as_ref().unwrap(),
-            "{} diverged after its retry",
-            o.job.label()
-        );
-    }
-}
-
-#[test]
 fn seeded_chaos_storms_are_deterministic_end_to_end() {
     let cfg = SystemConfig::small();
     let plan = FaultPlan::seeded_chaos(0xC4A05, GRID, 6);
@@ -506,11 +414,9 @@ fn seeded_chaos_storms_are_deterministic_end_to_end() {
         .filter(|(_, f)| *f == Fault::WorkerKill)
         .count();
     let a = Sweep::new(Scale::Tiny)
-        .retries(1)
         .with_faults(plan.clone())
         .run(full_grid(&cfg));
     let b = Sweep::new(Scale::Tiny)
-        .retries(1)
         .with_faults(plan)
         .run(full_grid(&cfg));
     // Killed workers leave gaps (more on small pools, where a kill takes
@@ -520,7 +426,30 @@ fn seeded_chaos_storms_are_deterministic_end_to_end() {
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.job.label(), y.job.label());
         assert_eq!(x.result, y.result, "{}", x.job.label());
-        assert_eq!(x.attempts, y.attempts);
-        assert_eq!(x.backoff, y.backoff);
+    }
+}
+
+#[test]
+fn faulted_sweeps_match_across_worker_counts() {
+    // The memo plan and the fault plan are both fixed before any job
+    // runs, so a faulted, memoized design grid must not depend on how
+    // many workers claim its jobs.
+    let jobs = design_grid(&SystemConfig::small());
+    let plan = FaultPlan::seeded(0xFA57, jobs.len(), 6);
+    assert_eq!(plan.len(), 6);
+    let run = |threads: usize| {
+        Sweep::new(Scale::Tiny)
+            .threads(threads)
+            .with_faults(plan.clone())
+            .run(jobs.clone())
+    };
+    let (one, two) = (run(1), run(2));
+    assert_eq!(one.len(), jobs.len());
+    assert_eq!(two.len(), jobs.len());
+    for (i, (x, y)) in one.iter().zip(&two).enumerate() {
+        assert_eq!(x.job.label(), y.job.label());
+        assert_eq!(x.result, y.result, "job {i} ({})", x.job.label());
+        assert_eq!(x.memo.mark, y.memo.mark, "job {i} ({})", x.job.label());
+        assert_eq!(x.result.is_err(), plan.fault_for(i).is_some(), "job {i}");
     }
 }
