@@ -198,13 +198,6 @@ pub struct DmaWindow {
     pub ref_range: (usize, usize),
 }
 
-impl DmaWindow {
-    /// Total blocks moved in + out.
-    pub fn blocks_moved(&self) -> usize {
-        self.dma_in.len() + self.dma_out.len()
-    }
-}
-
 /// Flag bits of a block in the open DMA window (one byte per ordinal).
 const DIRTY: u8 = 1;
 const READ_FIRST: u8 = 2;

@@ -13,6 +13,7 @@
 use std::io::{self, Read, Write};
 
 use fusion_types::error::SimError;
+use fusion_types::hash::{fnv1a, fnv1a_extend, FNV_OFFSET};
 use fusion_types::ids::ExecUnit;
 use fusion_types::{AccessKind, AxcId, Pid, VirtAddr};
 
@@ -139,22 +140,6 @@ impl GetLe for &[u8] {
         *self = rest;
         v
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-
-/// FNV-1a over the payload (everything after magic+version).
-fn fnv1a(data: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET, data)
-}
-
-/// Continues an FNV-1a hash `h` over `data`.
-fn fnv1a_extend(mut h: u64, data: &[u8]) -> u64 {
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Length/count fields are encoded into fixed-width wire slots. Real

@@ -121,11 +121,6 @@ impl Recorder {
             lease,
         }
     }
-
-    /// References recorded in the current (un-taken) phase.
-    pub fn pending_refs(&self) -> usize {
-        self.state.borrow().refs.len()
-    }
 }
 
 impl Default for Recorder {
@@ -282,8 +277,8 @@ mod tests {
         let rec = Recorder::new();
         let mut buf = rec.buffer::<u16>(16);
         buf.init_untraced(|i| u16::try_from(i).unwrap());
-        assert_eq!(rec.pending_refs(), 0);
         assert_eq!(buf.as_slice()[5], 5);
+        assert!(rec.take_phase("x", ExecUnit::Host, 1, 1).refs.is_empty());
     }
 
     #[test]

@@ -400,22 +400,6 @@ impl DecodedTrace {
         self.blocks.len() as u64
     }
 
-    /// Heap bytes of the decoded arrays: the four per-reference lanes, the
-    /// ordinal → block table, the phase offsets and the op prefix sums.
-    /// Memoized analysis results are not counted.
-    pub fn heap_bytes(&self) -> usize {
-        fn bytes<T>(v: &Vec<T>) -> usize {
-            v.capacity() * std::mem::size_of::<T>()
-        }
-        bytes(&self.blocks)
-            + bytes(&self.kinds)
-            + bytes(&self.gaps)
-            + bytes(&self.ordinals)
-            + bytes(&self.ordinal_blocks)
-            + bytes(&self.phase_offsets)
-            + bytes(&self.op_prefix)
-    }
-
     /// Borrowed view of phase `idx`'s decoded references.
     ///
     /// # Panics
@@ -447,15 +431,6 @@ impl DecodedTrace {
     /// Op counts of phase `idx` (recovered from the prefix sums).
     pub fn phase_ops(&self, idx: usize) -> OpCounts {
         self.op_prefix[idx + 1] - self.op_prefix[idx]
-    }
-
-    /// Summed op counts of the whole workload.
-    #[expect(
-        clippy::expect_used,
-        reason = "the constructor seeds op_prefix with a zero row"
-    )]
-    pub fn total_ops(&self) -> OpCounts {
-        *self.op_prefix.last().expect("op_prefix is never empty")
     }
 }
 
@@ -620,9 +595,6 @@ mod tests {
             }
             assert_eq!(d.phase_ops(i), p.ops);
         }
-        assert_eq!(d.total_ops(), OpCounts::default());
-        // At least three references of four lanes: block, kind, gap, ordinal.
-        assert!(d.heap_bytes() >= 3 * (std::mem::size_of::<BlockAddr>() + 1 + 2 + 4));
     }
 
     #[test]
@@ -663,7 +635,6 @@ mod tests {
         let d = DecodedTrace::decode(&wl);
         assert_eq!(d.phase_ops(0), p1.ops);
         assert_eq!(d.phase_ops(1), p2.ops);
-        assert_eq!(d.total_ops(), p1.ops + p2.ops);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! Exit codes follow the usual convention: 0 on success, 1 when a
 //! simulation or sweep job fails at runtime (completed rows are still
 //! printed, failures are summarized per job on stderr), 2 for usage
-//! errors. The robustness flags — `--fail-fast`, `--budget <cycles>` and
+//! errors, among them an option the subcommand does not take. The
+//! robustness flags — `--fail-fast`, `--budget <cycles>` and
 //! `--inject <seed:count>` — map onto the fault-tolerant sweep engine of
 //! DESIGN.md §10. Each job runs once: a simulation is a pure function of
 //! its inputs, so a failure would only repeat.
@@ -94,18 +95,8 @@ fn usage_error(msg: &str) -> ExitCode {
     usage()
 }
 
-/// Options that stand alone (no value follows).
-const FLAG_KEYS: [&str; 8] = [
-    "json",
-    "large",
-    "write-through",
-    "lease-renewal",
-    "fail-fast",
-    "no-memo",
-    "resume",
-    "expect-violation",
-];
-/// Options that consume the next argument as their value.
+/// Options that consume the next argument as their value; every other
+/// option stands alone.
 const VALUE_KEYS: [&str; 16] = [
     "system",
     "suite",
@@ -124,6 +115,39 @@ const VALUE_KEYS: [&str; 16] = [
     "fault",
     "max-states",
 ];
+/// The options each subcommand accepts, space-separated, matching
+/// `USAGE` and what the subcommand reads. Any other option is a usage
+/// error, never silently ignored; one that no subcommand accepts is
+/// unknown.
+const ACCEPTED: [(&str, &str); 6] = [
+    (
+        "run",
+        "system suite scale json large write-through lease-renewal prefetch",
+    ),
+    ("trace", "suite scale out"),
+    (
+        "replay",
+        "system trace json large write-through lease-renewal prefetch",
+    ),
+    (
+        "compare",
+        "suite scale threads fail-fast budget inject large write-through lease-renewal prefetch",
+    ),
+    (
+        "sweep",
+        "scale threads json no-memo journal resume fail-fast budget inject \
+         large write-through lease-renewal prefetch",
+    ),
+    (
+        "verify",
+        "protocol agents blocks horizon fault expect-violation max-states json",
+    ),
+];
+
+/// `true` when the space-separated option list `keys` names `key`.
+fn accepts(keys: &str, key: &str) -> bool {
+    keys.split_whitespace().any(|k| k == key)
+}
 
 #[derive(Debug)]
 struct Args {
@@ -131,26 +155,36 @@ struct Args {
 }
 
 impl Args {
-    /// Parses `--flag` / `--key value` pairs, rejecting unknown keys,
-    /// bare (non `--`) tokens and valued options missing their value.
-    fn parse(args: &[String]) -> Result<Args, String> {
+    /// Parses subcommand `cmd`'s `--flag` / `--key value` pairs,
+    /// rejecting an unknown subcommand, unknown keys, keys `cmd` does not
+    /// accept, bare (non `--`) tokens and valued options missing their
+    /// value.
+    fn parse(cmd: &str, args: &[String]) -> Result<Args, String> {
+        let Some((_, accepted)) = ACCEPTED.iter().find(|(c, _)| *c == cmd) else {
+            return Err(format!("unknown subcommand '{cmd}'"));
+        };
         let mut values = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let Some(key) = args[i].strip_prefix("--") else {
                 return Err(format!("unexpected argument '{}'", args[i]));
             };
-            if FLAG_KEYS.contains(&key) {
-                values.push((key.to_owned(), "true".into()));
-                i += 1;
-            } else if VALUE_KEYS.contains(&key) {
+            if !accepts(accepted, key) {
+                return Err(if ACCEPTED.iter().any(|(_, keys)| accepts(keys, key)) {
+                    format!("option '--{key}' is not accepted by 'sim {cmd}'")
+                } else {
+                    format!("unknown option '--{key}'")
+                });
+            }
+            if VALUE_KEYS.contains(&key) {
                 let Some(value) = args.get(i + 1) else {
                     return Err(format!("--{key} requires a value"));
                 };
                 values.push((key.to_owned(), value.clone()));
                 i += 2;
             } else {
-                return Err(format!("unknown option '--{key}'"));
+                values.push((key.to_owned(), "true".into()));
+                i += 1;
             }
         }
         Ok(Args { values })
@@ -240,7 +274,7 @@ fn config_from(args: &Args) -> Result<SystemConfig, String> {
     Ok(cfg)
 }
 
-/// Applies the shared sweep/robustness flags to a fresh [`Sweep`].
+/// Applies the shared robustness flags to a fresh [`Sweep`].
 fn sweep_from(scale: Scale, args: &Args, jobs: usize) -> Result<Sweep, String> {
     let mut sweep = Sweep::new(scale);
     if let Some(n) = args.numeric("threads")? {
@@ -250,7 +284,6 @@ fn sweep_from(scale: Scale, args: &Args, jobs: usize) -> Result<Sweep, String> {
         sweep = sweep.budget(n as u64);
     }
     sweep = sweep.fail_fast(args.flag("fail-fast"));
-    sweep = sweep.memo(!args.flag("no-memo"));
     if let Some(plan) = args.fault_plan(jobs)? {
         sweep = sweep.with_faults(plan);
     }
@@ -401,7 +434,7 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
     let cfg = config_from(args)?;
     let jobs = design_grid(&cfg);
     let expected = jobs.len();
-    let mut sweep = sweep_from(scale, args, expected)?;
+    let mut sweep = sweep_from(scale, args, expected)?.memo(!args.flag("no-memo"));
     // The CLI shares the sweep's trace cache so resume verification
     // fingerprints the exact workload bytes the jobs will replay.
     let traces = Arc::new(TraceCache::new());
@@ -761,7 +794,7 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = argv.split_first() else {
         return usage();
     };
-    let args = match Args::parse(rest) {
+    let args = match Args::parse(cmd, rest) {
         Ok(args) => args,
         Err(e) => return usage_error(&e),
     };
@@ -865,7 +898,7 @@ fn main() -> ExitCode {
             };
             return run(system, &wl, &cfg, args.flag("json"));
         }
-        other => return usage_error(&format!("unknown subcommand '{other}'")),
+        other => unreachable!("Args::parse rejected subcommand '{other}'"),
     }
     ExitCode::SUCCESS
 }
@@ -880,14 +913,17 @@ mod tests {
 
     #[test]
     fn parse_separates_flags_from_valued_options() {
-        let args = Args::parse(&argv(&[
-            "--system",
-            "fu",
-            "--json",
-            "--prefetch",
-            "4",
-            "--write-through",
-        ]))
+        let args = Args::parse(
+            "run",
+            &argv(&[
+                "--system",
+                "fu",
+                "--json",
+                "--prefetch",
+                "4",
+                "--write-through",
+            ]),
+        )
         .unwrap();
         assert_eq!(args.get("system"), Some("fu"));
         assert_eq!(args.get("prefetch"), Some("4"));
@@ -898,36 +934,53 @@ mod tests {
 
     #[test]
     fn parse_rejects_unknown_keys_and_bare_tokens() {
-        assert!(Args::parse(&argv(&["--bogus", "1"]))
+        assert!(Args::parse("sweep", &argv(&["--bogus", "1"]))
             .unwrap_err()
             .contains("--bogus"));
-        assert!(Args::parse(&argv(&["fft"]))
+        assert!(Args::parse("sweep", &argv(&["fft"]))
             .unwrap_err()
             .contains("unexpected argument"));
-        assert!(Args::parse(&argv(&["--suite"]))
+        assert!(Args::parse("compare", &argv(&["--suite"]))
             .unwrap_err()
             .contains("requires a value"));
     }
 
     #[test]
+    fn each_subcommand_accepts_only_its_own_options() {
+        // Every valued option is accepted somewhere, so none is unknown.
+        for key in VALUE_KEYS {
+            assert!(ACCEPTED.iter().any(|(_, keys)| accepts(keys, key)), "{key}");
+        }
+        let err = Args::parse("run", &argv(&["--threads", "4"])).unwrap_err();
+        assert_eq!(err, "option '--threads' is not accepted by 'sim run'");
+        let err = Args::parse("compare", &argv(&["--no-memo"])).unwrap_err();
+        assert_eq!(err, "option '--no-memo' is not accepted by 'sim compare'");
+        let err = Args::parse("bogus", &argv(&["--json"])).unwrap_err();
+        assert_eq!(err, "unknown subcommand 'bogus'");
+    }
+
+    #[test]
     fn invalid_numeric_values_are_hard_errors() {
-        let args = Args::parse(&argv(&["--prefetch", "garbage"])).unwrap();
+        let args = Args::parse("run", &argv(&["--prefetch", "garbage"])).unwrap();
         let err = config_from(&args).unwrap_err();
         assert!(err.contains("--prefetch"), "{err}");
         assert!(err.contains("garbage"), "{err}");
-        let args = Args::parse(&argv(&["--threads", "-2"])).unwrap();
+        let args = Args::parse("sweep", &argv(&["--threads", "-2"])).unwrap();
         assert!(args.numeric("threads").is_err());
     }
 
     #[test]
     fn config_flags_round_trip() {
-        let args = Args::parse(&argv(&[
-            "--large",
-            "--write-through",
-            "--lease-renewal",
-            "--prefetch",
-            "2",
-        ]))
+        let args = Args::parse(
+            "run",
+            &argv(&[
+                "--large",
+                "--write-through",
+                "--lease-renewal",
+                "--prefetch",
+                "2",
+            ]),
+        )
         .unwrap();
         let cfg = config_from(&args).unwrap();
         assert_eq!(cfg.write_policy, WritePolicy::WriteThrough);
@@ -937,7 +990,7 @@ mod tests {
 
     #[test]
     fn robustness_flags_parse_and_apply() {
-        let args = Args::parse(&argv(&["--fail-fast", "--budget", "100000"])).unwrap();
+        let args = Args::parse("sweep", &argv(&["--fail-fast", "--budget", "100000"])).unwrap();
         assert_eq!(args.numeric("budget").unwrap(), Some(100_000));
         assert!(args.flag("fail-fast"));
         let sweep = sweep_from(Scale::Tiny, &args, 28).unwrap();
@@ -946,23 +999,23 @@ mod tests {
 
     #[test]
     fn inject_spec_parses_and_rejects_garbage() {
-        let args = Args::parse(&argv(&["--inject", "7:3"])).unwrap();
+        let args = Args::parse("sweep", &argv(&["--inject", "7:3"])).unwrap();
         let plan = args.fault_plan(28).unwrap().unwrap();
         assert_eq!(plan.len(), 3);
         assert_eq!(plan, FaultPlan::seeded(7, 28, 3));
 
         for bad in ["7", "x:3", "7:x", ":"] {
-            let args = Args::parse(&argv(&["--inject", bad])).unwrap();
+            let args = Args::parse("sweep", &argv(&["--inject", bad])).unwrap();
             let err = args.fault_plan(28).unwrap_err();
             assert!(err.contains("--inject"), "{err}");
         }
-        let args = Args::parse(&argv(&["--json"])).unwrap();
+        let args = Args::parse("sweep", &argv(&["--json"])).unwrap();
         assert!(args.fault_plan(28).unwrap().is_none());
     }
 
     #[test]
     fn verify_spec_maps_absent_options_to_defaults() {
-        let args = Args::parse(&argv(&[])).unwrap();
+        let args = Args::parse("verify", &argv(&[])).unwrap();
         let spec = verify_spec_from(&args).unwrap();
         assert_eq!(spec.protocol, VerifyProtocol::All);
         assert_eq!(spec.agents, None);
@@ -970,16 +1023,19 @@ mod tests {
         assert_eq!(spec.horizon, None);
         assert!(spec.fault.is_none());
 
-        let args = Args::parse(&argv(&[
-            "--protocol",
-            "acc-renew",
-            "--blocks",
-            "1",
-            "--horizon",
-            "4",
-            "--max-states",
-            "1000",
-        ]))
+        let args = Args::parse(
+            "verify",
+            &argv(&[
+                "--protocol",
+                "acc-renew",
+                "--blocks",
+                "1",
+                "--horizon",
+                "4",
+                "--max-states",
+                "1000",
+            ]),
+        )
         .unwrap();
         let spec = verify_spec_from(&args).unwrap();
         assert_eq!(spec.protocol, VerifyProtocol::AccRenew);
@@ -990,19 +1046,23 @@ mod tests {
 
     #[test]
     fn verify_spec_rejects_bad_protocol_and_mismatched_fault() {
-        let args = Args::parse(&argv(&["--protocol", "moesi"])).unwrap();
+        let args = Args::parse("verify", &argv(&["--protocol", "moesi"])).unwrap();
         assert!(verify_spec_from(&args).unwrap_err().contains("--protocol"));
 
-        let args = Args::parse(&argv(&["--fault", "lease-overrun"])).unwrap();
+        let args = Args::parse("verify", &argv(&["--fault", "lease-overrun"])).unwrap();
         assert!(verify_spec_from(&args).unwrap_err().contains("--fault"));
 
         // A MESI directory fault can never fire in an ACC-only run.
-        let args = Args::parse(&argv(&["--protocol", "acc", "--fault", "wrong-owner@0"])).unwrap();
+        let args = Args::parse(
+            "verify",
+            &argv(&["--protocol", "acc", "--fault", "wrong-owner@0"]),
+        )
+        .unwrap();
         let err = verify_spec_from(&args).unwrap_err();
         assert!(err.contains("cannot fire"), "{err}");
 
         // Against `all` the same fault is fine: it applies to the MESI leg.
-        let args = Args::parse(&argv(&["--fault", "wrong-owner@0"])).unwrap();
+        let args = Args::parse("verify", &argv(&["--fault", "wrong-owner@0"])).unwrap();
         assert!(verify_spec_from(&args).unwrap().fault.is_some());
     }
 

@@ -18,7 +18,7 @@ use fusion_accel::{DecodedTrace, Workload};
 use fusion_core::{SimResult, Sweep, SweepJob, SystemKind, TraceCache};
 use fusion_energy::Component;
 use fusion_types::{SystemConfig, WritePolicy, CACHE_BLOCK_BYTES, FLIT_BYTES};
-use fusion_workloads::{all_suites, Scale, SuiteId};
+use fusion_workloads::{Scale, SuiteId};
 
 /// All simulations needed for one suite's rows.
 #[derive(Debug)]
@@ -71,11 +71,6 @@ impl SuiteRun {
         Self::simulate_suites(&[id], scale, None)
             .pop()
             .expect("one suite in, one run out")
-    }
-
-    /// Runs all seven suites over the shared sweep pool.
-    pub fn simulate_all(scale: Scale) -> Vec<SuiteRun> {
-        Self::simulate_suites(&all_suites(), scale, None)
     }
 
     /// Runs the given suites as one sweep grid: each suite's trace is

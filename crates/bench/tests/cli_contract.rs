@@ -129,6 +129,61 @@ fn retired_lint_subcommand_is_a_usage_error() {
 }
 
 #[test]
+fn options_a_subcommand_ignores_are_usage_errors() {
+    // Each subcommand accepts only what it reads; a known option passed to
+    // the wrong subcommand used to be dropped silently with exit 0.
+    for (args, option, cmd) in [
+        (
+            &[
+                "run",
+                "--system",
+                "fu",
+                "--suite",
+                "fft",
+                "--scale",
+                "tiny",
+                "--threads",
+                "4",
+            ][..],
+            "--threads",
+            "run",
+        ),
+        (
+            &["run", "--system", "fu", "--suite", "fft", "--resume"][..],
+            "--resume",
+            "run",
+        ),
+        (&["run", "--protocol", "mesi"][..], "--protocol", "run"),
+        (
+            &["trace", "--suite", "fft", "--scale", "tiny", "--json"][..],
+            "--json",
+            "trace",
+        ),
+        (
+            &["trace", "--suite", "fft", "--large"][..],
+            "--large",
+            "trace",
+        ),
+        (
+            &["compare", "--suite", "fft", "--no-memo"][..],
+            "--no-memo",
+            "compare",
+        ),
+        (&["sweep", "--system", "fu"][..], "--system", "sweep"),
+        (&["verify", "--scale", "tiny"][..], "--scale", "verify"),
+    ] {
+        let out = sim(args);
+        assert_eq!(exit_code(&out), 2, "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("option '{option}' is not accepted by 'sim {cmd}'")),
+            "{}",
+            stderr(&out)
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
 fn journal_then_resume_round_trips_byte_identical() {
     let wal = temp("roundtrip.jsonl");
     let wal_s = wal.to_str().unwrap();

@@ -449,11 +449,6 @@ impl AccTile {
         &self.stats
     }
 
-    /// L1X occupancy in blocks.
-    pub fn l1x_resident(&self) -> usize {
-        self.l1x.len()
-    }
-
     /// `true` if the L1X currently caches `(pid, block)`.
     pub fn l1x_caches(&self, pid: Pid, block: BlockAddr) -> bool {
         self.l1x.probe(pid, block).is_some()
@@ -1593,7 +1588,7 @@ mod tests {
         assert_eq!(evicted.len(), 2);
         assert!(evicted.iter().any(|e| e.block == b(1) && e.dirty));
         assert!(evicted.iter().any(|e| e.block == b(2) && !e.dirty));
-        assert_eq!(t.l1x_resident(), 0);
+        assert!(!t.l1x_caches(P, b(1)) && !t.l1x_caches(P, b(2)));
     }
 
     #[test]

@@ -119,11 +119,7 @@ pub struct MesiOutcome {
 #[derive(Debug, Clone)]
 pub struct DirectoryMesi {
     l2: SetAssocCache<DirEntry>,
-    gets: u64,
-    getx: u64,
-    putx: u64,
     invalidations: u64,
-    forwards: u64,
     /// Opt-in runtime invariant checker (DESIGN.md §10). `None` on the
     /// trusted path: `request` pays one predictable branch.
     checker: Option<Box<ProtocolChecker>>,
@@ -134,11 +130,7 @@ impl DirectoryMesi {
     pub fn new(l2_geometry: CacheGeometry) -> Self {
         DirectoryMesi {
             l2: SetAssocCache::new(l2_geometry, ReplacementPolicy::Lru),
-            gets: 0,
-            getx: 0,
-            putx: 0,
             invalidations: 0,
-            forwards: 0,
             checker: None,
         }
     }
@@ -172,10 +164,6 @@ impl DirectoryMesi {
 
     /// Issues a request from `agent` for the block containing `pa`.
     pub fn request(&mut self, agent: AgentId, pa: PhysAddr, req: MesiReq) -> MesiOutcome {
-        match req {
-            MesiReq::GetS => self.gets += 1,
-            MesiReq::GetX => self.getx += 1,
-        }
         let block = Self::key(pa);
         let mut out = MesiOutcome::default();
 
@@ -218,7 +206,6 @@ impl DirectoryMesi {
         }
         if let Some(owner) = tr.forward_owner {
             out.forwarded_to.push(owner);
-            self.forwards += 1;
         }
         #[expect(clippy::expect_used, reason = "insert above guarantees residency")]
         let line = match hit {
@@ -298,7 +285,6 @@ impl DirectoryMesi {
     /// only), so the directory's sharer information stays exact for the
     /// tile — the property Section 3.2 relies on to filter forwards.
     pub fn eviction_notice(&mut self, agent: AgentId, pa: PhysAddr, dirty: bool) {
-        self.putx += 1;
         let block = Self::key(pa);
         if let Some(line) = self.l2.probe_mut(Self::PHYS, block) {
             line.dirty = line.dirty || dirty;
@@ -330,29 +316,9 @@ impl DirectoryMesi {
         }
     }
 
-    /// GetS requests served.
-    pub fn gets_count(&self) -> u64 {
-        self.gets
-    }
-
-    /// GetX requests served.
-    pub fn getx_count(&self) -> u64 {
-        self.getx
-    }
-
-    /// Eviction notices received.
-    pub fn putx_count(&self) -> u64 {
-        self.putx
-    }
-
     /// Invalidations sent.
     pub fn invalidations_sent(&self) -> u64 {
         self.invalidations
-    }
-
-    /// Owner interventions (Fwd messages) sent.
-    pub fn forwards_sent(&self) -> u64 {
-        self.forwards
     }
 
     /// L2 lookup hits (for miss-rate stats).
@@ -435,7 +401,6 @@ mod tests {
         // Next host access needs no forward to the tile.
         let out = dir.request(AgentId::HOST_L1, pa(5), MesiReq::GetX);
         assert!(out.forwarded_to.is_empty());
-        assert_eq!(dir.putx_count(), 1);
     }
 
     #[test]
@@ -481,7 +446,6 @@ mod tests {
     fn eviction_notice_for_untracked_block_is_benign() {
         let mut dir = DirectoryMesi::table2();
         dir.eviction_notice(AgentId::TILE, pa(9), true);
-        assert_eq!(dir.putx_count(), 1);
         assert!(!dir.agent_caches(AgentId::TILE, pa(9)));
     }
 
@@ -560,11 +524,11 @@ mod tests {
     fn stats_accumulate() {
         let mut dir = DirectoryMesi::table2();
         dir.request(AgentId::HOST_L1, pa(7), MesiReq::GetS);
-        dir.request(AgentId::TILE, pa(7), MesiReq::GetS);
-        dir.request(AgentId::HOST_L1, pa(7), MesiReq::GetX);
-        assert_eq!(dir.gets_count(), 2);
-        assert_eq!(dir.getx_count(), 1);
-        assert_eq!(dir.forwards_sent(), 1);
+        // The host held the block in E: the tile's GetS forwards to it.
+        let out = dir.request(AgentId::TILE, pa(7), MesiReq::GetS);
+        assert_eq!(out.forwarded_to, vec![AgentId::HOST_L1]);
+        let out = dir.request(AgentId::HOST_L1, pa(7), MesiReq::GetX);
+        assert_eq!(out.invalidated, vec![AgentId::TILE]);
         assert_eq!(dir.invalidations_sent(), 1);
     }
 }

@@ -490,14 +490,9 @@ mod tests {
                 .collect()
         }
         let mut masks = vec![0, 1, 1 << 31, u32::MAX];
-        // xorshift32: a fixed, dense spread of masks.
-        let mut x = 0x9E37_79B9u32;
-        for _ in 0..1000 {
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            masks.push(x);
-        }
+        // splitmix64's high halves: a fixed, dense spread of masks.
+        let mut rng = fusion_types::SplitMix64(0x9E37_79B9);
+        masks.extend((0..1000).map(|_| u32::try_from(rng.next_u64() >> 32).unwrap()));
         for mask in masks {
             assert_eq!(
                 agents_of(mask).collect::<Vec<_>>(),

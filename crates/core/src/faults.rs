@@ -16,6 +16,7 @@
 
 use fusion_accel::io as trace_io;
 use fusion_types::hash::FxHashMap;
+use fusion_types::SplitMix64;
 use fusion_workloads::{build_suite, Scale, SuiteId};
 
 /// One staged failure, attached to a single sweep job.
@@ -74,23 +75,6 @@ impl Fault {
             bytes.truncate(bytes.len().saturating_sub(bytes.len() / 3).max(6));
         }
         Some(bytes)
-    }
-}
-
-/// The seedable generator behind [`FaultPlan::seeded`]: splitmix64, the
-/// standard 64-bit state-advance mixer. Public so tests and the CLI can
-/// derive auxiliary deterministic choices from the same stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitMix64(pub u64);
-
-impl SplitMix64 {
-    /// The next value of the stream.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
     }
 }
 
@@ -196,17 +180,6 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_is_deterministic_and_nontrivial() {
-        let mut a = SplitMix64(42);
-        let mut b = SplitMix64(42);
-        let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_eq!(xs, ys);
-        assert_eq!(xs.iter().collect::<fusion_types::FxHashSet<_>>().len(), 8);
-        assert_ne!(SplitMix64(43).next_u64(), xs[0]);
-    }
 
     #[test]
     fn seeded_plans_are_reproducible() {

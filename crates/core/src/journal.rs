@@ -54,17 +54,9 @@ pub fn code_version() -> String {
     format!("{}+wal{FORMAT_VERSION}", env!("CARGO_PKG_VERSION"))
 }
 
-/// FNV-1a over `bytes` — the same construction the trace codec seals
-/// with, self-contained here so the journal stays decodable without the
-/// trace layer.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+/// Re-exported for the benchmark harness under `perf/`, which imports it
+/// from here.
+pub use fusion_types::hash::fnv1a;
 
 /// Stable lowercase label of a workload scale (journal headers and rows).
 pub fn scale_label(scale: Scale) -> &'static str {
@@ -920,7 +912,7 @@ mod tests {
 
     #[test]
     fn garbage_bytes_never_panic() {
-        let mut rng = crate::faults::SplitMix64(99);
+        let mut rng = fusion_types::SplitMix64(99);
         for len in [0usize, 1, 7, 64, 513] {
             let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64().to_le_bytes()[0]).collect();
             let rec = read_journal(&bytes);

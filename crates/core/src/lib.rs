@@ -51,7 +51,10 @@ pub mod runner;
 pub mod sweep;
 mod systems;
 
-pub use faults::{Fault, FaultPlan, SplitMix64};
+pub use faults::{Fault, FaultPlan};
+/// Re-exported for the benchmark harness under `perf/`, which imports it
+/// from here.
+pub use fusion_types::SplitMix64;
 pub use journal::{
     code_version, compact, config_fingerprint, job_key, plan_resume, read_journal, salvage_json,
     JobKey, JournalHeader, JournalRow, JournalSink, JournalWriter, Recovery, ResumePlan,

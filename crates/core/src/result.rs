@@ -86,16 +86,6 @@ impl RunMetrics {
         std::time::Duration::from_nanos(self.queue_delay_nanos)
     }
 
-    /// Simulated events per wall-clock second (the sweep's throughput
-    /// figure of merit); zero when no time was measured.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.sim_events as f64 * 1e9 / self.wall_nanos as f64
-        }
-    }
-
     /// Dynamic references replayed per wall-clock second — the hot-path
     /// throughput number `BENCH_sweep.json` baselines; zero when no time
     /// was measured.

@@ -20,9 +20,6 @@ pub enum SystemKind {
 }
 
 impl SystemKind {
-    /// The three systems of Figure 6 (SC / SH / FU).
-    pub const FIG6: [SystemKind; 3] = [SystemKind::Scratch, SystemKind::Shared, SystemKind::Fusion];
-
     /// Short label used in figures ("SC", "SH", "FU", "FU-Dx").
     pub fn label(self) -> &'static str {
         match self {
@@ -218,7 +215,6 @@ mod tests {
     fn labels() {
         assert_eq!(SystemKind::Scratch.label(), "SC");
         assert_eq!(SystemKind::FusionDx.to_string(), "FU-Dx");
-        assert_eq!(SystemKind::FIG6.len(), 3);
     }
 
     #[test]

@@ -183,11 +183,6 @@ impl DmaController {
         self.blocks_out
     }
 
-    /// Total bytes moved in both directions.
-    pub fn total_bytes(&self) -> Bytes {
-        Bytes::new((self.blocks_in + self.blocks_out) * CACHE_BLOCK_BYTES as u64)
-    }
-
     /// Cycles the controller spent actively transferring.
     pub fn busy_cycles(&self) -> u64 {
         self.busy_cycles
@@ -238,7 +233,7 @@ mod tests {
         // Throughput-bound: ~16 cycles per block on the link.
         assert!(t.done_at.value() >= 20 + 10 * 16 - 16);
         assert_eq!(dma.blocks_in(), 10);
-        assert_eq!(dma.total_bytes(), Bytes::new(640));
+        assert_eq!(t.bytes, Bytes::new(640));
     }
 
     #[test]

@@ -2,17 +2,16 @@
 
 use fusion_types::{BlockAddr, CacheGeometry, Pid};
 
-/// Replacement policy for [`SetAssocCache`].
+/// Replacement policy for [`SetAssocCache`]: every cache is LRU.
+///
+/// The single-valued enum and `SetAssocCache::new`'s policy argument remain
+/// only because the benchmark harness under `perf/` passes
+/// `ReplacementPolicy::Lru`; both go with ROADMAP item 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReplacementPolicy {
-    /// Least-recently-used (the default, matching GEMS' L1/L2 models).
+    /// Least-recently-used (matching GEMS' L1/L2 models).
     #[default]
     Lru,
-    /// First-in-first-out (insertion order).
-    Fifo,
-    /// Pseudo-random (deterministic xorshift over an internal counter, so
-    /// simulations stay reproducible).
-    Random,
 }
 
 /// One cache line: identity (PID + block tag), dirty bit and protocol
@@ -49,7 +48,7 @@ pub struct Evicted<M> {
     pub meta: M,
 }
 
-/// A set-associative cache with per-line metadata `M`.
+/// A set-associative LRU cache with per-line metadata `M`.
 ///
 /// The structure is purely a tag/metadata store — simulated programs never
 /// read data *values* through it (the workloads compute on real Rust memory
@@ -72,21 +71,19 @@ pub struct SetAssocCache<M> {
     sets: usize,
     ways: usize,
     geometry: CacheGeometry,
-    policy: ReplacementPolicy,
     tick: u64,
-    rng_state: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
 impl<M> SetAssocCache<M> {
-    /// Creates an empty cache with the given geometry and policy.
+    /// Creates an empty cache with the given geometry.
     ///
     /// # Panics
     ///
     /// Panics if the geometry holds zero blocks or zero ways.
-    pub fn new(geometry: CacheGeometry, policy: ReplacementPolicy) -> Self {
+    pub fn new(geometry: CacheGeometry, _policy: ReplacementPolicy) -> Self {
         assert!(geometry.blocks() > 0, "cache must hold at least one block");
         assert!(geometry.ways > 0, "cache must have at least one way");
         let sets = geometry.sets();
@@ -97,9 +94,7 @@ impl<M> SetAssocCache<M> {
             sets,
             ways,
             geometry,
-            policy,
             tick: 0,
-            rng_state: 0x9e3779b97f4a7c15,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -142,25 +137,9 @@ impl<M> SetAssocCache<M> {
         }
     }
 
-    /// Bank index for a block (block-interleaved banking).
-    #[inline]
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "the bank index is below the bank count, a usize"
-    )]
-    pub fn bank_index(&self, block: BlockAddr) -> usize {
-        let banks = self.geometry.banks.max(1) as u64;
-        if banks.is_power_of_two() {
-            (block.index() & (banks - 1)) as usize
-        } else {
-            (block.index() % banks) as usize
-        }
-    }
-
     /// Looks up a line, updating replacement state and hit/miss statistics.
     pub fn lookup(&mut self, pid: Pid, block: BlockAddr) -> Option<&mut Line<M>> {
         let tick = self.next_tick();
-        let is_lru = self.policy == ReplacementPolicy::Lru;
         let set = self.set_index(block);
         let base = set * self.ways;
         let pos = self
@@ -172,9 +151,7 @@ impl<M> SetAssocCache<M> {
                 self.hits += 1;
                 #[expect(clippy::expect_used, reason = "position() found it")]
                 let line = self.slots[base + p].as_mut().expect("occupied prefix slot");
-                if is_lru {
-                    line.stamp = tick;
-                }
+                line.stamp = tick;
                 Some(line)
             }
             None => {
@@ -192,7 +169,6 @@ impl<M> SetAssocCache<M> {
     /// (insert/invalidate/flush).
     pub fn lookup_pos(&mut self, pid: Pid, block: BlockAddr) -> Option<(usize, usize)> {
         let tick = self.next_tick();
-        let is_lru = self.policy == ReplacementPolicy::Lru;
         let set = self.set_index(block);
         let base = set * self.ways;
         let pos = self
@@ -202,11 +178,9 @@ impl<M> SetAssocCache<M> {
         match pos {
             Some(p) => {
                 self.hits += 1;
-                if is_lru {
-                    #[expect(clippy::expect_used, reason = "position() found it")]
-                    let line = self.slots[base + p].as_mut().expect("occupied prefix slot");
-                    line.stamp = tick;
-                }
+                #[expect(clippy::expect_used, reason = "position() found it")]
+                let line = self.slots[base + p].as_mut().expect("occupied prefix slot");
+                line.stamp = tick;
                 Some((set, p))
             }
             None => {
@@ -223,16 +197,14 @@ impl<M> SetAssocCache<M> {
     pub fn touch(&mut self, set: usize, pos: usize) {
         let tick = self.next_tick();
         self.hits += 1;
-        if self.policy == ReplacementPolicy::Lru {
-            #[expect(
-                clippy::expect_used,
-                reason = "caller holds coordinates from lookup_pos"
-            )]
-            let line = self.slots[set * self.ways + pos]
-                .as_mut()
-                .expect("touch on occupied slot");
-            line.stamp = tick;
-        }
+        #[expect(
+            clippy::expect_used,
+            reason = "caller holds coordinates from lookup_pos"
+        )]
+        let line = self.slots[set * self.ways + pos]
+            .as_mut()
+            .expect("touch on occupied slot");
+        line.stamp = tick;
     }
 
     /// The line at coordinates from [`SetAssocCache::lookup_pos`].
@@ -431,36 +403,20 @@ impl<M> SetAssocCache<M> {
         self.tick
     }
 
+    /// The least-recently-used way of `set`: the smallest stamp, which
+    /// every hit and insert refreshes.
     #[expect(
         clippy::expect_used,
         reason = "sets have at least one way by construction"
     )]
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "the victim way is below the set's occupancy, a usize"
-    )]
-    fn choose_victim(&mut self, set: usize) -> usize {
-        match self.policy {
-            // Both LRU and FIFO evict the smallest stamp: LRU refreshes the
-            // stamp on hit, FIFO does not.
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => self
-                .set_slice(set)
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|l| (i, l.stamp)))
-                .min_by_key(|&(_, stamp)| stamp)
-                .map(|(i, _)| i)
-                .expect("victim selection on non-empty set"),
-            ReplacementPolicy::Random => {
-                // xorshift64*
-                let mut x = self.rng_state;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                self.rng_state = x;
-                (x.wrapping_mul(0x2545f4914f6cdd1d) % self.lens[set] as u64) as usize
-            }
-        }
+    fn choose_victim(&self, set: usize) -> usize {
+        self.set_slice(set)
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_ref().map(|l| (i, l.stamp)))
+            .min_by_key(|&(_, stamp)| stamp)
+            .map(|(i, _)| i)
+            .expect("victim selection on non-empty set")
     }
 }
 
@@ -518,33 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_hits_for_victim_choice() {
-        let mut c: SetAssocCache<()> = SetAssocCache::new(geom(128, 2), ReplacementPolicy::Fifo);
-        c.insert(P, b(0), (), false);
-        c.insert(P, b(1), (), false);
-        c.lookup(P, b(0)); // must NOT save block 0 under FIFO
-        let evicted = c.insert(P, b(2), (), false).unwrap();
-        assert_eq!(evicted.block, b(0));
-    }
-
-    #[test]
-    fn random_policy_is_deterministic() {
-        let run = || {
-            let mut c: SetAssocCache<()> =
-                SetAssocCache::new(geom(256, 4), ReplacementPolicy::Random);
-            let mut victims = Vec::new();
-            for i in 0..32 {
-                if let Some(e) = c.insert(P, b(i), (), false) {
-                    victims.push(e.block.index());
-                }
-            }
-            victims
-        };
-        assert_eq!(run(), run());
-        assert!(!run().is_empty());
-    }
-
-    #[test]
     fn reinsert_updates_in_place() {
         let mut c: SetAssocCache<u32> = SetAssocCache::new(geom(128, 2), ReplacementPolicy::Lru);
         c.insert(P, b(0), 1, false);
@@ -593,7 +522,7 @@ mod tests {
     }
 
     #[test]
-    fn set_and_bank_mapping() {
+    fn set_mapping() {
         let g = CacheGeometry {
             capacity_bytes: 64 * 1024,
             ways: 8,
@@ -603,8 +532,7 @@ mod tests {
         let c: SetAssocCache<()> = SetAssocCache::new(g, ReplacementPolicy::Lru);
         assert_eq!(c.set_index(b(0)), 0);
         assert_eq!(c.set_index(b(128)), 0); // 128 sets
-        assert_eq!(c.bank_index(b(3)), 3);
-        assert_eq!(c.bank_index(b(19)), 3);
+        assert_eq!(c.set_index(b(131)), 3);
     }
 
     #[test]

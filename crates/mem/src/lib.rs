@@ -3,14 +3,10 @@
 //! This crate provides the storage substrates every architecture in the
 //! paper is built from:
 //!
-//! * [`SetAssocCache`] — a generic set-associative cache with pluggable
+//! * [`SetAssocCache`] — a generic LRU set-associative cache with pluggable
 //!   per-line metadata (the ACC protocol stores lease timestamps in it, the
-//!   host MESI caches store stable states) and replacement policy,
+//!   host MESI caches store stable states),
 //! * [`BankedTiming`] — bank-conflict timing for the 16-banked shared L1X,
-//! * [`MshrFile`] — miss-status holding registers bounding the outstanding
-//!   misses of the non-blocking accelerator memory interface,
-//! * [`WritebackBuffer`] — the victim/writeback buffer used when the L1X
-//!   responds to forwarded host requests,
 //! * [`Scratchpad`] — the explicitly managed per-AXC RAM of the SCRATCH
 //!   baseline,
 //! * [`NucaRing`] — ring-hop timing for the 8-tile NUCA L2,
@@ -33,15 +29,11 @@
 pub mod banked;
 pub mod cache;
 pub mod memory;
-pub mod mshr;
 pub mod nuca;
 pub mod scratchpad;
-pub mod writeback;
 
 pub use banked::BankedTiming;
 pub use cache::{Evicted, Line, ReplacementPolicy, SetAssocCache};
 pub use memory::MainMemory;
-pub use mshr::MshrFile;
 pub use nuca::NucaRing;
 pub use scratchpad::Scratchpad;
-pub use writeback::WritebackBuffer;

@@ -1,7 +1,7 @@
 //! The per-accelerator scratchpad of the SCRATCH baseline.
 
 use fusion_types::hash::FxHashMap;
-use fusion_types::{BlockAddr, Bytes, CACHE_BLOCK_BYTES};
+use fusion_types::{BlockAddr, CACHE_BLOCK_BYTES};
 
 /// An explicitly managed RAM holding whole cache blocks.
 ///
@@ -144,11 +144,6 @@ impl Scratchpad {
     /// Total data-array accesses performed.
     pub fn accesses(&self) -> u64 {
         self.accesses
-    }
-
-    /// Bytes of resident data.
-    pub fn resident_bytes(&self) -> Bytes {
-        Bytes::new((self.resident.len() * CACHE_BLOCK_BYTES) as u64)
     }
 }
 

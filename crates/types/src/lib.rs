@@ -23,6 +23,7 @@ pub mod error;
 pub mod fault;
 pub mod hash;
 pub mod ids;
+pub mod rng;
 pub mod units;
 
 pub use addr::{BlockAddr, PhysAddr, VirtAddr, CACHE_BLOCK_BYTES, PAGE_BYTES};
@@ -31,6 +32,7 @@ pub use error::{InvariantViolation, JournalError, SimError};
 pub use fault::{CheckerConfig, ProtocolFault, ProtocolFaultKind};
 pub use hash::{sorted_entries, sorted_keys, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{AxcId, Pid};
+pub use rng::SplitMix64;
 pub use units::{Bytes, Cycle, Flits, PicoJoules, FLIT_BYTES};
 
 /// Kind of a memory access issued by an accelerator or the host.

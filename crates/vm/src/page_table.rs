@@ -77,11 +77,6 @@ impl PageTable {
         self.frames.insert((pid, vpage), frame);
     }
 
-    /// Number of mapped pages.
-    pub fn mapped_pages(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Total translation walks performed.
     pub fn walks(&self) -> u64 {
         self.walks
@@ -108,15 +103,15 @@ mod tests {
         let a = pt.translate(Pid::new(1), VirtAddr::new(0x1000));
         let b = pt.translate(Pid::new(2), VirtAddr::new(0x1000));
         assert_ne!(a.page_base(), b.page_base());
-        assert_eq!(pt.mapped_pages(), 2);
     }
 
     #[test]
     fn lookup_does_not_allocate() {
         let mut pt = PageTable::new();
         assert!(pt.lookup(Pid::new(1), VirtAddr::new(0x9000)).is_none());
-        assert_eq!(pt.mapped_pages(), 0);
-        pt.translate(Pid::new(1), VirtAddr::new(0x9000));
+        // The miss took no frame: the first touch still gets frame 0.
+        let pa = pt.translate(Pid::new(1), VirtAddr::new(0x9000));
+        assert_eq!(pa.page_base(), PhysAddr::new(0));
         assert!(pt.lookup(Pid::new(1), VirtAddr::new(0x9010)).is_some());
     }
 

@@ -120,6 +120,7 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusion_types::SplitMix64;
 
     #[test]
     fn hit_after_fill() {
@@ -202,20 +203,11 @@ mod tests {
         }
     }
 
-    /// splitmix64, so the stream is reproducible without a dependency.
-    fn next(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     #[test]
     fn lru_stack_matches_the_stamp_formulation() {
         for capacity in [1usize, 2, 32, 64] {
             for seed in 0..8u64 {
-                let mut rng = seed * 0x1_0000 + capacity as u64;
+                let mut rng = SplitMix64(seed * 0x1_0000 + capacity as u64);
                 let (mut pt_a, mut pt_b) = (PageTable::new(), PageTable::new());
                 let mut lru = Tlb::new(capacity);
                 let mut stamp = StampTlb {
@@ -229,7 +221,7 @@ mod tests {
                 // subset, so hits land at every depth and misses evict.
                 let pages = capacity as u64 * 2 + 3;
                 for step in 0..4_000 {
-                    let r = next(&mut rng);
+                    let r = rng.next_u64();
                     let pid = Pid::new(1 + (r & 1) as u32);
                     if r.is_multiple_of(97) {
                         lru.flush_pid(pid);

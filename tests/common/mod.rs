@@ -12,23 +12,22 @@
     reason = "each range_* draw is below its upper bound, so it fits the bound's type"
 )]
 
-/// Deterministic splitmix64 generator.
-pub struct Rng(u64);
+use fusion_types::SplitMix64;
+
+/// Deterministic generator: the workspace's [`SplitMix64`] with
+/// range helpers.
+pub struct Rng(SplitMix64);
 
 impl Rng {
     /// Creates a generator from a fixed seed; the same seed always yields
     /// the same sequence, so failures are reproducible.
     pub fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_add(0x9e37_79b9_7f4a_7c15))
+        Rng(SplitMix64(seed.wrapping_add(0x9e37_79b9_7f4a_7c15)))
     }
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     /// Uniform value in `[lo, hi)`.

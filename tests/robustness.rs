@@ -128,11 +128,7 @@ fn decoder_survives_corruption() {
 /// checksum gate.
 fn reseal(bytes: &mut [u8]) {
     let n = bytes.len() - 8;
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in &bytes[6..n] {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
+    let h = fusion_types::hash::fnv1a(&bytes[6..n]);
     bytes[n..].copy_from_slice(&h.to_le_bytes());
 }
 
