@@ -142,7 +142,7 @@ pub(crate) fn trace_stats(trace: &DecodedTrace, workload: &Workload) -> TraceSta
         .collect();
     for (f, (name, stats)) in (0u32..).zip(names.iter().zip(&mut functions)) {
         let phases = workload.phases.iter().enumerate();
-        for (idx, _) in phases.filter(|(_, p)| !p.unit.is_host() && p.name == *name) {
+        for (idx, p) in phases.filter(|(_, p)| !p.unit.is_host() && p.name == *name) {
             let dp = trace.phase(idx);
             let mut stores = 0;
             for (&o, kind) in dp.ordinals.iter().zip(dp.kinds) {
@@ -162,7 +162,7 @@ pub(crate) fn trace_stats(trace: &DecodedTrace, workload: &Workload) -> TraceSta
             }
             stats.stores += stores as u64;
             stats.loads += (dp.len() - stores) as u64;
-            stats.ops += trace.phase_ops(idx);
+            stats.ops += p.ops;
         }
     }
     let (mut blocks, mut dirty_blocks) = (0, 0);
@@ -412,43 +412,36 @@ pub(crate) fn forward_candidates(trace: &DecodedTrace, workload: &Workload) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{MemRef, OpCounts, Phase, Workload};
+    use crate::Recorder;
     use fusion_types::ids::ExecUnit;
-    use fusion_types::{AccessKind, Pid, VirtAddr};
+    use fusion_types::{AccessKind, Pid};
 
-    fn r(block: u64, kind: AccessKind) -> MemRef {
-        MemRef {
-            addr: VirtAddr::new(block * 64),
-            size: 4,
-            kind,
-            gap: 0,
+    type Refs<'a> = &'a [(u64, AccessKind)];
+
+    /// A workload of accelerator phases (name, AXC, block-index
+    /// references), each with 10 integer ops.
+    fn workload(phases: &[(&str, u16, Refs<'_>)]) -> Workload {
+        let rec = Recorder::new();
+        for &(name, axc, refs) in phases {
+            for &(b, kind) in refs {
+                rec.access(BlockAddr::from_index(b), kind);
+            }
+            rec.int_ops(10);
+            let unit = if axc == HOST {
+                ExecUnit::Host
+            } else {
+                ExecUnit::Axc(AxcId::new(axc))
+            };
+            rec.end_phase(name, unit, 2, 500);
         }
+        rec.finish("T", Pid::new(1))
     }
 
-    fn phase(name: &str, axc: u16, refs: Vec<MemRef>) -> Phase {
-        Phase {
-            name: name.into(),
-            unit: ExecUnit::Axc(AxcId::new(axc)),
-            refs,
-            ops: OpCounts {
-                int_ops: 10,
-                fp_ops: 0,
-            },
-            mlp: 2,
-            lease: 500,
-        }
-    }
+    /// The `axc` that [`workload`] runs on the host core.
+    const HOST: u16 = u16::MAX;
 
-    fn workload(phases: Vec<Phase>) -> Workload {
-        Workload {
-            name: "T".into(),
-            pid: Pid::new(1),
-            phases,
-        }
-    }
-
-    fn dma_windows(p: Phase, capacity_blocks: usize) -> Vec<DmaWindow> {
-        let wl = workload(vec![p]);
+    fn dma_windows(refs: Refs<'_>, capacity_blocks: usize) -> Vec<DmaWindow> {
+        let wl = workload(&[("f", 0, refs)]);
         DecodedTrace::decode(&wl).dma_windows(&wl, capacity_blocks)[0].clone()
     }
 
@@ -464,11 +457,7 @@ mod tests {
 
     #[test]
     fn op_mix_percentages_sum_to_100() {
-        let wl = workload(vec![phase(
-            "f",
-            0,
-            vec![r(0, AccessKind::Load), r(1, AccessKind::Store)],
-        )]);
+        let wl = workload(&[("f", 0, &[(0, AccessKind::Load), (1, AccessKind::Store)])]);
         let m = stats(&wl)["f"].op_mix();
         let sum = m.int_pct + m.fp_pct + m.ld_pct + m.st_pct;
         assert!((sum - 100.0).abs() < 1e-9);
@@ -477,13 +466,9 @@ mod tests {
 
     #[test]
     fn sharing_degree_counts_cross_function_blocks() {
-        let wl = workload(vec![
-            phase(
-                "a",
-                0,
-                vec![r(0, AccessKind::Store), r(1, AccessKind::Store)],
-            ),
-            phase("b", 1, vec![r(1, AccessKind::Load), r(2, AccessKind::Load)]),
+        let wl = workload(&[
+            ("a", 0, &[(0, AccessKind::Store), (1, AccessKind::Store)]),
+            ("b", 1, &[(1, AccessKind::Load), (2, AccessKind::Load)]),
         ]);
         let s = stats(&wl);
         assert!((s["a"].sharing_degree() - 50.0).abs() < 1e-9);
@@ -494,7 +479,7 @@ mod tests {
 
     #[test]
     fn sharing_degree_no_other_functions_is_zero() {
-        let wl = workload(vec![phase("a", 0, vec![r(0, AccessKind::Load)])]);
+        let wl = workload(&[("a", 0, &[(0, AccessKind::Load)])]);
         let s = stats(&wl);
         assert_eq!(s["a"].sharing_degree(), 0.0);
         assert_eq!(s.functions.len(), 1);
@@ -503,17 +488,13 @@ mod tests {
     #[test]
     fn dma_windows_split_on_capacity() {
         // Touch 4 distinct blocks with a 2-block scratchpad: 2 windows.
-        let p = phase(
-            "f",
-            0,
-            vec![
-                r(0, AccessKind::Load),
-                r(1, AccessKind::Store),
-                r(2, AccessKind::Load),
-                r(3, AccessKind::Load),
-            ],
-        );
-        let ws = dma_windows(p, 2);
+        let refs = [
+            (0, AccessKind::Load),
+            (1, AccessKind::Store),
+            (2, AccessKind::Load),
+            (3, AccessKind::Load),
+        ];
+        let ws = dma_windows(&refs, 2);
         assert_eq!(ws.len(), 2);
         assert_eq!(ws[0].ref_range, (0, 2));
         assert_eq!(ws[0].dma_in, vec![BlockAddr::from_index(0)]);
@@ -526,12 +507,7 @@ mod tests {
     fn dma_oracle_skips_write_first_blocks() {
         // Block written before read: not staged (the oracle only DMAs in
         // read data).
-        let p = phase(
-            "f",
-            0,
-            vec![r(0, AccessKind::Store), r(0, AccessKind::Load)],
-        );
-        let ws = dma_windows(p, 4);
+        let ws = dma_windows(&[(0, AccessKind::Store), (0, AccessKind::Load)], 4);
         assert_eq!(ws.len(), 1);
         assert!(ws[0].dma_in.is_empty());
         assert_eq!(ws[0].dma_out, vec![BlockAddr::from_index(0)]);
@@ -539,15 +515,14 @@ mod tests {
 
     #[test]
     fn dma_windows_empty_phase() {
-        let p = phase("f", 0, vec![]);
-        assert!(dma_windows(p, 4).is_empty());
+        assert!(dma_windows(&[], 4).is_empty());
     }
 
     #[test]
     fn forward_pairs_finds_producer_consumer() {
-        let wl = workload(vec![
-            phase("p", 0, vec![r(7, AccessKind::Store)]),
-            phase("c", 1, vec![r(7, AccessKind::Load)]),
+        let wl = workload(&[
+            ("p", 0, &[(7, AccessKind::Store)]),
+            ("c", 1, &[(7, AccessKind::Load)]),
         ]);
         let pairs = forward_pairs(&wl);
         assert_eq!(
@@ -565,35 +540,22 @@ mod tests {
 
     #[test]
     fn forward_pairs_skips_write_first_consumers_and_host() {
-        let mut host_phase = phase("h", 0, vec![r(7, AccessKind::Load)]);
-        host_phase.unit = ExecUnit::Host;
-        let wl = workload(vec![
-            phase(
-                "p",
-                0,
-                vec![r(7, AccessKind::Store), r(8, AccessKind::Store)],
-            ),
+        let wl = workload(&[
+            ("p", 0, &[(7, AccessKind::Store), (8, AccessKind::Store)]),
             // Consumer overwrites block 8 before reading: no forward.
-            phase(
-                "c",
-                1,
-                vec![r(8, AccessKind::Store), r(8, AccessKind::Load)],
-            ),
-            host_phase, // host reads block 7: no tile forward
+            ("c", 1, &[(8, AccessKind::Store), (8, AccessKind::Load)]),
+            // The host reads block 7: no tile forward.
+            ("h", HOST, &[(7, AccessKind::Load)]),
         ]);
         assert!(forward_pairs(&wl).is_empty());
     }
 
     #[test]
     fn forward_pairs_chain_across_three_steps() {
-        let wl = workload(vec![
-            phase("s1", 0, vec![r(3, AccessKind::Store)]),
-            phase(
-                "s2",
-                1,
-                vec![r(3, AccessKind::Load), r(3, AccessKind::Store)],
-            ),
-            phase("s3", 2, vec![r(3, AccessKind::Load)]),
+        let wl = workload(&[
+            ("s1", 0, &[(3, AccessKind::Store)]),
+            ("s2", 1, &[(3, AccessKind::Load), (3, AccessKind::Store)]),
+            ("s3", 2, &[(3, AccessKind::Load)]),
         ]);
         let pairs = forward_pairs(&wl);
         assert_eq!(pairs.len(), 2);

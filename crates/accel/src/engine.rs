@@ -2,7 +2,7 @@
 
 use fusion_types::Cycle;
 
-use crate::trace::{KindRun, MemRef};
+use crate::trace::KindRun;
 
 /// Timing summary of one executed phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,17 +25,24 @@ impl PhaseTiming {
     }
 }
 
-/// Executes a reference stream starting at `start`, issuing each reference
-/// through `access` (which returns the completion time of the reference).
+/// Executes a phase (or a DMA-window slice of one) starting at `start`,
+/// issuing each reference through `access(i, now, is_write)`, which
+/// returns the completion time of reference `i`.
 ///
 /// Model (paper Section 4): the constrained dynamic data dependence graph
 /// is walked cycle-by-cycle — references issue **in program order**
-/// separated by their recorded compute gaps, complete out of order, and at
-/// most `mlp` references are outstanding at once. The run ends when the
-/// last reference has completed.
+/// separated by their compute gaps `gap_of(i)`, complete out of order,
+/// and at most `mlp` references are outstanding at once. The run ends
+/// when the last reference has completed.
 ///
-/// `refs` may be a whole phase ([`crate::trace::Phase`]) or a DMA-window slice of
-/// one.
+/// The stream is driven by same-kind chunks ([`KindRun`], found on the
+/// phase's kind lane by [`crate::trace::kind_runs_of`]): references still
+/// issue one per issue slot, but the load/store dispatch happens once per
+/// *run* instead of once per reference. `access` receives the
+/// run-constant `is_write` as its third argument, so the branch it takes
+/// on the kind goes the same way for the whole chunk.
+///
+/// `runs` must tile `[0, len)` exactly, in order — debug-asserted.
 ///
 /// # Panics
 ///
@@ -44,45 +51,16 @@ impl PhaseTiming {
 /// # Examples
 ///
 /// ```
-/// use fusion_accel::{run_phase, MemRef};
-/// use fusion_types::{AccessKind, Cycle, VirtAddr};
+/// use fusion_accel::{kind_runs_of, run_phase_kind_runs};
+/// use fusion_types::{AccessKind, Cycle};
 ///
-/// let refs = [MemRef { addr: VirtAddr::new(0), size: 4, kind: AccessKind::Load, gap: 0 }];
+/// let kinds = [AccessKind::Load];
 /// // A memory system with a flat 10-cycle latency:
-/// let t = run_phase(&refs, 2, Cycle::new(0), |_r, now| now + 10);
+/// let t = run_phase_kind_runs(1, |_| 0, 2, Cycle::new(0), kind_runs_of(&kinds), |_i, now, _w| {
+///     now + 10
+/// });
 /// assert_eq!(t.end, Cycle::new(10));
 /// ```
-pub fn run_phase(
-    refs: &[MemRef],
-    mlp: usize,
-    start: Cycle,
-    mut access: impl FnMut(&MemRef, Cycle) -> Cycle,
-) -> PhaseTiming {
-    let mut issuer = MlpIssuer::new(mlp, start);
-    for r in refs {
-        let at = issuer.advance(r.gap);
-        let done = access(r, at);
-        issuer.complete(done);
-    }
-    issuer.finish(refs.len() as u64)
-}
-
-/// [`run_phase`] over a decoded phase ([`crate::trace::DecodedTrace`]),
-/// driven by same-kind chunks ([`KindRun`], found on the phase's kind lane
-/// by [`crate::trace::kind_runs_of`]): the reference stream is described
-/// by `gap_of(i)` and replayed through `access(i, now, is_write)` instead
-/// of materialized `MemRef`s. The timing model is identical — references
-/// still issue in program order, one per issue slot — but the load/store
-/// dispatch happens once per *run* instead of once per reference.
-/// `access` receives the run-constant `is_write` as its third argument,
-/// so the branch it takes on the kind goes the same way for the whole
-/// chunk.
-///
-/// `runs` must tile `[0, len)` exactly, in order — debug-asserted.
-///
-/// # Panics
-///
-/// Panics if `mlp` is zero.
 pub fn run_phase_kind_runs(
     len: usize,
     mut gap_of: impl FnMut(usize) -> u16,
@@ -107,10 +85,9 @@ pub fn run_phase_kind_runs(
     issuer.finish(len as u64)
 }
 
-/// The issue engine's mutable core, shared by both replay entry points so
-/// MemRef and kind-run replays stay bit-identical: program-order
-/// issue separated by compute gaps, out-of-order completion, at most
-/// `mlp` references outstanding.
+/// The issue engine's mutable core: program-order issue separated by
+/// compute gaps, out-of-order completion, at most `mlp` references
+/// outstanding.
 struct MlpIssuer {
     now: Cycle,
     start: Cycle,
@@ -179,34 +156,33 @@ impl MlpIssuer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{OpCounts, Phase};
-    use fusion_types::ids::ExecUnit;
-    use fusion_types::{AccessKind, AxcId, VirtAddr};
 
-    fn phase(mlp: usize, refs: Vec<MemRef>) -> Phase {
-        Phase {
-            name: "t".into(),
-            unit: ExecUnit::Axc(AxcId::new(0)),
-            refs,
-            ops: OpCounts::default(),
+    /// `gaps.len()` loads issued with the given gaps.
+    fn run_loads(
+        gaps: &[u16],
+        mlp: usize,
+        start: Cycle,
+        mut access: impl FnMut(Cycle) -> Cycle,
+    ) -> PhaseTiming {
+        let run = KindRun {
+            start: 0,
+            len: gaps.len(),
+            is_write: false,
+        };
+        let runs = (!gaps.is_empty()).then_some(run);
+        run_phase_kind_runs(
+            gaps.len(),
+            |i| gaps[i],
             mlp,
-            lease: 500,
-        }
-    }
-
-    fn r(gap: u16) -> MemRef {
-        MemRef {
-            addr: VirtAddr::new(0),
-            size: 4,
-            kind: AccessKind::Load,
-            gap,
-        }
+            start,
+            runs,
+            |_, now, _| access(now),
+        )
     }
 
     #[test]
     fn empty_phase_is_instant() {
-        let p = phase(2, vec![]);
-        let t = run_phase(&p.refs, p.mlp, Cycle::new(5), |_r, now| now);
+        let t = run_loads(&[], 2, Cycle::new(5), |now| now);
         assert_eq!(t.end, Cycle::new(5));
         assert_eq!(t.issued, 0);
         assert_eq!(t.cycles(), 0);
@@ -214,8 +190,7 @@ mod tests {
 
     #[test]
     fn mlp_1_serializes_references() {
-        let p = phase(1, vec![r(0), r(0), r(0)]);
-        let t = run_phase(&p.refs, p.mlp, Cycle::new(0), |_r, now| now + 10);
+        let t = run_loads(&[0, 0, 0], 1, Cycle::new(0), |now| now + 10);
         // Each ref waits for the previous completion: issue 0 done 10,
         // issue 10 done 20, issue 20 done 30.
         assert_eq!(t.end, Cycle::new(30));
@@ -224,8 +199,7 @@ mod tests {
 
     #[test]
     fn high_mlp_overlaps_references() {
-        let p = phase(4, vec![r(0), r(0), r(0), r(0)]);
-        let t = run_phase(&p.refs, p.mlp, Cycle::new(0), |_r, now| now + 10);
+        let t = run_loads(&[0, 0, 0, 0], 4, Cycle::new(0), |now| now + 10);
         // Issue at 0,1,2,3; completions 10..13.
         assert_eq!(t.end, Cycle::new(13));
         assert_eq!(t.mlp_stall_cycles, 0);
@@ -233,21 +207,17 @@ mod tests {
 
     #[test]
     fn compute_gaps_delay_issue() {
-        let p = phase(4, vec![r(0), r(7)]);
-        let t = run_phase(&p.refs, p.mlp, Cycle::new(0), |_r, now| now + 1);
+        let t = run_loads(&[0, 7], 4, Cycle::new(0), |now| now + 1);
         // Second ref issues at 0 + 1 (slot) + 7 (gap) = 8, done 9.
         assert_eq!(t.end, Cycle::new(9));
     }
 
     #[test]
     fn variable_latency_out_of_order_completion() {
-        let lat = std::cell::Cell::new(0u64);
-        let p = phase(2, vec![r(0), r(0)]);
-        let t = run_phase(&p.refs, p.mlp, Cycle::new(0), |_r, now| {
+        let mut first = true;
+        let t = run_loads(&[0, 0], 2, Cycle::new(0), |now| {
             // First access slow (100), second fast (1).
-            let l = if lat.get() == 0 { 100 } else { 1 };
-            lat.set(lat.get() + 1);
-            now + l
+            now + if std::mem::take(&mut first) { 100 } else { 1 }
         });
         // The engine does not wait for the slow one before issuing the fast
         // one, but the phase ends when the slow one lands.
@@ -256,9 +226,8 @@ mod tests {
 
     #[test]
     fn issue_times_are_monotone() {
-        let p = phase(3, (0..64).map(|_| r(1)).collect());
         let mut last = Cycle::ZERO;
-        run_phase(&p.refs, p.mlp, Cycle::new(0), |_r, now| {
+        run_loads(&[1; 64], 3, Cycle::new(0), |now| {
             assert!(now >= last, "issue time went backwards");
             last = now;
             now + 37

@@ -5,22 +5,25 @@
 //! [`write_workload`] captures an instrumented run into a compact binary
 //! file and [`read_workload`] replays it without rebuilding the kernels.
 //!
-//! Format (`FTRC`, version 1, little-endian): a header, then each phase as
-//! `(name, unit, mlp, lease, ops, refs)` with references delta-encoded
-//! against the previous address, terminated by an FNV-1a checksum of the
-//! payload so silent corruption is detected on replay.
+//! Format (`FTRC`, version 2, little-endian): a header, then each phase as
+//! `(name, unit, mlp, lease, ops, refs)`, each reference its lanes — the
+//! block index as a zigzag varint delta against the phase's previous
+//! block, the kind byte and the compute gap — terminated by an FNV-1a
+//! checksum of the payload so silent corruption is detected on replay.
+//! Block ordinals are not stored: reading numbers the blocks at first
+//! touch again, as the recorder did.
 
 use std::io::{self, Read, Write};
 
 use fusion_types::error::SimError;
-use fusion_types::hash::{fnv1a, fnv1a_extend, FNV_OFFSET};
+use fusion_types::hash::fnv1a;
 use fusion_types::ids::ExecUnit;
-use fusion_types::{AccessKind, AxcId, Pid, VirtAddr};
+use fusion_types::{AccessKind, AxcId, BlockAddr, Pid, CACHE_BLOCK_BYTES};
 
-use crate::trace::{MemRef, OpCounts, Phase, Workload};
+use crate::trace::{LaneWriter, OpCounts, Phase, Workload};
 
 const MAGIC: &[u8; 4] = b"FTRC";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 
 /// Magic plus version: the bytes the payload checksum skips.
 const HEADER_BYTES: usize = MAGIC.len() + 2;
@@ -30,9 +33,12 @@ const HEADER_BYTES: usize = MAGIC.len() + 2;
 /// count field against the remaining payload before any allocation.
 const MIN_PHASE_BYTES: usize = 2 + 2 + 2 + 4 + 8 + 8 + 4;
 
-/// Minimum encoded size of one reference: varint delta (1) + size (1) +
-/// kind (1) + gap (2). Bounds the per-phase `refs` count field.
-const MIN_REF_BYTES: usize = 1 + 1 + 1 + 2;
+/// Minimum encoded size of one reference: varint delta (1) + kind (1) +
+/// gap (2). Bounds the per-phase `refs` count field.
+const MIN_REF_BYTES: usize = 1 + 1 + 2;
+
+/// Largest block index a trace may name: its base address fits a `u64`.
+const MAX_BLOCK_INDEX: u64 = u64::MAX / CACHE_BLOCK_BYTES as u64;
 
 fn malformed(what: impl Into<String>) -> SimError {
     SimError::DecodeError {
@@ -42,8 +48,7 @@ fn malformed(what: impl Into<String>) -> SimError {
 
 /// Little-endian append helpers for the encode path (the subset of
 /// `bytes::BufMut` this module needs, so the format has no external
-/// dependency). The encoder writes into a `Vec<u8>` or, to fingerprint a
-/// workload without materializing its bytes, into a [`HashSink`].
+/// dependency).
 trait PutLe {
     fn put_slice(&mut self, s: &[u8]);
     fn put_u8(&mut self, v: u8) {
@@ -63,24 +68,6 @@ trait PutLe {
 impl PutLe for Vec<u8> {
     fn put_slice(&mut self, s: &[u8]) {
         self.extend_from_slice(s);
-    }
-}
-
-/// Hashes an encoding as the encoder produces it: `whole` is FNV-1a over
-/// every byte, `payload` over the bytes after the header (the trace's own
-/// checksum).
-struct HashSink {
-    whole: u64,
-    payload: u64,
-    len: usize,
-}
-
-impl PutLe for HashSink {
-    fn put_slice(&mut self, s: &[u8]) {
-        self.whole = fnv1a_extend(self.whole, s);
-        let skip = HEADER_BYTES.saturating_sub(self.len).min(s.len());
-        self.payload = fnv1a_extend(self.payload, &s[skip..]);
-        self.len += s.len();
     }
 }
 
@@ -160,39 +147,16 @@ fn wire_u16(n: usize) -> u16 {
 pub fn encode_workload(workload: &Workload) -> Vec<u8> {
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "a capacity hint; the refs already sit in memory, so their count fits usize"
+        reason = "a capacity hint; the lanes already sit in memory, so their length fits usize"
     )]
-    let mut buf = Vec::with_capacity(64 + workload.total_refs() as usize * 6);
-    encode_body(workload, &mut buf);
-    let checksum = fnv1a(&buf[HEADER_BYTES..]);
-    buf.put_u64_le(checksum);
-    buf
-}
-
-/// FNV-1a over the bytes [`encode_workload`] returns, trailing checksum
-/// included, hashed as the encoder produces them: no buffer of the whole
-/// trace is built.
-pub fn fingerprint(workload: &Workload) -> u64 {
-    let mut sink = HashSink {
-        whole: FNV_OFFSET,
-        payload: FNV_OFFSET,
-        len: 0,
-    };
-    encode_body(workload, &mut sink);
-    let checksum = sink.payload;
-    sink.put_u64_le(checksum);
-    sink.whole
-}
-
-/// Writes everything but the trailing checksum: header, then phases.
-fn encode_body<B: PutLe>(workload: &Workload, buf: &mut B) {
+    let mut buf = Vec::with_capacity(64 + workload.total_refs() as usize * 5);
     buf.put_slice(MAGIC);
     buf.put_u16_le(VERSION);
     buf.put_u32_le(workload.pid.value());
-    put_str(buf, &workload.name);
+    put_str(&mut buf, &workload.name);
     buf.put_u32_le(wire_u32(workload.phases.len()));
-    for p in &workload.phases {
-        put_str(buf, &p.name);
+    for (idx, p) in workload.phases.iter().enumerate() {
+        put_str(&mut buf, &p.name);
         match p.unit {
             ExecUnit::Host => buf.put_u16_le(u16::MAX),
             ExecUnit::Axc(id) => buf.put_u16_le(id.value()),
@@ -201,18 +165,25 @@ fn encode_body<B: PutLe>(workload: &Workload, buf: &mut B) {
         buf.put_u32_le(p.lease);
         buf.put_u64_le(p.ops.int_ops);
         buf.put_u64_le(p.ops.fp_ops);
-        buf.put_u32_le(wire_u32(p.refs.len()));
+        let dp = workload.phase_refs(idx);
+        buf.put_u32_le(wire_u32(dp.len()));
         let mut prev = 0u64;
-        for r in &p.refs {
-            // Delta-encoded address (zigzag), then size/kind/gap packed.
-            let delta = r.addr.value() as i64 - prev as i64;
-            put_varint(buf, zigzag(delta));
-            prev = r.addr.value();
-            buf.put_u8(r.size);
-            buf.put_u8(r.kind.is_write() as u8);
-            buf.put_u16_le(r.gap);
+        for ((b, kind), &gap) in dp.blocks.iter().zip(dp.kinds).zip(dp.gaps) {
+            put_varint(&mut buf, zigzag(b.index().wrapping_sub(prev) as i64));
+            prev = b.index();
+            buf.put_u8(kind.is_write() as u8);
+            buf.put_u16_le(gap);
         }
     }
+    let checksum = fnv1a(&buf[HEADER_BYTES..]);
+    buf.put_u64_le(checksum);
+    buf
+}
+
+/// FNV-1a over the bytes [`encode_workload`] returns, trailing checksum
+/// included: the trace's identity in the result journal.
+pub fn fingerprint(workload: &Workload) -> u64 {
+    fnv1a(&encode_workload(workload))
 }
 
 /// Decodes a workload from its binary trace representation.
@@ -263,6 +234,7 @@ pub fn decode_workload(mut data: &[u8]) -> Result<Workload, SimError> {
         return Err(malformed("phase count exceeds payload"));
     }
     let mut phases = Vec::with_capacity(phases_len);
+    let mut lanes = LaneWriter::new();
     for _ in 0..phases_len {
         let pname = get_str(&mut data)?;
         if data.remaining() < 2 + 2 + 4 + 8 + 8 + 4 {
@@ -286,36 +258,27 @@ pub fn decode_workload(mut data: &[u8]) -> Result<Workload, SimError> {
         if refs_len > data.remaining() / MIN_REF_BYTES {
             return Err(malformed("reference count exceeds payload"));
         }
-        let mut refs = Vec::with_capacity(refs_len);
         let mut prev = 0u64;
         for _ in 0..refs_len {
-            let delta = unzigzag(get_varint(&mut data)?);
-            let addr = (prev as i64).wrapping_add(delta) as u64;
-            prev = addr;
-            if data.remaining() < 4 {
+            let block = prev.wrapping_add(unzigzag(get_varint(&mut data)?) as u64);
+            if block > MAX_BLOCK_INDEX {
+                return Err(malformed("block index out of range"));
+            }
+            prev = block;
+            if data.remaining() < 3 {
                 return Err(malformed("truncated reference"));
             }
-            let size = data.get_u8();
-            if size == 0 || size as usize > fusion_types::CACHE_BLOCK_BYTES {
-                return Err(malformed("reference size out of range"));
-            }
-            let kind = if data.get_u8() != 0 {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
+            let kind = match data.get_u8() {
+                0 => AccessKind::Load,
+                1 => AccessKind::Store,
+                k => return Err(malformed(format!("bad kind byte {k}"))),
             };
-            let gap = data.get_u16_le();
-            refs.push(MemRef {
-                addr: VirtAddr::new(addr),
-                size,
-                kind,
-                gap,
-            });
+            lanes.push(BlockAddr::from_index(block), kind, data.get_u16_le());
         }
+        lanes.end_phase();
         phases.push(Phase {
             name: pname,
             unit,
-            refs,
             ops,
             mlp: mlp.max(1),
             lease,
@@ -327,7 +290,7 @@ pub fn decode_workload(mut data: &[u8]) -> Result<Workload, SimError> {
             data.remaining()
         )));
     }
-    Ok(Workload { name, pid, phases })
+    Ok(lanes.finish(name, pid, phases))
 }
 
 /// Writes `workload` to `writer` in the binary trace format.
@@ -416,46 +379,17 @@ fn get_varint(data: &mut &[u8]) -> Result<u64, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Recorder;
 
     fn sample() -> Workload {
-        Workload {
-            name: "T".into(),
-            pid: Pid::new(3),
-            phases: vec![
-                Phase {
-                    name: "f".into(),
-                    unit: ExecUnit::Axc(AxcId::new(1)),
-                    refs: vec![
-                        MemRef {
-                            addr: VirtAddr::new(0x1000),
-                            size: 4,
-                            kind: AccessKind::Load,
-                            gap: 2,
-                        },
-                        MemRef {
-                            addr: VirtAddr::new(0x0040),
-                            size: 8,
-                            kind: AccessKind::Store,
-                            gap: 0,
-                        },
-                    ],
-                    ops: OpCounts {
-                        int_ops: 7,
-                        fp_ops: 2,
-                    },
-                    mlp: 3,
-                    lease: 500,
-                },
-                Phase {
-                    name: "host".into(),
-                    unit: ExecUnit::Host,
-                    refs: vec![],
-                    ops: OpCounts::default(),
-                    mlp: 1,
-                    lease: 100,
-                },
-            ],
-        }
+        let rec = Recorder::new();
+        rec.int_ops(8); // gap 2
+        rec.access(BlockAddr::from_index(0x20), AccessKind::Load);
+        rec.access(BlockAddr::from_index(0x1), AccessKind::Store);
+        rec.fp_ops(2);
+        rec.end_phase("f", ExecUnit::Axc(AxcId::new(1)), 3, 500);
+        rec.end_phase("host", ExecUnit::Host, 1, 100);
+        rec.finish("T", Pid::new(3))
     }
 
     #[test]
@@ -490,13 +424,19 @@ mod tests {
             decode_workload(b"NOPE\x01\x00"),
             Err(SimError::DecodeError { .. })
         ));
-        let mut bytes = encode_workload(&sample()).to_vec();
-        bytes[4] = 9; // version
-        match decode_workload(&bytes) {
-            Err(SimError::DecodeError { detail }) => {
-                assert!(detail.contains("version 9"), "{detail}")
+        // Version 1 stored addresses and sizes, not lanes.
+        for version in [1u8, 9] {
+            let mut bytes = encode_workload(&sample()).to_vec();
+            bytes[4] = version;
+            match decode_workload(&bytes) {
+                Err(SimError::DecodeError { detail }) => {
+                    assert!(
+                        detail.contains(&format!("version {version} (expected 2)")),
+                        "{detail}"
+                    )
+                }
+                other => panic!("expected version error, got {other:?}"),
             }
-            other => panic!("expected version error, got {other:?}"),
         }
     }
 
@@ -524,6 +464,22 @@ mod tests {
                 assert!(detail.contains("phase count"), "{detail}")
             }
             other => panic!("expected phase-count error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_a_bad_kind_byte() {
+        // The first reference's kind byte follows its one-byte delta.
+        let mut bytes = encode_workload(&sample());
+        let pos = 6 + 4 + 3 + 4 + 3 + 2 + 2 + 4 + 16 + 4 + 1;
+        assert_eq!(bytes[pos], 0, "the first reference is a load");
+        bytes[pos] = 2;
+        reseal(&mut bytes);
+        match decode_workload(&bytes) {
+            Err(SimError::DecodeError { detail }) => {
+                assert!(detail.contains("bad kind byte 2"), "{detail}")
+            }
+            other => panic!("expected kind error, got {other:?}"),
         }
     }
 
@@ -582,21 +538,18 @@ mod tests {
 
     #[test]
     fn real_workload_roundtrips_compactly() {
-        // Delta-encoding keeps sequential traces small (< 6 bytes/ref).
+        // Delta-encoding keeps sequential traces small (4 bytes/ref).
         use crate::Recorder;
         let rec = Recorder::new();
         let mut b = rec.buffer::<f32>(256);
         for i in 0..256 {
             b.set(i, i as f32);
         }
-        let wl = Workload {
-            name: "seq".into(),
-            pid: Pid::new(1),
-            phases: vec![rec.take_phase("w", ExecUnit::Axc(AxcId::new(0)), 2, 100)],
-        };
+        rec.end_phase("w", ExecUnit::Axc(AxcId::new(0)), 2, 100);
+        let wl = rec.finish("seq", Pid::new(1));
         let bytes = encode_workload(&wl);
         assert!(
-            bytes.len() < 256 * 7 + 64,
+            bytes.len() < 256 * 4 + 64,
             "trace too large: {}",
             bytes.len()
         );

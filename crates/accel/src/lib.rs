@@ -5,12 +5,14 @@
 //! dependence graph of profiled functions (Section 4, following Aladdin)
 //! and drives a trace-based simulation. This crate rebuilds that pipeline:
 //!
-//! * [`trace`] — the dynamic trace format: [`trace::MemRef`]s grouped into
-//!   [`trace::Phase`]s (one accelerator invocation each) forming a
-//!   [`trace::Workload`] (the offloaded sequential program);
+//! * [`trace`] — the dynamic trace format: a [`trace::Workload`] (the
+//!   offloaded sequential program) is [`trace::Phase`]s (one accelerator
+//!   invocation each) over one set of per-reference lanes — block, kind,
+//!   compute gap and block ordinal — that every replay and analysis reads;
 //! * [`record`] — an instrumented address space: benchmark kernels run on
 //!   real Rust buffers while every load/store and every int/fp operation is
-//!   recorded (replaces gprof + binary instrumentation);
+//!   recorded straight into those lanes (replaces gprof + binary
+//!   instrumentation);
 //! * [`engine`] — the datapath timing model: in-order issue, out-of-order
 //!   completion, bounded by the function's memory-level parallelism
 //!   ("aggressive non-blocking interface to memory");
@@ -30,8 +32,6 @@ pub mod ooo;
 pub mod record;
 pub mod trace;
 
-pub use engine::{run_phase, run_phase_kind_runs, PhaseTiming};
+pub use engine::{run_phase_kind_runs, PhaseTiming};
 pub use record::Recorder;
-pub use trace::{
-    kind_runs_of, DecodedPhase, DecodedTrace, KindRun, MemRef, OpCounts, Phase, Workload,
-};
+pub use trace::{kind_runs_of, DecodedPhase, DecodedTrace, KindRun, OpCounts, Phase, Workload};

@@ -12,7 +12,6 @@ use std::collections::VecDeque;
 use fusion_types::Cycle;
 
 use crate::engine::PhaseTiming;
-use crate::trace::MemRef;
 
 /// Out-of-order core parameters (defaults = Table 2's host core).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +37,9 @@ impl Default for OooParams {
     }
 }
 
-/// Executes a host reference stream on the OOO core model.
+/// Executes a host reference stream on the OOO core model. Reference `i`
+/// has compute gap `gap_of(i)`, is a store iff `is_store_of(i)`, and
+/// completes at the cycle `access(i, now)` returns.
 ///
 /// References issue in program order (bounded by `width` per cycle and the
 /// recorded compute gaps), complete out of order through `access`, and
@@ -53,40 +54,14 @@ impl Default for OooParams {
 /// # Examples
 ///
 /// ```
-/// use fusion_accel::ooo::{run_host_phase, OooParams};
-/// use fusion_accel::MemRef;
-/// use fusion_types::{AccessKind, Cycle, VirtAddr};
+/// use fusion_accel::ooo::{run_host_phase_indexed, OooParams};
+/// use fusion_types::Cycle;
 ///
-/// let refs = [MemRef { addr: VirtAddr::new(0), size: 8, kind: AccessKind::Load, gap: 0 }];
-/// let t = run_host_phase(&refs, OooParams::default(), Cycle::new(0), |_r, now| now + 3);
+/// let t = run_host_phase_indexed(1, |_| 0, |_| false, OooParams::default(), Cycle::new(0), |_i, now| {
+///     now + 3
+/// });
 /// assert_eq!(t.end, Cycle::new(3));
 /// ```
-pub fn run_host_phase(
-    refs: &[MemRef],
-    params: OooParams,
-    start: Cycle,
-    mut access: impl FnMut(&MemRef, Cycle) -> Cycle,
-) -> PhaseTiming {
-    run_host_phase_indexed(
-        refs.len(),
-        |i| refs[i].gap,
-        |i| refs[i].kind.is_write(),
-        params,
-        start,
-        |i, now| access(&refs[i], now),
-    )
-}
-
-/// Index-driven core of [`run_host_phase`]: identical timing model, but the
-/// reference stream is described by `gap_of(i)` / `is_store_of(i)` and
-/// replayed through `access(i, now)` instead of materialized `MemRef`s.
-/// This is the loop the decoded-trace fast path
-/// ([`crate::trace::DecodedTrace`]) drives; both entry points share it, so
-/// MemRef and decoded replays are bit-identical.
-///
-/// # Panics
-///
-/// Panics if any of the structure sizes is zero.
 pub fn run_host_phase_indexed(
     len: usize,
     mut gap_of: impl FnMut(usize) -> u16,
@@ -198,22 +173,34 @@ pub fn run_host_phase_indexed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_types::{AccessKind, VirtAddr};
+    use fusion_types::AccessKind;
 
-    fn r(kind: AccessKind, gap: u16) -> MemRef {
-        MemRef {
-            addr: VirtAddr::new(0),
-            size: 8,
-            kind,
-            gap,
-        }
+    /// Runs `refs` (kind, gap) through the core; `access` sees each
+    /// reference's kind.
+    fn run(
+        refs: &[(AccessKind, u16)],
+        params: OooParams,
+        start: Cycle,
+        mut access: impl FnMut(AccessKind, Cycle) -> Cycle,
+    ) -> PhaseTiming {
+        run_host_phase_indexed(
+            refs.len(),
+            |i| refs[i].1,
+            |i| refs[i].0.is_write(),
+            params,
+            start,
+            |i, now| access(refs[i].0, now),
+        )
+    }
+
+    fn loads(n: usize) -> Vec<(AccessKind, u16)> {
+        vec![(AccessKind::Load, 0); n]
     }
 
     #[test]
     fn width_limits_issue_rate() {
         // 8 loads, zero gaps, instant memory: 4 issue at t=0, 4 at t=1.
-        let refs: Vec<MemRef> = (0..8).map(|_| r(AccessKind::Load, 0)).collect();
-        let t = run_host_phase(&refs, OooParams::default(), Cycle::new(0), |_r, now| now);
+        let t = run(&loads(8), OooParams::default(), Cycle::new(0), |_, now| now);
         assert_eq!(t.end, Cycle::new(1));
     }
 
@@ -225,9 +212,8 @@ mod tests {
             load_queue: 2,
             store_queue: 32,
         };
-        let refs: Vec<MemRef> = (0..6).map(|_| r(AccessKind::Load, 0)).collect();
         // 100-cycle loads with LQ=2: pairs serialize.
-        let t = run_host_phase(&refs, params, Cycle::new(0), |_r, now| now + 100);
+        let t = run(&loads(6), params, Cycle::new(0), |_, now| now + 100);
         assert!(
             t.end >= Cycle::new(300),
             "LQ did not serialize: end {}",
@@ -247,8 +233,7 @@ mod tests {
         // First load is very slow; with a 4-entry ROB only 4 refs can be
         // in flight until it retires.
         let mut first = true;
-        let refs: Vec<MemRef> = (0..8).map(|_| r(AccessKind::Load, 0)).collect();
-        let t = run_host_phase(&refs, params, Cycle::new(0), |_r, now| {
+        let t = run(&loads(8), params, Cycle::new(0), |_, now| {
             if std::mem::take(&mut first) {
                 now + 500
             } else {
@@ -271,20 +256,18 @@ mod tests {
             store_queue: 32,
         };
         // Alternating load/store with slow loads: stores never block.
-        let refs: Vec<MemRef> = (0..8)
+        let refs: Vec<(AccessKind, u16)> = (0..8)
             .map(|i| {
-                r(
-                    if i % 2 == 0 {
-                        AccessKind::Load
-                    } else {
-                        AccessKind::Store
-                    },
-                    0,
-                )
+                let kind = if i % 2 == 0 {
+                    AccessKind::Load
+                } else {
+                    AccessKind::Store
+                };
+                (kind, 0)
             })
             .collect();
-        let t = run_host_phase(&refs, params, Cycle::new(0), |rr, now| {
-            if rr.kind.is_write() {
+        let t = run(&refs, params, Cycle::new(0), |kind, now| {
+            if kind.is_write() {
                 now + 1
             } else {
                 now + 50
@@ -296,16 +279,14 @@ mod tests {
 
     #[test]
     fn gaps_advance_time() {
-        let refs = [r(AccessKind::Load, 10), r(AccessKind::Load, 10)];
-        let t = run_host_phase(&refs, OooParams::default(), Cycle::new(0), |_r, now| {
-            now + 1
-        });
+        let refs = [(AccessKind::Load, 10), (AccessKind::Load, 10)];
+        let t = run(&refs, OooParams::default(), Cycle::new(0), |_, now| now + 1);
         assert!(t.end >= Cycle::new(20));
     }
 
     #[test]
     fn empty_stream_is_instant() {
-        let t = run_host_phase(&[], OooParams::default(), Cycle::new(7), |_r, now| now);
+        let t = run(&[], OooParams::default(), Cycle::new(7), |_, now| now);
         assert_eq!(t.end, Cycle::new(7));
         assert_eq!(t.issued, 0);
     }

@@ -10,9 +10,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use fusion_types::ids::ExecUnit;
-use fusion_types::{AccessKind, VirtAddr, CACHE_BLOCK_BYTES};
+use fusion_types::{AccessKind, BlockAddr, Pid, VirtAddr, CACHE_BLOCK_BYTES};
 
-use crate::trace::{MemRef, OpCounts, Phase};
+use crate::trace::{LaneWriter, OpCounts, Phase, Workload};
 
 /// Datapath operations retired per cycle between memory references (the
 /// fixed-function datapath exploits the paper's observed instruction-level
@@ -21,21 +21,34 @@ const ISSUE_WIDTH: u64 = 4;
 
 #[derive(Debug)]
 struct RecState {
-    refs: Vec<MemRef>,
+    lanes: LaneWriter,
+    phases: Vec<Phase>,
     next_addr: u64,
     alloc_count: u64,
     ops_since_ref: u64,
     ops: OpCounts,
 }
 
-/// Records the dynamic trace of instrumented kernels.
+impl RecState {
+    /// Appends one reference, its gap the ops retired since the last one.
+    #[inline]
+    fn log(&mut self, block: BlockAddr, kind: AccessKind) {
+        let gap = u16::try_from(self.ops_since_ref / ISSUE_WIDTH).unwrap_or(u16::MAX);
+        self.ops_since_ref = 0;
+        self.lanes.push(block, kind, gap);
+    }
+}
+
+/// Records the dynamic trace of instrumented kernels straight into the
+/// lanes a [`Workload`] replays: each reference's block, kind and compute
+/// gap, its block numbered at first touch.
 ///
 /// # Examples
 ///
 /// ```
-/// use fusion_accel::Recorder;
+/// use fusion_accel::{DecodedTrace, Recorder};
 /// use fusion_types::ids::ExecUnit;
-/// use fusion_types::AxcId;
+/// use fusion_types::{AxcId, Pid};
 ///
 /// let rec = Recorder::new();
 /// let mut buf = rec.buffer::<f32>(16);
@@ -44,9 +57,10 @@ struct RecState {
 ///     rec.fp_ops(1);
 ///     buf.set(i, v + 1.0);
 /// }
-/// let phase = rec.take_phase("incr", ExecUnit::Axc(AxcId::new(0)), 2, 500);
-/// assert_eq!(phase.refs.len(), 32);
-/// assert_eq!(phase.ops.fp_ops, 16);
+/// rec.end_phase("incr", ExecUnit::Axc(AxcId::new(0)), 2, 500);
+/// let wl = rec.finish("demo", Pid::new(1));
+/// assert_eq!(DecodedTrace::decode(&wl).phase(0).len(), 32);
+/// assert_eq!(wl.phases[0].ops.fp_ops, 16);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Recorder {
@@ -58,7 +72,8 @@ impl Recorder {
     pub fn new() -> Self {
         Recorder {
             state: Rc::new(RefCell::new(RecState {
-                refs: Vec::new(),
+                lanes: LaneWriter::new(),
+                phases: Vec::new(),
                 next_addr: 0x10_0000, // keep away from the null page
                 alloc_count: 0,
                 ops_since_ref: 0,
@@ -107,19 +122,39 @@ impl Recorder {
         s.ops_since_ref += n;
     }
 
-    /// Ends the current phase: drains the recorded references and op
-    /// counts into a [`Phase`] with the given identity and parameters.
-    pub fn take_phase(&self, name: &str, unit: ExecUnit, mlp: usize, lease: u32) -> Phase {
+    /// Records one reference to `block` without a buffer, exactly as a
+    /// [`TracedBuf`] access to it would: for traces built by hand.
+    pub fn access(&self, block: BlockAddr, kind: AccessKind) {
+        self.state.borrow_mut().log(block, kind);
+    }
+
+    /// Ends the current phase: the references and op counts recorded
+    /// since the previous phase become a [`Phase`] with the given identity
+    /// and parameters.
+    pub fn end_phase(&self, name: &str, unit: ExecUnit, mlp: usize, lease: u32) {
         let mut s = self.state.borrow_mut();
         s.ops_since_ref = 0;
-        Phase {
+        let ops = std::mem::take(&mut s.ops);
+        s.lanes.end_phase();
+        s.phases.push(Phase {
             name: name.to_owned(),
             unit,
-            refs: std::mem::take(&mut s.refs),
-            ops: std::mem::take(&mut s.ops),
+            ops,
             mlp: mlp.max(1),
             lease,
-        }
+        });
+    }
+
+    /// Ends recording: the workload of every ended phase, in program
+    /// order, owning the recorded lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if references were recorded after the last ended phase.
+    pub fn finish(self, name: &str, pid: Pid) -> Workload {
+        let mut s = self.state.borrow_mut();
+        let lanes = std::mem::replace(&mut s.lanes, LaneWriter::new());
+        lanes.finish(name.to_owned(), pid, std::mem::take(&mut s.phases))
     }
 }
 
@@ -132,7 +167,7 @@ impl Default for Recorder {
 /// A traced, block-aligned buffer of `T`.
 ///
 /// Every [`TracedBuf::get`] and [`TracedBuf::set`] performs the real data
-/// access *and* records a [`MemRef`].
+/// access *and* records the reference.
 #[derive(Debug)]
 pub struct TracedBuf<T> {
     data: Vec<T>,
@@ -193,28 +228,19 @@ impl<T: Copy> TracedBuf<T> {
         }
     }
 
+    #[inline]
     fn log(&self, i: usize, kind: AccessKind) {
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "traced elements are scalars of at most 8 bytes"
-        )]
-        let size = std::mem::size_of::<T>() as u8;
         let addr = self.base.offset((i * std::mem::size_of::<T>()) as u64);
-        let mut s = self.state.borrow_mut();
-        let gap = u16::try_from(s.ops_since_ref / ISSUE_WIDTH).unwrap_or(u16::MAX);
-        s.ops_since_ref = 0;
-        s.refs.push(MemRef {
-            addr,
-            size,
-            kind,
-            gap,
-        });
+        self.state
+            .borrow_mut()
+            .log(BlockAddr::containing(addr), kind);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DecodedTrace;
     use fusion_types::AxcId;
 
     #[test]
@@ -229,18 +255,21 @@ mod tests {
     }
 
     #[test]
-    fn get_set_record_accurate_addresses() {
+    fn get_set_record_accurate_blocks() {
         let rec = Recorder::new();
         let mut buf = rec.buffer::<u32>(32);
         buf.set(3, 7);
-        let v = buf.get(3);
-        assert_eq!(v, 7);
-        let phase = rec.take_phase("t", ExecUnit::Host, 1, 100);
-        assert_eq!(phase.refs.len(), 2);
-        assert_eq!(phase.refs[0].addr, buf.base().offset(12));
-        assert!(phase.refs[0].kind.is_write());
-        assert!(!phase.refs[1].kind.is_write());
-        assert_eq!(phase.refs[1].size, 4);
+        let v = buf.get(20);
+        assert_eq!(v, 0);
+        rec.end_phase("t", ExecUnit::Host, 1, 100);
+        let base = BlockAddr::containing(buf.base());
+        let wl = rec.finish("T", Pid::new(1));
+        let trace = DecodedTrace::decode(&wl);
+        let p = trace.phase(0);
+        // Element 20 of a u32 buffer sits at byte 80: the second block.
+        assert_eq!(p.blocks, [base, BlockAddr::from_index(base.index() + 1)]);
+        assert_eq!(p.kinds, [AccessKind::Store, AccessKind::Load]);
+        assert_eq!(p.ordinals, [0, 1]);
     }
 
     #[test]
@@ -250,26 +279,30 @@ mod tests {
         buf.get(0);
         rec.int_ops(8); // 8 ops / width 4 = 2 cycles
         buf.get(1);
-        let phase = rec.take_phase("t", ExecUnit::Axc(AxcId::new(0)), 1, 100);
-        assert_eq!(phase.refs[0].gap, 0);
-        assert_eq!(phase.refs[1].gap, 2);
-        assert_eq!(phase.ops.int_ops, 8);
+        rec.end_phase("t", ExecUnit::Axc(AxcId::new(0)), 1, 100);
+        let wl = rec.finish("T", Pid::new(1));
+        assert_eq!(DecodedTrace::decode(&wl).phase(0).gaps, [0, 2]);
+        assert_eq!(wl.phases[0].ops.int_ops, 8);
     }
 
     #[test]
-    fn take_phase_resets_state() {
+    fn end_phase_resets_state() {
         let rec = Recorder::new();
         let buf = rec.buffer::<u8>(4);
         buf.get(0);
         rec.fp_ops(3);
-        let p1 = rec.take_phase("a", ExecUnit::Host, 1, 100);
-        assert_eq!(p1.refs.len(), 1);
-        assert_eq!(p1.ops.fp_ops, 3);
+        rec.end_phase("a", ExecUnit::Host, 1, 100);
         buf.get(1);
-        let p2 = rec.take_phase("b", ExecUnit::Host, 1, 100);
-        assert_eq!(p2.refs.len(), 1);
-        assert_eq!(p2.ops.fp_ops, 0);
-        assert_eq!(p2.refs[0].gap, 0, "gap must not leak across phases");
+        rec.end_phase("b", ExecUnit::Host, 1, 100);
+        let wl = rec.finish("T", Pid::new(1));
+        let trace = DecodedTrace::decode(&wl);
+        assert_eq!(trace.phase(0).len(), 1);
+        assert_eq!(wl.phases[0].ops.fp_ops, 3);
+        assert_eq!(trace.phase(1).len(), 1);
+        assert_eq!(wl.phases[1].ops.fp_ops, 0);
+        assert_eq!(trace.phase(1).gaps, [0], "gap must not leak across phases");
+        // One block, numbered once across both phases.
+        assert_eq!(trace.phase(1).ordinals, [0]);
     }
 
     #[test]
@@ -278,13 +311,39 @@ mod tests {
         let mut buf = rec.buffer::<u16>(16);
         buf.init_untraced(|i| u16::try_from(i).unwrap());
         assert_eq!(buf.as_slice()[5], 5);
-        assert!(rec.take_phase("x", ExecUnit::Host, 1, 1).refs.is_empty());
+        rec.end_phase("x", ExecUnit::Host, 1, 1);
+        assert_eq!(rec.finish("T", Pid::new(1)).total_refs(), 0);
+    }
+
+    #[test]
+    fn ordinals_survive_recent_memo_collisions() {
+        // Blocks 1024 apart share a memo slot: each must still keep the
+        // ordinal of its first touch.
+        let rec = Recorder::new();
+        let blocks = [5u64, 5 + 1024, 5, 5 + 2048, 5 + 1024, 7];
+        for &b in &blocks {
+            rec.access(BlockAddr::from_index(b), AccessKind::Load);
+        }
+        rec.end_phase("x", ExecUnit::Host, 1, 1);
+        let wl = rec.finish("T", Pid::new(1));
+        let trace = DecodedTrace::decode(&wl);
+        assert_eq!(trace.phase(0).ordinals, [0, 1, 0, 2, 1, 3]);
+        let table: Vec<u64> = trace.ordinal_blocks().iter().map(|b| b.index()).collect();
+        assert_eq!(table, [5, 5 + 1024, 5 + 2048, 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "after the last phase")]
+    fn references_after_the_last_phase_are_refused() {
+        let rec = Recorder::new();
+        rec.access(BlockAddr::from_index(1), AccessKind::Load);
+        rec.finish("T", Pid::new(1));
     }
 
     #[test]
     fn mlp_is_clamped_to_one() {
         let rec = Recorder::new();
-        let p = rec.take_phase("x", ExecUnit::Host, 0, 1);
-        assert_eq!(p.mlp, 1);
+        rec.end_phase("x", ExecUnit::Host, 0, 1);
+        assert_eq!(rec.finish("T", Pid::new(1)).phases[0].mlp, 1);
     }
 }

@@ -1,34 +1,13 @@
-//! The dynamic trace format.
+//! The dynamic trace format: a [`Workload`] is phase metadata over one
+//! set of per-reference lanes, written once by the [`crate::Recorder`].
 
 use std::sync::{Arc, Mutex, OnceLock};
 
 use fusion_types::hash::FxHashMap;
 use fusion_types::ids::ExecUnit;
-use fusion_types::{AccessKind, BlockAddr, Bytes, Pid, VirtAddr};
+use fusion_types::{AccessKind, BlockAddr, Bytes, Pid};
 
 use crate::analysis::{DmaWindow, ForwardPair, RankedPair, TraceStats};
-
-/// One dynamic memory reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemRef {
-    /// Virtual address accessed.
-    pub addr: VirtAddr,
-    /// Access size in bytes (1–64).
-    pub size: u8,
-    /// Load or store.
-    pub kind: AccessKind,
-    /// Datapath compute cycles separating this reference from the previous
-    /// one (derived from the op counts between the two memory operations).
-    pub gap: u16,
-}
-
-impl MemRef {
-    /// Block containing this reference.
-    #[inline]
-    pub fn block(&self) -> BlockAddr {
-        BlockAddr::containing(self.addr)
-    }
-}
 
 /// Datapath operation counts of a phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -62,26 +41,15 @@ impl std::ops::AddAssign for OpCounts {
     }
 }
 
-impl std::ops::Sub for OpCounts {
-    type Output = OpCounts;
-    fn sub(self, rhs: OpCounts) -> OpCounts {
-        OpCounts {
-            int_ops: self.int_ops - rhs.int_ops,
-            fp_ops: self.fp_ops - rhs.fp_ops,
-        }
-    }
-}
-
 /// One accelerator (or host) invocation: a contiguous slice of the
-/// sequential program offloaded to one execution unit.
+/// sequential program offloaded to one execution unit. Its references are
+/// a range of the owning [`Workload`]'s lanes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     /// Function name ("step1", "imgBlur", ...).
     pub name: String,
     /// Executing unit: one AXC of the tile, or the host core.
     pub unit: ExecUnit,
-    /// The dynamic reference stream.
-    pub refs: Vec<MemRef>,
     /// Datapath op counts (drive compute timing and compute energy).
     pub ops: OpCounts,
     /// Memory-level parallelism: maximum outstanding references.
@@ -91,15 +59,18 @@ pub struct Phase {
 }
 
 /// A full offloaded program: the ordered phases the execution migrates
-/// through, plus identity metadata.
+/// through, identity metadata, and the reference lanes the
+/// [`crate::Recorder`] wrote. Cloning shares the lanes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Benchmark name ("FFT", "DISP.", ...).
     pub name: String,
     /// Owning process (PID tags in the tile caches).
     pub pid: Pid,
-    /// Program-ordered phases.
+    /// Program-ordered phases, one per recorded lane range: phase `i`'s
+    /// references are [`DecodedTrace::phase`]`(i)`.
     pub phases: Vec<Phase>,
+    lanes: Arc<Lanes>,
 }
 
 impl Workload {
@@ -125,37 +96,31 @@ impl Workload {
 
     /// Total dynamic references across all phases.
     pub fn total_refs(&self) -> u64 {
-        self.phases.iter().map(|p| p.refs.len() as u64).sum()
+        self.lanes.blocks.len() as u64
+    }
+
+    /// Phase `idx`'s references.
+    pub(crate) fn phase_refs(&self, idx: usize) -> DecodedPhase<'_> {
+        self.lanes.phase(idx)
     }
 }
 
-/// A [`Workload`]'s reference stream decoded once into flat
-/// structure-of-arrays form.
-///
-/// Replaying a workload touches every reference once per system per
-/// configuration; re-deriving the containing block
-/// (`addr / CACHE_BLOCK_BYTES`) and re-walking the `Vec<MemRef>` of every
-/// phase on each replay is pure overhead. The decoded trace stores exactly
-/// the per-reference fields the replay loops consume — containing block,
-/// access kind and issue gap — in parallel vectors, with per-phase offsets
-/// and op-count prefix sums alongside, so all systems and configurations of
+/// Every reference of a workload in flat structure-of-arrays form: the
+/// per-reference fields the replay loops and the analyses consume —
+/// containing block, access kind, issue gap — in parallel vectors, with
+/// the phase boundaries alongside, so all systems and configurations of
 /// a sweep stream the same cache-friendly arrays.
 ///
 /// A fourth lane numbers each reference's block with a dense *ordinal*,
-/// assigned in first-touch order over the whole trace; the ordinal → block
-/// table ([`DecodedTrace::ordinal_blocks`]) maps it back. The trace
+/// assigned in first-touch order over the whole trace; the ordinal →
+/// block table ([`DecodedTrace::ordinal_blocks`]) maps it back. The trace
 /// analyses index flat per-block arrays by ordinal instead of probing a
 /// hash map per reference.
 ///
 /// No same-kind runs are stored: [`kind_runs_of`] finds them on the kind
 /// lane as a replay consumes them.
-///
-/// Decoding is lossless for timing purposes: the decoded replay loops
-/// ([`crate::engine::run_phase_kind_runs`],
-/// [`crate::ooo::run_host_phase_indexed`]) consume the same field values in
-/// the same order as the `MemRef` loops, so results are bit-identical.
-#[derive(Debug)]
-pub struct DecodedTrace {
+#[derive(Debug, PartialEq)]
+struct Lanes {
     blocks: Vec<BlockAddr>,
     kinds: Vec<AccessKind>,
     gaps: Vec<u16>,
@@ -164,25 +129,137 @@ pub struct DecodedTrace {
     ordinal_blocks: Vec<BlockAddr>,
     // phase_offsets[i]..phase_offsets[i+1] is phase i's range; len = phases+1.
     phase_offsets: Vec<usize>,
-    // op_prefix[i] = summed op counts of phases 0..i; len = phases+1.
-    op_prefix: Vec<OpCounts>,
-    analysis: AnalysisCache,
 }
 
-impl Clone for DecodedTrace {
-    fn clone(&self) -> DecodedTrace {
-        DecodedTrace {
-            blocks: self.blocks.clone(),
-            kinds: self.kinds.clone(),
-            gaps: self.gaps.clone(),
-            ordinals: self.ordinals.clone(),
-            ordinal_blocks: self.ordinal_blocks.clone(),
-            phase_offsets: self.phase_offsets.clone(),
-            op_prefix: self.op_prefix.clone(),
-            // Derived data: the clone re-computes (or re-shares) on demand.
-            analysis: AnalysisCache::default(),
+impl Lanes {
+    fn phase(&self, idx: usize) -> DecodedPhase<'_> {
+        let (lo, hi) = (self.phase_offsets[idx], self.phase_offsets[idx + 1]);
+        DecodedPhase {
+            blocks: &self.blocks[lo..hi],
+            kinds: &self.kinds[lo..hi],
+            gaps: &self.gaps[lo..hi],
+            ordinals: &self.ordinals[lo..hi],
         }
     }
+}
+
+/// Slots of [`LaneWriter`]'s recent-block memo (a power of two).
+const RECENT_BLOCKS: usize = 1024;
+
+/// Appends references to a workload's lanes in program order, numbering
+/// each block at its first touch. The [`crate::Recorder`] writes through
+/// it as kernels run, and the trace-file reader as it parses.
+///
+/// Kernels revisit the blocks they touched last, so a direct-mapped memo
+/// of recently numbered blocks answers most references before the hash
+/// map is probed.
+#[derive(Debug)]
+pub(crate) struct LaneWriter {
+    lanes: Lanes,
+    // Hot-map audit: probed on a memo miss, never iterated; ordinals
+    // follow `ordinal_blocks`' push order, which is program order.
+    ordinal_of: FxHashMap<BlockAddr, u32>,
+    // The last block numbered in each slot, indexed by its index's low bits.
+    recent: Vec<Option<(BlockAddr, u32)>>,
+}
+
+impl LaneWriter {
+    pub(crate) fn new() -> LaneWriter {
+        LaneWriter {
+            lanes: Lanes {
+                blocks: Vec::new(),
+                kinds: Vec::new(),
+                gaps: Vec::new(),
+                ordinals: Vec::new(),
+                ordinal_blocks: Vec::new(),
+                phase_offsets: vec![0],
+            },
+            ordinal_of: FxHashMap::default(),
+            recent: vec![None; RECENT_BLOCKS],
+        }
+    }
+
+    /// Appends one reference to the open phase.
+    #[inline]
+    pub(crate) fn push(&mut self, block: BlockAddr, kind: AccessKind, gap: u16) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "masked below RECENT_BLOCKS"
+        )]
+        let slot = &mut self.recent[(block.index() & (RECENT_BLOCKS as u64 - 1)) as usize];
+        let ordinal = match *slot {
+            Some((b, o)) if b == block => o,
+            _ => {
+                let table = &mut self.lanes.ordinal_blocks;
+                let o = *self.ordinal_of.entry(block).or_insert_with(|| {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a trace names far fewer than 2^32 blocks"
+                    )]
+                    let o = u32::try_from(table.len()).expect("block ordinal overflow");
+                    table.push(block);
+                    o
+                });
+                *slot = Some((block, o));
+                o
+            }
+        };
+        let lanes = &mut self.lanes;
+        lanes.blocks.push(block);
+        lanes.kinds.push(kind);
+        lanes.gaps.push(gap);
+        lanes.ordinals.push(ordinal);
+    }
+
+    /// Closes the open phase: the references pushed since the last close
+    /// are its lane range.
+    pub(crate) fn end_phase(&mut self) {
+        self.lanes.phase_offsets.push(self.lanes.blocks.len());
+    }
+
+    /// The workload of `phases`, one per closed lane range, owning the
+    /// lanes sized exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `phases` does not match the closed ranges one to one, or
+    /// if references follow the last closed range.
+    pub(crate) fn finish(self, name: String, pid: Pid, phases: Vec<Phase>) -> Workload {
+        let mut lanes = self.lanes;
+        assert_eq!(
+            phases.len() + 1,
+            lanes.phase_offsets.len(),
+            "one phase per closed lane range"
+        );
+        assert_eq!(
+            lanes.phase_offsets.last(),
+            Some(&lanes.blocks.len()),
+            "references recorded after the last phase"
+        );
+        lanes.blocks.shrink_to_fit();
+        lanes.kinds.shrink_to_fit();
+        lanes.gaps.shrink_to_fit();
+        lanes.ordinals.shrink_to_fit();
+        lanes.ordinal_blocks.shrink_to_fit();
+        Workload {
+            name,
+            pid,
+            phases,
+            lanes: Arc::new(lanes),
+        }
+    }
+}
+
+/// A [`Workload`]'s lanes together with the memoized analyses of them
+/// (oracle DMA windows, forwarding pairs, Table 1/4 statistics).
+///
+/// The replay loops ([`crate::engine::run_phase_kind_runs`],
+/// [`crate::ooo::run_host_phase_indexed`]) read the lanes through
+/// [`DecodedTrace::phase`].
+#[derive(Debug)]
+pub struct DecodedTrace {
+    lanes: Arc<Lanes>,
+    analysis: AnalysisCache,
 }
 
 /// A maximal run of consecutive same-kind references within one phase or
@@ -214,7 +291,7 @@ impl KindRun {
 /// consumed: they tile `[0, kinds.len())`, consecutive runs alternate
 /// kind, and empty input yields none.
 ///
-/// The decoded trace stores no runs: the suites average about two
+/// The lanes store no runs: the suites average about two
 /// references per run, so a stored 24-byte run would replace about two
 /// one-byte kinds. Scanning the kind lane of the phase (or DMA window)
 /// being replayed costs one pass over bytes the replay touches anyway.
@@ -240,14 +317,14 @@ pub fn kind_runs_of(kinds: &[AccessKind]) -> impl Iterator<Item = KindRun> + '_ 
 /// that shapes each analysis. The oracle DMA windowing and the FUSION-Dx
 /// forwarding-pair identification are *post-processing of the trace* (the
 /// paper computes both offline), not simulation work: memoizing them on
-/// the shared decoded trace lets the sweep's untimed decode stage pay for
-/// them once, outside every job's timed replay region.
+/// the shared trace lets the sweep's untimed set-up stage pay for them
+/// once, outside every job's timed replay region.
 ///
 /// The forwarding analysis walks the trace once for all L0X windows: the
 /// ranked candidate list holds every pair with its consumer's first-touch
 /// rank, and a window only filters it. The Table 1/4 statistics take no
 /// parameter and are computed on first request only: the sweep never asks
-/// for them, so decode and prewarm do not pay for them.
+/// for them, so its set-up does not pay for them.
 ///
 /// Hot-map audit: probed by key under a mutex, never iterated.
 #[derive(Debug, Default)]
@@ -263,59 +340,21 @@ struct AnalysisCache {
 }
 
 impl DecodedTrace {
-    /// Decodes `workload` into flat arrays. Do this once per workload and
-    /// share the result across runs.
+    /// `workload`'s lanes with an empty analysis cache, in constant time:
+    /// the lanes are shared, never copied. The recorder already wrote
+    /// them, so nothing is decoded; the name is held for the `perf`
+    /// harness (ROADMAP item 3).
     pub fn decode(workload: &Workload) -> DecodedTrace {
-        let total: usize = workload.phases.iter().map(|p| p.refs.len()).sum();
-        let mut blocks = Vec::with_capacity(total);
-        let mut kinds = Vec::with_capacity(total);
-        let mut gaps = Vec::with_capacity(total);
-        let mut ordinals = Vec::with_capacity(total);
-        let mut ordinal_blocks = Vec::new();
-        // Hot-map audit: probed per reference, never iterated; ordinals
-        // follow `ordinal_blocks`' push order, which is program order.
-        let mut ordinal_of: FxHashMap<BlockAddr, u32> = FxHashMap::default();
-        let mut phase_offsets = Vec::with_capacity(workload.phases.len() + 1);
-        let mut op_prefix = Vec::with_capacity(workload.phases.len() + 1);
-        phase_offsets.push(0);
-        op_prefix.push(OpCounts::default());
-        let mut ops = OpCounts::default();
-        for p in &workload.phases {
-            for r in &p.refs {
-                let b = r.block();
-                blocks.push(b);
-                kinds.push(r.kind);
-                gaps.push(r.gap);
-                ordinals.push(*ordinal_of.entry(b).or_insert_with(|| {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "a trace names far fewer than 2^32 blocks"
-                    )]
-                    let o = u32::try_from(ordinal_blocks.len()).expect("block ordinal overflow");
-                    ordinal_blocks.push(b);
-                    o
-                }));
-            }
-            phase_offsets.push(blocks.len());
-            ops += p.ops;
-            op_prefix.push(ops);
-        }
         DecodedTrace {
-            blocks,
-            kinds,
-            gaps,
-            ordinals,
-            ordinal_blocks,
-            phase_offsets,
-            op_prefix,
+            lanes: Arc::clone(&workload.lanes),
             analysis: AnalysisCache::default(),
         }
     }
 
     /// Oracle DMA windows of every phase for a scratchpad of
     /// `capacity_blocks` (host phases get an empty list), computed once per
-    /// capacity and shared. `workload` must be the workload this trace was
-    /// decoded from.
+    /// capacity and shared. `workload` must be the workload this trace shares
+    /// its lanes with.
     ///
     /// # Panics
     ///
@@ -342,7 +381,7 @@ impl DecodedTrace {
     /// FUSION-Dx forwarding pairs for an L0X of `consumer_window` blocks
     /// (`usize::MAX`: every pair), computed once per window and shared. The
     /// trace is walked once for all windows. `workload` must be the
-    /// workload this trace was decoded from.
+    /// workload this trace shares its lanes with.
     pub fn forward_pairs(
         &self,
         workload: &Workload,
@@ -370,7 +409,7 @@ impl DecodedTrace {
 
     /// Table 1/4 statistics of the accelerator phases (per-function %SHR
     /// and op mix, %dirty blocks), computed on first request and shared.
-    /// `workload` must be the workload this trace was decoded from.
+    /// `workload` must be the workload this trace shares its lanes with.
     pub fn trace_stats(&self, workload: &Workload) -> &TraceStats {
         self.analysis
             .stats
@@ -380,40 +419,33 @@ impl DecodedTrace {
     /// Unique working-set size across the whole program (host phases
     /// included): one block per ordinal.
     pub fn working_set(&self) -> Bytes {
-        Bytes::new(self.ordinal_blocks.len() as u64 * fusion_types::CACHE_BLOCK_BYTES as u64)
+        Bytes::new(self.lanes.ordinal_blocks.len() as u64 * fusion_types::CACHE_BLOCK_BYTES as u64)
     }
 
     /// The ordinal → block table: entry `o` is the block that
     /// [`DecodedPhase::ordinals`] value `o` names. Blocks appear in the
     /// order the trace first touches them.
     pub fn ordinal_blocks(&self) -> &[BlockAddr] {
-        &self.ordinal_blocks
+        &self.lanes.ordinal_blocks
     }
 
-    /// Number of phases in the decoded stream.
+    /// Number of phases.
     pub fn phase_count(&self) -> usize {
-        self.phase_offsets.len() - 1
+        self.lanes.phase_offsets.len() - 1
     }
 
     /// Total dynamic references across all phases.
     pub fn total_refs(&self) -> u64 {
-        self.blocks.len() as u64
+        self.lanes.blocks.len() as u64
     }
 
-    /// Borrowed view of phase `idx`'s decoded references.
+    /// Borrowed view of phase `idx`'s references.
     ///
     /// # Panics
     ///
     /// Panics if `idx >= phase_count()`.
     pub fn phase(&self, idx: usize) -> DecodedPhase<'_> {
-        let lo = self.phase_offsets[idx];
-        let hi = self.phase_offsets[idx + 1];
-        DecodedPhase {
-            blocks: &self.blocks[lo..hi],
-            kinds: &self.kinds[lo..hi],
-            gaps: &self.gaps[lo..hi],
-            ordinals: &self.ordinals[lo..hi],
-        }
+        self.lanes.phase(idx)
     }
 
     /// The same-kind runs of phase `idx` (phase-local positions),
@@ -426,11 +458,6 @@ impl DecodedTrace {
     /// Panics if `idx >= phase_count()`.
     pub fn phase_kind_runs(&self, idx: usize) -> Vec<KindRun> {
         kind_runs_of(self.phase(idx).kinds).collect()
-    }
-
-    /// Op counts of phase `idx` (recovered from the prefix sums).
-    pub fn phase_ops(&self, idx: usize) -> OpCounts {
-        self.op_prefix[idx + 1] - self.op_prefix[idx]
     }
 }
 
@@ -478,44 +505,31 @@ impl<'a> DecodedPhase<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Recorder;
     use fusion_types::AxcId;
+    use AccessKind::{Load, Store};
 
-    fn r(addr: u64, kind: AccessKind) -> MemRef {
-        MemRef {
-            addr: VirtAddr::new(addr),
-            size: 4,
-            kind,
-            gap: 0,
+    type Refs<'a> = &'a [(u64, AccessKind)];
+
+    /// A workload of `phases` (name, unit, block-index references).
+    fn workload(phases: &[(&str, ExecUnit, Refs<'_>)]) -> Workload {
+        let rec = Recorder::new();
+        for &(name, unit, refs) in phases {
+            for &(b, kind) in refs {
+                rec.access(BlockAddr::from_index(b), kind);
+            }
+            rec.end_phase(name, unit, 2, 500);
         }
+        rec.finish("T", Pid::new(1))
     }
 
-    fn phase(name: &str, unit: ExecUnit, refs: Vec<MemRef>) -> Phase {
-        Phase {
-            name: name.into(),
-            unit,
-            refs,
-            ops: OpCounts::default(),
-            mlp: 2,
-            lease: 500,
-        }
+    fn axc(i: u16) -> ExecUnit {
+        ExecUnit::Axc(AxcId::new(i))
     }
 
     #[test]
     fn phase_counts_loads_and_stores() {
-        let p = phase(
-            "f",
-            ExecUnit::Axc(AxcId::new(0)),
-            vec![
-                r(0, AccessKind::Load),
-                r(64, AccessKind::Store),
-                r(0, AccessKind::Load),
-            ],
-        );
-        let wl = Workload {
-            name: "T".into(),
-            pid: Pid::new(1),
-            phases: vec![p],
-        };
+        let wl = workload(&[("f", axc(0), &[(0, Load), (1, Store), (0, Load)])]);
         let d = DecodedTrace::decode(&wl);
         let f = &d.trace_stats(&wl)["f"];
         assert_eq!(f.loads, 2);
@@ -525,116 +539,62 @@ mod tests {
 
     #[test]
     fn workload_functions_are_deduped_in_order() {
-        let wl = Workload {
-            name: "T".into(),
-            pid: Pid::new(1),
-            phases: vec![
-                phase("a", ExecUnit::Axc(AxcId::new(0)), vec![]),
-                phase("b", ExecUnit::Axc(AxcId::new(1)), vec![]),
-                phase("a", ExecUnit::Axc(AxcId::new(0)), vec![]),
-                phase("host", ExecUnit::Host, vec![]),
-            ],
-        };
+        let wl = workload(&[
+            ("a", axc(0), &[]),
+            ("b", axc(1), &[]),
+            ("a", axc(0), &[]),
+            ("host", ExecUnit::Host, &[]),
+        ]);
         assert_eq!(wl.functions(), vec!["a", "b"]);
         assert_eq!(wl.axc_count(), 2);
     }
 
     #[test]
     fn working_set_dedups_blocks() {
-        let wl = Workload {
-            name: "T".into(),
-            pid: Pid::new(1),
-            phases: vec![
-                phase(
-                    "a",
-                    ExecUnit::Axc(AxcId::new(0)),
-                    vec![r(0, AccessKind::Load), r(8, AccessKind::Load)],
-                ),
-                phase(
-                    "b",
-                    ExecUnit::Axc(AxcId::new(1)),
-                    vec![r(0, AccessKind::Store), r(128, AccessKind::Load)],
-                ),
-            ],
-        };
+        let wl = workload(&[
+            ("a", axc(0), &[(0, Load), (0, Load)]),
+            ("b", axc(1), &[(0, Store), (2, Load)]),
+        ]);
         assert_eq!(DecodedTrace::decode(&wl).working_set().value(), 128);
         assert_eq!(wl.total_refs(), 4);
     }
 
     #[test]
-    fn memref_block_mapping() {
-        let m = r(130, AccessKind::Load);
-        assert_eq!(m.block(), BlockAddr::from_index(2));
+    fn lanes_mirror_the_recorded_references() {
+        let wl = workload(&[
+            ("a", axc(0), &[(0, Load), (2, Store)]),
+            ("host", ExecUnit::Host, &[(1, Load), (2, Load)]),
+        ]);
+        let d = DecodedTrace::decode(&wl);
+        assert_eq!(d.phase_count(), 2);
+        assert_eq!(d.total_refs(), 4);
+        let b = BlockAddr::from_index;
+        assert_eq!(d.phase(0).blocks, [b(0), b(2)]);
+        assert_eq!(d.phase(0).kinds, [Load, Store]);
+        assert_eq!(d.phase(1).blocks, [b(1), b(2)]);
+        assert_eq!(d.phase(1).ordinals, [2, 1]);
+        assert_eq!(d.ordinal_blocks(), [b(0), b(2), b(1)]);
     }
 
     #[test]
-    fn decoded_trace_mirrors_workload() {
-        let wl = Workload {
-            name: "T".into(),
-            pid: Pid::new(1),
-            phases: vec![
-                phase(
-                    "a",
-                    ExecUnit::Axc(AxcId::new(0)),
-                    vec![r(0, AccessKind::Load), r(130, AccessKind::Store)],
-                ),
-                phase("host", ExecUnit::Host, vec![r(64, AccessKind::Load)]),
-            ],
-        };
+    fn decode_shares_the_lanes() {
+        let wl = workload(&[("a", axc(0), &[(0, Load)])]);
         let d = DecodedTrace::decode(&wl);
-        assert_eq!(d.phase_count(), 2);
-        assert_eq!(d.total_refs(), 3);
-        for (i, p) in wl.phases.iter().enumerate() {
-            let dp = d.phase(i);
-            assert_eq!(dp.len(), p.refs.len());
-            for (j, mr) in p.refs.iter().enumerate() {
-                assert_eq!(dp.blocks[j], mr.block());
-                assert_eq!(dp.kinds[j], mr.kind);
-                assert_eq!(dp.gaps[j], mr.gap);
-                assert_eq!(d.ordinal_blocks()[dp.ordinals[j] as usize], mr.block());
-            }
-            assert_eq!(d.phase_ops(i), p.ops);
-        }
+        assert!(Arc::ptr_eq(&d.lanes, &wl.lanes));
     }
 
     #[test]
     fn decoded_phase_slices_like_ref_ranges() {
-        let refs: Vec<MemRef> = (0..10u64).map(|i| r(i * 64, AccessKind::Load)).collect();
-        let wl = Workload {
-            name: "T".into(),
-            pid: Pid::new(1),
-            phases: vec![phase("a", ExecUnit::Axc(AxcId::new(0)), refs.clone())],
-        };
+        let refs: Vec<(u64, AccessKind)> = (0..10u64).map(|i| (i, Load)).collect();
+        let wl = workload(&[("a", axc(0), &refs)]);
         let d = DecodedTrace::decode(&wl);
         let w = d.phase(0).slice(3, 7);
         assert_eq!(w.len(), 4);
         assert!(!w.is_empty());
-        for (j, mr) in refs[3..7].iter().enumerate() {
-            assert_eq!(w.blocks[j], mr.block());
+        for (j, &(b, _)) in refs[3..7].iter().enumerate() {
+            assert_eq!(w.blocks[j], BlockAddr::from_index(b));
         }
         assert!(w.slice(4, 4).is_empty());
-    }
-
-    #[test]
-    fn op_prefix_sums_recover_phase_ops() {
-        let mut p1 = phase("a", ExecUnit::Axc(AxcId::new(0)), vec![]);
-        p1.ops = OpCounts {
-            int_ops: 5,
-            fp_ops: 2,
-        };
-        let mut p2 = phase("host", ExecUnit::Host, vec![]);
-        p2.ops = OpCounts {
-            int_ops: 1,
-            fp_ops: 9,
-        };
-        let wl = Workload {
-            name: "T".into(),
-            pid: Pid::new(1),
-            phases: vec![p1.clone(), p2.clone()],
-        };
-        let d = DecodedTrace::decode(&wl);
-        assert_eq!(d.phase_ops(0), p1.ops);
-        assert_eq!(d.phase_ops(1), p2.ops);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The ordinal-indexed trace analyses against brute-force references
-//! written over the `MemRef` phases with ordered maps: the oracle DMA
+//! written over the block and kind lanes with ordered maps: the oracle DMA
 //! windows, the FUSION-Dx forwarding pairs and the Table 1/4 trace
 //! statistics of every suite, at tiny and small scale, must come out
 //! exactly as the references compute them.
@@ -7,9 +7,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fusion_accel::analysis::{DmaWindow, ForwardPair, FunctionStats, TraceStats};
-use fusion_accel::{DecodedTrace, MemRef, OpCounts, Phase, Workload};
+use fusion_accel::{DecodedPhase, DecodedTrace, OpCounts, Recorder, Workload};
 use fusion_types::ids::ExecUnit;
-use fusion_types::{AccessKind, AxcId, BlockAddr, Pid, VirtAddr};
+use fusion_types::{AccessKind, AxcId, BlockAddr, Pid};
 use fusion_workloads::{all_suites, build_suite, Scale};
 
 const CAPACITIES: [usize; 7] = [1, 2, 32, 64, 128, 256, 4096];
@@ -28,7 +28,7 @@ fn traces() -> impl Iterator<Item = (String, Workload, DecodedTrace)> {
 /// Oracle DMA windows of one phase: a window grows until a new block
 /// would exceed `capacity` distinct blocks; it stages the blocks first
 /// read and writes back the blocks written.
-fn reference_windows(phase: &Phase, capacity: usize) -> Vec<DmaWindow> {
+fn reference_windows(phase: DecodedPhase<'_>, capacity: usize) -> Vec<DmaWindow> {
     // block -> (dirty, first access is a read)
     let mut resident: BTreeMap<BlockAddr, (bool, bool)> = BTreeMap::new();
     let mut windows = Vec::new();
@@ -42,19 +42,19 @@ fn reference_windows(phase: &Phase, capacity: usize) -> Vec<DmaWindow> {
         resident.clear();
         start = end;
     };
-    for (i, r) in phase.refs.iter().enumerate() {
-        let is_write = r.kind.is_write();
-        if let Some((dirty, _)) = resident.get_mut(&r.block()) {
+    for (i, (&block, kind)) in phase.blocks.iter().zip(phase.kinds).enumerate() {
+        let is_write = kind.is_write();
+        if let Some((dirty, _)) = resident.get_mut(&block) {
             *dirty |= is_write;
             continue;
         }
         if resident.len() == capacity {
             close(&mut resident, i);
         }
-        resident.insert(r.block(), (is_write, !is_write));
+        resident.insert(block, (is_write, !is_write));
     }
-    if !phase.refs.is_empty() {
-        close(&mut resident, phase.refs.len());
+    if !phase.is_empty() {
+        close(&mut resident, phase.len());
     }
     windows
 }
@@ -76,23 +76,24 @@ struct Touch {
 /// wrote it and a different accelerator reads it first, among that
 /// consumer's first `window` distinct blocks; keyed by
 /// `(block, producer_phase, consumer)`.
-fn reference_pairs(wl: &Workload, window: usize) -> Vec<ForwardPair> {
+fn reference_pairs(wl: &Workload, trace: &DecodedTrace, window: usize) -> Vec<ForwardPair> {
     let mut timeline: BTreeMap<BlockAddr, Vec<Touch>> = BTreeMap::new();
     for (phase, p) in wl.phases.iter().enumerate() {
+        let dp = trace.phase(phase);
         let mut seen: BTreeMap<BlockAddr, Touch> = BTreeMap::new();
-        for (i, r) in p.refs.iter().enumerate() {
+        for (i, (&block, kind)) in dp.blocks.iter().zip(dp.kinds).enumerate() {
             let rank = seen.len();
-            let t = seen.entry(r.block()).or_insert(Touch {
+            let t = seen.entry(block).or_insert(Touch {
                 phase,
                 axc: p.unit.axc(),
                 wrote: false,
-                read_first: !r.kind.is_write(),
+                read_first: !kind.is_write(),
                 first_ref: i,
                 last_ref: i,
-                phase_len: p.refs.len(),
+                phase_len: dp.len(),
                 rank,
             });
-            t.wrote |= r.kind.is_write();
+            t.wrote |= kind.is_write();
             t.last_ref = i;
         }
         for (b, t) in seen {
@@ -133,7 +134,7 @@ fn dma_windows_match_the_reference_at_every_capacity() {
                 let want = if p.unit.is_host() {
                     Vec::new()
                 } else {
-                    reference_windows(p, cap)
+                    reference_windows(decoded.phase(idx), cap)
                 };
                 assert_eq!(windows[idx], want, "{name} phase {idx} capacity {cap}");
             }
@@ -146,14 +147,14 @@ fn every_dma_window_fits_its_scratchpad() {
     for (name, wl, decoded) in traces() {
         for cap in CAPACITIES {
             let windows = decoded.dma_windows(&wl, cap);
-            for (p, phase_windows) in wl.phases.iter().zip(windows.iter()) {
+            for (idx, phase_windows) in windows.iter().enumerate() {
+                let blocks = decoded.phase(idx).blocks;
                 let mut next = 0;
                 for w in phase_windows {
                     let (lo, hi) = w.ref_range;
                     assert_eq!(lo, next, "{name}: windows tile their phase");
                     next = hi;
-                    let distinct: BTreeSet<BlockAddr> =
-                        p.refs[lo..hi].iter().map(|r| r.block()).collect();
+                    let distinct: BTreeSet<BlockAddr> = blocks[lo..hi].iter().copied().collect();
                     assert!(
                         distinct.len() <= cap,
                         "{name}: window [{lo}, {hi}) holds {} blocks, capacity {cap}",
@@ -171,7 +172,7 @@ fn forward_pairs_match_the_reference_at_every_window() {
     for (name, wl, decoded) in traces() {
         for w in WINDOWS {
             let got = decoded.forward_pairs(&wl, w);
-            assert_eq!(*got, reference_pairs(&wl, w), "{name} window {w}");
+            assert_eq!(*got, reference_pairs(&wl, &decoded, w), "{name} window {w}");
             found += got.len();
         }
     }
@@ -186,12 +187,12 @@ fn ordinal_table_round_trips_every_reference() {
         assert_eq!(distinct.len(), table.len(), "{name}: one ordinal per block");
         // Ordinals are dense and handed out in first-touch order.
         let mut issued = 0usize;
-        for (idx, p) in wl.phases.iter().enumerate() {
+        for idx in 0..wl.phases.len() {
             let dp = decoded.phase(idx);
-            assert_eq!(dp.ordinals.len(), p.refs.len());
-            for (r, &o) in p.refs.iter().zip(dp.ordinals) {
+            assert_eq!(dp.ordinals.len(), dp.blocks.len());
+            for (&block, &o) in dp.blocks.iter().zip(dp.ordinals) {
                 let o = o as usize;
-                assert_eq!(table[o], r.block(), "{name} phase {idx}");
+                assert_eq!(table[o], block, "{name} phase {idx}");
                 assert!(o <= issued, "{name}: ordinal {o} skips ahead of {issued}");
                 issued = issued.max(o + 1);
             }
@@ -201,19 +202,28 @@ fn ordinal_table_round_trips_every_reference() {
 }
 
 /// Distinct blocks of the workload, host phases included (Figure 6d).
-fn reference_working_set(wl: &Workload) -> BTreeSet<BlockAddr> {
-    wl.phases
-        .iter()
-        .flat_map(|p| p.refs.iter().map(MemRef::block))
+fn reference_working_set(wl: &Workload, trace: &DecodedTrace) -> BTreeSet<BlockAddr> {
+    (0..wl.phases.len())
+        .flat_map(|idx| trace.phase(idx).blocks.iter().copied())
         .collect()
 }
 
+/// The indices of function `name`'s accelerator phases.
+fn function_phases<'a>(wl: &'a Workload, name: &'a str) -> impl Iterator<Item = usize> + 'a {
+    (0..wl.phases.len()).filter(move |&idx| {
+        let p = &wl.phases[idx];
+        p.name == name && !p.unit.is_host()
+    })
+}
+
 /// Distinct blocks function `name`'s accelerator phases touch.
-fn reference_function_blocks(wl: &Workload, name: &str) -> BTreeSet<BlockAddr> {
-    wl.phases
-        .iter()
-        .filter(|p| p.name == name && !p.unit.is_host())
-        .flat_map(|p| p.refs.iter().map(MemRef::block))
+fn reference_function_blocks(
+    wl: &Workload,
+    trace: &DecodedTrace,
+    name: &str,
+) -> BTreeSet<BlockAddr> {
+    function_phases(wl, name)
+        .flat_map(|idx| trace.phase(idx).blocks.iter().copied())
         .collect()
 }
 
@@ -221,26 +231,23 @@ fn reference_function_blocks(wl: &Workload, name: &str) -> BTreeSet<BlockAddr> {
 /// union of every other function's, op counts summed over the function's
 /// accelerator phases, and the accelerator phases' touched and written
 /// block sets.
-fn reference_stats(wl: &Workload) -> TraceStats {
+fn reference_stats(wl: &Workload, trace: &DecodedTrace) -> TraceStats {
     let names = wl.functions();
     let functions = names
         .iter()
         .map(|&name| {
-            let mine = reference_function_blocks(wl, name);
+            let mine = reference_function_blocks(wl, trace, name);
             let others: BTreeSet<BlockAddr> = names
                 .iter()
                 .filter(|&&other| other != name)
-                .flat_map(|other| reference_function_blocks(wl, other))
+                .flat_map(|other| reference_function_blocks(wl, trace, other))
                 .collect();
-            let phases = wl
-                .phases
-                .iter()
-                .filter(|p| p.name == name && !p.unit.is_host());
             let (mut loads, mut stores, mut ops) = (0, 0, OpCounts::default());
-            for p in phases {
-                stores += p.refs.iter().filter(|r| r.kind.is_write()).count() as u64;
-                loads += p.refs.iter().filter(|r| !r.kind.is_write()).count() as u64;
-                ops += p.ops;
+            for idx in function_phases(wl, name) {
+                let kinds = trace.phase(idx).kinds;
+                stores += kinds.iter().filter(|k| k.is_write()).count() as u64;
+                loads += kinds.iter().filter(|k| !k.is_write()).count() as u64;
+                ops += wl.phases[idx].ops;
             }
             FunctionStats {
                 name: name.to_owned(),
@@ -254,11 +261,15 @@ fn reference_stats(wl: &Workload) -> TraceStats {
         .collect();
     let mut touched = BTreeSet::new();
     let mut dirty = BTreeSet::new();
-    for p in wl.phases.iter().filter(|p| !p.unit.is_host()) {
-        for r in &p.refs {
-            touched.insert(r.block());
-            if r.kind.is_write() {
-                dirty.insert(r.block());
+    for (idx, p) in wl.phases.iter().enumerate() {
+        if p.unit.is_host() {
+            continue;
+        }
+        let dp = trace.phase(idx);
+        for (&block, kind) in dp.blocks.iter().zip(dp.kinds) {
+            touched.insert(block);
+            if kind.is_write() {
+                dirty.insert(block);
             }
         }
     }
@@ -272,11 +283,11 @@ fn reference_stats(wl: &Workload) -> TraceStats {
 #[test]
 fn trace_stats_match_the_reference_for_every_function() {
     for (name, wl, decoded) in traces() {
-        let want = reference_stats(&wl);
+        let want = reference_stats(&wl, &decoded);
         let got = decoded.trace_stats(&wl);
         assert_eq!(
             decoded.working_set().value(),
-            reference_working_set(&wl).len() as u64 * 64,
+            reference_working_set(&wl, &decoded).len() as u64 * 64,
             "{name}: working set"
         );
         assert_eq!(got.blocks, want.blocks, "{name}: accelerator blocks");
@@ -291,49 +302,33 @@ fn trace_stats_match_the_reference_for_every_function() {
     }
 }
 
-fn r(block: u64, kind: AccessKind) -> MemRef {
-    MemRef {
-        addr: VirtAddr::new(block * 64),
-        size: 4,
-        kind,
-        gap: 0,
-    }
-}
-
-fn phase(name: &str, unit: ExecUnit, refs: Vec<MemRef>) -> Phase {
-    Phase {
-        name: name.into(),
-        unit,
-        refs,
-        ops: OpCounts {
-            int_ops: 3,
-            fp_ops: 1,
-        },
-        mlp: 2,
-        lease: 500,
-    }
-}
-
 #[test]
 fn trace_stats_ignore_host_phases_and_count_interleaved_functions_once() {
     use AccessKind::{Load, Store};
     let axc = |i| ExecUnit::Axc(AxcId::new(i));
-    let wl = Workload {
-        name: "T".into(),
-        pid: Pid::new(1),
-        phases: vec![
-            phase("a", axc(0), vec![r(0, Load), r(1, Store), r(0, Load)]),
-            phase("b", axc(1), vec![r(1, Load), r(2, Load)]),
-            // Host code named like an accelerated function is not part of
-            // it: its blocks and writes count nowhere but the working set.
-            phase("a", ExecUnit::Host, vec![r(2, Store), r(9, Store)]),
-            phase("a", axc(0), vec![r(3, Store), r(1, Load)]),
-            phase("c", axc(2), vec![r(4, Load)]),
-        ],
-    };
+    type Refs<'a> = &'a [(u64, AccessKind)];
+    let phases: [(&str, ExecUnit, Refs<'_>); 5] = [
+        ("a", axc(0), &[(0, Load), (1, Store), (0, Load)]),
+        ("b", axc(1), &[(1, Load), (2, Load)]),
+        // Host code named like an accelerated function is not part of
+        // it: its blocks and writes count nowhere but the working set.
+        ("a", ExecUnit::Host, &[(2, Store), (9, Store)]),
+        ("a", axc(0), &[(3, Store), (1, Load)]),
+        ("c", axc(2), &[(4, Load)]),
+    ];
+    let rec = Recorder::new();
+    for (name, unit, refs) in phases {
+        for &(b, kind) in refs {
+            rec.access(BlockAddr::from_index(b), kind);
+        }
+        rec.int_ops(3);
+        rec.fp_ops(1);
+        rec.end_phase(name, unit, 2, 500);
+    }
+    let wl = rec.finish("T", Pid::new(1));
     let decoded = DecodedTrace::decode(&wl);
     let got = decoded.trace_stats(&wl);
-    assert_eq!(*got, reference_stats(&wl));
+    assert_eq!(*got, reference_stats(&wl, &decoded));
     assert_eq!(decoded.working_set().value(), 6 * 64);
     assert_eq!((got.blocks, got.dirty_blocks), (5, 2));
     let blocks = |f: &str| (got[f].blocks, got[f].shared_blocks);

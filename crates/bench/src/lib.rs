@@ -25,14 +25,12 @@ use fusion_workloads::{Scale, SuiteId};
 pub struct SuiteRun {
     /// Suite identity.
     pub id: SuiteId,
-    /// The workload's phase metadata (names, units, MLP, leases, op
-    /// counts, pid), shared with the sweep pool that produced the
-    /// results. Its phases hold no references: the sweep's trace cache
-    /// drops them once decoded, so the renderers read `trace` instead.
+    /// The recorded workload (phase metadata over its lanes), shared
+    /// with the sweep pool that produced the results.
     pub workload: Arc<Workload>,
-    /// The same trace decoded, shared with the sweep pool: the renderers
-    /// read its statistics ([`DecodedTrace::trace_stats`],
-    /// [`DecodedTrace::working_set`]).
+    /// The same lanes with their memoized analyses, shared with the
+    /// sweep pool: the renderers read its statistics
+    /// ([`DecodedTrace::trace_stats`], [`DecodedTrace::working_set`]).
     pub trace: Arc<DecodedTrace>,
     /// SCRATCH result (small config).
     pub scratch: SimResult,

@@ -4,7 +4,8 @@
 //! report on partial completion, 2 on usage errors such as resuming
 //! against a journal from a different code version or calling a retired
 //! subcommand or option. The `tables` binary reports an unknown section
-//! or scale the same way, before it simulates.
+//! or scale the same way, before it simulates. A trace written by
+//! `sim trace` replays to exactly the live `sim run` result.
 
 #![allow(clippy::expect_used, reason = "a test fails by panicking")]
 
@@ -256,6 +257,43 @@ fn partial_sweep_exits_one_with_salvage_then_resume_completes() {
     assert_eq!(exit_code(&resumed), 0, "{}", stderr(&resumed));
     std::fs::remove_file(&wal).ok();
     std::fs::remove_file(&salvage_path).ok();
+}
+
+#[test]
+fn a_recorded_trace_replays_to_the_live_result() {
+    let trace = temp("fft_tiny.trace");
+    let trace_s = trace.to_str().unwrap();
+    let wrote = sim(&[
+        "trace", "--suite", "fft", "--scale", "tiny", "--out", trace_s,
+    ]);
+    assert_eq!(exit_code(&wrote), 0, "{}", stderr(&wrote));
+    for system in ["sc", "sh", "fu", "fu-dx"] {
+        let live = sim(&[
+            "run", "--system", system, "--suite", "fft", "--scale", "tiny", "--json",
+        ]);
+        let replayed = sim(&["replay", "--system", system, "--trace", trace_s, "--json"]);
+        assert_eq!(exit_code(&live), 0, "{}", stderr(&live));
+        assert_eq!(exit_code(&replayed), 0, "{}", stderr(&replayed));
+        assert!(!live.stdout.is_empty());
+        assert_eq!(
+            String::from_utf8_lossy(&replayed.stdout),
+            String::from_utf8_lossy(&live.stdout),
+            "{system}: the replayed trace diverged from the live run"
+        );
+    }
+    // A version-1 file (the format before the recorder wrote lanes) is a
+    // decode error: a runtime failure, not a silent misread.
+    let mut bytes = std::fs::read(&trace).unwrap();
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    std::fs::write(&trace, bytes).unwrap();
+    let old = sim(&["replay", "--system", "fu", "--trace", trace_s]);
+    assert_eq!(exit_code(&old), 1, "{}", stderr(&old));
+    assert!(
+        stderr(&old).contains("unsupported trace version 1"),
+        "{}",
+        stderr(&old)
+    );
+    std::fs::remove_file(&trace).ok();
 }
 
 #[test]

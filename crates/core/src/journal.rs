@@ -41,10 +41,11 @@ use fusion_workloads::{Scale, SuiteId};
 use crate::result::SimResult;
 use crate::sweep::{SweepJob, SweepOutcome};
 
-/// Journal line-format version, bumped whenever the row grammar or the
-/// fields covered by the seal change. Rows with a different `fswp` are
-/// dropped with a warning (re-run, never mis-parsed).
-pub const FORMAT_VERSION: u32 = 1;
+/// Journal line-format version, bumped whenever the row grammar, the
+/// fields covered by the seal or the meaning of a field change (version 2:
+/// the trace fingerprint hashes the version-2 trace file). Rows with a
+/// different `fswp` are dropped with a warning (re-run, never mis-parsed).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// The code version stamped into headers and rows: the crate version plus
 /// the journal format revision. Resuming against a journal from any other
@@ -124,8 +125,8 @@ pub struct JournalRow {
     pub code_version: String,
     /// Fingerprint of the encoded workload trace the job replayed.
     pub trace_fingerprint: u64,
-    /// Always `1`: a sweep runs each job once. Kept, like `backoff`, so
-    /// the journal format (and [`FORMAT_VERSION`]) stays unchanged.
+    /// Always `1`: a sweep runs each job once. Kept, like `backoff`,
+    /// while the `perf` harness passes both (ROADMAP item 3).
     pub attempts: u32,
     /// Always `0`; see `attempts`.
     pub backoff: u64,
@@ -363,13 +364,17 @@ pub fn read_journal(bytes: &[u8]) -> Recovery {
                 .push(format!("line {lineno}: {why}; dropped, will re-run"));
             continue;
         };
-        if u64_field(unsealed, "fswp") != Some(FORMAT_VERSION as u64) {
+        // A header is read at any format version: its code version names
+        // the format revision, so resuming a journal of another format is
+        // refused as a code-version mismatch instead of silently re-run.
+        let kind = str_field(unsealed, "kind");
+        if kind != Some("header") && u64_field(unsealed, "fswp") != Some(FORMAT_VERSION as u64) {
             rec.warnings.push(format!(
                 "line {lineno}: unknown journal format version; dropped"
             ));
             continue;
         }
-        match str_field(unsealed, "kind") {
+        match kind {
             Some("header") => {
                 let header = (|| {
                     Some(JournalHeader {
@@ -505,7 +510,8 @@ impl ResumePlan {
 /// ([`JournalError::is_usage`]); a missing header downgrades to a full
 /// re-run with a warning. Per-row mismatches (config fingerprint via the
 /// key, stale code version, changed trace bytes, wrong scale) drop the
-/// row back to the re-run set with a warning.
+/// row back to the re-run set with a warning. `trace_fingerprint` is
+/// asked at most once per suite.
 pub fn plan_resume(
     jobs: &[SweepJob],
     scale: Scale,
@@ -536,6 +542,8 @@ pub fn plan_resume(
             expected: scale_str.to_string(),
         });
     }
+    // Hot-map audit: probed per row, never iterated.
+    let mut fingerprints: FxHashMap<SuiteId, u64> = FxHashMap::default();
     let mut by_key: FxHashMap<JobKey, JournalRow> = FxHashMap::default();
     for row in &recovery.rows {
         by_key.insert(row.key(), row.clone());
@@ -554,7 +562,11 @@ pub fn plan_resume(
             plan.warnings
                 .push(format!("{label}: row scale mismatch; will re-run"));
             false
-        } else if row.trace_fingerprint != trace_fingerprint(job.suite) {
+        } else if row.trace_fingerprint
+            != *fingerprints
+                .entry(job.suite)
+                .or_insert_with(|| trace_fingerprint(job.suite))
+        {
             plan.warnings
                 .push(format!("{label}: workload trace changed; will re-run"));
             false
@@ -854,6 +866,34 @@ mod tests {
         assert_eq!(rec.header, Some(header()));
         assert_eq!(rec.rows, vec![row("FU", "FUSION")]);
         assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
+    }
+
+    #[test]
+    fn a_journal_of_the_previous_format_is_a_usage_error_on_resume() {
+        let old_header = seal_line(
+            "{\"fswp\":1,\"kind\":\"header\",\"scale\":\"tiny\",\"code\":\"0.1.0+wal1\",\"grid\":2",
+        );
+        let row_now = encode_row(&row("FU", "FUSION"));
+        let unsealed = check_seal(&row_now).unwrap();
+        let old_row =
+            seal_line(&unsealed.replacen(&format!("\"fswp\":{FORMAT_VERSION}"), "\"fswp\":1", 1));
+        let rec = read_journal(format!("{old_header}\n{old_row}\n").as_bytes());
+        assert_eq!(
+            rec.header.as_ref().map(|h| h.code_version.as_str()),
+            Some("0.1.0+wal1")
+        );
+        assert!(
+            rec.rows.is_empty(),
+            "a row of another format is never trusted"
+        );
+        let jobs = [SweepJob::new(
+            crate::runner::SystemKind::Fusion,
+            SuiteId::Fft,
+            SystemConfig::small(),
+        )];
+        let err = plan_resume(&jobs, Scale::Tiny, &rec, &code_version(), &mut |_| 0)
+            .expect_err("resume must refuse the journal");
+        assert!(err.is_usage(), "{err}");
     }
 
     #[test]

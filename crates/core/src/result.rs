@@ -61,7 +61,7 @@ pub struct RunMetrics {
     /// Total simulation events processed (energy-ledger activity counts
     /// across every component).
     pub sim_events: u64,
-    /// Dynamic memory references replayed (the decoded trace's length).
+    /// Dynamic memory references replayed (the trace's length).
     pub refs_simulated: u64,
 }
 

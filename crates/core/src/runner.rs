@@ -146,16 +146,14 @@ pub fn run_system(
     workload: &Workload,
     cfg: &SystemConfig,
 ) -> Result<SimResult, SimError> {
-    // Decode outside the timed region so refs/sec measures pure replay,
-    // matching the sweep's shared-decoding path.
     let decoded = DecodedTrace::decode(workload);
     run_system_decoded(kind, workload, &decoded, cfg)
 }
 
-/// Runs `workload` on the chosen system replaying the pre-decoded stream
+/// Runs `workload` on the chosen system, taking the trace analyses from
 /// `decoded` (which must be `DecodedTrace::decode(workload)`).
 ///
-/// This is the sweep's fast path: the decoding is computed once per
+/// This is the sweep's fast path: the analyses are computed once per
 /// `(suite, scale)` and shared across every system and configuration that
 /// replays it. Results are bit-identical to [`run_system`].
 ///
@@ -228,7 +226,7 @@ mod tests {
     }
 
     #[test]
-    fn decoded_path_matches_memref_path() {
+    fn shared_analyses_match_a_fresh_run() {
         let wl = build_suite(SuiteId::Fft, Scale::Tiny);
         let decoded = DecodedTrace::decode(&wl);
         for kind in ALL {

@@ -6,11 +6,10 @@
 //! of [`SweepJob`]s over a scoped worker pool:
 //!
 //! * **Trace sharing** — each distinct `(suite, scale)` workload is
-//!   materialized *and decoded* exactly once behind [`Arc`]s (see
-//!   [`TraceCache`] and [`SharedTrace`]); every job replaying that suite
-//!   shares the phase metadata and its flat [`DecodedTrace`] instead of
-//!   re-running the instrumented kernels and re-deriving block addresses
-//!   per run. The references themselves are dropped once decoded.
+//!   recorded exactly once behind [`Arc`]s (see [`TraceCache`] and
+//!   [`SharedTrace`]); every job replaying that suite shares its phase
+//!   metadata, its lanes and their memoized analyses instead of re-running
+//!   the instrumented kernels per run.
 //! * **Planning-time dedupe** — before any job runs, `memo::plan`
 //!   groups the jobs by system, suite and the config slice the system can
 //!   observe (on by default, see [`Sweep::memo`] and DESIGN.md §12). Each
@@ -239,23 +238,18 @@ pub fn design_grid(base: &SystemConfig) -> Vec<SweepJob> {
     jobs
 }
 
-/// A workload's phase metadata together with its decoded reference
-/// stream, both behind [`Arc`]s so every job of a sweep shares one copy.
+/// A recorded workload together with the memoized analyses of its lanes,
+/// both behind [`Arc`]s so every job of a sweep shares one copy.
 #[derive(Debug, Clone)]
 pub struct SharedTrace {
-    /// The workload's metadata: names, units, MLP, leases, op counts and
-    /// pid. Its phases hold no [`MemRef`](fusion_accel::MemRef)s; the
-    /// cache drops them once decoded (DESIGN.md §8).
+    /// The workload: phase metadata over the recorded lanes.
     pub workload: Arc<Workload>,
-    /// The flat decoded stream every replay loop consumes.
+    /// The same lanes with the analysis cache every replay consults.
     pub decoded: Arc<DecodedTrace>,
-    /// Fingerprint of the encoded trace, set by
-    /// [`TraceCache::fingerprint`].
-    fingerprint: Arc<OnceLock<u64>>,
 }
 
-/// Workload traces materialized once per `(suite, scale)` and shared
-/// between jobs behind [`Arc`]s.
+/// Workload traces recorded once per `(suite, scale)` and shared between
+/// jobs behind [`Arc`]s.
 ///
 /// `build_suite` re-runs the instrumented kernels every call; for a full
 /// grid that is 4–6 rebuilds per suite. The cache makes it exactly one —
@@ -263,19 +257,12 @@ pub struct SharedTrace {
 /// kernels never run while the cache-wide mutex is held and never run
 /// twice for the same key (concurrent callers for one key block on the
 /// slot, not on each other's builds).
-///
-/// A build decodes the workload and then drops every phase's references,
-/// so a suite's `MemRef`s live only during its own build and the cache
-/// keeps metadata plus the decoded lanes. Only
-/// [`TraceCache::fingerprint`] hashes: a trace it builds is hashed before
-/// the drop, so `get` alone (tables, unjournaled sweeps) hashes nothing.
 #[derive(Default)]
 pub struct TraceCache {
     // Hot-map audit: keyed per (suite, scale) under a mutex; FxHash keeps
     // the critical section short and the iteration order deterministic.
     slots: Mutex<FxHashMap<(SuiteId, Scale), BuildSlot>>,
     builds: AtomicUsize,
-    hashes: AtomicUsize,
 }
 
 /// One key's build slot: cloned out of the map so initialization runs
@@ -288,30 +275,29 @@ impl TraceCache {
         TraceCache::default()
     }
 
-    /// Returns the shared trace for `(suite, scale)`, building and decoding
-    /// it on first use.
+    /// Returns the shared trace for `(suite, scale)`, recording it on
+    /// first use.
     pub fn get(&self, suite: SuiteId, scale: Scale) -> SharedTrace {
         self.slot(suite, scale)
-            .get_or_init(|| self.build(suite, scale, false))
+            .get_or_init(|| {
+                self.builds.fetch_add(1, Ordering::Relaxed);
+                let workload = build_suite(suite, scale);
+                let decoded = DecodedTrace::decode(&workload);
+                SharedTrace {
+                    workload: Arc::new(workload),
+                    decoded: Arc::new(decoded),
+                }
+            })
             .clone()
     }
 
     /// FNV-1a fingerprint of `(suite, scale)`'s encoded trace bytes — the
     /// value the result journal stores per row so a resume can prove the
     /// workload generator still produces the same trace (DESIGN.md §13).
-    ///
-    /// On first use it builds the trace as [`TraceCache::get`] would and
-    /// hashes the full references before they are dropped. A trace that
-    /// `get` built first was dropped unhashed, so it hashes a fresh
-    /// `build_suite` once (the generator is deterministic): never the
-    /// stripped workload, whose hash would not be the trace's.
+    /// Hashed from the cached workload on every call, so callers that
+    /// need it per row look it up once per suite.
     pub fn fingerprint(&self, suite: SuiteId, scale: Scale) -> u64 {
-        let slot = self.slot(suite, scale);
-        let trace = slot.get_or_init(|| self.build(suite, scale, true));
-        *trace.fingerprint.get_or_init(|| {
-            self.hashes.fetch_add(1, Ordering::Relaxed);
-            trace_io::fingerprint(&build_suite(suite, scale))
-        })
+        trace_io::fingerprint(&self.get(suite, scale).workload)
     }
 
     /// The build slot for `(suite, scale)`, created empty on first use.
@@ -330,37 +316,9 @@ impl TraceCache {
         )
     }
 
-    /// Builds and decodes one suite, hashes it if `hash`, then drops every
-    /// phase's references.
-    fn build(&self, suite: SuiteId, scale: Scale, hash: bool) -> SharedTrace {
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        let mut workload = build_suite(suite, scale);
-        let decoded = DecodedTrace::decode(&workload);
-        let fingerprint = if hash {
-            self.hashes.fetch_add(1, Ordering::Relaxed);
-            OnceLock::from(trace_io::fingerprint(&workload))
-        } else {
-            OnceLock::new()
-        };
-        for phase in &mut workload.phases {
-            phase.refs = Vec::new();
-        }
-        SharedTrace {
-            workload: Arc::new(workload),
-            decoded: Arc::new(decoded),
-            fingerprint: Arc::new(fingerprint),
-        }
-    }
-
     /// Total workload builds performed (each key builds exactly once).
     pub fn builds(&self) -> usize {
         self.builds.load(Ordering::Relaxed)
-    }
-
-    /// Total traces hashed: at most one per key, and only for keys whose
-    /// [`TraceCache::fingerprint`] was asked for.
-    pub fn hashes(&self) -> usize {
-        self.hashes.load(Ordering::Relaxed)
     }
 
     /// Number of materialized traces.
@@ -420,7 +378,7 @@ impl Sweep {
         self
     }
 
-    /// Shares an existing trace cache, so the caller can read the decoded
+    /// Shares an existing trace cache, so the caller can read the
     /// traces the jobs replayed (the `tables` renderers, `sim sweep`'s
     /// resume check) and repeated sweeps skip re-materialization.
     pub fn with_trace_cache(mut self, traces: Arc<TraceCache>) -> Sweep {
@@ -466,7 +424,8 @@ impl Sweep {
     /// fsync for all the groups queued since its last one. Journal loss
     /// mid-sweep is fail-soft — the sweep finishes, and
     /// [`Sweep::journal_lost`] reports the loss. Each row carries its
-    /// trace's fingerprint, hashed while the sweep builds the trace.
+    /// trace's fingerprint, hashed once per suite while the sweep
+    /// prepares the traces.
     pub fn with_journal(mut self, sink: Arc<JournalSink>) -> Sweep {
         self.journal = Some(sink);
         self
@@ -517,16 +476,23 @@ impl Sweep {
         // job's trace post-processing (oracle DMA windows, forwarding
         // pairs) so no timed replay region pays for analysis. Both caches
         // dedupe, so repeated (suite, parameter) pairs cost one compute.
-        // A journaled sweep fingerprints each trace here, while its
-        // references are still alive, so `rows_of` only reads the hash.
+        // A journaled sweep fingerprints each suite's trace here, at its
+        // first job, so `rows_of` only looks the hash up.
         let build_cursor = AtomicUsize::new(0);
+        // Hot-map audit: filled once per suite, probed per row, never
+        // iterated.
+        let fingerprints: Mutex<FxHashMap<SuiteId, u64>> = Mutex::default();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let i = build_cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(i) else { break };
-                    if self.journal.is_some() {
-                        self.traces.fingerprint(job.suite, self.scale);
+                    if self.journal.is_some() && jobs[..i].iter().all(|j| j.suite != job.suite) {
+                        let fp = self.traces.fingerprint(job.suite, self.scale);
+                        fingerprints
+                            .lock()
+                            .unwrap_or_else(|poisoned| poisoned.into_inner())
+                            .insert(job.suite, fp);
                     }
                     let trace = self.traces.get(job.suite, self.scale);
                     match job.system {
@@ -545,6 +511,10 @@ impl Sweep {
                 });
             }
         });
+
+        let fingerprints = fingerprints
+            .into_inner()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
 
         // Phase 2: fan the simulations out. Workers claim jobs from a
         // shared cursor and write into per-job slots, so output order is
@@ -613,7 +583,7 @@ impl Sweep {
                         res,
                         1,
                         0,
-                        self.traces.fingerprint(o.job.suite, self.scale),
+                        fingerprints[&o.job.suite],
                     )))
                 })
                 .collect()
@@ -724,10 +694,10 @@ impl Sweep {
         }
 
         let trace = self.traces.get(job.suite, self.scale);
-        // Trace faults encode a fresh build, damage the bytes and decode
-        // them again: the decoder's hardening is what must catch the
-        // damage (the shared cache copy is never touched).
-        let damaged = fault.and_then(|f| f.damaged_trace(job.suite, self.scale));
+        // Trace faults encode the cached trace, damage the bytes and
+        // decode them again: the decoder's hardening is what must catch
+        // the damage (the shared cache copy is never touched).
+        let damaged = fault.and_then(|f| f.damaged_trace(&trace.workload));
         let reloaded = match &damaged {
             Some(bytes) => match trace_io::decode_workload(bytes) {
                 Ok(wl) => Some(wl),
@@ -811,64 +781,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn streamed_fingerprint_equals_the_hash_of_the_encoded_trace() {
-        let cache = TraceCache::new();
-        for scale in [Scale::Tiny, Scale::Small] {
-            for suite in all_suites() {
-                assert_eq!(
-                    cache.fingerprint(suite, scale),
-                    journal::fnv1a(&trace_io::encode_workload(&build_suite(suite, scale))),
-                    "{} at {scale:?}",
-                    suite.label()
-                );
-            }
+    fn fingerprint_does_not_depend_on_call_order() {
+        let (cold, warmed) = (TraceCache::new(), TraceCache::new());
+        for suite in all_suites() {
+            let fp = cold.fingerprint(suite, Scale::Tiny);
+            cold.get(suite, Scale::Tiny);
+            warmed.get(suite, Scale::Tiny);
+            assert_eq!(cold.fingerprint(suite, Scale::Tiny), fp, "{suite}");
+            assert_eq!(warmed.fingerprint(suite, Scale::Tiny), fp, "{suite}");
+            assert_eq!(
+                fp,
+                trace_io::fingerprint(&build_suite(suite, Scale::Tiny)),
+                "{suite}"
+            );
         }
-        assert_eq!(cache.hashes(), cache.builds());
-    }
-
-    #[test]
-    fn a_cache_without_a_journal_hashes_nothing() {
-        let cache = Arc::new(TraceCache::new());
-        let outcomes = Sweep::new(Scale::Tiny)
-            .with_trace_cache(Arc::clone(&cache))
-            .run(full_grid(&SystemConfig::small()));
-        assert!(outcomes.iter().all(|o| o.result.is_ok()));
-        assert_eq!(cache.builds(), 7);
-        assert_eq!(cache.hashes(), 0);
-    }
-
-    #[test]
-    fn a_journaled_sweep_hashes_each_trace_once() {
-        let path =
-            std::env::temp_dir().join(format!("fusion_sweep_hashes_{}.jsonl", std::process::id()));
-        let header = journal::JournalHeader {
-            scale: "tiny".to_string(),
-            code_version: journal::code_version(),
-            grid: 28,
-        };
-        let sink = Arc::new(JournalSink::new(
-            journal::JournalWriter::create(&path, &header).unwrap(),
-        ));
-        let cache = Arc::new(TraceCache::new());
-        let outcomes = Sweep::new(Scale::Tiny)
-            .with_trace_cache(Arc::clone(&cache))
-            .with_journal(sink)
-            .run(full_grid(&SystemConfig::small()));
-        std::fs::remove_file(&path).ok();
-        assert!(outcomes.iter().all(|o| o.result.is_ok()));
-        assert_eq!((cache.builds(), cache.hashes()), (7, 7));
-    }
-
-    #[test]
-    fn a_warmed_cache_fingerprints_a_fresh_build_once() {
-        let cold = TraceCache::new();
-        let warmed = TraceCache::new();
-        warmed.get(SuiteId::Adpcm, Scale::Tiny);
-        let fp = cold.fingerprint(SuiteId::Adpcm, Scale::Tiny);
-        assert_eq!(warmed.fingerprint(SuiteId::Adpcm, Scale::Tiny), fp);
-        assert_eq!(warmed.fingerprint(SuiteId::Adpcm, Scale::Tiny), fp);
-        assert_eq!((cold.builds(), cold.hashes()), (1, 1));
-        assert_eq!((warmed.builds(), warmed.hashes()), (1, 1));
+        assert_eq!((cold.builds(), warmed.builds()), (7, 7));
     }
 
     #[test]
@@ -930,35 +857,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_cache_decoding_matches_workload() {
+    fn trace_cache_holds_the_recorded_workload() {
         let cache = TraceCache::new();
         let t = cache.get(SuiteId::Filter, Scale::Tiny);
         let fresh = build_suite(SuiteId::Filter, Scale::Tiny);
+        assert_eq!(*t.workload, fresh);
         assert_eq!(t.decoded.total_refs(), fresh.total_refs());
         assert_eq!(t.decoded.phase_count(), fresh.phases.len());
-        assert_eq!(t.workload.phases.len(), fresh.phases.len());
-    }
-
-    #[test]
-    fn cached_traces_hold_no_memrefs() {
-        let cache = TraceCache::new();
-        for (i, suite) in all_suites().into_iter().enumerate() {
-            // Both build paths strip: half the suites are built hashed.
-            if i % 2 == 0 {
-                cache.fingerprint(suite, Scale::Tiny);
-            }
-            let t = cache.get(suite, Scale::Tiny);
-            assert!(t.decoded.total_refs() > 0);
-            for p in &t.workload.phases {
-                assert_eq!(
-                    p.refs.capacity(),
-                    0,
-                    "{} keeps {} refs",
-                    suite.label(),
-                    p.name
-                );
-            }
-        }
     }
 
     #[test]

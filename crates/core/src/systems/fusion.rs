@@ -112,9 +112,9 @@ impl FusionSystem {
                     .unwrap_or(cfg.default_lease)
             };
             // Forwarding-pair identification is trace post-processing:
-            // memoized on the shared decoded trace (see `DecodedTrace::
+            // memoized on the shared trace (see `DecodedTrace::
             // forward_pairs`), so repeat runs and the sweep's untimed
-            // decode stage pay for it once.
+            // set-up stage pay for it once.
             for &p in run.decoded.forward_pairs(workload, cfg.l0x.blocks()).iter() {
                 // A forwarded copy only lives for the consumer's epoch
                 // length, so forwarding pays off only when the consumer is
@@ -513,12 +513,10 @@ mod tests {
     fn latency_histogram_covers_all_accelerator_refs() {
         let wl = build_suite(SuiteId::Filter, Scale::Tiny);
         let res = run_system(SystemKind::Fusion, &wl, &cfg()).unwrap();
-        let axc_refs: u64 = wl
-            .phases
-            .iter()
-            .filter(|p| !p.unit.is_host())
-            .map(|p| p.refs.len() as u64)
-            .sum();
+        let stats = fusion_accel::DecodedTrace::decode(&wl)
+            .trace_stats(&wl)
+            .clone();
+        let axc_refs: u64 = stats.functions.iter().map(|f| f.loads + f.stores).sum();
         assert_eq!(res.latency.count(), axc_refs);
         // Hits dominate: mean latency sits near the 1-cycle L0X.
         assert!(res.latency.mean() < 20.0, "mean {:.1}", res.latency.mean());

@@ -25,8 +25,8 @@ pub(super) struct ScratchSystem {
     /// end of every window, so each window starts from an empty store.
     sp: Scratchpad,
     /// Oracle windowing is trace post-processing: memoized on the shared
-    /// decoded trace, so repeat runs (and the sweep's untimed decode
-    /// stage) skip it entirely.
+    /// trace, so repeat runs (and the sweep's untimed set-up stage) skip
+    /// it entirely.
     windows: Arc<Vec<Vec<DmaWindow>>>,
     no_tile: NoTile,
 }
@@ -179,12 +179,10 @@ mod tests {
     fn scratchpad_accesses_cover_all_refs() {
         let wl = build_suite(SuiteId::Filter, Scale::Tiny);
         let res = run_system(SystemKind::Scratch, &wl, &SystemConfig::small()).unwrap();
-        let axc_refs: u64 = wl
-            .phases
-            .iter()
-            .filter(|p| !p.unit.is_host())
-            .map(|p| p.refs.len() as u64)
-            .sum();
+        let stats = fusion_accel::DecodedTrace::decode(&wl)
+            .trace_stats(&wl)
+            .clone();
+        let axc_refs: u64 = stats.functions.iter().map(|f| f.loads + f.stores).sum();
         assert_eq!(res.energy.count(Component::AxcCache), axc_refs);
     }
 

@@ -253,12 +253,10 @@ mod tests {
     fn every_axc_access_pays_the_l1x() {
         let wl = build_suite(SuiteId::Filter, Scale::Tiny);
         let res = run_system(SystemKind::Shared, &wl, &SystemConfig::small()).unwrap();
-        let axc_refs: u64 = wl
-            .phases
-            .iter()
-            .filter(|p| !p.unit.is_host())
-            .map(|p| p.refs.len() as u64)
-            .sum();
+        let stats = fusion_accel::DecodedTrace::decode(&wl)
+            .trace_stats(&wl)
+            .clone();
+        let axc_refs: u64 = stats.functions.iter().map(|f| f.loads + f.stores).sum();
         assert!(res.energy.count(Component::L1x) >= axc_refs);
     }
 

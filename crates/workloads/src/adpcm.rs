@@ -106,8 +106,6 @@ pub fn build(scale: Scale) -> Workload {
     });
     let original: Vec<i16> = pcm.as_slice().to_vec();
 
-    let mut phases = Vec::new();
-
     // Coder: chunked invocations (the function is re-entered per buffer
     // window, as in the MachSuite harness).
     let mut pred = 0i32;
@@ -123,7 +121,7 @@ pub fn build(scale: Scale) -> Workload {
             let c1 = encode_sample(s1, &mut pred, &mut index);
             code_buf.set(i / 2, c0 | (c1 << 4));
         }
-        phases.push(rec.take_phase("coder", ExecUnit::Axc(AxcId::new(0)), CODER.0, CODER.1));
+        rec.end_phase("coder", ExecUnit::Axc(AxcId::new(0)), CODER.0, CODER.1);
     }
 
     // Decoder: reconstructs the samples in place (99 % sharing with the
@@ -144,12 +142,12 @@ pub fn build(scale: Scale) -> Workload {
             pcm.set(i, s0 as i16);
             pcm.set(i + 1, s1 as i16);
         }
-        phases.push(rec.take_phase(
+        rec.end_phase(
             "decoder",
             ExecUnit::Axc(AxcId::new(1)),
             DECODER.0,
             DECODER.1,
-        ));
+        );
     }
 
     // Host verification: software compares reconstruction error over the
@@ -160,7 +158,7 @@ pub fn build(scale: Scale) -> Workload {
         rec.int_ops(3);
         err_acc += (v - orig as i64).abs();
     }
-    phases.push(rec.take_phase("host_verify", ExecUnit::Host, 2, 500));
+    rec.end_phase("host_verify", ExecUnit::Host, 2, 500);
 
     // Quality guard: mean reconstruction error stays small for the smooth
     // synthetic signal.
@@ -170,11 +168,7 @@ pub fn build(scale: Scale) -> Workload {
         err_acc as f64 / n as f64
     );
 
-    Workload {
-        name: "ADPCM".into(),
-        pid: Pid::new(1),
-        phases,
-    }
+    rec.finish("ADPCM", Pid::new(1))
 }
 
 #[cfg(test)]

@@ -70,8 +70,6 @@ pub fn build(scale: Scale) -> Workload {
     }
     min_sad.init_untraced(|_| i32::MAX);
 
-    let mut phases = Vec::new();
-
     for d in 0..shifts {
         // padarray4: shift the right image by the candidate disparity.
         for y in 0..h {
@@ -85,12 +83,12 @@ pub fn build(scale: Scale) -> Workload {
                 padded.set(y * w + x, v);
             }
         }
-        phases.push(rec.take_phase(
+        rec.end_phase(
             "padarray4",
             ExecUnit::Axc(AxcId::new(0)),
             PADARRAY4.0,
             PADARRAY4.1,
-        ));
+        );
 
         // SAD: per-pixel absolute difference.
         for i in 0..w * h {
@@ -99,7 +97,7 @@ pub fn build(scale: Scale) -> Workload {
             rec.int_ops(3);
             sad.set(i, (a - b).abs());
         }
-        phases.push(rec.take_phase("SAD", ExecUnit::Axc(AxcId::new(1)), SAD.0, SAD.1));
+        rec.end_phase("SAD", ExecUnit::Axc(AxcId::new(1)), SAD.0, SAD.1);
 
         // 2D2D: integral image (row pass then column pass).
         for y in 0..h {
@@ -118,7 +116,7 @@ pub fn build(scale: Scale) -> Workload {
                 integ.set(y * w + x, acc);
             }
         }
-        phases.push(rec.take_phase("2D2D", ExecUnit::Axc(AxcId::new(2)), TWOD2D.0, TWOD2D.1));
+        rec.end_phase("2D2D", ExecUnit::Axc(AxcId::new(2)), TWOD2D.0, TWOD2D.1);
 
         // finalSAD: windowed SAD from the four integral-image corners
         // (load heavy: Table 1 shows 71 % loads).
@@ -132,12 +130,12 @@ pub fn build(scale: Scale) -> Workload {
                 fsad.set(y * w + x, br + tl - tr - bl);
             }
         }
-        phases.push(rec.take_phase(
+        rec.end_phase(
             "finalSAD",
             ExecUnit::Axc(AxcId::new(3)),
             FINALSAD.0,
             FINALSAD.1,
-        ));
+        );
 
         // findDisp: running argmin over shifts (FP scoring per SD-VBS).
         for y in win + 1..h - win {
@@ -152,12 +150,12 @@ pub fn build(scale: Scale) -> Workload {
                 }
             }
         }
-        phases.push(rec.take_phase(
+        rec.end_phase(
             "findDisp.",
             ExecUnit::Axc(AxcId::new(4)),
             FINDDISP.0,
             FINDDISP.1,
-        ));
+        );
     }
 
     // Host epilogue: software consumes the disparity map and its
@@ -176,7 +174,7 @@ pub fn build(scale: Scale) -> Workload {
         }
     }
     let _ = confidence;
-    phases.push(rec.take_phase("host_consume", ExecUnit::Host, 2, 500));
+    rec.end_phase("host_consume", ExecUnit::Host, 2, 500);
 
     // Sanity: in the interior of the left region the recovered disparity
     // matches the ground truth when enough shifts were searched.
@@ -190,11 +188,7 @@ pub fn build(scale: Scale) -> Workload {
     );
     let _ = histogram;
 
-    Workload {
-        name: "DISP.".into(),
-        pid: Pid::new(1),
-        phases,
-    }
+    rec.finish("DISP.", Pid::new(1))
 }
 
 #[cfg(test)]

@@ -62,8 +62,6 @@ pub fn build(scale: Scale) -> Workload {
         Complex { re, im: 0.0 }
     });
 
-    let mut phases = Vec::new();
-
     for _round in 0..rounds {
         // step1: bit-reverse permutation into the working buffer.
         for i in 0..n {
@@ -72,7 +70,7 @@ pub fn build(scale: Scale) -> Workload {
             let v = input.get(i);
             work.set(j as usize, v);
         }
-        phases.push(rec.take_phase("step1", ExecUnit::Axc(AxcId::new(0)), STEP1.0, STEP1.1));
+        rec.end_phase("step1", ExecUnit::Axc(AxcId::new(0)), STEP1.0, STEP1.1);
 
         // step2: twiddle factor table.
         for k in 0..n / 2 {
@@ -87,7 +85,7 @@ pub fn build(scale: Scale) -> Workload {
                 },
             );
         }
-        phases.push(rec.take_phase("step2", ExecUnit::Axc(AxcId::new(1)), STEP2.0, STEP2.1));
+        rec.end_phase("step2", ExecUnit::Axc(AxcId::new(1)), STEP2.0, STEP2.1);
 
         // Butterfly stages, split across three accelerated functions
         // (step3/step4/step5) — each *stage* is one invocation, so the
@@ -132,7 +130,7 @@ pub fn build(scale: Scale) -> Workload {
             } else {
                 ("step5", 4, STEP5)
             };
-            phases.push(rec.take_phase(name, ExecUnit::Axc(AxcId::new(axc)), p.0, p.1));
+            rec.end_phase(name, ExecUnit::Axc(AxcId::new(axc)), p.0, p.1);
         }
 
         // step6: magnitude + normalization.
@@ -143,7 +141,7 @@ pub fn build(scale: Scale) -> Workload {
             rec.int_ops(1);
             out_mag.set(i, (re * re + im * im).sqrt() / n as f32);
         }
-        phases.push(rec.take_phase("step6", ExecUnit::Axc(AxcId::new(5)), STEP6.0, STEP6.1));
+        rec.end_phase("step6", ExecUnit::Axc(AxcId::new(5)), STEP6.0, STEP6.1);
     }
 
     // Host epilogue: software scans the low bins for the dominant tone
@@ -157,7 +155,7 @@ pub fn build(scale: Scale) -> Workload {
             peak = m;
         }
     }
-    phases.push(rec.take_phase("host_scan", ExecUnit::Host, 2, 500));
+    rec.end_phase("host_scan", ExecUnit::Host, 2, 500);
 
     // Correctness guard: the dominant bin of the synthetic two-tone input
     // must be bin 5 (checked at build time, untraced).
@@ -167,11 +165,7 @@ pub fn build(scale: Scale) -> Workload {
         argmax == 5
     });
 
-    Workload {
-        name: "FFT".into(),
-        pid: Pid::new(1),
-        phases,
-    }
+    rec.finish("FFT", Pid::new(1))
 }
 
 #[cfg(test)]

@@ -54,8 +54,6 @@ pub fn build(scale: Scale) -> Workload {
         }
     });
 
-    let mut phases = Vec::new();
-
     // medfilt: banded invocations over the interior.
     let band_h = h.div_ceil(bands);
     for b in 0..bands {
@@ -79,12 +77,12 @@ pub fn build(scale: Scale) -> Workload {
             }
         }
         if y0 < y1 {
-            phases.push(rec.take_phase(
+            rec.end_phase(
                 "medfilt",
                 ExecUnit::Axc(AxcId::new(0)),
                 MEDFILT.0,
                 MEDFILT.1,
-            ));
+            );
         }
     }
 
@@ -108,12 +106,12 @@ pub fn build(scale: Scale) -> Workload {
             edge.set(y * w + x, mag);
         }
     }
-    phases.push(rec.take_phase(
+    rec.end_phase(
         "edgefilt",
         ExecUnit::Axc(AxcId::new(1)),
         EDGEFILT.0,
         EDGEFILT.1,
-    ));
+    );
 
     // Host digest: sample a few rows of the edge map (small forwarded
     // footprint, matching Table 6's low FILT counts).
@@ -127,13 +125,9 @@ pub fn build(scale: Scale) -> Workload {
         }
     }
     let _ = strong;
-    phases.push(rec.take_phase("host_digest", ExecUnit::Host, 2, 500));
+    rec.end_phase("host_digest", ExecUnit::Host, 2, 500);
 
-    Workload {
-        name: "FILT.".into(),
-        pid: Pid::new(1),
-        phases,
-    }
+    rec.finish("FILT.", Pid::new(1))
 }
 
 #[cfg(test)]
@@ -162,18 +156,14 @@ mod tests {
         // Table 1: medfilt is ~74 % of time; its 9-point stencil dominates
         // the reference stream.
         let wl = build(Scale::Tiny);
-        let med_refs: usize = wl
-            .phases
-            .iter()
-            .filter(|p| p.name == "medfilt")
-            .map(|p| p.refs.len())
-            .sum();
-        let edge_refs: usize = wl
-            .phases
-            .iter()
-            .filter(|p| p.name == "edgefilt")
-            .map(|p| p.refs.len())
-            .sum();
+        let trace = DecodedTrace::decode(&wl);
+        let refs = |name: &str| -> usize {
+            (0..wl.phases.len())
+                .filter(|&i| wl.phases[i].name == name)
+                .map(|i| trace.phase(i).len())
+                .sum()
+        };
+        let (med_refs, edge_refs) = (refs("medfilt"), refs("edgefilt"));
         assert!(
             med_refs > edge_refs / 2,
             "med {med_refs} vs edge {edge_refs}"

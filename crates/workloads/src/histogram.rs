@@ -45,8 +45,6 @@ pub fn build(scale: Scale) -> Workload {
     g_in.init_untraced(|i| 0.35 + 0.15 * ((i % 61) as f32 / 61.0));
     b_in.init_untraced(|i| 0.4 + 0.1 * ((i % 31) as f32 / 31.0));
 
-    let mut phases = Vec::new();
-
     // rgb2hsl (FP heavy — Table 1: 51.8 % FP).
     for i in 0..n {
         let r = r_in.get(i);
@@ -79,12 +77,12 @@ pub fn build(scale: Scale) -> Workload {
         s_pl.set(i, s);
         l_pl.set(i, l);
     }
-    phases.push(rec.take_phase(
+    rec.end_phase(
         "rgb2hsl",
         ExecUnit::Axc(AxcId::new(0)),
         RGB2HSL.0,
         RGB2HSL.1,
-    ));
+    );
 
     // histogram over the L plane (read-modify-write on the bin array; 100 %
     // of its blocks are shared with equaliz./rgb2hsl).
@@ -95,12 +93,12 @@ pub fn build(scale: Scale) -> Workload {
         let c = hist.get(bin);
         hist.set(bin, c + 1);
     }
-    phases.push(rec.take_phase(
+    rec.end_phase(
         "histogram",
         ExecUnit::Axc(AxcId::new(1)),
         HISTOGRAM.0,
         HISTOGRAM.1,
-    ));
+    );
 
     // equaliz.: CDF then remap of the L plane.
     let mut acc = 0u32;
@@ -118,12 +116,12 @@ pub fn build(scale: Scale) -> Workload {
         let c = cdf.get(bin);
         l_pl.set(i, c as f32 / total as f32);
     }
-    phases.push(rec.take_phase(
+    rec.end_phase(
         "equaliz.",
         ExecUnit::Axc(AxcId::new(2)),
         EQUALIZ.0,
         EQUALIZ.1,
-    ));
+    );
 
     // hsl2rgb.
     for i in 0..n {
@@ -154,12 +152,12 @@ pub fn build(scale: Scale) -> Workload {
         g_out.set(i, hue(h));
         b_out.set(i, hue(h - 1.0 / 3.0));
     }
-    phases.push(rec.take_phase(
+    rec.end_phase(
         "hsl2rgb",
         ExecUnit::Axc(AxcId::new(3)),
         HSL2RGB.0,
         HSL2RGB.1,
-    ));
+    );
 
     // Host digest: sample the output sparsely (Table 6: ~20 RMAP lookups).
     let mut checksum = 0.0f32;
@@ -168,7 +166,7 @@ pub fn build(scale: Scale) -> Workload {
         checksum += r_out.get(i);
     }
     let _ = checksum;
-    phases.push(rec.take_phase("host_digest", ExecUnit::Host, 2, 500));
+    rec.end_phase("host_digest", ExecUnit::Host, 2, 500);
 
     // Equalization must spread the low-contrast luminance: after the CDF
     // remap the L plane should span most of [0, 1].
@@ -182,11 +180,7 @@ pub fn build(scale: Scale) -> Workload {
         hi - lo > 0.5
     });
 
-    Workload {
-        name: "HIST.".into(),
-        pid: Pid::new(1),
-        phases,
-    }
+    rec.finish("HIST.", Pid::new(1))
 }
 
 #[cfg(test)]

@@ -48,8 +48,6 @@ pub fn build(scale: Scale) -> Workload {
         }
     });
 
-    let mut phases = Vec::new();
-
     // bright: the exp() brightness LUT (USAN similarity table). FP heavy
     // (Table 1: 48.9 % FP).
     let thresh = 27.0f32;
@@ -59,7 +57,7 @@ pub fn build(scale: Scale) -> Workload {
         let v = (-(diff / thresh).powi(6)).exp();
         lut.set(d as usize, (v * 100.0) as i32);
     }
-    phases.push(rec.take_phase("bright", ExecUnit::Axc(AxcId::new(0)), BRIGHT.0, BRIGHT.1));
+    rec.end_phase("bright", ExecUnit::Axc(AxcId::new(0)), BRIGHT.0, BRIGHT.1);
 
     // smooth: USAN-weighted smoothing over a (2*mask+1)^2 window.
     for y in mask..h - mask {
@@ -80,7 +78,7 @@ pub fn build(scale: Scale) -> Workload {
             smooth_img.set(y * w + x, if den > 0 { (num / den) as i32 } else { center });
         }
     }
-    phases.push(rec.take_phase("smooth", ExecUnit::Axc(AxcId::new(1)), SMOOTH.0, SMOOTH.1));
+    rec.end_phase("smooth", ExecUnit::Axc(AxcId::new(1)), SMOOTH.0, SMOOTH.1);
 
     // corn: USAN corner response on the *raw* image (SUSAN's corner mode
     // does not consume the smoothed plane — its footprint is mostly its
@@ -117,7 +115,7 @@ pub fn build(scale: Scale) -> Workload {
             corner_map.set(y * w + x, if usan < g { g - usan } else { 0 });
         }
     }
-    phases.push(rec.take_phase("corn", ExecUnit::Axc(AxcId::new(2)), CORN.0, CORN.1));
+    rec.end_phase("corn", ExecUnit::Axc(AxcId::new(2)), CORN.0, CORN.1);
 
     // edges: USAN edge response (same structure, different geometry).
     for y in 1..h - 1 {
@@ -139,7 +137,7 @@ pub fn build(scale: Scale) -> Workload {
             edge_map.set(y * w + x, if usan < g { g - usan } else { 0 });
         }
     }
-    phases.push(rec.take_phase("edges", ExecUnit::Axc(AxcId::new(3)), EDGES.0, EDGES.1));
+    rec.end_phase("edges", ExecUnit::Axc(AxcId::new(3)), EDGES.0, EDGES.1);
 
     // Host digest: count strong corners (tiny forwarded footprint —
     // Table 6 reports 6 AX-RMAP lookups for SUSAN).
@@ -151,13 +149,9 @@ pub fn build(scale: Scale) -> Workload {
         }
     }
     let _ = corners;
-    phases.push(rec.take_phase("host_digest", ExecUnit::Host, 2, 500));
+    rec.end_phase("host_digest", ExecUnit::Host, 2, 500);
 
-    Workload {
-        name: "SUSAN".into(),
-        pid: Pid::new(1),
-        phases,
-    }
+    rec.finish("SUSAN", Pid::new(1))
 }
 
 #[cfg(test)]
@@ -174,11 +168,11 @@ mod tests {
     #[test]
     fn smooth_dominates_time() {
         let wl = build(Scale::Tiny);
+        let trace = DecodedTrace::decode(&wl);
         let refs = |name: &str| -> usize {
-            wl.phases
-                .iter()
-                .filter(|p| p.name == name)
-                .map(|p| p.refs.len())
+            (0..wl.phases.len())
+                .filter(|&i| wl.phases[i].name == name)
+                .map(|i| trace.phase(i).len())
                 .sum()
         };
         assert!(refs("smooth") > refs("corn"));

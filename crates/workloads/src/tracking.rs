@@ -46,8 +46,6 @@ pub fn build(scale: Scale) -> Workload {
     let k = [1.0f32, 4.0, 6.0, 4.0, 1.0];
     let ksum = 16.0f32;
 
-    let mut phases = Vec::new();
-
     // imgBlur: separable Gaussian — horizontal pass into tmp, vertical
     // pass into blur. The fixed-function datapath is line-buffered (the
     // stencil window lives in registers, as in extracted DDG accelerators
@@ -72,12 +70,12 @@ pub fn build(scale: Scale) -> Workload {
             tmp.set(y * w + x, acc / ksum);
         }
     }
-    phases.push(rec.take_phase(
+    rec.end_phase(
         "imgBlur",
         ExecUnit::Axc(AxcId::new(0)),
         IMGBLUR.0,
         IMGBLUR.1,
-    ));
+    );
     for x in 0..w {
         // Column sliding window (the hardware keeps 5 line buffers; the
         // memory system sees one load per pixel).
@@ -98,12 +96,12 @@ pub fn build(scale: Scale) -> Workload {
             blur.set(y * w + x, acc / ksum);
         }
     }
-    phases.push(rec.take_phase(
+    rec.end_phase(
         "imgBlur",
         ExecUnit::Axc(AxcId::new(0)),
         IMGBLUR.0,
         IMGBLUR.1,
-    ));
+    );
 
     // imgResize: half-scale bilinear downsample of the blurred plane.
     for y in 0..rh {
@@ -118,12 +116,12 @@ pub fn build(scale: Scale) -> Workload {
             rsz.set(y * rw + x, 0.25 * (a + b + c + d));
         }
     }
-    phases.push(rec.take_phase(
+    rec.end_phase(
         "imgResize",
         ExecUnit::Axc(AxcId::new(1)),
         IMGRESIZE.0,
         IMGRESIZE.1,
-    ));
+    );
 
     // calcSobel: dX and dY gradients of the resized plane. Line-buffered
     // 3x3 window: one load per input pixel, two stores per output.
@@ -147,12 +145,12 @@ pub fn build(scale: Scale) -> Workload {
             dy.set(y * rw + x, gy);
         }
     }
-    phases.push(rec.take_phase(
+    rec.end_phase(
         "calcSobel",
         ExecUnit::Axc(AxcId::new(2)),
         CALCSOBEL.0,
         CALCSOBEL.1,
-    ));
+    );
 
     // Host epilogue: the tracker's software stage consumes both gradient
     // planes (drives the ~800 forwarded requests Table 6 reports).
@@ -164,13 +162,9 @@ pub fn build(scale: Scale) -> Workload {
         energy += gx * gx + gy * gy;
     }
     let _ = energy;
-    phases.push(rec.take_phase("host_track", ExecUnit::Host, 2, 500));
+    rec.end_phase("host_track", ExecUnit::Host, 2, 500);
 
-    Workload {
-        name: "TRACK.".into(),
-        pid: Pid::new(1),
-        phases,
-    }
+    rec.finish("TRACK.", Pid::new(1))
 }
 
 #[cfg(test)]

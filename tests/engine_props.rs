@@ -11,15 +11,14 @@ mod common;
 
 use common::Rng;
 use fusion_repro::accel::io::{decode_workload, encode_workload};
-use fusion_repro::accel::ooo::{run_host_phase, OooParams};
+use fusion_repro::accel::ooo::{run_host_phase_indexed, OooParams};
 use fusion_repro::accel::{
-    kind_runs_of, run_phase, run_phase_kind_runs, DecodedPhase, DecodedTrace, MemRef, OpCounts,
-    Phase, Workload,
+    kind_runs_of, run_phase_kind_runs, DecodedPhase, DecodedTrace, PhaseTiming, Recorder,
 };
 use fusion_repro::dma::{DmaController, DmaDirection};
 use fusion_repro::mem::BankedTiming;
 use fusion_repro::types::ids::ExecUnit;
-use fusion_repro::types::{AccessKind, AxcId, BlockAddr, Cycle, LinkConfig, Pid, VirtAddr};
+use fusion_repro::types::{AccessKind, AxcId, BlockAddr, Cycle, LinkConfig, Pid};
 
 /// Random sequences explored per property.
 const CASES: u64 = 64;
@@ -41,22 +40,52 @@ fn rng_is_deterministic_and_in_range() {
     }
 }
 
-fn memref(rng: &mut Rng) -> MemRef {
-    MemRef {
-        addr: VirtAddr::new(rng.range_u64(0, 1 << 20)),
-        size: rng.range_u8(1, 65),
-        kind: if rng.chance() {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        },
-        gap: rng.range_u16(0, 50),
+/// One reference's lanes: block, kind and compute gap.
+type Ref = (BlockAddr, AccessKind, u16);
+
+fn random_kind(rng: &mut Rng) -> AccessKind {
+    if rng.chance() {
+        AccessKind::Store
+    } else {
+        AccessKind::Load
     }
 }
 
-fn memrefs(rng: &mut Rng, max: usize) -> Vec<MemRef> {
+fn random_refs(rng: &mut Rng, max: usize) -> Vec<Ref> {
     let len = rng.range_usize(0, max);
-    (0..len).map(|_| memref(rng)).collect()
+    (0..len)
+        .map(|_| {
+            let block = BlockAddr::from_index(rng.range_u64(0, 1 << 14));
+            (block, random_kind(rng), rng.range_u16(0, 50))
+        })
+        .collect()
+}
+
+/// Records `refs` into the open phase of `rec`: each gap as the four
+/// datapath ops per cycle the recorder divides back out.
+fn record(rec: &Recorder, refs: &[Ref]) {
+    for &(block, kind, gap) in refs {
+        rec.int_ops(4 * u64::from(gap));
+        rec.access(block, kind);
+    }
+}
+
+/// `run_phase_kind_runs` over `refs`, its kind runs found on the kinds.
+fn replay(
+    refs: &[Ref],
+    mlp: usize,
+    start: Cycle,
+    mut access: impl FnMut(usize, Cycle) -> Cycle,
+) -> PhaseTiming {
+    let kinds: Vec<AccessKind> = refs.iter().map(|r| r.1).collect();
+    run_phase_kind_runs(
+        refs.len(),
+        |i| refs[i].2,
+        mlp,
+        start,
+        kind_runs_of(&kinds),
+        |i, now, _| access(i, now),
+    )
 }
 
 /// The accelerator issue engine finishes no earlier than its start and
@@ -66,12 +95,12 @@ fn memrefs(rng: &mut Rng, max: usize) -> Vec<MemRef> {
 fn run_phase_end_bounds() {
     let mut rng = Rng::new(0x9A5E);
     for _ in 0..CASES {
-        let refs = memrefs(&mut rng, 100);
+        let refs = random_refs(&mut rng, 100);
         let mlp = rng.range_usize(1, 8);
         let latency = rng.range_u64(1, 200);
         let mut issues: Vec<Cycle> = Vec::new();
         let mut max_done = Cycle::ZERO;
-        let t = run_phase(&refs, mlp, Cycle::new(10), |_r, now| {
+        let t = replay(&refs, mlp, Cycle::new(10), |_, now| {
             issues.push(now);
             let done = now + latency;
             max_done = max_done.max(done);
@@ -153,20 +182,14 @@ fn slot_issuer_matches_the_outstanding_list() {
                 })
                 .collect();
             let start = Cycle::new(rng.range_u64(0, 1000));
-            let refs: Vec<MemRef> = gaps
+            let refs: Vec<Ref> = gaps
                 .iter()
-                .map(|&gap| MemRef {
-                    addr: VirtAddr::new(0),
-                    size: 4,
-                    kind: AccessKind::Load,
-                    gap,
-                })
+                .map(|&gap| (BlockAddr::from_index(0), AccessKind::Load, gap))
                 .collect();
             let mut issues = Vec::new();
-            let t = run_phase(&refs, mlp, start, |_r, now| {
-                let done = now + latencies[issues.len()];
+            let t = replay(&refs, mlp, start, |i, now| {
                 issues.push(now);
-                done
+                now + latencies[i]
             });
             let (want_issues, want_end, want_stalls) = list_issuer(&gaps, &latencies, mlp, start);
             assert_eq!(issues, want_issues, "mlp {mlp}: issue times differ");
@@ -182,16 +205,25 @@ fn kind_and_block_latency(is_write: bool, block: BlockAddr) -> u64 {
     1 + block.index() % 97 + if is_write { 13 } else { 0 }
 }
 
-/// `run_phase` over `refs` and `run_phase_kind_runs` over `dp` (the same
-/// references decoded, runs found by `kind_runs_of`) yield identical issue
-/// times and an identical `PhaseTiming`.
-fn assert_replays_agree(refs: &[MemRef], dp: DecodedPhase<'_>, mlp: usize, start: Cycle) {
-    let mut memref_issues = Vec::new();
-    let want = run_phase(refs, mlp, start, |r, now| {
-        memref_issues.push(now);
-        now + kind_and_block_latency(r.kind.is_write(), r.block())
-    });
-    let mut decoded_issues = Vec::new();
+/// `run_phase_kind_runs` over `dp` (runs found by `kind_runs_of`) against
+/// a per-reference loop over the same lanes (`list_issuer`): identical
+/// issue times and an identical `PhaseTiming`. The latency reads the
+/// run's `is_write`, so a run that mislabelled its kind would show.
+fn assert_replays_agree(dp: DecodedPhase<'_>, mlp: usize, start: Cycle) {
+    let latencies: Vec<u64> = dp
+        .blocks
+        .iter()
+        .zip(dp.kinds)
+        .map(|(&block, kind)| kind_and_block_latency(kind.is_write(), block))
+        .collect();
+    let (want_issues, want_end, want_stalls) = list_issuer(dp.gaps, &latencies, mlp, start);
+    let want = PhaseTiming {
+        start,
+        end: want_end,
+        issued: dp.len() as u64,
+        mlp_stall_cycles: want_stalls,
+    };
+    let mut issues = Vec::new();
     let got = run_phase_kind_runs(
         dp.len(),
         |i| dp.gaps[i],
@@ -199,77 +231,75 @@ fn assert_replays_agree(refs: &[MemRef], dp: DecodedPhase<'_>, mlp: usize, start
         start,
         kind_runs_of(dp.kinds),
         |i, now, is_write| {
-            decoded_issues.push(now);
+            issues.push(now);
             now + kind_and_block_latency(is_write, dp.blocks[i])
         },
     );
-    assert_eq!(got, want, "mlp {mlp}, {} refs: timing differs", refs.len());
-    assert_eq!(
-        decoded_issues, memref_issues,
-        "mlp {mlp}: issue times differ"
-    );
+    assert_eq!(got, want, "mlp {mlp}, {} refs: timing differs", dp.len());
+    assert_eq!(issues, want_issues, "mlp {mlp}: issue times differ");
 }
 
-/// The two replay entry points agree: `run_phase` over a phase's
-/// `MemRef`s and `run_phase_kind_runs` over the same phase decoded
-/// (gap lane, block lane and the kind lane's runs), both over whole
-/// phases and over random windows `[lo, hi)` as SCRATCH replays its
-/// oracle DMA windows.
+/// The kind-run replay agrees with a per-reference replay of the
+/// recorder's lanes, both over whole phases and over random windows
+/// `[lo, hi)` as SCRATCH replays its oracle DMA windows.
 #[test]
-fn memref_and_decoded_kind_run_replays_agree() {
+fn per_reference_and_kind_run_replays_agree() {
     let mut rng = Rng::new(0xD0DE);
     for mlp in 1..=8 {
         for _ in 0..CASES {
-            let phases: Vec<Phase> = (0..rng.range_usize(1, 4))
-                .map(|_| {
-                    // Sticky kinds give runs of every length, not only
-                    // the short ones a fair coin produces.
-                    let mut kind = AccessKind::Load;
-                    let refs = (0..rng.range_usize(0, 150))
-                        .map(|_| {
-                            if rng.range_u64(0, 4) == 0 {
-                                kind = match kind {
-                                    AccessKind::Load => AccessKind::Store,
-                                    AccessKind::Store => AccessKind::Load,
-                                };
-                            }
-                            MemRef {
-                                addr: VirtAddr::new(rng.range_u64(0, 1 << 16)),
-                                size: 4,
-                                kind,
-                                gap: rng.range_u16(0, 30),
-                            }
-                        })
-                        .collect();
-                    Phase {
-                        name: "p".into(),
-                        unit: ExecUnit::Axc(AxcId::new(0)),
-                        refs,
-                        ops: OpCounts::default(),
-                        mlp,
-                        lease: 100,
-                    }
-                })
-                .collect();
-            let wl = Workload {
-                name: "prop".into(),
-                pid: Pid::new(1),
-                phases,
-            };
+            let rec = Recorder::new();
+            let phases = rng.range_usize(1, 4);
+            for _ in 0..phases {
+                // Sticky kinds give runs of every length, not only the
+                // short ones a fair coin produces.
+                let mut kind = AccessKind::Load;
+                let refs: Vec<Ref> = (0..rng.range_usize(0, 150))
+                    .map(|_| {
+                        if rng.range_u64(0, 4) == 0 {
+                            kind = match kind {
+                                AccessKind::Load => AccessKind::Store,
+                                AccessKind::Store => AccessKind::Load,
+                            };
+                        }
+                        let block = BlockAddr::from_index(rng.range_u64(0, 1 << 10));
+                        (block, kind, rng.range_u16(0, 30))
+                    })
+                    .collect();
+                record(&rec, &refs);
+                rec.end_phase("p", ExecUnit::Axc(AxcId::new(0)), mlp, 100);
+            }
+            let wl = rec.finish("prop", Pid::new(1));
             let decoded = DecodedTrace::decode(&wl);
-            for (idx, phase) in wl.phases.iter().enumerate() {
+            for idx in 0..phases {
                 let dp = decoded.phase(idx);
                 let start = Cycle::new(rng.range_u64(0, 1000));
-                assert_replays_agree(&phase.refs, dp, mlp, start);
+                assert_replays_agree(dp, mlp, start);
                 for _ in 0..4 {
                     let lo = rng.range_usize(0, dp.len() + 1);
                     let hi = rng.range_usize(lo, dp.len() + 1);
                     let start = Cycle::new(rng.range_u64(0, 1000));
-                    assert_replays_agree(&phase.refs[lo..hi], dp.slice(lo, hi), mlp, start);
+                    assert_replays_agree(dp.slice(lo, hi), mlp, start);
                 }
             }
         }
     }
+}
+
+/// `run_host_phase_indexed` over `refs`.
+fn host_replay(
+    refs: &[Ref],
+    params: OooParams,
+    start: Cycle,
+    access: impl FnMut(usize, Cycle) -> Cycle,
+) -> PhaseTiming {
+    run_host_phase_indexed(
+        refs.len(),
+        |i| refs[i].2,
+        |i| refs[i].1.is_write(),
+        params,
+        start,
+        access,
+    )
 }
 
 /// The OOO host engine has the same bounds and never lets completions
@@ -278,10 +308,10 @@ fn memref_and_decoded_kind_run_replays_agree() {
 fn ooo_end_bounds() {
     let mut rng = Rng::new(0x0005);
     for _ in 0..CASES {
-        let refs = memrefs(&mut rng, 100);
+        let refs = random_refs(&mut rng, 100);
         let latency = rng.range_u64(1, 200);
         let mut max_done = Cycle::ZERO;
-        let t = run_host_phase(&refs, OooParams::default(), Cycle::new(5), |_r, now| {
+        let t = host_replay(&refs, OooParams::default(), Cycle::new(5), |_, now| {
             let done = now + latency;
             max_done = max_done.max(done);
             done
@@ -299,13 +329,8 @@ fn ooo_smaller_lq_is_never_faster() {
     for _ in 0..CASES {
         let n = rng.range_usize(1, 60);
         let latency = rng.range_u64(1, 100);
-        let refs: Vec<MemRef> = (0..n)
-            .map(|i| MemRef {
-                addr: VirtAddr::new(i as u64 * 64),
-                size: 8,
-                kind: AccessKind::Load,
-                gap: 0,
-            })
+        let refs: Vec<Ref> = (0..n as u64)
+            .map(|i| (BlockAddr::from_index(i), AccessKind::Load, 0))
             .collect();
         let wide = OooParams {
             load_queue: 32,
@@ -315,49 +340,41 @@ fn ooo_smaller_lq_is_never_faster() {
             load_queue: 2,
             ..OooParams::default()
         };
-        let tw = run_host_phase(&refs, wide, Cycle::ZERO, |_r, now| now + latency);
-        let tn = run_host_phase(&refs, narrow, Cycle::ZERO, |_r, now| now + latency);
+        let tw = host_replay(&refs, wide, Cycle::ZERO, |_, now| now + latency);
+        let tn = host_replay(&refs, narrow, Cycle::ZERO, |_, now| now + latency);
         assert!(tn.end >= tw.end, "narrow LQ finished earlier");
     }
 }
 
-/// Trace encode/decode is a lossless roundtrip for arbitrary workloads.
+/// Trace encode/decode is a lossless roundtrip for arbitrary workloads,
+/// block ordinals included.
 #[test]
 fn trace_io_roundtrip() {
     const NAME_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.";
     const PHASE_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";
     let mut rng = Rng::new(0x7ACE);
     for _ in 0..CASES {
-        let phase_count = rng.range_usize(0, 6);
-        let phases = (0..phase_count)
-            .map(|_| {
-                let pname = rng.ident(PHASE_CHARS, 12);
-                let axc = if rng.chance() {
-                    Some(rng.range_u16(0, 8))
-                } else {
-                    None
-                };
-                Phase {
-                    name: pname,
-                    unit: match axc {
-                        Some(id) => ExecUnit::Axc(AxcId::new(id)),
-                        None => ExecUnit::Host,
-                    },
-                    refs: memrefs(&mut rng, 50),
-                    ops: OpCounts {
-                        int_ops: rng.range_u64(0, 1000),
-                        fp_ops: rng.range_u64(0, 1000),
-                    },
-                    mlp: rng.range_usize(1, 6),
-                    lease: rng.range_u32(1, 5000),
+        let rec = Recorder::new();
+        for _ in 0..rng.range_usize(0, 6) {
+            let pname = rng.ident(PHASE_CHARS, 12);
+            let unit = if rng.chance() {
+                ExecUnit::Axc(AxcId::new(rng.range_u16(0, 8)))
+            } else {
+                ExecUnit::Host
+            };
+            let mut refs = random_refs(&mut rng, 50);
+            // Far blocks: multi-byte and wrapping block deltas.
+            for r in &mut refs {
+                if rng.range_u64(0, 8) == 0 {
+                    r.0 = BlockAddr::from_index(rng.next_u64() >> 6);
                 }
-            })
-            .collect();
-        let wl = Workload {
-            name: rng.ident(NAME_CHARS, 16),
-            pid: Pid::new(rng.range_u32(0, 100)),
-            phases,
-        };
+            }
+            record(&rec, &refs);
+            rec.int_ops(rng.range_u64(0, 1000));
+            rec.fp_ops(rng.range_u64(0, 1000));
+            rec.end_phase(&pname, unit, rng.range_usize(1, 6), rng.range_u32(1, 5000));
+        }
+        let wl = rec.finish(&rng.ident(NAME_CHARS, 16), Pid::new(rng.range_u32(0, 100)));
         let decoded = decode_workload(&encode_workload(&wl)).unwrap();
         assert_eq!(decoded, wl);
     }

@@ -7,6 +7,7 @@ mod common;
 
 use common::Rng;
 use fusion_repro::accel::io::{decode_workload, encode_workload, read_workload, write_workload};
+use fusion_repro::accel::DecodedTrace;
 use fusion_repro::core::journal::{self, JournalHeader, JournalRow};
 use fusion_repro::core::runner::{run_system, SystemKind};
 use fusion_repro::core::{full_grid, SweepJob};
@@ -134,7 +135,7 @@ fn reseal(bytes: &mut [u8]) {
 
 /// Corruption with a *valid* checksum — the adversarial case for the
 /// parser's own bounds checks (length-field overflow, truncated strings,
-/// out-of-range sizes). Every outcome must be a clean `Result`, never a
+/// bad kind bytes, out-of-range blocks). Every outcome must be a clean `Result`, never a
 /// panic or a runaway allocation.
 #[test]
 fn decoder_survives_resealed_structural_corruption() {
@@ -149,9 +150,13 @@ fn decoder_survives_resealed_structural_corruption() {
         bytes[i] ^= 1 << rng.range_u8(0, 8);
         reseal(&mut bytes);
         if let Ok(decoded) = decode_workload(&bytes) {
-            for p in &decoded.phases {
+            let trace = DecodedTrace::decode(&decoded);
+            for (idx, p) in decoded.phases.iter().enumerate() {
                 assert!(p.mlp >= 1);
-                assert!(p.refs.iter().all(|r| r.size >= 1));
+                let dp = trace.phase(idx);
+                for (&b, &o) in dp.blocks.iter().zip(dp.ordinals) {
+                    assert_eq!(trace.ordinal_blocks()[o as usize], b);
+                }
             }
         }
     }
