@@ -143,7 +143,7 @@ pub(crate) fn trace_stats(trace: &DecodedTrace, workload: &Workload) -> TraceSta
     for (f, (name, stats)) in (0u32..).zip(names.iter().zip(&mut functions)) {
         let phases = workload.phases.iter().enumerate();
         for (idx, p) in phases.filter(|(_, p)| !p.unit.is_host() && p.name == *name) {
-            let dp = trace.phase(idx);
+            let dp = trace.phase_refs(idx);
             let mut stores = 0;
             for (&o, kind) in dp.ordinals.iter().zip(dp.kinds) {
                 let o = o as usize;
@@ -258,7 +258,7 @@ pub(crate) fn dma_windows(
             if p.unit.is_host() {
                 return windows;
             }
-            let dp = trace.phase(idx);
+            let dp = trace.phase_refs(idx);
             let mut window_start = 0usize;
             window += 1;
             for (i, (&ord, kind)) in dp.ordinals.iter().zip(dp.kinds).enumerate() {
@@ -359,7 +359,7 @@ pub(crate) fn forward_candidates(trace: &DecodedTrace, workload: &Workload) -> V
     let mut out = Vec::new();
     for (idx, p) in workload.phases.iter().enumerate() {
         let axc = p.unit.axc();
-        let dp = trace.phase(idx);
+        let dp = trace.phase_refs(idx);
         order.clear();
         for (i, (&o, kind)) in dp.ordinals.iter().zip(dp.kinds).enumerate() {
             let is_write = kind.is_write();

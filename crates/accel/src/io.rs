@@ -10,13 +10,14 @@
 //! block index as a zigzag varint delta against the phase's previous
 //! block, the kind byte and the compute gap — terminated by an FNV-1a
 //! checksum of the payload so silent corruption is detected on replay.
-//! Block ordinals are not stored: reading numbers the blocks at first
-//! touch again, as the recorder did.
+//! Block ordinals are not stored: the encoder resolves each reference's
+//! ordinal to its block, and reading numbers the blocks at first touch
+//! again, as the recorder did.
 
 use std::io::{self, Read, Write};
 
 use fusion_types::error::SimError;
-use fusion_types::hash::fnv1a;
+use fusion_types::hash::{fnv1a, Fnv1a};
 use fusion_types::ids::ExecUnit;
 use fusion_types::{AccessKind, AxcId, BlockAddr, Pid, CACHE_BLOCK_BYTES};
 
@@ -68,6 +69,20 @@ trait PutLe {
 impl PutLe for Vec<u8> {
     fn put_slice(&mut self, s: &[u8]) {
         self.extend_from_slice(s);
+    }
+}
+
+/// A [`PutLe`] sink that hashes the payload instead of storing it: into
+/// the whole-file state of [`fingerprint`] and into the payload checksum.
+struct HashSink {
+    file: Fnv1a,
+    payload: Fnv1a,
+}
+
+impl PutLe for HashSink {
+    fn put_slice(&mut self, s: &[u8]) {
+        self.file.write(s);
+        self.payload.write(s);
     }
 }
 
@@ -152,11 +167,36 @@ pub fn encode_workload(workload: &Workload) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + workload.total_refs() as usize * 5);
     buf.put_slice(MAGIC);
     buf.put_u16_le(VERSION);
+    put_payload(&mut buf, workload);
+    let checksum = fnv1a(&buf[HEADER_BYTES..]);
+    buf.put_u64_le(checksum);
+    buf
+}
+
+/// FNV-1a over the bytes [`encode_workload`] returns, trailing checksum
+/// included: the trace's identity in the result journal. The bytes are
+/// hashed as they are encoded, never stored.
+pub fn fingerprint(workload: &Workload) -> u64 {
+    let mut sink = HashSink {
+        file: Fnv1a::new(),
+        payload: Fnv1a::new(),
+    };
+    sink.file.write(MAGIC);
+    sink.file.write(&VERSION.to_le_bytes());
+    put_payload(&mut sink, workload);
+    let checksum = sink.payload.finish();
+    sink.file.write(&checksum.to_le_bytes());
+    sink.file.finish()
+}
+
+/// Encodes everything between the header and the checksum: the pid, the
+/// name and each phase with its references.
+fn put_payload<B: PutLe>(buf: &mut B, workload: &Workload) {
     buf.put_u32_le(workload.pid.value());
-    put_str(&mut buf, &workload.name);
+    put_str(buf, &workload.name);
     buf.put_u32_le(wire_u32(workload.phases.len()));
     for (idx, p) in workload.phases.iter().enumerate() {
-        put_str(&mut buf, &p.name);
+        put_str(buf, &p.name);
         match p.unit {
             ExecUnit::Host => buf.put_u16_le(u16::MAX),
             ExecUnit::Axc(id) => buf.put_u16_le(id.value()),
@@ -168,22 +208,13 @@ pub fn encode_workload(workload: &Workload) -> Vec<u8> {
         let dp = workload.phase_refs(idx);
         buf.put_u32_le(wire_u32(dp.len()));
         let mut prev = 0u64;
-        for ((b, kind), &gap) in dp.blocks.iter().zip(dp.kinds).zip(dp.gaps) {
-            put_varint(&mut buf, zigzag(b.index().wrapping_sub(prev) as i64));
+        for ((b, kind), &gap) in dp.blocks().zip(dp.kinds).zip(dp.gaps) {
+            put_varint(buf, zigzag(b.index().wrapping_sub(prev) as i64));
             prev = b.index();
             buf.put_u8(kind.is_write() as u8);
             buf.put_u16_le(gap);
         }
     }
-    let checksum = fnv1a(&buf[HEADER_BYTES..]);
-    buf.put_u64_le(checksum);
-    buf
-}
-
-/// FNV-1a over the bytes [`encode_workload`] returns, trailing checksum
-/// included: the trace's identity in the result journal.
-pub fn fingerprint(workload: &Workload) -> u64 {
-    fnv1a(&encode_workload(workload))
 }
 
 /// Decodes a workload from its binary trace representation.
@@ -379,7 +410,7 @@ fn get_varint(data: &mut &[u8]) -> Result<u64, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Recorder;
+    use crate::{DecodedTrace, Recorder};
 
     fn sample() -> Workload {
         let rec = Recorder::new();
@@ -398,6 +429,34 @@ mod tests {
         let bytes = encode_workload(&wl);
         let back = decode_workload(&bytes).unwrap();
         assert_eq!(wl, back);
+    }
+
+    #[test]
+    fn roundtrip_keeps_ordinals_across_recent_memo_collisions() {
+        // Blocks 1024 apart share a slot of the lane writer's recent-block
+        // memo: reading must number every block as the recorder did.
+        let rec = Recorder::new();
+        let b = BlockAddr::from_index;
+        for i in [5, 5 + 1024, 5, 5 + 2048] {
+            rec.access(b(i), AccessKind::Load);
+        }
+        rec.end_phase("f", ExecUnit::Axc(AxcId::new(0)), 2, 100);
+        for i in [5 + 1024, 7, 5 + 2048, 5] {
+            rec.access(b(i), AccessKind::Store);
+        }
+        rec.end_phase("host", ExecUnit::Host, 1, 100);
+        let wl = rec.finish("T", Pid::new(1));
+        let back = decode_workload(&encode_workload(&wl)).unwrap();
+        let (want, got) = (DecodedTrace::decode(&wl), DecodedTrace::decode(&back));
+        assert_eq!(got.ordinal_blocks(), want.ordinal_blocks());
+        assert_eq!(
+            want.ordinal_blocks(),
+            [b(5), b(5 + 1024), b(5 + 2048), b(7)]
+        );
+        for idx in 0..2 {
+            assert_eq!(got.phase_refs(idx).ordinals, want.phase_refs(idx).ordinals);
+        }
+        assert_eq!(want.phase_refs(1).ordinals, [1, 3, 2, 0]);
     }
 
     #[test]

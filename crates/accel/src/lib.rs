@@ -34,4 +34,6 @@ pub mod trace;
 
 pub use engine::{run_phase_kind_runs, PhaseTiming};
 pub use record::Recorder;
-pub use trace::{kind_runs_of, DecodedPhase, DecodedTrace, KindRun, OpCounts, Phase, Workload};
+pub use trace::{
+    kind_runs_of, BlockLanePhase, DecodedPhase, DecodedTrace, KindRun, OpCounts, Phase, Workload,
+};

@@ -59,7 +59,7 @@ impl RecState {
 /// }
 /// rec.end_phase("incr", ExecUnit::Axc(AxcId::new(0)), 2, 500);
 /// let wl = rec.finish("demo", Pid::new(1));
-/// assert_eq!(DecodedTrace::decode(&wl).phase(0).len(), 32);
+/// assert_eq!(DecodedTrace::decode(&wl).phase_refs(0).len(), 32);
 /// assert_eq!(wl.phases[0].ops.fp_ops, 16);
 /// ```
 #[derive(Debug, Clone)]
@@ -265,9 +265,12 @@ mod tests {
         let base = BlockAddr::containing(buf.base());
         let wl = rec.finish("T", Pid::new(1));
         let trace = DecodedTrace::decode(&wl);
-        let p = trace.phase(0);
+        let p = trace.phase_refs(0);
         // Element 20 of a u32 buffer sits at byte 80: the second block.
-        assert_eq!(p.blocks, [base, BlockAddr::from_index(base.index() + 1)]);
+        assert_eq!(
+            p.blocks().collect::<Vec<_>>(),
+            [base, BlockAddr::from_index(base.index() + 1)]
+        );
         assert_eq!(p.kinds, [AccessKind::Store, AccessKind::Load]);
         assert_eq!(p.ordinals, [0, 1]);
     }
@@ -281,7 +284,7 @@ mod tests {
         buf.get(1);
         rec.end_phase("t", ExecUnit::Axc(AxcId::new(0)), 1, 100);
         let wl = rec.finish("T", Pid::new(1));
-        assert_eq!(DecodedTrace::decode(&wl).phase(0).gaps, [0, 2]);
+        assert_eq!(DecodedTrace::decode(&wl).phase_refs(0).gaps, [0, 2]);
         assert_eq!(wl.phases[0].ops.int_ops, 8);
     }
 
@@ -296,13 +299,17 @@ mod tests {
         rec.end_phase("b", ExecUnit::Host, 1, 100);
         let wl = rec.finish("T", Pid::new(1));
         let trace = DecodedTrace::decode(&wl);
-        assert_eq!(trace.phase(0).len(), 1);
+        assert_eq!(trace.phase_refs(0).len(), 1);
         assert_eq!(wl.phases[0].ops.fp_ops, 3);
-        assert_eq!(trace.phase(1).len(), 1);
+        assert_eq!(trace.phase_refs(1).len(), 1);
         assert_eq!(wl.phases[1].ops.fp_ops, 0);
-        assert_eq!(trace.phase(1).gaps, [0], "gap must not leak across phases");
+        assert_eq!(
+            trace.phase_refs(1).gaps,
+            [0],
+            "gap must not leak across phases"
+        );
         // One block, numbered once across both phases.
-        assert_eq!(trace.phase(1).ordinals, [0]);
+        assert_eq!(trace.phase_refs(1).ordinals, [0]);
     }
 
     #[test]
@@ -327,7 +334,7 @@ mod tests {
         rec.end_phase("x", ExecUnit::Host, 1, 1);
         let wl = rec.finish("T", Pid::new(1));
         let trace = DecodedTrace::decode(&wl);
-        assert_eq!(trace.phase(0).ordinals, [0, 1, 0, 2, 1, 3]);
+        assert_eq!(trace.phase_refs(0).ordinals, [0, 1, 0, 2, 1, 3]);
         let table: Vec<u64> = trace.ordinal_blocks().iter().map(|b| b.index()).collect();
         assert_eq!(table, [5, 5 + 1024, 5 + 2048, 7]);
     }

@@ -68,7 +68,7 @@ pub struct Workload {
     /// Owning process (PID tags in the tile caches).
     pub pid: Pid,
     /// Program-ordered phases, one per recorded lane range: phase `i`'s
-    /// references are [`DecodedTrace::phase`]`(i)`.
+    /// references are [`DecodedTrace::phase_refs`]`(i)`.
     pub phases: Vec<Phase>,
     lanes: Arc<Lanes>,
 }
@@ -96,7 +96,7 @@ impl Workload {
 
     /// Total dynamic references across all phases.
     pub fn total_refs(&self) -> u64 {
-        self.lanes.blocks.len() as u64
+        self.lanes.ordinals.len() as u64
     }
 
     /// Phase `idx`'s references.
@@ -107,21 +107,24 @@ impl Workload {
 
 /// Every reference of a workload in flat structure-of-arrays form: the
 /// per-reference fields the replay loops and the analyses consume —
-/// containing block, access kind, issue gap — in parallel vectors, with
-/// the phase boundaries alongside, so all systems and configurations of
-/// a sweep stream the same cache-friendly arrays.
+/// block ordinal, access kind, issue gap — in three parallel vectors,
+/// with the phase boundaries alongside, so all systems and configurations
+/// of a sweep stream the same cache-friendly arrays.
 ///
-/// A fourth lane numbers each reference's block with a dense *ordinal*,
-/// assigned in first-touch order over the whole trace; the ordinal →
-/// block table ([`DecodedTrace::ordinal_blocks`]) maps it back. The trace
-/// analyses index flat per-block arrays by ordinal instead of probing a
-/// hash map per reference.
+/// A reference names its block by a dense *ordinal*, assigned in
+/// first-touch order over the whole trace; the ordinal → block table
+/// ([`DecodedTrace::ordinal_blocks`]) maps it back. The table holds one
+/// entry per distinct block, a few tens of thousands at paper scale, so
+/// it stays cache-resident while a replay resolves each reference through
+/// it ([`DecodedPhase::block`]). A per-reference block lane would store
+/// each block a second time (8 bytes a reference). The trace analyses
+/// index flat per-block arrays by ordinal instead of probing a hash map
+/// per reference.
 ///
 /// No same-kind runs are stored: [`kind_runs_of`] finds them on the kind
 /// lane as a replay consumes them.
 #[derive(Debug, PartialEq)]
 struct Lanes {
-    blocks: Vec<BlockAddr>,
     kinds: Vec<AccessKind>,
     gaps: Vec<u16>,
     ordinals: Vec<u32>,
@@ -135,10 +138,10 @@ impl Lanes {
     fn phase(&self, idx: usize) -> DecodedPhase<'_> {
         let (lo, hi) = (self.phase_offsets[idx], self.phase_offsets[idx + 1]);
         DecodedPhase {
-            blocks: &self.blocks[lo..hi],
             kinds: &self.kinds[lo..hi],
             gaps: &self.gaps[lo..hi],
             ordinals: &self.ordinals[lo..hi],
+            ordinal_blocks: &self.ordinal_blocks,
         }
     }
 }
@@ -167,7 +170,6 @@ impl LaneWriter {
     pub(crate) fn new() -> LaneWriter {
         LaneWriter {
             lanes: Lanes {
-                blocks: Vec::new(),
                 kinds: Vec::new(),
                 gaps: Vec::new(),
                 ordinals: Vec::new(),
@@ -205,7 +207,6 @@ impl LaneWriter {
             }
         };
         let lanes = &mut self.lanes;
-        lanes.blocks.push(block);
         lanes.kinds.push(kind);
         lanes.gaps.push(gap);
         lanes.ordinals.push(ordinal);
@@ -214,7 +215,7 @@ impl LaneWriter {
     /// Closes the open phase: the references pushed since the last close
     /// are its lane range.
     pub(crate) fn end_phase(&mut self) {
-        self.lanes.phase_offsets.push(self.lanes.blocks.len());
+        self.lanes.phase_offsets.push(self.lanes.ordinals.len());
     }
 
     /// The workload of `phases`, one per closed lane range, owning the
@@ -233,10 +234,9 @@ impl LaneWriter {
         );
         assert_eq!(
             lanes.phase_offsets.last(),
-            Some(&lanes.blocks.len()),
+            Some(&lanes.ordinals.len()),
             "references recorded after the last phase"
         );
-        lanes.blocks.shrink_to_fit();
         lanes.kinds.shrink_to_fit();
         lanes.gaps.shrink_to_fit();
         lanes.ordinals.shrink_to_fit();
@@ -254,12 +254,14 @@ impl LaneWriter {
 /// (oracle DMA windows, forwarding pairs, Table 1/4 statistics).
 ///
 /// The replay loops ([`crate::engine::run_phase_kind_runs`],
-/// [`crate::ooo::run_host_phase_indexed`]) read the lanes through
-/// [`DecodedTrace::phase`].
+/// [`crate::ooo::run_host_phase_indexed`]) and the analyses read the
+/// lanes through [`DecodedTrace::phase_refs`].
 #[derive(Debug)]
 pub struct DecodedTrace {
     lanes: Arc<Lanes>,
     analysis: AnalysisCache,
+    // The per-reference block lane, built by the first `phase` call.
+    blocks: OnceLock<Vec<BlockAddr>>,
 }
 
 /// A maximal run of consecutive same-kind references within one phase or
@@ -348,6 +350,7 @@ impl DecodedTrace {
         DecodedTrace {
             lanes: Arc::clone(&workload.lanes),
             analysis: AnalysisCache::default(),
+            blocks: OnceLock::new(),
         }
     }
 
@@ -436,16 +439,40 @@ impl DecodedTrace {
 
     /// Total dynamic references across all phases.
     pub fn total_refs(&self) -> u64 {
-        self.lanes.blocks.len() as u64
+        self.lanes.ordinals.len() as u64
     }
 
-    /// Borrowed view of phase `idx`'s references.
+    /// Borrowed view of phase `idx`'s references: the view every replay
+    /// loop and analysis reads.
     ///
     /// # Panics
     ///
     /// Panics if `idx >= phase_count()`.
-    pub fn phase(&self, idx: usize) -> DecodedPhase<'_> {
+    pub fn phase_refs(&self, idx: usize) -> DecodedPhase<'_> {
         self.lanes.phase(idx)
+    }
+
+    /// Phase `idx`'s references with a per-reference block lane, for the
+    /// `perf` harness's traced pass (ROADMAP item 3). The first call
+    /// resolves every reference's block into a lane this trace keeps
+    /// (8 bytes a reference); the simulator reads
+    /// [`DecodedTrace::phase_refs`] instead and never builds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= phase_count()`.
+    pub fn phase(&self, idx: usize) -> BlockLanePhase<'_> {
+        let blocks = self.blocks.get_or_init(|| {
+            (0..self.phase_count())
+                .flat_map(|i| self.phase_refs(i).blocks())
+                .collect()
+        });
+        let (lo, refs) = (self.lanes.phase_offsets[idx], self.phase_refs(idx));
+        BlockLanePhase {
+            blocks: &blocks[lo..lo + refs.len()],
+            kinds: refs.kinds,
+            gaps: refs.gaps,
+        }
     }
 
     /// The same-kind runs of phase `idx` (phase-local positions),
@@ -457,16 +484,15 @@ impl DecodedTrace {
     ///
     /// Panics if `idx >= phase_count()`.
     pub fn phase_kind_runs(&self, idx: usize) -> Vec<KindRun> {
-        kind_runs_of(self.phase(idx).kinds).collect()
+        kind_runs_of(self.phase_refs(idx).kinds).collect()
     }
 }
 
 /// A borrowed, sliceable view of one phase of a [`DecodedTrace`]: parallel
-/// arrays indexed by position within the phase.
+/// arrays indexed by position within the phase, each reference's block
+/// resolved through the ordinal → block table ([`DecodedPhase::block`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DecodedPhase<'a> {
-    /// Containing block of each reference.
-    pub blocks: &'a [BlockAddr],
     /// Load/store kind of each reference.
     pub kinds: &'a [AccessKind],
     /// Compute gap preceding each reference.
@@ -474,17 +500,35 @@ pub struct DecodedPhase<'a> {
     /// Dense ordinal of each reference's block (see
     /// [`DecodedTrace::ordinal_blocks`]).
     pub ordinals: &'a [u32],
+    // The whole trace's ordinal → block table.
+    ordinal_blocks: &'a [BlockAddr],
 }
 
 impl<'a> DecodedPhase<'a> {
     /// References in the phase (or window).
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.ordinals.len()
     }
 
     /// `true` when the phase has no references.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.ordinals.is_empty()
+    }
+
+    /// Containing block of reference `j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= len()`.
+    #[inline]
+    pub fn block(&self, j: usize) -> BlockAddr {
+        self.ordinal_blocks[self.ordinals[j] as usize]
+    }
+
+    /// Containing block of each reference, in order.
+    pub fn blocks(&self) -> impl Iterator<Item = BlockAddr> + 'a {
+        let table = self.ordinal_blocks;
+        self.ordinals.iter().map(move |&o| table[o as usize])
     }
 
     /// Sub-window `[lo, hi)` of the phase — DMA windows replay slices.
@@ -494,11 +538,36 @@ impl<'a> DecodedPhase<'a> {
     /// Panics if the range is out of bounds.
     pub fn slice(self, lo: usize, hi: usize) -> DecodedPhase<'a> {
         DecodedPhase {
-            blocks: &self.blocks[lo..hi],
             kinds: &self.kinds[lo..hi],
             gaps: &self.gaps[lo..hi],
             ordinals: &self.ordinals[lo..hi],
+            ordinal_blocks: self.ordinal_blocks,
         }
+    }
+}
+
+/// A phase view with a per-reference block lane, as
+/// [`DecodedTrace::phase`] returns it for the `perf` harness (ROADMAP
+/// item 3).
+#[derive(Debug, Clone, Copy)]
+pub struct BlockLanePhase<'a> {
+    /// Containing block of each reference.
+    pub blocks: &'a [BlockAddr],
+    /// Load/store kind of each reference.
+    pub kinds: &'a [AccessKind],
+    /// Compute gap preceding each reference.
+    pub gaps: &'a [u16],
+}
+
+impl BlockLanePhase<'_> {
+    /// References in the phase.
+    pub fn len(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// `true` when the phase has no references.
+    pub fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
     }
 }
 
@@ -569,11 +638,35 @@ mod tests {
         assert_eq!(d.phase_count(), 2);
         assert_eq!(d.total_refs(), 4);
         let b = BlockAddr::from_index;
-        assert_eq!(d.phase(0).blocks, [b(0), b(2)]);
-        assert_eq!(d.phase(0).kinds, [Load, Store]);
-        assert_eq!(d.phase(1).blocks, [b(1), b(2)]);
-        assert_eq!(d.phase(1).ordinals, [2, 1]);
+        let blocks = |idx| d.phase_refs(idx).blocks().collect::<Vec<_>>();
+        assert_eq!(blocks(0), [b(0), b(2)]);
+        assert_eq!(d.phase_refs(0).kinds, [Load, Store]);
+        assert_eq!(blocks(1), [b(1), b(2)]);
+        assert_eq!(d.phase_refs(1).block(0), b(1));
+        assert_eq!(d.phase_refs(1).ordinals, [2, 1]);
         assert_eq!(d.ordinal_blocks(), [b(0), b(2), b(1)]);
+    }
+
+    #[test]
+    fn block_lane_view_is_built_once_on_request() {
+        let wl = workload(&[
+            ("a", axc(0), &[(4, Load), (9, Store), (4, Load)]),
+            ("host", ExecUnit::Host, &[(9, Load)]),
+        ]);
+        let d = DecodedTrace::decode(&wl);
+        assert!(d.blocks.get().is_none(), "decode builds no block lane");
+        for idx in 0..d.phase_count() {
+            let (lane, refs) = (d.phase(idx), d.phase_refs(idx));
+            assert_eq!(lane.blocks, refs.blocks().collect::<Vec<_>>());
+            assert_eq!((lane.kinds, lane.gaps), (refs.kinds, refs.gaps));
+            assert_eq!(lane.len(), refs.len());
+        }
+        let built = d
+            .blocks
+            .get()
+            .expect("the first call builds the lane")
+            .as_ptr();
+        assert_eq!(d.phase(0).blocks.as_ptr(), built, "later calls reuse it");
     }
 
     #[test]
@@ -588,11 +681,11 @@ mod tests {
         let refs: Vec<(u64, AccessKind)> = (0..10u64).map(|i| (i, Load)).collect();
         let wl = workload(&[("a", axc(0), &refs)]);
         let d = DecodedTrace::decode(&wl);
-        let w = d.phase(0).slice(3, 7);
+        let w = d.phase_refs(0).slice(3, 7);
         assert_eq!(w.len(), 4);
         assert!(!w.is_empty());
         for (j, &(b, _)) in refs[3..7].iter().enumerate() {
-            assert_eq!(w.blocks[j], BlockAddr::from_index(b));
+            assert_eq!(w.block(j), BlockAddr::from_index(b));
         }
         assert!(w.slice(4, 4).is_empty());
     }

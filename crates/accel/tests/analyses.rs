@@ -1,5 +1,5 @@
 //! The ordinal-indexed trace analyses against brute-force references
-//! written over the block and kind lanes with ordered maps: the oracle DMA
+//! written over each reference's block and kind with ordered maps: the oracle DMA
 //! windows, the FUSION-Dx forwarding pairs and the Table 1/4 trace
 //! statistics of every suite, at tiny and small scale, must come out
 //! exactly as the references compute them.
@@ -42,7 +42,7 @@ fn reference_windows(phase: DecodedPhase<'_>, capacity: usize) -> Vec<DmaWindow>
         resident.clear();
         start = end;
     };
-    for (i, (&block, kind)) in phase.blocks.iter().zip(phase.kinds).enumerate() {
+    for (i, (block, kind)) in phase.blocks().zip(phase.kinds).enumerate() {
         let is_write = kind.is_write();
         if let Some((dirty, _)) = resident.get_mut(&block) {
             *dirty |= is_write;
@@ -79,9 +79,9 @@ struct Touch {
 fn reference_pairs(wl: &Workload, trace: &DecodedTrace, window: usize) -> Vec<ForwardPair> {
     let mut timeline: BTreeMap<BlockAddr, Vec<Touch>> = BTreeMap::new();
     for (phase, p) in wl.phases.iter().enumerate() {
-        let dp = trace.phase(phase);
+        let dp = trace.phase_refs(phase);
         let mut seen: BTreeMap<BlockAddr, Touch> = BTreeMap::new();
-        for (i, (&block, kind)) in dp.blocks.iter().zip(dp.kinds).enumerate() {
+        for (i, (block, kind)) in dp.blocks().zip(dp.kinds).enumerate() {
             let rank = seen.len();
             let t = seen.entry(block).or_insert(Touch {
                 phase,
@@ -134,7 +134,7 @@ fn dma_windows_match_the_reference_at_every_capacity() {
                 let want = if p.unit.is_host() {
                     Vec::new()
                 } else {
-                    reference_windows(decoded.phase(idx), cap)
+                    reference_windows(decoded.phase_refs(idx), cap)
                 };
                 assert_eq!(windows[idx], want, "{name} phase {idx} capacity {cap}");
             }
@@ -148,13 +148,13 @@ fn every_dma_window_fits_its_scratchpad() {
         for cap in CAPACITIES {
             let windows = decoded.dma_windows(&wl, cap);
             for (idx, phase_windows) in windows.iter().enumerate() {
-                let blocks = decoded.phase(idx).blocks;
+                let dp = decoded.phase_refs(idx);
                 let mut next = 0;
                 for w in phase_windows {
                     let (lo, hi) = w.ref_range;
                     assert_eq!(lo, next, "{name}: windows tile their phase");
                     next = hi;
-                    let distinct: BTreeSet<BlockAddr> = blocks[lo..hi].iter().copied().collect();
+                    let distinct: BTreeSet<BlockAddr> = dp.slice(lo, hi).blocks().collect();
                     assert!(
                         distinct.len() <= cap,
                         "{name}: window [{lo}, {hi}) holds {} blocks, capacity {cap}",
@@ -179,20 +179,19 @@ fn forward_pairs_match_the_reference_at_every_window() {
     assert!(found > 0, "the suites must expose forwarding pairs");
 }
 
+/// A reference's block is `ordinal_blocks[ordinal]`, so the numbering
+/// carries every block: the table must name each block once, and the
+/// ordinals must be handed out densely in first-touch order.
 #[test]
-fn ordinal_table_round_trips_every_reference() {
+fn ordinals_number_distinct_blocks_in_first_touch_order() {
     for (name, wl, decoded) in traces() {
         let table = decoded.ordinal_blocks();
         let distinct: BTreeSet<BlockAddr> = table.iter().copied().collect();
         assert_eq!(distinct.len(), table.len(), "{name}: one ordinal per block");
-        // Ordinals are dense and handed out in first-touch order.
         let mut issued = 0usize;
         for idx in 0..wl.phases.len() {
-            let dp = decoded.phase(idx);
-            assert_eq!(dp.ordinals.len(), dp.blocks.len());
-            for (&block, &o) in dp.blocks.iter().zip(dp.ordinals) {
+            for &o in decoded.phase_refs(idx).ordinals {
                 let o = o as usize;
-                assert_eq!(table[o], block, "{name} phase {idx}");
                 assert!(o <= issued, "{name}: ordinal {o} skips ahead of {issued}");
                 issued = issued.max(o + 1);
             }
@@ -204,7 +203,7 @@ fn ordinal_table_round_trips_every_reference() {
 /// Distinct blocks of the workload, host phases included (Figure 6d).
 fn reference_working_set(wl: &Workload, trace: &DecodedTrace) -> BTreeSet<BlockAddr> {
     (0..wl.phases.len())
-        .flat_map(|idx| trace.phase(idx).blocks.iter().copied())
+        .flat_map(|idx| trace.phase_refs(idx).blocks())
         .collect()
 }
 
@@ -223,7 +222,7 @@ fn reference_function_blocks(
     name: &str,
 ) -> BTreeSet<BlockAddr> {
     function_phases(wl, name)
-        .flat_map(|idx| trace.phase(idx).blocks.iter().copied())
+        .flat_map(|idx| trace.phase_refs(idx).blocks())
         .collect()
 }
 
@@ -244,7 +243,7 @@ fn reference_stats(wl: &Workload, trace: &DecodedTrace) -> TraceStats {
                 .collect();
             let (mut loads, mut stores, mut ops) = (0, 0, OpCounts::default());
             for idx in function_phases(wl, name) {
-                let kinds = trace.phase(idx).kinds;
+                let kinds = trace.phase_refs(idx).kinds;
                 stores += kinds.iter().filter(|k| k.is_write()).count() as u64;
                 loads += kinds.iter().filter(|k| !k.is_write()).count() as u64;
                 ops += wl.phases[idx].ops;
@@ -265,8 +264,8 @@ fn reference_stats(wl: &Workload, trace: &DecodedTrace) -> TraceStats {
         if p.unit.is_host() {
             continue;
         }
-        let dp = trace.phase(idx);
-        for (&block, kind) in dp.blocks.iter().zip(dp.kinds) {
+        let dp = trace.phase_refs(idx);
+        for (block, kind) in dp.blocks().zip(dp.kinds) {
             touched.insert(block);
             if kind.is_write() {
                 dirty.insert(block);

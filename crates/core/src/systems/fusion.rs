@@ -168,7 +168,7 @@ impl PhaseHooks for FusionSystem {
         let state = &mut self.state;
         let phase = &run.workload.phases[phase_idx];
         let pid = run.workload.pid;
-        let dp = decoded.phase(phase_idx);
+        let dp = decoded.phase_refs(phase_idx);
         let lease = phase.lease;
         // Kind-sorted chunked replay: the access kind is
         // reconstructed once per same-kind run (lossless —
@@ -186,8 +186,7 @@ impl PhaseHooks for FusionSystem {
                 } else {
                     AccessKind::Load
                 };
-                let done =
-                    tile_access(state, host, ledger, axc, pid, dp.blocks[j], kind, at, lease);
+                let done = tile_access(state, host, ledger, axc, pid, dp.block(j), kind, at, lease);
                 latency.record(done - at);
                 done
             },

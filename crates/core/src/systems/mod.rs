@@ -139,7 +139,7 @@ fn drive<S: PhaseHooks>(
         let mut dma_cycles = 0;
         match phase.unit.axc() {
             None => {
-                let dp = decoded.phase(idx);
+                let dp = decoded.phase_refs(idx);
                 let (host, ledger, agent) = (&mut run.host, &mut run.ledger, sys.agent());
                 let t = run_host_phase_indexed(
                     dp.len(),
@@ -147,7 +147,7 @@ fn drive<S: PhaseHooks>(
                     |j| dp.kinds[j].is_write(),
                     OooParams::default(),
                     now,
-                    |j, at| host.host_access(pid, dp.blocks[j], dp.kinds[j], at, ledger, agent),
+                    |j, at| host.host_access(pid, dp.block(j), dp.kinds[j], at, ledger, agent),
                 );
                 now = t.end;
             }

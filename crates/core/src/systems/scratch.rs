@@ -65,7 +65,7 @@ impl PhaseHooks for ScratchSystem {
         let (dma, sp) = (&mut self.dma, &mut self.sp);
         let phase = &run.workload.phases[phase_idx];
         let pid = run.workload.pid;
-        let dp = decoded.phase(phase_idx);
+        let dp = decoded.phase_refs(phase_idx);
         let mut phase_dma = 0u64;
         for w in &self.windows[phase_idx] {
             // DMA-in: stage the window's read data.
@@ -94,9 +94,9 @@ impl PhaseHooks for ScratchSystem {
                 |j, at, is_write| {
                     ledger.charge(Component::AxcCache, em.scratchpad_access);
                     if is_write {
-                        sp.write(wdp.blocks[j]).expect("oracle DMA window overflow");
+                        sp.write(wdp.block(j)).expect("oracle DMA window overflow");
                     } else {
-                        sp.read(wdp.blocks[j])
+                        sp.read(wdp.block(j))
                             .expect("oracle DMA missed a read block");
                     }
                     at + sp_lat

@@ -98,7 +98,7 @@ impl PhaseHooks for SharedSystem {
         let (l1x, banks, in_flight) = (&mut self.l1x, &mut self.banks, &mut self.in_flight);
         let phase = &run.workload.phases[phase_idx];
         let pid = run.workload.pid;
-        let dp = decoded.phase(phase_idx);
+        let dp = decoded.phase_refs(phase_idx);
         let word = cfg.control_message_bytes;
         // Link serialization times: the AXC-side word, the L2-side request
         // word, full block and critical word.
@@ -119,7 +119,7 @@ impl PhaseHooks for SharedSystem {
                 // Address/request message AXC -> L1X.
                 ledger.charge_bytes(Component::LinkAxcL1xMsg, em.link_axc_l1x_pj_per_byte, word);
                 // Critical-path translation (shared, core-style view).
-                let pa = host.shared_tlb_translate(pid, dp.blocks[j], ledger);
+                let pa = host.shared_tlb_translate(pid, dp.block(j), ledger);
                 let pblock = SharedL1x::pblock(pa);
                 let arb = at + axc_word_cycles;
                 let bank_start = banks.issue(pblock, arb);

@@ -155,16 +155,49 @@ pub fn sorted_keys<T: Ord + Clone, S>(set: &HashSet<T, S>) -> Vec<T> {
     v
 }
 
+/// Incremental FNV-1a 64: feeding a byte stream in pieces through
+/// [`Fnv1a::write`] hashes it exactly as [`fnv1a`] hashes it whole, so a
+/// stream can be hashed as it is produced, never stored.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a {
+    hash: u64,
+}
+
+impl Fnv1a {
+    /// The state of the empty input (the FNV-1a 64 offset basis).
+    pub const fn new() -> Fnv1a {
+        Fnv1a {
+            hash: 0xcbf29ce484222325,
+        }
+    }
+
+    /// Folds `bytes` into the state.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.hash ^= b as u64;
+            self.hash = self.hash.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    /// The hash of every byte written so far.
+    pub fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
+}
+
 /// FNV-1a over `bytes`: the one byte-stream checksum behind trace files,
 /// journal rows and workload fingerprints.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    // The FNV-1a 64 offset basis: the hash of the empty input.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -178,6 +211,17 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn fnv1a_streams_in_any_split() {
+        let bytes = b"foobar";
+        for cut in 0..=bytes.len() {
+            let mut h = Fnv1a::default();
+            h.write(&bytes[..cut]);
+            h.write(&bytes[cut..]);
+            assert_eq!(h.finish(), fnv1a(bytes), "split at {cut}");
+        }
     }
 
     fn fx_hash_of<T: Hash>(v: &T) -> u64 {

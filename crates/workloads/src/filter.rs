@@ -160,7 +160,7 @@ mod tests {
         let refs = |name: &str| -> usize {
             (0..wl.phases.len())
                 .filter(|&i| wl.phases[i].name == name)
-                .map(|i| trace.phase(i).len())
+                .map(|i| trace.phase_refs(i).len())
                 .sum()
         };
         let (med_refs, edge_refs) = (refs("medfilt"), refs("edgefilt"));

@@ -172,7 +172,7 @@ mod tests {
         let refs = |name: &str| -> usize {
             (0..wl.phases.len())
                 .filter(|&i| wl.phases[i].name == name)
-                .map(|i| trace.phase(i).len())
+                .map(|i| trace.phase_refs(i).len())
                 .sum()
         };
         assert!(refs("smooth") > refs("corn"));

@@ -211,10 +211,9 @@ fn kind_and_block_latency(is_write: bool, block: BlockAddr) -> u64 {
 /// run's `is_write`, so a run that mislabelled its kind would show.
 fn assert_replays_agree(dp: DecodedPhase<'_>, mlp: usize, start: Cycle) {
     let latencies: Vec<u64> = dp
-        .blocks
-        .iter()
+        .blocks()
         .zip(dp.kinds)
-        .map(|(&block, kind)| kind_and_block_latency(kind.is_write(), block))
+        .map(|(block, kind)| kind_and_block_latency(kind.is_write(), block))
         .collect();
     let (want_issues, want_end, want_stalls) = list_issuer(dp.gaps, &latencies, mlp, start);
     let want = PhaseTiming {
@@ -232,7 +231,7 @@ fn assert_replays_agree(dp: DecodedPhase<'_>, mlp: usize, start: Cycle) {
         kind_runs_of(dp.kinds),
         |i, now, is_write| {
             issues.push(now);
-            now + kind_and_block_latency(is_write, dp.blocks[i])
+            now + kind_and_block_latency(is_write, dp.block(i))
         },
     );
     assert_eq!(got, want, "mlp {mlp}, {} refs: timing differs", dp.len());
@@ -271,7 +270,7 @@ fn per_reference_and_kind_run_replays_agree() {
             let wl = rec.finish("prop", Pid::new(1));
             let decoded = DecodedTrace::decode(&wl);
             for idx in 0..phases {
-                let dp = decoded.phase(idx);
+                let dp = decoded.phase_refs(idx);
                 let start = Cycle::new(rng.range_u64(0, 1000));
                 assert_replays_agree(dp, mlp, start);
                 for _ in 0..4 {

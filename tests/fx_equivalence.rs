@@ -51,8 +51,7 @@ fn acc_forward_rule_map_matches_std_hashmap_on_recorded_trace() {
     // Probe with every block the trace touches (hits and misses alike),
     // in program order — the lookup pattern of `AccDirectory::forward_for`.
     for idx in 0..decoded.phase_count() {
-        let dp = decoded.phase(idx);
-        for &b in dp.blocks {
+        for b in decoded.phase_refs(idx).blocks() {
             assert_eq!(std_map.get(&(wl.pid, b)), fx_map.get(&(wl.pid, b)));
         }
     }
@@ -78,8 +77,7 @@ fn ax_rmap_style_u64_churn_matches_std_hashmap() {
     let mut fx_map: FxHashMap<u64, u64> = FxHashMap::default();
     let mut op = 0u64;
     for idx in 0..decoded.phase_count() {
-        let dp = decoded.phase(idx);
-        for &b in dp.blocks {
+        for b in decoded.phase_refs(idx).blocks() {
             let key = b.index();
             op += 1;
             assert_eq!(std_map.get(&key), fx_map.get(&key), "lookup #{op}");

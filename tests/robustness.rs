@@ -6,7 +6,9 @@
 mod common;
 
 use common::Rng;
-use fusion_repro::accel::io::{decode_workload, encode_workload, read_workload, write_workload};
+use fusion_repro::accel::io::{
+    decode_workload, encode_workload, fingerprint, read_workload, write_workload,
+};
 use fusion_repro::accel::DecodedTrace;
 use fusion_repro::core::journal::{self, JournalHeader, JournalRow};
 use fusion_repro::core::runner::{run_system, SystemKind};
@@ -124,6 +126,69 @@ fn decoder_survives_corruption() {
     }
 }
 
+/// A replay resolves each reference's block as `ordinal_blocks[ordinal]`,
+/// so the numbering carries every block: the table names each block
+/// once, and ordinals are handed out densely in first-touch order.
+fn assert_first_touch_numbering(trace: &DecodedTrace) {
+    let table = trace.ordinal_blocks();
+    let mut distinct = table.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), table.len(), "a block holds two ordinals");
+    let mut issued = 0usize;
+    for idx in 0..trace.phase_count() {
+        for &o in trace.phase_refs(idx).ordinals {
+            let o = o as usize;
+            assert!(o <= issued, "ordinal {o} skips ahead of {issued}");
+            issued = issued.max(o + 1);
+        }
+    }
+    assert_eq!(issued, table.len(), "every ordinal is used");
+}
+
+/// The trace bytes of all seven suites at tiny and small scale are
+/// pinned. The encoder rebuilds each block delta from the ordinal table
+/// and streams the fingerprint, and the journal keys every row by that
+/// fingerprint: a changed byte would leave every journal written before
+/// it unresumable.
+#[test]
+fn trace_fingerprints_are_pinned() {
+    use SuiteId::{Adpcm, Disparity, Fft, Filter, Histogram, Susan, Tracking};
+    const PINNED: [(Scale, SuiteId, u64); 14] = [
+        (Scale::Tiny, Fft, 0x4d8ee3211bb0d259),
+        (Scale::Tiny, Disparity, 0x540c3f468425c31f),
+        (Scale::Tiny, Tracking, 0x9cf4ffa5273c430b),
+        (Scale::Tiny, Adpcm, 0xbabf086920b0c3e3),
+        (Scale::Tiny, Susan, 0x9f8ae16f636c2454),
+        (Scale::Tiny, Filter, 0x174c36ad409ee924),
+        (Scale::Tiny, Histogram, 0x4755138755182d1e),
+        (Scale::Small, Fft, 0xf30670e3e4c21071),
+        (Scale::Small, Disparity, 0x5fc2b3fd4d9cb43d),
+        (Scale::Small, Tracking, 0xf6351343c69ca597),
+        (Scale::Small, Adpcm, 0xb91a0714c4c892b5),
+        (Scale::Small, Susan, 0x745cf430ec451d57),
+        (Scale::Small, Filter, 0xc536c2a75f937e8c),
+        (Scale::Small, Histogram, 0x2844ec939689d2b6),
+    ];
+    for (scale, id, want) in PINNED {
+        let wl = build_suite(id, scale);
+        assert_eq!(fingerprint(&wl), want, "{id:?} at {scale:?}");
+        let bytes = encode_workload(&wl);
+        assert_eq!(
+            fusion_types::hash::fnv1a(&bytes),
+            want,
+            "{id:?} at {scale:?}"
+        );
+        // Reading renumbers the blocks exactly as the recorder did.
+        assert_eq!(
+            decode_workload(&bytes).as_ref(),
+            Ok(&wl),
+            "{id:?} at {scale:?}"
+        );
+        assert_first_touch_numbering(&DecodedTrace::decode(&wl));
+    }
+}
+
 /// FNV-1a matching the trace format's trailing checksum, so fuzzed
 /// structural damage reaches the parser instead of dying at the
 /// checksum gate.
@@ -150,14 +215,10 @@ fn decoder_survives_resealed_structural_corruption() {
         bytes[i] ^= 1 << rng.range_u8(0, 8);
         reseal(&mut bytes);
         if let Ok(decoded) = decode_workload(&bytes) {
-            let trace = DecodedTrace::decode(&decoded);
-            for (idx, p) in decoded.phases.iter().enumerate() {
+            for p in &decoded.phases {
                 assert!(p.mlp >= 1);
-                let dp = trace.phase(idx);
-                for (&b, &o) in dp.blocks.iter().zip(dp.ordinals) {
-                    assert_eq!(trace.ordinal_blocks()[o as usize], b);
-                }
             }
+            assert_first_touch_numbering(&DecodedTrace::decode(&decoded));
         }
     }
     // Resealed truncation: cut the payload short and seal what remains
