@@ -176,6 +176,9 @@ impl Args {
                     format!("unknown option '--{key}'")
                 });
             }
+            if values.iter().any(|(k, _)| k == key) {
+                return Err(format!("option '--{key}' is given more than once"));
+            }
             if VALUE_KEYS.contains(&key) {
                 let Some(value) = args.get(i + 1) else {
                     return Err(format!("--{key} requires a value"));
@@ -943,6 +946,10 @@ mod tests {
         assert!(Args::parse("compare", &argv(&["--suite"]))
             .unwrap_err()
             .contains("requires a value"));
+        assert_eq!(
+            Args::parse("sweep", &argv(&["--threads", "1", "--threads", "0"])).unwrap_err(),
+            "option '--threads' is given more than once"
+        );
     }
 
     #[test]

@@ -261,13 +261,18 @@ pub struct SharedTrace {
 pub struct TraceCache {
     // Hot-map audit: keyed per (suite, scale) under a mutex; FxHash keeps
     // the critical section short and the iteration order deterministic.
-    slots: Mutex<FxHashMap<(SuiteId, Scale), BuildSlot>>,
+    slots: Mutex<FxHashMap<(SuiteId, Scale), Arc<BuildSlot>>>,
     builds: AtomicUsize,
 }
 
-/// One key's build slot: cloned out of the map so initialization runs
-/// without holding the cache-wide mutex.
-type BuildSlot = Arc<OnceLock<SharedTrace>>;
+/// One key's build slot: the recorded trace and, once asked for, its
+/// fingerprint. Cloned out of the map so initialization runs without
+/// holding the cache-wide mutex.
+#[derive(Default)]
+struct BuildSlot {
+    trace: OnceLock<SharedTrace>,
+    fingerprint: OnceLock<u64>,
+}
 
 impl TraceCache {
     /// Creates an empty cache.
@@ -279,6 +284,7 @@ impl TraceCache {
     /// first use.
     pub fn get(&self, suite: SuiteId, scale: Scale) -> SharedTrace {
         self.slot(suite, scale)
+            .trace
             .get_or_init(|| {
                 self.builds.fetch_add(1, Ordering::Relaxed);
                 let workload = build_suite(suite, scale);
@@ -294,14 +300,17 @@ impl TraceCache {
     /// FNV-1a fingerprint of `(suite, scale)`'s encoded trace bytes — the
     /// value the result journal stores per row so a resume can prove the
     /// workload generator still produces the same trace (DESIGN.md §13).
-    /// Hashed from the cached workload on every call, so callers that
-    /// need it per row look it up once per suite.
+    /// Hashed from the cached workload on first use and memoized in the
+    /// key's build slot, so later calls only look it up.
     pub fn fingerprint(&self, suite: SuiteId, scale: Scale) -> u64 {
-        trace_io::fingerprint(&self.get(suite, scale).workload)
+        *self
+            .slot(suite, scale)
+            .fingerprint
+            .get_or_init(|| trace_io::fingerprint(&self.get(suite, scale).workload))
     }
 
     /// The build slot for `(suite, scale)`, created empty on first use.
-    fn slot(&self, suite: SuiteId, scale: Scale) -> BuildSlot {
+    fn slot(&self, suite: SuiteId, scale: Scale) -> Arc<BuildSlot> {
         // The map mutex only guards slot creation — cheap and O(1). The
         // expensive build happens inside the per-key OnceLock, outside the
         // mutex, so distinct suites materialize concurrently and one key
@@ -331,7 +340,7 @@ impl TraceCache {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .values()
-            .filter(|s| s.get().is_some())
+            .filter(|s| s.trace.get().is_some())
             .count()
     }
 
@@ -476,23 +485,16 @@ impl Sweep {
         // job's trace post-processing (oracle DMA windows, forwarding
         // pairs) so no timed replay region pays for analysis. Both caches
         // dedupe, so repeated (suite, parameter) pairs cost one compute.
-        // A journaled sweep fingerprints each suite's trace here, at its
-        // first job, so `rows_of` only looks the hash up.
+        // A journaled sweep fingerprints each suite's trace here too, so
+        // `rows_of` only looks the memoized hash up.
         let build_cursor = AtomicUsize::new(0);
-        // Hot-map audit: filled once per suite, probed per row, never
-        // iterated.
-        let fingerprints: Mutex<FxHashMap<SuiteId, u64>> = Mutex::default();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let i = build_cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(i) else { break };
-                    if self.journal.is_some() && jobs[..i].iter().all(|j| j.suite != job.suite) {
-                        let fp = self.traces.fingerprint(job.suite, self.scale);
-                        fingerprints
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .insert(job.suite, fp);
+                    if self.journal.is_some() {
+                        self.traces.fingerprint(job.suite, self.scale);
                     }
                     let trace = self.traces.get(job.suite, self.scale);
                     match job.system {
@@ -511,10 +513,6 @@ impl Sweep {
                 });
             }
         });
-
-        let fingerprints = fingerprints
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
 
         // Phase 2: fan the simulations out. Workers claim jobs from a
         // shared cursor and write into per-job slots, so output order is
@@ -583,7 +581,7 @@ impl Sweep {
                         res,
                         1,
                         0,
-                        fingerprints[&o.job.suite],
+                        self.traces.fingerprint(o.job.suite, self.scale),
                     )))
                 })
                 .collect()

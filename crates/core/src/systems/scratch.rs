@@ -6,7 +6,6 @@ use fusion_accel::analysis::DmaWindow;
 use fusion_accel::{kind_runs_of, run_phase_kind_runs};
 use fusion_dma::{DmaController, DmaDirection};
 use fusion_energy::{Component, EnergyLedger};
-use fusion_mem::Scratchpad;
 use fusion_types::{AxcId, Cycle, CACHE_BLOCK_BYTES};
 
 use crate::host::{NoTile, TileAgent};
@@ -18,12 +17,15 @@ use crate::systems::{PhaseHooks, Run};
 /// scratchpad-sized windows, stages exactly the read data before each
 /// window and drains exactly the dirty data after it — all through the
 /// host L2 over the 6 pJ/byte link, on the critical path.
+///
+/// The replay keeps no scratchpad contents: it moves each oracle window's
+/// `dma_in` and `dma_out` lists as given. The oracle stages every block a
+/// window reads first and fits each window in the scratchpad (checked
+/// against a brute-force reference in `crates/accel/tests/analyses.rs`),
+/// so every access hits.
 #[derive(Debug)]
 pub(super) struct ScratchSystem {
     dma: DmaController,
-    /// One scratchpad for the whole run: `drain_dirty` empties it at the
-    /// end of every window, so each window starts from an empty store.
-    sp: Scratchpad,
     /// Oracle windowing is trace post-processing: memoized on the shared
     /// trace, so repeat runs (and the sweep's untimed set-up stage) skip
     /// it entirely.
@@ -37,7 +39,6 @@ impl ScratchSystem {
         let cap_blocks = cfg.scratchpad.capacity_bytes / CACHE_BLOCK_BYTES;
         ScratchSystem {
             dma: DmaController::new(cfg.link_l1x_l2),
-            sp: Scratchpad::new(cfg.scratchpad.capacity_bytes),
             windows: run.decoded.dma_windows(run.workload, cap_blocks),
             no_tile: NoTile,
         }
@@ -49,10 +50,6 @@ impl PhaseHooks for ScratchSystem {
         &mut self.no_tile
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "the oracle schedule sized every DMA window and preloads every read block"
-    )]
     fn accel_phase(
         &mut self,
         run: &mut Run<'_>,
@@ -62,7 +59,7 @@ impl PhaseHooks for ScratchSystem {
     ) -> (Cycle, u64) {
         let (cfg, decoded, em) = (run.cfg, run.decoded, &run.em);
         let (host, ledger, latency) = (&mut run.host, &mut run.ledger, &mut run.latency);
-        let (dma, sp) = (&mut self.dma, &mut self.sp);
+        let dma = &mut self.dma;
         let phase = &run.workload.phases[phase_idx];
         let pid = run.workload.pid;
         let dp = decoded.phase_refs(phase_idx);
@@ -74,15 +71,10 @@ impl PhaseHooks for ScratchSystem {
                 host.dma_read_block(pid, b, at, ledger, &mut NoTile)
             });
             charge_dma_blocks(ledger, em, w.dma_in.len() as u64);
-            for &b in &w.dma_in {
-                sp.fill(b);
-            }
             now = tr.done_at;
             phase_dma += now - t0;
 
             // Execute the window: every access hits the scratchpad.
-            // Kind-sorted chunked replay over the window's own kinds:
-            // the read/write branch below is run-constant.
             let sp_lat = cfg.scratchpad.latency;
             let wdp = dp.slice(w.ref_range.0, w.ref_range.1);
             let t = run_phase_kind_runs(
@@ -91,14 +83,8 @@ impl PhaseHooks for ScratchSystem {
                 phase.mlp,
                 now,
                 kind_runs_of(wdp.kinds),
-                |j, at, is_write| {
+                |_, at, _| {
                     ledger.charge(Component::AxcCache, em.scratchpad_access);
-                    if is_write {
-                        sp.write(wdp.block(j)).expect("oracle DMA window overflow");
-                    } else {
-                        sp.read(wdp.block(j))
-                            .expect("oracle DMA missed a read block");
-                    }
                     at + sp_lat
                 },
             );
@@ -107,14 +93,12 @@ impl PhaseHooks for ScratchSystem {
             latency.record_n(sp_lat, wdp.len() as u64);
             now = t.end;
 
-            // DMA-out: drain the dirty blocks.
+            // DMA-out: drain the window's dirty blocks.
             let t0 = now;
-            let dirty = sp.drain_dirty();
-            debug_assert_eq!(dirty, w.dma_out, "oracle window analysis out of sync");
-            let tr = dma.transfer(&dirty, DmaDirection::Out, now, |b, at| {
+            let tr = dma.transfer(&w.dma_out, DmaDirection::Out, now, |b, at| {
                 host.dma_write_block(pid, b, at, ledger, &mut NoTile)
             });
-            charge_dma_blocks(ledger, em, dirty.len() as u64);
+            charge_dma_blocks(ledger, em, w.dma_out.len() as u64);
             now = tr.done_at;
             phase_dma += now - t0;
         }

@@ -26,7 +26,6 @@ use fusion_types::{BlockAddr, Cycle};
 pub struct BankedTiming {
     next_free: Vec<Cycle>,
     occupancy: u64,
-    conflicts: u64,
 }
 
 impl BankedTiming {
@@ -41,7 +40,6 @@ impl BankedTiming {
         BankedTiming {
             next_free: vec![Cycle::ZERO; banks],
             occupancy: occupancy.max(1),
-            conflicts: 0,
         }
     }
 
@@ -61,16 +59,8 @@ impl BankedTiming {
             (block.index() % banks) as usize
         };
         let start = now.max(self.next_free[bank]);
-        if start > now {
-            self.conflicts += 1;
-        }
         self.next_free[bank] = start + self.occupancy;
         start
-    }
-
-    /// Number of accesses that were delayed by a busy bank.
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts
     }
 }
 
@@ -85,7 +75,6 @@ mod tests {
         for i in 0..4 {
             assert_eq!(t.issue(BlockAddr::from_index(i), now), now);
         }
-        assert_eq!(t.conflicts(), 0);
     }
 
     #[test]
@@ -96,7 +85,6 @@ mod tests {
         assert_eq!(t.issue(b, now), Cycle::new(0));
         assert_eq!(t.issue(b, now), Cycle::new(4));
         assert_eq!(t.issue(b, now), Cycle::new(8));
-        assert_eq!(t.conflicts(), 2);
     }
 
     #[test]
@@ -106,6 +94,5 @@ mod tests {
         t.issue(b, Cycle::new(0));
         // Long after the bank freed up.
         assert_eq!(t.issue(b, Cycle::new(50)), Cycle::new(50));
-        assert_eq!(t.conflicts(), 0);
     }
 }

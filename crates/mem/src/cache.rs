@@ -70,11 +70,9 @@ pub struct SetAssocCache<M> {
     lens: Vec<u32>,
     sets: usize,
     ways: usize,
-    geometry: CacheGeometry,
     tick: u64,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 impl<M> SetAssocCache<M> {
@@ -93,11 +91,9 @@ impl<M> SetAssocCache<M> {
             lens: vec![0; sets],
             sets,
             ways,
-            geometry,
             tick: 0,
             hits: 0,
             misses: 0,
-            evictions: 0,
         }
     }
 
@@ -111,11 +107,6 @@ impl<M> SetAssocCache<M> {
     #[inline]
     fn set_slice_mut(&mut self, set: usize) -> &mut [Option<Line<M>>] {
         &mut self.slots[set * self.ways..set * self.ways + self.lens[set] as usize]
-    }
-
-    /// The cache geometry.
-    pub fn geometry(&self) -> &CacheGeometry {
-        &self.geometry
     }
 
     /// Set index for a block (modulo hashing over block index).
@@ -287,7 +278,6 @@ impl<M> SetAssocCache<M> {
             let old = self.slots[base + way].take().expect("occupied prefix slot");
             self.slots.swap(base + way, base + len - 1);
             self.lens[set] -= 1;
-            self.evictions += 1;
             Some(Evicted {
                 pid: old.pid,
                 block: old.block,
@@ -391,11 +381,6 @@ impl<M> SetAssocCache<M> {
     /// Lookup misses since construction.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Capacity/conflict evictions since construction.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     fn next_tick(&mut self) -> u64 {
@@ -502,7 +487,7 @@ mod tests {
         let e = c.insert(P, b(1), (), false).unwrap();
         assert_eq!(e.block, b(0));
         assert!(e.dirty);
-        assert_eq!(c.evictions(), 1);
+        assert!(c.probe(P, b(0)).is_none());
     }
 
     #[test]

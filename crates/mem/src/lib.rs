@@ -7,8 +7,6 @@
 //!   per-line metadata (the ACC protocol stores lease timestamps in it, the
 //!   host MESI caches store stable states),
 //! * [`BankedTiming`] — bank-conflict timing for the 16-banked shared L1X,
-//! * [`Scratchpad`] — the explicitly managed per-AXC RAM of the SCRATCH
-//!   baseline,
 //! * [`NucaRing`] — ring-hop timing for the 8-tile NUCA L2,
 //! * [`MainMemory`] — the 4-channel, 200-cycle open-page memory of Table 2.
 //!
@@ -30,10 +28,8 @@ pub mod banked;
 pub mod cache;
 pub mod memory;
 pub mod nuca;
-pub mod scratchpad;
 
 pub use banked::BankedTiming;
 pub use cache::{Evicted, Line, ReplacementPolicy, SetAssocCache};
 pub use memory::MainMemory;
 pub use nuca::NucaRing;
-pub use scratchpad::Scratchpad;

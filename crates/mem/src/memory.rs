@@ -25,7 +25,6 @@ pub struct MainMemory {
     latency: u64,
     row_hit_latency: u64,
     burst_cycles: u64,
-    accesses: u64,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -47,7 +46,6 @@ impl MainMemory {
             latency,
             row_hit_latency: latency / 2,
             burst_cycles: 8, // 64 B at 8 B/cycle on the channel
-            accesses: 0,
         }
     }
 
@@ -75,13 +73,7 @@ impl MainMemory {
             self.latency
         };
         channel.next_free = start + self.burst_cycles;
-        self.accesses += 1;
         start + latency
-    }
-
-    /// Total accesses served.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
     }
 }
 
@@ -103,7 +95,6 @@ mod tests {
     fn first_access_pays_full_latency() {
         let mut m = MainMemory::table2();
         assert_eq!(m.access(b(0), Cycle::new(0)), Cycle::new(200));
-        assert_eq!(m.accesses(), 1);
     }
 
     #[test]
@@ -128,7 +119,6 @@ mod tests {
         let d2 = m.access(b(1), Cycle::new(0));
         assert_eq!(d1, Cycle::new(200));
         assert_eq!(d2, Cycle::new(8 + 100));
-        assert_eq!(m.accesses(), 2);
     }
 
     #[test]
