@@ -4,19 +4,20 @@
 //!   function's %SHR (the fraction of its blocks that at least one
 //!   *other* accelerated function also touches) and %INT/%FP/%LD/%ST
 //!   operation mix, and the accelerator phases' %dirty blocks;
-//! * [`DecodedTrace::dma_windows`] — Section 4's oracle DMA: segment a
+//! * [`Workload::dma_windows`] — Section 4's oracle DMA: segment a
 //!   phase into scratchpad-sized execution windows, DMA-in exactly the
 //!   blocks read before written, DMA-out exactly the dirty blocks;
-//! * [`DecodedTrace::forward_pairs`] — Section 3.2's FUSION-Dx
+//! * [`Workload::forward_pairs`] — Section 3.2's FUSION-Dx
 //!   identification of producer→consumer stores (the paper post-processes
 //!   the trace the same way).
 //!
-//! All three run on a [`DecodedTrace`] and index flat per-block arrays by
-//! its block ordinals; the trace memoizes their results.
+//! All three read a [`Workload`]'s phases and lanes and index flat
+//! per-block arrays by its block ordinals; the workload memoizes their
+//! results.
 
 use fusion_types::{AxcId, BlockAddr};
 
-use crate::trace::{DecodedTrace, OpCounts, Workload};
+use crate::trace::{OpCounts, Workload};
 
 /// Per-function operation mix (percentages, as in Table 1).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -73,7 +74,7 @@ impl FunctionStats {
 
 /// The trace characterisation of Tables 1 and 4, over the accelerator
 /// phases (host phases are not counted). The working set of Figure 6d is
-/// [`DecodedTrace::working_set`].
+/// [`Workload::working_set`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceStats {
     /// One entry per accelerated function, in [`Workload::functions`]
@@ -121,12 +122,12 @@ impl std::ops::Index<&str> for TraceStats {
 /// for any number of functions. A block no second function touched is
 /// exclusive to its only toucher, so a function's shared blocks are its
 /// blocks minus its exclusive ones.
-pub(crate) fn trace_stats(trace: &DecodedTrace, workload: &Workload) -> TraceStats {
+pub(crate) fn trace_stats(workload: &Workload) -> TraceStats {
     const NONE: u32 = u32::MAX;
     const DIRTY: u8 = 1;
     const SHARED: u8 = 2;
     let names = workload.functions();
-    let n = trace.ordinal_blocks().len();
+    let n = workload.ordinal_blocks().len();
     let mut last = vec![NONE; n];
     let mut flags = vec![0u8; n];
     let mut functions: Vec<FunctionStats> = names
@@ -143,7 +144,7 @@ pub(crate) fn trace_stats(trace: &DecodedTrace, workload: &Workload) -> TraceSta
     for (f, (name, stats)) in (0u32..).zip(names.iter().zip(&mut functions)) {
         let phases = workload.phases.iter().enumerate();
         for (idx, p) in phases.filter(|(_, p)| !p.unit.is_host() && p.name == *name) {
-            let dp = trace.phase_refs(idx);
+            let dp = workload.phase_refs(idx);
             let mut stores = 0;
             for (&o, kind) in dp.ordinals.iter().zip(dp.kinds) {
                 let o = o as usize;
@@ -202,7 +203,7 @@ pub struct DmaWindow {
 const DIRTY: u8 = 1;
 const READ_FIRST: u8 = 2;
 
-/// Segments every accelerator phase of `trace` into windows that fit a
+/// Segments every accelerator phase of `workload` into windows that fit a
 /// scratchpad of `capacity_blocks`, computing each window's oracle DMA
 /// transfers (host phases get an empty list).
 ///
@@ -216,13 +217,9 @@ const READ_FIRST: u8 = 2;
 /// # Panics
 ///
 /// Panics if `capacity_blocks` is zero.
-pub(crate) fn dma_windows(
-    trace: &DecodedTrace,
-    workload: &Workload,
-    capacity_blocks: usize,
-) -> Vec<Vec<DmaWindow>> {
+pub(crate) fn dma_windows(workload: &Workload, capacity_blocks: usize) -> Vec<Vec<DmaWindow>> {
     assert!(capacity_blocks > 0, "scratchpad must hold at least a block");
-    let table = trace.ordinal_blocks();
+    let table = workload.ordinal_blocks();
     // Window numbers start at 1, so the zeroed array means "never staged".
     let mut stamp = vec![0usize; table.len()];
     let mut flags = vec![0u8; table.len()];
@@ -258,7 +255,7 @@ pub(crate) fn dma_windows(
             if p.unit.is_host() {
                 return windows;
             }
-            let dp = trace.phase_refs(idx);
+            let dp = workload.phase_refs(idx);
             let mut window_start = 0usize;
             window += 1;
             for (i, (&ord, kind)) in dp.ordinals.iter().zip(dp.kinds).enumerate() {
@@ -320,7 +317,7 @@ pub(crate) struct RankedPair {
 /// Identifies the stores that benefit from FUSION-Dx write forwarding, for
 /// every consumer window at once: a block written by accelerator A in one
 /// phase whose **next** tile access is a read by a different accelerator
-/// B. [`DecodedTrace::forward_pairs`] keeps the pairs whose consumer
+/// B. [`Workload::forward_pairs`] keeps the pairs whose consumer
 /// touches the block among its first `consumer_window` distinct blocks —
 /// data the consumer reads later than that is evicted from its L0X (by its
 /// own streaming) before it can be consumed, so forwarding it would only
@@ -331,7 +328,7 @@ pub(crate) struct RankedPair {
 /// phase's first touch of a block pairs with it. Every pair is keyed by
 /// `(block, producer_phase)` alone — a phase touches a block once in the
 /// per-block timeline — so the sorted list needs no dedupe.
-pub(crate) fn forward_candidates(trace: &DecodedTrace, workload: &Workload) -> Vec<RankedPair> {
+pub(crate) fn forward_candidates(workload: &Workload) -> Vec<RankedPair> {
     /// A block's summary over one phase.
     #[derive(Clone, Copy)]
     struct Touch {
@@ -351,7 +348,7 @@ pub(crate) fn forward_candidates(trace: &DecodedTrace, workload: &Workload) -> V
         last_ref: usize,
         wrote: bool,
     }
-    let table = trace.ordinal_blocks();
+    let table = workload.ordinal_blocks();
     let mut last: Vec<Option<Touch>> = vec![None; table.len()];
     let mut open = vec![Open::default(); table.len()];
     // The running phase's distinct blocks in first-touch order.
@@ -359,7 +356,7 @@ pub(crate) fn forward_candidates(trace: &DecodedTrace, workload: &Workload) -> V
     let mut out = Vec::new();
     for (idx, p) in workload.phases.iter().enumerate() {
         let axc = p.unit.axc();
-        let dp = trace.phase_refs(idx);
+        let dp = workload.phase_refs(idx);
         order.clear();
         for (i, (&o, kind)) in dp.ordinals.iter().zip(dp.kinds).enumerate() {
             let is_write = kind.is_write();
@@ -442,17 +439,15 @@ mod tests {
 
     fn dma_windows(refs: Refs<'_>, capacity_blocks: usize) -> Vec<DmaWindow> {
         let wl = workload(&[("f", 0, refs)]);
-        DecodedTrace::decode(&wl).dma_windows(&wl, capacity_blocks)[0].clone()
+        wl.dma_windows(capacity_blocks)[0].clone()
     }
 
     fn stats(wl: &Workload) -> TraceStats {
-        DecodedTrace::decode(wl).trace_stats(wl).clone()
+        wl.trace_stats().clone()
     }
 
     fn forward_pairs(wl: &Workload) -> Vec<ForwardPair> {
-        DecodedTrace::decode(wl)
-            .forward_pairs(wl, usize::MAX)
-            .to_vec()
+        wl.forward_pairs(usize::MAX).to_vec()
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!
 //! * [`trace`] — the dynamic trace format: a [`trace::Workload`] (the
 //!   offloaded sequential program) is [`trace::Phase`]s (one accelerator
-//!   invocation each) over one set of per-reference lanes — block, kind,
-//!   compute gap and block ordinal — that every replay and analysis reads;
+//!   invocation each) over one set of per-reference lanes — block
+//!   ordinal, kind and compute gap — that every replay and analysis reads,
+//!   plus the analyses of them, memoized on the workload;
 //! * [`record`] — an instrumented address space: benchmark kernels run on
 //!   real Rust buffers while every load/store and every int/fp operation is
 //!   recorded straight into those lanes (replaces gprof + binary

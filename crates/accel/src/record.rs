@@ -46,7 +46,7 @@ impl RecState {
 /// # Examples
 ///
 /// ```
-/// use fusion_accel::{DecodedTrace, Recorder};
+/// use fusion_accel::Recorder;
 /// use fusion_types::ids::ExecUnit;
 /// use fusion_types::{AxcId, Pid};
 ///
@@ -59,7 +59,7 @@ impl RecState {
 /// }
 /// rec.end_phase("incr", ExecUnit::Axc(AxcId::new(0)), 2, 500);
 /// let wl = rec.finish("demo", Pid::new(1));
-/// assert_eq!(DecodedTrace::decode(&wl).phase_refs(0).len(), 32);
+/// assert_eq!(wl.phase_refs(0).len(), 32);
 /// assert_eq!(wl.phases[0].ops.fp_ops, 16);
 /// ```
 #[derive(Debug, Clone)]
@@ -240,7 +240,6 @@ impl<T: Copy> TracedBuf<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DecodedTrace;
     use fusion_types::AxcId;
 
     #[test]
@@ -264,8 +263,7 @@ mod tests {
         rec.end_phase("t", ExecUnit::Host, 1, 100);
         let base = BlockAddr::containing(buf.base());
         let wl = rec.finish("T", Pid::new(1));
-        let trace = DecodedTrace::decode(&wl);
-        let p = trace.phase_refs(0);
+        let p = wl.phase_refs(0);
         // Element 20 of a u32 buffer sits at byte 80: the second block.
         assert_eq!(
             p.blocks().collect::<Vec<_>>(),
@@ -284,7 +282,7 @@ mod tests {
         buf.get(1);
         rec.end_phase("t", ExecUnit::Axc(AxcId::new(0)), 1, 100);
         let wl = rec.finish("T", Pid::new(1));
-        assert_eq!(DecodedTrace::decode(&wl).phase_refs(0).gaps, [0, 2]);
+        assert_eq!(wl.phase_refs(0).gaps, [0, 2]);
         assert_eq!(wl.phases[0].ops.int_ops, 8);
     }
 
@@ -298,18 +296,17 @@ mod tests {
         buf.get(1);
         rec.end_phase("b", ExecUnit::Host, 1, 100);
         let wl = rec.finish("T", Pid::new(1));
-        let trace = DecodedTrace::decode(&wl);
-        assert_eq!(trace.phase_refs(0).len(), 1);
+        assert_eq!(wl.phase_refs(0).len(), 1);
         assert_eq!(wl.phases[0].ops.fp_ops, 3);
-        assert_eq!(trace.phase_refs(1).len(), 1);
+        assert_eq!(wl.phase_refs(1).len(), 1);
         assert_eq!(wl.phases[1].ops.fp_ops, 0);
         assert_eq!(
-            trace.phase_refs(1).gaps,
+            wl.phase_refs(1).gaps,
             [0],
             "gap must not leak across phases"
         );
         // One block, numbered once across both phases.
-        assert_eq!(trace.phase_refs(1).ordinals, [0]);
+        assert_eq!(wl.phase_refs(1).ordinals, [0]);
     }
 
     #[test]
@@ -333,9 +330,8 @@ mod tests {
         }
         rec.end_phase("x", ExecUnit::Host, 1, 1);
         let wl = rec.finish("T", Pid::new(1));
-        let trace = DecodedTrace::decode(&wl);
-        assert_eq!(trace.phase_refs(0).ordinals, [0, 1, 0, 2, 1, 3]);
-        let table: Vec<u64> = trace.ordinal_blocks().iter().map(|b| b.index()).collect();
+        assert_eq!(wl.phase_refs(0).ordinals, [0, 1, 0, 2, 1, 3]);
+        let table: Vec<u64> = wl.ordinal_blocks().iter().map(|b| b.index()).collect();
         assert_eq!(table, [5, 5 + 1024, 5 + 2048, 7]);
     }
 

@@ -59,18 +59,47 @@ pub struct Phase {
 }
 
 /// A full offloaded program: the ordered phases the execution migrates
-/// through, identity metadata, and the reference lanes the
-/// [`crate::Recorder`] wrote. Cloning shares the lanes.
-#[derive(Debug, Clone, PartialEq)]
+/// through, identity metadata, the reference lanes the
+/// [`crate::Recorder`] wrote, and the memoized analyses of those lanes
+/// (oracle DMA windows, forwarding pairs, Table 1/4 statistics).
+///
+/// A clone shares the lanes but starts with an empty analysis cache, so
+/// a clone whose phases are edited gets analyses of its own phases.
+/// Equality ignores the cache.
+#[derive(Debug)]
 pub struct Workload {
     /// Benchmark name ("FFT", "DISP.", ...).
     pub name: String,
     /// Owning process (PID tags in the tile caches).
     pub pid: Pid,
     /// Program-ordered phases, one per recorded lane range: phase `i`'s
-    /// references are [`DecodedTrace::phase_refs`]`(i)`.
+    /// references are [`Workload::phase_refs`]`(i)`. The analyses read the
+    /// phases' units, names and op counts: edit them on a fresh clone,
+    /// before any analysis of it is asked for.
     pub phases: Vec<Phase>,
     lanes: Arc<Lanes>,
+    analysis: AnalysisCache,
+}
+
+impl Clone for Workload {
+    fn clone(&self) -> Workload {
+        Workload {
+            name: self.name.clone(),
+            pid: self.pid,
+            phases: self.phases.clone(),
+            lanes: Arc::clone(&self.lanes),
+            analysis: AnalysisCache::default(),
+        }
+    }
+}
+
+impl PartialEq for Workload {
+    fn eq(&self, other: &Workload) -> bool {
+        self.name == other.name
+            && self.pid == other.pid
+            && self.phases == other.phases
+            && self.lanes == other.lanes
+    }
 }
 
 impl Workload {
@@ -99,9 +128,79 @@ impl Workload {
         self.lanes.ordinals.len() as u64
     }
 
-    /// Phase `idx`'s references.
-    pub(crate) fn phase_refs(&self, idx: usize) -> DecodedPhase<'_> {
+    /// Borrowed view of phase `idx`'s references: the view every replay
+    /// loop and analysis reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= phases.len()`.
+    pub fn phase_refs(&self, idx: usize) -> DecodedPhase<'_> {
         self.lanes.phase(idx)
+    }
+
+    /// The ordinal → block table: entry `o` is the block that
+    /// [`DecodedPhase::ordinals`] value `o` names. Blocks appear in the
+    /// order the trace first touches them.
+    pub fn ordinal_blocks(&self) -> &[BlockAddr] {
+        &self.lanes.ordinal_blocks
+    }
+
+    /// Unique working-set size across the whole program (host phases
+    /// included): one block per ordinal.
+    pub fn working_set(&self) -> Bytes {
+        Bytes::new(self.lanes.ordinal_blocks.len() as u64 * fusion_types::CACHE_BLOCK_BYTES as u64)
+    }
+
+    /// Oracle DMA windows of every phase for a scratchpad of
+    /// `capacity_blocks` (host phases get an empty list), computed once per
+    /// capacity and shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity_blocks` is zero.
+    pub fn dma_windows(&self, capacity_blocks: usize) -> Arc<Vec<Vec<DmaWindow>>> {
+        let mut cache = self
+            .analysis
+            .dma_windows
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        Arc::clone(
+            cache
+                .entry(capacity_blocks)
+                .or_insert_with(|| Arc::new(crate::analysis::dma_windows(self, capacity_blocks))),
+        )
+    }
+
+    /// FUSION-Dx forwarding pairs for an L0X of `consumer_window` blocks
+    /// (`usize::MAX`: every pair), computed once per window and shared. The
+    /// trace is walked once for all windows.
+    pub fn forward_pairs(&self, consumer_window: usize) -> Arc<Vec<ForwardPair>> {
+        let candidates = self
+            .analysis
+            .forward_candidates
+            .get_or_init(|| crate::analysis::forward_candidates(self));
+        let mut cache = self
+            .analysis
+            .forward_pairs
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        Arc::clone(cache.entry(consumer_window).or_insert_with(|| {
+            Arc::new(
+                candidates
+                    .iter()
+                    .filter(|c| c.rank < consumer_window)
+                    .map(|c| c.pair)
+                    .collect(),
+            )
+        }))
+    }
+
+    /// Table 1/4 statistics of the accelerator phases (per-function %SHR
+    /// and op mix, %dirty blocks), computed on first request and shared.
+    pub fn trace_stats(&self) -> &TraceStats {
+        self.analysis
+            .stats
+            .get_or_init(|| crate::analysis::trace_stats(self))
     }
 }
 
@@ -113,7 +212,7 @@ impl Workload {
 ///
 /// A reference names its block by a dense *ordinal*, assigned in
 /// first-touch order over the whole trace; the ordinal → block table
-/// ([`DecodedTrace::ordinal_blocks`]) maps it back. The table holds one
+/// ([`Workload::ordinal_blocks`]) maps it back. The table holds one
 /// entry per distinct block, a few tens of thousands at paper scale, so
 /// it stays cache-resident while a replay resolves each reference through
 /// it ([`DecodedPhase::block`]). A per-reference block lane would store
@@ -246,22 +345,9 @@ impl LaneWriter {
             pid,
             phases,
             lanes: Arc::new(lanes),
+            analysis: AnalysisCache::default(),
         }
     }
-}
-
-/// A [`Workload`]'s lanes together with the memoized analyses of them
-/// (oracle DMA windows, forwarding pairs, Table 1/4 statistics).
-///
-/// The replay loops ([`crate::engine::run_phase_kind_runs`],
-/// [`crate::ooo::run_host_phase_indexed`]) and the analyses read the
-/// lanes through [`DecodedTrace::phase_refs`].
-#[derive(Debug)]
-pub struct DecodedTrace {
-    lanes: Arc<Lanes>,
-    analysis: AnalysisCache,
-    // The per-reference block lane, built by the first `phase` call.
-    blocks: OnceLock<Vec<BlockAddr>>,
 }
 
 /// A maximal run of consecutive same-kind references within one phase or
@@ -319,8 +405,8 @@ pub fn kind_runs_of(kinds: &[AccessKind]) -> impl Iterator<Item = KindRun> + '_ 
 /// that shapes each analysis. The oracle DMA windowing and the FUSION-Dx
 /// forwarding-pair identification are *post-processing of the trace* (the
 /// paper computes both offline), not simulation work: memoizing them on
-/// the shared trace lets the sweep's untimed set-up stage pay for them
-/// once, outside every job's timed replay region.
+/// the workload lets the sweep's untimed set-up stage pay for them once,
+/// outside every job's timed replay region.
 ///
 /// The forwarding analysis walks the trace once for all L0X windows: the
 /// ranked candidate list holds every pair with its consumer's first-touch
@@ -341,154 +427,7 @@ struct AnalysisCache {
     stats: OnceLock<TraceStats>,
 }
 
-impl DecodedTrace {
-    /// `workload`'s lanes with an empty analysis cache, in constant time:
-    /// the lanes are shared, never copied. The recorder already wrote
-    /// them, so nothing is decoded; the name is held for the `perf`
-    /// harness (ROADMAP item 3).
-    pub fn decode(workload: &Workload) -> DecodedTrace {
-        DecodedTrace {
-            lanes: Arc::clone(&workload.lanes),
-            analysis: AnalysisCache::default(),
-            blocks: OnceLock::new(),
-        }
-    }
-
-    /// Oracle DMA windows of every phase for a scratchpad of
-    /// `capacity_blocks` (host phases get an empty list), computed once per
-    /// capacity and shared. `workload` must be the workload this trace shares
-    /// its lanes with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity_blocks` is zero.
-    pub fn dma_windows(
-        &self,
-        workload: &Workload,
-        capacity_blocks: usize,
-    ) -> Arc<Vec<Vec<DmaWindow>>> {
-        let mut cache = self
-            .analysis
-            .dma_windows
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        Arc::clone(cache.entry(capacity_blocks).or_insert_with(|| {
-            Arc::new(crate::analysis::dma_windows(
-                self,
-                workload,
-                capacity_blocks,
-            ))
-        }))
-    }
-
-    /// FUSION-Dx forwarding pairs for an L0X of `consumer_window` blocks
-    /// (`usize::MAX`: every pair), computed once per window and shared. The
-    /// trace is walked once for all windows. `workload` must be the
-    /// workload this trace shares its lanes with.
-    pub fn forward_pairs(
-        &self,
-        workload: &Workload,
-        consumer_window: usize,
-    ) -> Arc<Vec<ForwardPair>> {
-        let candidates = self
-            .analysis
-            .forward_candidates
-            .get_or_init(|| crate::analysis::forward_candidates(self, workload));
-        let mut cache = self
-            .analysis
-            .forward_pairs
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        Arc::clone(cache.entry(consumer_window).or_insert_with(|| {
-            Arc::new(
-                candidates
-                    .iter()
-                    .filter(|c| c.rank < consumer_window)
-                    .map(|c| c.pair)
-                    .collect(),
-            )
-        }))
-    }
-
-    /// Table 1/4 statistics of the accelerator phases (per-function %SHR
-    /// and op mix, %dirty blocks), computed on first request and shared.
-    /// `workload` must be the workload this trace shares its lanes with.
-    pub fn trace_stats(&self, workload: &Workload) -> &TraceStats {
-        self.analysis
-            .stats
-            .get_or_init(|| crate::analysis::trace_stats(self, workload))
-    }
-
-    /// Unique working-set size across the whole program (host phases
-    /// included): one block per ordinal.
-    pub fn working_set(&self) -> Bytes {
-        Bytes::new(self.lanes.ordinal_blocks.len() as u64 * fusion_types::CACHE_BLOCK_BYTES as u64)
-    }
-
-    /// The ordinal → block table: entry `o` is the block that
-    /// [`DecodedPhase::ordinals`] value `o` names. Blocks appear in the
-    /// order the trace first touches them.
-    pub fn ordinal_blocks(&self) -> &[BlockAddr] {
-        &self.lanes.ordinal_blocks
-    }
-
-    /// Number of phases.
-    pub fn phase_count(&self) -> usize {
-        self.lanes.phase_offsets.len() - 1
-    }
-
-    /// Total dynamic references across all phases.
-    pub fn total_refs(&self) -> u64 {
-        self.lanes.ordinals.len() as u64
-    }
-
-    /// Borrowed view of phase `idx`'s references: the view every replay
-    /// loop and analysis reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= phase_count()`.
-    pub fn phase_refs(&self, idx: usize) -> DecodedPhase<'_> {
-        self.lanes.phase(idx)
-    }
-
-    /// Phase `idx`'s references with a per-reference block lane, for the
-    /// `perf` harness's traced pass (ROADMAP item 3). The first call
-    /// resolves every reference's block into a lane this trace keeps
-    /// (8 bytes a reference); the simulator reads
-    /// [`DecodedTrace::phase_refs`] instead and never builds it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= phase_count()`.
-    pub fn phase(&self, idx: usize) -> BlockLanePhase<'_> {
-        let blocks = self.blocks.get_or_init(|| {
-            (0..self.phase_count())
-                .flat_map(|i| self.phase_refs(i).blocks())
-                .collect()
-        });
-        let (lo, refs) = (self.lanes.phase_offsets[idx], self.phase_refs(idx));
-        BlockLanePhase {
-            blocks: &blocks[lo..lo + refs.len()],
-            kinds: refs.kinds,
-            gaps: refs.gaps,
-        }
-    }
-
-    /// The same-kind runs of phase `idx` (phase-local positions),
-    /// collected from [`kind_runs_of`]. The replay loops stream
-    /// `kind_runs_of(phase.kinds)` instead; this collected form is kept
-    /// for the `perf` harness's engine pass, which iterates it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= phase_count()`.
-    pub fn phase_kind_runs(&self, idx: usize) -> Vec<KindRun> {
-        kind_runs_of(self.phase_refs(idx).kinds).collect()
-    }
-}
-
-/// A borrowed, sliceable view of one phase of a [`DecodedTrace`]: parallel
+/// A borrowed, sliceable view of one phase of a [`Workload`]: parallel
 /// arrays indexed by position within the phase, each reference's block
 /// resolved through the ordinal → block table ([`DecodedPhase::block`]).
 #[derive(Debug, Clone, Copy)]
@@ -498,7 +437,7 @@ pub struct DecodedPhase<'a> {
     /// Compute gap preceding each reference.
     pub gaps: &'a [u16],
     /// Dense ordinal of each reference's block (see
-    /// [`DecodedTrace::ordinal_blocks`]).
+    /// [`Workload::ordinal_blocks`]).
     pub ordinals: &'a [u32],
     // The whole trace's ordinal → block table.
     ordinal_blocks: &'a [BlockAddr],
@@ -543,6 +482,83 @@ impl<'a> DecodedPhase<'a> {
             ordinals: &self.ordinals[lo..hi],
             ordinal_blocks: self.ordinal_blocks,
         }
+    }
+}
+
+/// The `perf` harness's view of a [`Workload`], held for it alone
+/// (ROADMAP item 3): the simulator reads the workload directly. It has
+/// exactly the calls the harness makes. The analyses delegate to the
+/// workload passed in, so the harness's prewarm fills the cache that
+/// [`Workload::dma_windows`] and [`Workload::forward_pairs`] later serve
+/// to the replays.
+#[derive(Debug)]
+pub struct DecodedTrace {
+    lanes: Arc<Lanes>,
+    // The per-reference block lane, built by the first `phase` call.
+    blocks: OnceLock<Vec<BlockAddr>>,
+}
+
+impl DecodedTrace {
+    /// `workload`'s lanes, shared in constant time, never copied.
+    pub fn decode(workload: &Workload) -> DecodedTrace {
+        DecodedTrace {
+            lanes: Arc::clone(&workload.lanes),
+            blocks: OnceLock::new(),
+        }
+    }
+
+    /// [`Workload::dma_windows`] of `workload`.
+    pub fn dma_windows(
+        &self,
+        workload: &Workload,
+        capacity_blocks: usize,
+    ) -> Arc<Vec<Vec<DmaWindow>>> {
+        workload.dma_windows(capacity_blocks)
+    }
+
+    /// [`Workload::forward_pairs`] of `workload`.
+    pub fn forward_pairs(
+        &self,
+        workload: &Workload,
+        consumer_window: usize,
+    ) -> Arc<Vec<ForwardPair>> {
+        workload.forward_pairs(consumer_window)
+    }
+
+    /// Total dynamic references across all phases.
+    pub fn total_refs(&self) -> u64 {
+        self.lanes.ordinals.len() as u64
+    }
+
+    /// Phase `idx`'s references with a per-reference block lane. The
+    /// first call resolves every reference's block into a lane this view
+    /// keeps (8 bytes a reference).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not a phase of the workload.
+    pub fn phase(&self, idx: usize) -> BlockLanePhase<'_> {
+        let blocks = self.blocks.get_or_init(|| {
+            (0..self.lanes.phase_offsets.len() - 1)
+                .flat_map(|i| self.lanes.phase(i).blocks())
+                .collect()
+        });
+        let (lo, refs) = (self.lanes.phase_offsets[idx], self.lanes.phase(idx));
+        BlockLanePhase {
+            blocks: &blocks[lo..lo + refs.len()],
+            kinds: refs.kinds,
+            gaps: refs.gaps,
+        }
+    }
+
+    /// The same-kind runs of phase `idx` (phase-local positions),
+    /// collected from [`kind_runs_of`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not a phase of the workload.
+    pub fn phase_kind_runs(&self, idx: usize) -> Vec<KindRun> {
+        kind_runs_of(self.lanes.phase(idx).kinds).collect()
     }
 }
 
@@ -599,8 +615,7 @@ mod tests {
     #[test]
     fn phase_counts_loads_and_stores() {
         let wl = workload(&[("f", axc(0), &[(0, Load), (1, Store), (0, Load)])]);
-        let d = DecodedTrace::decode(&wl);
-        let f = &d.trace_stats(&wl)["f"];
+        let f = &wl.trace_stats()["f"];
         assert_eq!(f.loads, 2);
         assert_eq!(f.stores, 1);
         assert_eq!(f.blocks as u64 * 64, 128);
@@ -624,7 +639,7 @@ mod tests {
             ("a", axc(0), &[(0, Load), (0, Load)]),
             ("b", axc(1), &[(0, Store), (2, Load)]),
         ]);
-        assert_eq!(DecodedTrace::decode(&wl).working_set().value(), 128);
+        assert_eq!(wl.working_set().value(), 128);
         assert_eq!(wl.total_refs(), 4);
     }
 
@@ -634,17 +649,16 @@ mod tests {
             ("a", axc(0), &[(0, Load), (2, Store)]),
             ("host", ExecUnit::Host, &[(1, Load), (2, Load)]),
         ]);
-        let d = DecodedTrace::decode(&wl);
-        assert_eq!(d.phase_count(), 2);
-        assert_eq!(d.total_refs(), 4);
+        assert_eq!(wl.phases.len(), 2);
+        assert_eq!(wl.total_refs(), 4);
         let b = BlockAddr::from_index;
-        let blocks = |idx| d.phase_refs(idx).blocks().collect::<Vec<_>>();
+        let blocks = |idx| wl.phase_refs(idx).blocks().collect::<Vec<_>>();
         assert_eq!(blocks(0), [b(0), b(2)]);
-        assert_eq!(d.phase_refs(0).kinds, [Load, Store]);
+        assert_eq!(wl.phase_refs(0).kinds, [Load, Store]);
         assert_eq!(blocks(1), [b(1), b(2)]);
-        assert_eq!(d.phase_refs(1).block(0), b(1));
-        assert_eq!(d.phase_refs(1).ordinals, [2, 1]);
-        assert_eq!(d.ordinal_blocks(), [b(0), b(2), b(1)]);
+        assert_eq!(wl.phase_refs(1).block(0), b(1));
+        assert_eq!(wl.phase_refs(1).ordinals, [2, 1]);
+        assert_eq!(wl.ordinal_blocks(), [b(0), b(2), b(1)]);
     }
 
     #[test]
@@ -655,8 +669,8 @@ mod tests {
         ]);
         let d = DecodedTrace::decode(&wl);
         assert!(d.blocks.get().is_none(), "decode builds no block lane");
-        for idx in 0..d.phase_count() {
-            let (lane, refs) = (d.phase(idx), d.phase_refs(idx));
+        for idx in 0..wl.phases.len() {
+            let (lane, refs) = (d.phase(idx), wl.phase_refs(idx));
             assert_eq!(lane.blocks, refs.blocks().collect::<Vec<_>>());
             assert_eq!((lane.kinds, lane.gaps), (refs.kinds, refs.gaps));
             assert_eq!(lane.len(), refs.len());
@@ -674,14 +688,50 @@ mod tests {
         let wl = workload(&[("a", axc(0), &[(0, Load)])]);
         let d = DecodedTrace::decode(&wl);
         assert!(Arc::ptr_eq(&d.lanes, &wl.lanes));
+        assert_eq!(d.total_refs(), wl.total_refs());
+        assert_eq!(
+            d.phase_kind_runs(0),
+            kind_runs_of(&[Load]).collect::<Vec<_>>()
+        );
+        assert!(Arc::ptr_eq(&d.dma_windows(&wl, 4), &wl.dma_windows(4)));
+        assert!(Arc::ptr_eq(&d.forward_pairs(&wl, 8), &wl.forward_pairs(8)));
+    }
+
+    #[test]
+    fn analyses_are_memoized_and_a_clone_starts_empty() {
+        let wl = workload(&[
+            ("p", axc(0), &[(7, Store), (8, Store)]),
+            ("c", axc(1), &[(7, Load), (8, Load)]),
+        ]);
+        assert!(Arc::ptr_eq(&wl.dma_windows(1), &wl.dma_windows(1)));
+        assert!(Arc::ptr_eq(&wl.forward_pairs(8), &wl.forward_pairs(8)));
+        assert_eq!(wl.forward_pairs(8).len(), 2);
+        assert_eq!(wl.trace_stats().functions.len(), 2);
+        // The consumer moves to the host on a clone: the clone shares the
+        // lanes and compares equal until edited, but its analyses are its own.
+        let mut host = wl.clone();
+        assert!(Arc::ptr_eq(&host.lanes, &wl.lanes));
+        assert_eq!(host, wl, "equality ignores the cache");
+        host.phases[1].unit = ExecUnit::Host;
+        assert_ne!(host, wl);
+        assert!(
+            host.forward_pairs(8).is_empty(),
+            "the host takes no forwards"
+        );
+        assert!(
+            host.dma_windows(1)[1].is_empty(),
+            "host phases get no windows"
+        );
+        assert_eq!(host.trace_stats().functions.len(), 1);
+        assert_eq!(wl.forward_pairs(8).len(), 2, "the original keeps its own");
+        assert_eq!(wl.dma_windows(1)[1].len(), 2);
     }
 
     #[test]
     fn decoded_phase_slices_like_ref_ranges() {
         let refs: Vec<(u64, AccessKind)> = (0..10u64).map(|i| (i, Load)).collect();
         let wl = workload(&[("a", axc(0), &refs)]);
-        let d = DecodedTrace::decode(&wl);
-        let w = d.phase_refs(0).slice(3, 7);
+        let w = wl.phase_refs(0).slice(3, 7);
         assert_eq!(w.len(), 4);
         assert!(!w.is_empty());
         for (j, &(b, _)) in refs[3..7].iter().enumerate() {

@@ -7,7 +7,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fusion_accel::analysis::{DmaWindow, ForwardPair, FunctionStats, TraceStats};
-use fusion_accel::{DecodedPhase, DecodedTrace, OpCounts, Recorder, Workload};
+use fusion_accel::{DecodedPhase, OpCounts, Recorder, Workload};
 use fusion_types::ids::ExecUnit;
 use fusion_types::{AccessKind, AxcId, BlockAddr, Pid};
 use fusion_workloads::{all_suites, build_suite, Scale};
@@ -15,12 +15,13 @@ use fusion_workloads::{all_suites, build_suite, Scale};
 const CAPACITIES: [usize; 7] = [1, 2, 32, 64, 128, 256, 4096];
 const WINDOWS: [usize; 6] = [1, 32, 64, 128, 256, usize::MAX];
 
-fn traces() -> impl Iterator<Item = (String, Workload, DecodedTrace)> {
+fn traces() -> impl Iterator<Item = (String, Workload)> {
     [Scale::Tiny, Scale::Small].into_iter().flat_map(|scale| {
         all_suites().into_iter().map(move |suite| {
-            let wl = build_suite(suite, scale);
-            let decoded = DecodedTrace::decode(&wl);
-            (format!("{}@{scale:?}", suite.label()), wl, decoded)
+            (
+                format!("{}@{scale:?}", suite.label()),
+                build_suite(suite, scale),
+            )
         })
     })
 }
@@ -76,10 +77,10 @@ struct Touch {
 /// wrote it and a different accelerator reads it first, among that
 /// consumer's first `window` distinct blocks; keyed by
 /// `(block, producer_phase, consumer)`.
-fn reference_pairs(wl: &Workload, trace: &DecodedTrace, window: usize) -> Vec<ForwardPair> {
+fn reference_pairs(wl: &Workload, window: usize) -> Vec<ForwardPair> {
     let mut timeline: BTreeMap<BlockAddr, Vec<Touch>> = BTreeMap::new();
     for (phase, p) in wl.phases.iter().enumerate() {
-        let dp = trace.phase_refs(phase);
+        let dp = wl.phase_refs(phase);
         let mut seen: BTreeMap<BlockAddr, Touch> = BTreeMap::new();
         for (i, (block, kind)) in dp.blocks().zip(dp.kinds).enumerate() {
             let rank = seen.len();
@@ -126,15 +127,15 @@ fn reference_pairs(wl: &Workload, trace: &DecodedTrace, window: usize) -> Vec<Fo
 
 #[test]
 fn dma_windows_match_the_reference_at_every_capacity() {
-    for (name, wl, decoded) in traces() {
+    for (name, wl) in traces() {
         for cap in CAPACITIES {
-            let windows = decoded.dma_windows(&wl, cap);
+            let windows = wl.dma_windows(cap);
             assert_eq!(windows.len(), wl.phases.len());
             for (idx, p) in wl.phases.iter().enumerate() {
                 let want = if p.unit.is_host() {
                     Vec::new()
                 } else {
-                    reference_windows(decoded.phase_refs(idx), cap)
+                    reference_windows(wl.phase_refs(idx), cap)
                 };
                 assert_eq!(windows[idx], want, "{name} phase {idx} capacity {cap}");
             }
@@ -144,11 +145,11 @@ fn dma_windows_match_the_reference_at_every_capacity() {
 
 #[test]
 fn every_dma_window_fits_its_scratchpad() {
-    for (name, wl, decoded) in traces() {
+    for (name, wl) in traces() {
         for cap in CAPACITIES {
-            let windows = decoded.dma_windows(&wl, cap);
+            let windows = wl.dma_windows(cap);
             for (idx, phase_windows) in windows.iter().enumerate() {
-                let dp = decoded.phase_refs(idx);
+                let dp = wl.phase_refs(idx);
                 let mut next = 0;
                 for w in phase_windows {
                     let (lo, hi) = w.ref_range;
@@ -169,10 +170,10 @@ fn every_dma_window_fits_its_scratchpad() {
 #[test]
 fn forward_pairs_match_the_reference_at_every_window() {
     let mut found = 0;
-    for (name, wl, decoded) in traces() {
+    for (name, wl) in traces() {
         for w in WINDOWS {
-            let got = decoded.forward_pairs(&wl, w);
-            assert_eq!(*got, reference_pairs(&wl, &decoded, w), "{name} window {w}");
+            let got = wl.forward_pairs(w);
+            assert_eq!(*got, reference_pairs(&wl, w), "{name} window {w}");
             found += got.len();
         }
     }
@@ -184,13 +185,13 @@ fn forward_pairs_match_the_reference_at_every_window() {
 /// ordinals must be handed out densely in first-touch order.
 #[test]
 fn ordinals_number_distinct_blocks_in_first_touch_order() {
-    for (name, wl, decoded) in traces() {
-        let table = decoded.ordinal_blocks();
+    for (name, wl) in traces() {
+        let table = wl.ordinal_blocks();
         let distinct: BTreeSet<BlockAddr> = table.iter().copied().collect();
         assert_eq!(distinct.len(), table.len(), "{name}: one ordinal per block");
         let mut issued = 0usize;
         for idx in 0..wl.phases.len() {
-            for &o in decoded.phase_refs(idx).ordinals {
+            for &o in wl.phase_refs(idx).ordinals {
                 let o = o as usize;
                 assert!(o <= issued, "{name}: ordinal {o} skips ahead of {issued}");
                 issued = issued.max(o + 1);
@@ -201,9 +202,9 @@ fn ordinals_number_distinct_blocks_in_first_touch_order() {
 }
 
 /// Distinct blocks of the workload, host phases included (Figure 6d).
-fn reference_working_set(wl: &Workload, trace: &DecodedTrace) -> BTreeSet<BlockAddr> {
+fn reference_working_set(wl: &Workload) -> BTreeSet<BlockAddr> {
     (0..wl.phases.len())
-        .flat_map(|idx| trace.phase_refs(idx).blocks())
+        .flat_map(|idx| wl.phase_refs(idx).blocks())
         .collect()
 }
 
@@ -216,13 +217,9 @@ fn function_phases<'a>(wl: &'a Workload, name: &'a str) -> impl Iterator<Item = 
 }
 
 /// Distinct blocks function `name`'s accelerator phases touch.
-fn reference_function_blocks(
-    wl: &Workload,
-    trace: &DecodedTrace,
-    name: &str,
-) -> BTreeSet<BlockAddr> {
+fn reference_function_blocks(wl: &Workload, name: &str) -> BTreeSet<BlockAddr> {
     function_phases(wl, name)
-        .flat_map(|idx| trace.phase_refs(idx).blocks())
+        .flat_map(|idx| wl.phase_refs(idx).blocks())
         .collect()
 }
 
@@ -230,20 +227,20 @@ fn reference_function_blocks(
 /// union of every other function's, op counts summed over the function's
 /// accelerator phases, and the accelerator phases' touched and written
 /// block sets.
-fn reference_stats(wl: &Workload, trace: &DecodedTrace) -> TraceStats {
+fn reference_stats(wl: &Workload) -> TraceStats {
     let names = wl.functions();
     let functions = names
         .iter()
         .map(|&name| {
-            let mine = reference_function_blocks(wl, trace, name);
+            let mine = reference_function_blocks(wl, name);
             let others: BTreeSet<BlockAddr> = names
                 .iter()
                 .filter(|&&other| other != name)
-                .flat_map(|other| reference_function_blocks(wl, trace, other))
+                .flat_map(|other| reference_function_blocks(wl, other))
                 .collect();
             let (mut loads, mut stores, mut ops) = (0, 0, OpCounts::default());
             for idx in function_phases(wl, name) {
-                let kinds = trace.phase_refs(idx).kinds;
+                let kinds = wl.phase_refs(idx).kinds;
                 stores += kinds.iter().filter(|k| k.is_write()).count() as u64;
                 loads += kinds.iter().filter(|k| !k.is_write()).count() as u64;
                 ops += wl.phases[idx].ops;
@@ -264,7 +261,7 @@ fn reference_stats(wl: &Workload, trace: &DecodedTrace) -> TraceStats {
         if p.unit.is_host() {
             continue;
         }
-        let dp = trace.phase_refs(idx);
+        let dp = wl.phase_refs(idx);
         for (block, kind) in dp.blocks().zip(dp.kinds) {
             touched.insert(block);
             if kind.is_write() {
@@ -281,12 +278,12 @@ fn reference_stats(wl: &Workload, trace: &DecodedTrace) -> TraceStats {
 
 #[test]
 fn trace_stats_match_the_reference_for_every_function() {
-    for (name, wl, decoded) in traces() {
-        let want = reference_stats(&wl, &decoded);
-        let got = decoded.trace_stats(&wl);
+    for (name, wl) in traces() {
+        let want = reference_stats(&wl);
+        let got = wl.trace_stats();
         assert_eq!(
-            decoded.working_set().value(),
-            reference_working_set(&wl, &decoded).len() as u64 * 64,
+            wl.working_set().value(),
+            reference_working_set(&wl).len() as u64 * 64,
             "{name}: working set"
         );
         assert_eq!(got.blocks, want.blocks, "{name}: accelerator blocks");
@@ -325,10 +322,9 @@ fn trace_stats_ignore_host_phases_and_count_interleaved_functions_once() {
         rec.end_phase(name, unit, 2, 500);
     }
     let wl = rec.finish("T", Pid::new(1));
-    let decoded = DecodedTrace::decode(&wl);
-    let got = decoded.trace_stats(&wl);
-    assert_eq!(*got, reference_stats(&wl, &decoded));
-    assert_eq!(decoded.working_set().value(), 6 * 64);
+    let got = wl.trace_stats();
+    assert_eq!(*got, reference_stats(&wl));
+    assert_eq!(wl.working_set().value(), 6 * 64);
     assert_eq!((got.blocks, got.dirty_blocks), (5, 2));
     let blocks = |f: &str| (got[f].blocks, got[f].shared_blocks);
     assert_eq!(blocks("a"), (3, 1));

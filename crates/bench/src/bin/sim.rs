@@ -515,6 +515,20 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
         .filter(|(_, r)| r.is_none())
         .map(|(j, _)| j.clone())
         .collect();
+    // `--inject` draws its faults over the whole grid, but the sweep
+    // indexes its plan by position in `todo`: replace the grid-indexed
+    // plan `sweep_from` staged with the faults on the jobs that run live,
+    // renumbered to their position (the identity on a fresh sweep).
+    if let Some(plan) = args.fault_plan(expected)? {
+        let live = plan
+            .entries()
+            .into_iter()
+            .filter(|&(i, _)| resumed[i].is_none())
+            .fold(FaultPlan::new(), |live, (i, fault)| {
+                live.inject(i - resumed[..i].iter().flatten().count(), fault)
+            });
+        sweep = sweep.with_faults(live);
+    }
     let todo_len = todo.len();
     let pool = sweep.pool_size(todo_len);
     #[expect(

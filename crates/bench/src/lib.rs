@@ -14,7 +14,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use fusion_accel::{DecodedTrace, Workload};
+use fusion_accel::Workload;
 use fusion_core::{SimResult, Sweep, SweepJob, SystemKind, TraceCache};
 use fusion_energy::Component;
 use fusion_types::{SystemConfig, WritePolicy, CACHE_BLOCK_BYTES, FLIT_BYTES};
@@ -25,13 +25,11 @@ use fusion_workloads::{Scale, SuiteId};
 pub struct SuiteRun {
     /// Suite identity.
     pub id: SuiteId,
-    /// The recorded workload (phase metadata over its lanes), shared
-    /// with the sweep pool that produced the results.
+    /// The recorded workload (phase metadata over its lanes, with its
+    /// memoized analyses), shared with the sweep pool that produced the
+    /// results: the renderers read its statistics
+    /// ([`Workload::trace_stats`], [`Workload::working_set`]).
     pub workload: Arc<Workload>,
-    /// The same lanes with their memoized analyses, shared with the
-    /// sweep pool: the renderers read its statistics
-    /// ([`DecodedTrace::trace_stats`], [`DecodedTrace::working_set`]).
-    pub trace: Arc<DecodedTrace>,
     /// SCRATCH result (small config).
     pub scratch: SimResult,
     /// SHARED result (small config).
@@ -104,7 +102,6 @@ impl SuiteRun {
                     o.result
                         .unwrap_or_else(|e| panic!("table job {} failed: {e}", o.job.label()))
                 };
-                let shared_trace = traces.get(id, scale);
                 SuiteRun {
                     id,
                     scratch: next(),
@@ -113,8 +110,7 @@ impl SuiteRun {
                     fusion_dx: next(),
                     fusion_wt: next(),
                     fusion_large: next(),
-                    workload: shared_trace.workload,
-                    trace: shared_trace.decoded,
+                    workload: traces.get(id, scale),
                 }
             })
             .collect()
@@ -133,7 +129,7 @@ pub fn render_table1(runs: &[SuiteRun]) -> String {
     for run in runs {
         writeln!(out, "--- {} ---", run.id.label()).unwrap();
         let total_axc_cycles: u64 = run.fusion.accelerator_cycles().max(1);
-        for stats in &run.trace.trace_stats(&run.workload).functions {
+        for stats in &run.workload.trace_stats().functions {
             let f = stats.name.as_str();
             let (cycles, _, _) = run.fusion.function_totals(f);
             let mix = stats.op_mix();
@@ -394,7 +390,7 @@ pub fn render_fig6d(runs: &[SuiteRun]) -> String {
     )
     .unwrap();
     for run in runs {
-        let ws = run.trace.working_set().kib();
+        let ws = run.workload.working_set().kib();
         let dma_kb = (run.scratch.dma_blocks * CACHE_BLOCK_BYTES as u64) as f64 / 1024.0;
         writeln!(
             out,
@@ -426,7 +422,7 @@ pub fn render_table4(runs: &[SuiteRun]) -> String {
             run.id.label(),
             run.fusion_wt.traffic().flits_axc_l1x.value(),
             run.fusion.traffic().flits_axc_l1x.value(),
-            run.trace.trace_stats(&run.workload).dirty_block_pct()
+            run.workload.trace_stats().dirty_block_pct()
         )
         .unwrap();
     }
@@ -550,7 +546,7 @@ pub fn render_csv(runs: &[SuiteRun]) -> String {
                 (e.energy(Component::LinkL1xL2Msg) + e.energy(Component::LinkL1xL2Data)).value(),
                 res.dma_blocks,
                 l0_hit,
-                run.trace.working_set().kib(),
+                run.workload.working_set().kib(),
             )
             .unwrap();
         }
@@ -617,7 +613,7 @@ mod tests {
     #[test]
     fn dirty_fraction_bounds() {
         let wl = build_suite(SuiteId::Filter, Scale::Tiny);
-        let f = DecodedTrace::decode(&wl).trace_stats(&wl).dirty_block_pct();
+        let f = wl.trace_stats().dirty_block_pct();
         assert!((0.0..=100.0).contains(&f));
         assert!(f > 10.0, "filter writes whole planes: {f:.0}%");
     }

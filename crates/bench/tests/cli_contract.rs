@@ -42,6 +42,15 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// The `<point> [<error kind>]` of each failed job `sim sweep` reports.
+fn failed_points(out: &Output) -> Vec<String> {
+    stderr(out)
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("FAILED "))
+        .map(|l| l.split_once(':').map_or(l, |(point, _)| point).to_string())
+        .collect()
+}
+
 /// Removes `"key":<value>,` from a JSON row — the timing/memo fields the
 /// byte-identity comparison deliberately ignores (the same set the memo
 /// A/B CI gate strips).
@@ -242,6 +251,24 @@ fn partial_sweep_exits_one_with_salvage_then_resume_completes() {
     assert!(salvage.contains("\"salvage\":1"), "{salvage}");
     assert!(salvage.contains("\"failures\":["), "{salvage}");
     assert!(salvage.contains("\"journal_lost\":false"), "{salvage}");
+
+    // Resuming with the same faults re-runs only the failed points, and
+    // the plan lands on the same grid points as before.
+    let failed = failed_points(&partial);
+    assert_eq!(failed.len(), 3, "{}", stderr(&partial));
+    let refaulted = sim(&[
+        "sweep",
+        "--scale",
+        "tiny",
+        "--json",
+        "--journal",
+        wal_s,
+        "--resume",
+        "--inject",
+        "7:3",
+    ]);
+    assert_eq!(exit_code(&refaulted), 1, "{}", stderr(&refaulted));
+    assert_eq!(failed_points(&refaulted), failed, "{}", stderr(&refaulted));
 
     // The advertised resume command finishes the job: only the failed
     // points re-run, and this time they come back clean.

@@ -64,6 +64,4 @@ pub use result::{PhaseResult, RunMetrics, SimResult, Traffic};
 pub use runner::{
     run_system, run_system_decoded, run_system_guarded, validate_config, RunControl, SystemKind,
 };
-pub use sweep::{
-    design_grid, full_grid, SharedTrace, Sweep, SweepJob, SweepOutcome, SweepSummary, TraceCache,
-};
+pub use sweep::{design_grid, full_grid, Sweep, SweepJob, SweepOutcome, SweepSummary, TraceCache};

@@ -125,6 +125,12 @@ pub fn validate_config(cfg: &SystemConfig) -> Result<(), SimError> {
 
 /// Runs `workload` on the chosen system with the given configuration.
 ///
+/// The oracle DMA windows and forwarding pairs the replay consults are
+/// memoized on `workload` ([`Workload::dma_windows`],
+/// [`Workload::forward_pairs`]): every system and configuration that
+/// replays one workload shares them, and a sweep computes them in its
+/// untimed set-up.
+///
 /// # Errors
 ///
 /// Returns [`SimError::ConfigError`] for an unusable configuration and
@@ -146,16 +152,11 @@ pub fn run_system(
     workload: &Workload,
     cfg: &SystemConfig,
 ) -> Result<SimResult, SimError> {
-    let decoded = DecodedTrace::decode(workload);
-    run_system_decoded(kind, workload, &decoded, cfg)
+    run_system_guarded(kind, workload, cfg, &RunControl::default())
 }
 
-/// Runs `workload` on the chosen system, taking the trace analyses from
-/// `decoded` (which must be `DecodedTrace::decode(workload)`).
-///
-/// This is the sweep's fast path: the analyses are computed once per
-/// `(suite, scale)` and shared across every system and configuration that
-/// replays it. Results are bit-identical to [`run_system`].
+/// [`run_system`], kept with the signature the `perf` harness calls
+/// (ROADMAP item 3): the analyses come from `workload` itself.
 ///
 /// # Errors
 ///
@@ -163,13 +164,13 @@ pub fn run_system(
 pub fn run_system_decoded(
     kind: SystemKind,
     workload: &Workload,
-    decoded: &DecodedTrace,
+    _decoded: &DecodedTrace,
     cfg: &SystemConfig,
 ) -> Result<SimResult, SimError> {
-    run_system_guarded(kind, workload, decoded, cfg, &RunControl::default())
+    run_system(kind, workload, cfg)
 }
 
-/// [`run_system_decoded`] under a cycle budget: the sweep engine's entry
+/// [`run_system`] under a cycle budget: the sweep engine's entry
 /// point. `ctl` carries the simulated-cycle budget, polled at phase
 /// boundaries.
 ///
@@ -180,7 +181,6 @@ pub fn run_system_decoded(
 pub fn run_system_guarded(
     kind: SystemKind,
     workload: &Workload,
-    decoded: &DecodedTrace,
     cfg: &SystemConfig,
     ctl: &RunControl<'_>,
 ) -> Result<SimResult, SimError> {
@@ -190,7 +190,7 @@ pub fn run_system_guarded(
         reason = "measures wall_nanos for throughput reporting only; no simulated state ever reads this clock (DESIGN.md §14)"
     )]
     let started = std::time::Instant::now();
-    let mut res = crate::systems::simulate(kind, workload, decoded, cfg, ctl)?;
+    let mut res = crate::systems::simulate(kind, workload, cfg, ctl)?;
     res.metrics.wall_nanos = crate::result::duration_nanos_saturating(started.elapsed());
     res.metrics.sim_events = res.total_sim_events();
     Ok(res)
@@ -227,14 +227,18 @@ mod tests {
 
     #[test]
     fn shared_analyses_match_a_fresh_run() {
-        let wl = build_suite(SuiteId::Fft, Scale::Tiny);
-        let decoded = DecodedTrace::decode(&wl);
+        // `warm` keeps its memoized analyses across runs; each fresh
+        // workload computes its own.
+        let warm = build_suite(SuiteId::Fft, Scale::Tiny);
         for kind in ALL {
-            let a = run_system(kind, &wl, &SystemConfig::small()).unwrap();
-            let b = run_system_decoded(kind, &wl, &decoded, &SystemConfig::small()).unwrap();
-            // SimResult equality covers every stat (metrics excluded).
-            assert_eq!(a, b, "{kind}");
-            assert_eq!(b.metrics.refs_simulated, wl.total_refs());
+            let fresh = build_suite(SuiteId::Fft, Scale::Tiny);
+            let a = run_system(kind, &fresh, &SystemConfig::small()).unwrap();
+            for _ in 0..2 {
+                let b = run_system(kind, &warm, &SystemConfig::small()).unwrap();
+                // SimResult equality covers every stat (metrics excluded).
+                assert_eq!(a, b, "{kind}");
+                assert_eq!(b.metrics.refs_simulated, warm.total_refs());
+            }
         }
     }
 
@@ -276,14 +280,13 @@ mod tests {
     #[test]
     fn sim_cycle_budget_yields_timeout() {
         let wl = build_suite(SuiteId::Fft, Scale::Tiny);
-        let decoded = DecodedTrace::decode(&wl);
         for kind in ALL {
             let label = format!("FFT/{kind}");
             let ctl = RunControl {
                 label: &label,
                 max_sim_cycles: Some(10),
             };
-            match run_system_guarded(kind, &wl, &decoded, &SystemConfig::small(), &ctl) {
+            match run_system_guarded(kind, &wl, &SystemConfig::small(), &ctl) {
                 Err(SimError::Timeout { job, limit }) => {
                     assert_eq!(job, label);
                     assert_eq!(limit, 10);

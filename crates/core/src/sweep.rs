@@ -6,10 +6,10 @@
 //! of [`SweepJob`]s over a scoped worker pool:
 //!
 //! * **Trace sharing** — each distinct `(suite, scale)` workload is
-//!   recorded exactly once behind [`Arc`]s (see [`TraceCache`] and
-//!   [`SharedTrace`]); every job replaying that suite shares its phase
-//!   metadata, its lanes and their memoized analyses instead of re-running
-//!   the instrumented kernels per run.
+//!   recorded exactly once behind an [`Arc`] (see [`TraceCache`]); every
+//!   job replaying that suite shares its phase metadata, its lanes and
+//!   their memoized analyses instead of re-running the instrumented
+//!   kernels per run.
 //! * **Planning-time dedupe** — before any job runs, `memo::plan`
 //!   groups the jobs by system, suite and the config slice the system can
 //!   observe (on by default, see [`Sweep::memo`] and DESIGN.md §12). Each
@@ -76,7 +76,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use fusion_accel::{io as trace_io, DecodedTrace, Workload};
+use fusion_accel::{io as trace_io, Workload};
 use fusion_types::error::SimError;
 use fusion_types::fault::CheckerConfig;
 use fusion_types::hash::FxHashMap;
@@ -238,18 +238,8 @@ pub fn design_grid(base: &SystemConfig) -> Vec<SweepJob> {
     jobs
 }
 
-/// A recorded workload together with the memoized analyses of its lanes,
-/// both behind [`Arc`]s so every job of a sweep shares one copy.
-#[derive(Debug, Clone)]
-pub struct SharedTrace {
-    /// The workload: phase metadata over the recorded lanes.
-    pub workload: Arc<Workload>,
-    /// The same lanes with the analysis cache every replay consults.
-    pub decoded: Arc<DecodedTrace>,
-}
-
 /// Workload traces recorded once per `(suite, scale)` and shared between
-/// jobs behind [`Arc`]s.
+/// jobs behind [`Arc`]s, each with its memoized analyses.
 ///
 /// `build_suite` re-runs the instrumented kernels every call; for a full
 /// grid that is 4–6 rebuilds per suite. The cache makes it exactly one —
@@ -270,7 +260,7 @@ pub struct TraceCache {
 /// holding the cache-wide mutex.
 #[derive(Default)]
 struct BuildSlot {
-    trace: OnceLock<SharedTrace>,
+    trace: OnceLock<Arc<Workload>>,
     fingerprint: OnceLock<u64>,
 }
 
@@ -280,21 +270,13 @@ impl TraceCache {
         TraceCache::default()
     }
 
-    /// Returns the shared trace for `(suite, scale)`, recording it on
+    /// Returns the shared workload for `(suite, scale)`, recording it on
     /// first use.
-    pub fn get(&self, suite: SuiteId, scale: Scale) -> SharedTrace {
-        self.slot(suite, scale)
-            .trace
-            .get_or_init(|| {
-                self.builds.fetch_add(1, Ordering::Relaxed);
-                let workload = build_suite(suite, scale);
-                let decoded = DecodedTrace::decode(&workload);
-                SharedTrace {
-                    workload: Arc::new(workload),
-                    decoded: Arc::new(decoded),
-                }
-            })
-            .clone()
+    pub fn get(&self, suite: SuiteId, scale: Scale) -> Arc<Workload> {
+        Arc::clone(self.slot(suite, scale).trace.get_or_init(|| {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            Arc::new(build_suite(suite, scale))
+        }))
     }
 
     /// FNV-1a fingerprint of `(suite, scale)`'s encoded trace bytes — the
@@ -306,7 +288,7 @@ impl TraceCache {
         *self
             .slot(suite, scale)
             .fingerprint
-            .get_or_init(|| trace_io::fingerprint(&self.get(suite, scale).workload))
+            .get_or_init(|| trace_io::fingerprint(&self.get(suite, scale)))
     }
 
     /// The build slot for `(suite, scale)`, created empty on first use.
@@ -328,25 +310,6 @@ impl TraceCache {
     /// Total workload builds performed (each key builds exactly once).
     pub fn builds(&self) -> usize {
         self.builds.load(Ordering::Relaxed)
-    }
-
-    /// Number of materialized traces.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a count does not depend on iteration order"
-    )]
-    pub fn len(&self) -> usize {
-        self.slots
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .values()
-            .filter(|s| s.trace.get().is_some())
-            .count()
-    }
-
-    /// Whether the cache has materialized nothing yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -496,17 +459,15 @@ impl Sweep {
                     if self.journal.is_some() {
                         self.traces.fingerprint(job.suite, self.scale);
                     }
-                    let trace = self.traces.get(job.suite, self.scale);
+                    let workload = self.traces.get(job.suite, self.scale);
                     match job.system {
                         SystemKind::Scratch => {
                             let cap = job.config.scratchpad.capacity_bytes
                                 / fusion_types::CACHE_BLOCK_BYTES;
-                            trace.decoded.dma_windows(&trace.workload, cap);
+                            workload.dma_windows(cap);
                         }
                         SystemKind::FusionDx => {
-                            trace
-                                .decoded
-                                .forward_pairs(&trace.workload, job.config.l0x.blocks());
+                            workload.forward_pairs(job.config.l0x.blocks());
                         }
                         SystemKind::Shared | SystemKind::Fusion => {}
                     }
@@ -691,30 +652,13 @@ impl Sweep {
             panic!("injected fault: worker panic in {label}");
         }
 
-        let trace = self.traces.get(job.suite, self.scale);
+        let mut workload = self.traces.get(job.suite, self.scale);
         // Trace faults encode the cached trace, damage the bytes and
         // decode them again: the decoder's hardening is what must catch
         // the damage (the shared cache copy is never touched).
-        let damaged = fault.and_then(|f| f.damaged_trace(&trace.workload));
-        let reloaded = match &damaged {
-            Some(bytes) => match trace_io::decode_workload(bytes) {
-                Ok(wl) => Some(wl),
-                Err(e) => return Err(e),
-            },
-            None => None,
-        };
-        let (workload, decoded_storage);
-        let decoded: &DecodedTrace = match &reloaded {
-            Some(wl) => {
-                workload = wl;
-                decoded_storage = DecodedTrace::decode(wl);
-                &decoded_storage
-            }
-            None => {
-                workload = &trace.workload;
-                &trace.decoded
-            }
-        };
+        if let Some(bytes) = fault.and_then(|f| f.damaged_trace(&workload)) {
+            workload = Arc::new(trace_io::decode_workload(&bytes)?);
+        }
 
         let mut cfg = job.config.clone();
         let mut max_sim_cycles = self.budget;
@@ -739,7 +683,7 @@ impl Sweep {
             label: &label,
             max_sim_cycles,
         };
-        run_system_guarded(job.system, workload, decoded, &cfg, &ctl)
+        run_system_guarded(job.system, &workload, &cfg, &ctl)
     }
 }
 
@@ -821,12 +765,9 @@ mod tests {
         let cache = TraceCache::new();
         let a = cache.get(SuiteId::Adpcm, Scale::Tiny);
         let b = cache.get(SuiteId::Adpcm, Scale::Tiny);
-        assert!(Arc::ptr_eq(&a.workload, &b.workload));
-        assert!(Arc::ptr_eq(&a.decoded, &b.decoded));
-        assert_eq!(cache.len(), 1);
+        assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.builds(), 1);
         cache.get(SuiteId::Fft, Scale::Tiny);
-        assert_eq!(cache.len(), 2);
         assert_eq!(cache.builds(), 2);
     }
 
@@ -840,17 +781,15 @@ mod tests {
             .map(|n| n.get())
             .unwrap_or(4)
             .max(4);
-        let shared: Vec<SharedTrace> = std::thread::scope(|scope| {
+        let shared: Vec<Arc<Workload>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n)
                 .map(|_| scope.spawn(|| cache.get(SuiteId::Adpcm, Scale::Tiny)))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(cache.builds(), 1, "duplicate build under contention");
-        assert_eq!(cache.len(), 1);
         for t in &shared[1..] {
-            assert!(Arc::ptr_eq(&shared[0].workload, &t.workload));
-            assert!(Arc::ptr_eq(&shared[0].decoded, &t.decoded));
+            assert!(Arc::ptr_eq(&shared[0], t));
         }
     }
 
@@ -858,10 +797,7 @@ mod tests {
     fn trace_cache_holds_the_recorded_workload() {
         let cache = TraceCache::new();
         let t = cache.get(SuiteId::Filter, Scale::Tiny);
-        let fresh = build_suite(SuiteId::Filter, Scale::Tiny);
-        assert_eq!(*t.workload, fresh);
-        assert_eq!(t.decoded.total_refs(), fresh.total_refs());
-        assert_eq!(t.decoded.phase_count(), fresh.phases.len());
+        assert_eq!(*t, build_suite(SuiteId::Filter, Scale::Tiny));
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub(super) struct FusionSystem {
 
 impl FusionSystem {
     /// Builds FUSION, or FUSION-Dx (write forwarding enabled) when `dx`.
-    pub(super) fn for_run(run: &Run<'_>, dx: bool) -> Self {
+    pub(super) fn new(run: &Run<'_>, dx: bool) -> Self {
         let (cfg, workload) = (run.cfg, run.workload);
         let pid = workload.pid;
         let timing = TileTiming {
@@ -112,10 +112,10 @@ impl FusionSystem {
                     .unwrap_or(cfg.default_lease)
             };
             // Forwarding-pair identification is trace post-processing:
-            // memoized on the shared trace (see `DecodedTrace::
-            // forward_pairs`), so repeat runs and the sweep's untimed
-            // set-up stage pay for it once.
-            for &p in run.decoded.forward_pairs(workload, cfg.l0x.blocks()).iter() {
+            // memoized on the workload (see `Workload::forward_pairs`), so
+            // repeat runs and the sweep's untimed set-up stage pay for it
+            // once.
+            for &p in workload.forward_pairs(cfg.l0x.blocks()).iter() {
                 // A forwarded copy only lives for the consumer's epoch
                 // length, so forwarding pays off only when the consumer is
                 // the very next invocation.
@@ -163,12 +163,11 @@ impl PhaseHooks for FusionSystem {
         axc: AxcId,
         now: Cycle,
     ) -> (Cycle, u64) {
-        let decoded = run.decoded;
         let (host, ledger, latency) = (&mut run.host, &mut run.ledger, &mut run.latency);
         let state = &mut self.state;
         let phase = &run.workload.phases[phase_idx];
         let pid = run.workload.pid;
-        let dp = decoded.phase_refs(phase_idx);
+        let dp = run.workload.phase_refs(phase_idx);
         let lease = phase.lease;
         // Kind-sorted chunked replay: the access kind is
         // reconstructed once per same-kind run (lossless —
@@ -512,10 +511,12 @@ mod tests {
     fn latency_histogram_covers_all_accelerator_refs() {
         let wl = build_suite(SuiteId::Filter, Scale::Tiny);
         let res = run_system(SystemKind::Fusion, &wl, &cfg()).unwrap();
-        let stats = fusion_accel::DecodedTrace::decode(&wl)
-            .trace_stats(&wl)
-            .clone();
-        let axc_refs: u64 = stats.functions.iter().map(|f| f.loads + f.stores).sum();
+        let axc_refs: u64 = wl
+            .trace_stats()
+            .functions
+            .iter()
+            .map(|f| f.loads + f.stores)
+            .sum();
         assert_eq!(res.latency.count(), axc_refs);
         // Hits dominate: mean latency sits near the 1-cycle L0X.
         assert!(res.latency.mean() < 20.0, "mean {:.1}", res.latency.mean());

@@ -15,7 +15,7 @@ mod shared;
 
 use fusion_accel::ooo::{run_host_phase_indexed, OooParams};
 use fusion_accel::trace::OpCounts;
-use fusion_accel::{DecodedTrace, Workload};
+use fusion_accel::Workload;
 use fusion_energy::{Component, EnergyLedger, EnergyModel};
 use fusion_sim::Histogram;
 use fusion_types::error::{InvariantViolation, SimError};
@@ -29,24 +29,19 @@ use fusion::FusionSystem;
 use scratch::ScratchSystem;
 use shared::SharedSystem;
 
-/// Runs `workload` (replaying `decoded`) on the system `kind` under the
-/// cycle budget in `ctl`.
+/// Runs `workload` on the system `kind` under the cycle budget in `ctl`.
 pub(crate) fn simulate(
     kind: SystemKind,
     workload: &Workload,
-    decoded: &DecodedTrace,
     cfg: &SystemConfig,
     ctl: &RunControl<'_>,
 ) -> Result<SimResult, SimError> {
-    let run = Run::new(workload, decoded, cfg);
-    // The constructors take the decoded trace's analysis lock (DMA windows,
-    // forwarding pairs). They are not named `new`: the lock-order lint
-    // resolves calls by bare name, and `Arc::new` runs under that lock.
+    let run = Run::new(workload, cfg);
     match kind {
-        SystemKind::Scratch => drive(ScratchSystem::for_run(&run), run, ctl),
-        SystemKind::Shared => drive(SharedSystem::for_run(&run), run, ctl),
-        SystemKind::Fusion => drive(FusionSystem::for_run(&run, false), run, ctl),
-        SystemKind::FusionDx => drive(FusionSystem::for_run(&run, true), run, ctl),
+        SystemKind::Scratch => drive(ScratchSystem::new(&run), run, ctl),
+        SystemKind::Shared => drive(SharedSystem::new(&run), run, ctl),
+        SystemKind::Fusion => drive(FusionSystem::new(&run, false), run, ctl),
+        SystemKind::FusionDx => drive(FusionSystem::new(&run, true), run, ctl),
     }
 }
 
@@ -55,7 +50,6 @@ pub(crate) fn simulate(
 struct Run<'a> {
     cfg: &'a SystemConfig,
     workload: &'a Workload,
-    decoded: &'a DecodedTrace,
     host: HostSide,
     em: EnergyModel,
     ledger: EnergyLedger,
@@ -63,13 +57,12 @@ struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
-    fn new(workload: &'a Workload, decoded: &'a DecodedTrace, cfg: &'a SystemConfig) -> Self {
+    fn new(workload: &'a Workload, cfg: &'a SystemConfig) -> Self {
         let host = HostSide::new(cfg);
         let em = host.energy_model().clone();
         Run {
             cfg,
             workload,
-            decoded,
             host,
             em,
             ledger: EnergyLedger::new(),
@@ -125,7 +118,7 @@ fn drive<S: PhaseHooks>(
     mut run: Run<'_>,
     ctl: &RunControl<'_>,
 ) -> Result<SimResult, SimError> {
-    let (workload, decoded, cfg) = (run.workload, run.decoded, run.cfg);
+    let (workload, cfg) = (run.workload, run.cfg);
     let pid = workload.pid;
     let mut now = Cycle::ZERO;
     let mut phases = Vec::new();
@@ -139,7 +132,7 @@ fn drive<S: PhaseHooks>(
         let mut dma_cycles = 0;
         match phase.unit.axc() {
             None => {
-                let dp = decoded.phase_refs(idx);
+                let dp = workload.phase_refs(idx);
                 let (host, ledger, agent) = (&mut run.host, &mut run.ledger, sys.agent());
                 let t = run_host_phase_indexed(
                     dp.len(),
@@ -192,7 +185,7 @@ fn drive<S: PhaseHooks>(
         tile: None,
         latency: run.latency,
         metrics: RunMetrics {
-            refs_simulated: decoded.total_refs(),
+            refs_simulated: workload.total_refs(),
             ..Default::default()
         },
     };

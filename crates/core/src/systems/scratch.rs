@@ -26,20 +26,20 @@ use crate::systems::{PhaseHooks, Run};
 #[derive(Debug)]
 pub(super) struct ScratchSystem {
     dma: DmaController,
-    /// Oracle windowing is trace post-processing: memoized on the shared
-    /// trace, so repeat runs (and the sweep's untimed set-up stage) skip
+    /// Oracle windowing is trace post-processing: memoized on the
+    /// workload, so repeat runs (and the sweep's untimed set-up stage) skip
     /// it entirely.
     windows: Arc<Vec<Vec<DmaWindow>>>,
     no_tile: NoTile,
 }
 
 impl ScratchSystem {
-    pub(super) fn for_run(run: &Run<'_>) -> Self {
+    pub(super) fn new(run: &Run<'_>) -> Self {
         let cfg = run.cfg;
         let cap_blocks = cfg.scratchpad.capacity_bytes / CACHE_BLOCK_BYTES;
         ScratchSystem {
             dma: DmaController::new(cfg.link_l1x_l2),
-            windows: run.decoded.dma_windows(run.workload, cap_blocks),
+            windows: run.workload.dma_windows(cap_blocks),
             no_tile: NoTile,
         }
     }
@@ -57,12 +57,12 @@ impl PhaseHooks for ScratchSystem {
         _axc: AxcId,
         mut now: Cycle,
     ) -> (Cycle, u64) {
-        let (cfg, decoded, em) = (run.cfg, run.decoded, &run.em);
+        let (cfg, em) = (run.cfg, &run.em);
         let (host, ledger, latency) = (&mut run.host, &mut run.ledger, &mut run.latency);
         let dma = &mut self.dma;
         let phase = &run.workload.phases[phase_idx];
         let pid = run.workload.pid;
-        let dp = decoded.phase_refs(phase_idx);
+        let dp = run.workload.phase_refs(phase_idx);
         let mut phase_dma = 0u64;
         for w in &self.windows[phase_idx] {
             // DMA-in: stage the window's read data.
@@ -163,10 +163,12 @@ mod tests {
     fn scratchpad_accesses_cover_all_refs() {
         let wl = build_suite(SuiteId::Filter, Scale::Tiny);
         let res = run_system(SystemKind::Scratch, &wl, &SystemConfig::small()).unwrap();
-        let stats = fusion_accel::DecodedTrace::decode(&wl)
-            .trace_stats(&wl)
-            .clone();
-        let axc_refs: u64 = stats.functions.iter().map(|f| f.loads + f.stores).sum();
+        let axc_refs: u64 = wl
+            .trace_stats()
+            .functions
+            .iter()
+            .map(|f| f.loads + f.stores)
+            .sum();
         assert_eq!(res.energy.count(Component::AxcCache), axc_refs);
     }
 

@@ -69,7 +69,7 @@ pub(super) struct SharedSystem {
 }
 
 impl SharedSystem {
-    pub(super) fn for_run(run: &Run<'_>) -> Self {
+    pub(super) fn new(run: &Run<'_>) -> Self {
         SharedSystem {
             l1x: SharedL1x {
                 cache: SetAssocCache::new(run.cfg.l1x, ReplacementPolicy::Lru),
@@ -93,12 +93,12 @@ impl PhaseHooks for SharedSystem {
         _axc: AxcId,
         now: Cycle,
     ) -> (Cycle, u64) {
-        let (cfg, decoded, em) = (run.cfg, run.decoded, &run.em);
+        let (cfg, em) = (run.cfg, &run.em);
         let (host, ledger, latency) = (&mut run.host, &mut run.ledger, &mut run.latency);
         let (l1x, banks, in_flight) = (&mut self.l1x, &mut self.banks, &mut self.in_flight);
         let phase = &run.workload.phases[phase_idx];
         let pid = run.workload.pid;
-        let dp = decoded.phase_refs(phase_idx);
+        let dp = run.workload.phase_refs(phase_idx);
         let word = cfg.control_message_bytes;
         // Link serialization times: the AXC-side word, the L2-side request
         // word, full block and critical word.
@@ -253,10 +253,12 @@ mod tests {
     fn every_axc_access_pays_the_l1x() {
         let wl = build_suite(SuiteId::Filter, Scale::Tiny);
         let res = run_system(SystemKind::Shared, &wl, &SystemConfig::small()).unwrap();
-        let stats = fusion_accel::DecodedTrace::decode(&wl)
-            .trace_stats(&wl)
-            .clone();
-        let axc_refs: u64 = stats.functions.iter().map(|f| f.loads + f.stores).sum();
+        let axc_refs: u64 = wl
+            .trace_stats()
+            .functions
+            .iter()
+            .map(|f| f.loads + f.stores)
+            .sum();
         assert!(res.energy.count(Component::L1x) >= axc_refs);
     }
 

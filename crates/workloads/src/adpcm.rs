@@ -174,7 +174,6 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_accel::DecodedTrace;
 
     #[test]
     fn coder_and_decoder_only() {
@@ -205,8 +204,7 @@ mod tests {
     #[test]
     fn sharing_is_near_total() {
         let wl = build(Scale::Tiny);
-        let trace = DecodedTrace::decode(&wl);
-        let stats = trace.trace_stats(&wl);
+        let stats = wl.trace_stats();
         // Table 1: coder 99.0 %, decoder 98.9 %.
         assert!(stats["coder"].sharing_degree() > 90.0);
         assert!(stats["decoder"].sharing_degree() > 90.0);
@@ -214,7 +212,7 @@ mod tests {
 
     #[test]
     fn working_set_under_30kb_at_paper_scale() {
-        let ws = DecodedTrace::decode(&build(Scale::Paper)).working_set();
+        let ws = build(Scale::Paper).working_set();
         assert!(
             ws.kib() < 30.0,
             "ADPCM working set {} exceeds the paper's 30 kB band",
@@ -225,8 +223,7 @@ mod tests {
     #[test]
     fn integer_only_datapath() {
         let wl = build(Scale::Tiny);
-        let trace = DecodedTrace::decode(&wl);
-        let stats = trace.trace_stats(&wl);
+        let stats = wl.trace_stats();
         let mix = stats["coder"].op_mix();
         assert_eq!(mix.fp_pct, 0.0);
         assert!(mix.int_pct > 20.0);

@@ -194,7 +194,6 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_accel::DecodedTrace;
 
     #[test]
     fn five_functions_invoked_per_shift() {
@@ -216,8 +215,7 @@ mod tests {
     #[test]
     fn finalsad_is_load_heavy() {
         let wl = build(Scale::Tiny);
-        let trace = DecodedTrace::decode(&wl);
-        let stats = trace.trace_stats(&wl);
+        let stats = wl.trace_stats();
         let mix = stats["finalSAD"].op_mix();
         assert!(
             mix.ld_pct > mix.st_pct * 2.0,
@@ -229,9 +227,7 @@ mod tests {
 
     #[test]
     fn footprint_near_paper_value() {
-        let kb = DecodedTrace::decode(&build(Scale::Paper))
-            .working_set()
-            .kib();
+        let kb = build(Scale::Paper).working_set().kib();
         assert!(
             (100.0..240.0).contains(&kb),
             "DISP working set {kb:.0} kB outside the paper's ~163 kB band"
@@ -241,8 +237,7 @@ mod tests {
     #[test]
     fn pipeline_sharing_is_substantial() {
         let wl = build(Scale::Tiny);
-        let trace = DecodedTrace::decode(&wl);
-        let stats = trace.trace_stats(&wl);
+        let stats = wl.trace_stats();
         for f in ["SAD", "2D2D", "finalSAD"] {
             let s = stats[f].sharing_degree();
             assert!(s > 25.0, "{f} %SHR {s:.0}");
@@ -252,7 +247,7 @@ mod tests {
     #[test]
     fn forward_pairs_exist_along_the_pipeline() {
         let wl = build(Scale::Tiny);
-        let pairs = DecodedTrace::decode(&wl).forward_pairs(&wl, usize::MAX);
+        let pairs = wl.forward_pairs(usize::MAX);
         assert!(
             !pairs.is_empty(),
             "disparity's pipeline must expose producer->consumer forwarding"

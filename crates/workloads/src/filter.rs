@@ -133,7 +133,6 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_accel::DecodedTrace;
 
     #[test]
     fn two_functions() {
@@ -156,11 +155,10 @@ mod tests {
         // Table 1: medfilt is ~74 % of time; its 9-point stencil dominates
         // the reference stream.
         let wl = build(Scale::Tiny);
-        let trace = DecodedTrace::decode(&wl);
         let refs = |name: &str| -> usize {
             (0..wl.phases.len())
                 .filter(|&i| wl.phases[i].name == name)
-                .map(|i| trace.phase_refs(i).len())
+                .map(|i| wl.phase_refs(i).len())
                 .sum()
         };
         let (med_refs, edge_refs) = (refs("medfilt"), refs("edgefilt"));
@@ -172,15 +170,14 @@ mod tests {
 
     #[test]
     fn working_set_under_30kb_at_paper_scale() {
-        let ws = DecodedTrace::decode(&build(Scale::Paper)).working_set();
+        let ws = build(Scale::Paper).working_set();
         assert!(ws.kib() < 30.0, "ws {ws}");
     }
 
     #[test]
     fn shared_median_buffer() {
         let wl = build(Scale::Tiny);
-        let trace = DecodedTrace::decode(&wl);
-        let stats = trace.trace_stats(&wl);
+        let stats = wl.trace_stats();
         assert!(stats["edgefilt"].sharing_degree() > 10.0);
     }
 }

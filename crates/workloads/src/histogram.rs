@@ -186,7 +186,6 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_accel::DecodedTrace;
 
     #[test]
     fn four_functions() {
@@ -202,8 +201,7 @@ mod tests {
         // Table 1: histogram %SHR = 100 (it only touches the L plane and
         // the bin array, both shared).
         let wl = build(Scale::Tiny);
-        let trace = DecodedTrace::decode(&wl);
-        let stats = trace.trace_stats(&wl);
+        let stats = wl.trace_stats();
         let s = stats["histogram"].sharing_degree();
         assert!(s > 95.0, "histogram %SHR {s:.0}");
     }
@@ -212,8 +210,7 @@ mod tests {
     fn rgb2hsl_low_sharing() {
         // Table 1: rgb2hsl %SHR = 8.3 (the input planes are private).
         let wl = build(Scale::Tiny);
-        let trace = DecodedTrace::decode(&wl);
-        let stats = trace.trace_stats(&wl);
+        let stats = wl.trace_stats();
         let s = stats["rgb2hsl"].sharing_degree();
         let s_hist = stats["histogram"].sharing_degree();
         assert!(s < s_hist, "rgb2hsl {s:.0}% !< histogram {s_hist:.0}%");
@@ -221,9 +218,7 @@ mod tests {
 
     #[test]
     fn working_set_near_paper_value() {
-        let kb = DecodedTrace::decode(&build(Scale::Paper))
-            .working_set()
-            .kib();
+        let kb = build(Scale::Paper).working_set().kib();
         assert!(
             (900.0..1400.0).contains(&kb),
             "HIST working set {kb:.0} kB outside the paper's ~1191 kB band"
@@ -233,8 +228,7 @@ mod tests {
     #[test]
     fn conversions_are_fp_heavy() {
         let wl = build(Scale::Tiny);
-        let trace = DecodedTrace::decode(&wl);
-        let stats = trace.trace_stats(&wl);
+        let stats = wl.trace_stats();
         assert!(stats["rgb2hsl"].op_mix().fp_pct > 40.0);
         assert!(stats["hsl2rgb"].op_mix().fp_pct > 30.0);
     }

@@ -157,7 +157,6 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_accel::DecodedTrace;
 
     #[test]
     fn four_functions() {
@@ -168,11 +167,10 @@ mod tests {
     #[test]
     fn smooth_dominates_time() {
         let wl = build(Scale::Tiny);
-        let trace = DecodedTrace::decode(&wl);
         let refs = |name: &str| -> usize {
             (0..wl.phases.len())
                 .filter(|&i| wl.phases[i].name == name)
-                .map(|i| trace.phase_refs(i).len())
+                .map(|i| wl.phase_refs(i).len())
                 .sum()
         };
         assert!(refs("smooth") > refs("corn"));
@@ -183,15 +181,14 @@ mod tests {
     #[test]
     fn bright_is_fp_heavy() {
         let wl = build(Scale::Tiny);
-        let trace = DecodedTrace::decode(&wl);
-        let stats = trace.trace_stats(&wl);
+        let stats = wl.trace_stats();
         let mix = stats["bright"].op_mix();
         assert!(mix.fp_pct > 40.0, "fp {:.1}", mix.fp_pct);
     }
 
     #[test]
     fn working_set_under_30kb_at_paper_scale() {
-        let ws = DecodedTrace::decode(&build(Scale::Paper)).working_set();
+        let ws = build(Scale::Paper).working_set();
         assert!(ws.kib() < 30.0, "ws {ws}");
     }
 
@@ -200,8 +197,7 @@ mod tests {
         // Table 1: corn 7.6 %, edges 12.3 % — far below the smooth/bright
         // pair. Their private output maps dominate their footprints.
         let wl = build(Scale::Tiny);
-        let trace = DecodedTrace::decode(&wl);
-        let stats = trace.trace_stats(&wl);
+        let stats = wl.trace_stats();
         let corn = stats["corn"].sharing_degree();
         let smooth = stats["smooth"].sharing_degree();
         assert!(corn < smooth, "corn {corn:.0}% !< smooth {smooth:.0}%");

@@ -170,7 +170,6 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_accel::DecodedTrace;
 
     #[test]
     fn three_functions() {
@@ -183,8 +182,7 @@ mod tests {
     #[test]
     fn resize_shares_everything() {
         let wl = build(Scale::Tiny);
-        let trace = DecodedTrace::decode(&wl);
-        let stats = trace.trace_stats(&wl);
+        let stats = wl.trace_stats();
         // Table 1: imgResize %SHR = 99.9.
         let s = stats["imgResize"].sharing_degree();
         assert!(s > 80.0, "imgResize %SHR {s:.0}");
@@ -192,9 +190,7 @@ mod tests {
 
     #[test]
     fn working_set_near_paper_value() {
-        let kb = DecodedTrace::decode(&build(Scale::Paper))
-            .working_set()
-            .kib();
+        let kb = build(Scale::Paper).working_set().kib();
         assert!(
             (250.0..500.0).contains(&kb),
             "TRACK working set {kb:.0} kB outside the paper's ~371 kB band"

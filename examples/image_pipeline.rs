@@ -13,7 +13,6 @@
 
 #![allow(clippy::unwrap_used, reason = "an example stops on a failed run")]
 
-use fusion_repro::accel::DecodedTrace;
 use fusion_repro::core::runner::{run_system, SystemKind};
 use fusion_repro::energy::Component;
 use fusion_repro::workloads::{build_suite, Scale, SuiteId};
@@ -25,7 +24,7 @@ fn main() {
         workload.name,
         workload.phases.len(),
         workload.axc_count(),
-        DecodedTrace::decode(&workload).working_set(),
+        workload.working_set(),
     );
 
     println!(

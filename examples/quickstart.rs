@@ -10,7 +10,6 @@
     reason = "an example stops on a failed run"
 )]
 
-use fusion_repro::accel::DecodedTrace;
 use fusion_repro::core::runner::{run_system, SystemKind};
 use fusion_repro::workloads::{build_suite, Scale, SuiteId};
 
@@ -25,7 +24,7 @@ fn main() {
         workload.axc_count(),
         workload.phases.len(),
         workload.total_refs(),
-        DecodedTrace::decode(&workload).working_set(),
+        workload.working_set(),
     );
 
     // Run it on the FUSION coherent cache hierarchy.

@@ -12,9 +12,7 @@ mod common;
 use common::Rng;
 use fusion_repro::accel::io::{decode_workload, encode_workload};
 use fusion_repro::accel::ooo::{run_host_phase_indexed, OooParams};
-use fusion_repro::accel::{
-    kind_runs_of, run_phase_kind_runs, DecodedPhase, DecodedTrace, PhaseTiming, Recorder,
-};
+use fusion_repro::accel::{kind_runs_of, run_phase_kind_runs, DecodedPhase, PhaseTiming, Recorder};
 use fusion_repro::dma::{DmaController, DmaDirection};
 use fusion_repro::mem::BankedTiming;
 use fusion_repro::types::ids::ExecUnit;
@@ -268,9 +266,8 @@ fn per_reference_and_kind_run_replays_agree() {
                 rec.end_phase("p", ExecUnit::Axc(AxcId::new(0)), mlp, 100);
             }
             let wl = rec.finish("prop", Pid::new(1));
-            let decoded = DecodedTrace::decode(&wl);
             for idx in 0..phases {
-                let dp = decoded.phase_refs(idx);
+                let dp = wl.phase_refs(idx);
                 let start = Cycle::new(rng.range_u64(0, 1000));
                 assert_replays_agree(dp, mlp, start);
                 for _ in 0..4 {

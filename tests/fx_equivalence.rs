@@ -9,7 +9,7 @@
 //! side and demand identical answers at every step:
 //!
 //! * the ACC directory's forward-rule map, keyed `(Pid, BlockAddr)` and
-//!   populated from `DecodedTrace::forward_pairs` over a real workload;
+//!   populated from `Workload::forward_pairs` over a real workload;
 //! * the AX-RMAP reverse map, keyed by physical block index (`u64`) with
 //!   insert/lookup/remove churn as blocks enter and leave the L1X.
 
@@ -21,7 +21,6 @@
 
 use std::collections::HashMap;
 
-use fusion_accel::DecodedTrace;
 use fusion_types::hash::FxHashMap;
 use fusion_types::{BlockAddr, Pid};
 use fusion_workloads::{build_suite, Scale, SuiteId};
@@ -31,8 +30,7 @@ fn acc_forward_rule_map_matches_std_hashmap_on_recorded_trace() {
     // Disparity is the pipeline suite: it is where FUSION-Dx actually
     // finds producer->consumer pairs, so the rule map is non-trivial.
     let wl = build_suite(SuiteId::Disparity, Scale::Tiny);
-    let decoded = DecodedTrace::decode(&wl);
-    let pairs = decoded.forward_pairs(&wl, 64);
+    let pairs = wl.forward_pairs(64);
     assert!(
         !pairs.is_empty(),
         "recorded trace must exercise the rule map"
@@ -50,8 +48,8 @@ fn acc_forward_rule_map_matches_std_hashmap_on_recorded_trace() {
 
     // Probe with every block the trace touches (hits and misses alike),
     // in program order — the lookup pattern of `AccDirectory::forward_for`.
-    for idx in 0..decoded.phase_count() {
-        for b in decoded.phase_refs(idx).blocks() {
+    for idx in 0..wl.phases.len() {
+        for b in wl.phase_refs(idx).blocks() {
             assert_eq!(std_map.get(&(wl.pid, b)), fx_map.get(&(wl.pid, b)));
         }
     }
@@ -71,13 +69,12 @@ fn ax_rmap_style_u64_churn_matches_std_hashmap() {
     // insert on fill, lookup on snoop, remove on eviction (modelled here
     // as: every third distinct block gets evicted and refilled).
     let wl = build_suite(SuiteId::Fft, Scale::Tiny);
-    let decoded = DecodedTrace::decode(&wl);
 
     let mut std_map: HashMap<u64, u64> = HashMap::new();
     let mut fx_map: FxHashMap<u64, u64> = FxHashMap::default();
     let mut op = 0u64;
-    for idx in 0..decoded.phase_count() {
-        for b in decoded.phase_refs(idx).blocks() {
+    for idx in 0..wl.phases.len() {
+        for b in wl.phase_refs(idx).blocks() {
             let key = b.index();
             op += 1;
             assert_eq!(std_map.get(&key), fx_map.get(&key), "lookup #{op}");

@@ -9,7 +9,7 @@ use common::Rng;
 use fusion_repro::accel::io::{
     decode_workload, encode_workload, fingerprint, read_workload, write_workload,
 };
-use fusion_repro::accel::DecodedTrace;
+use fusion_repro::accel::Workload;
 use fusion_repro::core::journal::{self, JournalHeader, JournalRow};
 use fusion_repro::core::runner::{run_system, SystemKind};
 use fusion_repro::core::{full_grid, SweepJob};
@@ -129,15 +129,15 @@ fn decoder_survives_corruption() {
 /// A replay resolves each reference's block as `ordinal_blocks[ordinal]`,
 /// so the numbering carries every block: the table names each block
 /// once, and ordinals are handed out densely in first-touch order.
-fn assert_first_touch_numbering(trace: &DecodedTrace) {
-    let table = trace.ordinal_blocks();
+fn assert_first_touch_numbering(wl: &Workload) {
+    let table = wl.ordinal_blocks();
     let mut distinct = table.to_vec();
     distinct.sort_unstable();
     distinct.dedup();
     assert_eq!(distinct.len(), table.len(), "a block holds two ordinals");
     let mut issued = 0usize;
-    for idx in 0..trace.phase_count() {
-        for &o in trace.phase_refs(idx).ordinals {
+    for idx in 0..wl.phases.len() {
+        for &o in wl.phase_refs(idx).ordinals {
             let o = o as usize;
             assert!(o <= issued, "ordinal {o} skips ahead of {issued}");
             issued = issued.max(o + 1);
@@ -185,7 +185,7 @@ fn trace_fingerprints_are_pinned() {
             Ok(&wl),
             "{id:?} at {scale:?}"
         );
-        assert_first_touch_numbering(&DecodedTrace::decode(&wl));
+        assert_first_touch_numbering(&wl);
     }
 }
 
@@ -218,7 +218,7 @@ fn decoder_survives_resealed_structural_corruption() {
             for p in &decoded.phases {
                 assert!(p.mlp >= 1);
             }
-            assert_first_touch_numbering(&DecodedTrace::decode(&decoded));
+            assert_first_touch_numbering(&decoded);
         }
     }
     // Resealed truncation: cut the payload short and seal what remains

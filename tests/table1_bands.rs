@@ -3,12 +3,10 @@
 //! these pin the *shape* of each function's behaviour, not exact numbers.
 
 use fusion_repro::accel::analysis::{FunctionStats, OpMix};
-use fusion_repro::accel::DecodedTrace;
 use fusion_repro::workloads::{build_suite, Scale, SuiteId};
 
 fn stats(id: SuiteId, f: &str) -> FunctionStats {
-    let wl = build_suite(id, Scale::Small);
-    DecodedTrace::decode(&wl).trace_stats(&wl)[f].clone()
+    build_suite(id, Scale::Small).trace_stats()[f].clone()
 }
 
 fn mix(id: SuiteId, f: &str) -> OpMix {
