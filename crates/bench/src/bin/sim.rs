@@ -24,10 +24,17 @@
 //! simulation or sweep job fails at runtime (completed rows are still
 //! printed, failures are summarized per job on stderr), 2 for usage
 //! errors, among them an option the subcommand does not take. The
-//! robustness flags — `--fail-fast`, `--budget <cycles>` and
-//! `--inject <seed:count>` — map onto the fault-tolerant sweep engine of
-//! DESIGN.md §10. Each job runs once: a simulation is a pure function of
-//! its inputs, so a failure would only repeat.
+//! robustness flags — `--budget <cycles>` and `--inject <seed:count>` —
+//! map onto the fault-tolerant sweep engine of DESIGN.md §10. Each job
+//! runs once: a simulation is a pure function of its inputs, so a failure
+//! would only repeat, and every sweep outcome is a function of the grid,
+//! the fault plan and the cycle budget, never of thread timing.
+//!
+//! `sweep --journal` opens the write-ahead journal with
+//! [`Sweep::open_journal`] (fresh, or verified and compacted on
+//! `--resume`) and runs the grid with [`Sweep::run_points`], which splices
+//! the resumed rows and returns one point per grid position; this driver
+//! only renders the points (DESIGN.md §13).
 //!
 //! `verify` runs the exhaustive protocol model checker of DESIGN.md §11
 //! over the pure transition functions the simulator itself executes. It
@@ -37,12 +44,11 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use fusion_accel::{io as trace_io, Workload};
 use fusion_core::{
-    design_grid, journal, run_system, FaultPlan, MemoMark, SimResult, Sweep, SweepJob,
-    SweepOutcome, SweepSummary, SystemKind, TraceCache,
+    design_grid, journal, run_system, FaultPlan, GridPoint, MemoMark, SimResult, Sweep, SweepJob,
+    SweepOutcome, SystemKind,
 };
 use fusion_energy::Component;
 use fusion_types::{json_escape, SystemConfig, WritePolicy};
@@ -65,7 +71,6 @@ sim verify  [--protocol <acc|acc-dx|acc-renew|mesi|all>] [--agents <N>] [--block
 verify fault kinds: lease-overrun, gtime-regression (ACC);\n  \
 empty-sharers, wrong-owner (MESI)\n\n\
 robustness flags (compare/sweep):\n  \
---fail-fast           stop claiming new jobs after the first failure\n  \
 --budget <cycles>     per-job simulated-cycle budget (livelock guard)\n  \
 --inject <seed:count> deterministically inject <count> faults (testing)\n\n\
 memo flag (sweep):\n  \
@@ -131,11 +136,11 @@ const ACCEPTED: [(&str, &str); 6] = [
     ),
     (
         "compare",
-        "suite scale threads fail-fast budget inject large write-through lease-renewal prefetch",
+        "suite scale threads budget inject large write-through lease-renewal prefetch",
     ),
     (
         "sweep",
-        "scale threads json no-memo journal resume fail-fast budget inject \
+        "scale threads json no-memo journal resume budget inject \
          large write-through lease-renewal prefetch",
     ),
     (
@@ -286,7 +291,6 @@ fn sweep_from(scale: Scale, args: &Args, jobs: usize) -> Result<Sweep, String> {
     if let Some(n) = args.numeric("budget")? {
         sweep = sweep.budget(n as u64);
     }
-    sweep = sweep.fail_fast(args.flag("fail-fast"));
     if let Some(plan) = args.fault_plan(jobs)? {
         sweep = sweep.with_faults(plan);
     }
@@ -294,26 +298,21 @@ fn sweep_from(scale: Scale, args: &Args, jobs: usize) -> Result<Sweep, String> {
 }
 
 /// Summarizes every failed job on stderr and says whether the sweep was
-/// clean. `expected` is the grid size before any fail-fast truncation.
-fn report_failures(outcomes: &[SweepOutcome], expected: usize) -> bool {
-    let summary = SweepSummary::of(outcomes);
-    if summary.all_ok() && outcomes.len() == expected {
+/// clean.
+fn report_failures(points: &[GridPoint]) -> bool {
+    let outcomes = || points.iter().filter_map(GridPoint::outcome);
+    let failed = outcomes().filter(|o| o.result.is_err()).count();
+    if failed == 0 {
         return true;
     }
     eprintln!(
-        "sweep: {} completed, {} failed",
-        summary.completed, summary.failed
+        "sweep: {} completed, {failed} failed",
+        outcomes().count() - failed
     );
-    for o in outcomes {
+    for o in outcomes() {
         if let Err(e) = &o.result {
             eprintln!("  FAILED {} [{}]: {e}", o.job.label(), e.kind_label());
         }
-    }
-    if outcomes.len() < expected {
-        eprintln!(
-            "  fail-fast: {} grid point(s) not attempted",
-            expected - outcomes.len()
-        );
     }
     false
 }
@@ -382,16 +381,16 @@ fn compare(suite: SuiteId, scale: Scale, args: &Args) -> Result<bool, String> {
     .into_iter()
     .map(|kind| SweepJob::new(kind, suite, cfg.clone()))
     .collect();
-    let expected = jobs.len();
-    let sweep = sweep_from(scale, args, expected)?;
+    let sweep = sweep_from(scale, args, jobs.len())?;
     let pool = sweep.pool_size(jobs.len());
     #[expect(
         clippy::disallowed_methods,
         reason = "operator-facing wall time; no simulated result reads it"
     )]
     let started = std::time::Instant::now();
-    let outcomes = sweep.run(jobs);
+    let points = sweep.run_points(&jobs, vec![None; jobs.len()]);
     let total = started.elapsed();
+    let outcomes: Vec<&SweepOutcome> = points.iter().filter_map(GridPoint::outcome).collect();
     println!(
         "{:<10} {:>12} {:>8} {:>14} {:>10} {:>10} {:>9}",
         "system", "cycles", "dma%", "cache energy", "L2 acc", "LtU mean", "wall ms"
@@ -419,14 +418,7 @@ fn compare(suite: SuiteId, scale: Scale, args: &Args) -> Result<bool, String> {
         total.as_secs_f64() * 1e3,
         busy as f64 / 1e6,
     );
-    Ok(report_failures(&outcomes, expected))
-}
-
-/// One renderable grid point of a sweep: a live outcome from this run or
-/// a row spliced verbatim from the write-ahead journal.
-enum SweepRow<'a> {
-    Live(&'a SweepOutcome),
-    Resumed(&'a journal::JournalRow),
+    Ok(report_failures(&points))
 }
 
 /// `sweep`: the design grid — the 4-system × 7-suite base plus the
@@ -436,72 +428,18 @@ enum SweepRow<'a> {
 fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
     let cfg = config_from(args)?;
     let jobs = design_grid(&cfg);
-    let expected = jobs.len();
-    let mut sweep = sweep_from(scale, args, expected)?.memo(!args.flag("no-memo"));
-    // The CLI shares the sweep's trace cache so resume verification
-    // fingerprints the exact workload bytes the jobs will replay.
-    let traces = Arc::new(TraceCache::new());
-    sweep = sweep.with_trace_cache(Arc::clone(&traces));
+    let mut sweep = sweep_from(scale, args, jobs.len())?.memo(!args.flag("no-memo"));
 
     let journal_path = args.get("journal").map(PathBuf::from);
-    if args.flag("resume") && journal_path.is_none() {
+    let resume = args.flag("resume");
+    if resume && journal_path.is_none() {
         return Err("--resume requires --journal <path>".to_string());
     }
-
-    // Resume: decode the journal and re-verify every claim against the
-    // live grid (code version, scale, config and trace fingerprints —
-    // checked, never assumed). Header mismatches are usage errors;
-    // damaged or stale rows simply re-run.
-    let mut resumed: Vec<Option<journal::JournalRow>> = jobs.iter().map(|_| None).collect();
-    if let (true, Some(path)) = (args.flag("resume"), &journal_path) {
-        match std::fs::read(path) {
-            Ok(bytes) => {
-                let recovery = journal::read_journal(&bytes);
-                let mut fp = |suite: SuiteId| traces.fingerprint(suite, scale);
-                let plan = journal::plan_resume(
-                    &jobs,
-                    scale,
-                    &recovery,
-                    &journal::code_version(),
-                    &mut fp,
-                )
-                .map_err(|e| format!("--resume: {e}"))?;
-                for w in &plan.warnings {
-                    eprintln!("journal: {w}");
-                }
-                resumed = plan.resumed;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                eprintln!(
-                    "journal: {} not found; running the full grid",
-                    path.display()
-                );
-            }
-            Err(e) => {
-                eprintln!("journal: cannot read {}: {e}", path.display());
-                return Ok(false);
-            }
-        }
-    }
-    let resumed_count = resumed.iter().flatten().count();
-
-    // Create the journal, or on resume compact it: the header and the
-    // verified rows replace it crash-safely (via a renamed temp file)
-    // before the sweep starts, so torn tails, duplicates and stale rows
-    // are healed rather than appended after.
+    let mut resumed = vec![None; jobs.len()];
     if let Some(path) = &journal_path {
-        let header = journal::JournalHeader {
-            scale: journal::scale_label(scale).to_string(),
-            code_version: journal::code_version(),
-            grid: expected,
-        };
-        let writer = if args.flag("resume") {
-            journal::compact(path, &header, resumed.iter().flatten())
-        } else {
-            journal::JournalWriter::create(path, &header)
-        };
-        match writer {
-            Ok(w) => sweep = sweep.with_journal(Arc::new(journal::JournalSink::new(w))),
+        match sweep.open_journal(path, resume, &jobs, |w| eprintln!("journal: {w}")) {
+            Ok(rows) => resumed = rows,
+            Err(e) if e.is_usage() => return Err(format!("--resume: {e}")),
             Err(e) => {
                 eprintln!("journal: {e}");
                 return Ok(false);
@@ -509,59 +447,15 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
         }
     }
 
-    let todo: Vec<SweepJob> = jobs
-        .iter()
-        .zip(&resumed)
-        .filter(|(_, r)| r.is_none())
-        .map(|(j, _)| j.clone())
-        .collect();
-    // `--inject` draws its faults over the whole grid, but the sweep
-    // indexes its plan by position in `todo`: replace the grid-indexed
-    // plan `sweep_from` staged with the faults on the jobs that run live,
-    // renumbered to their position (the identity on a fresh sweep).
-    if let Some(plan) = args.fault_plan(expected)? {
-        let live = plan
-            .entries()
-            .into_iter()
-            .filter(|&(i, _)| resumed[i].is_none())
-            .fold(FaultPlan::new(), |live, (i, fault)| {
-                live.inject(i - resumed[..i].iter().flatten().count(), fault)
-            });
-        sweep = sweep.with_faults(live);
-    }
-    let todo_len = todo.len();
-    let pool = sweep.pool_size(todo_len);
+    let pool = sweep.pool_size(resumed.iter().filter(|r| r.is_none()).count());
     #[expect(
         clippy::disallowed_methods,
         reason = "operator-facing wall time; no simulated result reads it"
     )]
     let started = std::time::Instant::now();
-    let outcomes = sweep.run(todo);
+    let points = sweep.run_points(&jobs, resumed);
     let total = started.elapsed();
     let journal_lost = sweep.journal_lost();
-
-    // Stitch the live outcomes back into grid order alongside the
-    // resumed rows. Outcomes may have gaps (fail-fast, killed workers),
-    // so walk them with a cursor keyed on the unique
-    // (suite, system, variant) triple.
-    let mut rows: Vec<SweepRow> = Vec::with_capacity(expected);
-    let mut live = outcomes.iter().peekable();
-    for (job, res) in jobs.iter().zip(&resumed) {
-        match res {
-            Some(row) => rows.push(SweepRow::Resumed(row)),
-            None => {
-                if let Some(&o) = live.peek() {
-                    if o.job.system == job.system
-                        && o.job.suite == job.suite
-                        && o.job.variant == job.variant
-                    {
-                        rows.push(SweepRow::Live(o));
-                        live.next();
-                    }
-                }
-            }
-        }
-    }
 
     if args.flag("json") {
         // One JSON object per grid point; for completed jobs the "result"
@@ -572,69 +466,24 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
         // and "memo", which reads "journal". "config" names the capacity
         // variant ("base" on the base grid).
         println!("[");
-        for (i, row) in rows.iter().enumerate() {
-            let tail = if i + 1 < rows.len() { "," } else { "" };
-            match row {
-                SweepRow::Live(o) => match &o.result {
-                    Ok(res) => {
-                        let m = res.metrics;
-                        println!(
-                            "{{\"suite\":\"{}\",\"system\":\"{}\",\"config\":\"{}\",\
-                             \"wall_ms\":{:.3},\
-                             \"queue_delay_ms\":{:.3},\"sim_events\":{},\"refs\":{},\
-                             \"refs_per_sec\":{:.0},\"memo\":\"{}\",\"result\":{}}}{tail}",
-                            o.job.suite.label(),
-                            o.job.system.label(),
-                            o.job.variant,
-                            m.wall_time().as_secs_f64() * 1e3,
-                            m.queue_delay().as_secs_f64() * 1e3,
-                            m.sim_events,
-                            m.refs_simulated,
-                            m.refs_per_sec(),
-                            o.memo.mark.label(),
-                            res.to_json(),
-                        );
-                    }
-                    Err(e) => {
-                        println!(
-                            "{{\"suite\":\"{}\",\"system\":\"{}\",\"config\":\"{}\",\
-                             \"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}{tail}",
-                            o.job.suite.label(),
-                            o.job.system.label(),
-                            o.job.variant,
-                            e.kind_label(),
-                            json_escape(&e.to_string()),
-                        );
-                    }
-                },
-                SweepRow::Resumed(r) => {
-                    println!(
-                        "{{\"suite\":\"{}\",\"system\":\"{}\",\"config\":\"{}\",\
-                         \"wall_ms\":0.000,\
-                         \"queue_delay_ms\":0.000,\"sim_events\":{},\"refs\":{},\
-                         \"refs_per_sec\":0,\"memo\":\"journal\",\"result\":{}}}{tail}",
-                        r.suite, r.system, r.variant, r.sim_events, r.refs, r.result_json,
-                    );
-                }
-            }
+        for (i, point) in points.iter().enumerate() {
+            let tail = if i + 1 == points.len() { "" } else { "," };
+            println!("{}{tail}", json_row(point));
         }
         println!("]");
-        return sweep_epilogue(
-            &outcomes,
-            todo_len,
-            resumed_count,
-            expected,
+        return Ok(sweep_epilogue(
+            &points,
             journal_lost,
             journal_path.as_deref(),
-        );
+        ));
     }
     println!(
         "{:<12} {:<10} {:<8} {:>12} {:>14} {:>12} {:>9} {:>9}",
         "suite", "system", "config", "cycles", "cache energy", "events", "wall ms", "queue ms"
     );
-    for row in &rows {
-        match row {
-            SweepRow::Live(o) => {
+    for point in &points {
+        match point {
+            GridPoint::Live(o) => {
                 let Ok(res) = &o.result else { continue };
                 let m = res.metrics;
                 println!(
@@ -649,7 +498,7 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
                     m.queue_delay().as_secs_f64() * 1e3,
                 );
             }
-            SweepRow::Resumed(r) => {
+            GridPoint::Resumed(r) => {
                 println!(
                     "{:<12} {:<10} {:<8} {:>12} {:>14} {:>12} {:>9} {:>9}",
                     r.suite,
@@ -662,13 +511,15 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
                     "-",
                 );
             }
+            GridPoint::NotRun => unreachable!("{NEVER_UNRUN}"),
         }
     }
-    let done: Vec<&SimResult> = outcomes
+    let outcomes: Vec<&SweepOutcome> = points.iter().filter_map(GridPoint::outcome).collect();
+    let busy: u64 = outcomes
         .iter()
         .filter_map(|o| o.result.as_ref().ok())
-        .collect();
-    let busy: u64 = done.iter().map(|r| r.metrics.wall_nanos).sum();
+        .map(|r| r.metrics.wall_nanos)
+        .sum();
     // Copied rows replayed nothing: only replayed refs count towards the
     // throughput figure.
     let copied = outcomes
@@ -694,42 +545,85 @@ fn sweep_cmd(scale: Scale, args: &Args) -> Result<bool, String> {
     if !args.flag("no-memo") {
         println!("memo: {copied} of {} jobs copied", outcomes.len());
     }
-    sweep_epilogue(
-        &outcomes,
-        todo_len,
-        resumed_count,
-        expected,
+    Ok(sweep_epilogue(
+        &points,
         journal_lost,
         journal_path.as_deref(),
-    )
+    ))
+}
+
+/// Only a killed worker leaves a grid point unrun, and the faults `--inject`
+/// stages ([`FaultPlan::seeded`]) never kill one.
+const NEVER_UNRUN: &str = "`sim sweep` stages no worker kill";
+
+/// One grid point as a `sim sweep --json` object.
+fn json_row(point: &GridPoint) -> String {
+    match point {
+        GridPoint::Live(o) => match &o.result {
+            Ok(res) => {
+                let m = res.metrics;
+                format!(
+                    "{{\"suite\":\"{}\",\"system\":\"{}\",\"config\":\"{}\",\
+                     \"wall_ms\":{:.3},\
+                     \"queue_delay_ms\":{:.3},\"sim_events\":{},\"refs\":{},\
+                     \"refs_per_sec\":{:.0},\"memo\":\"{}\",\"result\":{}}}",
+                    o.job.suite.label(),
+                    o.job.system.label(),
+                    o.job.variant,
+                    m.wall_time().as_secs_f64() * 1e3,
+                    m.queue_delay().as_secs_f64() * 1e3,
+                    m.sim_events,
+                    m.refs_simulated,
+                    m.refs_per_sec(),
+                    o.memo.mark.label(),
+                    res.to_json(),
+                )
+            }
+            Err(e) => format!(
+                "{{\"suite\":\"{}\",\"system\":\"{}\",\"config\":\"{}\",\
+                 \"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}",
+                o.job.suite.label(),
+                o.job.system.label(),
+                o.job.variant,
+                e.kind_label(),
+                json_escape(&e.to_string()),
+            ),
+        },
+        GridPoint::Resumed(r) => format!(
+            "{{\"suite\":\"{}\",\"system\":\"{}\",\"config\":\"{}\",\
+             \"wall_ms\":0.000,\
+             \"queue_delay_ms\":0.000,\"sim_events\":{},\"refs\":{},\
+             \"refs_per_sec\":0,\"memo\":\"journal\",\"result\":{}}}",
+            r.suite, r.system, r.variant, r.sim_events, r.refs, r.result_json,
+        ),
+        GridPoint::NotRun => unreachable!("{NEVER_UNRUN}"),
+    }
 }
 
 /// Shared sweep wrap-up: failure summary, resume accounting, journal-loss
 /// notice, and — on a partial sweep — the machine-readable salvage
-/// report (stderr plus `<journal>.salvage.json`).
+/// report (stderr plus `<journal>.salvage.json`). Returns whether the
+/// sweep was clean.
 fn sweep_epilogue(
-    outcomes: &[SweepOutcome],
-    todo_len: usize,
-    resumed_count: usize,
-    expected: usize,
+    points: &[GridPoint],
     journal_lost: bool,
     journal_path: Option<&std::path::Path>,
-) -> Result<bool, String> {
-    let ok = report_failures(outcomes, todo_len);
-    if resumed_count > 0 {
-        eprintln!("journal: {resumed_count}/{expected} grid point(s) resumed, {todo_len} run live");
+) -> bool {
+    let ok = report_failures(points);
+    let resumed = points.iter().filter(|p| p.is_resumed()).count();
+    if resumed > 0 {
+        eprintln!(
+            "journal: {resumed}/{} grid point(s) resumed, {} run live",
+            points.len(),
+            points.len() - resumed
+        );
     }
     if journal_lost {
         eprintln!("journal: lost mid-sweep; completed rows before the failure are preserved");
     }
     if !ok {
-        let salvage = journal::salvage_json(
-            outcomes,
-            resumed_count,
-            expected,
-            journal_lost,
-            journal_path.and_then(|p| p.to_str()),
-        );
+        let salvage =
+            journal::salvage_json(points, journal_lost, journal_path.and_then(|p| p.to_str()));
         eprintln!("salvage: {salvage}");
         if let Some(path) = journal_path {
             let out = format!("{}.salvage.json", path.display());
@@ -738,7 +632,7 @@ fn sweep_epilogue(
             }
         }
     }
-    Ok(ok)
+    ok
 }
 
 /// Builds the [`VerifySpec`] for `sim verify` from the CLI arguments.
@@ -1011,9 +905,8 @@ mod tests {
 
     #[test]
     fn robustness_flags_parse_and_apply() {
-        let args = Args::parse("sweep", &argv(&["--fail-fast", "--budget", "100000"])).unwrap();
+        let args = Args::parse("sweep", &argv(&["--budget", "100000"])).unwrap();
         assert_eq!(args.numeric("budget").unwrap(), Some(100_000));
-        assert!(args.flag("fail-fast"));
         let sweep = sweep_from(Scale::Tiny, &args, 28).unwrap();
         assert!(sweep.pool_size(28) >= 1);
     }
@@ -1099,7 +992,6 @@ mod tests {
             "--prefetch",
             "--threads",
             "--json",
-            "--fail-fast",
             "--budget",
             "--inject",
             "--journal",

@@ -104,10 +104,12 @@ fn retired_tile_threads_option_is_a_usage_error() {
 
 #[test]
 fn retired_retry_and_deadline_options_are_usage_errors() {
-    // Each job runs once and no outcome reads the wall clock; scripts that
-    // still ask for a retry or a deadline must fail loudly.
+    // Each job runs once and no outcome reads the wall clock or thread
+    // timing; scripts that still ask for a retry, a deadline or fail-fast
+    // must fail loudly.
     for (args, option) in [
         (&["sweep", "--retries", "1"][..], "--retries"),
+        (&["sweep", "--fail-fast"][..], "--fail-fast"),
         (
             &["compare", "--suite", "fft", "--deadline-ms", "5"][..],
             "--deadline-ms",

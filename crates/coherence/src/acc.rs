@@ -1168,15 +1168,6 @@ impl AccTile {
         }
         out
     }
-
-    /// L0X hit rate across all accelerators (for Lesson 3's filtering
-    /// claim: the L0X filters ~80 % of L1X accesses).
-    pub fn l0_hit_rate(&self) -> f64 {
-        if self.stats.l0_accesses == 0 {
-            return 0.0;
-        }
-        self.stats.l0_hits as f64 / self.stats.l0_accesses as f64
-    }
 }
 
 #[cfg(test)]

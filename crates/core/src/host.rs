@@ -54,11 +54,10 @@ impl TileAgent for NoTile {
 pub struct TileFill {
     /// When the 64 B data response reaches the tile.
     pub data_at: Cycle,
-    /// Physical address of the filled block (for the AX-RMAP).
+    /// Physical address of the filled block (for the AX-RMAP). Recalls of
+    /// other tile blocks by an inclusive-L2 eviction go straight to the
+    /// tile agent the fill was given.
     pub pa: PhysAddr,
-    /// Tile-cached blocks recalled by an inclusive-L2 eviction; the caller
-    /// must evict them from its tile structures.
-    pub tile_recalls: Vec<PhysAddr>,
 }
 
 /// Host-side state machine shared by all four systems.
@@ -269,7 +268,7 @@ impl HostSide {
                 .cfg
                 .link_l1x_l2
                 .transfer_cycles(self.cfg.control_message_bytes);
-        let (ready, tile_recalls) =
+        let (ready, _) =
             self.l2_request(AgentId::TILE, pa, MesiReq::GetX, req_at, ledger, Some(tile));
         ledger.charge_bytes(
             Component::LinkL1xL2Data,
@@ -281,11 +280,7 @@ impl HostSide {
                 .cfg
                 .link_l1x_l2
                 .transfer_cycles(CACHE_BLOCK_BYTES as u64);
-        TileFill {
-            data_at,
-            pa,
-            tile_recalls,
-        }
+        TileFill { data_at, pa }
     }
 
     /// Processes a tile eviction: PUTX notice (plus data when dirty) to

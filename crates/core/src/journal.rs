@@ -23,6 +23,10 @@
 //!   freshly materialized workload, and the embedded result payload is
 //!   structurally validated. Anything that fails is re-run, never
 //!   spliced ([`plan_resume`]).
+//! * **One resume path** — [`crate::Sweep::open_journal`] creates, or
+//!   verifies against the sweep's own traces and compacts, the journal;
+//!   [`crate::Sweep::run_points`] splices its rows and runs the rest.
+//!   `sim sweep` and the chaos tests both call these two.
 //! * **Salvage** — on a partial sweep the CLI emits a machine-readable
 //!   salvage report ([`salvage_json`]) naming what completed, what
 //!   failed, what was never attempted and whether the journal was lost,
@@ -39,7 +43,7 @@ use fusion_types::{json_escape, SystemConfig};
 use fusion_workloads::{Scale, SuiteId};
 
 use crate::result::SimResult;
-use crate::sweep::{SweepJob, SweepOutcome};
+use crate::sweep::{GridPoint, SweepJob, TraceCache};
 
 /// Journal line-format version, bumped whenever the row grammar, the
 /// fields covered by the seal or the meaning of a field change (version 2:
@@ -108,7 +112,8 @@ pub struct JournalHeader {
 }
 
 /// One completed grid point as journaled: the job key, the verification
-/// fingerprints, the retry accounting and the full result payload.
+/// fingerprints, the measurements resumed JSON rows echo and the full
+/// result payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalRow {
     /// System label (`"SC"`, `"SH"`, `"FU"`, `"FU-Dx"`).
@@ -667,11 +672,6 @@ impl JournalWriter {
     pub fn syncs(&self) -> u64 {
         self.syncs
     }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 /// Rewrites the journal at `path` as `header` plus `rows` and returns a
@@ -714,6 +714,56 @@ pub fn compact<'a>(
         .map_err(|e| io_err("sync the directory of", e))?;
     w.path = path.to_path_buf();
     Ok(w)
+}
+
+/// The body of [`crate::Sweep::open_journal`]: [`JournalWriter::create`]
+/// when fresh; on resume [`read_journal`], [`plan_resume`] and [`compact`].
+/// The warnings reach `warn` before compaction, so a failed compaction
+/// still reports them.
+pub(crate) fn open(
+    path: &Path,
+    resume: bool,
+    jobs: &[SweepJob],
+    scale: Scale,
+    traces: &TraceCache,
+    warn: &mut dyn FnMut(&str),
+) -> Result<(JournalSink, Vec<Option<JournalRow>>), JournalError> {
+    let header = JournalHeader {
+        scale: scale_label(scale).to_string(),
+        code_version: code_version(),
+        grid: jobs.len(),
+    };
+    if !resume {
+        let writer = JournalWriter::create(path, &header)?;
+        return Ok((JournalSink::new(writer), vec![None; jobs.len()]));
+    }
+    let resumed = match std::fs::read(path) {
+        Ok(bytes) => {
+            let plan = plan_resume(
+                jobs,
+                scale,
+                &read_journal(&bytes),
+                &header.code_version,
+                &mut |suite| traces.fingerprint(suite, scale),
+            )?;
+            plan.warnings.iter().for_each(|w| warn(w));
+            plan.resumed
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            warn(&format!(
+                "{} not found; running the full grid",
+                path.display()
+            ));
+            vec![None; jobs.len()]
+        }
+        Err(e) => {
+            return Err(JournalError::Io {
+                detail: format!("cannot read {}: {e}", path.display()),
+            })
+        }
+    };
+    let writer = compact(path, &header, resumed.iter().flatten())?;
+    Ok((JournalSink::new(writer), resumed))
 }
 
 /// Thread-safe journal endpoint a sweep commits batches through.
@@ -775,18 +825,18 @@ impl JournalSink {
 /// Renders the machine-readable salvage report a partial sweep exits
 /// with: what completed (live + resumed), what failed and how, what was
 /// never attempted, whether the journal died mid-sweep, and the resume
-/// hint.
-pub fn salvage_json(
-    outcomes: &[SweepOutcome],
-    resumed: usize,
-    expected: usize,
-    journal_lost: bool,
-    journal: Option<&str>,
-) -> String {
+/// hint. `points` is the whole grid ([`crate::Sweep::run_points`]).
+pub fn salvage_json(points: &[GridPoint], journal_lost: bool, journal: Option<&str>) -> String {
     use std::fmt::Write as _;
-    let completed = resumed + outcomes.iter().filter(|o| o.result.is_ok()).count();
-    let failed = outcomes.iter().filter(|o| o.result.is_err()).count();
-    let not_attempted = expected.saturating_sub(resumed + outcomes.len());
+    let expected = points.len();
+    let outcomes = || points.iter().filter_map(GridPoint::outcome);
+    let resumed = points.iter().filter(|p| p.is_resumed()).count();
+    let completed = resumed + outcomes().filter(|o| o.result.is_ok()).count();
+    let failed = outcomes().filter(|o| o.result.is_err()).count();
+    let not_attempted = points
+        .iter()
+        .filter(|p| matches!(p, GridPoint::NotRun))
+        .count();
     let mut s = String::new();
     let _ = write!(
         s,
@@ -799,7 +849,7 @@ pub fn salvage_json(
         },
     );
     let mut first = true;
-    for o in outcomes {
+    for o in outcomes() {
         let Err(e) = &o.result else { continue };
         if !first {
             s.push(',');
@@ -995,13 +1045,15 @@ mod tests {
 
     #[test]
     fn salvage_report_counts_and_escapes() {
-        let json = salvage_json(&[], 3, 10, false, Some("wal \"x\".jsonl"));
+        let mut points = vec![GridPoint::Resumed(row("FU", "FUSION")); 3];
+        points.extend(std::iter::repeat_with(|| GridPoint::NotRun).take(7));
+        let json = salvage_json(&points, false, Some("wal \"x\".jsonl"));
         assert!(json.contains("\"expected\":10"));
         assert!(json.contains("\"resumed\":3"));
         assert!(json.contains("\"not_attempted\":7"));
         assert!(json.contains("\\\"x\\\""));
         assert!(json.contains("\"journal_lost\":false"));
-        let none = salvage_json(&[], 0, 1, true, None);
+        let none = salvage_json(&[GridPoint::NotRun], true, None);
         assert!(none.contains("\"journal_lost\":true"));
         assert!(none.contains("\"journal\":null"));
         assert!(none.contains("\"resume\":null"));

@@ -28,7 +28,10 @@
 //! `(system, suite, config)` jobs out over a worker pool with each suite's
 //! trace materialized once, isolating every job (panic capture, a cycle
 //! budget — see DESIGN.md §10 and [`faults`]) — the substrate
-//! behind `sim sweep`, `sim compare` and the `tables` binary.
+//! behind `sim sweep`, `sim compare` and the `tables` binary. A durable
+//! sweep opens its write-ahead journal with [`sweep::Sweep::open_journal`]
+//! and resumes with [`sweep::Sweep::run_points`], the one resume path
+//! (DESIGN.md §13).
 //!
 //! # Examples
 //!
@@ -55,13 +58,9 @@ pub use faults::{Fault, FaultPlan};
 /// Re-exported for the benchmark harness under `perf/`, which imports it
 /// from here.
 pub use fusion_types::SplitMix64;
-pub use journal::{
-    code_version, compact, config_fingerprint, job_key, plan_resume, read_journal, salvage_json,
-    JobKey, JournalHeader, JournalRow, JournalSink, JournalWriter, Recovery, ResumePlan,
-};
 pub use memo::{observed_config, MemoMark, MemoRow};
 pub use result::{PhaseResult, RunMetrics, SimResult, Traffic};
 pub use runner::{
     run_system, run_system_decoded, run_system_guarded, validate_config, RunControl, SystemKind,
 };
-pub use sweep::{design_grid, full_grid, Sweep, SweepJob, SweepOutcome, SweepSummary, TraceCache};
+pub use sweep::{design_grid, full_grid, GridPoint, Sweep, SweepJob, SweepOutcome, TraceCache};

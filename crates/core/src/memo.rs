@@ -11,9 +11,11 @@
 //!
 //! Jobs with a staged fault, with the protocol checker on, or whose config
 //! fails [`validate_config`] are never grouped: their outcome depends on
-//! more than the observed config. The guards that the slice table is wide
-//! enough are the memo property test (`tests/memo_props.rs`) and the
-//! memo-on vs memo-off comparison over the design grid.
+//! more than the observed config. A grid point resumed from the journal
+//! is never run, so it neither joins nor leads a group. The guards that
+//! the slice table is wide enough are the memo property test
+//! (`tests/memo_props.rs`) and the memo-on vs memo-off comparison over
+//! the design grid.
 
 use fusion_types::SystemConfig;
 
@@ -67,6 +69,8 @@ pub fn observed_config(system: SystemKind, cfg: &SystemConfig) -> SystemConfig {
 /// What the sweep does with one grid point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Role {
+    /// Spliced from the journal: never run, never grouped.
+    Resumed,
     /// Not grouped (memo off, fault staged, checker on or invalid
     /// config): the job runs on its own.
     Alone,
@@ -78,15 +82,26 @@ pub(crate) enum Role {
 }
 
 /// Groups `jobs` in grid order by `(system, suite, observed config)`.
-/// Only jobs with no fault in `faults`, the checker off and a config that
-/// passes [`validate_config`] are grouped; the rest are [`Role::Alone`].
-pub(crate) fn plan(jobs: &[SweepJob], faults: &FaultPlan) -> Vec<Role> {
+/// The points `resumed` marks are [`Role::Resumed`]. With `memo` on, jobs
+/// with no fault in `faults`, the checker off and a config that passes
+/// [`validate_config`] are grouped; the rest are [`Role::Alone`].
+pub(crate) fn plan(
+    jobs: &[SweepJob],
+    faults: &FaultPlan,
+    memo: bool,
+    resumed: &[bool],
+) -> Vec<Role> {
     let mut roles = Vec::with_capacity(jobs.len());
     // Group leaders with their observed configs; a linear scan keeps the
     // comparison plain `==` (the design grid has 91 groups).
     let mut leaders: Vec<(usize, SystemConfig)> = Vec::new();
     for (i, job) in jobs.iter().enumerate() {
-        let eligible = faults.fault_for(i).is_none()
+        if resumed[i] {
+            roles.push(Role::Resumed);
+            continue;
+        }
+        let eligible = memo
+            && faults.fault_for(i).is_none()
             && !job.config.checker.enabled
             && validate_config(&job.config).is_ok();
         if !eligible {
@@ -164,7 +179,7 @@ mod tests {
     #[test]
     fn plan_copies_105_design_grid_points_and_never_ineligible_jobs() {
         let mut jobs = design_grid(&SystemConfig::small());
-        let roles = plan(&jobs, &FaultPlan::new());
+        let roles = plan(&jobs, &FaultPlan::new(), true, &[false; 196]);
         assert_eq!(count(&roles), (91, 105, 0));
         for (i, role) in roles.iter().enumerate() {
             match role {
@@ -177,7 +192,7 @@ mod tests {
                     );
                 }
                 Role::Run(copies) => assert!(copies.iter().all(|&c| roles[c] == Role::Copy(i))),
-                Role::Alone => unreachable!("every design-grid job is eligible"),
+                _ => unreachable!("every design-grid job is eligible"),
             }
         }
 
@@ -195,7 +210,12 @@ mod tests {
             observed_config(jobs[0].system, &jobs[0].config)
         );
         jobs.push(bad);
-        let roles = plan(&jobs, &FaultPlan::new().inject(0, Fault::Panic));
+        let roles = plan(
+            &jobs,
+            &FaultPlan::new().inject(0, Fault::Panic),
+            true,
+            &[false; 197],
+        );
         let last = jobs.len() - 1;
         for i in [0, 1, last] {
             assert_eq!(roles[i], Role::Alone, "job {i} must not be grouped");

@@ -39,12 +39,15 @@
 //!   [`crate::journal`]). Workers hand each memo group's rows to one
 //!   writer thread that appends all queued rows with one fsync, so the
 //!   sync overlaps the next replay. A crashed sweep resumes from the
-//!   journal instead of restarting.
+//!   journal instead of restarting: [`Sweep::open_journal`] returns the
+//!   verified rows and [`Sweep::run_points`] splices them, running only
+//!   the rest and returning one [`GridPoint`] per grid position.
 //!   Journal loss mid-sweep is fail-soft: the sweep finishes without it
 //!   and [`Sweep::journal_lost`] reports the loss.
 //! * **Determinism** — every simulation is a pure function of its
 //!   `(system, workload, config)` inputs, and every injected fault is a
-//!   pure function of the [`FaultPlan`]. Results are written into per-job
+//!   pure function of the [`FaultPlan`], indexed by grid position. No
+//!   input depends on thread timing. Results are written into per-job
 //!   slots, so the output order is the grid order regardless of which
 //!   worker finished first, and each successful [`SimResult`] is identical
 //!   to what a sequential [`crate::runner::run_system`] call produces
@@ -72,19 +75,20 @@
 //! ```
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use fusion_accel::{io as trace_io, Workload};
-use fusion_types::error::SimError;
+use fusion_types::error::{JournalError, SimError};
 use fusion_types::fault::CheckerConfig;
 use fusion_types::hash::FxHashMap;
 use fusion_types::{ProtocolFaultKind, SystemConfig};
 use fusion_workloads::{all_suites, build_suite, Scale, SuiteId};
 
 use crate::faults::{Fault, FaultPlan};
-use crate::journal::{self, JournalSink};
+use crate::journal::{self, JournalRow, JournalSink};
 use crate::memo::{self, MemoMark, MemoRow, Role};
 use crate::result::{duration_nanos_saturating, SimResult};
 use crate::runner::{run_system_guarded, RunControl, SystemKind};
@@ -160,27 +164,32 @@ impl SweepOutcome {
     }
 }
 
-/// Aggregate view of a finished sweep, for the CLI's failure report.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SweepSummary {
-    /// Jobs that produced a result.
-    pub completed: usize,
-    /// Jobs that ended in a typed error.
-    pub failed: usize,
+/// One grid point of a sweep that may resume from a journal
+/// ([`Sweep::run_points`]): run live, spliced from the journal, or left
+/// unrun because the worker that claimed it was killed
+/// ([`Fault::WorkerKill`]).
+#[derive(Debug, Clone)]
+pub enum GridPoint {
+    /// Run by this sweep: a result or a typed failure.
+    Live(Box<SweepOutcome>),
+    /// Spliced verbatim from the journal; never run.
+    Resumed(JournalRow),
+    /// Claimed by a worker that died before running it.
+    NotRun,
 }
 
-impl SweepSummary {
-    /// Tallies `outcomes`.
-    pub fn of(outcomes: &[SweepOutcome]) -> SweepSummary {
-        SweepSummary {
-            completed: outcomes.iter().filter(|o| o.result.is_ok()).count(),
-            failed: outcomes.iter().filter(|o| o.result.is_err()).count(),
+impl GridPoint {
+    /// The live outcome, if this point ran.
+    pub fn outcome(&self) -> Option<&SweepOutcome> {
+        match self {
+            GridPoint::Live(o) => Some(o),
+            _ => None,
         }
     }
 
-    /// Whether every job completed.
-    pub fn all_ok(&self) -> bool {
-        self.failed == 0
+    /// Whether this point was spliced from the journal.
+    pub fn is_resumed(&self) -> bool {
+        matches!(self, GridPoint::Resumed(_))
     }
 }
 
@@ -320,7 +329,6 @@ pub struct Sweep {
     threads: Option<usize>,
     traces: Arc<TraceCache>,
     budget: Option<u64>,
-    fail_fast: bool,
     faults: FaultPlan,
     memo: bool,
     journal: Option<Arc<JournalSink>>,
@@ -336,7 +344,6 @@ impl Sweep {
             threads: None,
             traces: Arc::new(TraceCache::new()),
             budget: None,
-            fail_fast: false,
             faults: FaultPlan::new(),
             memo: true,
             journal: None,
@@ -351,8 +358,8 @@ impl Sweep {
     }
 
     /// Shares an existing trace cache, so the caller can read the
-    /// traces the jobs replayed (the `tables` renderers, `sim sweep`'s
-    /// resume check) and repeated sweeps skip re-materialization.
+    /// traces the jobs replayed (the `tables` renderers) and repeated
+    /// sweeps skip re-materialization.
     pub fn with_trace_cache(mut self, traces: Arc<TraceCache>) -> Sweep {
         self.traces = traces;
         self
@@ -363,15 +370,6 @@ impl Sweep {
     /// aborts with [`SimError::Timeout`].
     pub fn budget(mut self, cycles: u64) -> Sweep {
         self.budget = Some(cycles);
-        self
-    }
-
-    /// Stops claiming new jobs after the first job failure.
-    /// Jobs already running finish normally; unclaimed grid points are
-    /// absent from the output (the outcomes still come back in grid
-    /// order).
-    pub fn fail_fast(mut self, fail_fast: bool) -> Sweep {
-        self.fail_fast = fail_fast;
         self
     }
 
@@ -403,6 +401,27 @@ impl Sweep {
         self
     }
 
+    /// Opens the journal at `path` for the grid `jobs` and attaches it
+    /// ([`Sweep::with_journal`]): fresh, it creates the journal (truncating
+    /// any file at `path`); with `resume`, it verifies the journaled rows
+    /// against this sweep's own traces and compacts the journal to them
+    /// (DESIGN.md §13). Returns the slots [`Sweep::run_points`] takes: the
+    /// verified row to splice, or `None` to run the point. Dropped rows and
+    /// a missing journal go to `warn`. A header of another code version or
+    /// scale is a usage error ([`JournalError::is_usage`]).
+    pub fn open_journal(
+        &mut self,
+        path: &Path,
+        resume: bool,
+        jobs: &[SweepJob],
+        mut warn: impl FnMut(&str),
+    ) -> Result<Vec<Option<JournalRow>>, JournalError> {
+        let (sink, resumed) =
+            journal::open(path, resume, jobs, self.scale, &self.traces, &mut warn)?;
+        self.journal = Some(Arc::new(sink));
+        Ok(resumed)
+    }
+
     /// Whether the attached journal died mid-sweep (fail-soft: the sweep
     /// kept running, but the rows after the loss are not on disk).
     /// `false` when no journal is attached.
@@ -426,22 +445,41 @@ impl Sweep {
             .max(1)
     }
 
-    /// Runs every job and returns the outcomes in grid order.
+    /// Runs every job and returns the outcomes in grid order: the live
+    /// points of [`Sweep::run_points`] with nothing resumed, so only a
+    /// point whose worker was killed ([`Fault::WorkerKill`]) is missing.
+    pub fn run(&self, jobs: Vec<SweepJob>) -> Vec<SweepOutcome> {
+        self.run_points(&jobs, vec![None; jobs.len()])
+            .into_iter()
+            .filter_map(|point| match point {
+                GridPoint::Live(o) => Some(*o),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Runs the grid `jobs` and returns one [`GridPoint`] per job, in grid
+    /// order. A failing job never takes the sweep down with it: panics are
+    /// caught, budget overruns come back as timeouts.
+    ///
+    /// `resumed` is parallel to `jobs` (as [`Sweep::open_journal`] returns
+    /// it): a journaled row is spliced as [`GridPoint::Resumed`], never run
+    /// and never the first member of a memo group. The fault plan and the
+    /// memo groups are indexed by grid position, so a resumed sweep faults
+    /// exactly the points a fresh one would.
     ///
     /// Traces are materialized once per distinct `(suite, scale)` — in
     /// parallel, ahead of the simulations — then the jobs fan out over the
     /// worker pool. Each successful outcome's [`SimResult::metrics`]
     /// carries the job's wall time, queue delay and simulated event count.
-    ///
-    /// A failing job never takes the sweep down with it: panics are
-    /// caught, budget overruns come back as timeouts, and every completed
-    /// grid point is returned alongside the typed errors (unless
-    /// [`Sweep::fail_fast`] truncated the grid).
-    pub fn run(&self, jobs: Vec<SweepJob>) -> Vec<SweepOutcome> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.pool_size(jobs.len());
+    pub fn run_points(
+        &self,
+        jobs: &[SweepJob],
+        resumed: Vec<Option<JournalRow>>,
+    ) -> Vec<GridPoint> {
+        assert_eq!(resumed.len(), jobs.len(), "one resume slot per grid point");
+        let done: Vec<bool> = resumed.iter().map(Option::is_some).collect();
+        let workers = self.pool_size(done.iter().filter(|&&d| !d).count());
 
         // Phase 1: materialize each distinct trace exactly once, fanning
         // the builds out over the same worker budget, and pre-warm each
@@ -456,6 +494,9 @@ impl Sweep {
                 scope.spawn(|| loop {
                     let i = build_cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(i) else { break };
+                    if done[i] {
+                        continue;
+                    }
                     if self.journal.is_some() {
                         self.traces.fingerprint(job.suite, self.scale);
                     }
@@ -480,19 +521,15 @@ impl Sweep {
         // grid order no matter the completion order. The memo plan is
         // fixed before any job runs, so which jobs are copied does not
         // depend on the worker count (DESIGN.md §12).
-        let roles = if self.memo {
-            memo::plan(&jobs, &self.faults)
-        } else {
-            vec![Role::Alone; jobs.len()]
-        };
+        let roles = memo::plan(jobs, &self.faults, self.memo, &done);
         #[expect(
             clippy::disallowed_methods,
             reason = "queue-wait timing for diagnostics; never feeds simulated results"
         )]
         let submitted = Instant::now();
         let cursor = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let slots: Vec<Mutex<Option<SweepOutcome>>> =
+        // Boxed, so the slots move into the returned points uncopied.
+        let slots: Vec<Mutex<Option<Box<SweepOutcome>>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
 
         // One job, run once and timed from its claim.
@@ -510,8 +547,6 @@ impl Sweep {
             });
             if let Ok(res) = &mut result {
                 res.metrics.queue_delay_nanos = queue_delay;
-            } else if self.fail_fast {
-                stop.store(true, Ordering::Relaxed);
             }
             SweepOutcome {
                 job: job.clone(),
@@ -526,7 +561,7 @@ impl Sweep {
             for (i, outcome) in group {
                 *slots[i]
                     .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(outcome);
+                    .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(Box::new(outcome));
             }
         };
         // The journal lines of a group's successful outcomes, encoded on
@@ -572,7 +607,7 @@ impl Sweep {
                 });
                 tx
             });
-            let (jobs, roles, cursor, stop) = (&jobs, &roles, &cursor, &stop);
+            let (roles, cursor) = (&roles, &cursor);
             let (run_job, rows_of) = (&run_job, &rows_of);
             for _ in 0..workers {
                 let to_writer = to_writer.clone();
@@ -586,16 +621,14 @@ impl Sweep {
                 };
                 scope.spawn(move || {
                     loop {
-                        if self.fail_fast && stop.load(Ordering::Relaxed) {
-                            break;
-                        }
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= jobs.len() {
                             break;
                         }
                         let (mark, copies): (MemoMark, &[usize]) = match &roles[i] {
-                            // Published by its group's first member.
-                            Role::Copy(_) => continue,
+                            // Spliced from the journal, or published by
+                            // its group's first member.
+                            Role::Resumed | Role::Copy(_) => continue,
                             Role::Alone => (MemoMark::Off, &[]),
                             Role::Run(copies) => (MemoMark::Miss, copies),
                         };
@@ -621,9 +654,6 @@ impl Sweep {
                                 // about its group: the other members run
                                 // as ordinary jobs.
                                 for &c in copies {
-                                    if self.fail_fast && stop.load(Ordering::Relaxed) {
-                                        break;
-                                    }
                                     publish(vec![(c, run_job(c, MemoMark::Miss))]);
                                 }
                             }
@@ -635,9 +665,16 @@ impl Sweep {
 
         slots
             .into_iter()
-            .filter_map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .zip(resumed)
+            .map(|(slot, row)| {
+                let outcome = slot
+                    .into_inner()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                match (outcome, row) {
+                    (Some(o), _) => GridPoint::Live(o),
+                    (None, Some(row)) => GridPoint::Resumed(row),
+                    (None, None) => GridPoint::NotRun,
+                }
             })
             .collect()
     }
@@ -935,26 +972,6 @@ mod tests {
             Err(SimError::InvariantViolation(v)) => assert_eq!(v.protocol, "MESI"),
             other => panic!("expected MESI violation, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn fail_fast_truncates_after_first_permanent_failure() {
-        // Sequential worker so the claim order is the grid order: job 0
-        // fails permanently, so under fail-fast nothing after it runs.
-        let jobs: Vec<SweepJob> = (0..6)
-            .map(|_| SweepJob::new(SystemKind::Scratch, SuiteId::Adpcm, SystemConfig::small()))
-            .collect();
-        let plan = FaultPlan::new().inject(0, Fault::CorruptTrace);
-        let outcomes = Sweep::new(Scale::Tiny)
-            .threads(1)
-            .fail_fast(true)
-            .with_faults(plan)
-            .run(jobs);
-        assert_eq!(outcomes.len(), 1);
-        assert!(outcomes[0].result.is_err());
-        let summary = SweepSummary::of(&outcomes);
-        assert_eq!(summary.failed, 1);
-        assert!(!summary.all_ok());
     }
 
     #[test]

@@ -249,10 +249,6 @@ fn tile_access(
         AccAccess::L0Hit { done_at } | AccAccess::L1Served { done_at } => done_at,
         AccAccess::FillNeeded { request_at } => {
             let fill = host.tile_fill(pid, block, request_at, ledger, state);
-            for rpa in fill.tile_recalls {
-                // Inclusive-L2 recall of another tile block.
-                state.handle_forward(rpa, fill.data_at, ledger);
-            }
             let ptr = L1xPointer { pid, vblock: block };
             match state.rmap.register(fill.pa, ptr) {
                 RmapOutcome::Installed | RmapOutcome::Refreshed => {}

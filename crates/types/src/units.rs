@@ -113,18 +113,6 @@ impl PicoJoules {
     pub const fn value(self) -> f64 {
         self.0
     }
-
-    /// Converts to nanojoules.
-    #[inline]
-    pub fn nanojoules(self) -> f64 {
-        self.0 / 1e3
-    }
-
-    /// Converts to microjoules.
-    #[inline]
-    pub fn microjoules(self) -> f64 {
-        self.0 / 1e6
-    }
 }
 
 impl Add for PicoJoules {

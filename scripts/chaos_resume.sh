@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Chaos gate for the durable-sweep invariant (DESIGN.md §13): start a
 # journaled full-grid sweep, SIGKILL it mid-run, resume from the journal,
-# and diff the stitched JSON against an uninterrupted reference with the
-# timing fields stripped (the same set the memo A/B gate ignores:
-# wall_ms, queue_delay_ms, refs_per_sec, memo).
+# and diff the resumed JSON against an uninterrupted reference with the
+# host fields stripped (scripts/sweep_diff.py, the diff the memo A/B gates
+# use: wall_ms, queue_delay_ms, refs_per_sec, memo).
 #
 # Two victims, each with its own kill, resume and diff:
 #   * memo off: every point replays, so the sweep is slow and the kill
@@ -55,25 +55,7 @@ victim() {
     > "$WORK/$name.resumed.json"
 
   echo "== $name victim: diff (timing fields stripped) =="
-  python3 - "$WORK/ref.json" "$WORK/$name.resumed.json" <<'EOF'
-import json, sys
-def strip(path):
-    out = []
-    for r in json.load(open(path)):
-        r = dict(r)
-        for k in ("wall_ms", "queue_delay_ms", "refs_per_sec", "memo"):
-            r.pop(k, None)
-        out.append(r)
-    return out
-ref, res = strip(sys.argv[1]), strip(sys.argv[2])
-assert len(ref) == len(res), f"row count {len(ref)} vs {len(res)}"
-for i, (a, b) in enumerate(zip(ref, res)):
-    if a != b:
-        raise SystemExit(
-            f"row {i} ({a.get('suite')}/{a.get('system')}@{a.get('config')}) "
-            "diverged after SIGKILL + resume")
-print(f"{len(ref)} rows byte-identical after SIGKILL + resume")
-EOF
+  python3 scripts/sweep_diff.py "$WORK/ref.json" "$WORK/$name.resumed.json"
 }
 
 victim no-memo --no-memo

@@ -12,6 +12,7 @@
     reason = "each range_* draw is below its upper bound, so it fits the bound's type"
 )]
 
+use fusion_core::journal::{self, JournalHeader};
 use fusion_types::SplitMix64;
 
 /// Deterministic generator: the workspace's [`SplitMix64`] with
@@ -68,6 +69,15 @@ impl Rng {
         (0..len)
             .map(|_| charset[self.range_usize(0, charset.len())] as char)
             .collect()
+    }
+}
+
+/// The header of a `Scale::Tiny` journal over a `grid`-point sweep.
+pub fn wal_header(grid: usize) -> JournalHeader {
+    JournalHeader {
+        scale: "tiny".to_string(),
+        code_version: journal::code_version(),
+        grid,
     }
 }
 

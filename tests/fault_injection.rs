@@ -18,10 +18,11 @@ mod common;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use fusion_core::journal::{self, JournalHeader, JournalSink, JournalWriter};
+use common::wal_header;
+use fusion_core::journal::{self, JournalSink, JournalWriter};
 use fusion_core::TraceCache;
 use fusion_core::{
-    design_grid, full_grid, Fault, FaultPlan, Sweep, SweepJob, SweepOutcome, SweepSummary,
+    design_grid, full_grid, Fault, FaultPlan, GridPoint, SimResult, Sweep, SweepOutcome,
 };
 use fusion_types::error::{JournalError, SimError};
 use fusion_types::SystemConfig;
@@ -31,14 +32,6 @@ const GRID: usize = 28;
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("fusion_chaos_{}_{name}.jsonl", std::process::id()))
-}
-
-fn wal_header(grid: usize) -> JournalHeader {
-    JournalHeader {
-        scale: "tiny".to_string(),
-        code_version: journal::code_version(),
-        grid,
-    }
 }
 
 fn run_with(plan: FaultPlan) -> Vec<SweepOutcome> {
@@ -78,10 +71,8 @@ fn planted_faults_do_not_disturb_healthy_jobs() {
         }
     }
 
-    let summary = SweepSummary::of(&faulty);
-    assert_eq!(summary.completed, GRID - 4);
-    assert_eq!(summary.failed, 4);
-    assert!(!summary.all_ok());
+    let failed = faulty.iter().filter(|o| o.result.is_err()).count();
+    assert_eq!(failed, 4);
 }
 
 #[test]
@@ -129,113 +120,97 @@ fn same_seed_sweeps_fail_identically() {
     }
 }
 
+/// Asserts that `points` land on `reference`, a sweep that resumed
+/// nothing and lost no worker: a live point by full result equality, a
+/// spliced row by its payload, byte for byte.
+fn assert_lands_on(points: &[GridPoint], reference: &[SweepOutcome], what: &str) {
+    assert_eq!(points.len(), reference.len());
+    for (point, want) in points.iter().zip(reference) {
+        let label = want.job.label();
+        match point {
+            GridPoint::Live(o) => assert_eq!(o.result, want.result, "{label}: {what}"),
+            GridPoint::Resumed(row) => assert_eq!(
+                Some(&row.result_json),
+                want.result.as_ref().ok().map(SimResult::to_json).as_ref(),
+                "{label}: {what}"
+            ),
+            GridPoint::NotRun => panic!("{label} was never run: {what}"),
+        }
+    }
+}
+
 #[test]
 fn worker_kill_leaves_a_gap_and_the_journal_resumes_it() {
-    let cfg = SystemConfig::small();
-    let jobs = full_grid(&cfg);
+    let jobs = full_grid(&SystemConfig::small());
     let clean = Sweep::new(Scale::Tiny).run(jobs.clone());
-
     let path = temp_path("worker_kill");
-    let traces = Arc::new(TraceCache::new());
-    let writer = JournalWriter::create(&path, &wal_header(jobs.len())).unwrap();
-    let outcomes = Sweep::new(Scale::Tiny)
-        .with_trace_cache(Arc::clone(&traces))
-        .with_faults(FaultPlan::new().inject(13, Fault::WorkerKill))
-        .with_journal(Arc::new(JournalSink::new(writer)))
-        .run(jobs.clone());
+    let mut kill =
+        Sweep::new(Scale::Tiny).with_faults(FaultPlan::new().inject(13, Fault::WorkerKill));
+    let slots = kill.open_journal(&path, false, &jobs, |_| {}).unwrap();
+    let killed = kill.run_points(&jobs, slots);
 
     // The killed worker's claim vanished. How much of the rest completed
     // depends on the pool size (a one-worker pool dies with its only
     // worker), but whatever completed is healthy and job 13 is not in it.
-    assert!(outcomes.len() < GRID);
-    assert!(outcomes.iter().all(|o| o.result.is_ok()));
-    assert!(!outcomes.iter().any(|o| o.job.label() == jobs[13].label()));
+    assert!(matches!(killed[13], GridPoint::NotRun));
+    let completed: Vec<&SweepOutcome> = killed.iter().filter_map(GridPoint::outcome).collect();
+    assert!(completed.iter().all(|o| o.result.is_ok()));
 
     // The journal holds exactly the completed points; resume re-runs only
     // the holes and lands on the uninterrupted results.
-    let rec = journal::read_journal(&std::fs::read(&path).unwrap());
+    let mut resume = Sweep::new(Scale::Tiny);
+    let slots = resume.open_journal(&path, true, &jobs, |_| {}).unwrap();
+    let resumed = resume.run_points(&jobs, slots);
     std::fs::remove_file(&path).ok();
-    let mut fp = |suite| traces.fingerprint(suite, Scale::Tiny);
-    let plan =
-        journal::plan_resume(&jobs, Scale::Tiny, &rec, &journal::code_version(), &mut fp).unwrap();
-    assert_eq!(plan.resumed_count(), outcomes.len());
-    assert!(plan.resumed[13].is_none());
-    let todo: Vec<SweepJob> = jobs
-        .iter()
-        .zip(&plan.resumed)
-        .filter(|(_, r)| r.is_none())
-        .map(|(j, _)| j.clone())
-        .collect();
-    let rerun = Sweep::new(Scale::Tiny)
-        .with_trace_cache(Arc::clone(&traces))
-        .run(todo.clone());
-    assert_eq!(rerun.len(), todo.len());
-    for o in &rerun {
-        let i = jobs
+    assert!(
+        resumed
             .iter()
-            .position(|j| j.label() == o.job.label())
-            .unwrap();
-        assert_eq!(
-            o.result.as_ref().unwrap(),
-            clean[i].result.as_ref().unwrap(),
-            "{} diverged after kill + resume",
-            o.job.label()
-        );
-    }
+            .zip(&killed)
+            .all(|(after, before)| after.is_resumed() == matches!(before, GridPoint::Live(_))),
+        "only the completed points resume"
+    );
+    assert_lands_on(&resumed, &clean, "diverged after kill + resume");
 }
 
 /// The tentpole invariant: crash *anywhere* — after any number of
 /// journaled rows, mid-line, or on a corrupted line — then resume, and
-/// the stitched result payloads are byte-identical to the uninterrupted
-/// run's.
+/// the result payloads are byte-identical to the uninterrupted run's.
+/// Both runs open their journal with `Sweep::open_journal`, and the
+/// resume splices through `Sweep::run_points`: the path `sim sweep` ships.
 #[test]
 fn crash_anywhere_then_resume_is_byte_identical() {
-    let cfg = SystemConfig::small();
-    let jobs = full_grid(&cfg);
+    let jobs = full_grid(&SystemConfig::small());
     let traces = Arc::new(TraceCache::new());
+    let sweep = || Sweep::new(Scale::Tiny).with_trace_cache(Arc::clone(&traces));
 
     // Uninterrupted journaled reference run.
     let path = temp_path("crash_anywhere");
-    let writer = JournalWriter::create(&path, &wal_header(jobs.len())).unwrap();
-    let reference = Sweep::new(Scale::Tiny)
-        .with_trace_cache(Arc::clone(&traces))
-        .with_journal(Arc::new(JournalSink::new(writer)))
-        .run(jobs.clone());
-    let ref_json: Vec<String> = reference
-        .iter()
-        .map(|o| o.result.as_ref().unwrap().to_json())
-        .collect();
+    let mut fresh = sweep();
+    fresh.open_journal(&path, false, &jobs, |_| {}).unwrap();
+    let reference = fresh.run(jobs.clone());
+    assert!(reference.iter().all(|o| o.result.is_ok()));
     let wal = String::from_utf8(std::fs::read(&path).unwrap()).unwrap();
-    std::fs::remove_file(&path).ok();
     let lines: Vec<&str> = wal.lines().collect();
     assert_eq!(lines.len(), GRID + 1, "header + one row per grid point");
 
     let assert_resume_matches = |bytes: &[u8], expect_resumed: usize| {
-        let rec = journal::read_journal(bytes);
-        let mut fp = |suite| traces.fingerprint(suite, Scale::Tiny);
-        let plan =
-            journal::plan_resume(&jobs, Scale::Tiny, &rec, &journal::code_version(), &mut fp)
-                .unwrap();
-        assert_eq!(plan.resumed_count(), expect_resumed);
-        let todo: Vec<SweepJob> = jobs
-            .iter()
-            .zip(&plan.resumed)
-            .filter(|(_, r)| r.is_none())
-            .map(|(j, _)| j.clone())
-            .collect();
-        let outcomes = Sweep::new(Scale::Tiny)
-            .with_trace_cache(Arc::clone(&traces))
-            .run(todo);
-        let mut live = outcomes.iter();
-        let stitched: Vec<String> = plan
-            .resumed
-            .iter()
-            .map(|r| match r {
-                Some(row) => row.result_json.clone(),
-                None => live.next().unwrap().result.as_ref().unwrap().to_json(),
-            })
-            .collect();
-        assert_eq!(stitched, ref_json, "resume diverged from uninterrupted run");
+        std::fs::write(&path, bytes).unwrap();
+        let mut resume = sweep();
+        let slots = resume.open_journal(&path, true, &jobs, |_| {}).unwrap();
+        let points = resume.run_points(&jobs, slots);
+        assert_eq!(
+            points.iter().filter(|p| p.is_resumed()).count(),
+            expect_resumed
+        );
+        assert_lands_on(
+            &points,
+            &reference,
+            "resume diverged from uninterrupted run",
+        );
+        // The resumed sweep journaled what it ran: a second resume
+        // splices the whole grid.
+        let again = sweep().open_journal(&path, true, &jobs, |_| {}).unwrap();
+        assert_eq!(again.iter().flatten().count(), GRID);
     };
 
     // Crash after k completed rows (truncation at line boundaries),
@@ -254,6 +229,39 @@ fn crash_anywhere_then_resume_is_byte_identical() {
     let mid_line_offset: usize = lines[..=13].iter().map(|l| l.len() + 1).sum::<usize>() + 30;
     flipped[mid_line_offset] ^= 0x10;
     assert_resume_matches(&flipped, GRID - 1);
+    std::fs::remove_file(&path).ok();
+}
+
+/// Faults are staged by grid position, so a resumed sweep faults exactly
+/// the points a fresh sweep faults: the resumed points around them do not
+/// shift the plan.
+#[test]
+fn a_resumed_grid_faults_the_same_points_as_a_fresh_one() {
+    let jobs = design_grid(&SystemConfig::small());
+    let plan = FaultPlan::seeded(7, jobs.len(), 6);
+    let planted: Vec<usize> = plan.entries().iter().map(|&(i, _)| i).collect();
+    let faulted = || Sweep::new(Scale::Tiny).with_faults(plan.clone());
+    let path = temp_path("resume_faults");
+    let mut first = faulted();
+    first.open_journal(&path, false, &jobs, |_| {}).unwrap();
+    let fresh = first.run(jobs.clone());
+    let failed: Vec<usize> = (0..fresh.len())
+        .filter(|&i| fresh[i].result.is_err())
+        .collect();
+    assert_eq!(failed, planted);
+
+    // Resume from the header and the first 60 rows: some of them lie past
+    // a planted point.
+    let wal = std::fs::read_to_string(&path).unwrap();
+    let prefix: String = wal.lines().take(61).map(|l| format!("{l}\n")).collect();
+    std::fs::write(&path, prefix).unwrap();
+    let mut resume = faulted();
+    let slots = resume.open_journal(&path, true, &jobs, |_| {}).unwrap();
+    let resumed = resume.run_points(&jobs, slots);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(resumed.iter().filter(|p| p.is_resumed()).count(), 60);
+    assert!(planted[0] < resumed.iter().rposition(GridPoint::is_resumed).unwrap());
+    assert_lands_on(&resumed, &fresh, "resume moved a fault");
 }
 
 #[test]
@@ -346,13 +354,12 @@ fn failed_compaction_leaves_the_journal_resumable() {
     let mut tmp = path.clone().into_os_string();
     tmp.push(".compact");
     let tmp = PathBuf::from(tmp);
-    let writer = JournalWriter::create(&path, &wal_header(jobs.len())).unwrap();
     // One worker journals in grid order, the order compaction writes.
-    Sweep::new(Scale::Tiny)
+    let mut sweep = Sweep::new(Scale::Tiny)
         .threads(1)
-        .with_trace_cache(Arc::clone(&traces))
-        .with_journal(Arc::new(JournalSink::new(writer)))
-        .run(jobs.clone());
+        .with_trace_cache(Arc::clone(&traces));
+    sweep.open_journal(&path, false, &jobs, |_| {}).unwrap();
+    sweep.run(jobs.clone());
     let original = std::fs::read(&path).unwrap();
     let resumed = |bytes: &[u8]| {
         let mut fp = |suite| traces.fingerprint(suite, Scale::Tiny);
@@ -384,6 +391,23 @@ fn failed_compaction_leaves_the_journal_resumable() {
         std::fs::read_dir(&tmp).unwrap().next().is_none(),
         "a failed compaction wrote into the temp path"
     );
+    // A resume names the rows it drops before it compacts, so a failed
+    // compaction still reports them.
+    std::fs::write(&path, [&original[..], b"{\"torn"].concat()).unwrap();
+    let mut warnings = Vec::new();
+    let err = Sweep::new(Scale::Tiny)
+        .with_trace_cache(Arc::clone(&traces))
+        .open_journal(&path, true, &jobs, |w| warnings.push(w.to_string()))
+        .unwrap_err();
+    assert!(matches!(err, JournalError::Io { .. }), "{err}");
+    assert_eq!(
+        warnings,
+        [format!(
+            "line {}: torn tail (partial write); dropped, will re-run",
+            GRID + 2
+        )]
+    );
+    std::fs::write(&path, &original).unwrap();
     std::fs::remove_dir(&tmp).unwrap();
 
     // A temp file that opens but whose write fails (ENOSPC from

@@ -5,12 +5,12 @@
 
 mod common;
 
-use common::Rng;
+use common::{wal_header, Rng};
 use fusion_repro::accel::io::{
     decode_workload, encode_workload, fingerprint, read_workload, write_workload,
 };
 use fusion_repro::accel::Workload;
-use fusion_repro::core::journal::{self, JournalHeader, JournalRow};
+use fusion_repro::core::journal::{self, JournalRow};
 use fusion_repro::core::runner::{run_system, SystemKind};
 use fusion_repro::core::{full_grid, SweepJob};
 use fusion_repro::types::{CacheGeometry, SystemConfig};
@@ -268,14 +268,6 @@ fn wal_row(job: &SweepJob) -> JournalRow {
             "{{\"system\":\"{}\",\"total_cycles\":1}}",
             result_system(job.system.label())
         ),
-    }
-}
-
-fn wal_header(grid: usize) -> JournalHeader {
-    JournalHeader {
-        scale: "tiny".to_string(),
-        code_version: journal::code_version(),
-        grid,
     }
 }
 

@@ -10,8 +10,9 @@ mod common;
 
 use std::sync::Arc;
 
-use fusion_core::journal::{self, JournalHeader, JournalRow, JournalSink, JournalWriter};
-use fusion_core::{design_grid, full_grid, run_system, MemoMark, Sweep, TraceCache};
+use common::wal_header;
+use fusion_core::journal::{JournalRow, JournalSink, JournalWriter};
+use fusion_core::{design_grid, full_grid, run_system, GridPoint, MemoMark, Sweep, TraceCache};
 use fusion_types::SystemConfig;
 use fusion_workloads::{build_suite, Scale};
 
@@ -106,9 +107,10 @@ fn memo_on_matches_memo_off_over_design_grid() {
 
 /// The determinism guarantee survives `--journal`: recording the
 /// write-ahead journal changes nothing about the outcomes, and the
-/// journal it leaves behind resumes the whole grid with payloads
-/// byte-identical to what the jobs produced (DESIGN.md §13). Two workers
-/// hand the journal writer interleaved groups.
+/// journal it leaves behind resumes the whole grid, with no warning, with
+/// payloads byte-identical to what the jobs produced (DESIGN.md §13). Both
+/// runs open their journal with `Sweep::open_journal`, as `sim sweep`
+/// does. Two workers hand the journal writer interleaved groups.
 #[test]
 fn journaled_sweep_matches_plain_sweep_and_is_fully_resumable() {
     let cfg = SystemConfig::small();
@@ -123,15 +125,11 @@ fn journaled_sweep_matches_plain_sweep_and_is_fully_resumable() {
             "fusion_det_wal_{}_{threads:?}.jsonl",
             std::process::id()
         ));
-        let writer = JournalWriter::create(&path, &wal_header(jobs.len())).unwrap();
-        let mut sweep = Sweep::new(Scale::Tiny)
-            .with_trace_cache(Arc::clone(&traces))
-            .with_journal(Arc::new(JournalSink::new(writer)));
-        if let Some(n) = threads {
-            sweep = sweep.threads(n);
-        }
-        let journaled = sweep.run(jobs.clone());
-
+        let sweep = || Sweep::new(Scale::Tiny).with_trace_cache(Arc::clone(&traces));
+        let mut fresh = threads.map_or_else(sweep, |n| sweep().threads(n));
+        fresh.open_journal(&path, false, &jobs, |_| {}).unwrap();
+        let journaled = fresh.run(jobs.clone());
+        assert_eq!(journaled.len(), plain.len());
         for (x, y) in plain.iter().zip(&journaled) {
             assert_eq!(
                 x.result,
@@ -141,23 +139,64 @@ fn journaled_sweep_matches_plain_sweep_and_is_fully_resumable() {
             );
         }
 
-        let rec = journal::read_journal(&std::fs::read(&path).unwrap());
+        let mut resume = sweep();
+        let slots = resume
+            .open_journal(&path, true, &jobs, |w| panic!("resume warned: {w}"))
+            .unwrap();
+        let resumed = resume.run_points(&jobs, slots);
         std::fs::remove_file(&path).ok();
-        assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
-        let mut fp = |suite| traces.fingerprint(suite, Scale::Tiny);
-        let plan =
-            journal::plan_resume(&jobs, Scale::Tiny, &rec, &journal::code_version(), &mut fp)
-                .unwrap();
-        assert_eq!(plan.resumed_count(), jobs.len(), "every point must resume");
-        for (row, outcome) in plan.resumed.iter().zip(&plain) {
+        for (point, outcome) in resumed.iter().zip(&plain) {
+            let GridPoint::Resumed(row) = point else {
+                panic!("{}: every point must resume", outcome.job.label());
+            };
             assert_eq!(
-                row.as_ref().unwrap().result_json,
-                outcome.result.as_ref().unwrap().to_json(),
+                row.result_json,
+                outcome.expect_result().to_json(),
                 "{}: journaled payload diverged ({threads:?} threads)",
                 outcome.job.label()
             );
         }
     }
+}
+
+/// A journal that holds a memo group's first member but none of its
+/// copies still resumes: the resumed point leads no group, so the copies
+/// regroup under their next member, and every point they produce equals a
+/// memo-off replay.
+#[test]
+fn resumed_group_leaders_hand_their_copies_to_a_new_leader() {
+    let jobs = design_grid(&SystemConfig::small());
+    let off = Sweep::new(Scale::Tiny).memo(false).run(jobs.clone());
+
+    // Every group's first member sits in the 28-point base block: journal
+    // exactly those rows, then resume the whole grid.
+    let path =
+        std::env::temp_dir().join(format!("fusion_det_leaders_{}.jsonl", std::process::id()));
+    let base = &jobs[..28];
+    let mut first = Sweep::new(Scale::Tiny);
+    first.open_journal(&path, false, base, |_| {}).unwrap();
+    first.run(base.to_vec());
+    let mut resume = Sweep::new(Scale::Tiny);
+    let slots = resume.open_journal(&path, true, &jobs, |_| {}).unwrap();
+    let points = resume.run_points(&jobs, slots);
+    std::fs::remove_file(&path).ok();
+
+    let mut hits = 0;
+    for (i, (point, reference)) in points.iter().zip(&off).enumerate() {
+        let want = reference.expect_result();
+        match point {
+            GridPoint::Resumed(row) if i < 28 => assert_eq!(row.result_json, want.to_json()),
+            GridPoint::Live(o) if i >= 28 => {
+                assert_eq!(o.expect_result(), want, "{}", jobs[i].label());
+                assert_eq!(o.expect_result().to_json(), want.to_json());
+                hits += usize::from(o.memo.mark == MemoMark::Hit);
+            }
+            _ => panic!("{}: only the base block resumes", jobs[i].label()),
+        }
+    }
+    // Each of the 28 base groups loses its first member to the journal,
+    // and its first copy leads the rest: 105 - 28 copies remain.
+    assert_eq!(hits, 105 - 28);
 }
 
 /// A journaled design-grid sweep fsyncs the header and then at most once
@@ -217,12 +256,4 @@ fn journaled_design_grid_syncs_at_most_once_per_memo_group() {
         batched == row_by_row,
         "batched journal differs from row-by-row"
     );
-}
-
-fn wal_header(grid: usize) -> JournalHeader {
-    JournalHeader {
-        scale: "tiny".to_string(),
-        code_version: journal::code_version(),
-        grid,
-    }
 }
