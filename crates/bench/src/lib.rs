@@ -204,7 +204,7 @@ pub fn render_table2() -> String {
             cfg.memory_latency,
             cfg.link_axc_l1x.pj_per_byte,
             cfg.link_l1x_l2.pj_per_byte,
-            cfg.link_l0x_l0x.pj_per_byte,
+            cfg.link_l0x_l0x_pj_per_byte,
         )
 }
 

@@ -79,6 +79,11 @@ impl HostSide {
     /// Builds the host side for `cfg`. When the runtime protocol checker
     /// is enabled on `cfg`, the MESI directory validates its transition
     /// invariants (and applies any planted fault) from the first request.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a `cfg` that [`crate::validate_config`] rejects, e.g. an
+    /// L2 latency below the NUCA ring's mean hop cost.
     pub fn new(cfg: &SystemConfig) -> Self {
         let mut dir = DirectoryMesi::new(cfg.l2);
         if cfg.checker.enabled {
@@ -89,11 +94,11 @@ impl HostSide {
             energy: EnergyModel::new(cfg),
             dir,
             host_l1: SetAssocCache::new(cfg.host_l1, ReplacementPolicy::Lru),
-            mem: MainMemory::table2(),
+            mem: MainMemory::new(4, cfg.memory_latency),
             page_table: PageTable::new(),
             host_tlb: Tlb::new(64),
             ax_tlb: Tlb::new(32),
-            nuca: NucaRing::table2(),
+            nuca: NucaRing::new(cfg.l2.latency),
             host_forwards: 0,
         }
     }

@@ -1034,8 +1034,17 @@ mod tests {
         pf.l1x_prefetch_degree = 2;
         assert_ne!(fp, config_fingerprint(&pf));
         let mut link = base.clone();
-        link.link_l0x_l0x.pj_per_byte += 0.01;
+        link.link_l0x_l0x_pj_per_byte += 0.01;
         assert_ne!(fp, config_fingerprint(&link));
+        let mut l2 = base.clone();
+        l2.l2.latency += 1;
+        assert_ne!(fp, config_fingerprint(&l2));
+        let mut mem = base.clone();
+        mem.memory_latency += 1;
+        assert_ne!(fp, config_fingerprint(&mem));
+        let mut sp = base.clone();
+        sp.scratchpad.latency += 1;
+        assert_ne!(fp, config_fingerprint(&sp));
         let chk = base
             .clone()
             .with_checker(fusion_types::fault::CheckerConfig::enabled());

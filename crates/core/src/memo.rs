@@ -29,14 +29,14 @@ use crate::sweep::SweepJob;
 /// The slices (DESIGN.md §12 reproduces them):
 ///
 /// * **all systems** — host L1 and L2 geometry, memory latency, the
-///   L1X↔L2 link, control-message size and the checker config (the host
-///   path reads these everywhere);
+///   L1X↔L2 link and the checker config (the host path reads these
+///   everywhere);
 /// * **SCRATCH** — additionally the scratchpad geometry;
-/// * **SHARED** — additionally the L1X geometry, the AXC↔L1X link and the
-///   timestamp tag-energy overhead;
+/// * **SHARED** — additionally the L1X geometry, the AXC↔L1X link, the
+///   control-message size and the timestamp tag-energy overhead;
 /// * **FUSION** — SHARED's fields plus the L0X geometry, write policy,
-///   lease parameters and the prefetch degree;
-/// * **FUSION-Dx** — FUSION's fields plus the L0X→L0X forwarding link.
+///   lease renewal and the prefetch degree;
+/// * **FUSION-Dx** — FUSION's fields plus the L0X→L0X link energy.
 ///
 /// Fields are reset only where a system provably ignores them, so a field
 /// added to [`SystemConfig`] is observed by every system until a slice
@@ -52,16 +52,18 @@ pub fn observed_config(system: SystemKind, cfg: &SystemConfig) -> SystemConfig {
         seen.l1x = unseen.l1x;
         seen.link_axc_l1x = unseen.link_axc_l1x;
         seen.timestamp_tag_overhead = unseen.timestamp_tag_overhead;
+        // A DMA transfer leaves no block at the tile, so no fill,
+        // eviction or forward message is ever sent.
+        seen.control_message_bytes = unseen.control_message_bytes;
     }
     if !fusion {
         seen.l0x = unseen.l0x;
         seen.write_policy = unseen.write_policy;
-        seen.default_lease = unseen.default_lease;
         seen.lease_renewal = unseen.lease_renewal;
         seen.l1x_prefetch_degree = unseen.l1x_prefetch_degree;
     }
     if system != SystemKind::FusionDx {
-        seen.link_l0x_l0x = unseen.link_l0x_l0x;
+        seen.link_l0x_l0x_pj_per_byte = unseen.link_l0x_l0x_pj_per_byte;
     }
     seen
 }

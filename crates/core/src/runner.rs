@@ -1,6 +1,7 @@
 //! Experiment runner: one entry point per (system, workload) pair.
 
 use fusion_accel::{DecodedTrace, Workload};
+use fusion_mem::NucaRing;
 use fusion_types::error::SimError;
 use fusion_types::{SystemConfig, CACHE_BLOCK_BYTES};
 
@@ -70,22 +71,29 @@ impl RunControl<'_> {
 /// Rejects configurations that cannot describe a simulatable machine
 /// before any cycle is spent on them.
 pub fn validate_config(cfg: &SystemConfig) -> Result<(), SimError> {
-    let geoms = [
+    let capacities = [
+        ("l0x", cfg.l0x.capacity_bytes),
+        ("scratchpad", cfg.scratchpad.capacity_bytes),
+        ("l1x", cfg.l1x.capacity_bytes),
+        ("host_l1", cfg.host_l1.capacity_bytes),
+        ("l2", cfg.l2.capacity_bytes),
+    ];
+    for (name, capacity) in capacities {
+        if capacity < CACHE_BLOCK_BYTES {
+            return Err(SimError::ConfigError {
+                detail: format!(
+                    "{name} capacity {capacity} is smaller than one {CACHE_BLOCK_BYTES}-byte block"
+                ),
+            });
+        }
+    }
+    let caches = [
         ("l0x", &cfg.l0x),
-        ("scratchpad", &cfg.scratchpad),
         ("l1x", &cfg.l1x),
         ("host_l1", &cfg.host_l1),
         ("l2", &cfg.l2),
     ];
-    for (name, g) in geoms {
-        if g.capacity_bytes < CACHE_BLOCK_BYTES {
-            return Err(SimError::ConfigError {
-                detail: format!(
-                    "{name} capacity {} is smaller than one {CACHE_BLOCK_BYTES}-byte block",
-                    g.capacity_bytes
-                ),
-            });
-        }
+    for (name, g) in caches {
         if g.ways == 0 {
             return Err(SimError::ConfigError {
                 detail: format!("{name} needs at least one way"),
@@ -100,7 +108,6 @@ pub fn validate_config(cfg: &SystemConfig) -> Result<(), SimError> {
     let links = [
         ("link_axc_l1x", &cfg.link_axc_l1x),
         ("link_l1x_l2", &cfg.link_l1x_l2),
-        ("link_l0x_l0x", &cfg.link_l0x_l0x),
     ];
     for (name, l) in links {
         if l.bytes_per_cycle == 0 {
@@ -108,6 +115,15 @@ pub fn validate_config(cfg: &SystemConfig) -> Result<(), SimError> {
                 detail: format!("{name} bandwidth must be nonzero"),
             });
         }
+    }
+    if cfg.l2.latency < NucaRing::MEAN_HOP_CYCLES {
+        return Err(SimError::ConfigError {
+            detail: format!(
+                "l2 latency {} is below the NUCA ring's mean hop cost of {} cycles",
+                cfg.l2.latency,
+                NucaRing::MEAN_HOP_CYCLES
+            ),
+        });
     }
     if cfg.control_message_bytes == 0 {
         return Err(SimError::ConfigError {
@@ -266,6 +282,14 @@ mod tests {
             run_system(SystemKind::Shared, &wl, &cfg),
             Err(SimError::ConfigError { .. })
         ));
+        let mut cfg = SystemConfig::small();
+        cfg.l2.latency = NucaRing::MEAN_HOP_CYCLES;
+        assert!(run_system(SystemKind::Scratch, &wl, &cfg).is_ok());
+        cfg.l2.latency -= 1;
+        match run_system(SystemKind::Scratch, &wl, &cfg) {
+            Err(SimError::ConfigError { detail }) => assert!(detail.contains("l2"), "{detail}"),
+            other => panic!("expected ConfigError, got {other:?}"),
+        }
         let mut cfg = SystemConfig::small();
         cfg.checker.acc_fault = Some(fusion_types::fault::ProtocolFault {
             at_event: 0,

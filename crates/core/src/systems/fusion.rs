@@ -102,15 +102,6 @@ impl FusionSystem {
         let mut rules_by_phase: FxHashMap<usize, FxHashMap<(Pid, BlockAddr), Vec<ForwardRule>>> =
             FxHashMap::default();
         if dx {
-            // Per-function epoch lengths for the forwarded copies.
-            let lease_of = |axc: AxcId| {
-                workload
-                    .phases
-                    .iter()
-                    .find(|p| p.unit.axc() == Some(axc))
-                    .map(|p| p.lease)
-                    .unwrap_or(cfg.default_lease)
-            };
             // Forwarding-pair identification is trace post-processing:
             // memoized on the workload (see `Workload::forward_pairs`), so
             // repeat runs and the sweep's untimed set-up stage pay for it
@@ -130,7 +121,8 @@ impl FusionSystem {
                     .push(ForwardRule {
                         producer: p.producer,
                         consumer: p.consumer,
-                        lease: lease_of(p.consumer),
+                        // The consuming function's epoch length (Table 3).
+                        lease: workload.phases[p.consumer_phase].lease,
                         eager: p.streaming,
                     });
             }

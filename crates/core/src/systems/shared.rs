@@ -3,7 +3,7 @@
 use fusion_accel::{kind_runs_of, run_phase_kind_runs};
 use fusion_coherence::MesiReq;
 use fusion_energy::{Component, EnergyLedger, EnergyModel};
-use fusion_mem::{BankedTiming, ReplacementPolicy, SetAssocCache};
+use fusion_mem::{ReplacementPolicy, SetAssocCache};
 use fusion_types::hash::FxHashMap;
 use fusion_types::{AxcId, BlockAddr, Cycle, PhysAddr, Pid, CACHE_BLOCK_BYTES};
 
@@ -57,11 +57,13 @@ impl TileAgent for SharedL1x {
 /// every accelerator access pays the banked L1X's latency and energy plus
 /// the request/response link messages; misses become MESI GetS/GetX at the
 /// host L2.
+///
+/// No bank conflicts are modelled: banks are fully pipelined (one new
+/// access per bank per cycle) and the issue engine issues at most one
+/// reference per cycle, so a bank is always free when the next one comes.
 #[derive(Debug)]
 pub(super) struct SharedSystem {
     l1x: SharedL1x,
-    /// Banks are fully pipelined: one new access per bank per cycle.
-    banks: BankedTiming,
     /// In-flight L1X fills: a hit on a line whose fill has not landed
     /// yet cannot return data earlier than the fill (hit-under-miss).
     /// Hot-map audit: get/insert by key — never iterated.
@@ -75,7 +77,6 @@ impl SharedSystem {
                 cache: SetAssocCache::new(run.cfg.l1x, ReplacementPolicy::Lru),
                 energy: run.em.clone(),
             },
-            banks: BankedTiming::new(run.cfg.l1x.banks, 1),
             in_flight: FxHashMap::default(),
         }
     }
@@ -95,7 +96,7 @@ impl PhaseHooks for SharedSystem {
     ) -> (Cycle, u64) {
         let (cfg, em) = (run.cfg, &run.em);
         let (host, ledger, latency) = (&mut run.host, &mut run.ledger, &mut run.latency);
-        let (l1x, banks, in_flight) = (&mut self.l1x, &mut self.banks, &mut self.in_flight);
+        let (l1x, in_flight) = (&mut self.l1x, &mut self.in_flight);
         let phase = &run.workload.phases[phase_idx];
         let pid = run.workload.pid;
         let dp = run.workload.phase_refs(phase_idx);
@@ -121,10 +122,8 @@ impl PhaseHooks for SharedSystem {
                 // Critical-path translation (shared, core-style view).
                 let pa = host.shared_tlb_translate(pid, dp.block(j), ledger);
                 let pblock = SharedL1x::pblock(pa);
-                let arb = at + axc_word_cycles;
-                let bank_start = banks.issue(pblock, arb);
                 ledger.charge(Component::L1x, em.l1x_access);
-                let mut ready = bank_start + cfg.l1x.latency;
+                let mut ready = at + axc_word_cycles + cfg.l1x.latency;
 
                 let mut is_upgrade = false;
                 // Carried through an upgrade so the reinserted line

@@ -40,7 +40,8 @@ pub struct EnergyModel {
     pub l0x_access: PicoJoules,
     /// One scratchpad access (data array only — no tags, no timestamps).
     pub scratchpad_access: PicoJoules,
-    /// One shared L1X access (one of the 16 banks fires).
+    /// One shared L1X access (one of the 16 banks fires; the tag includes
+    /// the timestamp overhead, on SHARED's MESI L1X too).
     pub l1x_access: PicoJoules,
     /// One L1X tag-only probe (e.g. lease bookkeeping on a forwarded
     /// request that is filtered without a data access).
@@ -112,7 +113,7 @@ impl EnergyModel {
             fp_op: PicoJoules::new(6.0),
             link_axc_l1x_pj_per_byte: cfg.link_axc_l1x.pj_per_byte,
             link_l1x_l2_pj_per_byte: cfg.link_l1x_l2.pj_per_byte,
-            link_l0x_l0x_pj_per_byte: cfg.link_l0x_l0x.pj_per_byte,
+            link_l0x_l0x_pj_per_byte: cfg.link_l0x_l0x_pj_per_byte,
         }
     }
 }

@@ -6,9 +6,8 @@
 //! * [`SetAssocCache`] — a generic LRU set-associative cache with pluggable
 //!   per-line metadata (the ACC protocol stores lease timestamps in it, the
 //!   host MESI caches store stable states),
-//! * [`BankedTiming`] — bank-conflict timing for the 16-banked shared L1X,
 //! * [`NucaRing`] — ring-hop timing for the 8-tile NUCA L2,
-//! * [`MainMemory`] — the 4-channel, 200-cycle open-page memory of Table 2.
+//! * [`MainMemory`] — the 4-channel open-page memory of Table 2.
 //!
 //! # Examples
 //!
@@ -24,12 +23,10 @@
 //! assert!(cache.lookup(Pid::new(0), b).is_some());
 //! ```
 
-pub mod banked;
 pub mod cache;
 pub mod memory;
 pub mod nuca;
 
-pub use banked::BankedTiming;
 pub use cache::{Evicted, Line, ReplacementPolicy, SetAssocCache};
 pub use memory::MainMemory;
 pub use nuca::NucaRing;

@@ -2,8 +2,8 @@
 
 use fusion_types::{BlockAddr, Cycle, PAGE_BYTES};
 
-/// The Table 2 main memory: 4 channels, open-page, 200-cycle base latency,
-/// 32-entry command queue per channel.
+/// The Table 2 main memory: 4 channels, open-page, 200-cycle base latency
+/// (a row hit costs half), 32-entry command queue per channel.
 ///
 /// The model captures the two behaviours the evaluation is sensitive to:
 /// channel-level bandwidth contention (back-to-back DMA bursts queue up)
@@ -15,7 +15,7 @@ use fusion_types::{BlockAddr, Cycle, PAGE_BYTES};
 /// use fusion_mem::MainMemory;
 /// use fusion_types::{BlockAddr, Cycle};
 ///
-/// let mut mem = MainMemory::table2();
+/// let mut mem = MainMemory::new(4, 200);
 /// let done = mem.access(BlockAddr::from_index(0), Cycle::new(0));
 /// assert!(done >= Cycle::new(150));
 /// ```
@@ -34,7 +34,8 @@ struct Channel {
 }
 
 impl MainMemory {
-    /// Creates a memory with the given channel count and base latency.
+    /// Creates a memory with the given channel count and row-miss latency;
+    /// a row hit costs half of it.
     ///
     /// # Panics
     ///
@@ -47,11 +48,6 @@ impl MainMemory {
             row_hit_latency: latency / 2,
             burst_cycles: 8, // 64 B at 8 B/cycle on the channel
         }
-    }
-
-    /// The Table 2 configuration: 4 channels, 200-cycle latency.
-    pub fn table2() -> Self {
-        MainMemory::new(4, 200)
     }
 
     /// Performs one block access issued at `now`; returns its completion
@@ -77,12 +73,6 @@ impl MainMemory {
     }
 }
 
-impl Default for MainMemory {
-    fn default() -> Self {
-        MainMemory::table2()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,13 +83,13 @@ mod tests {
 
     #[test]
     fn first_access_pays_full_latency() {
-        let mut m = MainMemory::table2();
+        let mut m = MainMemory::new(4, 200);
         assert_eq!(m.access(b(0), Cycle::new(0)), Cycle::new(200));
     }
 
     #[test]
     fn open_row_discount_for_streaming() {
-        let mut m = MainMemory::table2();
+        let mut m = MainMemory::new(4, 200);
         // Blocks 0 and 4 share channel 0 and the same 4 KiB row: the
         // second access hits the open row and pays half the latency.
         m.access(b(0), Cycle::new(0));

@@ -7,6 +7,14 @@
 
 use fusion_types::BlockAddr;
 
+/// L2 tiles on the ring.
+const TILES: u64 = 8;
+/// Cycles per ring hop (request + response each traverse the ring).
+const HOP_CYCLES: u64 = 4;
+/// Mean ring distance to a block's home over the 8 tiles: 0, 1, 2, 3, 4,
+/// 3, 2, 1 hops.
+const MEAN_HOPS: u64 = 2;
+
 /// Ring-based non-uniform cache access timing.
 ///
 /// # Examples
@@ -15,60 +23,55 @@ use fusion_types::BlockAddr;
 /// use fusion_mem::NucaRing;
 /// use fusion_types::BlockAddr;
 ///
-/// let nuca = NucaRing::table2();
+/// let nuca = NucaRing::new(20);
 /// // Average over all home tiles is the configured mean (20 cycles).
 /// let avg: f64 = (0..8)
 ///     .map(|i| nuca.latency(BlockAddr::from_index(i), 0) as f64)
 ///     .sum::<f64>() / 8.0;
-/// assert!((avg - 20.0).abs() < 1.0);
+/// assert!((avg - 20.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NucaRing {
-    tiles: u64,
-    /// Cycles per ring hop (request + response each traverse the ring).
-    hop_cycles: u64,
     /// Fixed bank access cost at the home tile.
     bank_cycles: u64,
 }
 
 impl NucaRing {
-    /// Creates a ring with `tiles` L2 tiles.
+    /// The ring's share of the mean access latency (8 cycles): a mean
+    /// below it leaves no time for the bank.
+    pub const MEAN_HOP_CYCLES: u64 = HOP_CYCLES * MEAN_HOPS;
+
+    /// Creates the ring whose latency, averaged over the home tiles, is
+    /// `mean_latency` (Table 2: 20 cycles, a 12-cycle bank).
     ///
     /// # Panics
     ///
-    /// Panics if `tiles` is zero.
-    pub fn new(tiles: u64, hop_cycles: u64, bank_cycles: u64) -> Self {
-        assert!(tiles > 0, "NUCA needs at least one tile");
+    /// Panics if `mean_latency` is below [`NucaRing::MEAN_HOP_CYCLES`].
+    pub fn new(mean_latency: u64) -> Self {
+        assert!(
+            mean_latency >= Self::MEAN_HOP_CYCLES,
+            "the mean L2 latency must cover the mean ring hops"
+        );
         NucaRing {
-            tiles,
-            hop_cycles,
-            bank_cycles,
+            bank_cycles: mean_latency - Self::MEAN_HOP_CYCLES,
         }
-    }
-
-    /// The Table 2 configuration: 8 tiles on a ring averaging ~20 cycles.
-    ///
-    /// With round-trip hops costing 4 cycles each and a 12-cycle bank, the
-    /// mean over the 8 home distances (0..=4, ring) is 12 + 4 * 2 = 20.
-    pub fn table2() -> Self {
-        NucaRing::new(8, 4, 12)
     }
 
     /// Home tile of a block (block-interleaved).
     pub fn home_tile(&self, block: BlockAddr) -> u64 {
-        block.index() % self.tiles
+        block.index() % TILES
     }
 
     /// Ring distance between two tile positions.
     pub fn distance(&self, a: u64, b: u64) -> u64 {
-        let d = a.abs_diff(b) % self.tiles;
-        d.min(self.tiles - d)
+        let d = a.abs_diff(b) % TILES;
+        d.min(TILES - d)
     }
 
     /// Round-trip access latency from `from_tile` to the block's home.
     pub fn latency(&self, block: BlockAddr, from_tile: u64) -> u64 {
-        let hops = self.distance(self.home_tile(block), from_tile % self.tiles);
-        self.bank_cycles + hops * self.hop_cycles
+        let hops = self.distance(self.home_tile(block), from_tile % TILES);
+        self.bank_cycles + hops * HOP_CYCLES
     }
 }
 
@@ -78,7 +81,7 @@ mod tests {
 
     #[test]
     fn distance_wraps_the_ring() {
-        let n = NucaRing::table2();
+        let n = NucaRing::new(20);
         assert_eq!(n.distance(0, 0), 0);
         assert_eq!(n.distance(0, 1), 1);
         assert_eq!(n.distance(0, 7), 1);
@@ -88,7 +91,7 @@ mod tests {
 
     #[test]
     fn latency_spans_near_and_far() {
-        let n = NucaRing::table2();
+        let n = NucaRing::new(20);
         let near = n.latency(BlockAddr::from_index(0), 0);
         let far = n.latency(BlockAddr::from_index(4), 0);
         assert_eq!(near, 12);
@@ -96,18 +99,27 @@ mod tests {
     }
 
     #[test]
-    fn average_matches_table2() {
-        let n = NucaRing::table2();
-        let avg: f64 = (0..8)
-            .map(|i| n.latency(BlockAddr::from_index(i), 0) as f64)
-            .sum::<f64>()
-            / 8.0;
-        assert!((avg - 20.0).abs() < 1e-9, "avg {avg}");
+    fn average_is_the_configured_mean() {
+        for mean in [NucaRing::MEAN_HOP_CYCLES, 20, 37] {
+            let n = NucaRing::new(mean);
+            for from in 0..8 {
+                let total: u64 = (0..8)
+                    .map(|i| n.latency(BlockAddr::from_index(i), from))
+                    .sum();
+                assert_eq!(total, 8 * mean, "mean {mean} from tile {from}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mean ring hops")]
+    fn a_mean_below_the_ring_cost_panics() {
+        NucaRing::new(NucaRing::MEAN_HOP_CYCLES - 1);
     }
 
     #[test]
     fn interleaving_covers_all_tiles() {
-        let n = NucaRing::table2();
+        let n = NucaRing::new(20);
         let homes: fusion_types::FxHashSet<u64> = (0..16)
             .map(|i| n.home_tile(BlockAddr::from_index(i)))
             .collect();

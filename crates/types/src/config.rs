@@ -10,10 +10,11 @@
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub capacity_bytes: usize,
-    /// Associativity (ways). `1` models a direct-mapped cache; scratchpads
-    /// are not set-associative and ignore this field.
+    /// Associativity (ways). `1` models a direct-mapped cache.
     pub ways: usize,
-    /// Number of banks (the shared L1X is 16-banked in the paper).
+    /// Number of banks (the shared L1X is 16-banked in the paper). Moves
+    /// access energy only: pipelined banks never conflict at one issue per
+    /// cycle.
     pub banks: usize,
     /// Access latency in cycles (tag + data).
     pub latency: u64,
@@ -31,6 +32,16 @@ impl CacheGeometry {
     pub fn sets(&self) -> usize {
         (self.blocks() / self.ways).max(1)
     }
+}
+
+/// Geometry of one scratchpad: a plain SRAM, neither set-associative nor
+/// banked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ScratchpadGeometry {
+    /// Total capacity in bytes.
+    pub capacity_bytes: usize,
+    /// Access latency in cycles.
+    pub latency: u64,
 }
 
 /// Write policy of the private L0X caches (Section 5.3 compares the two).
@@ -70,29 +81,31 @@ pub struct SystemConfig {
     /// Per-AXC private L0X cache (FUSION) — 4 KB or 8 KB, ITRS HP.
     pub l0x: CacheGeometry,
     /// Per-AXC scratchpad (SCRATCH) — same capacity as the L0X.
-    pub scratchpad: CacheGeometry,
+    pub scratchpad: ScratchpadGeometry,
     /// Shared per-tile L1X — 64 KB 16-bank 8-way, or 256 KB (LARGE).
     pub l1x: CacheGeometry,
     /// Host L1 data cache — 64 KB 4-way, 3 cycles.
     pub host_l1: CacheGeometry,
-    /// Host shared L2 (LLC) — 4 MB 16-way NUCA, average 20 cycles.
+    /// Host shared L2 (LLC) — 4 MB 16-way NUCA; `latency` is the mean over
+    /// the ring's home tiles (20 cycles).
     pub l2: CacheGeometry,
-    /// Main memory access latency in cycles (open-page average).
+    /// Main memory access latency in cycles on a row miss; a row hit
+    /// costs half.
     pub memory_latency: u64,
     /// Link between an AXC (L0X / scratchpad) and the shared L1X:
     /// 0.4 pJ/byte.
     pub link_axc_l1x: LinkConfig,
     /// Link between the tile's L1X and the host L2: 6 pJ/byte.
     pub link_l1x_l2: LinkConfig,
-    /// Direct L0X→L0X forwarding path used by FUSION-Dx: 0.1 pJ/byte.
-    pub link_l0x_l0x: LinkConfig,
+    /// Energy per byte of the direct L0X→L0X forwarding path used by
+    /// FUSION-Dx: 0.1 pJ/byte. A forward is charged energy but not timed:
+    /// phases run one after another, so the consumer starts after the
+    /// producer ends.
+    pub link_l0x_l0x_pj_per_byte: f64,
     /// L0X write policy (Section 5.3).
     pub write_policy: WritePolicy,
-    /// Default lease length in cycles for functions without a tuned value
-    /// (Table 3 lists per-function lease times; workloads override this).
-    pub default_lease: u32,
-    /// Extra tag-energy fraction paid for the 32-bit timestamp check at the
-    /// L0X (the paper accounts 15%).
+    /// Extra tag-energy fraction paid for the 32-bit timestamp check (the
+    /// paper accounts 15%). Charged on both the L0X and the L1X tag.
     pub timestamp_tag_overhead: f64,
     /// Size of the coherence/DMA control message in bytes (request, ack,
     /// eviction notices). 8 bytes = one flit.
@@ -123,10 +136,8 @@ impl SystemConfig {
                 banks: 1,
                 latency: 1,
             },
-            scratchpad: CacheGeometry {
+            scratchpad: ScratchpadGeometry {
                 capacity_bytes: 4 * 1024,
-                ways: 1,
-                banks: 1,
                 latency: 1,
             },
             l1x: CacheGeometry {
@@ -160,13 +171,8 @@ impl SystemConfig {
                 latency: 8,
                 bytes_per_cycle: 8,
             },
-            link_l0x_l0x: LinkConfig {
-                pj_per_byte: 0.1,
-                latency: 1,
-                bytes_per_cycle: 8,
-            },
+            link_l0x_l0x_pj_per_byte: 0.1,
             write_policy: WritePolicy::WriteBack,
-            default_lease: 500,
             timestamp_tag_overhead: 0.15,
             control_message_bytes: 8,
             lease_renewal: false,

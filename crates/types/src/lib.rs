@@ -27,7 +27,7 @@ pub mod rng;
 pub mod units;
 
 pub use addr::{BlockAddr, PhysAddr, VirtAddr, CACHE_BLOCK_BYTES, PAGE_BYTES};
-pub use config::{CacheGeometry, LinkConfig, SystemConfig, WritePolicy};
+pub use config::{CacheGeometry, LinkConfig, ScratchpadGeometry, SystemConfig, WritePolicy};
 pub use error::{InvariantViolation, JournalError, SimError};
 pub use fault::{CheckerConfig, ProtocolFault, ProtocolFaultKind};
 pub use hash::{sorted_entries, sorted_keys, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

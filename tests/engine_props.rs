@@ -14,7 +14,6 @@ use fusion_repro::accel::io::{decode_workload, encode_workload};
 use fusion_repro::accel::ooo::{run_host_phase_indexed, OooParams};
 use fusion_repro::accel::{kind_runs_of, run_phase_kind_runs, DecodedPhase, PhaseTiming, Recorder};
 use fusion_repro::dma::{DmaController, DmaDirection};
-use fusion_repro::mem::BankedTiming;
 use fusion_repro::types::ids::ExecUnit;
 use fusion_repro::types::{AccessKind, AxcId, BlockAddr, Cycle, LinkConfig, Pid};
 
@@ -404,34 +403,5 @@ fn dma_transfer_bounds() {
             assert!(t.done_at.value() >= start + addrs.len() as u64 * 16);
         }
         assert_eq!(dma.blocks_in(), addrs.len() as u64);
-    }
-}
-
-/// Banked timing never schedules two same-bank accesses concurrently
-/// and never goes backwards.
-#[test]
-fn banked_timing_serializes() {
-    let mut rng = Rng::new(0xBA2C);
-    for _ in 0..CASES {
-        let accesses: Vec<(u64, u64)> = {
-            let len = rng.range_usize(1, 100);
-            (0..len)
-                .map(|_| (rng.range_u64(0, 64), rng.range_u64(0, 100)))
-                .collect()
-        };
-        let mut banks = BankedTiming::new(8, 3);
-        let mut per_bank_last: std::collections::HashMap<u64, Cycle> =
-            std::collections::HashMap::new();
-        let mut now = Cycle::ZERO;
-        for (block, dt) in accesses {
-            now += dt;
-            let start = banks.issue(BlockAddr::from_index(block), now);
-            assert!(start >= now);
-            let bank = block % 8;
-            if let Some(&prev) = per_bank_last.get(&bank) {
-                assert!(start.value() >= prev.value() + 3, "bank occupancy violated");
-            }
-            per_bank_last.insert(bank, start);
-        }
     }
 }

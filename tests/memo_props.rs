@@ -52,8 +52,8 @@ fn irrelevant_fields(system: SystemKind) -> Vec<fn(&mut SystemConfig, &mut Rng)>
     let axc_link: fn(&mut SystemConfig, &mut Rng) =
         |c, r| c.link_axc_l1x.latency = r.range_u64(1, 9);
     let dx_link: fn(&mut SystemConfig, &mut Rng) =
-        |c, r| c.link_l0x_l0x.latency = r.range_u64(1, 9);
-    let lease: fn(&mut SystemConfig, &mut Rng) = |c, r| c.default_lease = r.range_u32(100, 2000);
+        |c, r| c.link_l0x_l0x_pj_per_byte = r.range_u64(1, 20) as f64 / 100.0;
+    let renewal: fn(&mut SystemConfig, &mut Rng) = |c, _| c.lease_renewal = !c.lease_renewal;
     let wp: fn(&mut SystemConfig, &mut Rng) = |c, _| {
         c.write_policy = match c.write_policy {
             WritePolicy::WriteBack => WritePolicy::WriteThrough,
@@ -64,11 +64,13 @@ fn irrelevant_fields(system: SystemKind) -> Vec<fn(&mut SystemConfig, &mut Rng)>
         |c, r| c.l1x_prefetch_degree = r.range_usize(0, 5);
     let tag: fn(&mut SystemConfig, &mut Rng) =
         |c, r| c.timestamp_tag_overhead = r.range_u64(0, 30) as f64 / 100.0;
+    let ctl: fn(&mut SystemConfig, &mut Rng) =
+        |c, r| c.control_message_bytes = 8 * r.range_u64(1, 5);
     match system {
         // SCRATCH never touches the coherent-accelerator machinery.
-        SystemKind::Scratch => vec![l0x, l1x, axc_link, dx_link, lease, wp, prefetch, tag],
+        SystemKind::Scratch => vec![l0x, l1x, axc_link, dx_link, renewal, wp, prefetch, tag, ctl],
         // SHARED has no private L0X, scratchpad, leases or Dx link.
-        SystemKind::Shared => vec![sp, l0x, dx_link, lease, wp, prefetch],
+        SystemKind::Shared => vec![sp, l0x, dx_link, renewal, wp, prefetch],
         // FUSION ignores the scratchpad and the Dx-only link.
         SystemKind::Fusion => vec![sp, dx_link],
         // FUSION-Dx ignores only the scratchpad.
@@ -86,20 +88,20 @@ fn relevant_fields(system: SystemKind) -> Vec<fn(&mut SystemConfig, &mut Rng)> {
         |c, r| c.link_l1x_l2.latency = r.range_u64(1, 20);
     let ctl: fn(&mut SystemConfig, &mut Rng) =
         |c, r| c.control_message_bytes = 8 * r.range_u64(1, 5);
-    let mut fields = vec![l2, host_l1, mem, l2_link, ctl];
+    let mut fields = vec![l2, host_l1, mem, l2_link];
     let sp: fn(&mut SystemConfig, &mut Rng) =
         |c, r| c.scratchpad.capacity_bytes = 1 << r.range_usize(10, 16);
     let l1x: fn(&mut SystemConfig, &mut Rng) = |c, r| c.l1x.latency = r.range_u64(1, 9);
     let l0x: fn(&mut SystemConfig, &mut Rng) =
         |c, r| c.l0x.capacity_bytes = 1 << r.range_usize(10, 16);
-    let lease: fn(&mut SystemConfig, &mut Rng) = |c, r| c.default_lease = r.range_u32(100, 2000);
+    let renewal: fn(&mut SystemConfig, &mut Rng) = |c, _| c.lease_renewal = !c.lease_renewal;
     let dx_link: fn(&mut SystemConfig, &mut Rng) =
-        |c, r| c.link_l0x_l0x.latency = r.range_u64(1, 9);
+        |c, r| c.link_l0x_l0x_pj_per_byte = r.range_u64(1, 20) as f64 / 100.0;
     match system {
         SystemKind::Scratch => fields.push(sp),
-        SystemKind::Shared => fields.push(l1x),
-        SystemKind::Fusion => fields.extend([l1x, l0x, lease]),
-        SystemKind::FusionDx => fields.extend([l1x, l0x, lease, dx_link]),
+        SystemKind::Shared => fields.extend([l1x, ctl]),
+        SystemKind::Fusion => fields.extend([l1x, ctl, l0x, renewal]),
+        SystemKind::FusionDx => fields.extend([l1x, ctl, l0x, renewal, dx_link]),
     }
     fields
 }

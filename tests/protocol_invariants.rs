@@ -405,19 +405,26 @@ fn acc_invariants_hold_with_extensions() {
     }
 }
 
-/// NUCA ring latency is symmetric and bounded by the half-ring.
+/// NUCA ring latency is symmetric and bounded by the half-ring: the bank
+/// plus 0 to 4 hops of 4 cycles around the configured mean.
 #[test]
 fn nuca_latency_symmetric_and_bounded() {
+    use fusion_repro::mem::NucaRing;
     let mut rng = Rng::new(0x20CA);
     for _ in 0..256 {
         let block = rng.range_u64(0, 10_000);
         let from = rng.range_u64(0, 8);
-        let nuca = fusion_repro::mem::NucaRing::table2();
+        let mean = rng.range_u64(NucaRing::MEAN_HOP_CYCLES, 64);
+        let nuca = NucaRing::new(mean);
         let b = BlockAddr::from_index(block);
         let home = nuca.home_tile(b);
         assert_eq!(nuca.distance(home, from), nuca.distance(from, home));
         let lat = nuca.latency(b, from);
-        assert!((12..=12 + 4 * 4).contains(&lat), "latency {lat}");
+        let bank = mean - NucaRing::MEAN_HOP_CYCLES;
+        assert!(
+            (bank..=bank + 4 * 4).contains(&lat),
+            "mean {mean}: latency {lat}"
+        );
     }
 }
 
