@@ -299,28 +299,6 @@ pub struct ForwardRule {
     pub eager: bool,
 }
 
-/// Single-entry L0-hit memo: the coordinates and lease state of the line
-/// the last access hit. Address streams touch the same 64 B block many
-/// times in a row, and a repeat hit whose lease is still live needs none
-/// of the generic path's set scan or MSHR-list probe — just the identical
-/// stat/LRU bookkeeping. The memo is invalidated by every slow-path access
-/// and every external mutation of tile state, so replaying through it is
-/// bit-identical to the generic path.
-#[derive(Debug, Clone, Copy)]
-struct HitMemo {
-    axc: AxcId,
-    pid: Pid,
-    block: BlockAddr,
-    set: u32,
-    way: u32,
-    lease_end: Cycle,
-    write_lease: bool,
-    dirty: bool,
-    /// In-flight fill completion gating this copy (MSHR merge; `ZERO` when
-    /// no fill gates it) — a copy of the line's [`L0Meta::fill_done`].
-    fill_done: Cycle,
-}
-
 /// One AXC's MSHR list: `(pid, block, completion)` of its in-flight
 /// fills, in no particular order.
 ///
@@ -378,8 +356,6 @@ pub struct AccTile {
     /// Opt-in runtime invariant checker (DESIGN.md §10). `None` on the
     /// trusted path: the hot loop pays one predictable branch.
     checker: Option<Box<ProtocolChecker>>,
-    /// Same-block repeat-hit fast path (see [`HitMemo`]).
-    memo: Option<HitMemo>,
 }
 
 impl AccTile {
@@ -410,20 +386,17 @@ impl AccTile {
             in_flight: vec![Mshrs::default(); axcs],
             stats: TileStats::default(),
             checker: None,
-            memo: None,
         }
     }
 
     /// Enables the lease-renewal extension (see DESIGN.md "Extensions").
     pub fn set_lease_renewal(&mut self, enabled: bool) {
-        self.memo = None;
         self.renewal = enabled;
     }
 
     /// Enables runtime ACC invariant checking, optionally planting a
     /// deliberate protocol fault (see [`ProtocolChecker`]).
     pub fn enable_checker(&mut self, fault: Option<ProtocolFault>) {
-        self.memo = None;
         self.checker = Some(Box::new(ProtocolChecker::new(fault)));
     }
 
@@ -440,7 +413,6 @@ impl AccTile {
     /// Installs the FUSION-Dx forwarding rules (trace post-processing
     /// output). An empty map disables forwarding (plain FUSION).
     pub fn set_forward_rules(&mut self, rules: FxHashMap<(Pid, BlockAddr), Vec<ForwardRule>>) {
-        self.memo = None;
         self.forwards = rules;
     }
 
@@ -459,10 +431,6 @@ impl AccTile {
     /// `lease` is the per-function lease length (Table 3's LT column).
     /// On [`AccAccess::FillNeeded`] the caller must resolve the host fill
     /// and then call [`AccTile::complete_fill`].
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "the hit memo's set and way index one L0X, whose geometry is far below 2^32"
-    )]
     pub fn axc_access(
         &mut self,
         axc: AxcId,
@@ -472,31 +440,6 @@ impl AccTile {
         now: Cycle,
         lease: u32,
     ) -> AccAccess {
-        // Repeat-hit fast path: same block as the last hit, lease still
-        // live, and (for stores) the write epoch and dirty bit already in
-        // place — exactly the accesses whose generic path would change
-        // nothing but counters and the LRU stamp. Replays those effects
-        // directly; every other case falls through to the generic path.
-        if let Some(m) = self.memo {
-            if m.block == block
-                && m.pid == pid
-                && m.axc == axc
-                && m.lease_end >= now
-                && (!kind.is_write() || (m.write_lease && m.dirty))
-                && self.checker.is_none()
-            {
-                self.stats.l0_accesses += 1;
-                self.stats.l0_hits += 1;
-                self.l0x[axc.index()].touch(m.set as usize, m.way as usize);
-                let mut done = now + self.timing.l0_latency;
-                if m.fill_done > done {
-                    done = m.fill_done;
-                    self.stats.mshr_merges += 1;
-                }
-                return self.maybe_write_through(axc, kind, done);
-            }
-        }
-        self.memo = None;
         self.stats.l0_accesses += 1;
         let axi = axc.index();
         debug_assert!(now >= self.in_flight[axi].last_issue, "AXC issue went back");
@@ -510,11 +453,9 @@ impl AccTile {
                 // Valid lease. Reads always proceed; writes need a write
                 // epoch (upgrade if we only hold a read lease).
                 if !kind.is_write() || meta.write_lease {
-                    let mut dirty = was_dirty;
                     if kind.is_write() && !was_dirty {
                         self.l0x[axi].line_at_mut(set, way).dirty = true;
                         self.dirty_per_set[axi][set] += 1;
-                        dirty = true;
                     }
                     self.stats.l0_hits += 1;
                     let mut done = now + self.timing.l0_latency;
@@ -522,23 +463,11 @@ impl AccTile {
                     // that is still in flight — the data is not usable
                     // before that fill lands (MSHR merge). The line's own
                     // fill gate replaces a per-hit `in_flight` probe.
-                    let fill_done = meta.fill_done;
-                    if fill_done > done {
-                        done = fill_done;
+                    if meta.fill_done > done {
+                        done = meta.fill_done;
                         self.stats.mshr_merges += 1;
                     }
-                    self.memo = Some(HitMemo {
-                        axc,
-                        pid,
-                        block,
-                        set: set as u32,
-                        way: way as u32,
-                        lease_end: meta.lease_end,
-                        write_lease: meta.write_lease,
-                        dirty,
-                        fill_done,
-                    });
-                    return self.maybe_write_through(axc, kind, done);
+                    return self.maybe_write_through(kind, done);
                 }
                 // Upgrade: request a write epoch from the L1X.
                 self.stats.l0_misses += 1;
@@ -551,13 +480,13 @@ impl AccTile {
             let acquired = meta.acquired;
             let expired_at = meta.lease_end;
             if self.renewal {
-                let resident = self.l1x.probe(pid, block).is_some();
-                let current = was_dirty
-                    || self
-                        .l1x
-                        .probe(pid, block)
-                        .is_some_and(|l| l.meta.last_write <= acquired);
-                if current && resident {
+                // Renewal needs the L1X line resident, and its data no
+                // newer than this copy unless the copy is the dirty owner.
+                let current = self
+                    .l1x
+                    .probe(pid, block)
+                    .is_some_and(|l| was_dirty || l.meta.last_write <= acquired);
+                if current {
                     self.stats.l0_misses += 1;
                     return self.renew_epoch(axc, pid, block, kind, now, lease, was_dirty);
                 }
@@ -659,7 +588,7 @@ impl AccTile {
         if self.checker.is_some() {
             self.checker_after_grant(axc, pid, block);
         }
-        self.maybe_write_through(axc, kind, done)
+        self.maybe_write_through(kind, done)
     }
 
     /// Epoch request to the L1X after an L0X miss. Grants from the L1X if
@@ -738,7 +667,7 @@ impl AccTile {
         if self.checker.is_some() {
             self.checker_after_grant(axc, pid, block);
         }
-        match self.maybe_write_through(axc, kind, done) {
+        match self.maybe_write_through(kind, done) {
             AccAccess::L0Hit { done_at } | AccAccess::L1Served { done_at } => done_at,
             AccAccess::FillNeeded { .. } => unreachable!("write-through never refills"),
         }
@@ -850,7 +779,7 @@ impl AccTile {
 
     /// For write-through L0Xs every store also pushes its payload (8 B) to
     /// the L1X (Section 5.3).
-    fn maybe_write_through(&mut self, _axc: AxcId, kind: AccessKind, done: Cycle) -> AccAccess {
+    fn maybe_write_through(&mut self, kind: AccessKind, done: Cycle) -> AccAccess {
         if kind.is_write() && self.write_policy == WritePolicy::WriteThrough {
             self.stats.wt_stores += 1;
             self.stats.l1_accesses += 1;
@@ -875,17 +804,12 @@ impl AccTile {
         at: Cycle,
         allow_forward: bool,
     ) {
-        // Fast path: no rules armed (plain FUSION, or a phase with no
-        // forwarding directives) — skip the per-writeback hash probe.
-        let rule = if self.forwards.is_empty() {
-            None
-        } else {
-            self.forwards
-                .get(&(pid, block))
-                .and_then(|rules| rules.iter().find(|r| r.producer == axc))
-                .copied()
-                .filter(|r| allow_forward || r.eager)
-        };
+        let rule = self
+            .forwards
+            .get(&(pid, block))
+            .and_then(|rules| rules.iter().find(|r| r.producer == axc))
+            .copied()
+            .filter(|r| allow_forward || r.eager);
         if let Some(rule) = rule {
             self.forward_to_consumer(rule, pid, block, at);
             return;
@@ -964,7 +888,6 @@ impl AccTile {
         data_at: Cycle,
         lease: u32,
     ) -> FillResult {
-        self.memo = None;
         self.stats.l1_accesses += 1;
         let fresh = transition::acc_fill_meta(data_at, false);
         let victim = self.l1x.insert(pid, block, fresh, kind.is_write());
@@ -995,7 +918,6 @@ impl AccTile {
         block: BlockAddr,
         data_at: Cycle,
     ) -> Option<L1Evicted> {
-        self.memo = None;
         if self.l1x.probe(pid, block).is_some() {
             return None;
         }
@@ -1019,19 +941,12 @@ impl AccTile {
         })
     }
 
-    /// `true` if `(pid, block)` is resident in the L1X (used by the
-    /// prefetcher to avoid redundant fetches).
-    pub fn l1x_resident_line(&self, pid: Pid, block: BlockAddr) -> bool {
-        self.l1x.probe(pid, block).is_some()
-    }
-
     /// Phase-end self-downgrade for `axc` (the accelerator invocation has
     /// completed, so its expected-latency epochs end now): truncates its
     /// write epochs and writes back dirty lines. Per-set writeback
     /// timestamps filter the sweep — only sets with dirty lines are
     /// scanned (paper Section 3.2 "implementation decision").
     pub fn downgrade_all(&mut self, axc: AxcId, pid: Pid, now: Cycle) {
-        self.memo = None;
         let sets = self.dirty_per_set[axc.index()].len();
         let mut dirty_blocks = Vec::new();
         for set in 0..sets {
@@ -1083,7 +998,6 @@ impl AccTile {
     /// dirty data) is released once GTIME has passed and any pending
     /// writeback has landed; the L0Xs are never probed (Figure 4, right).
     pub fn host_forward(&mut self, pid: Pid, block: BlockAddr, now: Cycle) -> HostForward {
-        self.memo = None;
         self.stats.host_forwards += 1;
         let Some(line) = self.l1x.probe(pid, block) else {
             return HostForward {
@@ -1133,7 +1047,6 @@ impl AccTile {
         reason = "AXC ids are u16 and the tile builds one L0X per id"
     )]
     pub fn flush_all(&mut self, now: Cycle) -> Vec<L1Evicted> {
-        self.memo = None;
         for axc in 0..self.l0x.len() {
             let blocks: Vec<(Pid, BlockAddr)> = self.l0x[axc]
                 .iter()
@@ -1695,6 +1608,62 @@ mod tests {
             wb_before,
             "renewing a dirty copy must not force a writeback"
         );
+    }
+
+    #[test]
+    fn dirty_copy_without_l1x_line_refetches() {
+        // Renewal re-validates the epoch at the L1X line, so a dirty copy
+        // whose line has left the L1X cannot renew: it writes back through
+        // to the host and refetches with data.
+        let mut t = AccTile::new(
+            1,
+            CacheGeometry {
+                capacity_bytes: 4096,
+                ways: 4,
+                banks: 1,
+                latency: 1,
+            },
+            CacheGeometry {
+                capacity_bytes: 128,
+                ways: 1,
+                banks: 1,
+                latency: 4,
+            },
+            TileTiming::default(),
+            WritePolicy::WriteBack,
+        );
+        t.set_lease_renewal(true);
+        fill(&mut t, 0, 0, AccessKind::Store, 0, 100);
+        // Block 2 maps to the same single-way L1X set: evicts block 0 from
+        // the L1X while the L0X keeps its dirty copy.
+        assert!(t.prefetch_install(P, b(2), Cycle::new(50)).is_some());
+        assert!(!t.l1x_caches(P, b(0)));
+        let data_before = t.stats().data_l1_to_l0;
+        match t.axc_access(
+            AxcId::new(0),
+            P,
+            b(0),
+            AccessKind::Store,
+            Cycle::new(5000),
+            100,
+        ) {
+            AccAccess::FillNeeded { request_at } => {
+                t.complete_fill(
+                    AxcId::new(0),
+                    P,
+                    b(0),
+                    AccessKind::Store,
+                    request_at + 50,
+                    100,
+                );
+            }
+            other => panic!("evicted line must refetch from the host: {other:?}"),
+        }
+        let s = t.stats();
+        assert_eq!(s.lease_renewals, 0);
+        assert_eq!(s.renewal_refetches, 1);
+        assert_eq!(s.wb_through_to_l2, 1, "dirty data continues to the host");
+        assert_eq!(s.data_l1_to_l0, data_before + 1, "refetch moves one block");
     }
 
     #[test]

@@ -283,7 +283,7 @@ fn tile_access(
             if streaming && state.prefetch_degree > 0 {
                 for k in 1..=state.prefetch_degree as u64 {
                     let pb = BlockAddr::from_index(block.index() + k);
-                    if state.tile.l1x_resident_line(pid, pb) {
+                    if state.tile.l1x_caches(pid, pb) {
                         continue;
                     }
                     let pf = host.tile_fill(pid, pb, fill.data_at, ledger, state);

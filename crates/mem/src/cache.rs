@@ -155,7 +155,8 @@ impl<M> SetAssocCache<M> {
     /// Looks up a line like [`SetAssocCache::lookup`] — identical hit/miss
     /// statistics and replacement effects — but returns the line's
     /// `(set, slot)` coordinates instead of a reference, so callers can
-    /// revisit the line cheaply (see [`SetAssocCache::touch`]). The
+    /// read and then update the line without a second set scan (see
+    /// [`SetAssocCache::line_at`] and [`SetAssocCache::line_at_mut`]). The
     /// coordinates stay valid until the next structural change to the set
     /// (insert/invalidate/flush).
     pub fn lookup_pos(&mut self, pid: Pid, block: BlockAddr) -> Option<(usize, usize)> {
@@ -179,23 +180,6 @@ impl<M> SetAssocCache<M> {
                 None
             }
         }
-    }
-
-    /// Repeats a hit on a known-resident line by coordinates from
-    /// [`SetAssocCache::lookup_pos`]: same tick/stamp/hit bookkeeping as a
-    /// [`SetAssocCache::lookup`] that found the line.
-    #[inline]
-    pub fn touch(&mut self, set: usize, pos: usize) {
-        let tick = self.next_tick();
-        self.hits += 1;
-        #[expect(
-            clippy::expect_used,
-            reason = "caller holds coordinates from lookup_pos"
-        )]
-        let line = self.slots[set * self.ways + pos]
-            .as_mut()
-            .expect("touch on occupied slot");
-        line.stamp = tick;
     }
 
     /// The line at coordinates from [`SetAssocCache::lookup_pos`].
