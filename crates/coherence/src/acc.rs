@@ -12,8 +12,8 @@
 //! * **write epochs** lock the line at the L1X: subsequent readers/writers
 //!   stall until the write lease expires *and* the self-downgrade
 //!   writeback completes (Figure 4);
-//! * **self-downgrade** uses per-set writeback timestamps as a filter so
-//!   dirty-line checks do not sweep the whole cache;
+//! * **self-downgrade** writes back each set's dirty lines and counts the
+//!   sets the paper's per-set writeback timestamps would let it skip;
 //! * **write caching** (write-back L0X) is ACC's first write optimization;
 //!   **write forwarding** (direct L0X→L0X transfer of producer→consumer
 //!   data, Section 3.2 FUSION-Dx) is the second.
@@ -21,7 +21,7 @@
 //! The tile is strictly 2-hop: every protocol action is a request/response
 //! between one L0X and the L1X — there are no sharer probes.
 
-use fusion_mem::{ReplacementPolicy, SetAssocCache};
+use fusion_mem::{Evicted, ReplacementPolicy, SetAssocCache};
 use fusion_types::error::InvariantViolation;
 use fusion_types::fault::{ProtocolFault, ProtocolFaultKind};
 use fusion_types::hash::FxHashMap;
@@ -43,10 +43,10 @@ pub struct L0Meta {
     /// When this copy's data was obtained (used by the lease-renewal
     /// extension to prove the local data is still current).
     pub acquired: Cycle,
-    /// When the full-line fill that installed this copy lands at the L0X.
-    /// Mirrors the tile's `in_flight` MSHR entry so a hit never probes the
-    /// MSHR list (hit-under-miss gating reads the line itself); the list is
-    /// only consulted on miss paths. `Cycle::ZERO` when no fill gates the copy.
+    /// When the full-line fill that installed this copy lands at the L0X:
+    /// a hit before then merges into the fill (hit-under-miss, MSHR merge).
+    /// `Cycle::ZERO` when no fill gates the copy (renewed and forwarded
+    /// copies).
     pub fill_done: Cycle,
 }
 
@@ -154,16 +154,17 @@ pub struct TileStats {
     /// Dirty L0X writebacks that found the L1X line already evicted and
     /// had to continue through to the host L2.
     pub wb_through_to_l2: u64,
-    /// Sets examined during self-downgrade sweeps.
+    /// Sets holding a dirty line at a self-downgrade sweep.
     pub downgrade_sets_scanned: u64,
-    /// Sets skipped by the writeback-timestamp filter.
+    /// Sets with no dirty line at a self-downgrade sweep (the ones the
+    /// paper's writeback-timestamp filter skips).
     pub downgrade_sets_filtered: u64,
     /// Host-forwarded MESI requests handled by the tile.
     pub host_forwards: u64,
     /// Blocks whose dirty data a host forward had to wait for.
     pub host_forward_waits: u64,
-    /// Secondary L0X misses merged into an in-flight fill for the same
-    /// block (per-AXC MSHR behaviour of the non-blocking interface).
+    /// L0X hits merged into the still-landing fill of their line (MSHR
+    /// behaviour of the non-blocking interface).
     pub mshr_merges: u64,
     /// Blocks installed into the L1X by the sequential prefetcher
     /// (prefetch extension).
@@ -299,36 +300,6 @@ pub struct ForwardRule {
     pub eager: bool,
 }
 
-/// One AXC's MSHR list: `(pid, block, completion)` of its in-flight
-/// fills, in no particular order.
-///
-/// An AXC issues in program order, so a fill that completed no later than
-/// its latest issue time can never merge a later read (`axc_access` skips
-/// it) nor gate a later hit (`fill_done` only matters while it exceeds the
-/// hit's completion). Each insert drops such fills, so the list holds only
-/// fills still in flight: at most 6 over the paper's design grid.
-#[derive(Debug, Clone, Default)]
-struct Mshrs {
-    last_issue: Cycle,
-    fills: Vec<(Pid, BlockAddr, Cycle)>,
-}
-
-impl Mshrs {
-    fn get(&self, pid: Pid, block: BlockAddr) -> Option<Cycle> {
-        self.fills
-            .iter()
-            .find(|f| (f.0, f.1) == (pid, block))
-            .map(|f| f.2)
-    }
-
-    fn insert(&mut self, pid: Pid, block: BlockAddr, done: Cycle) {
-        let landed = self.last_issue;
-        self.fills
-            .retain(|f| f.2 > landed && (f.0, f.1) != (pid, block));
-        self.fills.push((pid, block, done));
-    }
-}
-
 /// The accelerator tile: per-AXC L0X caches + shared L1X under ACC.
 #[derive(Debug, Clone)]
 pub struct AccTile {
@@ -336,8 +307,6 @@ pub struct AccTile {
     l1x: SetAssocCache<L1Meta>,
     timing: TileTiming,
     write_policy: WritePolicy,
-    /// Per-(axc, set) dirty-line counts: the self-downgrade filter.
-    dirty_per_set: Vec<Vec<u32>>,
     /// FUSION-Dx forwarding rules, keyed by (pid, block); a block can have
     /// several rules with different producers (pipeline chains).
     ///
@@ -348,10 +317,6 @@ pub struct AccTile {
     /// ACC): an expired L0X line whose data is provably current renews its
     /// epoch with a pair of control messages instead of a data transfer.
     renewal: bool,
-    /// Per-AXC in-flight fills (see [`Mshrs`]). A secondary miss to the
-    /// same block while the primary is in flight merges (MSHR behaviour)
-    /// instead of issuing a second request.
-    in_flight: Vec<Mshrs>,
     stats: TileStats,
     /// Opt-in runtime invariant checker (DESIGN.md §10). `None` on the
     /// trusted path: the hot loop pays one predictable branch.
@@ -372,7 +337,6 @@ impl AccTile {
         write_policy: WritePolicy,
     ) -> Self {
         assert!(axcs > 0, "tile needs at least one accelerator");
-        let l0_sets = l0_geometry.sets();
         AccTile {
             l0x: (0..axcs)
                 .map(|_| SetAssocCache::new(l0_geometry, ReplacementPolicy::Lru))
@@ -380,10 +344,8 @@ impl AccTile {
             l1x: SetAssocCache::new(l1_geometry, ReplacementPolicy::Lru),
             timing,
             write_policy,
-            dirty_per_set: vec![vec![0; l0_sets]; axcs],
             forwards: FxHashMap::default(),
             renewal: false,
-            in_flight: vec![Mshrs::default(); axcs],
             stats: TileStats::default(),
             checker: None,
         }
@@ -442,10 +404,7 @@ impl AccTile {
     ) -> AccAccess {
         self.stats.l0_accesses += 1;
         let axi = axc.index();
-        debug_assert!(now >= self.in_flight[axi].last_issue, "AXC issue went back");
-        self.in_flight[axi].last_issue = now;
-        let set = self.l0x[axi].set_index(block);
-        if let Some((_, way)) = self.l0x[axi].lookup_pos(pid, block) {
+        if let Some((set, way)) = self.l0x[axi].lookup_pos(pid, block) {
             let line = self.l0x[axi].line_at(set, way);
             let meta = line.meta;
             let was_dirty = line.dirty;
@@ -455,14 +414,12 @@ impl AccTile {
                 if !kind.is_write() || meta.write_lease {
                     if kind.is_write() && !was_dirty {
                         self.l0x[axi].line_at_mut(set, way).dirty = true;
-                        self.dirty_per_set[axi][set] += 1;
                     }
                     self.stats.l0_hits += 1;
                     let mut done = now + self.timing.l0_latency;
                     // Hit-under-miss: the line was installed by a fill
                     // that is still in flight — the data is not usable
-                    // before that fill lands (MSHR merge). The line's own
-                    // fill gate replaces a per-hit `in_flight` probe.
+                    // before that fill lands (MSHR merge).
                     if meta.fill_done > done {
                         done = meta.fill_done;
                         self.stats.mshr_merges += 1;
@@ -492,26 +449,12 @@ impl AccTile {
                 }
                 self.stats.renewal_refetches += 1;
             }
-            let l0 = &mut self.l0x[axc.index()];
-            l0.invalidate(pid, block);
+            self.l0x[axi].invalidate(pid, block);
             if was_dirty {
-                self.dirty_per_set[axc.index()][set] -= 1;
                 self.writeback(axc, pid, block, expired_at.max(now), false);
             }
         }
         self.stats.l0_misses += 1;
-        // MSHR merge: a fill for this block is already in flight from this
-        // AXC; piggyback on its completion instead of issuing a second
-        // request message (reads only — writes need their own epoch).
-        if !kind.is_write() {
-            // A fill that already landed is dropped by the next insert.
-            if let Some(done) = self.in_flight[axi].get(pid, block).filter(|&d| d > now) {
-                self.stats.mshr_merges += 1;
-                return AccAccess::L0Hit {
-                    done_at: done + self.timing.l0_latency,
-                };
-            }
-        }
         self.request_epoch(axc, pid, block, kind, now, lease)
     }
 
@@ -562,26 +505,17 @@ impl AccTile {
         self.stats.stall_cycles += start - at_l1;
         // Grant acknowledgement message back (no data).
         let done = start + timing.l1_latency + timing.msg_cycles() + timing.l0_latency;
-        let set = self.l0x[axc.index()].set_index(block);
         let keep_dirty =
             was_dirty || (kind.is_write() && self.write_policy == WritePolicy::WriteBack);
-        if !was_dirty && keep_dirty {
-            self.dirty_per_set[axc.index()][set] += 1;
-        }
-        // Renewal leaves the MSHR list untouched: mirror its current entry
-        // (off the hot path — one probe per renewal, not per hit).
-        let fill_done = self.in_flight[axc.index()]
-            .get(pid, block)
-            .unwrap_or(Cycle::ZERO);
-        let l0 = &mut self.l0x[axc.index()];
-        l0.insert(
+        // The copy's data is already local: no fill gates it.
+        self.l0x[axc.index()].insert(
             pid,
             block,
             L0Meta {
                 lease_end: end,
                 write_lease: kind.is_write() || was_dirty,
                 acquired: start,
-                fill_done,
+                fill_done: Cycle::ZERO,
             },
             keep_dirty,
         );
@@ -653,7 +587,7 @@ impl AccTile {
 
         // L1X data access + response. The requester consumes the critical
         // word as soon as it arrives; the rest of the line streams behind
-        // it and gates any merged accesses.
+        // it, and the L0X line's fill gate holds later hits until it lands.
         self.stats.l1_accesses += 1;
         self.stats.data_l1_to_l0 += 1;
         let done = start + timing.l1_latency + timing.critical_word_cycles();
@@ -661,9 +595,6 @@ impl AccTile {
 
         self.install_l0(axc, pid, block, kind, end, start, line_done);
         let done = done + timing.l0_latency;
-        // Record the in-flight fill so overlapping accesses to the same
-        // block merge (MSHR) instead of using the data before it lands.
-        self.in_flight[axc.index()].insert(pid, block, line_done);
         if self.checker.is_some() {
             self.checker_after_grant(axc, pid, block);
         }
@@ -687,9 +618,7 @@ impl AccTile {
         fill_done: Cycle,
     ) {
         let dirty = kind.is_write() && self.write_policy == WritePolicy::WriteBack;
-        let l0 = &mut self.l0x[axc.index()];
-        let set = l0.set_index(block);
-        let victim = l0.insert(
+        let victim = self.l0x[axc.index()].insert(
             pid,
             block,
             L0Meta {
@@ -700,16 +629,9 @@ impl AccTile {
             },
             dirty,
         );
-        if dirty {
-            self.dirty_per_set[axc.index()][set] += 1;
-        }
-        if let Some(v) = victim {
-            let vset = self.l0x[axc.index()].set_index(v.block);
-            if v.dirty {
-                self.dirty_per_set[axc.index()][vset] -= 1;
-                // Evicted before lease expiry: early self-downgrade.
-                self.writeback(axc, v.pid, v.block, v.meta.lease_end.min(lease_end), false);
-            }
+        if let Some(v) = victim.filter(|v| v.dirty) {
+            // Evicted before lease expiry: early self-downgrade.
+            self.writeback(axc, v.pid, v.block, v.meta.lease_end.min(lease_end), false);
         }
     }
 
@@ -848,31 +770,20 @@ impl AccTile {
         if let Some(line) = self.l1x.probe_mut(pid, block) {
             line.meta = transition::acc_forward(line.meta, rule.producer, rule.consumer, lease_end);
         }
-        // A forwarded copy bypasses the MSHR list: mirror whatever entry the
-        // consumer's list holds for the block (usually none).
-        let fill_done = self.in_flight[rule.consumer.index()]
-            .get(pid, block)
-            .unwrap_or(Cycle::ZERO);
-        let l0 = &mut self.l0x[rule.consumer.index()];
-        let set = l0.set_index(block);
-        let victim = l0.insert(
+        // The lease starts when the data lands, so no fill gates the copy.
+        let victim = self.l0x[rule.consumer.index()].insert(
             pid,
             block,
             L0Meta {
                 lease_end,
                 write_lease: true, // carries the dirty token
                 acquired: at,
-                fill_done,
+                fill_done: Cycle::ZERO,
             },
             true,
         );
-        self.dirty_per_set[rule.consumer.index()][set] += 1;
-        if let Some(v) = victim {
-            if v.dirty {
-                let vset = self.l0x[rule.consumer.index()].set_index(v.block);
-                self.dirty_per_set[rule.consumer.index()][vset] -= 1;
-                self.writeback(rule.consumer, v.pid, v.block, at, false);
-            }
+        if let Some(v) = victim.filter(|v| v.dirty) {
+            self.writeback(rule.consumer, v.pid, v.block, at, false);
         }
     }
 
@@ -891,20 +802,7 @@ impl AccTile {
         self.stats.l1_accesses += 1;
         let fresh = transition::acc_fill_meta(data_at, false);
         let victim = self.l1x.insert(pid, block, fresh, kind.is_write());
-        let evicted = victim.map(|v| {
-            let release_at = v.meta.gtime.max(data_at);
-            if v.dirty {
-                self.stats.l1_evictions_dirty += 1;
-            } else {
-                self.stats.l1_evictions_clean += 1;
-            }
-            L1Evicted {
-                pid: v.pid,
-                block: v.block,
-                dirty: v.dirty,
-                release_at,
-            }
-        });
+        let evicted = victim.map(|v| self.l1_evicted(v, data_at));
         let done_at = self.grant_from_l1x(axc, pid, block, kind, data_at, lease);
         FillResult { done_at, evicted }
     }
@@ -912,58 +810,73 @@ impl AccTile {
     /// Installs a prefetched block into the L1X (prefetch extension): the
     /// line arrives exclusively like any fill but grants no L0X lease.
     /// Returns the displaced victim, if any, exactly like a demand fill.
+    ///
+    /// The block must not be resident: the prefetcher checks
+    /// [`AccTile::l1x_caches`] before it pays for the host fill.
     pub fn prefetch_install(
         &mut self,
         pid: Pid,
         block: BlockAddr,
         data_at: Cycle,
     ) -> Option<L1Evicted> {
-        if self.l1x.probe(pid, block).is_some() {
-            return None;
-        }
+        debug_assert!(!self.l1x_caches(pid, block), "prefetch of a resident block");
         self.stats.prefetch_installs += 1;
         self.stats.l1_accesses += 1;
         let fresh = transition::acc_fill_meta(data_at, true);
         let victim = self.l1x.insert(pid, block, fresh, false);
-        victim.map(|v| {
-            let release_at = v.meta.gtime.max(data_at);
-            if v.dirty {
-                self.stats.l1_evictions_dirty += 1;
-            } else {
-                self.stats.l1_evictions_clean += 1;
-            }
-            L1Evicted {
-                pid: v.pid,
-                block: v.block,
-                dirty: v.dirty,
-                release_at,
-            }
-        })
+        victim.map(|v| self.l1_evicted(v, data_at))
+    }
+
+    /// Counts an L1X victim toward the host and builds its eviction
+    /// notice, released no earlier than `now` and the line's GTIME.
+    fn l1_evicted(&mut self, v: Evicted<L1Meta>, now: Cycle) -> L1Evicted {
+        if v.dirty {
+            self.stats.l1_evictions_dirty += 1;
+        } else {
+            self.stats.l1_evictions_clean += 1;
+        }
+        L1Evicted {
+            pid: v.pid,
+            block: v.block,
+            dirty: v.dirty,
+            release_at: v.meta.gtime.max(now),
+        }
     }
 
     /// Phase-end self-downgrade for `axc` (the accelerator invocation has
-    /// completed, so its expected-latency epochs end now): truncates its
-    /// write epochs and writes back dirty lines. Per-set writeback
-    /// timestamps filter the sweep — only sets with dirty lines are
-    /// scanned (paper Section 3.2 "implementation decision").
+    /// completed, so its expected-latency epochs end now): writes back its
+    /// dirty lines, truncating their write epochs, and releases every
+    /// lease it still holds. One pass over the L0X reads each line's own
+    /// dirty bit; the sets holding no dirty line are the ones the paper's
+    /// per-set writeback timestamps filter out (Section 3.2
+    /// "implementation decision"), and are counted as such.
     pub fn downgrade_all(&mut self, axc: AxcId, pid: Pid, now: Cycle) {
-        let sets = self.dirty_per_set[axc.index()].len();
+        let l0 = &mut self.l0x[axc.index()];
         let mut dirty_blocks = Vec::new();
-        for set in 0..sets {
-            if self.dirty_per_set[axc.index()][set] == 0 {
-                self.stats.downgrade_sets_filtered += 1;
-                continue;
-            }
-            self.stats.downgrade_sets_scanned += 1;
-            let probe = BlockAddr::from_index(set as u64);
-            for line in self.l0x[axc.index()].iter_set_mut(probe) {
+        let mut live = Vec::new();
+        for set in 0..l0.sets() {
+            let mut any_dirty = false;
+            for line in l0.iter_set_mut(BlockAddr::from_index(set as u64)) {
+                any_dirty |= line.dirty;
                 if line.dirty && line.pid == pid {
                     line.dirty = false;
                     line.meta.write_lease = false;
                     dirty_blocks.push(line.block);
                 }
+                // Early lease release: epochs are sized to the invocation
+                // (Section 3.2), so when the invocation completes every
+                // lease this AXC holds ends now.
+                if line.meta.lease_end > now {
+                    line.meta.lease_end = now;
+                    line.meta.write_lease = false;
+                    live.push((line.pid, line.block));
+                }
             }
-            self.dirty_per_set[axc.index()][set] = 0;
+            if any_dirty {
+                self.stats.downgrade_sets_scanned += 1;
+            } else {
+                self.stats.downgrade_sets_filtered += 1;
+            }
         }
         for block in dirty_blocks {
             // Truncate the write epoch at `now` before writing back.
@@ -972,21 +885,10 @@ impl AccTile {
             }
             self.writeback(axc, pid, block, now, true);
         }
-        // Early lease release: epochs are sized to the invocation
-        // (Section 3.2), so when the invocation completes every lease this
-        // AXC holds ends now. Where it was the sole holder, the L1X GTIME
-        // can be lowered too — later writers and host forwards need not
-        // wait out the unused remainder of the epoch.
-        let live: Vec<(Pid, BlockAddr)> = self.l0x[axc.index()]
-            .iter()
-            .filter(|l| l.meta.lease_end > now)
-            .map(|l| (l.pid, l.block))
-            .collect();
+        // Where this AXC was the sole holder, the L1X GTIME can be lowered
+        // too: later writers and host forwards need not wait out the
+        // unused remainder of the epoch.
         for (lpid, block) in live {
-            if let Some(line) = self.l0x[axc.index()].probe_mut(lpid, block) {
-                line.meta.lease_end = now;
-                line.meta.write_lease = false;
-            }
             if let Some(l1) = self.l1x.probe_mut(lpid, block) {
                 l1.meta = transition::acc_release_lease(l1.meta, axc, now);
             }
@@ -1013,12 +915,10 @@ impl AccTile {
         let release = rel.release_at;
         // Collect any still-dirty L0X data for this block (lazy writeback
         // accounting: the data would have self-downgraded by GTIME).
-        for (idx, l0) in self.l0x.iter_mut().enumerate() {
-            let set = l0.set_index(block);
+        for l0 in &mut self.l0x {
             if let Some(l) = l0.probe_mut(pid, block) {
                 if l.dirty {
                     l.dirty = false;
-                    self.dirty_per_set[idx][set] = self.dirty_per_set[idx][set].saturating_sub(1);
                     self.stats.wb_l0_to_l1 += 1;
                     self.stats.l1_accesses += 1;
                     dirty = true;
@@ -1048,38 +948,21 @@ impl AccTile {
     )]
     pub fn flush_all(&mut self, now: Cycle) -> Vec<L1Evicted> {
         for axc in 0..self.l0x.len() {
-            let blocks: Vec<(Pid, BlockAddr)> = self.l0x[axc]
-                .iter()
-                .filter(|l| l.dirty)
-                .map(|l| (l.pid, l.block))
-                .collect();
+            let mut blocks = Vec::new();
+            for line in self.l0x[axc].iter_mut().filter(|l| l.dirty) {
+                line.dirty = false;
+                blocks.push((line.pid, line.block));
+            }
             for (pid, block) in blocks {
-                let l0 = &mut self.l0x[axc];
-                let set = l0.set_index(block);
-                if let Some(line) = l0.probe_mut(pid, block) {
-                    line.dirty = false;
-                }
-                self.dirty_per_set[axc][set] = self.dirty_per_set[axc][set].saturating_sub(1);
                 self.writeback(AxcId::new(axc as u16), pid, block, now, false);
             }
         }
-        let mut out = Vec::new();
         let mut evicted = Vec::new();
         self.l1x.flush_with(|e| evicted.push(e));
-        for e in evicted {
-            if e.dirty {
-                self.stats.l1_evictions_dirty += 1;
-            } else {
-                self.stats.l1_evictions_clean += 1;
-            }
-            out.push(L1Evicted {
-                pid: e.pid,
-                block: e.block,
-                dirty: e.dirty,
-                release_at: e.meta.gtime.max(now),
-            });
-        }
-        out
+        evicted
+            .into_iter()
+            .map(|e| self.l1_evicted(e, now))
+            .collect()
     }
 }
 
@@ -1717,9 +1600,8 @@ mod tests {
         let block = b(40);
         assert!(t.prefetch_install(P, block, Cycle::new(100)).is_none());
         assert_eq!(t.stats().prefetch_installs, 1);
-        // A duplicate prefetch is dropped.
-        assert!(t.prefetch_install(P, block, Cycle::new(110)).is_none());
-        assert_eq!(t.stats().prefetch_installs, 1);
+        // The prefetcher skips a block the L1X already caches.
+        assert!(t.l1x_caches(P, block));
         // The demand access hits the L1X (no host fill) and counts the
         // prefetch as useful exactly once.
         match t.axc_access(
@@ -1855,171 +1737,42 @@ mod tests {
         assert_eq!(t.stats().wb_l0_to_l1, wbs);
     }
 
-    /// A fill that has already landed — completion no later than its
-    /// AXC's latest issue time — is dead MSHR state: keeping the entry
-    /// (as an unpruned map would) and dropping it must be
-    /// indistinguishable to a later read, a lease renewal and a Dx forward.
+    /// Forwarding a block whose consumer copy is already dirty leaves one
+    /// dirty line, not two: an eager block evicted twice in one producer
+    /// phase lands on the same consumer line both times. Once the host
+    /// forward has cleaned that line, the consumer's downgrade finds no
+    /// dirty set.
     #[test]
-    fn landed_mshr_entry_behaves_as_absent() {
-        for renewal in [false, true] {
-            let mut pruned = tile(2);
-            pruned.set_lease_renewal(renewal);
-            let mut rules = FxHashMap::default();
-            rules.insert(
-                (P, b(5)),
-                vec![ForwardRule {
-                    producer: AxcId::new(0),
-                    consumer: AxcId::new(1),
-                    lease: 500,
-                    eager: false,
-                }],
-            );
-            pruned.set_forward_rules(rules);
-            fill(&mut pruned, 0, 1, AccessKind::Load, 0, 20);
-            fill(&mut pruned, 1, 5, AccessKind::Load, 0, 20);
-            let landed1 = pruned.in_flight[0].get(P, b(1)).expect("fill recorded");
-            let landed5 = pruned.in_flight[1].get(P, b(5)).expect("fill recorded");
-            // A later fill from each AXC drops its landed entry.
-            fill(&mut pruned, 0, 2, AccessKind::Load, 1000, 20);
-            fill(&mut pruned, 1, 6, AccessKind::Load, 1000, 20);
-            assert!(landed1 <= Cycle::new(1000) && landed5 <= Cycle::new(1000));
-            assert_eq!(pruned.in_flight[0].get(P, b(1)), None);
-            assert_eq!(pruned.in_flight[1].get(P, b(5)), None);
-            assert_eq!(pruned.in_flight[0].fills.len(), 1);
-            assert_eq!(pruned.in_flight[1].fills.len(), 1);
-            let mut kept = pruned.clone();
-            kept.in_flight[0].fills.push((P, b(1), landed1));
-            kept.in_flight[1].fills.push((P, b(5), landed5));
-
-            let merges = pruned.stats().mshr_merges;
-            let mut outcomes = Vec::new();
-            for t in [&mut pruned, &mut kept] {
-                let mut seen = Vec::new();
-                // Read after the lease expired: renews (renewal on) or
-                // re-requests (off); never merges into the landed fill.
-                seen.push(t.axc_access(
-                    AxcId::new(0),
-                    P,
-                    b(1),
-                    AccessKind::Load,
-                    Cycle::new(2000),
-                    20,
-                ));
-                assert_eq!(t.stats().mshr_merges, merges, "renewal {renewal}");
-                // A hit right behind it, gated only by a live fill.
-                seen.push(t.axc_access(
-                    AxcId::new(0),
-                    P,
-                    b(1),
-                    AccessKind::Load,
-                    Cycle::new(2001),
-                    20,
-                ));
-                // Producer writes block 5 and forwards it to the consumer,
-                // whose landed fill must not gate the forwarded copy.
-                seen.push(t.axc_access(
-                    AxcId::new(0),
-                    P,
-                    b(5),
-                    AccessKind::Store,
-                    Cycle::new(2100),
-                    20,
-                ));
-                t.downgrade_all(AxcId::new(0), P, Cycle::new(2200));
-                seen.push(t.axc_access(
-                    AxcId::new(1),
-                    P,
-                    b(5),
-                    AccessKind::Load,
-                    Cycle::new(2250),
-                    500,
-                ));
-                outcomes.push((seen, *t.stats()));
-            }
-            assert_eq!(outcomes[0], outcomes[1], "renewal {renewal}");
-            let stats = outcomes[0].1;
-            assert_eq!(stats.fwd_l0_to_l0, 1);
-            assert_eq!(stats.lease_renewals, u64::from(renewal));
-        }
-    }
-
-    /// Pruning drops only fills that have landed: a fill still in flight
-    /// survives later inserts and merges a read that misses the L0X.
-    #[test]
-    fn live_mshr_entry_survives_later_fills() {
-        let mut t = tile(1);
-        fill(&mut t, 0, 3, AccessKind::Load, 0, 1000);
-        let landing = t.in_flight[0].get(P, b(3)).expect("fill recorded");
-        // Four more blocks of the same 4-way L0X set, each a fresh fill,
-        // evict block 3 from the L0X while its line is still landing.
-        for (i, blk) in [19, 35, 51, 67].into_iter().enumerate() {
-            fill(&mut t, 0, blk, AccessKind::Load, 30 + i as u64, 1000);
-        }
-        assert!(landing > Cycle::new(34));
-        let merges = t.stats().mshr_merges;
-        match t.axc_access(
-            AxcId::new(0),
-            P,
-            b(3),
-            AccessKind::Load,
-            Cycle::new(34),
-            1000,
-        ) {
-            AccAccess::L0Hit { done_at } => assert_eq!(done_at, landing + 1),
-            other => panic!("expected a merge into the in-flight fill, got {other:?}"),
-        }
-        assert_eq!(t.stats().mshr_merges, merges + 1);
-    }
-
-    /// The MSHR lists hold only fills still in flight, so they stay short
-    /// over an arbitrarily long stream instead of growing with every block
-    /// ever granted. Four AXCs issue in program order under an MLP limit,
-    /// interleaved by issue time as the replay engine would.
-    #[test]
-    fn mshr_lists_stay_bounded() {
-        const AXCS: usize = 4;
-        const MLP: usize = 4;
-        let mut t = tile(AXCS);
-        let mut rng = 0x4d53_4852u64;
-        let mut next = || {
-            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = rng;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        let mut clock = [0u64; AXCS];
-        let mut slots = [[0u64; MLP]; AXCS];
-        let ready = |clock: &[u64; AXCS], slots: &[[u64; MLP]; AXCS], a: usize| {
-            clock[a].max(*slots[a].iter().min().unwrap())
-        };
-        let mut longest = 0;
-        let mut granted = FxHashMap::default();
-        for _ in 0..100_000 {
-            let r = next();
-            let axc = (0..AXCS)
-                .min_by_key(|&a| (ready(&clock, &slots, a), a))
-                .unwrap();
-            let now = ready(&clock, &slots, axc);
-            let block = (r >> 16) % 4096;
-            let kind = if (r >> 40) % 4 == 0 {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            let done = fill(&mut t, u16::try_from(axc).unwrap(), block, kind, now, 200).value();
-            *slots[axc].iter_mut().min().unwrap() = done;
-            clock[axc] = now + 1 + r % 4;
-            granted.insert((axc, block), ());
-            longest = longest.max(t.in_flight.iter().map(|m| m.fills.len()).max().unwrap());
-        }
-        assert!(
-            granted.len() > 10_000,
-            "stream too narrow: {}",
-            granted.len()
+    fn repeated_forward_leaves_no_phantom_dirty_set() {
+        let mut t = tile(2);
+        let mut rules = FxHashMap::default();
+        rules.insert(
+            (P, b(5)),
+            vec![ForwardRule {
+                producer: AxcId::new(0),
+                consumer: AxcId::new(1),
+                lease: 100,
+                eager: true,
+            }],
         );
-        // At most MLP fills are outstanding at an issue, plus those whose
-        // line tail (data_cycles past the critical word) is still landing.
-        assert!(longest <= MLP + 8, "MSHR list grew to {longest}");
+        t.set_forward_rules(rules);
+        // Accesses 100 cycles apart: every fill lands before the next one.
+        let mut now = 0;
+        for _ in 0..2 {
+            fill(&mut t, 0, 5, AccessKind::Store, now, 1000);
+            // Four more blocks of block 5's 4-way set evict it, and the
+            // eviction forwards it to AXC 1.
+            for k in 1..=4 {
+                now += 100;
+                fill(&mut t, 0, 5 + 16 * k, AccessKind::Load, now, 1000);
+            }
+            now += 100;
+        }
+        assert_eq!(t.stats().fwd_l0_to_l0, 2);
+        t.host_forward(P, b(5), Cycle::new(now));
+        t.downgrade_all(AxcId::new(1), P, Cycle::new(now));
+        let s = t.stats();
+        assert_eq!(s.downgrade_sets_scanned, 0);
+        assert_eq!(s.downgrade_sets_filtered, 16);
     }
 }

@@ -4,7 +4,6 @@ use fusion_accel::{kind_runs_of, run_phase_kind_runs};
 use fusion_coherence::MesiReq;
 use fusion_energy::{Component, EnergyLedger, EnergyModel};
 use fusion_mem::{ReplacementPolicy, SetAssocCache};
-use fusion_types::hash::FxHashMap;
 use fusion_types::{AxcId, BlockAddr, Cycle, PhysAddr, Pid, CACHE_BLOCK_BYTES};
 
 use crate::host::TileAgent;
@@ -14,9 +13,8 @@ use crate::systems::{PhaseHooks, Run};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SharedMeta {
     exclusive: bool,
-    /// When the full-line fill that installed this copy lands (mirrors the
-    /// `in_flight` entry so the hit path never probes the map; the map is
-    /// only consulted when the line is absent).
+    /// When the full-line fill that installed this copy lands: a hit before
+    /// then cannot return data earlier than the fill (hit-under-miss).
     fill_full: Cycle,
 }
 
@@ -64,10 +62,6 @@ impl TileAgent for SharedL1x {
 #[derive(Debug)]
 pub(super) struct SharedSystem {
     l1x: SharedL1x,
-    /// In-flight L1X fills: a hit on a line whose fill has not landed
-    /// yet cannot return data earlier than the fill (hit-under-miss).
-    /// Hot-map audit: get/insert by key — never iterated.
-    in_flight: FxHashMap<BlockAddr, Cycle>,
 }
 
 impl SharedSystem {
@@ -77,7 +71,6 @@ impl SharedSystem {
                 cache: SetAssocCache::new(run.cfg.l1x, ReplacementPolicy::Lru),
                 energy: run.em.clone(),
             },
-            in_flight: FxHashMap::default(),
         }
     }
 }
@@ -96,7 +89,7 @@ impl PhaseHooks for SharedSystem {
     ) -> (Cycle, u64) {
         let (cfg, em) = (run.cfg, &run.em);
         let (host, ledger, latency) = (&mut run.host, &mut run.ledger, &mut run.latency);
-        let (l1x, in_flight) = (&mut self.l1x, &mut self.in_flight);
+        let l1x = &mut self.l1x;
         let phase = &run.workload.phases[phase_idx];
         let pid = run.workload.pid;
         let dp = run.workload.phase_refs(phase_idx);
@@ -126,13 +119,12 @@ impl PhaseHooks for SharedSystem {
                 let mut ready = at + axc_word_cycles + cfg.l1x.latency;
 
                 let mut is_upgrade = false;
-                // Carried through an upgrade so the reinserted line
-                // keeps mirroring the (untouched) `in_flight` entry.
+                // Carried through an upgrade: the reinserted line keeps
+                // its fill gate.
                 let mut prev_fill = Cycle::ZERO;
                 let needs_fill = match l1x.cache.lookup(SharedL1x::PHYS_PID, pblock) {
                     Some(line) => {
-                        // Hit-under-miss: the line's own fill gate
-                        // replaces the per-ref `in_flight` probe.
+                        // Hit-under-miss: the line's own fill gate.
                         ready = ready.max(line.meta.fill_full);
                         if is_write && !line.meta.exclusive {
                             is_upgrade = true;
@@ -145,16 +137,11 @@ impl PhaseHooks for SharedSystem {
                             None
                         }
                     }
-                    None => {
-                        if let Some(&fill_done) = in_flight.get(&pblock) {
-                            ready = ready.max(fill_done);
-                        }
-                        Some(if is_write {
-                            MesiReq::GetX
-                        } else {
-                            MesiReq::GetS
-                        })
-                    }
+                    None => Some(if is_write {
+                        MesiReq::GetX
+                    } else {
+                        MesiReq::GetS
+                    }),
                 };
                 if let Some(req) = needs_fill {
                     ledger.charge_bytes(Component::LinkL1xL2Msg, em.link_l1x_l2_pj_per_byte, word);
@@ -182,14 +169,11 @@ impl PhaseHooks for SharedSystem {
                     // the first flit; the full line gates merged hits.
                     // An upgrade already holds the data: only the
                     // ownership acknowledgement comes back.
-                    let fill_full = if !is_upgrade {
-                        let full = l2_ready + l2_block_cycles;
-                        ready = l2_ready + l2_critical_cycles;
-                        in_flight.insert(pblock, full);
-                        full
-                    } else {
-                        ready = l2_ready + l2_critical_cycles;
+                    ready = l2_ready + l2_critical_cycles;
+                    let fill_full = if is_upgrade {
                         prev_fill
+                    } else {
+                        l2_ready + l2_block_cycles
                     };
                     // A GetS with no other sharer is granted E: the
                     // line may be upgraded to M silently later.

@@ -347,6 +347,12 @@ impl<M> SetAssocCache<M> {
             .filter_map(|s| s.as_mut())
     }
 
+    /// Number of sets; set `s` holds the blocks whose index is `s` modulo
+    /// this (see [`SetAssocCache::set_index`]).
+    pub fn sets(&self) -> usize {
+        self.sets
+    }
+
     /// Number of resident lines.
     pub fn len(&self) -> usize {
         self.lens.iter().map(|&l| l as usize).sum()

@@ -1,9 +1,9 @@
-//! The histogram behind every FUSION simulation result's latency
+//! The summary behind every FUSION simulation result's latency
 //! statistics.
 //!
-//! [`Histogram`] buckets samples by powers of two. `fusion-core` records
-//! each accelerator access's load-to-use latency in one, and reports it as
-//! `SimResult::latency`.
+//! [`Histogram`] keeps the count, sum and maximum of its samples.
+//! `fusion-core` records each accelerator access's load-to-use latency in
+//! one, and reports it as `SimResult::latency`.
 //!
 //! # Examples
 //!

@@ -1,12 +1,9 @@
-//! Histograms for simulator measurements.
+//! Sample summaries for simulator measurements.
 
 use std::fmt;
 
-/// A simple power-of-two-bucketed histogram (used for e.g. miss latency and
-/// outstanding-request distributions).
-///
-/// Bucket `i` counts samples in `[2^i, 2^(i+1))`; bucket 0 counts samples of
-/// value 0 or 1.
+/// The count, sum and maximum of a stream of samples: each accelerator
+/// access's load-to-use latency, summarized as `n`, mean and max.
 ///
 /// # Examples
 ///
@@ -23,7 +20,6 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
-    buckets: Vec<u64>,
     count: u64,
     sum: u64,
     max: u64,
@@ -38,11 +34,6 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        let bucket = (64 - value.max(1).leading_zeros() as usize).saturating_sub(1);
-        if self.buckets.len() <= bucket {
-            self.grow(bucket);
-        }
-        self.buckets[bucket] += 1;
         self.count += 1;
         self.sum += value;
         self.max = self.max.max(value);
@@ -55,22 +46,9 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let bucket = (64 - value.max(1).leading_zeros() as usize).saturating_sub(1);
-        if self.buckets.len() <= bucket {
-            self.grow(bucket);
-        }
-        self.buckets[bucket] += n;
         self.count += n;
         self.sum += value * n;
         self.max = self.max.max(value);
-    }
-
-    // Extends the buckets so `bucket` exists. Taken only the first time a
-    // sample lands above every earlier one, so kept out of the inlined
-    // `record` path.
-    #[cold]
-    fn grow(&mut self, bucket: usize) {
-        self.buckets.resize(bucket + 1, 0);
     }
 
     /// Number of samples recorded.
@@ -96,11 +74,6 @@ impl Histogram {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Per-bucket counts: bucket `i` covers `[2^i, 2^(i+1))`.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
 }
 
 impl fmt::Display for Histogram {
@@ -120,19 +93,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_bucketing() {
+    fn histogram_summarizes_samples() {
         let mut h = Histogram::new();
-        h.record(0); // bucket 0
-        h.record(1); // bucket 0
-        h.record(2); // bucket 1
-        h.record(3); // bucket 1
-        h.record(4); // bucket 2
-        h.record(1024); // bucket 10
-        assert_eq!(h.buckets()[0], 2);
-        assert_eq!(h.buckets()[1], 2);
-        assert_eq!(h.buckets()[2], 1);
-        assert_eq!(h.buckets()[10], 1);
-        assert_eq!(h.count(), 6);
+        for v in [0, 1, 2, 3, 4, 1024] {
+            h.record(v);
+        }
+        h.record_n(7, 2);
+        h.record_n(9, 0);
+        assert_eq!(h.count(), 8);
+        assert_eq!(h.sum(), 1048);
         assert_eq!(h.max(), 1024);
     }
 

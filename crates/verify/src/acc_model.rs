@@ -4,7 +4,7 @@
 //! simulator uses ([`fusion_coherence::transition`]) over a small,
 //! bounded configuration: N agents, K blocks, a clock that runs from 0 to
 //! a `horizon`, and a fixed set of lease quanta. Everything the timing
-//! layer adds on top — latencies, stats, MSHRs, capacity victims — is
+//! layer adds on top — latencies, stats, fill gates, capacity victims — is
 //! abstracted away: a host fill is atomic, messages are free, and the
 //! only time that passes is the explicit `tick` action. What remains is
 //! exactly the protocol state the invariants speak about: L1X metadata

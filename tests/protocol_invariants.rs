@@ -350,9 +350,10 @@ fn acc_invariants_hold_with_extensions() {
         for op in ops {
             op_index += 1;
             // Interleave background prefetch installs like the stream
-            // prefetcher would.
-            if op_index.is_multiple_of(5) {
-                t.prefetch_install(pid, BlockAddr::from_index(op_index % 24), now);
+            // prefetcher would: only for blocks the L1X does not cache.
+            let pb = BlockAddr::from_index(op_index % 24);
+            if op_index.is_multiple_of(5) && !t.l1x_caches(pid, pb) {
+                t.prefetch_install(pid, pb, now);
             }
             match op {
                 TileOp::Access {
